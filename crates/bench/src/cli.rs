@@ -1,4 +1,4 @@
-//! Minimal shared CLI for the figure binaries.
+//! The shared experiment flags of `hqw run`, and the `hqw` command parser.
 //!
 //! Flags (all optional):
 //! * `--quick`       — test-scale run (seconds).
@@ -7,8 +7,8 @@
 //! * `--out <dir>`   — CSV output directory (default `results/`).
 //! * `--threads <n>` — worker threads for parallel sweeps (0 = all cores;
 //!   results are bit-identical for any value).
-//! * `--json <path>` — JSON report path, for binaries that emit one
-//!   (default: the binary's `BENCH_*.json` at the workspace root).
+//! * `--json <path>` — JSON report path, for experiments that emit one
+//!   (default: the experiment's `BENCH_*.json` at the workspace root).
 //! * `--telemetry <path>` — capture a Chrome trace-event file at `path`
 //!   (off by default; only the stream/fabric engines support it).
 //!
@@ -19,10 +19,6 @@
 use hqw_core::experiments::Scale;
 use hqw_core::report::Report;
 use std::path::PathBuf;
-
-/// One-line usage summary, printed alongside parse errors.
-pub const USAGE: &str = "usage: [--quick|--full] [--seed N] [--out DIR] [--threads N] \
-     [--json PATH] [--telemetry PATH]";
 
 /// Parsed command-line options.
 #[derive(Debug, Clone)]
@@ -46,28 +42,7 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses `std::env::args()`. On malformed arguments, prints the error
-    /// and [`USAGE`] to stderr and exits the process with status 2.
-    pub fn from_args() -> Self {
-        Self::from_args_tracked().0
-    }
-
-    /// [`Options::from_args`] plus the [`GivenFlags`] record of which flags
-    /// appeared explicitly — the legacy binaries feed this into the
-    /// registry's single flag-resolution point.
-    pub fn from_args_tracked() -> (Self, GivenFlags) {
-        match Self::parse_tracked(std::env::args().skip(1)) {
-            Ok(parsed) => parsed,
-            Err(message) => {
-                eprintln!("error: {message}");
-                eprintln!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parses an explicit argument list (testable core of
-    /// [`Options::from_args`]).
+    /// Parses an explicit argument list (the flags after `hqw run <name>`).
     ///
     /// # Errors
     /// Returns a human-readable message for an unknown flag, a flag missing
@@ -153,10 +128,8 @@ impl Options {
         self.out_dir.join(name)
     }
 
-    /// Path for the binary's JSON report: the `--json` override when given,
-    /// `default_name` (at the working directory) otherwise. Shared by every
-    /// report-emitting fig binary so the default-path convention lives in
-    /// one place.
+    /// Path for the run's JSON report: the `--json` override when given,
+    /// `default_name` (at the working directory) otherwise.
     pub fn json_path(&self, default_name: &str) -> PathBuf {
         self.json_out
             .clone()
@@ -175,20 +148,28 @@ impl Options {
 
     /// The one emission path every report-producing experiment uses: print
     /// the table, write the CSV under `--out`, write the JSON report at the
-    /// `--json` override or `json_default` — previously copy-pasted across
-    /// the fig binaries.
+    /// `--json` override or the report's default name (see
+    /// [`report_file_names`]).
     ///
     /// # Panics
     /// Panics when the CSV or JSON file cannot be written.
-    pub fn emit_report(&self, report: &dyn Report, csv_name: &str, json_default: &str) {
+    pub fn emit_report(&self, report: &dyn Report) {
+        let (csv_name, json_default) = report_file_names(report);
         println!("{}", report.render_table());
-        let csv_path = self.csv_path(csv_name);
+        let csv_path = self.csv_path(&csv_name);
         report.write_csv(&csv_path).expect("write CSV");
         println!("CSV written to {}", csv_path.display());
-        let json_path = self.json_path(json_default);
+        let json_path = self.json_path(&json_default);
         report.write_json(&json_path).expect("write JSON report");
         println!("JSON report written to {}", json_path.display());
     }
+}
+
+/// A report's standard file names: `fig_<name>.csv` (under `--out`) and
+/// `BENCH_<name>.json`, with the report name's dashes as underscores.
+pub fn report_file_names(report: &dyn Report) -> (String, String) {
+    let stem = report.name().replace('-', "_");
+    (format!("fig_{stem}.csv"), format!("BENCH_{stem}.json"))
 }
 
 /// Usage summary of the `hqw` runner binary.

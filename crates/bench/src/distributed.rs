@@ -1,88 +1,28 @@
 //! Runners for the distributed experiment plane: `hqw run --shard K/N`,
 //! `hqw run --checkpoint`/`--resume`, and `hqw merge`.
 //!
-//! Every function here drives the same engines as [`crate::runs`] through
-//! the per-point subset runners (`run_ber_points` / `run_stream_points` /
-//! `run_fabric_points`), so a shard or a resumed run computes the exact
-//! bytes the single-process run would have: `hqw merge` over any shard
-//! partition — and a kill-and-resume cycle — reproduces the committed
-//! `BENCH_*.json` byte-for-byte (the `shard-merge` CI job pins both).
+//! Every function here drives the same grid engines as [`crate::runs`],
+//! through the spec's [`SpecGrid`], so a shard or a resumed run computes
+//! the exact bytes the single-process run would have: `hqw merge` over any
+//! shard partition — and a kill-and-resume cycle — reproduces the
+//! committed `BENCH_*.json` byte-for-byte (the `shard-merge` CI job pins
+//! both).
 //! Errors come back as user-facing strings; the `hqw` binary prints them
 //! with the usage line and exits 2.
 
-use crate::cli::Options;
-use crate::runs;
+use crate::cli::{report_file_names, Options};
+use hqw_core::grid::{spec_grid, SpecGrid};
 use hqw_core::report::{write_creating_parents, PointRecord};
-use hqw_core::shard::{
-    grid_len, merge_shards, shard_ids, spec_fingerprint, Checkpoint, GridReport, ShardReport,
-};
+use hqw_core::shard::{merge_shards, shard_ids, spec_fingerprint, Checkpoint, ShardReport};
 use hqw_core::spec::ExperimentSpec;
-use hqw_core::{run_ber_points, run_fabric_points, run_stream_points};
-use hqw_phy::detect::Mmse;
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
 
-/// The standard emission names (CSV under `--out`, JSON default) of a grid
-/// family — the same pair [`crate::runs`] uses, so distributed output
-/// lands where single-process output does.
-fn emit_names(family: &str) -> (&'static str, &'static str) {
-    match family {
-        "ber" => ("fig_ber.csv", "BENCH_ber.json"),
-        "stream" => ("fig_stream.csv", "BENCH_stream.json"),
-        "fabric" => ("fig_fabric.csv", "BENCH_fabric.json"),
-        "sched" => ("fig_sched.csv", "BENCH_sched.json"),
-        other => unreachable!("no emission names for unshardable family '{other}'"),
-    }
-}
-
-/// Computes the point records for an id-subset of a spec's grid, with the
-/// exact per-point seeds of the full run (ids must be strictly increasing
-/// and in range — [`shard_ids`] and [`Checkpoint::remaining_ids`] both
-/// produce such subsets).
-///
-/// # Errors
-/// Returns a message for specs without a shardable grid (canned figures,
-/// realtime fabric, empty grids).
-pub fn run_spec_points(spec: &ExperimentSpec, ids: &[usize]) -> Result<Vec<PointRecord>, String> {
-    grid_len(spec).map_err(|e| e.to_string())?;
-    Ok(match spec {
-        ExperimentSpec::Ber(config) => {
-            let detectors = runs::roster(config.seed);
-            run_ber_points(config, &detectors, ids)
-                .iter()
-                .map(|column| column.to_record())
-                .collect()
-        }
-        ExperimentSpec::Stream(config) => {
-            let classical = Mmse::new(config.track.noise_variance);
-            run_stream_points(config, &classical, ids)
-                .iter()
-                .zip(ids)
-                .map(|(cell, &id)| PointRecord {
-                    id,
-                    payload: cell.to_json_object(),
-                })
-                .collect()
-        }
-        ExperimentSpec::Fabric(config) => run_fabric_points(config, ids)
-            .iter()
-            .zip(ids)
-            .map(|(point, &id)| PointRecord {
-                id,
-                payload: point.to_json_object(),
-            })
-            .collect(),
-        ExperimentSpec::Sched(config) => hqw_core::run_sched_points(config, ids)
-            .iter()
-            .zip(ids)
-            .map(|(point, &id)| PointRecord {
-                id,
-                payload: point.to_json_object(),
-            })
-            .collect(),
-        ExperimentSpec::Canned(_) => unreachable!("grid_len rejects canned specs"),
-    })
+/// The spec's grid engine, or the user-facing message for specs without a
+/// shardable grid (canned figures, realtime fabric, empty grids).
+fn grid(spec: &ExperimentSpec) -> Result<Box<dyn SpecGrid + '_>, String> {
+    spec_grid(spec).map_err(|e| e.to_string())
 }
 
 /// Runs shard `index`/`count` of a spec's grid and writes the
@@ -97,7 +37,8 @@ pub fn run_shard(
     index: usize,
     count: usize,
 ) -> Result<(), String> {
-    let total = grid_len(spec).map_err(|e| e.to_string())?;
+    let grid = grid(spec)?;
+    let total = grid.total_points();
     let ids = shard_ids(total, index, count);
     println!(
         "=== {} shard {index}/{count}: {} of {total} grid points",
@@ -110,7 +51,7 @@ pub fn run_shard(
         spec.seed()
     );
     println!();
-    let records = run_spec_points(spec, &ids)?;
+    let records = grid.run_records(&ids);
     let shard = ShardReport::new(spec, index, count, records).map_err(|e| e.to_string())?;
     let default_name = format!("SHARD_{}_{index}of{count}.json", spec.family());
     let path = opts.json_path(&default_name);
@@ -125,6 +66,7 @@ pub fn run_shard(
 /// wave of work.
 fn run_and_journal(
     spec: &ExperimentSpec,
+    grid: &dyn SpecGrid,
     file: &mut File,
     path: &Path,
     ids: &[usize],
@@ -135,7 +77,7 @@ fn run_and_journal(
     };
     let mut all = Vec::with_capacity(ids.len());
     for chunk in ids.chunks(wave) {
-        let records = run_spec_points(spec, chunk)?;
+        let records = grid.run_records(chunk);
         let mut buf = String::new();
         for record in &records {
             buf.push_str(&Checkpoint::point_line(record));
@@ -147,14 +89,6 @@ fn run_and_journal(
         all.extend(records);
     }
     Ok(all)
-}
-
-/// Emits a reassembled grid report through the family's standard
-/// table/CSV/JSON conventions — the same call the single-process runner
-/// makes, so the output is byte-identical.
-fn emit_grid(grid: &GridReport, opts: &Options) {
-    let (csv_name, json_default) = emit_names(grid.as_report().name());
-    opts.emit_report(grid.as_report(), csv_name, json_default);
 }
 
 /// Runs a full grid while journaling completed points to a fresh JSONL
@@ -170,7 +104,8 @@ pub fn run_checkpointed(spec: &ExperimentSpec, opts: &Options, path: &Path) -> R
             path.display()
         ));
     }
-    let total = grid_len(spec).map_err(|e| e.to_string())?;
+    let grid = grid(spec)?;
+    let total = grid.total_points();
     let header = Checkpoint::header_line(spec).map_err(|e| e.to_string())?;
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -189,9 +124,9 @@ pub fn run_checkpointed(spec: &ExperimentSpec, opts: &Options, path: &Path) -> R
         path.display()
     );
     let ids: Vec<usize> = (0..total).collect();
-    let records = run_and_journal(spec, &mut file, path, &ids)?;
-    let grid = GridReport::from_points(spec, records).map_err(|e| e.to_string())?;
-    emit_grid(&grid, opts);
+    let records = run_and_journal(spec, grid.as_ref(), &mut file, path, &ids)?;
+    let report = grid.assemble_records(records).map_err(|e| e.to_string())?;
+    opts.emit_report(report.as_ref());
     Ok(())
 }
 
@@ -219,17 +154,25 @@ pub fn run_resume(path: &Path, opts: &Options) -> Result<(), String> {
         ck.total_points,
         remaining.len()
     );
+    let grid = grid(&ck.spec)?;
     let mut points = ck.points.clone();
     if !remaining.is_empty() {
         let mut file = std::fs::OpenOptions::new()
             .append(true)
             .open(path)
             .map_err(|e| format!("cannot reopen checkpoint '{}': {e}", path.display()))?;
-        points.extend(run_and_journal(&ck.spec, &mut file, path, &remaining)?);
-        points.sort_by_key(|p| p.id);
+        points.extend(run_and_journal(
+            &ck.spec,
+            grid.as_ref(),
+            &mut file,
+            path,
+            &remaining,
+        )?);
     }
-    let grid = GridReport::from_points(&ck.spec, points).map_err(|e| e.to_string())?;
-    emit_grid(&grid, opts);
+    let report = grid
+        .assemble_records(points)
+        .map_err(|e| format!("invalid checkpoint '{}': {e}", path.display()))?;
+    opts.emit_report(report.as_ref());
     Ok(())
 }
 
@@ -249,10 +192,9 @@ pub fn run_merge(paths: &[String], out: Option<&Path>) -> Result<(), String> {
             ShardReport::parse(&text).map_err(|e| format!("invalid shard file '{path}': {e}"))?;
         shards.push((path.clone(), shard));
     }
-    let grid = merge_shards(&shards).map_err(|e| e.to_string())?;
-    let report = grid.as_report();
-    let (_, json_default) = emit_names(report.name());
-    let path = out.unwrap_or_else(|| Path::new(json_default));
+    let report = merge_shards(&shards).map_err(|e| e.to_string())?;
+    let (_, json_default) = report_file_names(report.as_ref());
+    let path = out.unwrap_or_else(|| Path::new(&json_default));
     report
         .write_json(path)
         .map_err(|e| format!("cannot write merged report '{}': {e}", path.display()))?;
@@ -264,7 +206,7 @@ pub fn run_merge(paths: &[String], out: Option<&Path>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hqw_core::report::MergeableReport;
+    use hqw_core::grid::{assemble_records, run_grid};
 
     fn quick_spec(family: &str) -> ExperimentSpec {
         let opts =
@@ -284,17 +226,15 @@ mod tests {
         config.rhos = vec![0.0, 0.9];
         config.arrival_periods_us = vec![400.0, 120.0];
         let spec = ExperimentSpec::Stream(config.clone());
-        let total = grid_len(&spec).unwrap();
+        let grid = spec_grid(&spec).unwrap();
+        let total = grid.total_points();
 
-        let classical = Mmse::new(config.track.noise_variance);
-        let full = hqw_core::run_stream_grid(&config, &classical);
+        let full = run_grid(&config, None);
         let mut halves: Vec<PointRecord> = Vec::new();
         for index in 1..=2 {
-            halves.extend(run_spec_points(&spec, &shard_ids(total, index, 2)).unwrap());
+            halves.extend(grid.run_records(&shard_ids(total, index, 2)));
         }
-        halves.sort_by_key(|p| p.id);
-        let rebuilt =
-            hqw_core::StreamGridReport::from_points(&spec, halves).expect("records merge");
+        let rebuilt = assemble_records(&config, halves).expect("records merge");
         assert_eq!(rebuilt.to_json(), full.to_json());
     }
 
@@ -310,15 +250,15 @@ mod tests {
         config.arrival_periods_us = vec![400.0, 120.0];
         config.mixes.truncate(2);
         let spec = ExperimentSpec::Fabric(config.clone());
-        let total = grid_len(&spec).unwrap();
+        let grid = spec_grid(&spec).unwrap();
+        let total = grid.total_points();
 
         let full = hqw_core::run_fabric_grid(&config);
         let mut parts: Vec<PointRecord> = Vec::new();
         for index in 1..=3 {
-            parts.extend(run_spec_points(&spec, &shard_ids(total, index, 3)).unwrap());
+            parts.extend(grid.run_records(&shard_ids(total, index, 3)));
         }
-        parts.sort_by_key(|p| p.id);
-        let rebuilt = hqw_core::FabricGridReport::from_points(&spec, parts).expect("records merge");
+        let rebuilt = assemble_records(&config, parts).expect("records merge");
         assert_eq!(rebuilt.to_json(), full.to_json());
     }
 
@@ -335,23 +275,23 @@ mod tests {
         let mut config = config.clone();
         config.frames_per_cell = 8;
         let spec = ExperimentSpec::Sched(config.clone());
-        let total = grid_len(&spec).unwrap();
+        let grid = spec_grid(&spec).unwrap();
+        let total = grid.total_points();
 
-        let full = hqw_core::run_sched_grid(&config);
+        let full = run_grid(&config, None);
         let mut parts: Vec<PointRecord> = Vec::new();
         for index in 1..=3 {
-            parts.extend(run_spec_points(&spec, &shard_ids(total, index, 3)).unwrap());
+            parts.extend(grid.run_records(&shard_ids(total, index, 3)));
         }
-        parts.sort_by_key(|p| p.id);
-        let rebuilt = hqw_core::SchedGridReport::from_points(&spec, parts).expect("records merge");
+        let rebuilt = assemble_records(&config, parts).expect("records merge");
         assert_eq!(rebuilt.to_json(), full.to_json());
     }
 
     #[test]
     fn unshardable_specs_are_reported() {
-        let err = run_spec_points(&quick_spec("fabric-rt"), &[0]).unwrap_err();
-        assert!(err.contains("realtime"), "{err}");
-        let err = run_spec_points(&quick_spec("fig3"), &[0]).unwrap_err();
-        assert!(err.contains("no point grid"), "{err}");
+        for (family, needle) in [("fabric-rt", "realtime"), ("fig3", "no point grid")] {
+            let err = grid(&quick_spec(family)).err().expect("unshardable");
+            assert!(err.contains(needle), "{err}");
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! The canned figure/ablation experiment runners — one function per legacy
-//! binary, moved here verbatim so every `src/bin/` target is a thin shim
-//! over [`crate::registry`] and `hqw run <name>` drives the same code.
+//! The canned figure/ablation experiment runners — one function per
+//! registered figure, reached through [`crate::registry`] by
+//! `hqw run <name>`.
 //!
 //! These are the fixed-shape experiments ([`hqw_core::spec::CannedKind`]):
 //! their whole configuration is a [`hqw_core::experiments::Scale`] plus a

@@ -1,16 +1,14 @@
 //! # hqw-bench — benchmark harness
 //!
-//! Three kinds of targets:
+//! Two kinds of targets:
 //!
-//! * **The `hqw` runner** (`src/bin/hqw.rs`): the unified entry point —
-//!   `hqw list` prints the experiment [`registry`], `hqw run <name>` runs a
-//!   registered preset at `--quick`/`--full`/standard scale, and
+//! * **The `hqw` runner** (`src/bin/hqw.rs`): the one entry point —
+//!   `hqw list` prints the experiment [`registry`] (every figure and claim
+//!   of the paper's evaluation), `hqw run <name>` runs a registered preset
+//!   at `--quick`/`--full`/standard scale (e.g.
+//!   `cargo run -p hqw-bench --release --bin hqw -- run fig8 --quick`), and
 //!   `hqw run spec.json` runs a declarative
 //!   [`hqw_core::spec::ExperimentSpec`] document.
-//! * **Figure-regeneration binaries** (`src/bin/`): one per figure/claim in
-//!   the paper's evaluation, each a thin shim over the registry (so
-//!   `fig-ber --quick` and `hqw run ber --quick` emit byte-identical
-//!   output). Run e.g. `cargo run -p hqw-bench --release --bin fig8 -- --quick`.
 //! * **Kernel benches** (`benches/`): std-only micro/meso benchmarks of the
 //!   hot kernels (sweep kernels before/after the incremental-field rework,
 //!   parallel reads, annealer engines) with a JSON trajectory emitter — see

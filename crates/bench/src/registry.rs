@@ -1,12 +1,10 @@
 //! The experiment registry: every runnable experiment by name, with spec
 //! presets at `--quick` / `--full` / standard scale.
 //!
-//! One table replaces seventeen hand-wired binaries. The `hqw` runner
-//! resolves `hqw run <name>` through [`spec`], `hqw list` renders
-//! [`all`] (and [`manifest_json`] for CI iteration), and each legacy
-//! `src/bin/` target is a one-line shim over [`run_registered`] — so every
-//! path into an experiment goes through the same
-//! [`ExperimentSpec`]-driven wiring and emits byte-identical output.
+//! One table behind one binary. The `hqw` runner resolves
+//! `hqw run <name>` through [`spec`], and `hqw list` renders [`all`] (and
+//! [`manifest_json`] for CI iteration) — so every path into an experiment
+//! goes through the same [`ExperimentSpec`]-driven wiring.
 
 use crate::cli::{GivenFlags, Options};
 use crate::{legacy, runs};
@@ -115,9 +113,8 @@ pub fn find(name: &str) -> Option<&'static RegistryEntry> {
 /// Builds the spec preset for a registered experiment at the CLI-selected
 /// scale/seed (`None` for unknown names).
 ///
-/// For the grid experiments this is the full declarative configuration the
-/// legacy `fig-*` binary would have hand-wired; for canned figures it is
-/// the scale + seed pair. Presets are built with `threads: 0` (all cores):
+/// For the grid experiments this is the full declarative configuration;
+/// for canned figures it is the scale + seed pair. Presets are built with `threads: 0` (all cores):
 /// the `--threads` flag is applied by [`resolve_target`], the one place
 /// that decides the effective thread count for every path into a run.
 pub fn spec(name: &str, opts: &Options) -> Option<ExperimentSpec> {
@@ -195,23 +192,6 @@ fn run_canned(canned: &CannedSpec, opts: &Options) {
         CannedKind::ExtIterative => legacy::run_ext_iterative(&opts),
         CannedKind::PipelineStudy => legacy::run_pipeline_study(&opts),
     }
-}
-
-/// The `main` body every legacy binary shims to: parse the standard flags,
-/// resolve the registered preset through the same [`resolve_target`] path
-/// `hqw run` uses (so `--threads` precedence is decided in exactly one
-/// place), run it. Resolution errors print to stderr and exit 2.
-pub fn run_registered(name: &str) {
-    let (opts, given) = Options::from_args_tracked();
-    let spec = match resolve_target(name, &opts, given) {
-        Ok(spec) => spec,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{}", crate::cli::USAGE);
-            std::process::exit(2);
-        }
-    };
-    run_spec(&spec, &opts);
 }
 
 /// Resolves a `hqw run <target>` argument into a spec. A `*.json` path is

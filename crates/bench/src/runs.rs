@@ -1,38 +1,30 @@
-//! Runners for the three headline grid experiments (`ber`, `stream`,
-//! `fabric`): the preset configurations each scale maps to, the shared
-//! detector roster / backend mixes, and the execution + emission wiring.
+//! Runners for the grid experiments (`ber`, `stream`, `fabric`, `sched`)
+//! and the realtime `fabric-rt` service: the preset configurations each
+//! scale maps to, the shared backend mixes, and the execution + emission
+//! wiring.
 //!
-//! This module is the single home of what used to be hand-wired per binary:
-//! `fig-ber`, `fig-stream` and `fig-fabric` are thin shims over
-//! [`crate::registry`], which routes here, and the `hqw` runner drives the
-//! same functions — so `hqw run ber --quick` and `fig-ber --quick` emit
-//! byte-identical output by construction (CI pins it with `cmp`).
+//! The `hqw` runner reaches these through [`crate::registry`]; every grid
+//! experiment runs through the one generic engine ([`hqw_core::grid`]), the
+//! same path the shard, merge and checkpoint runners in
+//! [`crate::distributed`] take.
 
 use crate::cli::Options;
-use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
-use hqw_anneal::DWaveProfile;
 use hqw_core::fabric::{
-    run_fabric_grid_observed, AnnealerConfig, ArrivalProcess, BackendMix, BackendSpec,
-    FabricGridConfig, FabricMode, MockQpuConfig, NetworkModel, PtConfig, RealtimeConfig,
-    SaPoolConfig, TabuConfig,
+    AnnealerConfig, ArrivalProcess, BackendMix, BackendSpec, FabricGridConfig, FabricMode,
+    MockQpuConfig, NetworkModel, PtConfig, RealtimeConfig, SaPoolConfig, TabuConfig,
 };
 use hqw_core::fabric_rt::{run_fabric_rt_grid_observed, trace_doc};
-use hqw_core::protocol::Protocol;
-use hqw_core::scenario::{run_ber_sweep, HybridDetector, ScenarioDetector, SnrSweepConfig};
+use hqw_core::grid::run_grid;
+use hqw_core::scenario::{paper_roster, BerSweep, SnrSweepConfig};
 use hqw_core::sched::{ClassMix, SchedOptions, SchedPolicy};
-use hqw_core::sched_grid::{run_sched_grid, SchedGridConfig};
-use hqw_core::solver::{HybridConfig, HybridSolver};
-use hqw_core::stages::GreedyInitializer;
-use hqw_core::stream::run_stream_grid_observed;
+use hqw_core::sched_grid::SchedGridConfig;
 use hqw_core::stream::{CostModel, DispatchPolicy, StreamGridConfig};
 use hqw_core::telemetry::Collector;
 use hqw_phy::channel::{snr_db_to_noise_variance, ChannelModel, TrackConfig};
-use hqw_phy::detect::{Fcsd, KBest, Mmse, QuboDetector, SphereDecoder, ZeroForcing};
 use hqw_phy::modulation::Modulation;
 use hqw_qubo::pt::PtParams;
 use hqw_qubo::sa::{SaParams, SweepKernel};
 use hqw_qubo::tabu::TabuParams;
-use std::sync::Arc;
 
 /// Operating SNR of the streaming/fabric uplinks (dB).
 const SNR_DB: f64 = 14.0;
@@ -325,42 +317,6 @@ pub fn sched_config(scale_name: &str, seed: u64, threads: usize) -> SchedGridCon
     }
 }
 
-/// The full `ber` detector roster: ≥ 3 families, two of them
-/// QUBO/anneal-backed.
-pub fn roster(seed: u64) -> Vec<ScenarioDetector> {
-    let sa_params = SaParams {
-        sweeps: 96,
-        num_reads: 24,
-        threads: 1, // the grid is the parallel level; keep reads serial
-        ..Default::default()
-    };
-    let sampler = QuantumSampler::new(
-        DWaveProfile::calibrated(),
-        SamplerConfig {
-            num_reads: 16,
-            engine: EngineKind::Pimc { trotter_slices: 8 },
-            threads: 1,
-            ..Default::default()
-        },
-    );
-    let hybrid = HybridSolver::new(
-        sampler,
-        HybridConfig {
-            protocol: Protocol::paper_ra(0.65),
-            initializer: Box::new(GreedyInitializer::default()),
-        },
-    );
-    vec![
-        ScenarioDetector::fixed(false, ZeroForcing),
-        ScenarioDetector::noise_matched("MMSE", false, |nv| Arc::new(Mmse::new(nv))),
-        ScenarioDetector::fixed(false, SphereDecoder::with_budget(100_000)),
-        ScenarioDetector::fixed(false, KBest::new(8)),
-        ScenarioDetector::fixed(false, Fcsd::new(1)),
-        ScenarioDetector::fixed(true, QuboDetector::with_params(sa_params, seed)),
-        ScenarioDetector::fixed(true, HybridDetector::new(hybrid, seed)),
-    ]
-}
-
 // ---------------------------------------------------------------------------
 // Execution + emission
 // ---------------------------------------------------------------------------
@@ -402,9 +358,11 @@ pub fn run_ber(config: &SnrSweepConfig, opts: &Options) {
         config.threads
     );
     println!();
-    let detectors = roster(config.seed);
-    let report = run_ber_sweep(config, &detectors);
-    opts.emit_report(&report, "fig_ber.csv", "BENCH_ber.json");
+    let sweep = BerSweep {
+        config,
+        detectors: paper_roster(config.seed),
+    };
+    opts.emit_report(&run_grid(&sweep, None));
 }
 
 /// Runs a streaming grid sweep and emits table + CSV + JSON.
@@ -425,9 +383,8 @@ pub fn run_stream(config: &StreamGridConfig, opts: &Options) {
         config.threads
     );
     println!();
-    let classical = Mmse::new(config.track.noise_variance);
-    let report = with_telemetry(opts, |t| run_stream_grid_observed(config, &classical, t));
-    opts.emit_report(&report, "fig_stream.csv", "BENCH_stream.json");
+    let report = with_telemetry(opts, |t| run_grid(config, t));
+    opts.emit_report(&report);
 }
 
 /// Runs a fabric grid sweep and emits table + CSV + JSON.
@@ -448,8 +405,8 @@ pub fn run_fabric(config: &FabricGridConfig, opts: &Options) {
         config.threads
     );
     println!();
-    let report = with_telemetry(opts, |t| run_fabric_grid_observed(config, t));
-    opts.emit_report(&report, "fig_fabric.csv", "BENCH_fabric.json");
+    let report = with_telemetry(opts, |t| run_grid(config, t));
+    opts.emit_report(&report);
 }
 
 /// Runs the static-vs-adaptive scheduling comparison and emits table +
@@ -475,8 +432,7 @@ pub fn run_sched(config: &SchedGridConfig, opts: &Options) {
         config.threads
     );
     println!();
-    let report = run_sched_grid(config);
-    opts.emit_report(&report, "fig_sched.csv", "BENCH_sched.json");
+    opts.emit_report(&run_grid(config, None));
 }
 
 /// Runs the wall-clock realtime fabric service and emits table + CSV +
@@ -510,7 +466,7 @@ pub fn run_fabric_rt(config: &FabricGridConfig, opts: &Options) {
         println!("Per-stage latency breakdown (telemetry, all grid points):");
         println!("{}", summary.table().render());
     }
-    opts.emit_report(&report, "fig_fabric_rt.csv", "BENCH_fabric_rt.json");
+    opts.emit_report(&report);
     let trace_path = opts.csv_path("fabric_rt_trace.json");
     std::fs::write(&trace_path, trace_doc(config, &report)).expect("write replay trace");
     println!("replay trace written to {}", trace_path.display());

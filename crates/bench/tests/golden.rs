@@ -1,30 +1,39 @@
 //! Golden-equivalence tests for the unified runner.
 //!
-//! The refactor's contract: routing an experiment through the spec layer +
-//! registry must emit **byte-identical** JSON to the legacy hand-wired
-//! path at the same seed/thread count. CI additionally pins the full
-//! binary-level equivalence (`hqw run ber --quick` vs `fig-ber --quick`
-//! via `cmp`); these tests pin the same property at library level and at
+//! The contract: routing an experiment through the spec layer + registry
+//! must emit **byte-identical** JSON to driving the grid engine directly
+//! at the same seed/thread count. CI additionally pins the binary-level
+//! reports (`hqw run <family> --quick` vs the committed `BENCH_*.json` via
+//! `cmp`); these tests pin the same property at library level and at
 //! test-friendly scale, so a drift shows up in `cargo test` before it
 //! shows up in CI.
 
 use hqw_bench::cli::Options;
-use hqw_bench::{registry, runs};
+use hqw_bench::registry;
+use hqw_core::grid::run_grid;
 use hqw_core::report::Report;
-use hqw_core::scenario::run_ber_sweep;
+use hqw_core::scenario::{paper_roster, BerReport, BerSweep};
 use hqw_core::spec::ExperimentSpec;
-use hqw_core::stream::{run_stream_grid, DispatchPolicy};
+use hqw_core::stream::DispatchPolicy;
 use hqw_core::{run_fabric_grid, FabricGridConfig, SnrSweepConfig, StreamGridConfig};
 use hqw_phy::channel::snr_db_to_noise_variance;
-use hqw_phy::detect::Mmse;
 use hqw_phy::modulation::Modulation;
 
 fn opts(args: &[&str]) -> Options {
     Options::parse(args.iter().map(|s| s.to_string())).expect("valid flags")
 }
 
+/// The `ber` spec's run: the sweep over the paper roster.
+fn ber_run(config: &SnrSweepConfig) -> BerReport {
+    let sweep = BerSweep {
+        config,
+        detectors: paper_roster(config.seed),
+    };
+    run_grid(&sweep, None)
+}
+
 /// The registry's `ber --quick` preset must match the shape the legacy
-/// `fig-ber` binary hard-coded (the shape that produced the committed
+/// `ber` runner has always used (the shape that produced the committed
 /// `BENCH_ber.json`), and running it through the spec codec must change
 /// nothing.
 #[test]
@@ -55,7 +64,7 @@ fn ber_report_is_byte_identical_through_the_spec_codec() {
         .threads(1)
         .build()
         .expect("valid config");
-    let direct = run_ber_sweep(&config, &runs::roster(config.seed)).to_json();
+    let direct = ber_run(&config).to_json();
 
     let spec = ExperimentSpec::Ber(config);
     let ExperimentSpec::Ber(parsed) =
@@ -63,7 +72,7 @@ fn ber_report_is_byte_identical_through_the_spec_codec() {
     else {
         panic!("parsed spec changed family")
     };
-    let via_codec = run_ber_sweep(&parsed, &runs::roster(parsed.seed)).to_json();
+    let via_codec = ber_run(&parsed).to_json();
     assert_eq!(direct, via_codec);
 }
 
@@ -87,15 +96,14 @@ fn stream_report_is_byte_identical_through_the_spec_codec() {
         rhos: vec![0.0, 0.95],
         ..preset.clone()
     };
-    let classical = Mmse::new(config.track.noise_variance);
-    let direct = run_stream_grid(&config, &classical).to_json();
+    let direct = run_grid(&config, None).to_json();
 
     let ExperimentSpec::Stream(parsed) =
         ExperimentSpec::parse(&ExperimentSpec::Stream(config).to_json()).expect("round-trips")
     else {
         panic!("parsed spec changed family")
     };
-    let via_codec = run_stream_grid(&parsed, &classical).to_json();
+    let via_codec = run_grid(&parsed, None).to_json();
     assert_eq!(direct, via_codec);
 }
 
@@ -144,7 +152,7 @@ fn report_surfaces_agree_on_shape() {
         .threads(1)
         .build()
         .expect("valid config");
-    let report = run_ber_sweep(&config, &runs::roster(config.seed));
+    let report = ber_run(&config);
     assert_eq!(Report::name(&report), "ber");
     assert_eq!(report.schema_version(), 1);
 
@@ -152,7 +160,7 @@ fn report_surfaces_agree_on_shape() {
     let csv = report.to_csv();
     // One CSV row per (detector, point) plus the header; the table adds a
     // separator line.
-    let rows = runs::roster(config.seed).len();
+    let rows = paper_roster(config.seed).len();
     assert_eq!(csv.lines().count(), rows + 1);
     assert_eq!(table.lines().count(), rows + 2);
     assert!(csv.starts_with("detector,snr_db,"));

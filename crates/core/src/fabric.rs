@@ -32,22 +32,22 @@
 //! backend mix therefore see identical frame sequences (paired comparison),
 //! and `BENCH_fabric.json` is byte-identical at any thread count.
 
+use crate::grid::{check_coordinates, run_grid, GridEngine};
 use crate::pipeline::item_seed;
-use crate::report::PointRecord;
 use crate::scenario::json_num;
 use crate::sched::{corrected_us, ClassReport, PriorityClass, SchedOptions, ServicePredictor};
 use crate::spec::json::Json;
 use crate::spec::{
-    check_keys, req, req_f64, req_str, req_u64, req_usize, ExperimentSpec, SpecError,
+    check_keys, req, req_f64, req_ratio, req_str, req_u64, req_us, req_usize, SpecError,
 };
 use crate::stream::CostModel;
+use crate::telemetry::Collector;
 use crate::telemetry::LogHistogram;
 use hqw_anneal::engine::FreezeOut;
 use hqw_anneal::{
     AnnealParams, AnnealSchedule, ChainStrength, Chimera, CliqueEmbedding, DWaveProfile,
     EmbeddingCache, EngineKind, QuantumSampler, SamplerConfig,
 };
-use hqw_math::parallel::parallel_map_indexed;
 use hqw_math::stats::{percentile_sorted, sorted_ascending};
 use hqw_math::Rng64;
 use hqw_phy::channel::{ChannelTrack, TrackConfig};
@@ -57,6 +57,7 @@ use hqw_phy::metrics::bit_error_rate;
 use hqw_qubo::pt::{parallel_tempering, PtParams};
 use hqw_qubo::sa::{sample_qubo_batch_seeded, SaParams, SweepKernel};
 use hqw_qubo::tabu::{tabu_from_random, TabuParams};
+use hqw_qubo::Qubo;
 use std::collections::VecDeque;
 
 /// One detection frame offered to the fabric.
@@ -172,10 +173,22 @@ fn expect_valid(result: Result<(), String>) {
 }
 
 // ---------------------------------------------------------------------------
-// SA worker pool
+// Local classical pools: SA, parallel tempering, tabu
 // ---------------------------------------------------------------------------
 
-/// Configuration of the [`SaPoolBackend`].
+/// The worker/batch checks every local pool configuration shares.
+fn validate_pool(config: &str, workers: usize, max_batch: usize) -> Result<(), String> {
+    if workers == 0 {
+        return Err(format!("{config}: need >= 1 worker"));
+    }
+    if max_batch == 0 {
+        return Err(format!("{config}: need max_batch >= 1"));
+    }
+    Ok(())
+}
+
+/// Configuration of the SA worker pool ([`BackendSpec::SaPool`]): the
+/// cheapest, always-available rung of the fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaPoolConfig {
     /// Worker slots (parallel capacity).
@@ -192,98 +205,14 @@ impl SaPoolConfig {
     /// # Errors
     /// Returns a message for the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.workers == 0 {
-            return Err("SaPoolConfig: need >= 1 worker".to_string());
-        }
-        if self.max_batch == 0 {
-            return Err("SaPoolConfig: need max_batch >= 1".to_string());
-        }
+        validate_pool("SaPoolConfig", self.workers, self.max_batch)?;
         self.sa.validate()
     }
 }
 
-/// A pool of classical SA workers: the cheapest, always-available rung of
-/// the fabric. Batches fan all `jobs × num_reads` reads through
-/// [`hqw_qubo::sa::sample_qubo_batch_seeded`] in one dispatch, with each
-/// job's reads seeded from the job alone — decisions never depend on batch
-/// composition.
-#[derive(Debug)]
-pub struct SaPoolBackend {
-    config: SaPoolConfig,
-}
-
-impl SaPoolBackend {
-    /// Creates the pool.
-    ///
-    /// # Panics
-    /// Panics on zero workers/batch or invalid SA parameters.
-    pub fn new(config: SaPoolConfig) -> Self {
-        expect_valid(config.validate());
-        SaPoolBackend { config }
-    }
-}
-
-impl SolverBackend for SaPoolBackend {
-    fn name(&self) -> &'static str {
-        "sa-pool"
-    }
-
-    fn capacity(&self) -> usize {
-        self.config.workers
-    }
-
-    fn max_batch(&self) -> usize {
-        self.config.max_batch
-    }
-
-    fn predict_job_us(&self, cost: &CostModel, _n_logical: usize) -> f64 {
-        let meta = DetectorMeta {
-            nodes_visited: 0,
-            sweeps: (self.config.sa.sweeps * self.config.sa.num_reads) as u64,
-        };
-        cost.service_us(&meta)
-    }
-
-    fn solve_batch(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> BatchOutcome {
-        let qubos: Vec<_> = jobs.iter().map(|j| &j.inst.reduction.qubo).collect();
-        // One independent sampling stream per job, derived from the job's
-        // own seed: a job's decision (and therefore every BER metric) is
-        // invariant to how the scheduler happened to bucket it — the same
-        // paired-comparison property the mock QPU pins with per-job seeds.
-        let seeds: Vec<u64> = jobs.iter().map(|j| j.seed ^ 0x5A_B47C).collect();
-        let sample_sets = sample_qubo_batch_seeded(&qubos, &self.config.sa, &seeds);
-        let meta = DetectorMeta {
-            nodes_visited: 0,
-            sweeps: (self.config.sa.sweeps * self.config.sa.num_reads) as u64,
-        };
-        let decisions = jobs
-            .iter()
-            .zip(&sample_sets)
-            .map(|(job, set)| {
-                let best = set.best().expect("SA batch produced no samples");
-                natural_to_gray_decision(job, &best.bits, meta)
-            })
-            .collect();
-        BatchOutcome {
-            decisions,
-            service_us: self.charge_batch_us(cost, jobs),
-        }
-    }
-
-    fn charge_batch_us(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> f64 {
-        rounds_us(
-            jobs.len(),
-            self.config.workers,
-            self.predict_job_us(cost, jobs[0].inst.num_vars()),
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel-tempering / tabu classical baselines
-// ---------------------------------------------------------------------------
-
-/// Configuration of the [`PtBackend`].
+/// Configuration of the parallel-tempering worker pool
+/// ([`BackendSpec::Pt`]): the strongest general-purpose classical rung,
+/// keeping the quantum(-inspired) backends honest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PtConfig {
     /// Worker slots (parallel capacity).
@@ -300,96 +229,14 @@ impl PtConfig {
     /// # Errors
     /// Returns a message for the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.workers == 0 {
-            return Err("PtConfig: need >= 1 worker".to_string());
-        }
-        if self.max_batch == 0 {
-            return Err("PtConfig: need max_batch >= 1".to_string());
-        }
+        validate_pool("PtConfig", self.workers, self.max_batch)?;
         self.pt.validate()
     }
 }
 
-/// A pool of parallel-tempering workers: the strongest general-purpose
-/// classical rung of the fabric, keeping the quantum(-inspired) backends
-/// honest. Each job runs one replica-exchange search seeded from the job
-/// alone, so decisions never depend on batch composition. Charged work is
-/// `replicas × sweeps` Metropolis sweeps per job — exactly the work the
-/// kernel performs, so the static cost model is perfectly calibrated for
-/// this backend.
-#[derive(Debug)]
-pub struct PtBackend {
-    config: PtConfig,
-}
-
-impl PtBackend {
-    /// Creates the pool.
-    ///
-    /// # Panics
-    /// Panics on zero workers/batch or invalid PT parameters.
-    pub fn new(config: PtConfig) -> Self {
-        expect_valid(config.validate());
-        PtBackend { config }
-    }
-
-    fn sweeps_per_job(&self) -> u64 {
-        (self.config.pt.replicas * self.config.pt.sweeps) as u64
-    }
-}
-
-impl SolverBackend for PtBackend {
-    fn name(&self) -> &'static str {
-        "pt"
-    }
-
-    fn capacity(&self) -> usize {
-        self.config.workers
-    }
-
-    fn max_batch(&self) -> usize {
-        self.config.max_batch
-    }
-
-    fn predict_job_us(&self, cost: &CostModel, _n_logical: usize) -> f64 {
-        let meta = DetectorMeta {
-            nodes_visited: 0,
-            sweeps: self.sweeps_per_job(),
-        };
-        cost.service_us(&meta)
-    }
-
-    fn solve_batch(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> BatchOutcome {
-        let meta = DetectorMeta {
-            nodes_visited: 0,
-            sweeps: self.sweeps_per_job(),
-        };
-        let decisions = jobs
-            .iter()
-            .map(|job| {
-                let (bits, _energy) = parallel_tempering(
-                    &job.inst.reduction.qubo,
-                    &self.config.pt,
-                    job.seed ^ 0x97_7E3A,
-                );
-                natural_to_gray_decision(job, &bits, meta)
-            })
-            .collect();
-        BatchOutcome {
-            decisions,
-            service_us: self.charge_batch_us(cost, jobs),
-        }
-    }
-
-    fn charge_batch_us(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> f64 {
-        rounds_us(
-            jobs.len(),
-            self.config.workers,
-            self.predict_job_us(cost, jobs[0].inst.num_vars()),
-        )
-    }
-}
-
-/// Configuration of the [`TabuBackend`].
+/// Configuration of the tabu-search worker pool ([`BackendSpec::Tabu`]):
+/// the memory-based classical baseline D-Wave's own hybrid offering pairs
+/// with annealing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TabuConfig {
     /// Worker slots (parallel capacity).
@@ -406,12 +253,7 @@ impl TabuConfig {
     /// # Errors
     /// Returns a message for the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.workers == 0 {
-            return Err("TabuConfig: need >= 1 worker".to_string());
-        }
-        if self.max_batch == 0 {
-            return Err("TabuConfig: need max_batch >= 1".to_string());
-        }
+        validate_pool("TabuConfig", self.workers, self.max_batch)?;
         if self.tabu.max_iters == 0 {
             return Err("TabuConfig: tabu max_iters must be > 0".to_string());
         }
@@ -422,63 +264,120 @@ impl TabuConfig {
     }
 }
 
-/// A pool of tabu-search workers ([`hqw_qubo::tabu`]): the memory-based
-/// classical baseline D-Wave's own hybrid offering pairs with annealing.
-/// Each job runs one search from a seeded random start. Charged work is
-/// the **full** `max_iters` move budget per job (a sweep-equivalent per
-/// move): the search may stop early on stall, but admission control must
-/// budget the worst case, and a fixed charge keeps the virtual clock a
-/// pure function of the job stream rather than of search dynamics.
-#[derive(Debug)]
-pub struct TabuBackend {
-    config: TabuConfig,
+/// The classical solver a [`LocalPool`] runs: its per-job charge and its
+/// batch solve.
+trait LocalSolver {
+    /// Charged sweeps (or sweep-equivalents) per job.
+    fn sweeps_per_job(&self) -> u64;
+
+    /// Solves every `(qubo, seed)` pair, returning each job's best natural
+    /// bits.
+    fn solve(&self, jobs: &[(&Qubo, u64)]) -> Vec<Vec<u8>>;
 }
 
-impl TabuBackend {
-    /// Creates the pool.
-    ///
-    /// # Panics
-    /// Panics on zero workers/batch or a zero tabu budget.
-    pub fn new(config: TabuConfig) -> Self {
-        expect_valid(config.validate());
-        TabuBackend { config }
+impl LocalSolver for SaParams {
+    fn sweeps_per_job(&self) -> u64 {
+        (self.sweeps * self.num_reads) as u64
+    }
+
+    /// All `jobs × num_reads` reads in one
+    /// [`hqw_qubo::sa::sample_qubo_batch_seeded`] dispatch.
+    fn solve(&self, jobs: &[(&Qubo, u64)]) -> Vec<Vec<u8>> {
+        let qubos: Vec<&Qubo> = jobs.iter().map(|&(qubo, _)| qubo).collect();
+        let seeds: Vec<u64> = jobs.iter().map(|&(_, seed)| seed).collect();
+        sample_qubo_batch_seeded(&qubos, self, &seeds)
+            .iter()
+            .map(|set| {
+                set.best()
+                    .expect("SA batch produced no samples")
+                    .bits
+                    .clone()
+            })
+            .collect()
     }
 }
 
-impl SolverBackend for TabuBackend {
+impl LocalSolver for PtParams {
+    /// `replicas × sweeps` Metropolis sweeps — exactly the work the kernel
+    /// performs, so the static cost model is perfectly calibrated.
+    fn sweeps_per_job(&self) -> u64 {
+        (self.replicas * self.sweeps) as u64
+    }
+
+    fn solve(&self, jobs: &[(&Qubo, u64)]) -> Vec<Vec<u8>> {
+        jobs.iter()
+            .map(|&(qubo, seed)| parallel_tempering(qubo, self, seed).0)
+            .collect()
+    }
+}
+
+impl LocalSolver for TabuParams {
+    /// The **full** `max_iters` move budget (a sweep-equivalent per move):
+    /// the search may stop early on stall, but admission control must
+    /// budget the worst case, and a fixed charge keeps the virtual clock a
+    /// pure function of the job stream rather than of search dynamics.
+    fn sweeps_per_job(&self) -> u64 {
+        self.max_iters as u64
+    }
+
+    /// One search per job from a seeded random start.
+    fn solve(&self, jobs: &[(&Qubo, u64)]) -> Vec<Vec<u8>> {
+        jobs.iter()
+            .map(|&(qubo, seed)| tabu_from_random(qubo, self, &mut Rng64::new(seed)).0)
+            .collect()
+    }
+}
+
+/// A pool of local classical workers running solver `S`. Each job's search
+/// is seeded from the job alone (salted per solver), so a job's decision —
+/// and every BER metric — is invariant to how the scheduler bucketed it:
+/// the same paired-comparison property the mock QPU pins with per-job
+/// seeds. A batch runs in `ceil(B / workers)` rounds of the per-job charge.
+#[derive(Debug)]
+struct LocalPool<S> {
+    name: &'static str,
+    salt: u64,
+    workers: usize,
+    max_batch: usize,
+    solver: S,
+}
+
+impl<S: LocalSolver> LocalPool<S> {
+    fn job_meta(&self) -> DetectorMeta {
+        DetectorMeta {
+            nodes_visited: 0,
+            sweeps: self.solver.sweeps_per_job(),
+        }
+    }
+}
+
+impl<S: LocalSolver> SolverBackend for LocalPool<S> {
     fn name(&self) -> &'static str {
-        "tabu"
+        self.name
     }
 
     fn capacity(&self) -> usize {
-        self.config.workers
+        self.workers
     }
 
     fn max_batch(&self) -> usize {
-        self.config.max_batch
+        self.max_batch
     }
 
     fn predict_job_us(&self, cost: &CostModel, _n_logical: usize) -> f64 {
-        let meta = DetectorMeta {
-            nodes_visited: 0,
-            sweeps: self.config.tabu.max_iters as u64,
-        };
-        cost.service_us(&meta)
+        cost.service_us(&self.job_meta())
     }
 
     fn solve_batch(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> BatchOutcome {
-        let meta = DetectorMeta {
-            nodes_visited: 0,
-            sweeps: self.config.tabu.max_iters as u64,
-        };
+        let pairs: Vec<(&Qubo, u64)> = jobs
+            .iter()
+            .map(|job| (&job.inst.reduction.qubo, job.seed ^ self.salt))
+            .collect();
+        let meta = self.job_meta();
         let decisions = jobs
             .iter()
-            .map(|job| {
-                let mut rng = Rng64::new(job.seed ^ 0x7AB_005);
-                let (bits, _energy) =
-                    tabu_from_random(&job.inst.reduction.qubo, &self.config.tabu, &mut rng);
-                natural_to_gray_decision(job, &bits, meta)
-            })
+            .zip(self.solver.solve(&pairs))
+            .map(|(job, bits)| natural_to_gray_decision(job, &bits, meta))
             .collect();
         BatchOutcome {
             decisions,
@@ -489,7 +388,7 @@ impl SolverBackend for TabuBackend {
     fn charge_batch_us(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> f64 {
         rounds_us(
             jobs.len(),
-            self.config.workers,
+            self.workers,
             self.predict_job_us(cost, jobs[0].inst.num_vars()),
         )
     }
@@ -963,13 +862,33 @@ impl BackendSpec {
     /// Panics on invalid configuration.
     pub fn build(&self) -> Box<dyn SolverBackend> {
         match *self {
-            BackendSpec::SaPool(c) => Box::new(SaPoolBackend::new(c)),
-            BackendSpec::Pt(c) => Box::new(PtBackend::new(c)),
-            BackendSpec::Tabu(c) => Box::new(TabuBackend::new(c)),
+            // The salts decorrelate the local pools' per-job seed streams.
+            BackendSpec::SaPool(c) => self.pool("sa-pool", 0x5A_B47C, c.workers, c.max_batch, c.sa),
+            BackendSpec::Pt(c) => self.pool("pt", 0x97_7E3A, c.workers, c.max_batch, c.pt),
+            BackendSpec::Tabu(c) => self.pool("tabu", 0x7AB_005, c.workers, c.max_batch, c.tabu),
             BackendSpec::Pimc(c) => Box::new(PimcBackend::new(c)),
             BackendSpec::Svmc(c) => Box::new(SvmcBackend::new(c)),
             BackendSpec::MockQpu(c) => Box::new(MockQpuBackend::new(c)),
         }
+    }
+
+    /// Builds a validated local pool of this spec.
+    fn pool<S: LocalSolver + 'static>(
+        &self,
+        name: &'static str,
+        salt: u64,
+        workers: usize,
+        max_batch: usize,
+        solver: S,
+    ) -> Box<dyn SolverBackend> {
+        expect_valid(self.validate());
+        Box::new(LocalPool {
+            name,
+            salt,
+            workers,
+            max_batch,
+            solver,
+        })
     }
 
     /// Validates the wrapped backend configuration without building it.
@@ -2470,35 +2389,36 @@ pub struct FabricGridReport {
     pub points: Vec<FabricReport>,
 }
 
-/// Expands the grid into its `(mix name, point config)` list, in
-/// (mix, cells, load) order. Shared with the realtime service so both
-/// modes run byte-identical point configurations.
-pub(crate) fn grid_points(config: &FabricGridConfig) -> Vec<(String, FabricConfig)> {
-    let mut points = Vec::new();
-    for mix in &config.mixes {
-        for (cells_idx, &n_cells) in config.cell_counts.iter().enumerate() {
-            for &arrival_period_us in &config.arrival_periods_us {
-                points.push((
-                    mix.name.clone(),
-                    FabricConfig {
-                        track: config.track,
-                        n_cells,
-                        frames_per_cell: config.frames_per_cell,
-                        arrival_period_us,
-                        arrival: config.arrival,
-                        deadline_us: config.deadline_us,
-                        cost: config.cost,
-                        backends: mix.backends.clone(),
-                        sched: config.sched,
-                        // Cell-count-indexed only: same frames across loads
-                        // and mixes.
-                        seed: item_seed(config.seed, cells_idx),
-                    },
-                ));
-            }
-        }
+impl FabricGridConfig {
+    /// Point `id`'s mix name and configuration, in (mix, cells, load)
+    /// order. Shared with the realtime service so both modes run
+    /// byte-identical point configurations.
+    pub(crate) fn point(&self, id: usize) -> (&str, FabricConfig) {
+        let loads = self.arrival_periods_us.len();
+        let cells_n = self.cell_counts.len();
+        let mix = &self.mixes[id / (cells_n * loads)];
+        let cells_idx = (id / loads) % cells_n;
+        let point = FabricConfig {
+            track: self.track,
+            n_cells: self.cell_counts[cells_idx],
+            frames_per_cell: self.frames_per_cell,
+            arrival_period_us: self.arrival_periods_us[id % loads],
+            arrival: self.arrival,
+            deadline_us: self.deadline_us,
+            cost: self.cost,
+            backends: mix.backends.clone(),
+            sched: self.sched,
+            // Cell-count-indexed only: same frames across loads and mixes.
+            seed: item_seed(self.seed, cells_idx),
+        };
+        (&mix.name, point)
     }
-    points
+}
+
+/// A (label, cells, load) grid point's coordinates as the fabric and sched
+/// record decoders compare them.
+pub(crate) fn render_coordinates(label: &str, n_cells: usize, arrival_period_us: f64) -> String {
+    format!("{label}, {n_cells} cells, period {arrival_period_us}")
 }
 
 /// Runs the full (mix × cells × load) grid, fanning points out across
@@ -2510,84 +2430,76 @@ pub(crate) fn grid_points(config: &FabricGridConfig) -> Vec<(String, FabricConfi
 /// Panics on an empty mix/cells/load axis or invalid point parameters (see
 /// [`FabricGridConfig::validate`] for the non-panicking check).
 pub fn run_fabric_grid(config: &FabricGridConfig) -> FabricGridReport {
-    run_fabric_grid_observed(config, None)
+    run_grid(config, None)
 }
 
-/// [`run_fabric_grid`] with optional telemetry: point `i` of the flat
-/// mix-major grid emits its virtual-time spans under trace process `i + 1`.
-/// The report is byte-identical with and without a collector.
-///
-/// # Panics
-/// As [`run_fabric_grid`].
-pub fn run_fabric_grid_observed(
-    config: &FabricGridConfig,
-    telemetry: Option<&crate::telemetry::Collector>,
-) -> FabricGridReport {
-    config.validate_or_panic();
-    let total = config.mixes.len() * config.cell_counts.len() * config.arrival_periods_us.len();
-    let ids: Vec<usize> = (0..total).collect();
-    FabricGridReport {
-        n_users: config.track.n_users,
-        n_rx: config.track.n_rx,
-        modulation: config.track.modulation.name().to_string(),
-        noise_variance: config.track.noise_variance,
-        frames_per_cell: config.frames_per_cell,
-        deadline_us: config.deadline_us,
-        seed: config.seed,
-        points: run_fabric_points_observed(config, &ids, telemetry),
-    }
-}
+/// The fabric grid is the `fabric` family's [`GridEngine`]: point `id` is
+/// one (mix, cells, load) point of the mix-major grid, always run on the
+/// virtual-time sim. Point seeds depend only on the grid seed and the
+/// point's cell-count index, so a point's report is byte-identical whether
+/// it runs alone or as part of the full grid. Telemetry emits each point's
+/// virtual-time spans; the report is byte-identical with and without it.
+impl GridEngine for FabricGridConfig {
+    type Unit = FabricReport;
+    type Point = FabricReport;
+    type Report = FabricGridReport;
 
-/// Runs an arbitrary subset of the (mix × cells × load) grid — the sharded
-/// form of [`run_fabric_grid`]. Always runs the virtual-time sim.
-///
-/// `ids` are flat indices into the mix-major grid (strictly increasing).
-/// Point seeds depend only on the grid seed and the point's cell-count
-/// index, so a point's report is byte-identical whether it runs alone or as
-/// part of the full grid; `run_fabric_grid` itself is the all-ids case.
-///
-/// # Panics
-/// Panics on an invalid configuration or on ids that are out of range or
-/// not strictly increasing.
-pub fn run_fabric_points(config: &FabricGridConfig, ids: &[usize]) -> Vec<FabricReport> {
-    run_fabric_points_observed(config, ids, None)
-}
+    fn validate(&self) -> Result<(), SpecError> {
+        FabricGridConfig::validate(self)
+    }
 
-/// [`run_fabric_points`] with optional telemetry: flat grid id `i` emits
-/// its virtual-time spans under trace process `i + 1` (stable whether the
-/// point runs alone or as part of the full grid).
-///
-/// # Panics
-/// As [`run_fabric_points`].
-pub fn run_fabric_points_observed(
-    config: &FabricGridConfig,
-    ids: &[usize],
-    telemetry: Option<&crate::telemetry::Collector>,
-) -> Vec<FabricReport> {
-    config.validate_or_panic();
-    let all = grid_points(config);
-    for w in ids.windows(2) {
-        assert!(
-            w[0] < w[1],
-            "run_fabric_points: ids must be strictly increasing"
-        );
+    fn grid_len(&self) -> usize {
+        self.mixes.len() * self.cell_counts.len() * self.arrival_periods_us.len()
     }
-    if let Some(&last) = ids.last() {
-        assert!(
-            last < all.len(),
-            "run_fabric_points: id {last} out of range (grid has {} points)",
-            all.len()
-        );
+
+    fn threads(&self) -> usize {
+        self.threads
     }
-    let subset: Vec<(usize, String, FabricConfig)> = ids
-        .iter()
-        .map(|&id| (id, all[id].0.clone(), all[id].1.clone()))
-        .collect();
-    parallel_map_indexed(&subset, config.threads, |_, (id, mix_name, point)| {
-        let (mut report, _) = run_fabric_observed(point, telemetry, 1 + *id as u32);
-        report.mix = mix_name.clone();
+
+    fn run_unit(
+        &self,
+        id: usize,
+        _: usize,
+        telemetry: Option<&Collector>,
+        pid: u32,
+    ) -> FabricReport {
+        let (mix, point) = self.point(id);
+        let (mut report, _) = run_fabric_observed(&point, telemetry, pid);
+        report.mix = mix.to_string();
         report
-    })
+    }
+
+    fn reduce(&self, _: usize, mut units: Vec<FabricReport>) -> FabricReport {
+        units.pop().expect("one unit per fabric point")
+    }
+
+    fn encode(&self, point: &FabricReport) -> String {
+        point.to_json_object()
+    }
+
+    fn decode(&self, id: usize, doc: &Json, ctx: &str) -> Result<FabricReport, SpecError> {
+        let point = FabricReport::from_json(doc, ctx)?;
+        let (mix, want) = self.point(id);
+        check_coordinates(
+            ctx,
+            render_coordinates(&point.mix, point.n_cells, point.arrival_period_us),
+            render_coordinates(mix, want.n_cells, want.arrival_period_us),
+        )?;
+        Ok(point)
+    }
+
+    fn assemble(&self, points: Vec<FabricReport>) -> Result<FabricGridReport, SpecError> {
+        Ok(FabricGridReport {
+            n_users: self.track.n_users,
+            n_rx: self.track.n_rx,
+            modulation: self.track.modulation.name().to_string(),
+            noise_variance: self.track.noise_variance,
+            frames_per_cell: self.frames_per_cell,
+            deadline_us: self.deadline_us,
+            seed: self.seed,
+            points,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -2636,9 +2548,9 @@ impl BackendReport {
             name: req_str(o, "name", ctx)?.to_string(),
             jobs: req_usize(o, "jobs", ctx)?,
             batches: req_u64(o, "batches", ctx)?,
-            utilization: req_f64(o, "utilization", ctx)?,
+            utilization: req_ratio(o, "utilization", ctx)?,
             mean_batch: req_f64(o, "mean_batch", ctx)?,
-            mean_service_us: req_f64(o, "mean_service_us", ctx)?,
+            mean_service_us: req_us(o, "mean_service_us", ctx)?,
             batch_histogram,
             embed_cache_hits: req_u64(o, "embed_cache_hits", ctx)?,
             embed_cache_misses: req_u64(o, "embed_cache_misses", ctx)?,
@@ -2712,9 +2624,7 @@ impl FabricReport {
             None => 0,
         };
         let prediction_mae_us = match o.get("prediction_mae_us") {
-            Some(v) => v.as_f64().ok_or_else(|| {
-                SpecError::new(ctx.to_string(), "\"prediction_mae_us\" must be a number")
-            })?,
+            Some(_) => req_us(o, "prediction_mae_us", ctx)?,
             None => 0.0,
         };
         let classes = match o.get("classes") {
@@ -2733,14 +2643,14 @@ impl FabricReport {
             n_cells: req_usize(o, "n_cells", ctx)?,
             arrival_period_us: req_f64(o, "arrival_period_us", ctx)?,
             jobs: req_usize(o, "jobs", ctx)?,
-            ber: req_f64(o, "ber", ctx)?,
-            deadline_miss_rate: req_f64(o, "deadline_miss_rate", ctx)?,
-            fallback_rate: req_f64(o, "fallback_rate", ctx)?,
-            served_miss_rate: req_f64(o, "served_miss_rate", ctx)?,
-            p50_latency_us: req_f64(o, "p50_latency_us", ctx)?,
-            p99_latency_us: req_f64(o, "p99_latency_us", ctx)?,
-            mean_latency_us: req_f64(o, "mean_latency_us", ctx)?,
-            mean_served_latency_us: req_f64(o, "mean_served_latency_us", ctx)?,
+            ber: req_ratio(o, "ber", ctx)?,
+            deadline_miss_rate: req_ratio(o, "deadline_miss_rate", ctx)?,
+            fallback_rate: req_ratio(o, "fallback_rate", ctx)?,
+            served_miss_rate: req_ratio(o, "served_miss_rate", ctx)?,
+            p50_latency_us: req_us(o, "p50_latency_us", ctx)?,
+            p99_latency_us: req_us(o, "p99_latency_us", ctx)?,
+            mean_latency_us: req_us(o, "mean_latency_us", ctx)?,
+            mean_served_latency_us: req_us(o, "mean_served_latency_us", ctx)?,
             backends,
             preemptions,
             prediction_mae_us,
@@ -2890,76 +2800,6 @@ impl crate::report::Report for FabricGridReport {
             ]);
         }
         table
-    }
-}
-
-impl crate::report::MergeableReport for FabricGridReport {
-    fn points(&self) -> Vec<PointRecord> {
-        self.points
-            .iter()
-            .enumerate()
-            .map(|(id, point)| PointRecord {
-                id,
-                payload: point.to_json_object(),
-            })
-            .collect()
-    }
-
-    fn from_points(spec: &ExperimentSpec, mut points: Vec<PointRecord>) -> Result<Self, SpecError> {
-        let ctx = "FabricGridReport";
-        let ExperimentSpec::Fabric(config) = spec else {
-            return Err(SpecError::new(
-                ctx,
-                format!("expected a fabric spec, got '{}'", spec.family()),
-            ));
-        };
-        if config.mode != FabricMode::Virtual {
-            return Err(SpecError::new(
-                ctx,
-                "realtime fabric runs produce traces, not mergeable grid reports",
-            ));
-        }
-        let loads = config.arrival_periods_us.len();
-        let cells_n = config.cell_counts.len();
-        let total = config.mixes.len() * cells_n * loads;
-        crate::report::sort_and_check_point_ids(&mut points, total, ctx)?;
-        let reports = points
-            .iter()
-            .map(|record| {
-                let p_ctx = &format!("fabric point {}", record.id);
-                let doc = Json::parse(&record.payload)
-                    .map_err(|e| SpecError::new(p_ctx.clone(), e.to_string()))?;
-                let point = FabricReport::from_json(&doc, p_ctx)?;
-                // The payload's own grid coordinates must agree with its id.
-                let mix = &config.mixes[record.id / (cells_n * loads)].name;
-                let n_cells = config.cell_counts[(record.id / loads) % cells_n];
-                let period = config.arrival_periods_us[record.id % loads];
-                if point.mix != *mix
-                    || point.n_cells != n_cells
-                    || point.arrival_period_us.to_bits() != period.to_bits()
-                {
-                    return Err(SpecError::new(
-                        p_ctx.clone(),
-                        format!(
-                            "grid coordinates ({}, {} cells, period {}) do not match the \
-                             spec grid point ({}, {} cells, period {})",
-                            point.mix, point.n_cells, point.arrival_period_us, mix, n_cells, period
-                        ),
-                    ));
-                }
-                Ok(point)
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-        Ok(FabricGridReport {
-            n_users: config.track.n_users,
-            n_rx: config.track.n_rx,
-            modulation: config.track.modulation.name().to_string(),
-            noise_variance: config.track.noise_variance,
-            frames_per_cell: config.frames_per_cell,
-            deadline_us: config.deadline_us,
-            seed: config.seed,
-            points: reports,
-        })
     }
 }
 

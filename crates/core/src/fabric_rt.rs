@@ -36,9 +36,10 @@
 //! numbers (`BENCH_fabric_rt.json`) vary with the machine.
 
 use crate::fabric::{
-    generate_jobs, grid_points, run_fabric_traced, FabricConfig, FabricGridConfig, FabricJob,
-    FabricMode, FabricScheduler, RealtimeConfig, RouteTrace,
+    generate_jobs, run_fabric_traced, FabricConfig, FabricGridConfig, FabricJob, FabricMode,
+    FabricScheduler, RealtimeConfig, RouteTrace,
 };
+use crate::grid::GridEngine;
 use crate::scenario::json_num;
 use crate::spec::json::Json;
 use crate::spec::{ExperimentSpec, SpecError};
@@ -709,9 +710,10 @@ pub fn run_fabric_rt_grid_observed(
 
     let mut points = Vec::new();
     let mut traces = Vec::new();
-    for (i, (mix_name, point)) in grid_points(config).into_iter().enumerate() {
+    for i in 0..config.grid_len() {
+        let (mix_name, point) = config.point(i);
         let (mut report, trace) = run_fabric_rt_point(&point, rt, telemetry, 1 + i as u32);
-        report.mix = mix_name;
+        report.mix = mix_name.to_string();
         points.push(report);
         traces.push(trace);
     }
@@ -990,22 +992,20 @@ pub fn replay_trace_doc(text: &str) -> Result<ReplayReport, SpecError> {
         .get("points")
         .and_then(Json::as_arr)
         .ok_or_else(|| SpecError::new(ctx, "missing \"points\" array"))?;
-    let grid = grid_points(&config);
-    if grid.len() != recorded_points.len() {
+    let total = config.grid_len();
+    if total != recorded_points.len() {
         return Err(SpecError::new(
             ctx,
             format!(
-                "trace has {} points but the spec expands to {}",
+                "trace has {} points but the spec expands to {total}",
                 recorded_points.len(),
-                grid.len()
             ),
         ));
     }
 
-    let mut points = Vec::with_capacity(grid.len());
-    for (i, ((mix_name, point_config), recorded)) in
-        grid.into_iter().zip(recorded_points).enumerate()
-    {
+    let mut points = Vec::with_capacity(total);
+    for (i, recorded) in recorded_points.iter().enumerate() {
+        let (mix_name, point_config) = config.point(i);
         let p_ctx = &format!("{ctx}.points[{i}]");
         let mix = recorded
             .get("mix")
@@ -1020,7 +1020,7 @@ pub fn replay_trace_doc(text: &str) -> Result<ReplayReport, SpecError> {
         let routes = parse_routes(recorded, p_ctx)?;
         let (_, sim_trace) = run_fabric_traced(&point_config);
         points.push(PointReplay {
-            mix: mix_name,
+            mix: mix_name.to_string(),
             n_cells: point_config.n_cells,
             arrival_period_us: point_config.arrival_period_us,
             jobs: routes.len(),

@@ -52,9 +52,11 @@
 //!   offline-safe JSON codec for them, and the shared [`spec::SpecError`]
 //!   validation error.
 //! * [`report`] — the unified [`report::Report`] trait (JSON/CSV/table in
-//!   one place) plus table/CSV rendering for the bench binaries, and the
-//!   [`report::MergeableReport`] per-point decomposition every grid report
-//!   implements.
+//!   one place) plus table/CSV rendering for the bench binaries.
+//! * [`grid`] — the one grid engine: the [`grid::GridEngine`] trait the
+//!   `ber`/`stream`/`fabric`/`sched` families implement, and the generic
+//!   run / shard-record / reassembly paths and family dispatch written once
+//!   against it.
 //! * [`shard`] — the distributed experiment plane: deterministic grid
 //!   sharding, byte-stable [`shard::merge_shards`] reassembly, and the
 //!   streaming [`shard::Checkpoint`] journal long runs resume from.
@@ -68,6 +70,7 @@ pub mod event_sim;
 pub mod experiments;
 pub mod fabric;
 pub mod fabric_rt;
+pub mod grid;
 pub mod harvest;
 pub mod iterative;
 pub mod metrics;
@@ -86,8 +89,7 @@ pub mod sweep;
 pub mod telemetry;
 
 pub use fabric::{
-    run_fabric, run_fabric_grid, run_fabric_grid_observed, run_fabric_points,
-    run_fabric_points_observed, run_fabric_traced, ArrivalProcess, BackendMix, BackendSpec,
+    run_fabric, run_fabric_grid, run_fabric_traced, ArrivalProcess, BackendMix, BackendSpec,
     FabricConfig, FabricGridConfig, FabricGridReport, FabricMode, FabricReport, FabricScheduler,
     NetworkModel, RealtimeConfig, RouteTrace, SolverBackend,
 };
@@ -95,29 +97,28 @@ pub use fabric_rt::{
     diff_traces, replay_trace_doc, run_fabric_rt_grid, run_fabric_rt_grid_observed,
     FabricRtGridReport, FabricRtReport, ReplayReport,
 };
+pub use grid::{run_grid, spec_grid, GridEngine, SpecGrid};
 pub use protocol::Protocol;
-pub use report::{MergeableReport, PointRecord, Report};
+pub use report::{PointRecord, Report};
 pub use scenario::{
-    run_ber_points, run_ber_sweep, BerReport, HybridDetector, ScenarioDetector, SnrSweepConfig,
+    paper_roster, BerReport, BerSweep, HybridDetector, ScenarioDetector, SnrSweepConfig,
 };
 pub use sched::{
     ClassMix, ClassReport, EwmaPredictor, PriorityClass, SchedOptions, SchedPolicy,
     ServicePredictor, StaticPredictor, UcbPredictor,
 };
 pub use sched_grid::{
-    run_sched_grid, run_sched_points, ArmSummary, ClassSummary, SchedGridConfig, SchedGridReport,
-    SchedPointReport, SCHED_WORKLOADS,
+    ArmSummary, ClassSummary, SchedGridConfig, SchedGridReport, SchedPointReport, SCHED_WORKLOADS,
 };
 pub use shard::{
-    grid_len, merge_shards, shard_ids, spec_fingerprint, Checkpoint, GridReport, ShardReport,
+    grid_len, merge_shards, shard_ids, spec_fingerprint, Checkpoint, ShardReport,
     SHARD_SCHEMA_VERSION,
 };
 pub use solver::{HybridConfig, HybridResult, HybridSolver};
 pub use spec::{CannedKind, CannedSpec, ExperimentSpec, SpecError, SPEC_VERSION};
 pub use stages::{ClassicalInitializer, GreedyInitializer, InitialState};
 pub use stream::{
-    run_stream, run_stream_grid, run_stream_grid_observed, run_stream_points,
-    run_stream_points_observed, CostModel, DispatchPolicy, StreamConfig, StreamGridConfig,
-    StreamGridReport, StreamReport,
+    run_stream, CostModel, DispatchPolicy, StreamConfig, StreamGridConfig, StreamGridReport,
+    StreamReport,
 };
 pub use telemetry::{Collector, CounterSample, LogHistogram, TelemetrySummary, TraceEvent};

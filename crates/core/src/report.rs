@@ -1,14 +1,14 @@
 //! The unified report surface and its table/CSV rendering helpers.
 //!
 //! [`Report`] is the one trait every grid-style experiment report
-//! implements — `BerReport`, `StreamGridReport` and `FabricGridReport` all
-//! render through it, so JSON emission, CSV emission and the stdout table
-//! live here instead of being copy-pasted across bench binaries. The
-//! figure-regeneration binaries print the same series the paper plots;
-//! [`Table`] keeps that output consistent and machine-readable (CSV files
-//! land in `results/` so downstream plotting never re-runs experiments).
+//! implements — `BerReport`, `StreamGridReport`, `FabricGridReport` and
+//! `SchedGridReport` all render through it, so JSON emission, CSV emission
+//! and the stdout table live here instead of being copy-pasted per
+//! experiment. The figure experiments print the same series the paper
+//! plots; [`Table`] keeps that output consistent and machine-readable (CSV
+//! files land in `results/` so downstream plotting never re-runs
+//! experiments).
 
-use crate::spec::{ExperimentSpec, SpecError};
 use std::path::Path;
 
 /// The unified experiment-report surface: one trait carrying every
@@ -18,7 +18,7 @@ use std::path::Path;
 /// verbatim: implementations must keep `to_json` a pure function of the
 /// report contents (byte-identical across runs and thread counts — the CI
 /// determinism gate diffs them).
-pub trait Report {
+pub trait Report: std::fmt::Debug {
     /// Stable machine-readable report name (`"ber"`, `"stream"`,
     /// `"fabric"` — the JSON document's `bench` tag).
     fn name(&self) -> &'static str;
@@ -60,15 +60,15 @@ pub trait Report {
     }
 }
 
-/// One grid point of a mergeable report: the stable grid-order id plus the
+/// One grid point of a grid report: the stable grid-order id plus the
 /// point's JSON rendering.
 ///
 /// The payload is the exact single-line JSON object the full report embeds
-/// for this point, so `from_points(spec, report.points())` reproduces the
-/// report byte-for-byte — the invariant the shard/merge and checkpoint
-/// planes are built on. The float codec round-trips exactly (shortest
-/// `Display` form parsed back with `str::parse::<f64>`), so going through
-/// text loses nothing.
+/// for this point, so reassembling a grid's records through
+/// [`crate::grid::assemble_records`] reproduces the report byte-for-byte —
+/// the invariant the shard/merge and checkpoint planes are built on. The
+/// float codec round-trips exactly (shortest `Display` form parsed back
+/// with `str::parse::<f64>`), so going through text loses nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PointRecord {
     /// Grid-order point id: the index into the spec's expanded point grid
@@ -80,66 +80,6 @@ pub struct PointRecord {
     /// The point's JSON object, single-line, engine-specific schema
     /// (documented in `crates/bench/README.md`).
     pub payload: String,
-}
-
-/// A [`Report`] whose grid decomposes into per-point records that can be
-/// computed independently (sharded, checkpointed) and reassembled exactly.
-///
-/// Contract, property-tested in `tests/shard_proptests.rs`:
-/// `from_points(spec, full_report.points())` returns a report whose
-/// `to_json()` is byte-identical to the original, and any partition of the
-/// records merges back to the same bytes.
-pub trait MergeableReport: Report + Sized {
-    /// Decomposes the report into per-point records, in grid order.
-    fn points(&self) -> Vec<PointRecord>;
-
-    /// Reassembles a report from the spec (the header source) and a
-    /// complete set of point records (any order; ids must cover the spec's
-    /// grid exactly).
-    ///
-    /// # Errors
-    /// Returns a [`SpecError`] when the spec is the wrong family, ids are
-    /// missing/duplicated/out of range, a payload fails to parse, or a
-    /// payload's grid coordinates contradict the spec.
-    fn from_points(spec: &ExperimentSpec, points: Vec<PointRecord>) -> Result<Self, SpecError>;
-}
-
-/// Sorts `points` by id and checks they cover `0..total` exactly — the
-/// shared id-validation step of every [`MergeableReport::from_points`].
-///
-/// # Errors
-/// Names the first duplicated, out-of-range, or missing id.
-pub fn sort_and_check_point_ids(
-    points: &mut [PointRecord],
-    total: usize,
-    ctx: &str,
-) -> Result<(), SpecError> {
-    points.sort_by_key(|p| p.id);
-    if let Some(p) = points.iter().find(|p| p.id >= total) {
-        return Err(SpecError::new(
-            ctx,
-            format!("point id {} out of range (grid has {total} points)", p.id),
-        ));
-    }
-    if let Some(w) = points.windows(2).find(|w| w[0].id == w[1].id) {
-        return Err(SpecError::new(
-            ctx,
-            format!("duplicate point id {}", w[0].id),
-        ));
-    }
-    if points.len() != total {
-        let have: std::collections::BTreeSet<usize> = points.iter().map(|p| p.id).collect();
-        let missing: Vec<String> = (0..total)
-            .filter(|id| !have.contains(id))
-            .take(8)
-            .map(|id| id.to_string())
-            .collect();
-        return Err(SpecError::new(
-            ctx,
-            format!("missing point id(s) {} of 0..{total}", missing.join(", ")),
-        ));
-    }
-    Ok(())
 }
 
 /// Writes `content` to `path`, creating parent directories first (shared by

@@ -4,33 +4,42 @@
 //! metrics: BER-vs-SNR curves comparing the quantum-annealing ML path
 //! against classical receivers. This module is the harness that produces
 //! those curves for *any* [`Detector`] — the five classical families in
-//! `hqw-phy`, the SA-backed [`QuboDetector`](hqw_phy::detect::QuboDetector),
-//! and the full annealer-backed [`HybridSolver`] via [`HybridDetector`].
+//! `hqw-phy`, the SA-backed [`QuboDetector`], and the full annealer-backed
+//! [`HybridSolver`] via [`HybridDetector`].
 //!
 //! ## Determinism contract
 //!
-//! The sweep fans out over the (SNR point × channel realization) grid with
-//! [`hqw_math::parallel::parallel_map_indexed`]; every cell's seed is drawn
-//! up front from the scenario seed and the cell index, every detector inside
+//! The sweep ([`BerSweep`], run through [`crate::grid`]) fans out over the
+//! (SNR point × channel realization) grid; every cell's seed derives from
+//! the scenario seed and the cell's full-grid index, every detector inside
 //! a cell sees the *same* channel/observation (paired comparison), and the
 //! accumulation pass runs serially in grid order. The thread count is
 //! therefore a pure throughput knob: reports — including their JSON
 //! rendering — are **byte-identical** for any value, which CI pins by
 //! diffing a 1-thread against an N-thread run.
 
-use crate::report::PointRecord;
-use crate::solver::HybridSolver;
+use crate::grid::{check_coordinates, GridEngine};
+use crate::pipeline::item_seed;
+use crate::protocol::Protocol;
+use crate::solver::{HybridConfig, HybridSolver};
 use crate::spec::json::Json;
-use crate::spec::{check_keys, req, req_f64, req_str, ExperimentSpec, SpecError};
-use hqw_math::parallel::parallel_map_indexed;
+use crate::spec::{check_keys, req, req_f64, req_ratio, req_str, SpecError};
+use crate::stages::GreedyInitializer;
+use crate::telemetry::Collector;
+use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
+use hqw_anneal::DWaveProfile;
 use hqw_math::{CMatrix, CVector, Rng64};
 use hqw_phy::channel::{add_awgn, snr_db_to_noise_variance, ChannelModel};
-use hqw_phy::detect::{instance_fingerprint, DetectionResult, Detector, DetectorMeta};
+use hqw_phy::detect::{
+    instance_fingerprint, DetectionResult, Detector, DetectorMeta, Fcsd, KBest, Mmse, QuboDetector,
+    SphereDecoder, ZeroForcing,
+};
 use hqw_phy::instance::DetectionInstance;
 use hqw_phy::metrics::{bit_error_rate, symbol_error_rate, vector_error};
 use hqw_phy::mimo::MimoSystem;
 use hqw_phy::modulation::Modulation;
 use hqw_phy::reduction::reduce_to_qubo;
+use hqw_qubo::sa::SaParams;
 use std::sync::Arc;
 
 /// The annealer-backed hybrid solver wrapped as a [`Detector`].
@@ -176,7 +185,7 @@ impl SnrSweepConfig {
     /// Validates the sweep configuration.
     ///
     /// An empty `snr_db` grid is **legal** (it yields series with no
-    /// points), matching [`run_ber_sweep`]'s degenerate-input contract.
+    /// points), matching [`BerSweep`]'s degenerate-input contract.
     ///
     /// # Errors
     /// Returns the first violated constraint: zero users/antennas, zero
@@ -196,19 +205,6 @@ impl SnrSweepConfig {
             return Err(SpecError::new(ctx, format!("non-finite SNR value {bad}")));
         }
         Ok(())
-    }
-
-    /// Shim for callers that still want the original panicking behaviour.
-    /// Deprecated in spirit: new code should propagate
-    /// [`SnrSweepConfig::validate`] errors instead.
-    ///
-    /// # Panics
-    /// Panics with the [`SnrSweepConfig::validate`] message on any invalid
-    /// field.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
     }
 }
 
@@ -303,77 +299,19 @@ pub struct BerArmPoint {
     pub point: BerPoint,
 }
 
-/// Every detector's result at one SNR grid point: the unit of BER-sweep
-/// sharding (point id = index into `config.snr_db`).
+/// Every detector's result at one SNR grid point: one point of the BER
+/// sweep's grid (point id = index into `config.snr_db`).
 ///
 /// A column is the report sliced the other way round from
 /// [`DetectorSeries`]: per-point across detectors instead of per-detector
-/// across points. [`run_ber_points`] produces columns; the full sweep and
-/// [`MergeableReport::from_points`](crate::report::MergeableReport)
-/// transpose them back into series.
+/// across points. [`BerSweep`] computes columns and transposes them back
+/// into series when it assembles the report.
 #[derive(Debug, Clone)]
 pub struct BerColumn {
     /// Grid-order point id (index into the configured `snr_db` grid).
     pub id: usize,
     /// One entry per roster detector, in roster order.
     pub arms: Vec<BerArmPoint>,
-}
-
-impl BerColumn {
-    /// Renders the column as a shard/checkpoint point record
-    /// (`{"arms": [{"detector": ..., "qubo_backed": ..., "point": {...}}]}`).
-    pub fn to_record(&self) -> PointRecord {
-        let arms = self
-            .arms
-            .iter()
-            .map(|a| {
-                format!(
-                    "{{\"detector\": {}, \"qubo_backed\": {}, \"point\": {}}}",
-                    Json::Str(a.detector.clone()).to_string_compact(),
-                    a.qubo_backed,
-                    a.point.to_json_object()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        PointRecord {
-            id: self.id,
-            payload: format!("{{\"arms\": [{arms}]}}"),
-        }
-    }
-
-    /// Parses a [`BerColumn::to_record`] payload back.
-    ///
-    /// # Errors
-    /// Returns a [`SpecError`] on syntax errors, unknown/missing fields, or
-    /// mistyped values.
-    pub fn from_record(record: &PointRecord) -> Result<BerColumn, SpecError> {
-        let ctx = &format!("ber point {}", record.id);
-        let doc =
-            Json::parse(&record.payload).map_err(|e| SpecError::new(ctx.clone(), e.to_string()))?;
-        check_keys(&doc, &["arms"], ctx)?;
-        let arms = req(&doc, "arms", ctx)?
-            .as_arr()
-            .ok_or_else(|| SpecError::new(ctx.clone(), "field \"arms\" must be an array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let a_ctx = &format!("{ctx}.arms[{i}]");
-                check_keys(a, &["detector", "qubo_backed", "point"], a_ctx)?;
-                Ok(BerArmPoint {
-                    detector: req_str(a, "detector", a_ctx)?.to_string(),
-                    qubo_backed: req(a, "qubo_backed", a_ctx)?.as_bool().ok_or_else(|| {
-                        SpecError::new(a_ctx.clone(), "field \"qubo_backed\" must be a boolean")
-                    })?,
-                    point: BerPoint::from_json(req(a, "point", a_ctx)?, a_ctx)?,
-                })
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-        Ok(BerColumn {
-            id: record.id,
-            arms,
-        })
-    }
 }
 
 /// One detector's full curve.
@@ -406,189 +344,261 @@ pub struct BerReport {
     pub series: Vec<DetectorSeries>,
 }
 
-/// Per-(cell, detector) outcome carried back from the parallel fan-out.
-struct CellOutcome {
+/// One channel realization's outcome for one detector — a BER sweep's
+/// unit of parallel work yields one per roster arm.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CellOutcome {
     ber: f64,
     ser: f64,
     block_err: f64,
-    nodes_visited: u64,
-    sweeps: u64,
+    nodes: f64,
+    sweeps: f64,
 }
 
-/// Runs a batched BER-vs-SNR sweep.
+/// The full `ber` detector roster: ≥ 3 families, two of them
+/// QUBO/anneal-backed. A `ber` spec runs over this roster.
+pub fn paper_roster(seed: u64) -> Vec<ScenarioDetector> {
+    let sa_params = SaParams {
+        sweeps: 96,
+        num_reads: 24,
+        threads: 1, // the grid is the parallel level; keep reads serial
+        ..Default::default()
+    };
+    let sampler = QuantumSampler::new(
+        DWaveProfile::calibrated(),
+        SamplerConfig {
+            num_reads: 16,
+            engine: EngineKind::Pimc { trotter_slices: 8 },
+            threads: 1,
+            ..Default::default()
+        },
+    );
+    let hybrid = HybridSolver::new(
+        sampler,
+        HybridConfig {
+            protocol: Protocol::paper_ra(0.65),
+            initializer: Box::new(GreedyInitializer::default()),
+        },
+    );
+    vec![
+        ScenarioDetector::fixed(false, ZeroForcing),
+        ScenarioDetector::noise_matched("MMSE", false, |nv| Arc::new(Mmse::new(nv))),
+        ScenarioDetector::fixed(false, SphereDecoder::with_budget(100_000)),
+        ScenarioDetector::fixed(false, KBest::new(8)),
+        ScenarioDetector::fixed(false, Fcsd::new(1)),
+        ScenarioDetector::fixed(true, QuboDetector::with_params(sa_params, seed)),
+        ScenarioDetector::fixed(true, HybridDetector::new(hybrid, seed)),
+    ]
+}
+
+/// A batched BER-vs-SNR sweep over a detector roster: the `ber` family's
+/// [`GridEngine`] (run it with [`crate::grid::run_grid`]).
 ///
-/// Fans the (SNR × realization) grid out across `config.threads` workers;
-/// within each cell every detector sees the same channel, transmitted bits
-/// and noise (paired comparison). See the module docs for the determinism
-/// contract.
+/// Point `id` is the column at `config.snr_db[id]`; its units are the
+/// column's channel realizations, so the fan-out spreads the (SNR ×
+/// realization) cells across `config.threads` workers. Within a cell every
+/// detector sees the same channel, transmitted bits and noise (paired
+/// comparison). See the module docs for the determinism contract.
 ///
 /// Degenerate inputs stay well-formed rather than panicking: an empty
 /// roster yields a report with no series, and an empty SNR grid yields
-/// series with no points (both render as valid JSON).
-///
-/// # Panics
-/// Panics on an invalid configuration — most notably zero realizations per
-/// point (the averages would be `0/0`). See [`SnrSweepConfig::validate`]
-/// for the non-panicking check.
-pub fn run_ber_sweep(config: &SnrSweepConfig, detectors: &[ScenarioDetector]) -> BerReport {
-    config.validate_or_panic();
-    let ids: Vec<usize> = (0..config.snr_db.len()).collect();
-    let columns = run_ber_points(config, detectors, &ids);
-    let series = detectors
-        .iter()
-        .enumerate()
-        .map(|(det_idx, arm)| DetectorSeries {
-            detector: arm.name.clone(),
-            qubo_backed: arm.qubo_backed,
-            points: columns.iter().map(|c| c.arms[det_idx].point).collect(),
-        })
-        .collect();
-    BerReport {
-        n_users: config.n_users,
-        n_rx: config.n_rx,
-        modulation: config.modulation,
-        channel: config.channel,
-        realizations: config.realizations,
-        seed: config.seed,
-        series,
-    }
+/// series with no points (both render as valid JSON). Zero realizations
+/// per point is rejected by [`SnrSweepConfig::validate`] (the averages
+/// would be `0/0`).
+pub struct BerSweep<'a> {
+    /// The sweep configuration.
+    pub config: &'a SnrSweepConfig,
+    /// The detector arms, in report order.
+    pub detectors: Vec<ScenarioDetector>,
 }
 
-/// Runs an arbitrary subset of a BER sweep's SNR grid — the sharded form of
-/// [`run_ber_sweep`].
-///
-/// `ids` are indices into `config.snr_db` (strictly increasing). Every
-/// cell's seed is derived from its position in the **full** grid, and the
-/// per-point accumulation runs over the same realization order as the full
-/// sweep, so a point's column is byte-identical whether it is computed
-/// alone or as part of the complete sweep. `run_ber_sweep` itself is the
-/// `ids = 0..snr_db.len()` case.
-///
-/// # Panics
-/// Panics on an invalid configuration or on ids that are out of range or
-/// not strictly increasing.
-pub fn run_ber_points(
-    config: &SnrSweepConfig,
-    detectors: &[ScenarioDetector],
-    ids: &[usize],
-) -> Vec<BerColumn> {
-    config.validate_or_panic();
-    for w in ids.windows(2) {
-        assert!(
-            w[0] < w[1],
-            "run_ber_points: ids must be strictly increasing"
-        );
-    }
-    if let Some(&last) = ids.last() {
-        assert!(
-            last < config.snr_db.len(),
-            "run_ber_points: id {last} out of range (grid has {} points)",
-            config.snr_db.len()
-        );
+impl GridEngine for BerSweep<'_> {
+    type Unit = Vec<CellOutcome>;
+    type Point = BerColumn;
+    type Report = BerReport;
+
+    fn validate(&self) -> Result<(), SpecError> {
+        self.config.validate()
     }
 
-    // Per-cell seeds drawn up front, indexed by the cell's position in the
-    // FULL grid — the same derivation the batch solver uses, so a point's
-    // randomness depends on neither thread placement nor which subset of
-    // the grid is running.
-    struct Cell {
-        pos: usize,
-        snr_idx: usize,
-        seed: u64,
-    }
-    let mut cells = Vec::with_capacity(ids.len() * config.realizations);
-    for (pos, &snr_idx) in ids.iter().enumerate() {
-        for r in 0..config.realizations {
-            let seed = crate::pipeline::item_seed(config.seed, snr_idx * config.realizations + r);
-            cells.push(Cell { pos, snr_idx, seed });
-        }
+    fn grid_len(&self) -> usize {
+        self.config.snr_db.len()
     }
 
-    let bits_per_symbol = config.modulation.bits_per_symbol();
-    let per_cell: Vec<Vec<CellOutcome>> =
-        parallel_map_indexed(&cells, config.threads, |_, cell| {
-            let noise_variance =
-                snr_db_to_noise_variance(config.snr_db[cell.snr_idx], config.n_users);
-            let mut rng = Rng64::new(cell.seed);
-            let system = MimoSystem::new(config.n_users, config.n_rx, config.modulation);
-            let h = config
-                .channel
-                .generate(config.n_rx, config.n_users, &mut rng);
-            let tx_bits = system.random_bits(&mut rng);
-            let x = system.modulate(&tx_bits);
-            let mut y = system.transmit(&h, &x);
-            add_awgn(&mut y, noise_variance, &mut rng);
+    fn threads(&self) -> usize {
+        self.config.threads
+    }
 
-            detectors
-                .iter()
-                .map(|arm| {
-                    let detector = (arm.build)(noise_variance);
-                    let result = detector.detect(&system, &h, &y);
-                    CellOutcome {
-                        ber: bit_error_rate(&tx_bits, &result.gray_bits),
-                        ser: symbol_error_rate(&tx_bits, &result.gray_bits, bits_per_symbol),
-                        block_err: vector_error(&tx_bits, &result.gray_bits),
-                        nodes_visited: result.meta.nodes_visited,
-                        sweeps: result.meta.sweeps,
-                    }
+    fn units_per_point(&self) -> usize {
+        self.config.realizations
+    }
+
+    fn run_unit(&self, id: usize, unit: usize, _: Option<&Collector>, _: u32) -> Vec<CellOutcome> {
+        let config = self.config;
+        // The cell's seed is indexed by its position in the FULL grid — the
+        // same derivation the batch solver uses — so a point's randomness
+        // depends on neither thread placement nor which subset runs.
+        let mut rng = Rng64::new(item_seed(config.seed, id * config.realizations + unit));
+        let noise_variance = snr_db_to_noise_variance(config.snr_db[id], config.n_users);
+        let system = MimoSystem::new(config.n_users, config.n_rx, config.modulation);
+        let h = config
+            .channel
+            .generate(config.n_rx, config.n_users, &mut rng);
+        let tx_bits = system.random_bits(&mut rng);
+        let x = system.modulate(&tx_bits);
+        let mut y = system.transmit(&h, &x);
+        add_awgn(&mut y, noise_variance, &mut rng);
+
+        let bits_per_symbol = config.modulation.bits_per_symbol();
+        self.detectors
+            .iter()
+            .map(|arm| {
+                let result = (arm.build)(noise_variance).detect(&system, &h, &y);
+                CellOutcome {
+                    ber: bit_error_rate(&tx_bits, &result.gray_bits),
+                    ser: symbol_error_rate(&tx_bits, &result.gray_bits, bits_per_symbol),
+                    block_err: vector_error(&tx_bits, &result.gray_bits),
+                    nodes: result.meta.nodes_visited as f64,
+                    sweeps: result.meta.sweeps as f64,
+                }
+            })
+            .collect()
+    }
+
+    fn reduce(&self, id: usize, units: Vec<Vec<CellOutcome>>) -> BerColumn {
+        let config = self.config;
+        let snr_db = config.snr_db[id];
+        let bits_per_use = (config.n_users * config.modulation.bits_per_symbol()) as f64;
+        let n = config.realizations as f64;
+        let arms = self
+            .detectors
+            .iter()
+            .enumerate()
+            .map(|(det_idx, arm)| {
+                // Serial sums in realization order: deterministic floats.
+                let mut a = CellOutcome::default();
+                for outcome in units.iter().map(|cell| &cell[det_idx]) {
+                    a.ber += outcome.ber;
+                    a.ser += outcome.ser;
+                    a.block_err += outcome.block_err;
+                    a.nodes += outcome.nodes;
+                    a.sweeps += outcome.sweeps;
+                }
+                let bler = a.block_err / n;
+                BerArmPoint {
+                    detector: arm.name.clone(),
+                    qubo_backed: arm.qubo_backed,
+                    point: BerPoint {
+                        snr_db,
+                        noise_variance: snr_db_to_noise_variance(snr_db, config.n_users),
+                        ber: a.ber / n,
+                        ser: a.ser / n,
+                        bler,
+                        goodput_bpcu: bits_per_use * (1.0 - bler),
+                        avg_nodes_visited: a.nodes / n,
+                        avg_sweeps: a.sweeps / n,
+                    },
+                }
+            })
+            .collect();
+        BerColumn { id, arms }
+    }
+
+    /// `{"arms": [{"detector": ..., "qubo_backed": ..., "point": {...}}]}`.
+    fn encode(&self, column: &BerColumn) -> String {
+        let arms = column
+            .arms
+            .iter()
+            .map(|a| {
+                format!(
+                    "{{\"detector\": {}, \"qubo_backed\": {}, \"point\": {}}}",
+                    Json::Str(a.detector.clone()).to_string_compact(),
+                    a.qubo_backed,
+                    a.point.to_json_object()
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(", ");
+        format!("{{\"arms\": [{arms}]}}")
+    }
+
+    fn decode(&self, id: usize, doc: &Json, ctx: &str) -> Result<BerColumn, SpecError> {
+        check_keys(doc, &["arms"], ctx)?;
+        let want = format!("snr_db {}", self.config.snr_db[id]);
+        let arms = req(doc, "arms", ctx)?
+            .as_arr()
+            .ok_or_else(|| SpecError::new(ctx, "field \"arms\" must be an array"))?
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let a_ctx = &format!("{ctx}.arms[{i}]");
+                check_keys(a, &["detector", "qubo_backed", "point"], a_ctx)?;
+                let point = BerPoint::from_json(req(a, "point", a_ctx)?, a_ctx)?;
+                check_coordinates(a_ctx, format!("snr_db {}", point.snr_db), want.clone())?;
+                Ok(BerArmPoint {
+                    detector: req_str(a, "detector", a_ctx)?.to_string(),
+                    qubo_backed: req(a, "qubo_backed", a_ctx)?.as_bool().ok_or_else(|| {
+                        SpecError::new(a_ctx.clone(), "field \"qubo_backed\" must be a boolean")
+                    })?,
+                    point,
                 })
-                .collect()
-        });
-
-    // Serial reduction in grid order: deterministic float accumulation.
-    #[derive(Clone, Copy, Default)]
-    struct Acc {
-        ber: f64,
-        ser: f64,
-        block_err: f64,
-        nodes: f64,
-        sweeps: f64,
-    }
-    let mut acc = vec![vec![Acc::default(); ids.len()]; detectors.len()];
-    for (cell, outcomes) in cells.iter().zip(&per_cell) {
-        for (det_idx, outcome) in outcomes.iter().enumerate() {
-            let a = &mut acc[det_idx][cell.pos];
-            a.ber += outcome.ber;
-            a.ser += outcome.ser;
-            a.block_err += outcome.block_err;
-            a.nodes += outcome.nodes_visited as f64;
-            a.sweeps += outcome.sweeps as f64;
-        }
+            })
+            .collect::<Result<Vec<_>, SpecError>>()?;
+        Ok(BerColumn { id, arms })
     }
 
-    let bits_per_use = (config.n_users * bits_per_symbol) as f64;
-    let n = config.realizations as f64;
-    ids.iter()
-        .enumerate()
-        .map(|(pos, &snr_idx)| {
-            let snr_db = config.snr_db[snr_idx];
-            BerColumn {
-                id: snr_idx,
-                arms: detectors
+    fn assemble(&self, columns: Vec<BerColumn>) -> Result<BerReport, SpecError> {
+        // The series follow the first column's roster (the engine's own for
+        // an empty grid). Every column must carry the same roster, in the
+        // same order — a mismatch means the records came from different
+        // runs.
+        let roster: Vec<(String, bool)> = match columns.first() {
+            Some(first) => first
+                .arms
+                .iter()
+                .map(|a| (a.detector.clone(), a.qubo_backed))
+                .collect(),
+            None => self
+                .detectors
+                .iter()
+                .map(|d| (d.name.clone(), d.qubo_backed))
+                .collect(),
+        };
+        let same_roster = |c: &BerColumn| {
+            c.arms.len() == roster.len()
+                && c.arms
                     .iter()
-                    .enumerate()
-                    .map(|(det_idx, arm)| {
-                        let a = &acc[det_idx][pos];
-                        let bler = a.block_err / n;
-                        BerArmPoint {
-                            detector: arm.name.clone(),
-                            qubo_backed: arm.qubo_backed,
-                            point: BerPoint {
-                                snr_db,
-                                noise_variance: snr_db_to_noise_variance(snr_db, config.n_users),
-                                ber: a.ber / n,
-                                ser: a.ser / n,
-                                bler,
-                                goodput_bpcu: bits_per_use * (1.0 - bler),
-                                avg_nodes_visited: a.nodes / n,
-                                avg_sweeps: a.sweeps / n,
-                            },
-                        }
-                    })
-                    .collect(),
-            }
+                    .zip(&roster)
+                    .all(|(a, (name, qubo))| a.detector == *name && a.qubo_backed == *qubo)
+        };
+        if let Some(c) = columns.iter().find(|c| !same_roster(c)) {
+            return Err(SpecError::new(
+                "ber",
+                format!(
+                    "point {} has a different detector roster than point {}",
+                    c.id, columns[0].id
+                ),
+            ));
+        }
+        let config = self.config;
+        Ok(BerReport {
+            n_users: config.n_users,
+            n_rx: config.n_rx,
+            modulation: config.modulation,
+            channel: config.channel,
+            realizations: config.realizations,
+            seed: config.seed,
+            series: roster
+                .into_iter()
+                .enumerate()
+                .map(|(ai, (detector, qubo_backed))| DetectorSeries {
+                    detector,
+                    qubo_backed,
+                    points: columns.iter().map(|c| c.arms[ai].point).collect(),
+                })
+                .collect(),
         })
-        .collect()
+    }
 }
 
 /// Formats a finite float as a JSON number (shared with the stream engine's
@@ -642,9 +652,9 @@ impl BerPoint {
         Ok(BerPoint {
             snr_db: req_f64(o, "snr_db", ctx)?,
             noise_variance: req_f64(o, "noise_variance", ctx)?,
-            ber: req_f64(o, "ber", ctx)?,
-            ser: req_f64(o, "ser", ctx)?,
-            bler: req_f64(o, "bler", ctx)?,
+            ber: req_ratio(o, "ber", ctx)?,
+            ser: req_ratio(o, "ser", ctx)?,
+            bler: req_ratio(o, "bler", ctx)?,
             goodput_bpcu: req_f64(o, "goodput_bpcu", ctx)?,
             avg_nodes_visited: req_f64(o, "avg_nodes_visited", ctx)?,
             avg_sweeps: req_f64(o, "avg_sweeps", ctx)?,
@@ -736,101 +746,6 @@ impl crate::report::Report for BerReport {
     }
 }
 
-impl crate::report::MergeableReport for BerReport {
-    fn points(&self) -> Vec<PointRecord> {
-        let n_points = self.series.first().map_or(0, |s| s.points.len());
-        (0..n_points)
-            .map(|id| {
-                BerColumn {
-                    id,
-                    arms: self
-                        .series
-                        .iter()
-                        .map(|s| BerArmPoint {
-                            detector: s.detector.clone(),
-                            qubo_backed: s.qubo_backed,
-                            point: s.points[id],
-                        })
-                        .collect(),
-                }
-                .to_record()
-            })
-            .collect()
-    }
-
-    fn from_points(spec: &ExperimentSpec, mut points: Vec<PointRecord>) -> Result<Self, SpecError> {
-        let ctx = "BerReport";
-        let ExperimentSpec::Ber(config) = spec else {
-            return Err(SpecError::new(
-                ctx,
-                format!("expected a ber spec, got '{}'", spec.family()),
-            ));
-        };
-        crate::report::sort_and_check_point_ids(&mut points, config.snr_db.len(), ctx)?;
-        let columns = points
-            .iter()
-            .map(BerColumn::from_record)
-            .collect::<Result<Vec<_>, _>>()?;
-        if let Some(first) = columns.first() {
-            // Every column must carry the same roster, in the same order —
-            // a mismatch means the records came from different runs.
-            for c in &columns[1..] {
-                let same = c.arms.len() == first.arms.len()
-                    && c.arms
-                        .iter()
-                        .zip(&first.arms)
-                        .all(|(a, b)| a.detector == b.detector && a.qubo_backed == b.qubo_backed);
-                if !same {
-                    return Err(SpecError::new(
-                        ctx,
-                        format!(
-                            "point {} has a different detector roster than point {}",
-                            c.id, first.id
-                        ),
-                    ));
-                }
-            }
-        }
-        for c in &columns {
-            let want = config.snr_db[c.id];
-            if let Some(a) = c
-                .arms
-                .iter()
-                .find(|a| a.point.snr_db.to_bits() != want.to_bits())
-            {
-                return Err(SpecError::new(
-                    ctx,
-                    format!(
-                        "point {}: snr_db {} does not match the spec grid value {}",
-                        c.id, a.point.snr_db, want
-                    ),
-                ));
-            }
-        }
-        let series = columns.first().map_or_else(Vec::new, |first| {
-            first
-                .arms
-                .iter()
-                .enumerate()
-                .map(|(ai, arm)| DetectorSeries {
-                    detector: arm.detector.clone(),
-                    qubo_backed: arm.qubo_backed,
-                    points: columns.iter().map(|c| c.arms[ai].point).collect(),
-                })
-                .collect()
-        });
-        Ok(BerReport {
-            n_users: config.n_users,
-            n_rx: config.n_rx,
-            modulation: config.modulation,
-            channel: config.channel,
-            realizations: config.realizations,
-            seed: config.seed,
-            series,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,6 +803,10 @@ mod tests {
         ]
     }
 
+    fn sweep(config: &SnrSweepConfig, detectors: Vec<ScenarioDetector>) -> BerReport {
+        crate::grid::run_grid(&BerSweep { config, detectors }, None)
+    }
+
     fn quick_config(threads: usize) -> SnrSweepConfig {
         SnrSweepConfig {
             n_users: 3,
@@ -903,10 +822,9 @@ mod tests {
 
     #[test]
     fn report_is_bit_identical_for_any_thread_count() {
-        let detectors = roster();
-        let serial = run_ber_sweep(&quick_config(1), &detectors).to_json();
+        let serial = sweep(&quick_config(1), roster()).to_json();
         for threads in [2, 5, 0] {
-            let parallel = run_ber_sweep(&quick_config(threads), &detectors).to_json();
+            let parallel = sweep(&quick_config(threads), roster()).to_json();
             assert_eq!(serial, parallel, "threads={threads}");
         }
     }
@@ -915,7 +833,7 @@ mod tests {
     fn report_covers_every_arm_and_point_with_sane_metrics() {
         let detectors = roster();
         let config = quick_config(0);
-        let report = run_ber_sweep(&config, &detectors);
+        let report = sweep(&config, roster());
         assert_eq!(report.series.len(), detectors.len());
         assert!(report.series.iter().any(|s| s.qubo_backed));
         let bits_per_use = (config.n_users * config.modulation.bits_per_symbol()) as f64;
@@ -945,7 +863,7 @@ mod tests {
             realizations: 24,
             ..quick_config(0)
         };
-        let report = run_ber_sweep(&config, &detectors);
+        let report = sweep(&config, detectors);
         let points = &report.series[0].points;
         assert!(
             points[1].ber < points[0].ber,
@@ -962,7 +880,7 @@ mod tests {
             ScenarioDetector::fixed(false, ZeroForcing),
             ScenarioDetector::fixed(true, quick_qubo_detector()),
         ];
-        let report = run_ber_sweep(&quick_config(1), &detectors);
+        let report = sweep(&quick_config(1), detectors);
         let json = report.to_json();
         assert!(json.starts_with("{\n  \"bench\": \"ber\""));
         assert!(json.contains("\"detector\": \"ZF\""));
@@ -1003,7 +921,7 @@ mod tests {
             snr_db: vec![],
             ..quick_config(1)
         };
-        let report = run_ber_sweep(&config, &[ScenarioDetector::fixed(false, ZeroForcing)]);
+        let report = sweep(&config, vec![ScenarioDetector::fixed(false, ZeroForcing)]);
         assert_eq!(report.series.len(), 1);
         assert!(report.series[0].points.is_empty());
         let json = report.to_json();
@@ -1013,7 +931,7 @@ mod tests {
 
     #[test]
     fn empty_roster_yields_empty_report_not_a_panic() {
-        let report = run_ber_sweep(&quick_config(1), &[]);
+        let report = sweep(&quick_config(1), vec![]);
         assert!(report.series.is_empty());
         let json = report.to_json();
         assert!(json.contains("\"series\": [\n  ]"));
@@ -1030,7 +948,7 @@ mod tests {
             ScenarioDetector::fixed(false, ZeroForcing),
             ScenarioDetector::fixed(true, quick_qubo_detector()),
         ];
-        let report = run_ber_sweep(&config, &detectors);
+        let report = sweep(&config, detectors);
         assert_eq!(report.series.len(), 2);
         for series in &report.series {
             assert_eq!(series.points.len(), 1);
@@ -1045,7 +963,7 @@ mod tests {
             realizations: 0,
             ..quick_config(1)
         };
-        run_ber_sweep(&config, &[ScenarioDetector::fixed(false, ZeroForcing)]);
+        sweep(&config, vec![ScenarioDetector::fixed(false, ZeroForcing)]);
     }
 
     #[test]

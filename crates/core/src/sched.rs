@@ -28,7 +28,7 @@
 //! first to be evicted).
 
 use crate::spec::json::Json;
-use crate::spec::{check_keys, req, req_f64, req_str, req_usize, SpecError};
+use crate::spec::{check_keys, req, req_str, req_us, req_usize, SpecError};
 use crate::stream::CostModel;
 use crate::telemetry::LogHistogram;
 use hqw_math::Rng64;
@@ -613,9 +613,9 @@ impl ClassReport {
             class,
             jobs: req_usize(doc, "jobs", ctx)?,
             misses: req_usize(doc, "misses", ctx)?,
-            mean_latency_us: req_f64(doc, "mean_latency_us", ctx)?,
-            p50_latency_us: req_f64(doc, "p50_latency_us", ctx)?,
-            p99_latency_us: req_f64(doc, "p99_latency_us", ctx)?,
+            mean_latency_us: req_us(doc, "mean_latency_us", ctx)?,
+            p50_latency_us: req_us(doc, "p50_latency_us", ctx)?,
+            p99_latency_us: req_us(doc, "p99_latency_us", ctx)?,
             hist: LogHistogram::from_json(req(doc, "hist", ctx)?)?,
         })
     }

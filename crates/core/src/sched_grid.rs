@@ -24,16 +24,15 @@
 //! keeps sharded runs (`hqw run --shard k/N`) byte-identical to
 //! single-process ones.
 
-use crate::fabric::{run_fabric, BackendMix, FabricConfig, FabricReport};
+use crate::fabric::{render_coordinates, run_fabric, BackendMix, FabricConfig, FabricReport};
+use crate::grid::{check_coordinates, GridEngine};
 use crate::pipeline::item_seed;
-use crate::report::PointRecord;
 use crate::scenario::json_num;
 use crate::sched::{ClassMix, PriorityClass, SchedOptions, SchedPolicy};
 use crate::spec::json::Json;
-use crate::spec::{check_keys, req, req_f64, req_str, req_usize, ExperimentSpec, SpecError};
+use crate::spec::{check_keys, req, req_f64, req_str, req_usize, SpecError};
 use crate::stream::CostModel;
-use crate::telemetry::LogHistogram;
-use hqw_math::parallel::parallel_map_indexed;
+use crate::telemetry::{Collector, LogHistogram};
 use hqw_phy::channel::TrackConfig;
 
 /// The two planner-calibration workloads, in grid order.
@@ -110,16 +109,6 @@ impl SchedGridConfig {
         Ok(())
     }
 
-    /// Panicking shim for the engine entry points.
-    ///
-    /// # Panics
-    /// Panics with the [`SchedGridConfig::validate`] message.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
-
     /// The scheduling options of one arm under one workload.
     fn arm_options(&self, workload: &str, adaptive: bool) -> SchedOptions {
         SchedOptions {
@@ -162,9 +151,16 @@ impl SchedGridConfig {
         }
     }
 
-    /// Total grid points: workload-major, then cell count, then load.
-    pub fn grid_len(&self) -> usize {
-        SCHED_WORKLOADS.len() * self.cell_counts.len() * self.arrival_periods_us.len()
+    /// Point `id`'s (workload, cell-count index, arrival period):
+    /// workload-major, then cell count, then load.
+    fn coordinates(&self, id: usize) -> (&'static str, usize, f64) {
+        let loads = self.arrival_periods_us.len();
+        let cells_n = self.cell_counts.len();
+        (
+            SCHED_WORKLOADS[id / (cells_n * loads)],
+            (id / loads) % cells_n,
+            self.arrival_periods_us[id % loads],
+        )
     }
 }
 
@@ -490,112 +486,34 @@ impl crate::report::Report for SchedGridReport {
     }
 }
 
-impl crate::report::MergeableReport for SchedGridReport {
-    fn points(&self) -> Vec<PointRecord> {
-        self.points
-            .iter()
-            .enumerate()
-            .map(|(id, point)| PointRecord {
-                id,
-                payload: point.to_json_object(),
-            })
-            .collect()
+/// The sched grid is the `sched` family's [`GridEngine`]: point `id` is
+/// one (workload, cells, load) point of the workload-major grid, and runs
+/// the virtual-time fabric sim **twice** (static arm, then adaptive arm)
+/// over identical frames.
+impl GridEngine for SchedGridConfig {
+    type Unit = SchedPointReport;
+    type Point = SchedPointReport;
+    type Report = SchedGridReport;
+
+    fn validate(&self) -> Result<(), SpecError> {
+        SchedGridConfig::validate(self)
     }
 
-    fn from_points(spec: &ExperimentSpec, mut points: Vec<PointRecord>) -> Result<Self, SpecError> {
-        let ctx = "SchedGridReport";
-        let ExperimentSpec::Sched(config) = spec else {
-            return Err(SpecError::new(
-                ctx,
-                format!("expected a sched spec, got '{}'", spec.family()),
-            ));
-        };
-        let loads = config.arrival_periods_us.len();
-        let cells_n = config.cell_counts.len();
-        let total = config.grid_len();
-        crate::report::sort_and_check_point_ids(&mut points, total, ctx)?;
-        let reports = points
-            .iter()
-            .map(|record| {
-                let p_ctx = &format!("sched point {}", record.id);
-                let doc = Json::parse(&record.payload)
-                    .map_err(|e| SpecError::new(p_ctx.clone(), e.to_string()))?;
-                let point = SchedPointReport::from_json(&doc, p_ctx)?;
-                // The payload's own grid coordinates must agree with its id.
-                let workload = SCHED_WORKLOADS[record.id / (cells_n * loads)];
-                let n_cells = config.cell_counts[(record.id / loads) % cells_n];
-                let period = config.arrival_periods_us[record.id % loads];
-                if point.workload != workload
-                    || point.n_cells != n_cells
-                    || point.arrival_period_us.to_bits() != period.to_bits()
-                {
-                    return Err(SpecError::new(
-                        p_ctx.clone(),
-                        format!(
-                            "grid coordinates ({}, {} cells, period {}) do not match the \
-                             spec grid point ({}, {} cells, period {})",
-                            point.workload,
-                            point.n_cells,
-                            point.arrival_period_us,
-                            workload,
-                            n_cells,
-                            period
-                        ),
-                    ));
-                }
-                Ok(point)
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-        Ok(SchedGridReport {
-            n_users: config.track.n_users,
-            n_rx: config.track.n_rx,
-            modulation: config.track.modulation.name().to_string(),
-            noise_variance: config.track.noise_variance,
-            frames_per_cell: config.frames_per_cell,
-            deadline_us: config.deadline_us,
-            policy: config.policy.name().to_string(),
-            mix: config.mix.name.clone(),
-            seed: config.seed,
-            points: reports,
-        })
+    fn grid_len(&self) -> usize {
+        SCHED_WORKLOADS.len() * self.cell_counts.len() * self.arrival_periods_us.len()
     }
-}
 
-/// Runs an arbitrary subset of the (workload × cells × load) grid — the
-/// sharded form of [`run_sched_grid`]. Each point runs the virtual-time
-/// fabric sim **twice** (static arm, then adaptive arm) over identical
-/// frames.
-///
-/// # Panics
-/// Panics on an invalid configuration or on ids that are out of range or
-/// not strictly increasing.
-pub fn run_sched_points(config: &SchedGridConfig, ids: &[usize]) -> Vec<SchedPointReport> {
-    config.validate_or_panic();
-    let loads = config.arrival_periods_us.len();
-    let cells_n = config.cell_counts.len();
-    let total = config.grid_len();
-    for w in ids.windows(2) {
-        assert!(
-            w[0] < w[1],
-            "run_sched_points: ids must be strictly increasing"
-        );
+    fn threads(&self) -> usize {
+        self.threads
     }
-    if let Some(&last) = ids.last() {
-        assert!(
-            last < total,
-            "run_sched_points: id {last} out of range (grid has {total} points)"
-        );
-    }
-    let subset: Vec<usize> = ids.to_vec();
-    parallel_map_indexed(&subset, config.threads, |_, &id| {
-        let workload = SCHED_WORKLOADS[id / (cells_n * loads)];
-        let cells_idx = (id / loads) % cells_n;
-        let n_cells = config.cell_counts[cells_idx];
-        let period = config.arrival_periods_us[id % loads];
+
+    fn run_unit(&self, id: usize, _: usize, _: Option<&Collector>, _: u32) -> SchedPointReport {
+        let (workload, cells_idx, period) = self.coordinates(id);
+        let n_cells = self.cell_counts[cells_idx];
         let run_arm = |adaptive: bool| -> FabricReport {
             let mut report =
-                run_fabric(&config.point_config(workload, n_cells, period, cells_idx, adaptive));
-            report.mix = config.mix.name.clone();
+                run_fabric(&self.point_config(workload, n_cells, period, cells_idx, adaptive));
+            report.mix = self.mix.name.clone();
             report
         };
         SchedPointReport {
@@ -605,26 +523,40 @@ pub fn run_sched_points(config: &SchedGridConfig, ids: &[usize]) -> Vec<SchedPoi
             static_arm: run_arm(false),
             adaptive: run_arm(true),
         }
-    })
-}
+    }
 
-/// Runs the full (workload × cells × load) grid.
-///
-/// # Panics
-/// Panics on an invalid configuration (see [`SchedGridConfig::validate`]).
-pub fn run_sched_grid(config: &SchedGridConfig) -> SchedGridReport {
-    let ids: Vec<usize> = (0..config.grid_len()).collect();
-    SchedGridReport {
-        n_users: config.track.n_users,
-        n_rx: config.track.n_rx,
-        modulation: config.track.modulation.name().to_string(),
-        noise_variance: config.track.noise_variance,
-        frames_per_cell: config.frames_per_cell,
-        deadline_us: config.deadline_us,
-        policy: config.policy.name().to_string(),
-        mix: config.mix.name.clone(),
-        seed: config.seed,
-        points: run_sched_points(config, &ids),
+    fn reduce(&self, _: usize, mut units: Vec<SchedPointReport>) -> SchedPointReport {
+        units.pop().expect("one unit per sched point")
+    }
+
+    fn encode(&self, point: &SchedPointReport) -> String {
+        point.to_json_object()
+    }
+
+    fn decode(&self, id: usize, doc: &Json, ctx: &str) -> Result<SchedPointReport, SpecError> {
+        let point = SchedPointReport::from_json(doc, ctx)?;
+        let (workload, cells_idx, period) = self.coordinates(id);
+        check_coordinates(
+            ctx,
+            render_coordinates(&point.workload, point.n_cells, point.arrival_period_us),
+            render_coordinates(workload, self.cell_counts[cells_idx], period),
+        )?;
+        Ok(point)
+    }
+
+    fn assemble(&self, points: Vec<SchedPointReport>) -> Result<SchedGridReport, SpecError> {
+        Ok(SchedGridReport {
+            n_users: self.track.n_users,
+            n_rx: self.track.n_rx,
+            modulation: self.track.modulation.name().to_string(),
+            noise_variance: self.track.noise_variance,
+            frames_per_cell: self.frames_per_cell,
+            deadline_us: self.deadline_us,
+            policy: self.policy.name().to_string(),
+            mix: self.mix.name.clone(),
+            seed: self.seed,
+            points,
+        })
     }
 }
 
@@ -632,7 +564,8 @@ pub fn run_sched_grid(config: &SchedGridConfig) -> SchedGridReport {
 mod tests {
     use super::*;
     use crate::fabric::{BackendSpec, SaPoolConfig};
-    use crate::report::MergeableReport;
+    use crate::grid::{assemble_records, run_grid};
+    use crate::report::PointRecord;
     use hqw_phy::channel::snr_db_to_noise_variance;
     use hqw_phy::modulation::Modulation;
     use hqw_qubo::sa::SaParams;
@@ -692,8 +625,8 @@ mod tests {
 
     #[test]
     fn grid_is_deterministic_and_thread_invariant() {
-        let serial = run_sched_grid(&quick_config(1)).to_json();
-        let parallel = run_sched_grid(&quick_config(0)).to_json();
+        let serial = run_grid(&quick_config(1), None).to_json();
+        let parallel = run_grid(&quick_config(0), None).to_json();
         assert_eq!(serial, parallel);
     }
 
@@ -702,7 +635,7 @@ mod tests {
         // Jitter-free backends + the true cost model: the EWMA corrections
         // stay pinned at identity, so the adaptive arm must reproduce the
         // static arm byte-for-byte on the calibrated workload.
-        let report = run_sched_grid(&quick_config(0));
+        let report = run_grid(&quick_config(0), None);
         for p in report.points.iter().filter(|p| p.workload == "calibrated") {
             assert_eq!(
                 p.static_arm.to_json_object(),
@@ -716,7 +649,7 @@ mod tests {
 
     #[test]
     fn summaries_cover_both_workloads_and_arms() {
-        let report = run_sched_grid(&quick_config(0));
+        let report = run_grid(&quick_config(0), None);
         let summaries = report.summaries();
         assert_eq!(summaries.len(), 4);
         for a in &summaries {
@@ -729,26 +662,37 @@ mod tests {
         }
     }
 
+    /// The report's points, encoded as shard/checkpoint records.
+    fn records(config: &SchedGridConfig, report: &SchedGridReport) -> Vec<PointRecord> {
+        report
+            .points
+            .iter()
+            .enumerate()
+            .map(|(id, point)| PointRecord {
+                id,
+                payload: config.encode(point),
+            })
+            .collect()
+    }
+
     #[test]
     fn report_round_trips_through_points() {
         let config = quick_config(0);
-        let report = run_sched_grid(&config);
-        let spec = ExperimentSpec::Sched(config);
-        let rebuilt = SchedGridReport::from_points(&spec, report.points()).expect("round trip");
+        let report = run_grid(&config, None);
+        let rebuilt = assemble_records(&config, records(&config, &report)).expect("round trip");
         assert_eq!(rebuilt.to_json(), report.to_json());
     }
 
     #[test]
     fn from_points_rejects_mismatched_coordinates() {
         let config = quick_config(0);
-        let report = run_sched_grid(&config);
-        let spec = ExperimentSpec::Sched(config);
-        let mut points = report.points();
+        let report = run_grid(&config, None);
+        let mut points = records(&config, &report);
         points.swap(0, 1);
         let (a, b) = (points[0].id, points[1].id);
         points[0].id = b;
         points[1].id = a;
-        let err = SchedGridReport::from_points(&spec, points).unwrap_err();
+        let err = assemble_records(&config, points).unwrap_err();
         assert!(
             err.to_string().contains("do not match"),
             "unexpected error: {err}"

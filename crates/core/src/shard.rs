@@ -7,17 +7,17 @@
 //! workspace's byte-reproducibility contract. Three pieces:
 //!
 //! * **Sharding** — [`shard_ids`] deterministically partitions a spec's
-//!   point grid ([`grid_len`]) into `N` strided subsets; the engines'
-//!   subset runners (`run_ber_points` / `run_stream_points` /
-//!   `run_fabric_points`) execute one subset with the exact per-point
-//!   seeds of the full run, and [`ShardReport`] is the self-describing
-//!   output document (spec + fingerprint + point records).
+//!   point grid ([`grid_len`]) into `N` strided subsets; the spec's grid
+//!   engine ([`spec_grid`]) runs one subset with the exact per-point seeds
+//!   of the full run, and [`ShardReport`] is the self-describing output
+//!   document (spec + fingerprint + point records).
 //! * **Merging** — [`merge_shards`] validates a set of shards (same spec
 //!   fingerprint, pairwise-disjoint ids, exact grid coverage) and
-//!   reassembles the ordinary report through
-//!   [`MergeableReport::from_points`]: `merge(shards over k/N)` is
-//!   **byte-identical** to the single-run report for any `N`, which the
-//!   `shard-merge` CI job pins against the committed `BENCH_*.json`.
+//!   reassembles the ordinary report through the spec's grid engine
+//!   ([`crate::grid::SpecGrid::assemble_records`]): `merge(shards over
+//!   k/N)` is **byte-identical** to the single-run report for any `N`,
+//!   which the `shard-merge` CI job pins against the committed
+//!   `BENCH_*.json`.
 //! * **Checkpointing** — [`Checkpoint`] is a JSONL journal (header line +
 //!   one line per completed point) a long run appends to; a killed run
 //!   resumes by parsing the journal (tolerating a torn trailing line),
@@ -28,13 +28,10 @@
 //! canonical JSON — so shards or checkpoints from different specs (or the
 //! same spec at different seeds/scales) can never be mixed silently.
 
-use crate::fabric::{FabricGridReport, FabricMode};
-use crate::report::{MergeableReport, PointRecord, Report};
-use crate::scenario::BerReport;
-use crate::sched_grid::SchedGridReport;
+use crate::grid::{check_point_ids, spec_grid};
+use crate::report::{PointRecord, Report};
 use crate::spec::json::Json;
 use crate::spec::{check_keys, req, req_str, req_u64, req_usize, ExperimentSpec, SpecError};
-use crate::stream::StreamGridReport;
 
 /// Version of the shard/checkpoint document schemas this build reads and
 /// writes (documented in `crates/bench/README.md`). Bump on any
@@ -55,42 +52,14 @@ pub fn spec_fingerprint(spec: &ExperimentSpec) -> String {
 
 /// The number of shardable grid points a spec expands to: SNR points for a
 /// BER sweep, (policy × ρ × load) cells for the stream grid,
-/// (mix × cells × load) points for the virtual fabric grid.
+/// (mix × cells × load) points for the virtual fabric grid,
+/// (workload × cells × load) points for the sched grid.
 ///
 /// # Errors
-/// Returns a [`SpecError`] for specs without a shardable point grid: canned
-/// figure experiments, realtime fabric runs (points occupy wall-clock
-/// worker threads), and empty grids.
+/// As [`spec_grid`]: canned figure experiments, realtime fabric runs and
+/// empty grids have no shardable point grid.
 pub fn grid_len(spec: &ExperimentSpec) -> Result<usize, SpecError> {
-    let ctx = "shard";
-    let total = match spec {
-        ExperimentSpec::Ber(c) => c.snr_db.len(),
-        ExperimentSpec::Stream(c) => c.policies.len() * c.rhos.len() * c.arrival_periods_us.len(),
-        ExperimentSpec::Fabric(c) if c.mode == FabricMode::Virtual => {
-            c.mixes.len() * c.cell_counts.len() * c.arrival_periods_us.len()
-        }
-        ExperimentSpec::Fabric(_) => {
-            return Err(SpecError::new(
-                ctx,
-                "the realtime fabric service cannot be sharded \
-                 (points occupy wall-clock worker threads)",
-            ));
-        }
-        ExperimentSpec::Sched(c) => c.grid_len(),
-        ExperimentSpec::Canned(c) => {
-            return Err(SpecError::new(
-                ctx,
-                format!(
-                    "canned experiment '{}' has no point grid to shard",
-                    c.experiment.name()
-                ),
-            ));
-        }
-    };
-    if total == 0 {
-        return Err(SpecError::new(ctx, "the spec's point grid is empty"));
-    }
-    Ok(total)
+    Ok(spec_grid(spec)?.total_points())
 }
 
 /// The point ids of shard `index` of `count` (1-based) over a grid of
@@ -118,6 +87,20 @@ fn compact_spec(spec: &ExperimentSpec) -> String {
     Json::parse(&spec.to_json())
         .expect("spec JSON is valid by construction")
         .to_string_compact()
+}
+
+/// Rejects shard/checkpoint documents of another schema version.
+fn check_schema_version(doc: &Json, ctx: &str) -> Result<(), SpecError> {
+    let version = req_u64(doc, "schema_version", ctx)?;
+    if version != SHARD_SCHEMA_VERSION {
+        return Err(SpecError::new(
+            ctx,
+            format!(
+                "unsupported schema_version {version} (this build reads {SHARD_SCHEMA_VERSION})"
+            ),
+        ));
+    }
+    Ok(())
 }
 
 /// Parses the embedded spec subtree of a shard/checkpoint header and
@@ -173,24 +156,9 @@ fn parse_point_entry(doc: &Json, ctx: &str) -> Result<PointRecord, SpecError> {
     })
 }
 
-/// Checks that `points` ids are strictly increasing and within `0..total`.
-fn check_shard_point_ids(points: &[PointRecord], total: usize, ctx: &str) -> Result<(), SpecError> {
-    if let Some(w) = points.windows(2).find(|w| w[0].id >= w[1].id) {
-        return Err(SpecError::new(
-            ctx.to_string(),
-            format!(
-                "point ids must be strictly increasing, got {} then {}",
-                w[0].id, w[1].id
-            ),
-        ));
-    }
-    if let Some(p) = points.last().filter(|p| p.id >= total) {
-        return Err(SpecError::new(
-            ctx.to_string(),
-            format!("point id {} out of range (grid has {total} points)", p.id),
-        ));
-    }
-    Ok(())
+/// The record ids, in order.
+fn record_ids(points: &[PointRecord]) -> Vec<usize> {
+    points.iter().map(|p| p.id).collect()
 }
 
 /// One shard's output: the spec it was cut from, which slice it is, and the
@@ -234,7 +202,7 @@ impl ShardReport {
                 format!("shard index must satisfy 1 <= index ({index}) <= count ({count})"),
             ));
         }
-        check_shard_point_ids(&points, total_points, ctx)?;
+        check_point_ids(&record_ids(&points), total_points, ctx)?;
         Ok(ShardReport {
             spec: spec.clone(),
             fingerprint: spec_fingerprint(spec),
@@ -314,16 +282,7 @@ impl ShardReport {
                 "not a shard document (bench != \"shard\")",
             ));
         }
-        let version = req_u64(&doc, "schema_version", ctx)?;
-        if version != SHARD_SCHEMA_VERSION {
-            return Err(SpecError::new(
-                ctx,
-                format!(
-                    "unsupported schema_version {version} \
-                     (this build reads {SHARD_SCHEMA_VERSION})"
-                ),
-            ));
-        }
+        check_schema_version(&doc, ctx)?;
         let (spec, fingerprint, total_points) = parse_embedded_spec(&doc, ctx)?;
         let shard = req(&doc, "shard", ctx)?;
         let shard_ctx = &format!("{ctx}.shard");
@@ -343,7 +302,8 @@ impl ShardReport {
             .enumerate()
             .map(|(i, p)| parse_point_entry(p, &format!("{ctx}.points[{i}]")))
             .collect::<Result<Vec<_>, _>>()?;
-        check_shard_point_ids(&points, total_points, ctx)?;
+        let actual = record_ids(&points);
+        check_point_ids(&actual, total_points, ctx)?;
         let declared = req(&doc, "point_ids", ctx)?
             .as_arr()
             .ok_or_else(|| SpecError::new(ctx, "field \"point_ids\" must be an array"))?
@@ -359,7 +319,6 @@ impl ShardReport {
                     })
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let actual: Vec<usize> = points.iter().map(|p| p.id).collect();
         if declared != actual {
             return Err(SpecError::new(
                 ctx,
@@ -377,59 +336,6 @@ impl ShardReport {
     }
 }
 
-/// A reassembled grid report of any family — what [`merge_shards`] and
-/// [`Checkpoint::assemble`] return, and what the runner emits through the
-/// ordinary [`Report`] surface.
-#[derive(Debug, Clone)]
-pub enum GridReport {
-    /// A BER-vs-SNR sweep report.
-    Ber(BerReport),
-    /// A streaming-grid report.
-    Stream(StreamGridReport),
-    /// A virtual fabric-grid report.
-    Fabric(FabricGridReport),
-    /// A static-vs-adaptive scheduling report.
-    Sched(SchedGridReport),
-}
-
-impl GridReport {
-    /// Reassembles the family-appropriate report from a complete set of
-    /// point records (dispatching on the spec family).
-    ///
-    /// # Errors
-    /// Returns a [`SpecError`] for unshardable specs or records that fail
-    /// the family's [`MergeableReport::from_points`] validation.
-    pub fn from_points(
-        spec: &ExperimentSpec,
-        points: Vec<PointRecord>,
-    ) -> Result<GridReport, SpecError> {
-        grid_len(spec)?;
-        match spec {
-            ExperimentSpec::Ber(_) => Ok(GridReport::Ber(BerReport::from_points(spec, points)?)),
-            ExperimentSpec::Stream(_) => Ok(GridReport::Stream(StreamGridReport::from_points(
-                spec, points,
-            )?)),
-            ExperimentSpec::Fabric(_) => Ok(GridReport::Fabric(FabricGridReport::from_points(
-                spec, points,
-            )?)),
-            ExperimentSpec::Sched(_) => Ok(GridReport::Sched(SchedGridReport::from_points(
-                spec, points,
-            )?)),
-            ExperimentSpec::Canned(_) => unreachable!("grid_len rejects canned specs"),
-        }
-    }
-
-    /// The wrapped report through the unified [`Report`] surface.
-    pub fn as_report(&self) -> &dyn Report {
-        match self {
-            GridReport::Ber(r) => r,
-            GridReport::Stream(r) => r,
-            GridReport::Fabric(r) => r,
-            GridReport::Sched(r) => r,
-        }
-    }
-}
-
 /// Merges a set of shards back into the ordinary single-run report.
 ///
 /// Each shard carries a label (typically its file path) used in error
@@ -440,7 +346,7 @@ impl GridReport {
 /// # Errors
 /// Returns a [`SpecError`] naming the offending shard(s) on mixed
 /// fingerprints, overlapping point sets, or missing points.
-pub fn merge_shards(shards: &[(String, ShardReport)]) -> Result<GridReport, SpecError> {
+pub fn merge_shards(shards: &[(String, ShardReport)]) -> Result<Box<dyn Report>, SpecError> {
     let ctx = "merge";
     let Some((first_label, first)) = shards.first() else {
         return Err(SpecError::new(ctx, "no shards to merge"));
@@ -492,7 +398,7 @@ pub fn merge_shards(shards: &[(String, ShardReport)]) -> Result<GridReport, Spec
             ),
         ));
     }
-    GridReport::from_points(&first.spec, points)
+    spec_grid(&first.spec)?.assemble_records(points)
 }
 
 /// A streaming checkpoint: the JSONL journal a long run appends completed
@@ -567,16 +473,7 @@ impl Checkpoint {
         if req_str(&header, "checkpoint", ctx)? != "hqw" {
             return Err(SpecError::new(ctx, "not an hqw checkpoint"));
         }
-        let version = req_u64(&header, "schema_version", ctx)?;
-        if version != SHARD_SCHEMA_VERSION {
-            return Err(SpecError::new(
-                ctx,
-                format!(
-                    "unsupported schema_version {version} \
-                     (this build reads {SHARD_SCHEMA_VERSION})"
-                ),
-            ));
-        }
+        check_schema_version(&header, ctx)?;
         let (spec, fingerprint, total_points) = parse_embedded_spec(&header, ctx)?;
         let rest: Vec<&str> = lines.collect();
         let mut points = Vec::new();
@@ -591,26 +488,10 @@ impl Checkpoint {
                     return Err(SpecError::new(ctx, format!("line {}: {e}", i + 2)));
                 }
             };
-            let p_ctx = &format!("{ctx} line {}", i + 2);
-            let record = parse_point_entry(&doc, p_ctx)?;
-            if record.id >= total_points {
-                return Err(SpecError::new(
-                    p_ctx.clone(),
-                    format!(
-                        "point id {} out of range (grid has {total_points} points)",
-                        record.id
-                    ),
-                ));
-            }
-            points.push(record);
+            points.push(parse_point_entry(&doc, &format!("{ctx} line {}", i + 2))?);
         }
         points.sort_by_key(|p| p.id);
-        if let Some(w) = points.windows(2).find(|w| w[0].id == w[1].id) {
-            return Err(SpecError::new(
-                ctx,
-                format!("duplicate point id {}", w[0].id),
-            ));
-        }
+        check_point_ids(&record_ids(&points), total_points, ctx)?;
         Ok(Checkpoint {
             spec,
             fingerprint,
@@ -650,7 +531,7 @@ impl Checkpoint {
     /// # Errors
     /// Returns a [`SpecError`] when points are missing or fail the
     /// family's record validation.
-    pub fn assemble(&self) -> Result<GridReport, SpecError> {
+    pub fn assemble(&self) -> Result<Box<dyn Report>, SpecError> {
         if !self.is_complete() {
             return Err(SpecError::new(
                 "checkpoint",
@@ -661,14 +542,15 @@ impl Checkpoint {
                 ),
             ));
         }
-        GridReport::from_points(&self.spec, self.points.clone())
+        spec_grid(&self.spec)?.assemble_records(self.points.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{run_ber_points, run_ber_sweep, ScenarioDetector, SnrSweepConfig};
+    use crate::grid::{run_grid, run_records};
+    use crate::scenario::{BerSweep, ScenarioDetector, SnrSweepConfig};
     use crate::spec::CannedSpec;
     use crate::CannedKind;
     use hqw_phy::channel::ChannelModel;
@@ -688,18 +570,18 @@ mod tests {
         })
     }
 
-    fn tiny_roster() -> Vec<ScenarioDetector> {
-        vec![ScenarioDetector::fixed(false, ZeroForcing)]
+    fn tiny_sweep(config: &SnrSweepConfig) -> BerSweep<'_> {
+        BerSweep {
+            config,
+            detectors: vec![ScenarioDetector::fixed(false, ZeroForcing)],
+        }
     }
 
     fn tiny_records(ids: &[usize]) -> Vec<PointRecord> {
         let ExperimentSpec::Ber(config) = tiny_ber_spec() else {
             unreachable!()
         };
-        run_ber_points(&config, &tiny_roster(), ids)
-            .iter()
-            .map(|c| c.to_record())
-            .collect()
+        run_records(&tiny_sweep(&config), ids)
     }
 
     #[test]
@@ -811,7 +693,7 @@ mod tests {
         let ExperimentSpec::Ber(config) = &spec else {
             unreachable!()
         };
-        let full = run_ber_sweep(config, &tiny_roster()).to_json();
+        let full = run_grid(&tiny_sweep(config), None).to_json();
         for count in 1..=5 {
             let shards: Vec<(String, ShardReport)> = (1..=count)
                 .map(|index| {
@@ -823,7 +705,7 @@ mod tests {
                 })
                 .collect();
             let merged = merge_shards(&shards).expect("complete partition");
-            assert_eq!(merged.as_report().to_json(), full, "count={count}");
+            assert_eq!(merged.to_json(), full, "count={count}");
         }
     }
 
@@ -861,7 +743,7 @@ mod tests {
         );
 
         let merged = merge_shards(&[("a.json".into(), s1), ("b.json".into(), s2)]).unwrap();
-        assert_eq!(merged.as_report().name(), "ber");
+        assert_eq!(merged.name(), "ber");
     }
 
     #[test]
@@ -913,8 +795,8 @@ mod tests {
             unreachable!()
         };
         assert_eq!(
-            ck.assemble().unwrap().as_report().to_json(),
-            run_ber_sweep(config, &tiny_roster()).to_json()
+            ck.assemble().unwrap().to_json(),
+            run_grid(&tiny_sweep(config), None).to_json()
         );
     }
 

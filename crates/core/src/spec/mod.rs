@@ -731,6 +731,36 @@ pub(crate) fn req_f64(o: &Json, key: &str, ctx: &str) -> Result<f64, SpecError> 
         .ok_or_else(|| SpecError::new(ctx, format!("field \"{key}\" must be a number")))
 }
 
+/// A ratio field of a report payload (an error or miss rate): finite and
+/// in `[0, 1]`. Every point decoder reads rates through this, so a merged
+/// shard or resumed checkpoint cannot carry an impossible rate into a
+/// report.
+pub(crate) fn req_ratio(o: &Json, key: &str, ctx: &str) -> Result<f64, SpecError> {
+    let v = req_f64(o, key, ctx)?;
+    if (0.0..=1.0).contains(&v) {
+        Ok(v)
+    } else {
+        Err(SpecError::new(
+            ctx,
+            format!("field \"{key}\" must be a ratio in [0, 1], got {v}"),
+        ))
+    }
+}
+
+/// A microsecond field of a report payload (a latency or service time):
+/// finite and non-negative. The duration counterpart of [`req_ratio`].
+pub(crate) fn req_us(o: &Json, key: &str, ctx: &str) -> Result<f64, SpecError> {
+    let v = req_f64(o, key, ctx)?;
+    if v.is_finite() && v >= 0.0 {
+        Ok(v)
+    } else {
+        Err(SpecError::new(
+            ctx,
+            format!("field \"{key}\" must be a non-negative duration in us, got {v}"),
+        ))
+    }
+}
+
 pub(crate) fn req_str<'a>(o: &'a Json, key: &str, ctx: &str) -> Result<&'a str, SpecError> {
     req(o, key, ctx)?
         .as_str()

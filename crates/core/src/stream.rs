@@ -23,25 +23,24 @@
 //! ## Determinism contract
 //!
 //! A single stream is sequential by nature (the queue state and the warm
-//! state both carry across frames); [`run_stream_grid`] fans the
-//! (load × ρ × policy) grid out with
-//! [`hqw_math::parallel::parallel_map_indexed`], with every cell's seed
-//! derived up front from the grid seed and the cell's ρ index. Cells that
-//! differ only in load or policy therefore see **identical frame
-//! sequences** (paired comparison), and the JSON report is byte-identical
-//! for any thread count — CI pins this by diffing a 1-thread against an
-//! N-thread `fig-stream` run.
+//! state both carry across frames); the [`StreamGridConfig`] grid engine
+//! fans the (load × ρ × policy) grid out through [`crate::grid`], with
+//! every cell's seed derived from the grid seed and the cell's ρ index.
+//! Cells that differ only in load or policy therefore see **identical
+//! frame sequences** (paired comparison), and the JSON report is
+//! byte-identical for any thread count — CI pins this by diffing a
+//! 1-thread against an N-thread `hqw run stream`.
 
+use crate::grid::{check_coordinates, GridEngine};
 use crate::pipeline::item_seed;
-use crate::report::PointRecord;
 use crate::scenario::json_num;
 use crate::spec::json::Json;
-use crate::spec::{check_keys, req_f64, req_str, req_usize, ExperimentSpec, SpecError};
-use hqw_math::parallel::parallel_map_indexed;
+use crate::spec::{check_keys, req_f64, req_ratio, req_str, req_us, req_usize, SpecError};
+use crate::telemetry::Collector;
 use hqw_math::stats::percentiles_of;
 use hqw_math::Rng64;
 use hqw_phy::channel::{ChannelTrack, TrackConfig};
-use hqw_phy::detect::{Detector, DetectorMeta};
+use hqw_phy::detect::{Detector, DetectorMeta, Mmse};
 use hqw_phy::instance::DetectionInstance;
 use hqw_phy::metrics::bit_error_rate;
 use hqw_qubo::sa::{sa_read_traced, SaParams};
@@ -559,19 +558,6 @@ impl StreamGridConfig {
         }
         Ok(())
     }
-
-    /// Shim for callers that still want the original panicking behaviour.
-    /// Deprecated in spirit: new code should propagate
-    /// [`StreamGridConfig::validate`] errors instead.
-    ///
-    /// # Panics
-    /// Panics with the [`StreamGridConfig::validate`] message on any
-    /// invalid field.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Builder for [`StreamGridConfig`] — the validated construction path the
@@ -673,43 +659,6 @@ pub struct StreamGridReport {
     pub cells: Vec<StreamReport>,
 }
 
-/// Runs the full (policy × ρ × load) grid, fanning cells out across
-/// `config.threads` workers. See the module docs for the determinism
-/// contract.
-///
-/// # Panics
-/// Panics on an empty load/ρ/policy axis or invalid cell parameters (see
-/// [`StreamGridConfig::validate`] for the non-panicking check).
-pub fn run_stream_grid(config: &StreamGridConfig, classical: &dyn Detector) -> StreamGridReport {
-    run_stream_grid_observed(config, classical, None)
-}
-
-/// [`run_stream_grid`] with optional telemetry: cell `i` of the flat
-/// policy-major grid emits its virtual-time spans under trace process
-/// `i + 1`. The report is byte-identical with and without a collector.
-///
-/// # Panics
-/// As [`run_stream_grid`].
-pub fn run_stream_grid_observed(
-    config: &StreamGridConfig,
-    classical: &dyn Detector,
-    telemetry: Option<&crate::telemetry::Collector>,
-) -> StreamGridReport {
-    config.validate_or_panic();
-    let ids: Vec<usize> =
-        (0..config.policies.len() * config.rhos.len() * config.arrival_periods_us.len()).collect();
-    StreamGridReport {
-        n_users: config.track.n_users,
-        n_rx: config.track.n_rx,
-        modulation: config.track.modulation.name().to_string(),
-        noise_variance: config.track.noise_variance,
-        frames: config.frames,
-        deadline_us: config.deadline_us,
-        seed: config.seed,
-        cells: run_stream_points_observed(config, classical, &ids, telemetry),
-    }
-}
-
 /// Builds the cell config for one flat grid id (policy-major, then ρ, then
 /// load — the `cells` array order of the report).
 pub(crate) fn stream_cell_config(config: &StreamGridConfig, id: usize) -> StreamConfig {
@@ -730,60 +679,6 @@ pub(crate) fn stream_cell_config(config: &StreamGridConfig, id: usize) -> Stream
         // ρ-indexed only: same frames across loads and policies.
         seed: item_seed(config.seed, rho_idx),
     }
-}
-
-/// Runs an arbitrary subset of the (policy × ρ × load) grid — the sharded
-/// form of [`run_stream_grid`].
-///
-/// `ids` are flat indices into the policy-major grid (strictly increasing).
-/// Cell seeds depend only on the grid seed and the cell's ρ index, so a
-/// cell's report is byte-identical whether it runs alone or as part of the
-/// full grid; `run_stream_grid` itself is the all-ids case.
-///
-/// # Panics
-/// Panics on an invalid configuration or on ids that are out of range or
-/// not strictly increasing.
-pub fn run_stream_points(
-    config: &StreamGridConfig,
-    classical: &dyn Detector,
-    ids: &[usize],
-) -> Vec<StreamReport> {
-    run_stream_points_observed(config, classical, ids, None)
-}
-
-/// [`run_stream_points`] with optional telemetry: flat grid id `i` emits
-/// its virtual-time spans under trace process `i + 1` (stable whether the
-/// cell runs alone or as part of the full grid).
-///
-/// # Panics
-/// As [`run_stream_points`].
-pub fn run_stream_points_observed(
-    config: &StreamGridConfig,
-    classical: &dyn Detector,
-    ids: &[usize],
-    telemetry: Option<&crate::telemetry::Collector>,
-) -> Vec<StreamReport> {
-    config.validate_or_panic();
-    let total = config.policies.len() * config.rhos.len() * config.arrival_periods_us.len();
-    for w in ids.windows(2) {
-        assert!(
-            w[0] < w[1],
-            "run_stream_points: ids must be strictly increasing"
-        );
-    }
-    if let Some(&last) = ids.last() {
-        assert!(
-            last < total,
-            "run_stream_points: id {last} out of range (grid has {total} points)"
-        );
-    }
-    let cells: Vec<(usize, StreamConfig)> = ids
-        .iter()
-        .map(|&id| (id, stream_cell_config(config, id)))
-        .collect();
-    parallel_map_indexed(&cells, config.threads, |_, (id, cell)| {
-        run_stream_observed(cell, classical, telemetry, 1 + *id as u32)
-    })
 }
 
 impl StreamReport {
@@ -860,12 +755,12 @@ impl StreamReport {
             arrival_period_us: req_f64(o, "arrival_period_us", ctx)?,
             deadline_us,
             seed,
-            ber: req_f64(o, "ber", ctx)?,
-            deadline_miss_rate: req_f64(o, "deadline_miss_rate", ctx)?,
-            p50_latency_us: req_f64(o, "p50_latency_us", ctx)?,
-            p99_latency_us: req_f64(o, "p99_latency_us", ctx)?,
+            ber: req_ratio(o, "ber", ctx)?,
+            deadline_miss_rate: req_ratio(o, "deadline_miss_rate", ctx)?,
+            p50_latency_us: req_us(o, "p50_latency_us", ctx)?,
+            p99_latency_us: req_us(o, "p99_latency_us", ctx)?,
             throughput_per_ms: req_f64(o, "throughput_per_ms", ctx)?,
-            avg_service_us: req_f64(o, "avg_service_us", ctx)?,
+            avg_service_us: req_us(o, "avg_service_us", ctx)?,
             classical_frames: req_usize(o, "classical_frames", ctx)?,
             hybrid_frames: req_usize(o, "hybrid_frames", ctx)?,
             warm_pairs: req_usize(o, "warm_pairs", ctx)?,
@@ -959,69 +854,74 @@ impl crate::report::Report for StreamGridReport {
     }
 }
 
-impl crate::report::MergeableReport for StreamGridReport {
-    fn points(&self) -> Vec<PointRecord> {
-        self.cells
-            .iter()
-            .enumerate()
-            .map(|(id, cell)| PointRecord {
-                id,
-                payload: cell.to_json_object(),
-            })
-            .collect()
+/// The stream grid is the `stream` family's [`GridEngine`] (run it with
+/// [`crate::grid::run_grid`]): point `id` is one cell of the policy-major
+/// (policy × ρ × load) grid, and its classical arm is MMSE matched to the
+/// track's noise variance. Cell seeds depend only on the grid seed and the
+/// cell's ρ index, so a cell's report is byte-identical whether it runs
+/// alone or as part of the full grid. Telemetry emits each cell's
+/// virtual-time spans; the report is byte-identical with and without it.
+impl GridEngine for StreamGridConfig {
+    type Unit = StreamReport;
+    type Point = StreamReport;
+    type Report = StreamGridReport;
+
+    fn validate(&self) -> Result<(), SpecError> {
+        StreamGridConfig::validate(self)
     }
 
-    fn from_points(spec: &ExperimentSpec, mut points: Vec<PointRecord>) -> Result<Self, SpecError> {
-        let ctx = "StreamGridReport";
-        let ExperimentSpec::Stream(config) = spec else {
-            return Err(SpecError::new(
-                ctx,
-                format!("expected a stream spec, got '{}'", spec.family()),
-            ));
+    fn grid_len(&self) -> usize {
+        self.policies.len() * self.rhos.len() * self.arrival_periods_us.len()
+    }
+
+    fn threads(&self) -> usize {
+        self.threads
+    }
+
+    fn run_unit(
+        &self,
+        id: usize,
+        _: usize,
+        telemetry: Option<&Collector>,
+        pid: u32,
+    ) -> StreamReport {
+        let classical = Mmse::new(self.track.noise_variance);
+        run_stream_observed(&stream_cell_config(self, id), &classical, telemetry, pid)
+    }
+
+    fn reduce(&self, _: usize, mut units: Vec<StreamReport>) -> StreamReport {
+        units.pop().expect("one unit per stream cell")
+    }
+
+    fn encode(&self, cell: &StreamReport) -> String {
+        cell.to_json_object()
+    }
+
+    fn decode(&self, id: usize, doc: &Json, ctx: &str) -> Result<StreamReport, SpecError> {
+        // Frames, deadline and seed come from the spec; the payload's own
+        // coordinates must agree with its id.
+        let want = stream_cell_config(self, id);
+        let cell = StreamReport::from_json(doc, want.frames, want.deadline_us, want.seed, ctx)?;
+        let coordinates = |policy: DispatchPolicy, rho: f64, period: f64| {
+            format!("{}, rho {rho}, period {period}", policy.name())
         };
-        let total = config.policies.len() * config.rhos.len() * config.arrival_periods_us.len();
-        crate::report::sort_and_check_point_ids(&mut points, total, ctx)?;
-        let cells = points
-            .iter()
-            .map(|record| {
-                let p_ctx = &format!("stream point {}", record.id);
-                let doc = Json::parse(&record.payload)
-                    .map_err(|e| SpecError::new(p_ctx.clone(), e.to_string()))?;
-                // The grid coordinates the cell was computed for: frames,
-                // deadline and seed come from the spec, and the payload's
-                // own coordinates must agree with its id.
-                let want = stream_cell_config(config, record.id);
-                let cell =
-                    StreamReport::from_json(&doc, want.frames, want.deadline_us, want.seed, p_ctx)?;
-                if cell.policy != want.policy
-                    || cell.rho.to_bits() != want.track.rho.to_bits()
-                    || cell.arrival_period_us.to_bits() != want.arrival_period_us.to_bits()
-                {
-                    return Err(SpecError::new(
-                        p_ctx.clone(),
-                        format!(
-                            "grid coordinates ({}, rho {}, period {}) do not match the \
-                             spec grid cell ({}, rho {}, period {})",
-                            cell.policy.name(),
-                            cell.rho,
-                            cell.arrival_period_us,
-                            want.policy.name(),
-                            want.track.rho,
-                            want.arrival_period_us
-                        ),
-                    ));
-                }
-                Ok(cell)
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
+        check_coordinates(
+            ctx,
+            coordinates(cell.policy, cell.rho, cell.arrival_period_us),
+            coordinates(want.policy, want.track.rho, want.arrival_period_us),
+        )?;
+        Ok(cell)
+    }
+
+    fn assemble(&self, cells: Vec<StreamReport>) -> Result<StreamGridReport, SpecError> {
         Ok(StreamGridReport {
-            n_users: config.track.n_users,
-            n_rx: config.track.n_rx,
-            modulation: config.track.modulation.name().to_string(),
-            noise_variance: config.track.noise_variance,
-            frames: config.frames,
-            deadline_us: config.deadline_us,
-            seed: config.seed,
+            n_users: self.track.n_users,
+            n_rx: self.track.n_rx,
+            modulation: self.track.modulation.name().to_string(),
+            noise_variance: self.track.noise_variance,
+            frames: self.frames,
+            deadline_us: self.deadline_us,
+            seed: self.seed,
             cells,
         })
     }
@@ -1030,6 +930,7 @@ impl crate::report::MergeableReport for StreamGridReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::run_grid;
     use hqw_phy::channel::snr_db_to_noise_variance;
     use hqw_phy::detect::Mmse;
     use hqw_phy::modulation::Modulation;
@@ -1170,9 +1071,9 @@ mod tests {
 
     #[test]
     fn grid_report_is_bit_identical_for_any_thread_count() {
-        let serial = run_stream_grid(&quick_grid(1), &mmse()).to_json();
+        let serial = run_grid(&quick_grid(1), None).to_json();
         for threads in [2, 5, 0] {
-            let parallel = run_stream_grid(&quick_grid(threads), &mmse()).to_json();
+            let parallel = run_grid(&quick_grid(threads), None).to_json();
             assert_eq!(serial, parallel, "threads={threads}");
         }
     }
@@ -1180,7 +1081,7 @@ mod tests {
     #[test]
     fn grid_covers_every_cell_with_sane_metrics() {
         let config = quick_grid(0);
-        let report = run_stream_grid(&config, &mmse());
+        let report = run_grid(&config, None);
         assert_eq!(report.cells.len(), 3 * 2 * 2);
         for c in &report.cells {
             assert!(
@@ -1205,7 +1106,7 @@ mod tests {
     fn cells_differing_only_in_load_share_frame_sequences() {
         // The paired-comparison contract: same ρ ⇒ same seed ⇒ same BER for
         // the always-hybrid arm regardless of load.
-        let report = run_stream_grid(&quick_grid(0), &mmse());
+        let report = run_grid(&quick_grid(0), None);
         let hybrid: Vec<_> = report
             .cells
             .iter()
@@ -1262,7 +1163,7 @@ mod tests {
     fn empty_grid_axis_rejected() {
         let mut config = quick_grid(1);
         config.arrival_periods_us.clear();
-        run_stream_grid(&config, &mmse());
+        run_grid(&config, None);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use hqw_core::sched::{
     corrected_us, ClassMix, EwmaPredictor, SchedPolicy, ServicePredictor, UcbPredictor, Q16_ONE,
 };
 use hqw_core::stream::CostModel;
-use hqw_core::{run_sched_grid, SchedGridConfig};
+use hqw_core::{run_grid, SchedGridConfig};
 use hqw_math::Rng64;
 use hqw_phy::channel::{snr_db_to_noise_variance, TrackConfig};
 use hqw_phy::modulation::Modulation;
@@ -158,9 +158,9 @@ proptest! {
         let mut config = arbitrary_sched_grid(seed);
         prop_assume!(config.validate().is_ok());
         config.threads = 1;
-        let serial = run_sched_grid(&config).to_json();
+        let serial = run_grid(&config, None).to_json();
         config.threads = 0;
-        let parallel = run_sched_grid(&config).to_json();
+        let parallel = run_grid(&config, None).to_json();
         prop_assert_eq!(serial, parallel);
     }
 }

@@ -1,20 +1,28 @@
 //! Property tests for the distributed experiment plane: shard partitions
 //! must tile the grid exactly, merging any shard partition must reproduce
 //! the single-run report byte-for-byte, and a checkpoint journal truncated
-//! at any point boundary must resume to the identical report.
+//! at any point boundary must resume to the identical report — for every
+//! grid family (ber, stream, virtual fabric, sched).
 
-use hqw_core::report::{MergeableReport, PointRecord};
-use hqw_core::scenario::{run_ber_points, run_ber_sweep, ScenarioDetector, SnrSweepConfig};
-use hqw_core::shard::{grid_len, merge_shards, shard_ids, Checkpoint, GridReport, ShardReport};
-use hqw_core::spec::ExperimentSpec;
-use hqw_core::stream::{
-    run_stream_grid, run_stream_points, CostModel, DispatchPolicy, StreamGridConfig,
+use hqw_core::fabric::{
+    ArrivalProcess, BackendMix, BackendSpec, FabricGridConfig, FabricMode, PtConfig, SaPoolConfig,
+    TabuConfig,
 };
+use hqw_core::grid::{assemble_records, run_grid, run_records, spec_grid};
+use hqw_core::report::PointRecord;
+use hqw_core::scenario::{BerSweep, ScenarioDetector, SnrSweepConfig};
+use hqw_core::sched::{ClassMix, SchedOptions, SchedPolicy};
+use hqw_core::shard::{grid_len, merge_shards, shard_ids, Checkpoint, ShardReport};
+use hqw_core::spec::ExperimentSpec;
+use hqw_core::stream::{CostModel, DispatchPolicy, StreamGridConfig};
+use hqw_core::SchedGridConfig;
 use hqw_math::Rng64;
 use hqw_phy::channel::{ChannelModel, TrackConfig};
-use hqw_phy::detect::{KBest, Mmse, ZeroForcing};
+use hqw_phy::detect::{KBest, ZeroForcing};
 use hqw_phy::modulation::Modulation;
+use hqw_qubo::pt::PtParams;
 use hqw_qubo::sa::SaParams;
+use hqw_qubo::tabu::TabuParams;
 use proptest::prelude::*;
 
 /// A small random BER spec: enough grid/roster variety to exercise the
@@ -39,13 +47,16 @@ fn arbitrary_ber_spec(rng: &mut Rng64) -> ExperimentSpec {
     })
 }
 
-/// A cheap classical-only roster (two arms, so the per-column record still
-/// carries a real detector roster to validate).
-fn mini_roster() -> Vec<ScenarioDetector> {
-    vec![
-        ScenarioDetector::fixed(false, ZeroForcing),
-        ScenarioDetector::fixed(false, KBest::new(4)),
-    ]
+/// The BER sweep over a cheap classical-only roster (two arms, so the
+/// per-column record still carries a real detector roster to validate).
+fn mini_sweep(config: &SnrSweepConfig) -> BerSweep<'_> {
+    BerSweep {
+        config,
+        detectors: vec![
+            ScenarioDetector::fixed(false, ZeroForcing),
+            ScenarioDetector::fixed(false, KBest::new(4)),
+        ],
+    }
 }
 
 /// A small random stream spec (few frames, trimmed SA) for cross-family
@@ -80,38 +91,144 @@ fn arbitrary_stream_spec(rng: &mut Rng64) -> ExperimentSpec {
     })
 }
 
-/// Computes every point record of a spec's grid (the reference the shard
-/// and checkpoint reassembly paths are compared against).
+/// A small random track for the fabric-family specs.
+fn arbitrary_track(rng: &mut Rng64) -> TrackConfig {
+    let n_users = 1 + rng.next_index(2);
+    TrackConfig {
+        n_users,
+        n_rx: n_users,
+        modulation: Modulation::Qpsk,
+        rho: rng.next_f64(),
+        noise_variance: rng.next_range(0.05, 0.5),
+    }
+}
+
+/// A tiny SA pool (a few sweeps, one read per job).
+fn tiny_sa_pool(rng: &mut Rng64) -> BackendSpec {
+    BackendSpec::SaPool(SaPoolConfig {
+        workers: 1 + rng.next_index(2),
+        max_batch: 1 + rng.next_index(3),
+        sa: SaParams {
+            sweeps: 8,
+            num_reads: 1,
+            threads: 1,
+            ..SaParams::default()
+        },
+    })
+}
+
+/// A small random virtual fabric spec: an SA-pool mix, optionally a second
+/// mix of the parallel-tempering and tabu pools.
+fn arbitrary_fabric_spec(rng: &mut Rng64) -> ExperimentSpec {
+    let mut mixes = vec![BackendMix {
+        name: "sa".into(),
+        backends: vec![tiny_sa_pool(rng)],
+    }];
+    if rng.next_bool() {
+        mixes.push(BackendMix {
+            name: "pt-tabu".into(),
+            backends: vec![
+                BackendSpec::Pt(PtConfig {
+                    workers: 1,
+                    max_batch: 2,
+                    pt: PtParams {
+                        replicas: 2,
+                        sweeps: 4,
+                        ..PtParams::default()
+                    },
+                }),
+                BackendSpec::Tabu(TabuConfig {
+                    workers: 1,
+                    max_batch: 2,
+                    tabu: TabuParams {
+                        max_iters: 20,
+                        stall_limit: 10,
+                        ..TabuParams::default()
+                    },
+                }),
+            ],
+        });
+    }
+    ExperimentSpec::Fabric(FabricGridConfig {
+        track: arbitrary_track(rng),
+        frames_per_cell: 2 + rng.next_index(4),
+        cell_counts: (0..1 + rng.next_index(2))
+            .map(|_| 1 + rng.next_index(2))
+            .collect(),
+        arrival_periods_us: (0..1 + rng.next_index(2))
+            .map(|_| rng.next_range(80.0, 500.0))
+            .collect(),
+        mixes,
+        arrival: ArrivalProcess::Periodic,
+        mode: FabricMode::Virtual,
+        deadline_us: rng.next_range(200.0, 900.0),
+        cost: CostModel::default(),
+        sched: SchedOptions::default(),
+        seed: rng.next_u64(),
+        threads: rng.next_index(3),
+    })
+}
+
+/// A small random static-vs-adaptive sched spec.
+fn arbitrary_sched_spec(rng: &mut Rng64) -> ExperimentSpec {
+    ExperimentSpec::Sched(SchedGridConfig {
+        track: arbitrary_track(rng),
+        frames_per_cell: 2 + rng.next_index(4),
+        cell_counts: vec![1 + rng.next_index(2)],
+        arrival_periods_us: (0..1 + rng.next_index(2))
+            .map(|_| rng.next_range(80.0, 350.0))
+            .collect(),
+        mix: BackendMix {
+            name: "pool".into(),
+            backends: vec![tiny_sa_pool(rng)],
+        },
+        policy: SchedPolicy::Ewma {
+            shift: rng.next_index(5) as u32,
+        },
+        classes: ClassMix {
+            urllc: 1,
+            embb: 1 + rng.next_index(2) as u32,
+            bulk: rng.next_index(2) as u32,
+        },
+        assumed_cost: CostModel {
+            us_per_sweep: rng.next_range(0.1, 3.0),
+            ..CostModel::default()
+        },
+        deadline_us: rng.next_range(200.0, 900.0),
+        cost: CostModel::default(),
+        seed: rng.next_u64(),
+        threads: rng.next_index(3),
+    })
+}
+
+/// A small random spec of any grid family.
+fn arbitrary_spec(rng: &mut Rng64) -> ExperimentSpec {
+    match rng.next_index(4) {
+        0 => arbitrary_ber_spec(rng),
+        1 => arbitrary_stream_spec(rng),
+        2 => arbitrary_fabric_spec(rng),
+        _ => arbitrary_sched_spec(rng),
+    }
+}
+
+/// Computes the point records `ids` of a spec's grid (the reference the
+/// shard and checkpoint reassembly paths are compared against). BER runs
+/// over the cheap roster; every other family through its spec engine.
 fn all_records(spec: &ExperimentSpec, ids: &[usize]) -> Vec<PointRecord> {
     match spec {
-        ExperimentSpec::Ber(config) => run_ber_points(config, &mini_roster(), ids)
-            .iter()
-            .map(|column| column.to_record())
-            .collect(),
-        ExperimentSpec::Stream(config) => {
-            let classical = Mmse::new(config.track.noise_variance);
-            run_stream_points(config, &classical, ids)
-                .iter()
-                .zip(ids)
-                .map(|(cell, &id)| PointRecord {
-                    id,
-                    payload: cell.to_json_object(),
-                })
-                .collect()
-        }
-        _ => unreachable!("only ber/stream specs are generated here"),
+        ExperimentSpec::Ber(config) => run_records(&mini_sweep(config), ids),
+        _ => spec_grid(spec).expect("grid spec").run_records(ids),
     }
 }
 
 /// The single-process report bytes for a spec.
 fn full_run_json(spec: &ExperimentSpec) -> String {
     match spec {
-        ExperimentSpec::Ber(config) => run_ber_sweep(config, &mini_roster()).to_json(),
-        ExperimentSpec::Stream(config) => {
-            let classical = Mmse::new(config.track.noise_variance);
-            run_stream_grid(config, &classical).to_json()
-        }
-        _ => unreachable!("only ber/stream specs are generated here"),
+        ExperimentSpec::Ber(config) => run_grid(&mini_sweep(config), None).to_json(),
+        ExperimentSpec::Stream(config) => run_grid(config, None).to_json(),
+        ExperimentSpec::Fabric(config) => run_grid(config, None).to_json(),
+        ExperimentSpec::Sched(config) => run_grid(config, None).to_json(),
+        ExperimentSpec::Canned(_) => unreachable!("only grid specs are generated here"),
     }
 }
 
@@ -148,11 +265,7 @@ proptest! {
     #[test]
     fn merge_of_any_partition_is_byte_identical(seed in any::<u64>()) {
         let mut rng = Rng64::new(seed);
-        let spec = if rng.next_bool() {
-            arbitrary_ber_spec(&mut rng)
-        } else {
-            arbitrary_stream_spec(&mut rng)
-        };
+        let spec = arbitrary_spec(&mut rng);
         prop_assume!(spec.validate().is_ok());
         prop_assume!(grid_len(&spec).is_ok()); // skip empty grids
         let total = grid_len(&spec).unwrap();
@@ -172,7 +285,7 @@ proptest! {
         shards.rotate_left(rng.next_index(count.max(1)));
 
         let merged = merge_shards(&shards).expect("complete partition merges");
-        prop_assert_eq!(merged.as_report().to_json(), full_run_json(&spec));
+        prop_assert_eq!(merged.to_json(), full_run_json(&spec));
     }
 
     /// The checkpoint contract: a journal truncated at any point boundary
@@ -182,7 +295,7 @@ proptest! {
     #[test]
     fn truncated_checkpoint_resumes_to_identical_bytes(seed in any::<u64>()) {
         let mut rng = Rng64::new(seed);
-        let spec = arbitrary_ber_spec(&mut rng);
+        let spec = arbitrary_spec(&mut rng);
         prop_assume!(spec.validate().is_ok());
         prop_assume!(grid_len(&spec).is_ok());
         let total = grid_len(&spec).unwrap();
@@ -212,8 +325,9 @@ proptest! {
         let mut points = ck.points.clone();
         points.extend(all_records(&spec, &remaining));
         points.sort_by_key(|p| p.id);
-        let grid = GridReport::from_points(&spec, points).expect("complete set reassembles");
-        prop_assert_eq!(grid.as_report().to_json(), full_run_json(&spec));
+        let grid = spec_grid(&spec).expect("grid spec");
+        let report = grid.assemble_records(points).expect("complete set reassembles");
+        prop_assert_eq!(report.to_json(), full_run_json(&spec));
 
         // The repaired journal, completed with the remaining lines, is a
         // clean complete checkpoint that assembles to the same bytes.
@@ -225,11 +339,11 @@ proptest! {
         let complete = Checkpoint::parse(&repaired).expect("repaired journal parses");
         prop_assert!(complete.is_complete());
         let assembled = complete.assemble().expect("complete journal assembles");
-        prop_assert_eq!(assembled.as_report().to_json(), full_run_json(&spec));
+        prop_assert_eq!(assembled.to_json(), full_run_json(&spec));
     }
 
-    /// `MergeableReport` round trip straight on the report surface:
-    /// `from_points(spec, report.points())` reproduces the bytes.
+    /// The record codec round trip straight on the report surface: every
+    /// point of a full run, encoded and reassembled, reproduces the bytes.
     #[test]
     fn points_round_trip_on_the_report_surface(seed in any::<u64>()) {
         let mut rng = Rng64::new(seed);
@@ -237,9 +351,10 @@ proptest! {
         prop_assume!(spec.validate().is_ok());
         prop_assume!(grid_len(&spec).is_ok());
         let ExperimentSpec::Ber(config) = &spec else { unreachable!() };
-        let report = run_ber_sweep(config, &mini_roster());
-        let rebuilt = hqw_core::BerReport::from_points(&spec, report.points())
+        let sweep = mini_sweep(config);
+        let ids: Vec<usize> = (0..config.snr_db.len()).collect();
+        let rebuilt = assemble_records(&sweep, run_records(&sweep, &ids))
             .expect("own points reassemble");
-        prop_assert_eq!(rebuilt.to_json(), report.to_json());
+        prop_assert_eq!(rebuilt.to_json(), run_grid(&sweep, None).to_json());
     }
 }

@@ -52,7 +52,13 @@ fn main() {
     ];
 
     // 3. Run and render through the unified Report surface.
-    let report = run_ber_sweep(&config, &detectors);
+    let report = run_grid(
+        &BerSweep {
+            config: &config,
+            detectors,
+        },
+        None,
+    );
     println!(
         "BER vs SNR, {users}-user 16-QAM uplink ({} channel uses per point)",
         config.realizations

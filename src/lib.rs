@@ -60,11 +60,12 @@ pub mod prelude {
     pub use hqw_anneal::sampler::{QuantumSampler, SamplerConfig};
     pub use hqw_anneal::schedule::AnnealSchedule;
     pub use hqw_anneal::DWaveProfile;
+    pub use hqw_core::grid::run_grid;
     pub use hqw_core::metrics::{delta_e_percent, success_probability, time_to_solution};
     pub use hqw_core::protocol::Protocol;
     pub use hqw_core::report::Report;
     pub use hqw_core::scenario::{
-        run_ber_sweep, BerReport, HybridDetector, ScenarioDetector, SnrSweepConfig,
+        BerReport, BerSweep, HybridDetector, ScenarioDetector, SnrSweepConfig,
     };
     pub use hqw_core::solver::{HybridConfig, HybridResult, HybridSolver};
     pub use hqw_core::spec::{ExperimentSpec, SpecError};

@@ -203,7 +203,16 @@ fn ber_scenario_engine_is_wired_end_to_end() {
         threads,
     };
 
-    let serial: BerReport = run_ber_sweep(&config(1), &make_roster());
+    let sweep = |threads| -> BerReport {
+        run_grid(
+            &BerSweep {
+                config: &config(threads),
+                detectors: make_roster(),
+            },
+            None,
+        )
+    };
+    let serial = sweep(1);
     assert_eq!(serial.series.len(), 4);
     for series in &serial.series {
         // 30 dB on a 3-user QPSK system is easy for every family.
@@ -213,7 +222,7 @@ fn ber_scenario_engine_is_wired_end_to_end() {
             series.detector
         );
     }
-    let parallel = run_ber_sweep(&config(0), &make_roster());
+    let parallel = sweep(0);
     assert_eq!(serial.to_json(), parallel.to_json());
 
     // Arc factories reuse: a detector arm can be built per noise point too.
