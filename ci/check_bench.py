@@ -4,12 +4,12 @@
 Checked invariants (exit status 1 on any violation, with a diagnostic):
 
 BENCH_kernels.json
-  * the incremental-CSR (Exact) sweep kernel keeps a >= 3x speedup over the
-    baseline adjacency-list kernel on the dense 256-spin problem, and the
-    bit-packed/f32 Fast kernel keeps >= 10x there;
-  * at 512 spins (sparse) both rebuilt kernels keep >= 1.5x;
-  * the Fast PIMC and SVMC engine reads keep >= 1.1x over their Exact
-    counterparts;
+  * the incremental-CSR (Exact) SA sweep kernel keeps a >= 3x speedup over
+    the baseline adjacency-list kernel on the dense 256-spin problem, and
+    the bit-packed/f32 SA Fast kernel keeps >= 10x there;
+  * at 512 spins (sparse) both rebuilt SA kernels keep >= 1.5x;
+  * (the PIMC/SVMC engine reads have one kernel, so their anneal_read/*
+    rows carry no ratio floor; the --history walk tracks the PIMC-16 read)
   * the all-cores 16-read batch is strictly faster than the serial batch
     when the measuring machine actually has multiple cores (the `machine`
     stanza says so); on a single-core box the comparison is pure scheduler
@@ -56,6 +56,8 @@ BENCH_fabric_rt.json
 --history (standalone mode)
   * walks the committed BENCH_*.json files across git history and prints a
     perf-trajectory table (one row per commit that touched a BENCH file);
+    its pimc16 column is the PIMC-16 engine read's ns/iter
+    (anneal_read/ra_pimc16/64), "-" where a commit did not record it;
   * gates that the *newest* committed BENCH_kernels.json still holds the
     dense-256 Fast sweep-kernel speedup floor (>= 10x) — history may wander,
     the present may not.
@@ -161,8 +163,6 @@ KERNEL_RATIO_FLOORS = [
     ("sa_sweep_speedup_fast_256", 10.0, "dense-256 Fast sweep kernel"),
     ("sa_sweep_speedup_512", 1.5, "sparse-512 Exact sweep kernel"),
     ("sa_sweep_speedup_fast_512", 1.5, "sparse-512 Fast sweep kernel"),
-    ("pimc16_fast_speedup_64", 1.1, "PIMC-16 Fast engine read"),
-    ("svmc_fast_speedup_64", 1.1, "SVMC Fast engine read"),
 ]
 
 
@@ -915,12 +915,17 @@ def _stage_p50(bench, stage):
     return None
 
 
+def _result_ns(bench, name):
+    """Best-of-repeats ns/iter of one kernel-bench measurement."""
+    return next((r["ns_per_iter"] for r in bench["results"] if r["name"] == name), None)
+
+
 # The committed BENCH files the --history walk tracks, with the metrics
 # each contributes to the trajectory table (file, column, extractor).
 HISTORY_COLUMNS = [
     ("BENCH_kernels.json", "exact256", lambda b: b["derived"]["sa_sweep_speedup_256"]),
     ("BENCH_kernels.json", "fast256", lambda b: b["derived"]["sa_sweep_speedup_fast_256"]),
-    ("BENCH_kernels.json", "pimc16", lambda b: b["derived"]["pimc16_fast_speedup_64"]),
+    ("BENCH_kernels.json", "pimc16", lambda b: _result_ns(b, "anneal_read/ra_pimc16/64")),
     ("BENCH_fabric.json", "fab_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_fps", lambda b: max(p["frames_per_sec"] for p in b["points"])),

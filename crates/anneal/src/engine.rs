@@ -17,9 +17,10 @@
 //! this constant only controls simulation fidelity.
 
 use crate::dwave::DWaveProfile;
+use crate::sampler::ConfigError;
 use crate::schedule::AnnealSchedule;
 use hqw_math::Rng64;
-use hqw_qubo::{Ising, SweepKernel};
+use hqw_qubo::Ising;
 
 /// Transverse-field-gated kinetics ("freeze-out").
 ///
@@ -73,12 +74,6 @@ pub struct AnnealParams {
     /// Transverse-field-gated kinetics; `None` disables the gate (pure
     /// Metropolis dynamics, SA-like late-anneal behaviour).
     pub freeze_out: Option<FreezeOut>,
-    /// Sweep kernel: the bit-identical [`SweepKernel::Exact`] default, or
-    /// the vectorized [`SweepKernel::Fast`] mode (bit-packed replicas,
-    /// f32 fields, draw-skipping rejects — statistically equivalent, not
-    /// bit-identical). Engines fall back to `Exact` where `Fast` does not
-    /// apply (e.g. more than 64 Trotter slices).
-    pub kernel: SweepKernel,
 }
 
 impl Default for AnnealParams {
@@ -87,7 +82,6 @@ impl Default for AnnealParams {
             sweeps_per_us: 32,
             beta_override: None,
             freeze_out: Some(FreezeOut::default()),
-            kernel: SweepKernel::Exact,
         }
     }
 }
@@ -114,24 +108,28 @@ impl AnnealParams {
 
     /// Validates parameter ranges.
     ///
-    /// # Panics
-    /// Panics when `sweeps_per_us == 0`, a non-positive beta override, or a
-    /// non-positive freeze-out reference field.
-    pub fn validate(&self) {
-        assert!(
-            self.sweeps_per_us > 0,
-            "AnnealParams: sweeps_per_us must be > 0"
-        );
-        if let Some(b) = self.beta_override {
-            assert!(b > 0.0, "AnnealParams: beta override must be > 0");
+    /// # Errors
+    /// Returns the first violated constraint: `sweeps_per_us == 0`, a
+    /// non-positive beta override, or a non-positive freeze-out reference
+    /// field or exponent.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.sweeps_per_us == 0 {
+            return Err(ConfigError::ZeroSweepsPerUs);
+        }
+        if let Some(beta) = self.beta_override {
+            if beta.is_nan() || beta <= 0.0 {
+                return Err(ConfigError::NonPositiveBeta { beta });
+            }
         }
         if let Some(f) = &self.freeze_out {
-            assert!(f.a_ref_ghz > 0.0, "AnnealParams: a_ref must be > 0");
-            assert!(
-                f.exponent > 0.0,
-                "AnnealParams: freeze-out exponent must be > 0"
-            );
+            if !(f.a_ref_ghz > 0.0 && f.exponent > 0.0) {
+                return Err(ConfigError::NonPositiveFreezeOut {
+                    a_ref_ghz: f.a_ref_ghz,
+                    exponent: f.exponent,
+                });
+            }
         }
+        Ok(())
     }
 }
 
@@ -143,7 +141,9 @@ pub trait AnnealEngine: Send + Sync {
     /// Runs one read.
     ///
     /// `initial` is required exactly when `schedule.requires_initial_state()`
-    /// (reverse annealing); forward schedules ignore it.
+    /// (reverse annealing); forward schedules ignore it. `params` must pass
+    /// [`AnnealParams::validate`]; [`crate::QuantumSampler`] checks it once
+    /// per submission rather than once per read.
     ///
     /// # Panics
     /// Panics when a reverse schedule is given no initial state, or the

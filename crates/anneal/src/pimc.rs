@@ -23,13 +23,25 @@
 //!
 //! Readout: per-site majority vote across slices (D-Wave readout projects
 //! the state; at `s = 1` slices agree except for rare unfrozen sites).
+//!
+//! Gate-first lazy chain: every acceptance is `gate · min(1, e^{−Δ})`, the
+//! freeze-out gate of [`crate::engine::FreezeOut`], and over the paper's
+//! reverse-anneal window (`s ≥ 0.65`) the gate is a few percent at most.
+//! So each move draws its uniform `u` first and rejects on `u ≥ gate`
+//! before it reads a field or calls `exp`; only `u < gate` computes Δ and
+//! tests `u < gate·e^{−Δ}`. This is bit-identical to computing Δ before
+//! the draw: the RNG stream is unchanged (one draw per proposal, in the
+//! same order), the float ops that do run are the same, and in IEEE
+//! arithmetic `gate·e^{−Δ} ≤ gate`, so every `u` rejected early would have
+//! been rejected anyway. A cluster move makes its Bernoulli bond draws
+//! while the segment grows, then its accept draw, as before; only the
+//! segment's Δ sum waits for the gate.
 
 use crate::dwave::DWaveProfile;
 use crate::engine::{resolve_initial, AnnealEngine, AnnealParams};
 use crate::schedule::AnnealSchedule;
-use hqw_math::fastmath::exp_fast;
 use hqw_math::Rng64;
-use hqw_qubo::{CsrIsing, Ising, SweepKernel};
+use hqw_qubo::{CsrIsing, Ising};
 
 /// Cap on the inter-slice coupling: beyond this the alignment Boltzmann
 /// penalty (`e^{−4·J⊥}` ≈ 10⁻³⁵) is indistinguishable from frozen.
@@ -37,16 +49,6 @@ const J_PERP_MAX: f64 = 20.0;
 
 /// Floor on `A(s)` so `J⊥` stays finite at `s = 1`.
 const A_FLOOR_GHZ: f64 = 1e-12;
-
-/// Fast-kernel sweep skip: when the freeze-out gate drops below this, the
-/// expected number of accepted flips in an entire sweep is ≪ 1 (acceptance
-/// ≤ gate per proposal), so the sweep is statistically indistinguishable
-/// from frozen and the Fast kernel skips it outright.
-const FAST_GATE_SKIP: f64 = 1e-8;
-
-/// Fast-kernel reject cutoff: uphill moves with `Δ − ln(gate)` above this
-/// have acceptance below `e⁻³⁰` and are rejected without an RNG draw.
-const FAST_REJECT_CUTOFF: f64 = 30.0;
 
 /// Path-integral quantum Monte Carlo engine.
 #[derive(Debug, Clone, Copy)]
@@ -127,37 +129,12 @@ impl AnnealEngine for PimcEngine {
         initial: Option<&[i8]>,
         rng: &mut Rng64,
     ) -> Vec<i8> {
-        params.validate();
         let csr = CsrIsing::from_ising(problem);
         let n = csr.num_vars();
         if n == 0 {
             return Vec::new();
         }
         let init = resolve_initial(schedule, n, initial);
-        // The Fast kernel packs a site's Trotter worldline into one u64, so
-        // it applies up to 64 slices; beyond that fall back to Exact.
-        if params.kernel == SweepKernel::Fast && self.trotter_slices <= 64 {
-            self.run_fast(&csr, profile, schedule, params, init, rng)
-        } else {
-            self.run_exact(&csr, profile, schedule, params, init, rng)
-        }
-    }
-}
-
-impl PimcEngine {
-    /// The bit-identical kernel: f64 fields, one RNG draw per proposal.
-    /// Storage-layout and buffer-reuse optimizations are allowed here only
-    /// when they replay the identical float and RNG streams (golden-pinned).
-    fn run_exact(
-        &self,
-        csr: &CsrIsing,
-        profile: &DWaveProfile,
-        schedule: &AnnealSchedule,
-        params: &AnnealParams,
-        init: Option<Vec<i8>>,
-        rng: &mut Rng64,
-    ) -> Vec<i8> {
-        let n = csr.num_vars();
         let p = self.trotter_slices;
         let beta = params.beta(profile);
 
@@ -187,15 +164,13 @@ impl PimcEngine {
             let ds = 2.0 * s_new as f64;
             csr.axpy_row(&mut h_eff[base..base + n], i, ds);
         };
+        // Neighbors of slice k along the periodic Trotter ring.
+        let up = |k: usize| if k + 1 == p { 0 } else { k + 1 };
+        let down = |k: usize| if k == 0 { p - 1 } else { k - 1 };
 
         let total_sweeps = params.total_sweeps(schedule);
         let duration = schedule.duration_us();
         let p_f = p as f64;
-        // Cluster-move scratch, hoisted out of the sweep loop (the per-site
-        // allocation was the profile's top hit; reusing the buffers changes
-        // no RNG draw and no float op).
-        let mut in_cluster = vec![false; p];
-        let mut members: Vec<usize> = Vec::with_capacity(p);
 
         for sweep in 0..total_sweeps {
             let t = (sweep as f64 + 0.5) * duration / total_sweeps as f64;
@@ -207,25 +182,23 @@ impl PimcEngine {
                 continue; // fully frozen: no dynamics at this point
             }
 
-            // Single (site, slice) Metropolis updates (lazy chain: the
-            // freeze-out gate scales every acceptance).
+            // Single (site, slice) Metropolis updates on the lazy chain,
+            // gate first (see the module docs).
             for k in 0..p {
-                let up = if k + 1 == p { 0 } else { k + 1 };
-                let down = if k == 0 { p - 1 } else { k - 1 };
+                let (k_up, k_down) = (up(k), down(k));
                 let base = k * n;
                 for i in 0..n {
+                    let u = rng.next_f64();
+                    if u >= gate {
+                        continue;
+                    }
                     let sik = spins[base + i] as f64;
                     let field = h_eff[base + i];
-                    let time_neighbors = (spins[up * n + i] + spins[down * n + i]) as f64;
+                    let time_neighbors = (spins[k_up * n + i] + spins[k_down * n + i]) as f64;
                     // Δ action for flipping s_{i,k}: the slice energy changes
                     // by −2·s·field and each time link by +2·J⊥·s·neighbor.
                     let delta = -2.0 * sik * k_cl * field + 2.0 * sik * j_perp * time_neighbors;
-                    let accept = if delta <= 0.0 {
-                        gate
-                    } else {
-                        gate * (-delta).exp()
-                    };
-                    if rng.next_f64() < accept {
+                    if delta <= 0.0 || u < gate * (-delta).exp() {
                         flip_and_update(&mut spins, &mut h_eff, base, i);
                     }
                 }
@@ -243,54 +216,52 @@ impl PimcEngine {
                 for i in 0..n {
                     let start = rng.next_index(p);
                     let s0 = spins[start * n + i];
-                    // Membership mask doubles as the visited set.
-                    in_cluster[start] = true;
-                    members.push(start);
-                    // Grow forward (k+1 direction) then backward.
-                    let mut k = start;
-                    loop {
-                        let next = if k + 1 == p { 0 } else { k + 1 };
-                        if in_cluster[next] || spins[next * n + i] != s0 || rng.next_f64() >= p_bond
-                        {
-                            break;
-                        }
-                        in_cluster[next] = true;
-                        members.push(next);
-                        k = next;
+                    // The segment is the cyclic run [lo, hi] holding `len`
+                    // slices. Growth stops, without a bond draw, at the
+                    // first anti-aligned slice or once the run covers the
+                    // whole ring; otherwise a failed Bernoulli bond stops it.
+                    // Forward (k+1 direction) first, then backward.
+                    let (mut lo, mut hi, mut len) = (start, start, 1);
+                    while len < p && spins[up(hi) * n + i] == s0 && rng.next_f64() < p_bond {
+                        hi = up(hi);
+                        len += 1;
                     }
-                    k = start;
-                    loop {
-                        let prev = if k == 0 { p - 1 } else { k - 1 };
-                        if in_cluster[prev] || spins[prev * n + i] != s0 || rng.next_f64() >= p_bond
-                        {
-                            break;
-                        }
-                        in_cluster[prev] = true;
-                        members.push(prev);
-                        k = prev;
+                    while len < p && spins[down(lo) * n + i] == s0 && rng.next_f64() < p_bond {
+                        lo = down(lo);
+                        len += 1;
                     }
-                    // Classical action change of flipping the whole segment.
+                    let u = rng.next_f64();
+                    if u >= gate {
+                        continue;
+                    }
+                    // Classical action change of flipping the whole segment,
+                    // summed in growth order (start, forward, then backward).
                     // The cached fields of site i never contain s_i itself
                     // (no self-coupling), so the per-slice deltas are
                     // independent and can all be read before flipping.
                     let mut delta = 0.0;
-                    for &kk in &members {
-                        delta += -2.0 * s0 as f64 * k_cl * h_eff[kk * n + i];
+                    let mut k = start;
+                    loop {
+                        delta += -2.0 * s0 as f64 * k_cl * h_eff[k * n + i];
+                        if k == hi {
+                            break;
+                        }
+                        k = up(k);
                     }
-                    let accept = if delta <= 0.0 {
-                        gate
-                    } else {
-                        gate * (-delta).exp()
-                    };
-                    if rng.next_f64() < accept {
-                        for &kk in &members {
-                            flip_and_update(&mut spins, &mut h_eff, kk * n, i);
+                    k = start;
+                    while k != lo {
+                        k = down(k);
+                        delta += -2.0 * s0 as f64 * k_cl * h_eff[k * n + i];
+                    }
+                    if delta <= 0.0 || u < gate * (-delta).exp() {
+                        // Each flip touches only its own slice's fields, so
+                        // the flip order is free.
+                        k = lo;
+                        for _ in 0..len {
+                            flip_and_update(&mut spins, &mut h_eff, k * n, i);
+                            k = up(k);
                         }
                     }
-                    for &kk in &members {
-                        in_cluster[kk] = false;
-                    }
-                    members.clear();
                 }
             }
 
@@ -298,18 +269,17 @@ impl PimcEngine {
             // unchanged). See the field docs for why this is off by default.
             if self.global_moves {
                 for i in 0..n {
+                    let u = rng.next_f64();
+                    if u >= gate {
+                        continue;
+                    }
                     let mut delta = 0.0;
                     for k in 0..p {
                         let base = k * n;
                         let sik = spins[base + i] as f64;
                         delta += -2.0 * sik * k_cl * h_eff[base + i];
                     }
-                    let accept = if delta <= 0.0 {
-                        gate
-                    } else {
-                        gate * (-delta).exp()
-                    };
-                    if rng.next_f64() < accept {
+                    if delta <= 0.0 || u < gate * (-delta).exp() {
                         for k in 0..p {
                             flip_and_update(&mut spins, &mut h_eff, k * n, i);
                         }
@@ -323,298 +293,6 @@ impl PimcEngine {
             .map(|i| {
                 let sum: i32 = (0..p).map(|k| spins[k * n + i] as i32).sum();
                 if sum >= 0 {
-                    1
-                } else {
-                    -1
-                }
-            })
-            .collect()
-    }
-
-    /// The Fast kernel: each site's Trotter worldline lives in one `u64`
-    /// (bit `k` = slice `k` up), fields are f32 (periodically rebuilt),
-    /// certain accepts skip the RNG draw, hopeless rejects skip `exp` and
-    /// the draw, and near-frozen sweeps are skipped outright. Statistically
-    /// equivalent to [`Self::run_exact`], not bit-identical.
-    #[allow(clippy::needless_range_loop)]
-    fn run_fast(
-        &self,
-        csr: &CsrIsing,
-        profile: &DWaveProfile,
-        schedule: &AnnealSchedule,
-        params: &AnnealParams,
-        init: Option<Vec<i8>>,
-        rng: &mut Rng64,
-    ) -> Vec<i8> {
-        let n = csr.num_vars();
-        let p = self.trotter_slices;
-        let beta = params.beta(profile);
-        let mask_p: u64 = if p == 64 { !0 } else { (1u64 << p) - 1 };
-
-        // Site-major worldline words: bit k of words[i] = spin (i, slice k).
-        let mut words: Vec<u64> = match &init {
-            Some(state) => state
-                .iter()
-                .map(|&s| if s > 0 { mask_p } else { 0 })
-                .collect(),
-            None => (0..n).map(|_| rng.next_u64() & mask_p).collect(),
-        };
-        // Site-major f32 fields: h_eff[i*p + k]. A site's whole worldline of
-        // fields is one contiguous (≤ 256 B) row, so the per-site proposal
-        // loop, cluster delta walks, and global-move sums all stream
-        // stride-1 — the Exact kernel's slice-major layout would make every
-        // one of those a stride-n gather. Built once from the packed words,
-        // then maintained incrementally by flips (f32 drift is acceptable
-        // here: PIMC readout is a majority vote over slices, not an energy
-        // report).
-        let mut h_eff = vec![0.0f32; n * p];
-        {
-            // ±1 worldline signs unpacked once, so the rebuild is a chain of
-            // contiguous length-p AXPYs instead of per-bit extraction.
-            let mut sf = vec![0.0f32; n * p];
-            for (j, chunk) in sf.chunks_exact_mut(p).enumerate() {
-                for (k, slot) in chunk.iter_mut().enumerate() {
-                    *slot = (2 * ((words[j] >> k) & 1) as i32 - 1) as f32;
-                }
-            }
-            for i in 0..n {
-                let (cols, w32) = csr.row_f32(i);
-                let hi = csr.h(i) as f32;
-                let row = &mut h_eff[i * p..(i + 1) * p];
-                row.fill(hi);
-                for (&j, &w) in cols.iter().zip(w32) {
-                    let src = &sf[j as usize * p..(j as usize + 1) * p];
-                    for (f, &s) in row.iter_mut().zip(src) {
-                        *f += w * s;
-                    }
-                }
-            }
-        }
-
-        // Flips spin (i, k): the sign change lands in the *neighbors'* field
-        // rows at slice k (a site's own field never depends on its own spin).
-        let flip = |words: &mut [u64], h_eff: &mut [f32], i: usize, k: usize| {
-            let s_old = (2 * ((words[i] >> k) & 1) as i32 - 1) as f32;
-            words[i] ^= 1u64 << k;
-            let dw = -2.0 * s_old;
-            let (cols, w32) = csr.row_f32(i);
-            for (&j, &w) in cols.iter().zip(w32) {
-                h_eff[j as usize * p + k] += w * dw;
-            }
-        };
-
-        let total_sweeps = params.total_sweeps(schedule);
-        let duration = schedule.duration_us();
-        let p_f = p as f64;
-
-        for sweep in 0..total_sweeps {
-            let t = (sweep as f64 + 0.5) * duration / total_sweeps as f64;
-            let s = schedule.s_at(t);
-            let j_perp = self.j_perp(profile, beta, s);
-            let k_cl = beta * profile.b_ghz(s) / (2.0 * p_f);
-            let gate = params.gate(profile.a_ghz(s));
-            if gate < FAST_GATE_SKIP {
-                continue; // expected accepted flips per sweep ≪ 1
-            }
-            let neg_ln_gate = -gate.ln(); // ≥ 0; 0 when the gate is open
-            let neg_ln_gate32 = neg_ln_gate as f32;
-            let certain = gate >= 1.0;
-            let log2_gate = gate.log2() as f32; // ≤ 0
-                                                // Δ = −2s·K·h + 2s·J⊥·(2·tn − 2) = −s·(2K·h − 4J⊥·(tn − 1)):
-                                                // one fused magnitude, sign applied by an IEEE sign-bit XOR.
-            let kcl2 = (2.0 * k_cl) as f32;
-            let jp4 = (4.0 * j_perp) as f32;
-            const TN1: [f32; 3] = [-1.0, 0.0, 1.0];
-
-            // Site-outer sweep order (vs. Exact's slice-outer): every
-            // (site, slice) pair is still proposed exactly once per sweep,
-            // and the site-major field rows make the inner loop stride-1.
-            for i in 0..n {
-                let row = i * p;
-                // Cyclic rotations expose both time-neighbors of slice k as
-                // bit k of one word each — no per-k wraparound branches.
-                // They are rebuilt after every accepted flip (rare in the
-                // frozen tail, cheap anywhere).
-                let mut w = words[i];
-                let mut ru = ((w >> 1) | (w << (p - 1))) & mask_p;
-                let mut rd = ((w << 1) | (w >> (p - 1))) & mask_p;
-                for k in 0..p {
-                    let tn = ((ru >> k) & 1) + ((rd >> k) & 1);
-                    let mag = kcl2 * h_eff[row + k] - jp4 * TN1[tn as usize];
-                    // bit = 1 ⇒ s = +1 ⇒ Δ = −mag (sign-bit XOR, no mul).
-                    let delta = f32::from_bits(mag.to_bits() ^ ((((w >> k) & 1) as u32) << 31));
-                    let accept = if delta <= 0.0 {
-                        if certain {
-                            true // acceptance 1: no draw needed
-                        } else {
-                            rng.next_f64() < gate
-                        }
-                    } else if delta + neg_ln_gate32 > FAST_REJECT_CUTOFF as f32 {
-                        false // acceptance < e⁻³⁰: no draw needed
-                    } else {
-                        // Same log2-octave Metropolis filter as the SA Fast
-                        // kernel: the draw's leading zeros bound log₂(u), so
-                        // `u < gate·e^{−Δ}` is decided without the
-                        // exponential except in the one boundary octave.
-                        let r = rng.next_u64();
-                        let lz = r.leading_zeros() as f32;
-                        let t = log2_gate - delta * std::f32::consts::LOG2_E;
-                        if t >= -lz {
-                            true
-                        } else if t <= -(lz + 1.0) {
-                            false
-                        } else {
-                            (r >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-                                < gate * exp_fast(-(delta as f64))
-                        }
-                    };
-                    if accept {
-                        flip(&mut words, &mut h_eff, i, k);
-                        w = words[i];
-                        ru = ((w >> 1) | (w << (p - 1))) & mask_p;
-                        rd = ((w << 1) | (w >> (p - 1))) & mask_p;
-                    }
-                }
-            }
-
-            if self.cluster_moves {
-                let p_bond = 1.0 - (-2.0 * j_perp).exp();
-                // At the j_perp cap, 1 − e⁻⁴⁰ rounds to exactly 1.0 in f64 —
-                // `next_f64() < 1.0` always holds, so bonds never fail and
-                // the Bernoulli chains below are skipped outright. This is
-                // the late-anneal regime where clusters span the whole ring.
-                let frozen_bonds = p_bond >= 1.0;
-                for i in 0..n {
-                    let start = rng.next_index(p);
-                    let w = words[i];
-                    let s0_bit = (w >> start) & 1;
-                    // Bits whose spin matches the seed slice; cyclic
-                    // doubling makes runs that wrap the time boundary
-                    // contiguous in the 2p-bit extension. One bit-scan per
-                    // direction replaces the Exact kernel's per-step
-                    // alignment + visited checks; the Bernoulli bond draws
-                    // themselves are identical.
-                    let eq = if s0_bit == 1 { w } else { !w & mask_p };
-                    let ext = ((eq as u128) << p) | eq as u128;
-                    let fwd_cap = ((ext >> (start + 1)).trailing_ones() as usize).min(p - 1);
-                    let mut fwd = 0;
-                    if frozen_bonds {
-                        fwd = fwd_cap;
-                    } else {
-                        while fwd < fwd_cap && rng.next_f64() < p_bond {
-                            fwd += 1;
-                        }
-                    }
-                    let bwd_cap =
-                        ((ext << (128 - start - p)).leading_ones() as usize).min(p - 1 - fwd);
-                    let mut bwd = 0;
-                    if frozen_bonds {
-                        bwd = bwd_cap;
-                    } else {
-                        while bwd < bwd_cap && rng.next_f64() < p_bond {
-                            bwd += 1;
-                        }
-                    }
-                    // Contiguous cyclic run [start − bwd, start + fwd]: at
-                    // most two contiguous index spans once unwrapped, so the
-                    // field reads and neighbor updates below are plain slice
-                    // walks the compiler vectorizes — no per-bit scans.
-                    let len = fwd + bwd + 1;
-                    let lo = (start + p - bwd) % p;
-                    let run = ((1u128 << len) - 1) << lo;
-                    let mask = ((run | (run >> p)) as u64) & mask_p;
-                    let e1 = (lo + len).min(p); // first span: [lo, e1)
-                    let l2 = lo + len - e1; // wrap span: [0, l2)
-                    let s0 = (2 * s0_bit as i32 - 1) as f64;
-                    let row = i * p;
-                    let mut field_sum = 0.0f32;
-                    for &f in &h_eff[row + lo..row + e1] {
-                        field_sum += f;
-                    }
-                    for &f in &h_eff[row..row + l2] {
-                        field_sum += f;
-                    }
-                    let delta = -2.0 * s0 * k_cl * field_sum as f64;
-                    let accept = if delta <= 0.0 {
-                        certain || rng.next_f64() < gate
-                    } else if delta + neg_ln_gate > FAST_REJECT_CUTOFF {
-                        false
-                    } else {
-                        // log2-octave Metropolis filter (see the site sweep).
-                        let r = rng.next_u64();
-                        let lz = r.leading_zeros() as f64;
-                        let t = log2_gate as f64 - delta * std::f64::consts::LOG2_E;
-                        if t >= -lz {
-                            true
-                        } else if t <= -(lz + 1.0) {
-                            false
-                        } else {
-                            (r >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < gate * exp_fast(-delta)
-                        }
-                    };
-                    if accept {
-                        // Every member carries the same spin s0, so one
-                        // neighbor-row pass folds the whole segment in.
-                        words[i] ^= mask;
-                        let dw = -2.0 * s0 as f32;
-                        let (cols, w32) = csr.row_f32(i);
-                        for (&j, &w_ij) in cols.iter().zip(w32) {
-                            let base = j as usize * p;
-                            let wdw = w_ij * dw;
-                            for f in &mut h_eff[base + lo..base + e1] {
-                                *f += wdw;
-                            }
-                            for f in &mut h_eff[base..base + l2] {
-                                *f += wdw;
-                            }
-                        }
-                    }
-                }
-            }
-
-            if self.global_moves {
-                for i in 0..n {
-                    let row = i * p;
-                    let w = words[i];
-                    let mut signed_sum = 0.0f64; // Σ_k s_ik · h_ik
-                    for k in 0..p {
-                        let sik = (2 * ((w >> k) & 1) as i32 - 1) as f64;
-                        signed_sum += sik * h_eff[row + k] as f64;
-                    }
-                    let delta = -2.0 * k_cl * signed_sum;
-                    let accept = if delta <= 0.0 {
-                        certain || rng.next_f64() < gate
-                    } else if delta + neg_ln_gate > FAST_REJECT_CUTOFF {
-                        false
-                    } else {
-                        rng.next_f64() < gate * exp_fast(-delta)
-                    };
-                    if accept {
-                        words[i] = !w & mask_p;
-                        // Per-slice sign changes, folded into each neighbor
-                        // row as one contiguous AXPY.
-                        let mut ds = [0.0f32; 64];
-                        for (k, slot) in ds[..p].iter_mut().enumerate() {
-                            *slot = -2.0 * (2 * ((w >> k) & 1) as i32 - 1) as f32;
-                        }
-                        let (cols, w32) = csr.row_f32(i);
-                        for (&j, &w_ij) in cols.iter().zip(w32) {
-                            let base = j as usize * p;
-                            for (k, &d) in ds[..p].iter().enumerate() {
-                                h_eff[base + k] += w_ij * d;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Majority-vote readout: popcount ≥ half the slices means up
-        // (`2·count − p ≥ 0`, exactly the exact kernel's sum rule).
-        words
-            .iter()
-            .map(|&w| {
-                if 2 * w.count_ones() as usize >= p {
                     1
                 } else {
                     -1
@@ -670,7 +348,6 @@ mod tests {
             sweeps_per_us: 64,
             beta_override: None,
             freeze_out: Some(FreezeOut::default()),
-            ..Default::default()
         };
         let mut rng = Rng64::new(11);
         let mut hits = 0;
@@ -723,7 +400,6 @@ mod tests {
             sweeps_per_us: 64,
             beta_override: None,
             freeze_out: Some(FreezeOut::default()),
-            ..Default::default()
         };
         let init = vec![-1i8; 6];
         let mut rng = Rng64::new(17);
@@ -785,132 +461,5 @@ mod tests {
     #[should_panic(expected = "at least 2 Trotter slices")]
     fn single_slice_rejected() {
         PimcEngine::new(1);
-    }
-
-    fn fast_params(sweeps_per_us: usize) -> AnnealParams {
-        AnnealParams {
-            sweeps_per_us,
-            kernel: SweepKernel::Fast,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn fast_kernel_finds_ferromagnetic_ground_state() {
-        let ising = ferromagnet(8);
-        let engine = PimcEngine::new(8);
-        let profile = DWaveProfile::default();
-        let schedule = AnnealSchedule::forward(2.0).unwrap();
-        let params = fast_params(64);
-        let mut rng = Rng64::new(41);
-        let mut hits = 0;
-        for _ in 0..10 {
-            let out = engine.run(&ising, &profile, &schedule, &params, None, &mut rng);
-            if out.iter().all(|&s| s == 1) {
-                hits += 1;
-            }
-        }
-        assert!(hits >= 8, "Fast FA found the ferromagnet {hits}/10 times");
-    }
-
-    #[test]
-    fn fast_kernel_preserves_shallow_reverse_anneal() {
-        // The Fast kernel must keep the statistical behaviour the paper's
-        // RA semantics rest on: a shallow reverse anneal from a local
-        // minimum stays there.
-        let ising = ferromagnet(8);
-        let engine = PimcEngine::new(8);
-        let profile = DWaveProfile::default();
-        let schedule = AnnealSchedule::reverse(0.95, 0.2).unwrap();
-        let params = AnnealParams {
-            kernel: SweepKernel::Fast,
-            ..Default::default()
-        };
-        let init = bits_to_spins(&[0, 0, 0, 0, 0, 0, 0, 0]);
-        let mut rng = Rng64::new(43);
-        let mut preserved = 0;
-        for _ in 0..10 {
-            let out = engine.run(&ising, &profile, &schedule, &params, Some(&init), &mut rng);
-            if out == init {
-                preserved += 1;
-            }
-        }
-        assert!(preserved >= 8, "Fast shallow RA preserved {preserved}/10");
-    }
-
-    #[test]
-    fn fast_kernel_escapes_deep_reverse_anneal() {
-        let ising = ferromagnet(6);
-        let engine = PimcEngine::new(8);
-        let profile = DWaveProfile::default();
-        let schedule = AnnealSchedule::reverse(0.05, 1.0).unwrap();
-        let params = fast_params(64);
-        let init = vec![-1i8; 6];
-        let mut rng = Rng64::new(47);
-        let mut recovered = 0;
-        for _ in 0..10 {
-            let out = engine.run(&ising, &profile, &schedule, &params, Some(&init), &mut rng);
-            if out.iter().all(|&s| s == 1) {
-                recovered += 1;
-            }
-        }
-        assert!(recovered >= 7, "Fast deep RA recovered {recovered}/10");
-    }
-
-    #[test]
-    fn fast_kernel_is_deterministic_per_seed() {
-        let ising = ferromagnet(6);
-        let engine = PimcEngine::default();
-        let profile = DWaveProfile::default();
-        let schedule = AnnealSchedule::forward(1.0).unwrap();
-        let params = fast_params(32);
-        let a = engine.run(
-            &ising,
-            &profile,
-            &schedule,
-            &params,
-            None,
-            &mut Rng64::new(53),
-        );
-        let b = engine.run(
-            &ising,
-            &profile,
-            &schedule,
-            &params,
-            None,
-            &mut Rng64::new(53),
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fast_kernel_falls_back_to_exact_above_64_slices() {
-        // A 65-slice worldline does not fit one u64; requesting Fast must
-        // transparently run the Exact kernel (same RNG stream ⇒ identical
-        // output for identical seeds).
-        let ising = ferromagnet(5);
-        let engine = PimcEngine::new(65);
-        let profile = DWaveProfile::default();
-        let schedule = AnnealSchedule::forward(0.5).unwrap();
-        let fast = engine.run(
-            &ising,
-            &profile,
-            &schedule,
-            &fast_params(16),
-            None,
-            &mut Rng64::new(59),
-        );
-        let exact = engine.run(
-            &ising,
-            &profile,
-            &schedule,
-            &AnnealParams {
-                sweeps_per_us: 16,
-                ..Default::default()
-            },
-            None,
-            &mut Rng64::new(59),
-        );
-        assert_eq!(fast, exact);
     }
 }

@@ -79,8 +79,8 @@ impl Default for SamplerConfig {
     }
 }
 
-/// A [`SamplerConfig`] field that failed validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A [`SamplerConfig`] (or [`AnnealParams`]) field that failed validation.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// `num_reads` was zero.
     ZeroReads,
@@ -88,6 +88,20 @@ pub enum ConfigError {
     TooFewTrotterSlices {
         /// The offending slice count.
         trotter_slices: usize,
+    },
+    /// `AnnealParams::sweeps_per_us` was zero.
+    ZeroSweepsPerUs,
+    /// The beta override was not a positive number.
+    NonPositiveBeta {
+        /// The offending override.
+        beta: f64,
+    },
+    /// The freeze-out reference field or exponent was not positive.
+    NonPositiveFreezeOut {
+        /// The configured reference field (GHz).
+        a_ref_ghz: f64,
+        /// The configured rate exponent.
+        exponent: f64,
     },
 }
 
@@ -99,6 +113,20 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "SamplerConfig: need ≥ 2 Trotter slices, got {trotter_slices}"
             ),
+            ConfigError::ZeroSweepsPerUs => {
+                write!(f, "AnnealParams: sweeps_per_us must be > 0")
+            }
+            ConfigError::NonPositiveBeta { beta } => {
+                write!(f, "AnnealParams: beta override must be > 0, got {beta}")
+            }
+            ConfigError::NonPositiveFreezeOut {
+                a_ref_ghz,
+                exponent,
+            } => write!(
+                f,
+                "AnnealParams: freeze-out a_ref and exponent must be > 0, \
+                 got a_ref {a_ref_ghz}, exponent {exponent}"
+            ),
         }
     }
 }
@@ -109,17 +137,13 @@ impl SamplerConfig {
     /// Validates the configuration.
     ///
     /// # Errors
-    /// Returns the first violated constraint: zero reads or invalid engine
-    /// parameters.
-    ///
-    /// # Panics
-    /// Panics on invalid [`AnnealParams`] (those keep their own panicking
-    /// validator).
+    /// Returns the first violated constraint: zero reads, invalid
+    /// [`AnnealParams`] or invalid engine parameters.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.num_reads == 0 {
             return Err(ConfigError::ZeroReads);
         }
-        self.params.validate();
+        self.params.validate()?;
         if let EngineKind::Pimc { trotter_slices } = self.engine {
             if trotter_slices < 2 {
                 return Err(ConfigError::TooFewTrotterSlices { trotter_slices });
@@ -327,6 +351,8 @@ impl QuantumSampler {
     }
 
     /// Runs the configured number of reads, in parallel, deterministically.
+    /// The configuration is validated here, once per submission; the
+    /// engines' per-read loops take it as valid.
     fn run_reads(
         &self,
         intended: &Ising,
@@ -385,7 +411,6 @@ mod tests {
                 sweeps_per_us: 24,
                 beta_override: None,
                 freeze_out: Some(FreezeOut::default()),
-                ..Default::default()
             },
             ..Default::default()
         }
@@ -509,6 +534,56 @@ mod tests {
     }
 
     #[test]
+    fn validate_reports_anneal_param_violations() {
+        let with_params = |params: AnnealParams| SamplerConfig {
+            params,
+            ..Default::default()
+        };
+        assert_eq!(
+            with_params(AnnealParams {
+                sweeps_per_us: 0,
+                ..Default::default()
+            })
+            .validate(),
+            Err(ConfigError::ZeroSweepsPerUs)
+        );
+        for beta in [0.0, -1.0] {
+            assert_eq!(
+                with_params(AnnealParams {
+                    beta_override: Some(beta),
+                    ..Default::default()
+                })
+                .validate(),
+                Err(ConfigError::NonPositiveBeta { beta })
+            );
+        }
+        let nan_beta = with_params(AnnealParams {
+            beta_override: Some(f64::NAN),
+            ..Default::default()
+        });
+        assert!(matches!(
+            nan_beta.validate(),
+            Err(ConfigError::NonPositiveBeta { .. })
+        ));
+        let bad_gate = with_params(AnnealParams {
+            freeze_out: Some(FreezeOut {
+                a_ref_ghz: 2.0,
+                exponent: 0.0,
+            }),
+            ..Default::default()
+        });
+        let err = bad_gate.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::NonPositiveFreezeOut {
+                a_ref_ghz: 2.0,
+                exponent: 0.0
+            }
+        );
+        assert!(err.to_string().contains("freeze-out"));
+    }
+
+    #[test]
     fn validate_or_panic_passes_valid_configs() {
         SamplerConfig::default().validate_or_panic();
     }
@@ -553,7 +628,6 @@ mod embedded_tests {
                     sweeps_per_us: 16,
                     beta_override: None,
                     freeze_out: Some(FreezeOut::default()),
-                    ..Default::default()
                 },
                 ..Default::default()
             },

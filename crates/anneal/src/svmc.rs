@@ -18,27 +18,26 @@
 //!
 //! Reverse annealing initializes the rotors at the programmed classical
 //! poles; readout is `sign(cos θ)`.
+//!
+//! Gate-first lazy chain: each move draws its proposed angle, then its
+//! acceptance uniform `u`, and rejects on `u ≥ gate` (the freeze-out gate
+//! of [`crate::engine::FreezeOut`]) before it calls `cos`/`sin` or reads
+//! the mean field. This is bit-identical to computing Δ before the draw:
+//! the RNG stream is unchanged (the same two draws per rotor, in the same
+//! order), and in IEEE arithmetic `gate·e^{−βΔ} ≤ gate`, so every `u`
+//! rejected early would have been rejected anyway.
 
 use crate::dwave::DWaveProfile;
 use crate::engine::{resolve_initial, AnnealEngine, AnnealParams};
 use crate::schedule::AnnealSchedule;
-use hqw_math::fastmath::{exp_fast, sin_poly_half_pi};
 use hqw_math::Rng64;
-use hqw_qubo::{CsrIsing, Ising, SweepKernel};
+use hqw_qubo::{CsrIsing, Ising};
 
 /// Rebuild the cached mean fields from scratch every this many sweeps: the
 /// incremental updates accumulate float rounding (cos values are not exactly
 /// representable), and a periodic refresh bounds the drift without touching
 /// the per-proposal O(1) cost.
 const FIELD_REFRESH_SWEEPS: usize = 64;
-
-/// Fast-kernel sweep skip: below this gate the expected accepted rotations
-/// per sweep are ≪ 1 — statistically indistinguishable from frozen.
-const FAST_GATE_SKIP: f64 = 1e-8;
-
-/// Fast-kernel reject cutoff: uphill moves with `β·Δ − ln(gate)` above this
-/// have acceptance below `e⁻³⁰` and are rejected without an RNG draw.
-const FAST_REJECT_CUTOFF: f64 = 30.0;
 
 /// Spin-vector Monte Carlo engine.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,17 +57,13 @@ impl AnnealEngine for SvmcEngine {
         initial: Option<&[i8]>,
         rng: &mut Rng64,
     ) -> Vec<i8> {
-        params.validate();
         let csr = CsrIsing::from_ising(problem);
         let n = csr.num_vars();
         if n == 0 {
             return Vec::new();
         }
         let init = resolve_initial(schedule, n, initial);
-        match params.kernel {
-            SweepKernel::Exact => run_exact(&csr, profile, schedule, params, init, rng),
-            SweepKernel::Fast => run_fast(&csr, profile, schedule, params, init, rng),
-        }
+        anneal(&csr, profile, schedule, params, init, rng)
     }
 }
 
@@ -84,11 +79,11 @@ fn initial_theta(init: &Option<Vec<i8>>, n: usize) -> Vec<f64> {
     }
 }
 
-/// The bit-identical kernel: f64 fields, one acceptance draw per proposal.
-/// The `sin θ` cache and the run-AXPY neighbor update replay the identical
-/// float stream as the historical code (same inputs, same op order) — both
-/// are golden-pinned.
-fn run_exact(
+/// The sweep loop: f64 fields, one proposal and one acceptance draw per
+/// rotor. The `sin θ` cache and the run-AXPY neighbor update replay the
+/// identical float stream as the historical code (same inputs, same op
+/// order) — both are golden-pinned.
+fn anneal(
     csr: &CsrIsing,
     profile: &DWaveProfile,
     schedule: &AnnealSchedule,
@@ -139,107 +134,23 @@ fn run_exact(
         }
 
         for i in 0..n {
-            // Propose a fresh angle uniformly in [0, π]; lazy-chain gate
-            // scales the acceptance (freeze-out).
+            // Propose a fresh angle uniformly in [0, π], then run the
+            // lazy-chain acceptance gate first (see the module docs).
             let proposal = rng.next_range(0.0, std::f64::consts::PI);
+            let u = rng.next_f64();
+            if u >= gate {
+                continue;
+            }
             // cos/sin are deterministic on a given input, so computing them
             // once and reusing on accept is bit-identical to recomputing.
             let p_cos = proposal.cos();
             let p_sin = proposal.sin();
             let d_cos = p_cos - cos_t[i];
             let delta = b_half * field[i] * d_cos - a_half * (p_sin - sin_t[i]);
-            let accept = if delta <= 0.0 {
-                gate
-            } else {
-                gate * (-beta * delta).exp()
-            };
-            if rng.next_f64() < accept {
+            if delta <= 0.0 || u < gate * (-beta * delta).exp() {
                 cos_t[i] = p_cos;
                 sin_t[i] = p_sin;
                 csr.axpy_row(&mut field, i, d_cos);
-            }
-        }
-    }
-
-    cos_t
-        .iter()
-        .map(|&c| if c >= 0.0 { 1 } else { -1 })
-        .collect()
-}
-
-/// The Fast kernel: f32 mean fields (periodically refreshed), draw-skipping
-/// certain accepts and hopeless rejects, whole-sweep skips when the gate is
-/// effectively closed. Statistically equivalent to [`run_exact`], not
-/// bit-identical.
-fn run_fast(
-    csr: &CsrIsing,
-    profile: &DWaveProfile,
-    schedule: &AnnealSchedule,
-    params: &AnnealParams,
-    init: Option<Vec<i8>>,
-    rng: &mut Rng64,
-) -> Vec<i8> {
-    let n = csr.num_vars();
-    let beta = params.beta(profile);
-
-    let theta: Vec<f64> = initial_theta(&init, n);
-    let mut cos_t: Vec<f64> = theta.iter().map(|t| t.cos()).collect();
-    let mut sin_t: Vec<f64> = theta.iter().map(|t| t.sin()).collect();
-    drop(theta);
-
-    let rebuild = |cos_t: &[f64], field: &mut [f32]| {
-        for (i, slot) in field.iter_mut().enumerate() {
-            let (cols, w32) = csr.row_f32(i);
-            let mut f = csr.h(i) as f32;
-            for (&j, &w) in cols.iter().zip(w32) {
-                f += w * cos_t[j as usize] as f32;
-            }
-            *slot = f;
-        }
-    };
-    let mut field: Vec<f32> = vec![0.0; n];
-    rebuild(&cos_t, &mut field);
-
-    let total_sweeps = params.total_sweeps(schedule);
-    let duration = schedule.duration_us();
-
-    for sweep in 0..total_sweeps {
-        let t = (sweep as f64 + 0.5) * duration / total_sweeps as f64;
-        let s = schedule.s_at(t);
-        let a_half = profile.a_ghz(s) / 2.0;
-        let b_half = profile.b_ghz(s) / 2.0;
-        let gate = params.gate(profile.a_ghz(s));
-        if gate < FAST_GATE_SKIP {
-            continue; // expected accepted rotations per sweep ≪ 1
-        }
-        let neg_ln_gate = -gate.ln(); // ≥ 0; 0 when the gate is open
-        let certain = gate >= 1.0;
-        if sweep > 0 && sweep % FIELD_REFRESH_SWEEPS == 0 {
-            rebuild(&cos_t, &mut field);
-        }
-
-        for i in 0..n {
-            // Same uniform [0, π] proposal as Exact (one RNG draw), but the
-            // trig goes through `sin_poly` on the shifted angle:
-            // cos θ = −sin(θ − π/2), and sin θ = √(1 − cos²θ) is exact for
-            // θ ∈ [0, π] where sin is non-negative.
-            let proposal = rng.next_range(0.0, std::f64::consts::PI);
-            let x = proposal - std::f64::consts::FRAC_PI_2;
-            let p_cos = -sin_poly_half_pi(x);
-            let p_sin = (1.0 - p_cos * p_cos).max(0.0).sqrt();
-            let d_cos = p_cos - cos_t[i];
-            let delta = b_half * field[i] as f64 * d_cos - a_half * (p_sin - sin_t[i]);
-            let accept = if delta <= 0.0 {
-                certain || rng.next_f64() < gate
-            } else if beta * delta + neg_ln_gate > FAST_REJECT_CUTOFF {
-                false // acceptance < e⁻³⁰: no draw needed
-            } else {
-                rng.next_f64() < gate * exp_fast(-beta * delta)
-            };
-            if accept {
-                cos_t[i] = p_cos;
-                sin_t[i] = p_sin;
-                csr.axpy_row_f32(&mut field, i, d_cos as f32);
             }
         }
     }
@@ -276,7 +187,6 @@ mod tests {
             sweeps_per_us: 64,
             beta_override: None,
             freeze_out: Some(FreezeOut::default()),
-            ..Default::default()
         };
         let mut rng = Rng64::new(21);
         let mut hits = 0;
@@ -318,7 +228,6 @@ mod tests {
             sweeps_per_us: 64,
             beta_override: None,
             freeze_out: Some(FreezeOut::default()),
-            ..Default::default()
         };
         let init = vec![-1i8; 6];
         let mut rng = Rng64::new(27);
@@ -353,79 +262,6 @@ mod tests {
             &params,
             None,
             &mut Rng64::new(31),
-        );
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fast_kernel_finds_ferromagnetic_ground_state() {
-        let ising = ferromagnet(8);
-        let profile = DWaveProfile::default();
-        let schedule = AnnealSchedule::forward(2.0).unwrap();
-        let params = AnnealParams {
-            sweeps_per_us: 64,
-            kernel: SweepKernel::Fast,
-            ..Default::default()
-        };
-        let mut rng = Rng64::new(61);
-        let mut hits = 0;
-        for _ in 0..10 {
-            let out = SvmcEngine.run(&ising, &profile, &schedule, &params, None, &mut rng);
-            if out.iter().all(|&s| s == 1) {
-                hits += 1;
-            }
-        }
-        assert!(hits >= 8, "Fast SVMC FA found the ferromagnet {hits}/10");
-    }
-
-    #[test]
-    fn fast_kernel_preserves_shallow_reverse_anneal() {
-        let ising = ferromagnet(8);
-        let profile = DWaveProfile::default();
-        let schedule = AnnealSchedule::reverse(0.95, 0.2).unwrap();
-        let params = AnnealParams {
-            kernel: SweepKernel::Fast,
-            ..Default::default()
-        };
-        let init = bits_to_spins(&[0, 0, 0, 0, 0, 0, 0, 0]);
-        let mut rng = Rng64::new(67);
-        let mut preserved = 0;
-        for _ in 0..10 {
-            let out = SvmcEngine.run(&ising, &profile, &schedule, &params, Some(&init), &mut rng);
-            if out == init {
-                preserved += 1;
-            }
-        }
-        assert!(
-            preserved >= 8,
-            "Fast shallow SVMC RA preserved {preserved}/10"
-        );
-    }
-
-    #[test]
-    fn fast_kernel_is_deterministic_per_seed() {
-        let ising = ferromagnet(5);
-        let profile = DWaveProfile::default();
-        let schedule = AnnealSchedule::forward(1.0).unwrap();
-        let params = AnnealParams {
-            kernel: SweepKernel::Fast,
-            ..Default::default()
-        };
-        let a = SvmcEngine.run(
-            &ising,
-            &profile,
-            &schedule,
-            &params,
-            None,
-            &mut Rng64::new(71),
-        );
-        let b = SvmcEngine.run(
-            &ising,
-            &profile,
-            &schedule,
-            &params,
-            None,
-            &mut Rng64::new(71),
         );
         assert_eq!(a, b);
     }

@@ -1,10 +1,9 @@
-//! Golden-output regression for the `Exact` PIMC / SVMC engine kernels.
+//! Golden-output regression for the PIMC / SVMC engine kernels.
 //!
-//! Captured from the pre-optimization engines. The `Exact` kernel mode
-//! (the default) promises byte-identical readouts across implementation
-//! changes: buffer hoisting, vectorized field updates and storage changes
-//! must not alter a single RNG draw or float operation. The `Fast` mode is
-//! exempt (statistical equivalence only).
+//! Captured from the pre-optimization engines. The kernels promise
+//! byte-identical readouts across implementation changes: buffer hoisting,
+//! vectorized field updates, storage changes and the gate-first acceptance
+//! order must not alter a single RNG draw or float operation.
 
 use hqw_anneal::{
     AnnealEngine, AnnealParams, AnnealSchedule, DWaveProfile, PimcEngine, SvmcEngine,

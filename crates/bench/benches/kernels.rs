@@ -21,8 +21,9 @@
 //!   graph-colored sweep order, draw-skipping accepts/rejects.
 //!   Statistically equivalent, not bit-identical.
 //!
-//! The PIMC/SVMC engine reads are likewise measured in `Exact` and `Fast`
-//! kernel modes. Output: a human-readable table on stdout plus
+//! The PIMC/SVMC engine reads run their one (gate-first, bit-identical)
+//! kernel, including PIMC at the paper detector's 16-spin serving shape.
+//! Output: a human-readable table on stdout plus
 //! `BENCH_kernels.json` at the workspace root (override with the
 //! `BENCH_OUT` environment variable), including a `machine` stanza so the
 //! regression gate (`ci/check_bench.py`) can judge ratios in context — on a
@@ -33,13 +34,14 @@
 //! cargo bench -p hqw-bench
 //! ```
 
-use hqw_anneal::engine::AnnealParams;
 use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
 use hqw_anneal::{AnnealSchedule, DWaveProfile};
 use hqw_math::Rng64;
+use hqw_phy::{DetectionInstance, InstanceConfig, Modulation};
 use hqw_qubo::csr::CsrIsing;
 use hqw_qubo::generator::sparse_random_qubo;
-use hqw_qubo::sa::{sa_read_csr, sa_read_fast, sample_qubo, SaParams, SweepKernel};
+use hqw_qubo::greedy::{greedy_search, GreedyConfig};
+use hqw_qubo::sa::{sa_read_csr, sa_read_fast, sample_qubo, SaParams};
 use hqw_qubo::{Ising, Qubo};
 use std::hint::black_box;
 use std::time::Instant;
@@ -280,60 +282,62 @@ fn bench_parallel_reads(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f
     out.extend(ms);
 }
 
-/// Annealer-engine read costs on a medium instance, `Exact` vs `Fast`
-/// kernel modes interleaved per engine.
-fn bench_engine_reads(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f64)>) {
-    let n = 64;
+/// Annealer-engine read costs: one 4-read reverse-anneal submission per
+/// iteration. PIMC-16 and SVMC run on a medium random instance; PIMC-8 runs
+/// at the paper detector's serving shape (an 8-user QPSK frame, 16 spins,
+/// greedy seed, `s_p = 0.65`).
+fn bench_engine_reads(out: &mut Vec<Measurement>) {
     let mut rng = Rng64::new(14);
-    let q = sparse_random_qubo(n, 0.3, &mut rng);
+    let q = sparse_random_qubo(64, 0.3, &mut rng);
     let schedule = AnnealSchedule::reverse(0.69, 1.0).unwrap();
-    let init: Vec<u8> = (0..n).map(|_| rng.next_bool() as u8).collect();
-    let sampler_with = |engine: EngineKind, kernel: SweepKernel| {
-        QuantumSampler::new(
+    let init: Vec<u8> = (0..64).map(|_| rng.next_bool() as u8).collect();
+    let frame = DetectionInstance::generate(
+        &InstanceConfig::paper(8, Modulation::Qpsk),
+        &mut Rng64::new(15),
+    );
+    let paper_q = frame.reduction.qubo;
+    let (paper_init, _) = greedy_search(&paper_q, GreedyConfig::default());
+    let paper_schedule = AnnealSchedule::reverse(0.65, 1.0).unwrap();
+    for (label, engine, q, init, schedule, iters) in [
+        (
+            "pimc16",
+            EngineKind::Pimc { trotter_slices: 16 },
+            &q,
+            &init,
+            &schedule,
+            5,
+        ),
+        ("svmc", EngineKind::Svmc, &q, &init, &schedule, 5),
+        (
+            "pimc8_paper",
+            EngineKind::Pimc { trotter_slices: 8 },
+            &paper_q,
+            &paper_init,
+            &paper_schedule,
+            40,
+        ),
+    ] {
+        let n = q.num_vars();
+        let sampler = QuantumSampler::new(
             DWaveProfile::calibrated(),
             SamplerConfig {
                 num_reads: 4,
                 engine,
                 threads: 1,
-                params: AnnealParams {
-                    kernel,
-                    ..Default::default()
-                },
                 ..Default::default()
             },
-        )
-    };
-    for (label, engine) in [
-        ("pimc16", EngineKind::Pimc { trotter_slices: 16 }),
-        ("svmc", EngineKind::Svmc),
-    ] {
-        let exact_sampler = sampler_with(engine, SweepKernel::Exact);
-        let fast_sampler = sampler_with(engine, SweepKernel::Fast);
-        let (mut s0, mut s1) = (0u64, 0u64);
-        let mut exact = || {
-            s0 += 1;
-            black_box(exact_sampler.sample_qubo(&q, &schedule, Some(&init), s0));
-        };
-        let mut fast = || {
-            s1 += 1;
-            black_box(fast_sampler.sample_qubo(&q, &schedule, Some(&init), s1));
-        };
-        let ms = bench_interleaved(
-            &[
-                &format!("anneal_read/ra_{label}/{n}"),
-                &format!("anneal_read/ra_{label}_fast/{n}"),
-            ]
-            .iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>(),
-            n,
-            5,
-            &mut [&mut exact, &mut fast],
         );
-        let speedup = ms[0].ns_per_iter / ms[1].ns_per_iter;
-        println!("  -> {label} fast-kernel speedup: {speedup:.2}x");
-        derived.push((format!("{label}_fast_speedup_{n}"), speedup));
-        out.extend(ms);
+        let mut seed = 0u64;
+        let mut read = || {
+            seed += 1;
+            black_box(sampler.sample_qubo(q, schedule, Some(init), seed));
+        };
+        out.extend(bench_interleaved(
+            &[&format!("anneal_read/ra_{label}/{n}")],
+            n,
+            iters,
+            &mut [&mut read],
+        ));
     }
 }
 
@@ -381,7 +385,7 @@ fn main() {
     let mut derived = Vec::new();
     bench_sweep_kernels(&mut results, &mut derived);
     bench_parallel_reads(&mut results, &mut derived);
-    bench_engine_reads(&mut results, &mut derived);
+    bench_engine_reads(&mut results);
 
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| default_path.to_string());

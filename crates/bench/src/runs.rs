@@ -23,7 +23,7 @@ use hqw_core::telemetry::Collector;
 use hqw_phy::channel::{snr_db_to_noise_variance, ChannelModel, TrackConfig};
 use hqw_phy::modulation::Modulation;
 use hqw_qubo::pt::PtParams;
-use hqw_qubo::sa::{SaParams, SweepKernel};
+use hqw_qubo::sa::SaParams;
 use hqw_qubo::tabu::TabuParams;
 
 /// Operating SNR of the streaming/fabric uplinks (dB).
@@ -123,7 +123,6 @@ pub fn fabric_mixes() -> Vec<BackendMix> {
         sweeps_per_us: 8,
         capacity: 1,
         max_batch: 4,
-        kernel: SweepKernel::Exact,
     };
     let qpu = |max_batch: usize| {
         BackendSpec::MockQpu(MockQpuConfig {

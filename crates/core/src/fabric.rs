@@ -55,7 +55,7 @@ use hqw_phy::detect::{Detector, DetectorMeta, Mmse};
 use hqw_phy::instance::DetectionInstance;
 use hqw_phy::metrics::bit_error_rate;
 use hqw_qubo::pt::{parallel_tempering, PtParams};
-use hqw_qubo::sa::{sample_qubo_batch_seeded, SaParams, SweepKernel};
+use hqw_qubo::sa::{sample_qubo_batch_seeded, SaParams};
 use hqw_qubo::tabu::{tabu_from_random, TabuParams};
 use hqw_qubo::Qubo;
 use std::collections::VecDeque;
@@ -412,8 +412,6 @@ pub struct AnnealerConfig {
     pub capacity: usize,
     /// Most jobs coalesced per call.
     pub max_batch: usize,
-    /// Monte-Carlo sweep kernel (bit-identical `Exact` or vectorized `Fast`).
-    pub kernel: SweepKernel,
 }
 
 /// Total MC sweeps one annealer job costs:
@@ -424,12 +422,7 @@ fn mc_sweeps_per_job(num_reads: usize, anneal_us: f64, sweeps_per_us: usize) -> 
 }
 
 /// The one sampler construction every annealer-simulator backend shares.
-fn annealer_sampler(
-    engine: EngineKind,
-    num_reads: usize,
-    sweeps_per_us: usize,
-    kernel: SweepKernel,
-) -> QuantumSampler {
+fn annealer_sampler(engine: EngineKind, num_reads: usize, sweeps_per_us: usize) -> QuantumSampler {
     QuantumSampler::new(
         DWaveProfile::calibrated(),
         SamplerConfig {
@@ -439,7 +432,6 @@ fn annealer_sampler(
                 sweeps_per_us,
                 beta_override: None,
                 freeze_out: Some(FreezeOut::default()),
-                kernel,
             },
             threads: 1, // the fabric grid is the parallel level
             ..SamplerConfig::default()
@@ -476,7 +468,7 @@ impl AnnealerConfig {
     }
 
     fn sampler(&self, engine: EngineKind) -> QuantumSampler {
-        annealer_sampler(engine, self.num_reads, self.sweeps_per_us, self.kernel)
+        annealer_sampler(engine, self.num_reads, self.sweeps_per_us)
     }
 }
 
@@ -711,10 +703,6 @@ impl MockQpuBackend {
             },
             config.num_reads,
             config.sweeps_per_us,
-            // The mock QPU models a remote physical device: it has no
-            // simulator-kernel knob, and the bit-identical kernel keeps its
-            // committed fabric baselines stable.
-            SweepKernel::Exact,
         );
         MockQpuBackend {
             config,
@@ -2844,7 +2832,6 @@ mod tests {
             sweeps_per_us: 4,
             capacity: 1,
             max_batch: 4,
-            kernel: SweepKernel::Exact,
         }
     }
 
@@ -3272,7 +3259,6 @@ mod tests {
             sweeps_per_us: 4,
             capacity,
             max_batch,
-            kernel: SweepKernel::Exact,
         })
     }
 

@@ -1041,7 +1041,7 @@ mod tests {
     use crate::stream::CostModel;
     use hqw_phy::channel::{snr_db_to_noise_variance, TrackConfig};
     use hqw_phy::modulation::Modulation;
-    use hqw_qubo::sa::{SaParams, SweepKernel};
+    use hqw_qubo::sa::SaParams;
     use std::time::Duration;
 
     /// Runs `f` on a helper thread and fails fast (instead of hanging the
@@ -1091,7 +1091,6 @@ mod tests {
                 sweeps_per_us: 4,
                 capacity: 1,
                 max_batch: 2,
-                kernel: SweepKernel::Exact,
             }),
             BackendSpec::MockQpu(MockQpuConfig {
                 num_reads: 2,

@@ -479,7 +479,6 @@ fn annealer_fields(c: &AnnealerConfig) -> Vec<(&'static str, Json)> {
         ("sweeps_per_us", uint(c.sweeps_per_us)),
         ("capacity", uint(c.capacity)),
         ("max_batch", uint(c.max_batch)),
-        ("kernel", Json::Str(c.kernel.name().to_string())),
     ]
 }
 
@@ -888,7 +887,7 @@ fn parse_sa(o: &Json, ctx: &str) -> Result<SaParams, SpecError> {
     })
 }
 
-/// `"kernel"` is optional (pre-kernel specs default to the bit-identical
+/// The SA `"kernel"` is optional (pre-kernel specs default to the bit-identical
 /// `Exact` mode), but when present it must be a known kernel name.
 fn parse_kernel(o: &Json, ctx: &str) -> Result<SweepKernel, SpecError> {
     match o.get("kernel") {
@@ -953,7 +952,6 @@ fn parse_annealer(o: &Json, ctx: &str) -> Result<AnnealerConfig, SpecError> {
         sweeps_per_us: req_usize(o, "sweeps_per_us", ctx)?,
         capacity: req_usize(o, "capacity", ctx)?,
         max_batch: req_usize(o, "max_batch", ctx)?,
-        kernel: parse_kernel(o, ctx)?,
     })
 }
 
@@ -966,7 +964,6 @@ fn parse_backend(o: &Json, ctx: &str) -> Result<BackendSpec, SpecError> {
         "sweeps_per_us",
         "capacity",
         "max_batch",
-        "kernel",
     ];
     match kind {
         "sa-pool" => {
@@ -1395,7 +1392,6 @@ mod tests {
                             sweeps_per_us: 8,
                             capacity: 1,
                             max_batch: 4,
-                            kernel: SweepKernel::Exact,
                         }),
                         BackendSpec::Svmc(AnnealerConfig {
                             num_reads: 2,
@@ -1403,7 +1399,6 @@ mod tests {
                             sweeps_per_us: 8,
                             capacity: 1,
                             max_batch: 4,
-                            kernel: SweepKernel::Exact,
                         }),
                         BackendSpec::MockQpu(MockQpuConfig {
                             num_reads: 4,

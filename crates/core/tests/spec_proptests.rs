@@ -103,7 +103,6 @@ fn arbitrary_backend(rng: &mut Rng64) -> BackendSpec {
                 sweeps_per_us: 1 + rng.next_index(16),
                 capacity: 1 + rng.next_index(4),
                 max_batch: 1 + rng.next_index(8),
-                kernel: SweepKernel::Exact,
             };
             if k == 1 {
                 BackendSpec::Pimc(config)

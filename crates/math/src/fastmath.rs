@@ -1,11 +1,11 @@
-//! Polynomial transcendental approximations for Monte-Carlo hot loops.
+//! Polynomial transcendental approximation for Monte-Carlo hot loops.
 //!
-//! The Fast sweep kernels spend most of an uphill proposal inside libm
-//! `exp` (and SVMC inside `sin`/`cos`). A Metropolis acceptance test only
-//! needs the ratio to ~10⁻⁷ — anything finer is far below Monte-Carlo
-//! resolution — so the Fast kernels trade libm's 0.5-ulp guarantee for a
-//! short branchless polynomial. The Exact kernels never call these: their
-//! contract is bit-identical replay of the historical libm streams.
+//! The SA Fast sweep kernel spends most of an uphill proposal inside libm
+//! `exp`. A Metropolis acceptance test only needs the ratio to ~10⁻⁷ —
+//! anything finer is far below Monte-Carlo resolution — so the Fast kernel
+//! trades libm's 0.5-ulp guarantee for a short branchless polynomial. The
+//! Exact kernels never call it: their contract is bit-identical replay of
+//! the historical libm streams.
 
 /// `eˣ` for `x ∈ [−30, 0]`, accurate to ~6·10⁻⁹ relative.
 ///
@@ -13,7 +13,7 @@
 /// rounding, no `round` libcall) and `|f| ≤ ln2/2`, then a degree-7 Taylor
 /// for `e^f` and an exponent-bit scale by `2ⁿ`.
 ///
-/// Callers must keep `x` in `[−30, 0]`: the Fast kernels' reject cutoff
+/// Callers must keep `x` in `[−30, 0]`: the Fast kernel's reject cutoff
 /// guarantees it (acceptance below e⁻³⁰ is rejected without drawing).
 /// Out-of-range inputs are debug-asserted, not handled.
 #[inline]
@@ -41,24 +41,6 @@ pub fn exp_fast(x: f64) -> f64 {
     scale * p
 }
 
-/// `sin x` for `x ∈ [−π/2, π/2]` as an odd Taylor polynomial through x¹¹
-/// (next omitted term `x¹³/13!` is < 6·10⁻⁸ at the interval edge).
-#[inline]
-pub fn sin_poly_half_pi(x: f64) -> f64 {
-    debug_assert!(
-        x.abs() <= std::f64::consts::FRAC_PI_2 + 1e-9,
-        "sin_poly_half_pi domain is [-pi/2, pi/2], got {x}"
-    );
-    let x2 = x * x;
-    let mut s = -1.0 / 39_916_800.0; // −1/11!
-    s = s * x2 + 1.0 / 362_880.0; //  1/9!
-    s = s * x2 - 1.0 / 5_040.0; // −1/7!
-    s = s * x2 + 1.0 / 120.0; //  1/5!
-    s = s * x2 - 1.0 / 6.0; // −1/3!
-    s = s * x2 + 1.0;
-    s * x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,17 +64,5 @@ mod tests {
         let got = exp_fast(-30.0);
         let want = (-30.0f64).exp();
         assert!(((got - want) / want).abs() < 1e-8);
-    }
-
-    #[test]
-    fn sin_poly_matches_libm_over_domain() {
-        let mut worst = 0.0f64;
-        for i in -1_570..=1_570 {
-            let x = i as f64 * 1e-3;
-            let got = sin_poly_half_pi(x);
-            let want = x.sin();
-            worst = worst.max((got - want).abs());
-        }
-        assert!(worst < 1e-7, "worst absolute error {worst:.3e}");
     }
 }
