@@ -3,7 +3,8 @@
 //! An [`AnnealEngine`] consumes an Ising problem, a device profile, a
 //! schedule and (for reverse schedules) a programmed initial state, and
 //! returns one classical readout — exactly one "anneal read" of the paper's
-//! hardware. Two engines are provided:
+//! hardware ([`AnnealEngine::run_reads`] runs a submission's reads on one
+//! problem together). Two engines are provided:
 //!
 //! * [`crate::pimc::PimcEngine`] — path-integral (Trotterized) quantum Monte
 //!   Carlo, the standard classical simulation of transverse-field annealing.
@@ -157,6 +158,31 @@ pub trait AnnealEngine: Send + Sync {
         initial: Option<&[i8]>,
         rng: &mut Rng64,
     ) -> Vec<i8>;
+
+    /// Runs one read per generator in `rngs` on the same problem and
+    /// returns the readouts in `rngs` order.
+    ///
+    /// Every read consumes only its own generator, in the order
+    /// [`AnnealEngine::run`] would, so each readout and each trailing
+    /// generator state equals a lone `run` on that generator. The default
+    /// runs the reads one after another; [`crate::pimc::PimcEngine`]
+    /// advances them in lockstep.
+    ///
+    /// # Panics
+    /// As [`AnnealEngine::run`].
+    fn run_reads(
+        &self,
+        problem: &Ising,
+        profile: &DWaveProfile,
+        schedule: &AnnealSchedule,
+        params: &AnnealParams,
+        initial: Option<&[i8]>,
+        rngs: &mut [Rng64],
+    ) -> Vec<Vec<i8>> {
+        rngs.iter_mut()
+            .map(|rng| self.run(problem, profile, schedule, params, initial, rng))
+            .collect()
+    }
 }
 
 /// Validates and resolves the initial state for a schedule.

@@ -17,9 +17,10 @@
 //! and re-opens fluctuations down to `s_p`, exactly the "refined local
 //! search" semantics of the paper's §4.1.
 //!
-//! Moves per sweep: one Metropolis update per (site, slice) plus one
-//! all-slice ("global") flip per site — the standard mix that keeps dynamics
-//! ergodic when `J⊥` is large.
+//! Moves per sweep: one Metropolis update per (site, slice), then one
+//! imaginary-time cluster flip per site (a Wolff segment along the Trotter
+//! ring) — the standard simulated-quantum-annealing move set, which keeps
+//! tunneling possible once `J⊥` grows.
 //!
 //! Readout: per-site majority vote across slices (D-Wave readout projects
 //! the state; at `s = 1` slices agree except for rare unfrozen sites).
@@ -36,6 +37,24 @@
 //! been rejected anyway. A cluster move makes its Bernoulli bond draws
 //! while the segment grows, then its accept draw, as before; only the
 //! segment's Δ sum waits for the gate.
+//!
+//! Integer gate: the gate and bond tests compare the raw 53-bit draw `m`
+//! behind `u = m·2⁻⁵³` against a per-sweep threshold
+//! ([`Rng64::unit_threshold`]): `m < ⌈p·2⁵³⌉` holds exactly when
+//! `u < p` does, so the common reject costs one integer compare and no
+//! float conversion. Only a draw that passes the gate is converted, for
+//! the `u < gate·e^{−Δ}` test.
+//!
+//! Lanes: [`AnnealEngine::run_reads`] runs all reads of a submission in
+//! lockstep on one problem. The CSR is built once, the schedule constants
+//! (`s`, `J⊥`, the gate and bond thresholds) once per sweep, and at each
+//! (slice, site) — then at each site for the cluster moves — every lane
+//! steps its own RNG and its own replicas. Lanes share nothing mutable, so
+//! each lane consumes its RNG in exactly the order a lone read would: the
+//! readouts and trailing RNG states equal one-lane runs, and
+//! [`AnnealEngine::run`] is the one-lane case. Interleaving independent
+//! lanes also overlaps their serial RNG chains on the core. Replicas and
+//! fields live in lane-major scratch: `spins[(l·P + k)·n + i]`.
 
 use crate::dwave::DWaveProfile;
 use crate::engine::{resolve_initial, AnnealEngine, AnnealParams};
@@ -51,47 +70,30 @@ const J_PERP_MAX: f64 = 20.0;
 const A_FLOOR_GHZ: f64 = 1e-12;
 
 /// Path-integral quantum Monte Carlo engine.
+///
+/// Each sweep makes single-site Metropolis updates and imaginary-time
+/// *cluster* flips (Wolff segments along the Trotter ring, field terms via
+/// Metropolis). Single-site updates alone underestimate tunneling badly
+/// once `J⊥` grows: flipping any spin requires nucleating a kink pair,
+/// whose cost is unrelated to the physical barrier. Cluster updates let a
+/// whole worldline segment flip at once — early in the anneal the segments
+/// are short (quantum fluctuations), late they span all slices and reduce
+/// to thermally-activated classical flips at the device temperature.
 #[derive(Debug, Clone, Copy)]
 pub struct PimcEngine {
     /// Number of Trotter slices `P ≥ 2`. More slices = finer quantum
     /// discretization and more work; 16–32 is the usual range.
     pub trotter_slices: usize,
-    /// Also attempt one all-slice ("global") flip per site per sweep.
-    ///
-    /// Global moves accelerate *equilibration* but are unphysical as a model
-    /// of annealer dynamics — a collective flip across all of imaginary time
-    /// teleports between classical states with no tunneling cost, which
-    /// erases exactly the initial-state memory reverse annealing relies on.
-    /// They are **off by default** (annealer-faithful dynamics) and exist
-    /// for the sampler's equilibrium/ablation uses.
-    pub global_moves: bool,
-    /// Attempt one imaginary-time *cluster* flip per site per sweep
-    /// (Wolff segments along the Trotter ring, field terms via Metropolis).
-    ///
-    /// Single-site updates alone underestimate tunneling badly once `J⊥`
-    /// grows: flipping any spin requires nucleating a kink pair, whose cost
-    /// is unrelated to the physical barrier. Cluster updates let a whole
-    /// worldline segment flip at once — early in the anneal the segments are
-    /// short (quantum fluctuations), late they span all slices and reduce to
-    /// thermally-activated classical flips at the device temperature. This
-    /// is the standard move set of simulated-quantum-annealing codes and is
-    /// **on by default**.
-    pub cluster_moves: bool,
 }
 
 impl Default for PimcEngine {
     fn default() -> Self {
-        PimcEngine {
-            trotter_slices: 16,
-            global_moves: false,
-            cluster_moves: true,
-        }
+        PimcEngine { trotter_slices: 16 }
     }
 }
 
 impl PimcEngine {
-    /// Creates an engine with the given slice count (cluster moves on,
-    /// global moves off).
+    /// Creates an engine with the given slice count.
     ///
     /// # Panics
     /// Panics when `trotter_slices < 2` (the slice-coupling term degenerates).
@@ -100,11 +102,7 @@ impl PimcEngine {
             trotter_slices >= 2,
             "PimcEngine: need at least 2 Trotter slices"
         );
-        PimcEngine {
-            trotter_slices,
-            global_moves: false,
-            cluster_moves: true,
-        }
+        PimcEngine { trotter_slices }
     }
 
     /// Inter-slice ferromagnetic coupling `J⊥` at anneal fraction `s`.
@@ -129,40 +127,65 @@ impl AnnealEngine for PimcEngine {
         initial: Option<&[i8]>,
         rng: &mut Rng64,
     ) -> Vec<i8> {
+        let mut reads = self.run_reads(
+            problem,
+            profile,
+            schedule,
+            params,
+            initial,
+            std::slice::from_mut(rng),
+        );
+        reads.pop().expect("one lane, one read")
+    }
+
+    fn run_reads(
+        &self,
+        problem: &Ising,
+        profile: &DWaveProfile,
+        schedule: &AnnealSchedule,
+        params: &AnnealParams,
+        initial: Option<&[i8]>,
+        rngs: &mut [Rng64],
+    ) -> Vec<Vec<i8>> {
         let csr = CsrIsing::from_ising(problem);
         let n = csr.num_vars();
         if n == 0 {
-            return Vec::new();
+            return vec![Vec::new(); rngs.len()];
         }
         let init = resolve_initial(schedule, n, initial);
         let p = self.trotter_slices;
+        let pn = p * n;
         let beta = params.beta(profile);
 
-        // Slice-major replica storage: spins[k*n + i].
-        let mut spins: Vec<i8> = match &init {
-            Some(state) => (0..p).flat_map(|_| state.iter().copied()).collect(),
-            // Forward start (s = 0): the transverse field dominates and the
-            // computational-basis marginal is uniform — random replicas.
-            None => (0..p * n)
-                .map(|_| if rng.next_bool() { 1 } else { -1 })
-                .collect(),
-        };
-
-        // Incrementally-maintained classical local fields per (slice, site):
-        // h_eff[k*n + i] = h_i + Σ_j J_ij s_{j,k}. Proposals read them in
-        // O(1); only accepted flips pay an O(degree) neighbor update.
-        let mut h_eff: Vec<f64> = vec![0.0; p * n];
-        for k in 0..p {
-            csr.fill_local_fields(&spins[k * n..(k + 1) * n], &mut h_eff[k * n..(k + 1) * n]);
+        // Lane-major replica storage: spins[l*pn + k*n + i].
+        let mut spins: Vec<i8> = Vec::with_capacity(rngs.len() * pn);
+        for rng in rngs.iter_mut() {
+            match &init {
+                Some(state) => (0..p).for_each(|_| spins.extend_from_slice(state)),
+                // Forward start (s = 0): the transverse field dominates and
+                // the computational-basis marginal is uniform — random
+                // replicas.
+                None => spins.extend((0..pn).map(|_| if rng.next_bool() { 1i8 } else { -1 })),
+            }
         }
-        // Flips spin (slice base, site i) and folds its sign change into the
-        // cached fields of its in-slice neighbors (contiguous-run AXPY —
-        // bit-identical to the historical gather).
-        let flip_and_update = |spins: &mut [i8], h_eff: &mut [f64], base: usize, i: usize| {
-            let s_new = -spins[base + i];
-            spins[base + i] = s_new;
+
+        // Incrementally-maintained classical local fields per (lane, slice,
+        // site): h_eff[l*pn + k*n + i] = h_i + Σ_j J_ij s_{j,k} in lane l.
+        // Proposals read them in O(1); only accepted flips pay an O(degree)
+        // neighbor update.
+        let mut h_eff: Vec<f64> = vec![0.0; spins.len()];
+        for (slice, fields) in spins.chunks_exact(n).zip(h_eff.chunks_exact_mut(n)) {
+            csr.fill_local_fields(slice, fields);
+        }
+        // Flips the spin at `row + i` (`row` = one lane's slice offset) and
+        // folds its sign change into the cached fields of its in-slice
+        // neighbors (contiguous-run AXPY — bit-identical to the historical
+        // gather).
+        let flip_and_update = |spins: &mut [i8], h_eff: &mut [f64], row: usize, i: usize| {
+            let s_new = -spins[row + i];
+            spins[row + i] = s_new;
             let ds = 2.0 * s_new as f64;
-            csr.axpy_row(&mut h_eff[base..base + n], i, ds);
+            csr.axpy_row(&mut h_eff[row..row + n], i, ds);
         };
         // Neighbors of slice k along the periodic Trotter ring.
         let up = |k: usize| if k + 1 == p { 0 } else { k + 1 };
@@ -173,6 +196,7 @@ impl AnnealEngine for PimcEngine {
         let p_f = p as f64;
 
         for sweep in 0..total_sweeps {
+            // Schedule constants: once per sweep, shared by every lane.
             let t = (sweep as f64 + 0.5) * duration / total_sweeps as f64;
             let s = schedule.s_at(t);
             let j_perp = self.j_perp(profile, beta, s);
@@ -181,25 +205,32 @@ impl AnnealEngine for PimcEngine {
             if gate <= 0.0 {
                 continue; // fully frozen: no dynamics at this point
             }
+            let gate_below = Rng64::unit_threshold(gate);
 
             // Single (site, slice) Metropolis updates on the lazy chain,
-            // gate first (see the module docs).
+            // gate first (see the module docs); each lane in turn per
+            // (slice, site).
             for k in 0..p {
-                let (k_up, k_down) = (up(k), down(k));
-                let base = k * n;
+                let row = k * n;
+                let (row_up, row_down) = (up(k) * n, down(k) * n);
                 for i in 0..n {
-                    let u = rng.next_f64();
-                    if u >= gate {
-                        continue;
-                    }
-                    let sik = spins[base + i] as f64;
-                    let field = h_eff[base + i];
-                    let time_neighbors = (spins[k_up * n + i] + spins[k_down * n + i]) as f64;
-                    // Δ action for flipping s_{i,k}: the slice energy changes
-                    // by −2·s·field and each time link by +2·J⊥·s·neighbor.
-                    let delta = -2.0 * sik * k_cl * field + 2.0 * sik * j_perp * time_neighbors;
-                    if delta <= 0.0 || u < gate * (-delta).exp() {
-                        flip_and_update(&mut spins, &mut h_eff, base, i);
+                    for (lane, rng) in rngs.iter_mut().enumerate() {
+                        let m = rng.next_u53();
+                        if m >= gate_below {
+                            continue;
+                        }
+                        let base = lane * pn;
+                        let sik = spins[base + row + i] as f64;
+                        let field = h_eff[base + row + i];
+                        let time_neighbors =
+                            (spins[base + row_up + i] + spins[base + row_down + i]) as f64;
+                        // Δ action for flipping s_{i,k}: the slice energy
+                        // changes by −2·s·field and each time link by
+                        // +2·J⊥·s·neighbor.
+                        let delta = -2.0 * sik * k_cl * field + 2.0 * sik * j_perp * time_neighbors;
+                        if delta <= 0.0 || Rng64::unit_f64(m) < gate * (-delta).exp() {
+                            flip_and_update(&mut spins, &mut h_eff, base + row, i);
+                        }
                     }
                 }
             }
@@ -211,38 +242,40 @@ impl AnnealEngine for PimcEngine {
             // proposal symmetric; at large J⊥ the segment usually wraps the
             // whole ring and the move degenerates into a classical
             // Metropolis flip at the full device β — thermal activation.
-            if self.cluster_moves {
-                let p_bond = 1.0 - (-2.0 * j_perp).exp();
-                for i in 0..n {
+            let bond_below = Rng64::unit_threshold(1.0 - (-2.0 * j_perp).exp());
+            for i in 0..n {
+                for (lane, rng) in rngs.iter_mut().enumerate() {
+                    let base = lane * pn;
+                    let at = |k: usize| base + k * n + i;
                     let start = rng.next_index(p);
-                    let s0 = spins[start * n + i];
+                    let s0 = spins[at(start)];
                     // The segment is the cyclic run [lo, hi] holding `len`
                     // slices. Growth stops, without a bond draw, at the
                     // first anti-aligned slice or once the run covers the
-                    // whole ring; otherwise a failed Bernoulli bond stops it.
-                    // Forward (k+1 direction) first, then backward.
+                    // whole ring; otherwise a failed Bernoulli bond stops
+                    // it. Forward (k+1 direction) first, then backward.
                     let (mut lo, mut hi, mut len) = (start, start, 1);
-                    while len < p && spins[up(hi) * n + i] == s0 && rng.next_f64() < p_bond {
+                    while len < p && spins[at(up(hi))] == s0 && rng.next_u53() < bond_below {
                         hi = up(hi);
                         len += 1;
                     }
-                    while len < p && spins[down(lo) * n + i] == s0 && rng.next_f64() < p_bond {
+                    while len < p && spins[at(down(lo))] == s0 && rng.next_u53() < bond_below {
                         lo = down(lo);
                         len += 1;
                     }
-                    let u = rng.next_f64();
-                    if u >= gate {
+                    let m = rng.next_u53();
+                    if m >= gate_below {
                         continue;
                     }
                     // Classical action change of flipping the whole segment,
-                    // summed in growth order (start, forward, then backward).
-                    // The cached fields of site i never contain s_i itself
-                    // (no self-coupling), so the per-slice deltas are
-                    // independent and can all be read before flipping.
+                    // summed in growth order (start, forward, then
+                    // backward). The cached fields of site i never contain
+                    // s_i itself (no self-coupling), so the per-slice deltas
+                    // are independent and can all be read before flipping.
                     let mut delta = 0.0;
                     let mut k = start;
                     loop {
-                        delta += -2.0 * s0 as f64 * k_cl * h_eff[k * n + i];
+                        delta += -2.0 * s0 as f64 * k_cl * h_eff[at(k)];
                         if k == hi {
                             break;
                         }
@@ -251,52 +284,35 @@ impl AnnealEngine for PimcEngine {
                     k = start;
                     while k != lo {
                         k = down(k);
-                        delta += -2.0 * s0 as f64 * k_cl * h_eff[k * n + i];
+                        delta += -2.0 * s0 as f64 * k_cl * h_eff[at(k)];
                     }
-                    if delta <= 0.0 || u < gate * (-delta).exp() {
+                    if delta <= 0.0 || Rng64::unit_f64(m) < gate * (-delta).exp() {
                         // Each flip touches only its own slice's fields, so
                         // the flip order is free.
                         k = lo;
                         for _ in 0..len {
-                            flip_and_update(&mut spins, &mut h_eff, k * n, i);
+                            flip_and_update(&mut spins, &mut h_eff, base + k * n, i);
                             k = up(k);
-                        }
-                    }
-                }
-            }
-
-            // Optional global moves: flip site i in every slice (time links
-            // unchanged). See the field docs for why this is off by default.
-            if self.global_moves {
-                for i in 0..n {
-                    let u = rng.next_f64();
-                    if u >= gate {
-                        continue;
-                    }
-                    let mut delta = 0.0;
-                    for k in 0..p {
-                        let base = k * n;
-                        let sik = spins[base + i] as f64;
-                        delta += -2.0 * sik * k_cl * h_eff[base + i];
-                    }
-                    if delta <= 0.0 || u < gate * (-delta).exp() {
-                        for k in 0..p {
-                            flip_and_update(&mut spins, &mut h_eff, k * n, i);
                         }
                     }
                 }
             }
         }
 
-        // Majority-vote readout across slices.
-        (0..n)
-            .map(|i| {
-                let sum: i32 = (0..p).map(|k| spins[k * n + i] as i32).sum();
-                if sum >= 0 {
-                    1
-                } else {
-                    -1
-                }
+        // Majority-vote readout across slices, per lane.
+        spins
+            .chunks_exact(pn)
+            .map(|lane| {
+                (0..n)
+                    .map(|i| {
+                        let sum: i32 = (0..p).map(|k| lane[k * n + i] as i32).sum();
+                        if sum >= 0 {
+                            1
+                        } else {
+                            -1
+                        }
+                    })
+                    .collect()
             })
             .collect()
     }

@@ -13,9 +13,13 @@
 //! * **ICE noise** — each read perturbs the programmed coefficients
 //!   ([`IceModel`]), while reported energies are evaluated on the *intended*
 //!   problem, as the D-Wave stack does.
-//! * **Parallel reads** — reads are independent, so they fan out across
-//!   threads (std scoped threads); per-read RNG streams are derived
-//!   from the seed, making results bit-identical regardless of thread count.
+//! * **Lockstep reads** — reads are independent, so each worker thread
+//!   (std scoped threads) takes one contiguous chunk of the submission's
+//!   reads and runs it as one batch ([`AnnealEngine::run_reads`]): the PIMC
+//!   engine advances the chunk's reads as lockstep lanes through one sweep
+//!   loop. Per-read RNG streams are derived from the seed and each lane
+//!   consumes only its own, so results are bit-identical regardless of
+//!   thread count or chunking.
 //! * **QPU time accounting** — programming / per-read anneal / readout
 //!   charges, in *programmed microseconds*; the paper's TTS metric consumes
 //!   the schedule duration.
@@ -26,7 +30,7 @@ use crate::noise::IceModel;
 use crate::pimc::PimcEngine;
 use crate::schedule::AnnealSchedule;
 use crate::svmc::SvmcEngine;
-use hqw_math::parallel::parallel_map_indexed;
+use hqw_math::parallel::parallel_map_chunks;
 use hqw_math::Rng64;
 use hqw_qubo::solution::{bits_to_spins, spins_to_bits};
 use hqw_qubo::{Ising, Qubo, SampleSet};
@@ -373,25 +377,32 @@ impl QuantumSampler {
             .map(|_| master.next_u64())
             .collect();
 
-        parallel_map_indexed(&read_seeds, self.config.threads, |_, &read_seed| {
-            let mut rng = Rng64::new(read_seed);
-            let engine: Box<dyn AnnealEngine> = match self.config.engine {
-                EngineKind::Pimc { trotter_slices } => Box::new(PimcEngine::new(trotter_slices)),
-                EngineKind::Svmc => Box::new(SvmcEngine),
-            };
-            let problem = if self.config.ice.is_none() {
-                programmed.clone()
-            } else {
-                self.config.ice.perturb(&programmed, &mut rng)
-            };
-            engine.run(
-                &problem,
-                &self.profile,
-                schedule,
-                &self.config.params,
-                initial,
-                &mut rng,
-            )
+        let engine: Box<dyn AnnealEngine> = match self.config.engine {
+            EngineKind::Pimc { trotter_slices } => Box::new(PimcEngine::new(trotter_slices)),
+            EngineKind::Svmc => Box::new(SvmcEngine),
+        };
+        let (profile, params) = (&self.profile, &self.config.params);
+        // Each thread runs its contiguous chunk of reads as one batch.
+        parallel_map_chunks(&read_seeds, self.config.threads, |_, seeds| {
+            let mut rngs: Vec<Rng64> = seeds.iter().map(|&s| Rng64::new(s)).collect();
+            if self.config.ice.is_none() {
+                return engine.run_reads(
+                    &programmed,
+                    profile,
+                    schedule,
+                    params,
+                    initial,
+                    &mut rngs,
+                );
+            }
+            // ICE: every read anneals its own perturbed copy, drawn from
+            // its own stream before the anneal.
+            rngs.iter_mut()
+                .map(|rng| {
+                    let problem = self.config.ice.perturb(&programmed, rng);
+                    engine.run(&problem, profile, schedule, params, initial, rng)
+                })
+                .collect()
         })
     }
 }
@@ -456,6 +467,68 @@ mod tests {
             .map(|s| (s.bits.clone(), s.occurrences))
             .collect();
         assert_eq!(av, bv);
+    }
+
+    /// A sample set as comparable bits: (bits, energy bits, occurrences).
+    fn fingerprint(result: &AnnealResult) -> Vec<(Vec<u8>, u64, u64)> {
+        result
+            .samples
+            .iter()
+            .map(|s| (s.bits.clone(), s.energy.to_bits(), s.occurrences))
+            .collect()
+    }
+
+    #[test]
+    fn uneven_lockstep_chunks_give_identical_sample_sets() {
+        // 16 reads split 16, 8+8, 6+6+4 and across all cores: every chunking
+        // yields the same sample set, with ICE noise off and on.
+        let mut rng = Rng64::new(44);
+        let q = random_qubo(8, &mut rng);
+        let init: Vec<u8> = (0..8).map(|_| rng.next_bool() as u8).collect();
+        let schedule = AnnealSchedule::reverse(0.6, 0.5).unwrap();
+        for ice in [IceModel::none(), IceModel::default()] {
+            let run = |threads: usize| {
+                let mut cfg = quick_config(16);
+                cfg.ice = ice;
+                cfg.threads = threads;
+                let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
+                fingerprint(&sampler.sample_qubo(&q, &schedule, Some(&init), 17))
+            };
+            let serial = run(1);
+            for threads in [2, 3, 0] {
+                assert_eq!(run(threads), serial, "threads={threads} ice={ice:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_reads_equal_one_read_per_seed() {
+        // The lockstep batch reproduces the per-read path: one engine run
+        // per derived read seed, each on its own stream.
+        let mut rng = Rng64::new(46);
+        let q = random_qubo(8, &mut rng);
+        let (ising, _) = q.to_ising();
+        let schedule = AnnealSchedule::forward(1.0).unwrap();
+        let mut cfg = quick_config(5);
+        cfg.threads = 1;
+        let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
+        let batched = sampler.run_reads(&ising, &schedule, None, 23);
+        let mut programmed = ising.clone();
+        programmed.normalize();
+        let mut master = Rng64::new(23);
+        let one_by_one: Vec<Vec<i8>> = (0..5)
+            .map(|_| {
+                PimcEngine::new(8).run(
+                    &programmed,
+                    &sampler.profile,
+                    &schedule,
+                    &cfg.params,
+                    None,
+                    &mut Rng64::new(master.next_u64()),
+                )
+            })
+            .collect();
+        assert_eq!(batched, one_by_one);
     }
 
     #[test]

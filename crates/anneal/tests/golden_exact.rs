@@ -56,50 +56,6 @@ fn pimc_reverse_golden() {
 }
 
 #[test]
-fn pimc_reverse_with_global_moves_golden() {
-    let engine = PimcEngine {
-        trotter_slices: 8,
-        global_moves: true,
-        cluster_moves: true,
-    };
-    let out = engine.run(
-        &problem(),
-        &DWaveProfile::calibrated(),
-        &AnnealSchedule::reverse(0.69, 1.0).unwrap(),
-        &AnnealParams::default(),
-        Some(&init16()),
-        &mut Rng64::new(107),
-    );
-    assert_eq!(
-        out,
-        vec![1, -1, -1, -1, -1, -1, 1, -1, -1, 1, 1, 1, -1, 1, 1, 1],
-        "Exact PIMC global-move path drifted from the pre-change golden"
-    );
-}
-
-#[test]
-fn pimc_reverse_without_cluster_moves_golden() {
-    let engine = PimcEngine {
-        trotter_slices: 8,
-        global_moves: false,
-        cluster_moves: false,
-    };
-    let out = engine.run(
-        &problem(),
-        &DWaveProfile::calibrated(),
-        &AnnealSchedule::reverse(0.69, 1.0).unwrap(),
-        &AnnealParams::default(),
-        Some(&init16()),
-        &mut Rng64::new(109),
-    );
-    assert_eq!(
-        out,
-        vec![-1, -1, -1, -1, -1, -1, 1, -1, -1, 1, 1, -1, 1, 1, -1, -1],
-        "Exact PIMC single-site path drifted from the pre-change golden"
-    );
-}
-
-#[test]
 fn svmc_forward_golden() {
     let out = SvmcEngine.run(
         &problem(),

@@ -344,72 +344,50 @@ fn pimc_draw_after(
                 }
             }
         }
-        if engine.cluster_moves {
-            let p_bond = 1.0 - (-2.0 * j_perp).exp();
-            for i in 0..n {
-                let start = rng.next_index(p);
-                let s0 = spins[start * n + i];
-                in_cluster[start] = true;
-                members.push(start);
-                let mut k = start;
-                loop {
-                    let next = if k + 1 == p { 0 } else { k + 1 };
-                    if in_cluster[next] || spins[next * n + i] != s0 || rng.next_f64() >= p_bond {
-                        break;
-                    }
-                    in_cluster[next] = true;
-                    members.push(next);
-                    k = next;
+        let p_bond = 1.0 - (-2.0 * j_perp).exp();
+        for i in 0..n {
+            let start = rng.next_index(p);
+            let s0 = spins[start * n + i];
+            in_cluster[start] = true;
+            members.push(start);
+            let mut k = start;
+            loop {
+                let next = if k + 1 == p { 0 } else { k + 1 };
+                if in_cluster[next] || spins[next * n + i] != s0 || rng.next_f64() >= p_bond {
+                    break;
                 }
-                k = start;
-                loop {
-                    let prev = if k == 0 { p - 1 } else { k - 1 };
-                    if in_cluster[prev] || spins[prev * n + i] != s0 || rng.next_f64() >= p_bond {
-                        break;
-                    }
-                    in_cluster[prev] = true;
-                    members.push(prev);
-                    k = prev;
-                }
-                let mut delta = 0.0;
-                for &kk in &members {
-                    delta += -2.0 * s0 as f64 * k_cl * h_eff[kk * n + i];
-                }
-                let accept = if delta <= 0.0 {
-                    gate
-                } else {
-                    gate * (-delta).exp()
-                };
-                if rng.next_f64() < accept {
-                    for &kk in &members {
-                        flip_and_update(&mut spins, &mut h_eff, kk * n, i);
-                    }
-                }
-                for &kk in &members {
-                    in_cluster[kk] = false;
-                }
-                members.clear();
+                in_cluster[next] = true;
+                members.push(next);
+                k = next;
             }
-        }
-        if engine.global_moves {
-            for i in 0..n {
-                let mut delta = 0.0;
-                for k in 0..p {
-                    let base = k * n;
-                    let sik = spins[base + i] as f64;
-                    delta += -2.0 * sik * k_cl * h_eff[base + i];
+            k = start;
+            loop {
+                let prev = if k == 0 { p - 1 } else { k - 1 };
+                if in_cluster[prev] || spins[prev * n + i] != s0 || rng.next_f64() >= p_bond {
+                    break;
                 }
-                let accept = if delta <= 0.0 {
-                    gate
-                } else {
-                    gate * (-delta).exp()
-                };
-                if rng.next_f64() < accept {
-                    for k in 0..p {
-                        flip_and_update(&mut spins, &mut h_eff, k * n, i);
-                    }
+                in_cluster[prev] = true;
+                members.push(prev);
+                k = prev;
+            }
+            let mut delta = 0.0;
+            for &kk in &members {
+                delta += -2.0 * s0 as f64 * k_cl * h_eff[kk * n + i];
+            }
+            let accept = if delta <= 0.0 {
+                gate
+            } else {
+                gate * (-delta).exp()
+            };
+            if rng.next_f64() < accept {
+                for &kk in &members {
+                    flip_and_update(&mut spins, &mut h_eff, kk * n, i);
                 }
             }
+            for &kk in &members {
+                in_cluster[kk] = false;
+            }
+            members.clear();
         }
     }
     (0..n)
@@ -599,11 +577,7 @@ proptest! {
         let initial: Vec<i8> = (0..n).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
         let initial = schedule.requires_initial_state().then_some(initial.as_slice());
         let params = random_params(&mut rng);
-        let pimc = PimcEngine {
-            trotter_slices: [2, 3, 8, 16][rng.next_index(4)],
-            global_moves: rng.next_bool(),
-            cluster_moves: rng.next_bool(),
-        };
+        let pimc = PimcEngine::new([2, 3, 8, 16][rng.next_index(4)]);
         let run_seed = rng.next_u64();
         assert_matches_reference(Some(pimc), &ising, &schedule, &params, initial, run_seed)?;
         assert_matches_reference(None, &ising, &schedule, &params, initial, run_seed)?;
@@ -612,8 +586,8 @@ proptest! {
 
 #[test]
 fn gate_first_kernels_match_the_draw_after_reference_on_every_shape() {
-    // Every (slices, schedule kind, cluster, global, gate on/off) shape
-    // once, on one dense and one sparse problem.
+    // Every (slices, schedule kind, gate on/off) shape once, on one dense
+    // and one sparse problem.
     let mut rng = Rng64::new(0x6A7E);
     for density in [1.0, 0.2] {
         let ising = random_ising(12, density, &mut rng);
@@ -632,29 +606,79 @@ fn gate_first_kernels_match_the_draw_after_reference_on_every_shape() {
                     ..Default::default()
                 };
                 for trotter_slices in [2, 3, 8, 16] {
-                    for (cluster_moves, global_moves) in
-                        [(false, false), (true, false), (false, true), (true, true)]
-                    {
-                        let pimc = PimcEngine {
-                            trotter_slices,
-                            global_moves,
-                            cluster_moves,
-                        };
-                        let seed = rng.next_u64();
-                        assert_matches_reference(
-                            Some(pimc),
-                            &ising,
-                            &schedule,
-                            &params,
-                            initial,
-                            seed,
-                        )
+                    let pimc = PimcEngine::new(trotter_slices);
+                    let seed = rng.next_u64();
+                    assert_matches_reference(Some(pimc), &ising, &schedule, &params, initial, seed)
                         .unwrap();
-                    }
                 }
                 assert_matches_reference(None, &ising, &schedule, &params, initial, rng.next_u64())
                     .unwrap();
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lockstep lanes against the one-lane reference
+// ---------------------------------------------------------------------------
+
+/// A problem the kernel serves: a random dense Ising, or a random logical
+/// QUBO minor-embedded (with chains) on a Chimera graph.
+fn lockstep_problem(rng: &mut Rng64) -> Ising {
+    if rng.next_bool() {
+        random_ising(1 + rng.next_index(16), 1.0, rng)
+    } else {
+        let m = 1 + rng.next_index(2);
+        let n_logical = 1 + rng.next_index(4 * m);
+        let (logical, _) = random_qubo(n_logical, rng).to_ising();
+        CliqueEmbedding::new(Chimera::new(m), n_logical)
+            .embed(&logical, ChainStrength::RelativeToMax(2.0))
+    }
+}
+
+/// Runs `lanes` reads of one submission through the lockstep kernel and
+/// each lane's seed alone through the draw-after reference; every lane's
+/// readout and trailing RNG state must match its lone reference run.
+fn assert_lanes_match_reference(
+    lanes: usize,
+    ising: &Ising,
+    schedule: &AnnealSchedule,
+    params: &AnnealParams,
+    initial: Option<&[i8]>,
+    rng: &mut Rng64,
+) -> Result<(), TestCaseError> {
+    let profile = DWaveProfile::calibrated();
+    let pimc = PimcEngine::new([2, 3, 8][rng.next_index(3)]);
+    let seeds: Vec<u64> = (0..lanes).map(|_| rng.next_u64()).collect();
+    let mut lane_rngs: Vec<Rng64> = seeds.iter().map(|&s| Rng64::new(s)).collect();
+    let reads = pimc.run_reads(ising, &profile, schedule, params, initial, &mut lane_rngs);
+    prop_assert_eq!(reads.len(), lanes);
+    for ((read, lane_rng), &seed) in reads.iter().zip(&mut lane_rngs).zip(&seeds) {
+        let mut alone = Rng64::new(seed);
+        let reference = pimc_draw_after(
+            &pimc, ising, &profile, schedule, params, initial, &mut alone,
+        );
+        prop_assert_eq!(read, &reference);
+        prop_assert_eq!(lane_rng.next_u64(), alone.next_u64(), "lane RNG diverged");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn lockstep_lanes_match_the_one_lane_reference(seed in any::<u64>()) {
+        let mut rng = Rng64::new(seed);
+        let ising = lockstep_problem(&mut rng);
+        let n = ising.num_vars();
+        let schedule = schedule_of(rng.next_index(3), &mut rng);
+        let initial: Vec<i8> = (0..n).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
+        let initial = schedule.requires_initial_state().then_some(initial.as_slice());
+        let mut params = random_params(&mut rng);
+        params.sweeps_per_us = params.sweeps_per_us.min(12);
+        for lanes in [1, 2, 3, 5, 16] {
+            assert_lanes_match_reference(lanes, &ising, &schedule, &params, initial, &mut rng)?;
         }
     }
 }

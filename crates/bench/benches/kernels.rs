@@ -22,7 +22,9 @@
 //!   Statistically equivalent, not bit-identical.
 //!
 //! The PIMC/SVMC engine reads run their one (gate-first, bit-identical)
-//! kernel, including PIMC at the paper detector's 16-spin serving shape.
+//! kernel; the PIMC rows include the shapes the system serves: the paper
+//! detector's 16-read reverse anneal on 16 spins and the mock QPU's 4-read
+//! forward anneal on its 32-qubit embedding.
 //! Output: a human-readable table on stdout plus
 //! `BENCH_kernels.json` at the workspace root (override with the
 //! `BENCH_OUT` environment variable), including a `machine` stanza so the
@@ -34,8 +36,10 @@
 //! cargo bench -p hqw-bench
 //! ```
 
+use hqw_anneal::embedding::{ChainStrength, CliqueEmbedding};
 use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
-use hqw_anneal::{AnnealSchedule, DWaveProfile};
+use hqw_anneal::topology::Chimera;
+use hqw_anneal::{AnnealParams, AnnealSchedule, DWaveProfile};
 use hqw_math::Rng64;
 use hqw_phy::{DetectionInstance, InstanceConfig, Modulation};
 use hqw_qubo::csr::CsrIsing;
@@ -282,10 +286,14 @@ fn bench_parallel_reads(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f
     out.extend(ms);
 }
 
-/// Annealer-engine read costs: one 4-read reverse-anneal submission per
-/// iteration. PIMC-16 and SVMC run on a medium random instance; PIMC-8 runs
-/// at the paper detector's serving shape (an 8-user QPSK frame, 16 spins,
-/// greedy seed, `s_p = 0.65`).
+/// Annealer-engine read costs: one reverse-anneal submission per
+/// iteration. PIMC-16 and SVMC run 4 reads on a medium random instance;
+/// PIMC-8 runs the paper detector's problem (an 8-user QPSK frame, 16
+/// spins, greedy seed, `s_p = 0.65`) with 4 reads, the row's historical
+/// shape, and with the 16 reads that `detect-ra` and the `ber` roster
+/// actually submit. The last row is the mock QPU's served shape: 4
+/// forward-anneal reads of a 4-user QPSK frame through the 32-qubit C₂
+/// clique embedding.
 fn bench_engine_reads(out: &mut Vec<Measurement>) {
     let mut rng = Rng64::new(14);
     let q = sparse_random_qubo(64, 0.3, &mut rng);
@@ -298,35 +306,50 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
     let paper_q = frame.reduction.qubo;
     let (paper_init, _) = greedy_search(&paper_q, GreedyConfig::default());
     let paper_schedule = AnnealSchedule::reverse(0.65, 1.0).unwrap();
-    for (label, engine, q, init, schedule, iters) in [
+    let sampler_for = |engine: EngineKind, num_reads: usize, params: AnnealParams| {
+        QuantumSampler::new(
+            DWaveProfile::calibrated(),
+            SamplerConfig {
+                num_reads,
+                engine,
+                params,
+                threads: 1,
+                ..Default::default()
+            },
+        )
+    };
+    for (label, engine, reads, q, init, schedule, iters) in [
         (
             "pimc16",
             EngineKind::Pimc { trotter_slices: 16 },
+            4,
             &q,
             &init,
             &schedule,
             5,
         ),
-        ("svmc", EngineKind::Svmc, &q, &init, &schedule, 5),
+        ("svmc", EngineKind::Svmc, 4, &q, &init, &schedule, 5),
         (
             "pimc8_paper",
             EngineKind::Pimc { trotter_slices: 8 },
+            4,
             &paper_q,
             &paper_init,
             &paper_schedule,
             40,
         ),
+        (
+            "pimc8_16reads",
+            EngineKind::Pimc { trotter_slices: 8 },
+            16,
+            &paper_q,
+            &paper_init,
+            &paper_schedule,
+            10,
+        ),
     ] {
         let n = q.num_vars();
-        let sampler = QuantumSampler::new(
-            DWaveProfile::calibrated(),
-            SamplerConfig {
-                num_reads: 4,
-                engine,
-                threads: 1,
-                ..Default::default()
-            },
-        );
+        let sampler = sampler_for(engine, reads, AnnealParams::default());
         let mut seed = 0u64;
         let mut read = || {
             seed += 1;
@@ -339,6 +362,44 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
             &mut [&mut read],
         ));
     }
+
+    // The mock QPU (`fabric` preset): 2 µs forward anneals at 8 sweeps/µs,
+    // 8 Trotter slices, chain strength 2× the largest coupling.
+    let qpu_frame = DetectionInstance::generate(
+        &InstanceConfig::paper(4, Modulation::Qpsk),
+        &mut Rng64::new(16),
+    );
+    let qpu_q = qpu_frame.reduction.qubo;
+    let graph = Chimera::new(2);
+    let embedding = CliqueEmbedding::new(graph, qpu_q.num_vars());
+    let qpu_schedule = AnnealSchedule::forward(2.0).unwrap();
+    let qpu = sampler_for(
+        EngineKind::Pimc { trotter_slices: 8 },
+        4,
+        AnnealParams {
+            sweeps_per_us: 8,
+            ..AnnealParams::default()
+        },
+    );
+    let n = graph.num_qubits();
+    let mut seed = 0u64;
+    let mut read = || {
+        seed += 1;
+        black_box(qpu.sample_qubo_embedded(
+            &qpu_q,
+            &embedding,
+            ChainStrength::RelativeToMax(2.0),
+            &qpu_schedule,
+            None,
+            seed,
+        ));
+    };
+    out.extend(bench_interleaved(
+        &[&format!("anneal_read/fa_mockqpu_pimc8/{n}")],
+        n,
+        40,
+        &mut [&mut read],
+    ));
 }
 
 /// Minimal JSON emitter (no external crates available offline).

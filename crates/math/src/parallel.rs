@@ -35,35 +35,63 @@ where
     T: Send,
     F: Fn(usize, &S) -> T + Sync,
 {
+    parallel_map_chunks(items, threads, |base, chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .map(|(off, item)| f(base + off, item))
+            .collect()
+    })
+}
+
+/// Splits `items` into one contiguous chunk per worker thread (`0` = all
+/// available cores) and maps each chunk with `f(base_index, chunk)`, which
+/// must return one result per item; the results come back **in input
+/// order**. Kernels that advance a whole chunk together (lockstep anneal
+/// reads) use this directly; [`parallel_map_indexed`] is its per-item form.
+///
+/// The same contract holds: per-item randomness derives from the item's
+/// index, never from the chunk boundaries, so the output is bit-identical
+/// for every thread count.
+///
+/// # Panics
+/// Propagates a panic from `f` (the scope joins all workers first), and
+/// panics when `f` returns the wrong number of results for a chunk.
+pub fn parallel_map_chunks<S, T, F>(items: &[S], threads: usize, f: F) -> Vec<T>
+where
+    S: Sync,
+    T: Send,
+    F: Fn(usize, &[S]) -> Vec<T> + Sync,
+{
     let threads = resolve_threads(threads).min(items.len().max(1));
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-
+    let run = |base: usize, chunk: &[S]| {
+        let out = f(base, chunk);
+        assert_eq!(
+            out.len(),
+            chunk.len(),
+            "parallel_map_chunks: one result per item"
+        );
+        out
+    };
     if threads <= 1 {
-        for (idx, (slot, item)) in slots.iter_mut().zip(items).enumerate() {
-            *slot = Some(f(idx, item));
-        }
-    } else {
-        let chunk = items.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, (slot_chunk, item_chunk)) in
-                slots.chunks_mut(chunk).zip(items.chunks(chunk)).enumerate()
-            {
-                let f = &f;
-                scope.spawn(move || {
-                    let base = chunk_idx * chunk;
-                    for (off, (slot, item)) in slot_chunk.iter_mut().zip(item_chunk).enumerate() {
-                        *slot = Some(f(base + off, item));
-                    }
-                });
-            }
-        });
+        return run(0, items);
     }
-
-    slots
-        .into_iter()
-        .map(|s| s.expect("parallel_map_indexed: all items completed"))
-        .collect()
+    let chunk = items.len().div_ceil(threads);
+    let parts: Vec<Vec<T>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = items
+            .chunks(chunk)
+            .enumerate()
+            .map(|(chunk_idx, item_chunk)| {
+                let run = &run;
+                scope.spawn(move || run(chunk_idx * chunk, item_chunk))
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    parts.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -91,6 +119,22 @@ mod tests {
     fn empty_input_is_fine() {
         let out: Vec<u32> = parallel_map_indexed(&[] as &[u32], 4, |_, &x| x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn chunks_are_contiguous_and_reassemble_in_order() {
+        let items: Vec<u64> = (0..23).collect();
+        for threads in [1, 2, 3, 7, 23, 100, 0] {
+            let out = parallel_map_chunks(&items, threads, |base, chunk| {
+                // Each chunk starts at its base index and is contiguous.
+                assert_eq!(chunk[0], base as u64);
+                chunk.iter().map(|&x| (base as u64, x)).collect()
+            });
+            let values: Vec<u64> = out.iter().map(|&(_, x)| x).collect();
+            assert_eq!(values, items, "threads={threads}");
+            let chunks = out.windows(2).filter(|w| w[0].0 != w[1].0).count() + 1;
+            assert!(chunks <= resolve_threads(threads), "threads={threads}");
+        }
     }
 
     #[test]

@@ -72,7 +72,39 @@ impl Rng64 {
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        Self::unit_f64(self.next_u53())
+    }
+
+    /// Uniform integer in `[0, 2⁵³)`: the draw behind [`Rng64::next_f64`],
+    /// which returns exactly [`Rng64::unit_f64`] of it.
+    #[inline]
+    pub fn next_u53(&mut self) -> u64 {
+        self.next_u64() >> 11
+    }
+
+    /// The `f64` value `m · 2⁻⁵³` of a [`Rng64::next_u53`] draw `m` (exact).
+    #[inline]
+    pub fn unit_f64(m: u64) -> f64 {
+        m as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Integer form of the Bernoulli test `next_f64() < p`: for every draw
+    /// `m` of [`Rng64::next_u53`], `m < unit_threshold(p)` holds exactly
+    /// when `unit_f64(m) < p` does.
+    ///
+    /// Scaling by `2⁵³` is exact in binary floating point, so
+    /// `m · 2⁻⁵³ < p ⇔ m < p · 2⁵³ ⇔ m < ⌈p · 2⁵³⌉` for integer `m`. A
+    /// kernel that tests the same `p` many times computes the threshold once
+    /// and compares integers. `p ≤ 0` (and NaN) gives 0, which no draw
+    /// passes; `p ≥ 1` gives `2⁵³`, which every draw passes.
+    pub fn unit_threshold(p: f64) -> u64 {
+        if p >= 1.0 {
+            1 << 53
+        } else if p > 0.0 {
+            (p * (1u64 << 53) as f64).ceil() as u64
+        } else {
+            0
+        }
     }
 
     /// Uniform `f64` in `[lo, hi)`.
@@ -282,6 +314,64 @@ mod tests {
         assert_eq!(counts[0], 0);
         let ratio = counts[2] as f64 / counts[1] as f64;
         assert!((ratio - 3.0).abs() < 0.3, "ratio={ratio}");
+    }
+
+    #[test]
+    fn unit_threshold_is_the_integer_form_of_next_f64_below_p() {
+        // Edge probabilities: zero, the smallest subnormal, one ULP of the
+        // draw grid, a half, one below one, one.
+        let edges = [
+            0.0,
+            5e-324,
+            1.0 / (1u64 << 53) as f64,
+            0.5,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+        ];
+        // Draws on and beside every edge threshold, plus the extremes.
+        let mut draws = vec![
+            0u64,
+            1,
+            (1 << 52) - 1,
+            1 << 52,
+            (1 << 53) - 2,
+            (1 << 53) - 1,
+        ];
+        for &p in &edges {
+            let t = Rng64::unit_threshold(p);
+            draws.extend([t.saturating_sub(1), t, t + 1].map(|m| m.min((1 << 53) - 1)));
+        }
+        let mut rng = Rng64::new(41);
+        let mut probs: Vec<f64> = edges.to_vec();
+        probs.extend((0..200).map(|_| rng.next_f64()));
+        probs.extend([-0.5, 1.5, f64::NAN]);
+        draws.extend((0..200).map(|_| rng.next_u53()));
+        for &p in &probs {
+            let t = Rng64::unit_threshold(p);
+            for &m in &draws {
+                assert_eq!(m < t, Rng64::unit_f64(m) < p, "p={p:e} m={m}");
+            }
+            // On a live stream the integer and float tests agree draw for draw.
+            let (mut a, mut b) = (Rng64::new(p.to_bits()), Rng64::new(p.to_bits()));
+            for _ in 0..64 {
+                assert_eq!(a.next_u53() < t, b.next_f64() < p);
+            }
+        }
+        assert_eq!(Rng64::unit_threshold(0.0), 0);
+        assert_eq!(Rng64::unit_threshold(1.0), 1 << 53);
+        assert_eq!(Rng64::unit_threshold(0.5), 1 << 52);
+        assert_eq!(Rng64::unit_threshold(5e-324), 1);
+    }
+
+    #[test]
+    fn next_f64_is_the_scaled_u53_draw() {
+        let (mut a, mut b) = (Rng64::new(43), Rng64::new(43));
+        for _ in 0..1000 {
+            assert_eq!(
+                a.next_f64().to_bits(),
+                Rng64::unit_f64(b.next_u53()).to_bits()
+            );
+        }
     }
 
     #[test]
