@@ -9,7 +9,8 @@ BENCH_kernels.json
     the bit-packed/f32 SA Fast kernel keeps >= 10x there;
   * at 512 spins (sparse) both rebuilt SA kernels keep >= 1.5x;
   * (the PIMC/SVMC engine reads have one kernel, so their anneal_read/*
-    rows carry no ratio floor; the --history walk tracks the PIMC-16 read)
+    rows carry no ratio floor; the --history walk tracks the PIMC-16 read
+    and the served 16-read PIMC-8 submission)
   * the all-cores 16-read batch is strictly faster than the serial batch
     when the measuring machine actually has multiple cores (the `machine`
     stanza says so); on a single-core box the comparison is pure scheduler
@@ -57,7 +58,9 @@ BENCH_fabric_rt.json
   * walks the committed BENCH_*.json files across git history and prints a
     perf-trajectory table (one row per commit that touched a BENCH file);
     its pimc16 column is the PIMC-16 engine read's ns/iter
-    (anneal_read/ra_pimc16/64), "-" where a commit did not record it;
+    (anneal_read/ra_pimc16/64) and its pimc8x16 column the served shape's,
+    detect-ra's 16-read PIMC-8 submission (anneal_read/ra_pimc8_16reads/16),
+    "-" where a commit did not record it;
   * gates that the *newest* committed BENCH_kernels.json still holds the
     dense-256 Fast sweep-kernel speedup floor (>= 10x) — history may wander,
     the present may not.
@@ -926,6 +929,7 @@ HISTORY_COLUMNS = [
     ("BENCH_kernels.json", "exact256", lambda b: b["derived"]["sa_sweep_speedup_256"]),
     ("BENCH_kernels.json", "fast256", lambda b: b["derived"]["sa_sweep_speedup_fast_256"]),
     ("BENCH_kernels.json", "pimc16", lambda b: _result_ns(b, "anneal_read/ra_pimc16/64")),
+    ("BENCH_kernels.json", "pimc8x16", lambda b: _result_ns(b, "anneal_read/ra_pimc8_16reads/16")),
     ("BENCH_fabric.json", "fab_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_fps", lambda b: max(p["frames_per_sec"] for p in b["points"])),

@@ -64,10 +64,10 @@ impl DWaveProfile {
     /// Classical Monte-Carlo kinetics over-estimates thermal hopping
     /// relative to the hardware's partly-coherent dynamics, so simulator
     /// studies routinely fit an *effective* temperature rather than the
-    /// cryostat reading. 9 mK was chosen by the calibration study recorded
-    /// in `EXPERIMENTS.md` — the coldest-grained setting at which (a)
-    /// forward annealing retains its hardware-like small success
-    /// probability, (b) reverse annealing from harvested low-ΔE_IS seeds
+    /// cryostat reading. 9 mK was chosen by a sweep of that effective
+    /// temperature — the coldest-grained setting at which (a) forward
+    /// annealing retains its hardware-like small success probability,
+    /// (b) reverse annealing from harvested low-ΔE_IS seeds
     /// repairs them at 10–20× the forward rate, and (c) the `s_p` band
     /// structure of the paper's Figure 8 appears.
     pub fn calibrated() -> Self {

@@ -64,6 +64,104 @@ impl FreezeOut {
     }
 }
 
+/// Gate value from which [`GateGaps`] counts Bernoulli trials instead of
+/// inverting the geometric CDF: below it one `ln` per passing move is
+/// cheaper than the `1/g` draws it replaces, above it (the mock QPU's
+/// forward anneals run at `g ≈ 0.5`) counting trials wins.
+const GAP_TRIALS_FROM: f64 = 0.125;
+
+/// Sampler of the gaps between the moves a freeze-out gate lets through.
+///
+/// Within one sweep the gate `g` is a constant, so the moves that pass it
+/// form a Bernoulli(g) process in move order and the number of moves
+/// skipped before the next passing one is Geometric(g):
+/// `P(G = k) = (1−g)^k·g`. [`GateGaps::gap`] draws that gap directly.
+///
+/// * `g ≥ 1` — every move passes: the gap is 0 and no draw is made.
+/// * `g < 1/8` — inversion, `G = ⌊ln(1−U) / ln1p(−g)⌋` from one uniform
+///   `U = m·2⁻⁵³`. Rounding bound: `1−U` is exact, and with `ln`/`ln1p`
+///   within 1 ulp and the division within ½ ulp the computed quotient is
+///   `x·(1+δ)`, `|δ| ≤ 3·2⁻⁵³`. That shifts each tail `P(G ≥ k) = (1−g)^k`
+///   by at most `3·2⁻⁵³·y·e^{−y}` with `y = −k·ln(1−g)`, i.e. by
+///   `3·2⁻⁵³/e`; the 2⁻⁵³ grid of `U` adds at most 2⁻⁵³. Every tail
+///   probability is therefore within 2⁻⁵¹ of the exact geometric one —
+///   the resolution of the per-move `u < g` test it replaces.
+/// * `1/8 ≤ g < 1` — counts integer Bernoulli trials `m < ⌈g·2⁵³⌉`
+///   ([`Rng64::unit_threshold`]): exactly Geometric(⌈g·2⁵³⌉·2⁻⁵³), the
+///   coin the per-move test `u < g` tossed.
+///
+/// Every gap is capped at the moves left, so `pos + gap` never passes the
+/// move count (a quotient beyond `usize`, even `+∞` at sub-normal `g`,
+/// saturates in the cast before the cap).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum GateGaps {
+    /// `g ≥ 1`: no move is skipped.
+    Every,
+    /// `g < 1/8`: inversion with the cached `ln1p(−g)`.
+    Inversion { ln_q: f64 },
+    /// `1/8 ≤ g < 1`: trial counting against the integer threshold.
+    Trials { below: u64 },
+}
+
+impl GateGaps {
+    /// The sampler for gate `g > 0`.
+    pub(crate) fn new(g: f64) -> Self {
+        debug_assert!(g > 0.0, "a closed gate has no passing moves");
+        if g >= 1.0 {
+            GateGaps::Every
+        } else if g < GAP_TRIALS_FROM {
+            GateGaps::Inversion { ln_q: (-g).ln_1p() }
+        } else {
+            GateGaps::Trials {
+                below: Rng64::unit_threshold(g),
+            }
+        }
+    }
+
+    /// Moves skipped before the next passing one, capped at `left` (the
+    /// moves still ahead in the sweep); `left = 0` makes no draw.
+    #[inline]
+    pub(crate) fn gap(&self, rng: &mut Rng64, left: usize) -> usize {
+        if left == 0 {
+            return 0;
+        }
+        match *self {
+            GateGaps::Every => 0,
+            GateGaps::Inversion { ln_q } => {
+                (((1.0 - rng.next_f64()).ln() / ln_q) as usize).min(left)
+            }
+            GateGaps::Trials { below } => {
+                let mut skipped = 0;
+                while skipped < left && rng.next_u53() >= below {
+                    skipped += 1;
+                }
+                skipped
+            }
+        }
+    }
+
+    /// Visits the passing moves among `moves` in order, `visit(rng, pos)`
+    /// for each. The walk starts afresh, which is exact because the
+    /// geometric distribution is memoryless. The gap to the next passing
+    /// move is drawn before the current one is visited: the gaps are
+    /// independent of the moves, so the order of the draws is free, and
+    /// this one lets the `ln` of an inverted gap overlap the move's work.
+    #[inline]
+    pub(crate) fn walk(
+        &self,
+        rng: &mut Rng64,
+        moves: usize,
+        mut visit: impl FnMut(&mut Rng64, usize),
+    ) {
+        let mut pos = self.gap(rng, moves);
+        while pos < moves {
+            let next = pos + 1 + self.gap(rng, moves - pos - 1);
+            visit(rng, pos);
+            pos = next;
+        }
+    }
+}
+
 /// Engine-independent simulation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct AnnealParams {
@@ -105,6 +203,23 @@ impl AnnealParams {
     /// Number of sweeps for a schedule (at least 1).
     pub fn total_sweeps(&self, schedule: &AnnealSchedule) -> usize {
         ((schedule.duration_us() * self.sweeps_per_us as f64).round() as usize).max(1)
+    }
+
+    /// `(sweep index, s, gate)` of every sweep of `schedule` whose
+    /// freeze-out gate is open, `s` taken at the sweep's midpoint. A closed
+    /// gate (`g = 0`) freezes its sweep, so the engines skip it.
+    pub(crate) fn open_sweeps<'a>(
+        &'a self,
+        profile: &'a DWaveProfile,
+        schedule: &'a AnnealSchedule,
+    ) -> impl Iterator<Item = (usize, f64, f64)> + 'a {
+        let total = self.total_sweeps(schedule);
+        let duration = schedule.duration_us();
+        (0..total).filter_map(move |sweep| {
+            let s = schedule.s_at((sweep as f64 + 0.5) * duration / total as f64);
+            let gate = self.gate(profile.a_ghz(s));
+            (gate > 0.0).then_some((sweep, s, gate))
+        })
     }
 
     /// Validates parameter ranges.
@@ -164,9 +279,9 @@ pub trait AnnealEngine: Send + Sync {
     ///
     /// Every read consumes only its own generator, in the order
     /// [`AnnealEngine::run`] would, so each readout and each trailing
-    /// generator state equals a lone `run` on that generator. The default
-    /// runs the reads one after another; [`crate::pimc::PimcEngine`]
-    /// advances them in lockstep.
+    /// generator state equals a lone `run` on that generator. The reads
+    /// run one after another; [`crate::pimc::PimcEngine`] shares one CSR,
+    /// one sweep plan and one scratch across them.
     ///
     /// # Panics
     /// As [`AnnealEngine::run`].
@@ -254,6 +369,105 @@ mod tests {
     fn reverse_without_initial_panics() {
         let s = AnnealSchedule::reverse(0.5, 1.0).unwrap();
         resolve_initial(&s, 4, None);
+    }
+
+    #[test]
+    fn an_open_gate_skips_nothing_and_draws_nothing() {
+        let gaps = GateGaps::new(1.0);
+        assert!(matches!(gaps, GateGaps::Every));
+        let mut rng = Rng64::new(9);
+        let mut untouched = rng.clone();
+        for left in [0, 1, 100, usize::MAX] {
+            assert_eq!(gaps.gap(&mut rng, left), 0);
+        }
+        assert_eq!(rng.next_u64(), untouched.next_u64(), "a draw was made");
+    }
+
+    /// The χ² quantile at 1 − 10⁻³ (Wilson–Hilferty).
+    fn chi2_critical(dof: usize) -> f64 {
+        let c = 2.0 / (9.0 * dof as f64);
+        dof as f64 * (1.0 - c + 3.090_232 * c.sqrt()).powi(3)
+    }
+
+    #[test]
+    fn both_gap_branches_match_the_geometric_pmf() {
+        const SAMPLES: usize = 20_000;
+        const BINS: usize = 16;
+        let below_crossover = f64::from_bits(GAP_TRIALS_FROM.to_bits() - 1);
+        assert!(matches!(
+            GateGaps::new(GAP_TRIALS_FROM),
+            GateGaps::Trials { .. }
+        ));
+        assert!(matches!(
+            GateGaps::new(below_crossover),
+            GateGaps::Inversion { .. }
+        ));
+        let mut rng = Rng64::new(0x6E0);
+        for g in [0.9, 0.5, GAP_TRIALS_FROM, below_crossover, 0.053, 1e-3] {
+            let q = 1.0 - g;
+            // Bins [edge_j, edge_{j+1}) of near-equal Geometric(g) mass;
+            // the last one is the tail.
+            let mut edges: Vec<u32> = (0..BINS)
+                .map(|j| ((1.0 - j as f64 / BINS as f64).ln() / q.ln()).ceil() as u32)
+                .collect();
+            edges.dedup();
+            let tail = |k: u32| q.powi(k as i32);
+            let expected: Vec<f64> = (0..edges.len())
+                .map(|j| {
+                    let next = edges.get(j + 1).map_or(0.0, |&e| tail(e));
+                    SAMPLES as f64 * (tail(edges[j]) - next)
+                })
+                .collect();
+            assert!(expected.iter().all(|&e| e >= 5.0), "g={g}: sparse bin");
+            for (branch, gaps) in [
+                ("inversion", GateGaps::Inversion { ln_q: (-g).ln_1p() }),
+                (
+                    "trials",
+                    GateGaps::Trials {
+                        below: Rng64::unit_threshold(g),
+                    },
+                ),
+            ] {
+                let mut counts = vec![0u64; edges.len()];
+                for _ in 0..SAMPLES {
+                    let gap = gaps.gap(&mut rng, usize::MAX);
+                    counts[edges.partition_point(|&e| e as usize <= gap) - 1] += 1;
+                }
+                let chi2: f64 = counts
+                    .iter()
+                    .zip(&expected)
+                    .map(|(&o, &e)| (o as f64 - e).powi(2) / e)
+                    .sum();
+                let critical = chi2_critical(edges.len() - 1);
+                assert!(
+                    chi2 < critical,
+                    "{branch} at g={g}: chi2 {chi2:.1} >= {critical:.1}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gaps_are_capped_at_the_moves_left() {
+        // At g = 2⁻⁵³ and sub-normal g the inverted quotient exceeds any
+        // move count (or is +∞); the cap keeps `pos + gap` in range, which
+        // the overflow-checked profiles verify.
+        let mut rng = Rng64::new(12);
+        for g in [2f64.powi(-53), f64::MIN_POSITIVE, 1e-310, f64::from_bits(1)] {
+            let gaps = GateGaps::new(g);
+            for left in [0, 1, 17, usize::MAX] {
+                let pos = usize::MAX - left;
+                let gap = gaps.gap(&mut rng, left);
+                assert!(gap <= left, "g={g}: gap {gap} past {left} moves");
+                let end = pos + gap;
+                if left <= 17 {
+                    assert_eq!(end, usize::MAX, "g={g}: one of {left} moves passed");
+                }
+            }
+            let mut visits = 0u32;
+            gaps.walk(&mut rng, usize::MAX, |_, _| visits += 1);
+            assert!(visits < 10_000, "g={g}: {visits} passing moves");
+        }
     }
 
     #[test]

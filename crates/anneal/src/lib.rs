@@ -1,9 +1,8 @@
 //! # hqw-anneal — quantum annealer simulator substrate
 //!
 //! The paper prototypes on a D-Wave 2000Q, hardware this reproduction does
-//! not have; per the substitution plan in `DESIGN.md`, this crate implements
-//! a **simulated analog quantum annealer** exposing the same programming
-//! surface the paper used:
+//! not have; in its place this crate implements a **simulated analog
+//! quantum annealer** exposing the same programming surface the paper used:
 //!
 //! * [`schedule`] — piecewise-linear `[time µs, s]` anneal schedules with
 //!   §4.1's exact FA / RA / FR constructors (Figure 5).

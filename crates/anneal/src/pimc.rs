@@ -25,39 +25,33 @@
 //! Readout: per-site majority vote across slices (D-Wave readout projects
 //! the state; at `s = 1` slices agree except for rare unfrozen sites).
 //!
-//! Gate-first lazy chain: every acceptance is `gate · min(1, e^{−Δ})`, the
-//! freeze-out gate of [`crate::engine::FreezeOut`], and over the paper's
-//! reverse-anneal window (`s ≥ 0.65`) the gate is a few percent at most.
-//! So each move draws its uniform `u` first and rejects on `u ≥ gate`
-//! before it reads a field or calls `exp`; only `u < gate` computes Δ and
-//! tests `u < gate·e^{−Δ}`. This is bit-identical to computing Δ before
-//! the draw: the RNG stream is unchanged (one draw per proposal, in the
-//! same order), the float ops that do run are the same, and in IEEE
-//! arithmetic `gate·e^{−Δ} ≤ gate`, so every `u` rejected early would have
-//! been rejected anyway. A cluster move makes its Bernoulli bond draws
-//! while the segment grows, then its accept draw, as before; only the
-//! segment's Δ sum waits for the gate.
+//! Rejection-free gate: every acceptance is `g · min(1, e^{−Δ})`, the
+//! freeze-out gate `g` of [`crate::engine::FreezeOut`] times Metropolis,
+//! and over the paper's reverse-anneal window (`s ≥ 0.65`) `g` is a few
+//! percent. Given `u < g`, `u/g` is uniform, so that test is a gate coin
+//! of probability `g`, independent of the state, then a fresh Metropolis
+//! test. Within a sweep `g` is constant, so the passing moves are a
+//! Bernoulli(g) process in move order, with i.i.d. Geometric(g) gaps. Each
+//! sweep numbers its `P·n` single-site moves (slice-major), then its `n`
+//! cluster moves, and jumps from one passing move to the next
+//! (`engine::GateGaps`); a skipped move draws nothing. The walk restarts
+//! at every sweep boundary, exact by memorylessness. A passing move tests
+//! `e^{−Δ}` with a fresh uniform when `Δ > 0`; a passing cluster move
+//! first draws its start slice and grows its Wolff segment, which is
+//! valid because the growth is independent of the gate coin. Rounding:
+//! below `g = 1/8` a gap is `⌊ln(1−U) / ln1p(−g)⌋`, with every tail
+//! `P(G ≥ k)` within 2⁻⁵¹ of `(1−g)^k`; from `1/8` up it counts integer
+//! trials `m < ⌈g·2⁵³⌉`, exactly the per-move coin; at `g ≥ 1` it is 0.
+//! The chain is the same in distribution (`tests/equivalence.rs` checks
+//! it against the per-move chain) at about `g` of the draws.
 //!
-//! Integer gate: the gate and bond tests compare the raw 53-bit draw `m`
-//! behind `u = m·2⁻⁵³` against a per-sweep threshold
-//! ([`Rng64::unit_threshold`]): `m < ⌈p·2⁵³⌉` holds exactly when
-//! `u < p` does, so the common reject costs one integer compare and no
-//! float conversion. Only a draw that passes the gate is converted, for
-//! the `u < gate·e^{−Δ}` test.
-//!
-//! Lanes: [`AnnealEngine::run_reads`] runs all reads of a submission in
-//! lockstep on one problem. The CSR is built once, the schedule constants
-//! (`s`, `J⊥`, the gate and bond thresholds) once per sweep, and at each
-//! (slice, site) — then at each site for the cluster moves — every lane
-//! steps its own RNG and its own replicas. Lanes share nothing mutable, so
-//! each lane consumes its RNG in exactly the order a lone read would: the
-//! readouts and trailing RNG states equal one-lane runs, and
-//! [`AnnealEngine::run`] is the one-lane case. Interleaving independent
-//! lanes also overlaps their serial RNG chains on the core. Replicas and
-//! fields live in lane-major scratch: `spins[(l·P + k)·n + i]`.
+//! Reads: [`AnnealEngine::run_reads`] builds the CSR, the sweep plan and
+//! a programmed state's local fields once, then runs the reads one after
+//! another over one scratch. Each read consumes only its own generator,
+//! so the results equal lone [`AnnealEngine::run`] calls.
 
 use crate::dwave::DWaveProfile;
-use crate::engine::{resolve_initial, AnnealEngine, AnnealParams};
+use crate::engine::{resolve_initial, AnnealEngine, AnnealParams, GateGaps};
 use crate::schedule::AnnealSchedule;
 use hqw_math::Rng64;
 use hqw_qubo::{CsrIsing, Ising};
@@ -92,6 +86,18 @@ impl Default for PimcEngine {
     }
 }
 
+/// One sweep's constants, a row of the plan built before any read runs.
+struct Sweep {
+    /// Inter-slice coupling `J⊥(s)`.
+    j_perp: f64,
+    /// Classical action scale `β·B(s)/(2P)`.
+    k_cl: f64,
+    /// Integer threshold of the cluster bond probability `1 − e^{−2·J⊥}`.
+    bond_below: u64,
+    /// Gaps between the moves the sweep's gate lets through.
+    gaps: GateGaps,
+}
+
 impl PimcEngine {
     /// Creates an engine with the given slice count.
     ///
@@ -111,6 +117,152 @@ impl PimcEngine {
         let arg = (beta * gamma / self.trotter_slices as f64).tanh();
         (-0.5 * arg.ln()).min(J_PERP_MAX)
     }
+
+    /// The constants of every sweep whose freeze-out gate is open.
+    fn sweep_plan(
+        &self,
+        profile: &DWaveProfile,
+        schedule: &AnnealSchedule,
+        params: &AnnealParams,
+    ) -> Vec<Sweep> {
+        let beta = params.beta(profile);
+        let p_f = self.trotter_slices as f64;
+        let plan = params.open_sweeps(profile, schedule).map(|(_, s, gate)| {
+            let j_perp = self.j_perp(profile, beta, s);
+            Sweep {
+                j_perp,
+                k_cl: beta * profile.b_ghz(s) / (2.0 * p_f),
+                bond_below: Rng64::unit_threshold(1.0 - (-2.0 * j_perp).exp()),
+                gaps: GateGaps::new(gate),
+            }
+        });
+        plan.collect()
+    }
+
+    /// One read over the shared CSR and plan, from the programmed state
+    /// and its local fields when the schedule has one; `spins` and `h_eff`
+    /// are scratch reused across reads.
+    fn read(
+        &self,
+        csr: &CsrIsing,
+        plan: &[Sweep],
+        start: Option<(&[i8], &[f64])>,
+        (spins, h_eff): (&mut Vec<i8>, &mut Vec<f64>),
+        rng: &mut Rng64,
+    ) -> Vec<i8> {
+        let n = csr.num_vars();
+        let p = self.trotter_slices;
+        let pn = p * n;
+
+        // Replicas, spins[k*n + i] = site i of slice k, and their cached
+        // local fields h_eff[k*n + i] = h_i + Σ_j J_ij s_{j,k}: proposals
+        // read a field in O(1); only accepted flips pay an O(degree) update.
+        spins.clear();
+        h_eff.clear();
+        match start {
+            Some((state, fields)) => (0..p).for_each(|_| {
+                spins.extend_from_slice(state);
+                h_eff.extend_from_slice(fields);
+            }),
+            // Forward start (s = 0): the transverse field dominates and the
+            // computational-basis marginal is uniform — random replicas.
+            None => {
+                spins.extend((0..pn).map(|_| if rng.next_bool() { 1i8 } else { -1 }));
+                h_eff.resize(pn, 0.0);
+                for (slice, fields) in spins.chunks_exact(n).zip(h_eff.chunks_exact_mut(n)) {
+                    csr.fill_local_fields(slice, fields);
+                }
+            }
+        }
+        // Flips the spin at `row + i` (`row` = a slice offset) and folds
+        // its sign change into the cached fields of its in-slice neighbors.
+        let flip_and_update = |spins: &mut [i8], h_eff: &mut [f64], row: usize, i: usize| {
+            let s_new = -spins[row + i];
+            spins[row + i] = s_new;
+            let ds = 2.0 * s_new as f64;
+            csr.axpy_row(&mut h_eff[row..row + n], i, ds);
+        };
+        // Neighbors of slice k along the periodic Trotter ring.
+        let up = |k: usize| if k + 1 == p { 0 } else { k + 1 };
+        let down = |k: usize| if k == 0 { p - 1 } else { k - 1 };
+
+        for sweep in plan {
+            // Moves 0..pn are the (slice, site) Metropolis updates, moves
+            // pn..pn+n the per-site cluster moves; only passing moves are
+            // visited, in order, so slice `k` (row `k·n`) needs no division.
+            let (mut k, mut row) = (0, 0);
+            sweep.gaps.walk(rng, pn + n, |rng, pos| {
+                if pos < pn {
+                    while pos >= row + n {
+                        k += 1;
+                        row += n;
+                    }
+                    let i = pos - row;
+                    let sik = spins[row + i] as f64;
+                    let field = h_eff[row + i];
+                    let time_neighbors = (spins[up(k) * n + i] + spins[down(k) * n + i]) as f64;
+                    // Δ action for flipping s_{i,k}: the slice energy
+                    // changes by −2·s·field and each time link by
+                    // +2·J⊥·s·neighbor.
+                    let delta =
+                        -2.0 * sik * sweep.k_cl * field + 2.0 * sik * sweep.j_perp * time_neighbors;
+                    if delta <= 0.0 || rng.next_f64() < (-delta).exp() {
+                        flip_and_update(spins, h_eff, row, i);
+                    }
+                    return;
+                }
+                // Imaginary-time cluster move at site i: grow a Wolff
+                // segment along the Trotter ring with bond probability
+                // 1 − e^{−2·J⊥} over aligned time-neighbors, then flip it,
+                // accepting on the classical (field) part alone. Stochastic
+                // bond growth makes the proposal symmetric; at large J⊥ the
+                // segment usually wraps the whole ring and the move
+                // degenerates into a classical Metropolis flip at the full
+                // device β — thermal activation.
+                let i = pos - pn;
+                let at = |k: usize| k * n + i;
+                let start = rng.next_index(p);
+                let s0 = spins[at(start)];
+                // The segment is the cyclic run [lo, hi] holding `len`
+                // slices. Growth stops, without a bond draw, at the first
+                // anti-aligned slice or once the run covers the whole ring;
+                // otherwise a failed Bernoulli bond stops it. Forward (k+1
+                // direction) first, then backward.
+                let (mut lo, mut hi, mut len) = (start, start, 1);
+                while len < p && spins[at(up(hi))] == s0 && rng.next_u53() < sweep.bond_below {
+                    hi = up(hi);
+                    len += 1;
+                }
+                while len < p && spins[at(down(lo))] == s0 && rng.next_u53() < sweep.bond_below {
+                    lo = down(lo);
+                    len += 1;
+                }
+                // Classical action change of flipping the whole segment.
+                // The cached fields of site i never contain s_i itself (no
+                // self-coupling), so the per-slice deltas are independent
+                // and can all be read before flipping.
+                let mut delta = 0.0;
+                let mut k = lo;
+                for _ in 0..len {
+                    delta += -2.0 * s0 as f64 * sweep.k_cl * h_eff[at(k)];
+                    k = up(k);
+                }
+                if delta <= 0.0 || rng.next_f64() < (-delta).exp() {
+                    // Each flip touches only its own slice's fields, so the
+                    // flip order is free.
+                    k = lo;
+                    for _ in 0..len {
+                        flip_and_update(spins, h_eff, k * n, i);
+                        k = up(k);
+                    }
+                }
+            });
+        }
+
+        // Majority-vote readout across slices.
+        let vote = |i: usize| (0..p).map(|k| spins[k * n + i] as i32).sum::<i32>();
+        (0..n).map(|i| if vote(i) >= 0 { 1 } else { -1 }).collect()
+    }
 }
 
 impl AnnealEngine for PimcEngine {
@@ -127,15 +279,9 @@ impl AnnealEngine for PimcEngine {
         initial: Option<&[i8]>,
         rng: &mut Rng64,
     ) -> Vec<i8> {
-        let mut reads = self.run_reads(
-            problem,
-            profile,
-            schedule,
-            params,
-            initial,
-            std::slice::from_mut(rng),
-        );
-        reads.pop().expect("one lane, one read")
+        let rngs = std::slice::from_mut(rng);
+        let mut reads = self.run_reads(problem, profile, schedule, params, initial, rngs);
+        reads.pop().expect("one generator, one read")
     }
 
     fn run_reads(
@@ -152,168 +298,18 @@ impl AnnealEngine for PimcEngine {
         if n == 0 {
             return vec![Vec::new(); rngs.len()];
         }
-        let init = resolve_initial(schedule, n, initial);
-        let p = self.trotter_slices;
-        let pn = p * n;
-        let beta = params.beta(profile);
-
-        // Lane-major replica storage: spins[l*pn + k*n + i].
-        let mut spins: Vec<i8> = Vec::with_capacity(rngs.len() * pn);
-        for rng in rngs.iter_mut() {
-            match &init {
-                Some(state) => (0..p).for_each(|_| spins.extend_from_slice(state)),
-                // Forward start (s = 0): the transverse field dominates and
-                // the computational-basis marginal is uniform — random
-                // replicas.
-                None => spins.extend((0..pn).map(|_| if rng.next_bool() { 1i8 } else { -1 })),
-            }
-        }
-
-        // Incrementally-maintained classical local fields per (lane, slice,
-        // site): h_eff[l*pn + k*n + i] = h_i + Σ_j J_ij s_{j,k} in lane l.
-        // Proposals read them in O(1); only accepted flips pay an O(degree)
-        // neighbor update.
-        let mut h_eff: Vec<f64> = vec![0.0; spins.len()];
-        for (slice, fields) in spins.chunks_exact(n).zip(h_eff.chunks_exact_mut(n)) {
-            csr.fill_local_fields(slice, fields);
-        }
-        // Flips the spin at `row + i` (`row` = one lane's slice offset) and
-        // folds its sign change into the cached fields of its in-slice
-        // neighbors (contiguous-run AXPY — bit-identical to the historical
-        // gather).
-        let flip_and_update = |spins: &mut [i8], h_eff: &mut [f64], row: usize, i: usize| {
-            let s_new = -spins[row + i];
-            spins[row + i] = s_new;
-            let ds = 2.0 * s_new as f64;
-            csr.axpy_row(&mut h_eff[row..row + n], i, ds);
-        };
-        // Neighbors of slice k along the periodic Trotter ring.
-        let up = |k: usize| if k + 1 == p { 0 } else { k + 1 };
-        let down = |k: usize| if k == 0 { p - 1 } else { k - 1 };
-
-        let total_sweeps = params.total_sweeps(schedule);
-        let duration = schedule.duration_us();
-        let p_f = p as f64;
-
-        for sweep in 0..total_sweeps {
-            // Schedule constants: once per sweep, shared by every lane.
-            let t = (sweep as f64 + 0.5) * duration / total_sweeps as f64;
-            let s = schedule.s_at(t);
-            let j_perp = self.j_perp(profile, beta, s);
-            let k_cl = beta * profile.b_ghz(s) / (2.0 * p_f);
-            let gate = params.gate(profile.a_ghz(s));
-            if gate <= 0.0 {
-                continue; // fully frozen: no dynamics at this point
-            }
-            let gate_below = Rng64::unit_threshold(gate);
-
-            // Single (site, slice) Metropolis updates on the lazy chain,
-            // gate first (see the module docs); each lane in turn per
-            // (slice, site).
-            for k in 0..p {
-                let row = k * n;
-                let (row_up, row_down) = (up(k) * n, down(k) * n);
-                for i in 0..n {
-                    for (lane, rng) in rngs.iter_mut().enumerate() {
-                        let m = rng.next_u53();
-                        if m >= gate_below {
-                            continue;
-                        }
-                        let base = lane * pn;
-                        let sik = spins[base + row + i] as f64;
-                        let field = h_eff[base + row + i];
-                        let time_neighbors =
-                            (spins[base + row_up + i] + spins[base + row_down + i]) as f64;
-                        // Δ action for flipping s_{i,k}: the slice energy
-                        // changes by −2·s·field and each time link by
-                        // +2·J⊥·s·neighbor.
-                        let delta = -2.0 * sik * k_cl * field + 2.0 * sik * j_perp * time_neighbors;
-                        if delta <= 0.0 || Rng64::unit_f64(m) < gate * (-delta).exp() {
-                            flip_and_update(&mut spins, &mut h_eff, base + row, i);
-                        }
-                    }
-                }
-            }
-
-            // Imaginary-time cluster moves: per site, grow a Wolff segment
-            // along the Trotter ring with bond probability 1 − e^{−2·J⊥}
-            // over aligned time-neighbors, then flip it, accepting on the
-            // classical (field) part alone. Stochastic bond growth makes the
-            // proposal symmetric; at large J⊥ the segment usually wraps the
-            // whole ring and the move degenerates into a classical
-            // Metropolis flip at the full device β — thermal activation.
-            let bond_below = Rng64::unit_threshold(1.0 - (-2.0 * j_perp).exp());
-            for i in 0..n {
-                for (lane, rng) in rngs.iter_mut().enumerate() {
-                    let base = lane * pn;
-                    let at = |k: usize| base + k * n + i;
-                    let start = rng.next_index(p);
-                    let s0 = spins[at(start)];
-                    // The segment is the cyclic run [lo, hi] holding `len`
-                    // slices. Growth stops, without a bond draw, at the
-                    // first anti-aligned slice or once the run covers the
-                    // whole ring; otherwise a failed Bernoulli bond stops
-                    // it. Forward (k+1 direction) first, then backward.
-                    let (mut lo, mut hi, mut len) = (start, start, 1);
-                    while len < p && spins[at(up(hi))] == s0 && rng.next_u53() < bond_below {
-                        hi = up(hi);
-                        len += 1;
-                    }
-                    while len < p && spins[at(down(lo))] == s0 && rng.next_u53() < bond_below {
-                        lo = down(lo);
-                        len += 1;
-                    }
-                    let m = rng.next_u53();
-                    if m >= gate_below {
-                        continue;
-                    }
-                    // Classical action change of flipping the whole segment,
-                    // summed in growth order (start, forward, then
-                    // backward). The cached fields of site i never contain
-                    // s_i itself (no self-coupling), so the per-slice deltas
-                    // are independent and can all be read before flipping.
-                    let mut delta = 0.0;
-                    let mut k = start;
-                    loop {
-                        delta += -2.0 * s0 as f64 * k_cl * h_eff[at(k)];
-                        if k == hi {
-                            break;
-                        }
-                        k = up(k);
-                    }
-                    k = start;
-                    while k != lo {
-                        k = down(k);
-                        delta += -2.0 * s0 as f64 * k_cl * h_eff[at(k)];
-                    }
-                    if delta <= 0.0 || Rng64::unit_f64(m) < gate * (-delta).exp() {
-                        // Each flip touches only its own slice's fields, so
-                        // the flip order is free.
-                        k = lo;
-                        for _ in 0..len {
-                            flip_and_update(&mut spins, &mut h_eff, base + k * n, i);
-                            k = up(k);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Majority-vote readout across slices, per lane.
-        spins
-            .chunks_exact(pn)
-            .map(|lane| {
-                (0..n)
-                    .map(|i| {
-                        let sum: i32 = (0..p).map(|k| lane[k * n + i] as i32).sum();
-                        if sum >= 0 {
-                            1
-                        } else {
-                            -1
-                        }
-                    })
-                    .collect()
-            })
+        // A programmed state starts every slice of every read: its local
+        // fields are computed once.
+        let start = resolve_initial(schedule, n, initial).map(|state| {
+            let mut fields = vec![0.0; n];
+            csr.fill_local_fields(&state, &mut fields);
+            (state, fields)
+        });
+        let start = start.as_ref().map(|(s, f)| (s.as_slice(), f.as_slice()));
+        let plan = self.sweep_plan(profile, schedule, params);
+        let (mut spins, mut h_eff) = (Vec::new(), Vec::new());
+        rngs.iter_mut()
+            .map(|rng| self.read(&csr, &plan, start, (&mut spins, &mut h_eff), rng))
             .collect()
     }
 }

@@ -13,13 +13,13 @@
 //! * **ICE noise** — each read perturbs the programmed coefficients
 //!   ([`IceModel`]), while reported energies are evaluated on the *intended*
 //!   problem, as the D-Wave stack does.
-//! * **Lockstep reads** — reads are independent, so each worker thread
+//! * **Batched reads** — reads are independent, so each worker thread
 //!   (std scoped threads) takes one contiguous chunk of the submission's
 //!   reads and runs it as one batch ([`AnnealEngine::run_reads`]): the PIMC
-//!   engine advances the chunk's reads as lockstep lanes through one sweep
-//!   loop. Per-read RNG streams are derived from the seed and each lane
-//!   consumes only its own, so results are bit-identical regardless of
-//!   thread count or chunking.
+//!   engine builds the CSR and the sweep plan once per chunk and runs the
+//!   reads one after another over one scratch. Per-read RNG streams are
+//!   derived from the seed and each read consumes only its own, so results
+//!   are bit-identical regardless of thread count or chunking.
 //! * **QPU time accounting** — programming / per-read anneal / readout
 //!   charges, in *programmed microseconds*; the paper's TTS metric consumes
 //!   the schedule duration.
@@ -503,8 +503,8 @@ mod tests {
 
     #[test]
     fn batched_reads_equal_one_read_per_seed() {
-        // The lockstep batch reproduces the per-read path: one engine run
-        // per derived read seed, each on its own stream.
+        // The batch reproduces the per-read path: one engine run per
+        // derived read seed, each on its own stream.
         let mut rng = Rng64::new(46);
         let q = random_qubo(8, &mut rng);
         let (ising, _) = q.to_ising();

@@ -19,16 +19,18 @@
 //! Reverse annealing initializes the rotors at the programmed classical
 //! poles; readout is `sign(cos θ)`.
 //!
-//! Gate-first lazy chain: each move draws its proposed angle, then its
-//! acceptance uniform `u`, and rejects on `u ≥ gate` (the freeze-out gate
-//! of [`crate::engine::FreezeOut`]) before it calls `cos`/`sin` or reads
-//! the mean field. This is bit-identical to computing Δ before the draw:
-//! the RNG stream is unchanged (the same two draws per rotor, in the same
-//! order), and in IEEE arithmetic `gate·e^{−βΔ} ≤ gate`, so every `u`
-//! rejected early would have been rejected anyway.
+//! Rejection-free gate: each rotor's acceptance is `g · min(1, e^{−βΔ})`
+//! with the freeze-out gate `g` of [`crate::engine::FreezeOut`], i.e. a
+//! sweep-constant Bernoulli(g) gate coin, independent of the state,
+//! followed by a Metropolis test. As in [`crate::pimc`], each sweep walks
+//! its rotors by Geometric(g) gaps (`engine::GateGaps`, with the same
+//! rounding bound) and only a rotor that passes the gate draws its
+//! proposal angle and, when `Δ > 0`, a uniform tested against `e^{−βΔ}`.
+//! It is the same chain in distribution, with no draw, `cos`/`sin` or field
+//! read for a rotor the gate skips.
 
 use crate::dwave::DWaveProfile;
-use crate::engine::{resolve_initial, AnnealEngine, AnnealParams};
+use crate::engine::{resolve_initial, AnnealEngine, AnnealParams, GateGaps};
 use crate::schedule::AnnealSchedule;
 use hqw_math::Rng64;
 use hqw_qubo::{CsrIsing, Ising};
@@ -79,10 +81,8 @@ fn initial_theta(init: &Option<Vec<i8>>, n: usize) -> Vec<f64> {
     }
 }
 
-/// The sweep loop: f64 fields, one proposal and one acceptance draw per
-/// rotor. The `sin θ` cache and the run-AXPY neighbor update replay the
-/// identical float stream as the historical code (same inputs, same op
-/// order) — both are golden-pinned.
+/// The sweep loop: f64 fields; each rotor the gate lets through draws a
+/// proposal and, uphill, an acceptance uniform.
 fn anneal(
     csr: &CsrIsing,
     profile: &DWaveProfile,
@@ -117,42 +117,27 @@ fn anneal(
     let mut field: Vec<f64> = vec![0.0; n];
     rebuild(&cos_t, &mut field);
 
-    let total_sweeps = params.total_sweeps(schedule);
-    let duration = schedule.duration_us();
-
-    for sweep in 0..total_sweeps {
-        let t = (sweep as f64 + 0.5) * duration / total_sweeps as f64;
-        let s = schedule.s_at(t);
+    for (sweep, s, gate) in params.open_sweeps(profile, schedule) {
         let a_half = profile.a_ghz(s) / 2.0;
         let b_half = profile.b_ghz(s) / 2.0;
-        let gate = params.gate(profile.a_ghz(s));
-        if gate <= 0.0 {
-            continue; // fully frozen
-        }
         if sweep > 0 && sweep % FIELD_REFRESH_SWEEPS == 0 {
             rebuild(&cos_t, &mut field);
         }
 
-        for i in 0..n {
-            // Propose a fresh angle uniformly in [0, π], then run the
-            // lazy-chain acceptance gate first (see the module docs).
+        // Only the rotors that pass the gate are visited (see the module
+        // docs); each proposes a fresh angle uniformly in [0, π].
+        GateGaps::new(gate).walk(rng, n, |rng, i| {
             let proposal = rng.next_range(0.0, std::f64::consts::PI);
-            let u = rng.next_f64();
-            if u >= gate {
-                continue;
-            }
-            // cos/sin are deterministic on a given input, so computing them
-            // once and reusing on accept is bit-identical to recomputing.
             let p_cos = proposal.cos();
             let p_sin = proposal.sin();
             let d_cos = p_cos - cos_t[i];
             let delta = b_half * field[i] * d_cos - a_half * (p_sin - sin_t[i]);
-            if delta <= 0.0 || u < gate * (-beta * delta).exp() {
+            if delta <= 0.0 || rng.next_f64() < (-beta * delta).exp() {
                 cos_t[i] = p_cos;
                 sin_t[i] = p_sin;
                 csr.axpy_row(&mut field, i, d_cos);
             }
-        }
+        });
     }
 
     cos_t

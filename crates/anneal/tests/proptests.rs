@@ -10,7 +10,7 @@ use hqw_anneal::{AnnealEngine, DWaveProfile, PimcEngine, SvmcEngine};
 use hqw_math::Rng64;
 use hqw_qubo::generator::random_qubo;
 use hqw_qubo::solution::bits_to_spins;
-use hqw_qubo::{CsrIsing, Ising};
+use hqw_qubo::Ising;
 use proptest::prelude::*;
 
 proptest! {
@@ -276,203 +276,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Gate-first kernels against the draw-after reference
+// Batched reads against lone reads
 // ---------------------------------------------------------------------------
-
-/// The PIMC sweep as it read before the gate-first reorder: Δ and `exp`
-/// for every proposal, then the acceptance draw; cluster segments grown
-/// through an `in_cluster` mask and a `members` list.
-fn pimc_draw_after(
-    engine: &PimcEngine,
-    problem: &Ising,
-    profile: &DWaveProfile,
-    schedule: &AnnealSchedule,
-    params: &AnnealParams,
-    initial: Option<&[i8]>,
-    rng: &mut Rng64,
-) -> Vec<i8> {
-    let csr = CsrIsing::from_ising(problem);
-    let n = csr.num_vars();
-    let p = engine.trotter_slices;
-    let beta = params.beta(profile);
-    let mut spins: Vec<i8> = match initial {
-        Some(state) => (0..p).flat_map(|_| state.iter().copied()).collect(),
-        None => (0..p * n)
-            .map(|_| if rng.next_bool() { 1 } else { -1 })
-            .collect(),
-    };
-    let mut h_eff: Vec<f64> = vec![0.0; p * n];
-    for k in 0..p {
-        csr.fill_local_fields(&spins[k * n..(k + 1) * n], &mut h_eff[k * n..(k + 1) * n]);
-    }
-    let flip_and_update = |spins: &mut [i8], h_eff: &mut [f64], base: usize, i: usize| {
-        let s_new = -spins[base + i];
-        spins[base + i] = s_new;
-        let ds = 2.0 * s_new as f64;
-        csr.axpy_row(&mut h_eff[base..base + n], i, ds);
-    };
-    let total_sweeps = params.total_sweeps(schedule);
-    let duration = schedule.duration_us();
-    let p_f = p as f64;
-    let mut in_cluster = vec![false; p];
-    let mut members: Vec<usize> = Vec::with_capacity(p);
-    for sweep in 0..total_sweeps {
-        let t = (sweep as f64 + 0.5) * duration / total_sweeps as f64;
-        let s = schedule.s_at(t);
-        let j_perp = engine.j_perp(profile, beta, s);
-        let k_cl = beta * profile.b_ghz(s) / (2.0 * p_f);
-        let gate = params.gate(profile.a_ghz(s));
-        if gate <= 0.0 {
-            continue;
-        }
-        for k in 0..p {
-            let up = if k + 1 == p { 0 } else { k + 1 };
-            let down = if k == 0 { p - 1 } else { k - 1 };
-            let base = k * n;
-            for i in 0..n {
-                let sik = spins[base + i] as f64;
-                let field = h_eff[base + i];
-                let time_neighbors = (spins[up * n + i] + spins[down * n + i]) as f64;
-                let delta = -2.0 * sik * k_cl * field + 2.0 * sik * j_perp * time_neighbors;
-                let accept = if delta <= 0.0 {
-                    gate
-                } else {
-                    gate * (-delta).exp()
-                };
-                if rng.next_f64() < accept {
-                    flip_and_update(&mut spins, &mut h_eff, base, i);
-                }
-            }
-        }
-        let p_bond = 1.0 - (-2.0 * j_perp).exp();
-        for i in 0..n {
-            let start = rng.next_index(p);
-            let s0 = spins[start * n + i];
-            in_cluster[start] = true;
-            members.push(start);
-            let mut k = start;
-            loop {
-                let next = if k + 1 == p { 0 } else { k + 1 };
-                if in_cluster[next] || spins[next * n + i] != s0 || rng.next_f64() >= p_bond {
-                    break;
-                }
-                in_cluster[next] = true;
-                members.push(next);
-                k = next;
-            }
-            k = start;
-            loop {
-                let prev = if k == 0 { p - 1 } else { k - 1 };
-                if in_cluster[prev] || spins[prev * n + i] != s0 || rng.next_f64() >= p_bond {
-                    break;
-                }
-                in_cluster[prev] = true;
-                members.push(prev);
-                k = prev;
-            }
-            let mut delta = 0.0;
-            for &kk in &members {
-                delta += -2.0 * s0 as f64 * k_cl * h_eff[kk * n + i];
-            }
-            let accept = if delta <= 0.0 {
-                gate
-            } else {
-                gate * (-delta).exp()
-            };
-            if rng.next_f64() < accept {
-                for &kk in &members {
-                    flip_and_update(&mut spins, &mut h_eff, kk * n, i);
-                }
-            }
-            for &kk in &members {
-                in_cluster[kk] = false;
-            }
-            members.clear();
-        }
-    }
-    (0..n)
-        .map(|i| {
-            let sum: i32 = (0..p).map(|k| spins[k * n + i] as i32).sum();
-            if sum >= 0 {
-                1
-            } else {
-                -1
-            }
-        })
-        .collect()
-}
-
-/// The SVMC sweep as it read before the gate-first reorder: `cos`/`sin`,
-/// Δ and `exp` for every proposal, then the acceptance draw.
-fn svmc_draw_after(
-    problem: &Ising,
-    profile: &DWaveProfile,
-    schedule: &AnnealSchedule,
-    params: &AnnealParams,
-    initial: Option<&[i8]>,
-    rng: &mut Rng64,
-) -> Vec<i8> {
-    let csr = CsrIsing::from_ising(problem);
-    let n = csr.num_vars();
-    let beta = params.beta(profile);
-    let theta: Vec<f64> = match initial {
-        Some(state) => state
-            .iter()
-            .map(|&s| if s > 0 { 0.0 } else { std::f64::consts::PI })
-            .collect(),
-        None => vec![std::f64::consts::FRAC_PI_2; n],
-    };
-    let mut cos_t: Vec<f64> = theta.iter().map(|t| t.cos()).collect();
-    let mut sin_t: Vec<f64> = theta.iter().map(|t| t.sin()).collect();
-    let rebuild = |cos_t: &[f64], field: &mut [f64]| {
-        for (i, slot) in field.iter_mut().enumerate() {
-            let (cols, ws) = csr.row(i);
-            let mut f = csr.h(i);
-            for (&j, &w) in cols.iter().zip(ws) {
-                f += w * cos_t[j as usize];
-            }
-            *slot = f;
-        }
-    };
-    let mut field: Vec<f64> = vec![0.0; n];
-    rebuild(&cos_t, &mut field);
-    let total_sweeps = params.total_sweeps(schedule);
-    let duration = schedule.duration_us();
-    for sweep in 0..total_sweeps {
-        let t = (sweep as f64 + 0.5) * duration / total_sweeps as f64;
-        let s = schedule.s_at(t);
-        let a_half = profile.a_ghz(s) / 2.0;
-        let b_half = profile.b_ghz(s) / 2.0;
-        let gate = params.gate(profile.a_ghz(s));
-        if gate <= 0.0 {
-            continue;
-        }
-        if sweep > 0 && sweep % 64 == 0 {
-            rebuild(&cos_t, &mut field);
-        }
-        for i in 0..n {
-            let proposal = rng.next_range(0.0, std::f64::consts::PI);
-            let p_cos = proposal.cos();
-            let p_sin = proposal.sin();
-            let d_cos = p_cos - cos_t[i];
-            let delta = b_half * field[i] * d_cos - a_half * (p_sin - sin_t[i]);
-            let accept = if delta <= 0.0 {
-                gate
-            } else {
-                gate * (-beta * delta).exp()
-            };
-            if rng.next_f64() < accept {
-                cos_t[i] = p_cos;
-                sin_t[i] = p_sin;
-                csr.axpy_row(&mut field, i, d_cos);
-            }
-        }
-    }
-    cos_t
-        .iter()
-        .map(|&c| if c >= 0.0 { 1 } else { -1 })
-        .collect()
-}
 
 /// A random Ising on `n` spins: fields and couplings uniform in (−1, 1),
 /// each pair coupled with probability `density`.
@@ -503,46 +308,6 @@ fn schedule_of(kind: usize, rng: &mut Rng64) -> AnnealSchedule {
     }
 }
 
-/// Runs the engine and the draw-after reference from the same seed and
-/// requires identical readouts and an identical trailing RNG state.
-#[allow(clippy::too_many_arguments)]
-fn assert_matches_reference(
-    engine: Option<PimcEngine>,
-    ising: &Ising,
-    schedule: &AnnealSchedule,
-    params: &AnnealParams,
-    initial: Option<&[i8]>,
-    seed: u64,
-) -> Result<(), TestCaseError> {
-    let profile = DWaveProfile::calibrated();
-    let (mut rng_new, mut rng_ref) = (Rng64::new(seed), Rng64::new(seed));
-    let (new, reference) = match engine {
-        Some(pimc) => (
-            pimc.run(ising, &profile, schedule, params, initial, &mut rng_new),
-            pimc_draw_after(
-                &pimc,
-                ising,
-                &profile,
-                schedule,
-                params,
-                initial,
-                &mut rng_ref,
-            ),
-        ),
-        None => (
-            SvmcEngine.run(ising, &profile, schedule, params, initial, &mut rng_new),
-            svmc_draw_after(ising, &profile, schedule, params, initial, &mut rng_ref),
-        ),
-    };
-    prop_assert_eq!(new, reference);
-    prop_assert_eq!(
-        rng_new.next_u64(),
-        rng_ref.next_u64(),
-        "RNG streams diverged"
-    );
-    Ok(())
-}
-
 /// Random anneal parameters: the freeze-out gate on (default or random
 /// shape) or off (`gate = 1`), and an occasional hot beta override so
 /// uphill moves pass the gate often.
@@ -562,69 +327,9 @@ fn random_params(rng: &mut Rng64) -> AnnealParams {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn gate_first_kernels_match_the_draw_after_reference(
-        seed in any::<u64>(), n in 1usize..21
-    ) {
-        let mut rng = Rng64::new(seed);
-        let density = if rng.next_bool() { 1.0 } else { rng.next_range(0.05, 0.4) };
-        let ising = random_ising(n, density, &mut rng);
-        let kind = rng.next_index(3);
-        let schedule = schedule_of(kind, &mut rng);
-        let initial: Vec<i8> = (0..n).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
-        let initial = schedule.requires_initial_state().then_some(initial.as_slice());
-        let params = random_params(&mut rng);
-        let pimc = PimcEngine::new([2, 3, 8, 16][rng.next_index(4)]);
-        let run_seed = rng.next_u64();
-        assert_matches_reference(Some(pimc), &ising, &schedule, &params, initial, run_seed)?;
-        assert_matches_reference(None, &ising, &schedule, &params, initial, run_seed)?;
-    }
-}
-
-#[test]
-fn gate_first_kernels_match_the_draw_after_reference_on_every_shape() {
-    // Every (slices, schedule kind, gate on/off) shape once, on one dense
-    // and one sparse problem.
-    let mut rng = Rng64::new(0x6A7E);
-    for density in [1.0, 0.2] {
-        let ising = random_ising(12, density, &mut rng);
-        let initial: Vec<i8> = (0..12)
-            .map(|_| if rng.next_bool() { 1 } else { -1 })
-            .collect();
-        for kind in 0..3 {
-            let schedule = schedule_of(kind, &mut rng);
-            let initial = schedule
-                .requires_initial_state()
-                .then_some(initial.as_slice());
-            for freeze_out in [None, Some(FreezeOut::default())] {
-                let params = AnnealParams {
-                    sweeps_per_us: 16,
-                    freeze_out,
-                    ..Default::default()
-                };
-                for trotter_slices in [2, 3, 8, 16] {
-                    let pimc = PimcEngine::new(trotter_slices);
-                    let seed = rng.next_u64();
-                    assert_matches_reference(Some(pimc), &ising, &schedule, &params, initial, seed)
-                        .unwrap();
-                }
-                assert_matches_reference(None, &ising, &schedule, &params, initial, rng.next_u64())
-                    .unwrap();
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lockstep lanes against the one-lane reference
-// ---------------------------------------------------------------------------
-
 /// A problem the kernel serves: a random dense Ising, or a random logical
 /// QUBO minor-embedded (with chains) on a Chimera graph.
-fn lockstep_problem(rng: &mut Rng64) -> Ising {
+fn served_problem(rng: &mut Rng64) -> Ising {
     if rng.next_bool() {
         random_ising(1 + rng.next_index(16), 1.0, rng)
     } else {
@@ -636,11 +341,12 @@ fn lockstep_problem(rng: &mut Rng64) -> Ising {
     }
 }
 
-/// Runs `lanes` reads of one submission through the lockstep kernel and
-/// each lane's seed alone through the draw-after reference; every lane's
-/// readout and trailing RNG state must match its lone reference run.
-fn assert_lanes_match_reference(
-    lanes: usize,
+/// Runs `reads` reads of one submission through `run_reads` and each
+/// read's seed through a lone `run`; every readout and trailing RNG state
+/// must match.
+fn assert_batch_matches_lone_runs(
+    engine: &dyn AnnealEngine,
+    reads: usize,
     ising: &Ising,
     schedule: &AnnealSchedule,
     params: &AnnealParams,
@@ -648,18 +354,15 @@ fn assert_lanes_match_reference(
     rng: &mut Rng64,
 ) -> Result<(), TestCaseError> {
     let profile = DWaveProfile::calibrated();
-    let pimc = PimcEngine::new([2, 3, 8][rng.next_index(3)]);
-    let seeds: Vec<u64> = (0..lanes).map(|_| rng.next_u64()).collect();
-    let mut lane_rngs: Vec<Rng64> = seeds.iter().map(|&s| Rng64::new(s)).collect();
-    let reads = pimc.run_reads(ising, &profile, schedule, params, initial, &mut lane_rngs);
-    prop_assert_eq!(reads.len(), lanes);
-    for ((read, lane_rng), &seed) in reads.iter().zip(&mut lane_rngs).zip(&seeds) {
+    let seeds: Vec<u64> = (0..reads).map(|_| rng.next_u64()).collect();
+    let mut rngs: Vec<Rng64> = seeds.iter().map(|&s| Rng64::new(s)).collect();
+    let batch = engine.run_reads(ising, &profile, schedule, params, initial, &mut rngs);
+    prop_assert_eq!(batch.len(), reads);
+    for ((read, batch_rng), &seed) in batch.iter().zip(&mut rngs).zip(&seeds) {
         let mut alone = Rng64::new(seed);
-        let reference = pimc_draw_after(
-            &pimc, ising, &profile, schedule, params, initial, &mut alone,
-        );
-        prop_assert_eq!(read, &reference);
-        prop_assert_eq!(lane_rng.next_u64(), alone.next_u64(), "lane RNG diverged");
+        let lone = engine.run(ising, &profile, schedule, params, initial, &mut alone);
+        prop_assert_eq!(read, &lone);
+        prop_assert_eq!(batch_rng.next_u64(), alone.next_u64(), "read RNG diverged");
     }
     Ok(())
 }
@@ -668,17 +371,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn lockstep_lanes_match_the_one_lane_reference(seed in any::<u64>()) {
+    fn run_reads_matches_lone_runs(seed in any::<u64>()) {
         let mut rng = Rng64::new(seed);
-        let ising = lockstep_problem(&mut rng);
+        let ising = served_problem(&mut rng);
         let n = ising.num_vars();
         let schedule = schedule_of(rng.next_index(3), &mut rng);
         let initial: Vec<i8> = (0..n).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
         let initial = schedule.requires_initial_state().then_some(initial.as_slice());
         let mut params = random_params(&mut rng);
         params.sweeps_per_us = params.sweeps_per_us.min(12);
-        for lanes in [1, 2, 3, 5, 16] {
-            assert_lanes_match_reference(lanes, &ising, &schedule, &params, initial, &mut rng)?;
+        let pimc = PimcEngine::new([2, 3, 8][rng.next_index(3)]);
+        for reads in [1, 2, 3, 5, 16] {
+            assert_batch_matches_lone_runs(
+                &pimc, reads, &ising, &schedule, &params, initial, &mut rng,
+            )?;
         }
+        assert_batch_matches_lone_runs(
+            &SvmcEngine, 3, &ising, &schedule, &params, initial, &mut rng,
+        )?;
     }
 }

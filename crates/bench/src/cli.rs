@@ -139,10 +139,7 @@ impl Options {
     /// Prints the standard experiment header.
     pub fn banner(&self, figure: &str, what: &str) {
         println!("=== {figure}: {what}");
-        println!(
-            "    scale={} seed={} (see EXPERIMENTS.md for paper-vs-measured notes)",
-            self.scale_name, self.seed
-        );
+        println!("    scale={} seed={}", self.scale_name, self.seed);
         println!();
     }
 

@@ -508,7 +508,8 @@ pub fn run_ablation_embedding(opts: &Options) {
     println!("CSV written to {}", path.display());
 }
 
-/// Ablation: simulation-engine and move-set choices behind DESIGN.md.
+/// Ablation: the annealer simulator's design choices — engine, Trotter
+/// slices, cluster moves and the freeze-out gate.
 pub fn run_ablation_engine(opts: &Options) {
     opts.banner(
         "Ablation",

@@ -1,11 +1,10 @@
 //! Canned experiment runners — one per figure/claim in the paper.
 //!
-//! Each runner reproduces one evaluation artifact (see the per-experiment
-//! index in `DESIGN.md`) and returns structured rows; the `hqw-bench`
-//! binaries print/persist them and `EXPERIMENTS.md` records paper-vs-measured
-//! comparisons. Runners take an explicit [`Scale`] so integration tests can
-//! exercise the full logic cheaply while the bench binaries run
-//! publication-scale sweeps.
+//! Each runner reproduces one evaluation artifact of the paper (`hqw list`
+//! prints the registry) and returns structured rows, which the `hqw` runner
+//! prints and writes as CSV. Runners take an explicit [`Scale`] so
+//! integration tests can exercise the full logic cheaply while the bench
+//! binaries run publication-scale sweeps.
 //!
 //! Scale note: the paper collects 200k–600k anneals per figure on real
 //! hardware; the simulator defaults are smaller (hundreds of reads per

@@ -4,8 +4,8 @@
 //!   The paper's formula `ΔE% = 100·[(E_g − |E_s|)/E_g]` reads sensibly only
 //!   when both energies are negative with `E_g` meaning `|E_g|`; we
 //!   implement the equivalent, sign-robust relative gap
-//!   `ΔE% = 100·(E_s − E_g)/|E_g|` (0 = ground state found; documented
-//!   deviation, see DESIGN.md).
+//!   `ΔE% = 100·(E_s − E_g)/|E_g|` (0 = ground state found), which agrees
+//!   with the paper's formula wherever that one is well defined.
 //! * **p★** — per-read ground-state probability.
 //! * **TTS(C_t%)** — time-to-solution (the paper's Eq. 2): expected time to
 //!   observe the ground state at least once with confidence `C_t`, charging

@@ -47,8 +47,9 @@ where
 /// Splits `items` into one contiguous chunk per worker thread (`0` = all
 /// available cores) and maps each chunk with `f(base_index, chunk)`, which
 /// must return one result per item; the results come back **in input
-/// order**. Kernels that advance a whole chunk together (lockstep anneal
-/// reads) use this directly; [`parallel_map_indexed`] is its per-item form.
+/// order**. Kernels that share set-up across a chunk (anneal reads that
+/// share one sweep plan) use this directly; [`parallel_map_indexed`] is its
+/// per-item form.
 ///
 /// The same contract holds: per-item randomness derives from the item's
 /// index, never from the chunk boundaries, so the output is bit-identical
