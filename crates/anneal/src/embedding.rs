@@ -171,27 +171,37 @@ impl CliqueEmbedding {
             "embed: logical problem size mismatch"
         );
         let binding = strength.resolve(logical);
-        let mut physical = Ising::new(self.graph.num_qubits());
+        // Chains are disjoint and each cross coupler joins one pair of
+        // chains, so every physical pair below is created exactly once.
+        let chain_pairs: usize = self.chain_edges.iter().map(Vec::len).sum();
+        let cross_pairs: usize = logical
+            .edges()
+            .iter()
+            .map(|&(i, j, _)| self.cross_couplers[i][j].len())
+            .sum();
+        let mut couplings = Vec::with_capacity(chain_pairs + cross_pairs);
+        let mut h = vec![0.0; self.graph.num_qubits()];
 
         for l in 0..n {
             let chain = &self.chains[l];
             let h_per_qubit = logical.h(l) / chain.len() as f64;
             for &q in chain {
-                physical.add_h(q, h_per_qubit);
+                h[q] += h_per_qubit;
             }
             for &(a, b) in &self.chain_edges[l] {
-                physical.add_coupling(a, b, -binding);
+                couplings.push((a, b, -binding));
             }
         }
+        // Logical edges are canonical (i < j), as `cross_couplers` is keyed.
         for &(i, j, jij) in logical.edges() {
-            let couplers = &self.cross_couplers[i.min(j)][i.max(j)];
+            let couplers = &self.cross_couplers[i][j];
             assert!(!couplers.is_empty(), "no cross coupler for ({i},{j})");
             let per = jij / couplers.len() as f64;
             for &(a, b) in couplers {
-                physical.add_coupling(a, b, per);
+                couplings.push((a, b, per));
             }
         }
-        physical
+        Ising::from_couplings(h, couplings)
     }
 
     /// Unembeds a physical state into logical spins by per-chain majority
@@ -327,6 +337,56 @@ mod tests {
                 (diff - base_shift).abs() < 1e-9,
                 "chain-consistent energies differ: {diff} vs {base_shift}"
             );
+        }
+    }
+
+    /// `embed` as it was written over `add_h`/`add_coupling`, one lookup
+    /// per coupler: the bit-exact reference for the one-pass build.
+    fn embed_reference(emb: &CliqueEmbedding, logical: &Ising, strength: ChainStrength) -> Ising {
+        let binding = strength.resolve(logical);
+        let mut physical = Ising::new(emb.graph.num_qubits());
+        for l in 0..emb.num_logical() {
+            let chain = &emb.chains[l];
+            let h_per_qubit = logical.h(l) / chain.len() as f64;
+            for &q in chain {
+                physical.add_h(q, h_per_qubit);
+            }
+            for &(a, b) in &emb.chain_edges[l] {
+                physical.add_coupling(a, b, -binding);
+            }
+        }
+        for &(i, j, jij) in logical.edges() {
+            let couplers = &emb.cross_couplers[i][j];
+            let per = jij / couplers.len() as f64;
+            for &(a, b) in couplers {
+                physical.add_coupling(a, b, per);
+            }
+        }
+        physical
+    }
+
+    #[test]
+    fn embed_is_bit_identical_to_the_add_coupling_build() {
+        for (m, n, seed) in [(1, 1, 1), (1, 4, 2), (2, 5, 3), (2, 8, 4), (3, 12, 5)] {
+            let (logical, _) = random_qubo(n, &mut Rng64::new(seed)).to_ising();
+            let emb = CliqueEmbedding::new(Chimera::new(m), n);
+            let strength = ChainStrength::RelativeToMax(2.0);
+            let (got, want) = (
+                emb.embed(&logical, strength),
+                embed_reference(&emb, &logical, strength),
+            );
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got.h_slice()), bits(want.h_slice()));
+            let edges = |m: &Ising| {
+                m.edges()
+                    .iter()
+                    .map(|&(i, j, w)| (i, j, w.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(edges(&got), edges(&want), "C{m}, {n} logical: edge order");
+            for q in 0..got.num_vars() {
+                assert_eq!(got.neighbors(q), want.neighbors(q), "qubit {q} row order");
+            }
         }
     }
 

@@ -98,6 +98,52 @@ struct Sweep {
     gaps: GateGaps,
 }
 
+/// Exact `pos / n` as a multiply-high by `⌈2⁶⁴/n⌉`, for `pos < 2³²`.
+///
+/// Write `⌈2⁶⁴/n⌉ = (2⁶⁴ + e)/n` with `0 ≤ e < n`: the high word of the
+/// product is `⌊pos/n + pos·e/(n·2⁶⁴)⌋`, and the error term is below
+/// `1/n` whenever `pos < 2³²` and `n ≤ 2³²`, too small to carry past the
+/// next multiple of `n`. `⌈2⁶⁴/1⌉` does not fit a `u64`, so `n = 1` has no
+/// reciprocal and passes `pos` through a mask instead, still without a
+/// branch.
+#[derive(Clone, Copy, Debug)]
+struct SliceIndex {
+    recip: u64,
+    pass: u64,
+}
+
+impl SliceIndex {
+    /// The divider by `n` for positions below `positions`.
+    ///
+    /// # Panics
+    /// Panics when `n == 0` or `positions > 2³²`.
+    fn new(n: usize, positions: usize) -> Self {
+        assert!(n > 0, "SliceIndex: empty slice");
+        assert!(
+            positions <= 1 << 32,
+            "SliceIndex: {positions} positions exceed the exact range 2³²"
+        );
+        match n as u64 {
+            1 => SliceIndex {
+                recip: 0,
+                pass: u64::MAX,
+            },
+            n => SliceIndex {
+                recip: u64::MAX / n + 1,
+                pass: 0,
+            },
+        }
+    }
+
+    /// `pos / n`.
+    #[inline]
+    fn of(self, pos: usize) -> usize {
+        let pos = pos as u64;
+        let high = ((u128::from(pos) * u128::from(self.recip)) >> 64) as u64;
+        (high + (pos & self.pass)) as usize
+    }
+}
+
 impl PimcEngine {
     /// Creates an engine with the given slice count.
     ///
@@ -153,6 +199,7 @@ impl PimcEngine {
         let n = csr.num_vars();
         let p = self.trotter_slices;
         let pn = p * n;
+        let slice_of = SliceIndex::new(n, pn + n);
 
         // Replicas, spins[k*n + i] = site i of slice k, and their cached
         // local fields h_eff[k*n + i] = h_i + Σ_j J_ij s_{j,k}: proposals
@@ -189,14 +236,15 @@ impl PimcEngine {
         for sweep in plan {
             // Moves 0..pn are the (slice, site) Metropolis updates, moves
             // pn..pn+n the per-site cluster moves; only passing moves are
-            // visited, in order, so slice `k` (row `k·n`) needs no division.
-            let (mut k, mut row) = (0, 0);
+            // visited. Slice `k = pos / n` comes from a multiply-high by a
+            // reciprocal fixed per read (`SliceIndex`, exact because every
+            // position is below (P+1)·n ≤ 2³²): passing moves land at random
+            // gaps, so a cursor stepping row by row mispredicts its exit,
+            // and a hardware divide costs more than either.
             sweep.gaps.walk(rng, pn + n, |rng, pos| {
                 if pos < pn {
-                    while pos >= row + n {
-                        k += 1;
-                        row += n;
-                    }
+                    let k = slice_of.of(pos);
+                    let row = k * n;
                     let i = pos - row;
                     let sik = spins[row + i] as f64;
                     let field = h_eff[row + i];
@@ -467,6 +515,46 @@ mod tests {
             &mut Rng64::new(1),
         );
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn slice_index_is_exact_division_on_every_served_position() {
+        for p in [2, 8, 16, 32] {
+            for n in 1..=64 {
+                let positions = (p + 1) * n;
+                let slice_of = SliceIndex::new(n, positions);
+                for pos in 0..positions {
+                    assert_eq!(slice_of.of(pos), pos / n, "pos {pos}, n {n}, P {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_index_is_exact_up_to_two_to_the_32() {
+        const LIMIT: usize = 1 << 32;
+        let mut rng = Rng64::new(23);
+        let mut divisors = vec![2, 3, 7, 1000, 65_535, 65_537, 1 << 31, LIMIT - 1, LIMIT];
+        divisors.extend((0..40).map(|_| 2 + rng.next_index(LIMIT - 1)));
+        for n in divisors {
+            let slice_of = SliceIndex::new(n, LIMIT);
+            // Around the last multiples of n below 2³², and at random.
+            let top = (LIMIT - 1) / n * n;
+            let mut probes = vec![0, 1, n - 1, LIMIT - 1];
+            for m in [top, top.saturating_sub(n), n] {
+                probes.extend([m.saturating_sub(1), m, m + 1]);
+            }
+            probes.extend((0..200).map(|_| rng.next_index(LIMIT)));
+            for pos in probes.into_iter().filter(|&pos| pos < LIMIT) {
+                assert_eq!(slice_of.of(pos), pos / n, "pos {pos}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the exact range")]
+    fn slice_index_rejects_positions_past_two_to_the_32() {
+        SliceIndex::new(3, (1 << 32) + 1);
     }
 
     #[test]

@@ -391,3 +391,51 @@ proptest! {
         )?;
     }
 }
+
+/// PIMC at its smallest shapes, 1 and 2 spins (one slice row per spin, so
+/// the slice index divides by 1 or 2), forward and reverse, through `run`
+/// and `run_reads`: every read is a ±1 state of the right length, batches
+/// equal lone runs, and a field-pinned problem anneals to its ground state.
+#[test]
+fn pimc_serves_one_and_two_spin_problems() {
+    let profile = DWaveProfile::calibrated();
+    let params = AnnealParams::default();
+    let mut rng = Rng64::new(31);
+    for n in [1, 2] {
+        // Ground state all-up: fields pin it, the coupling is ferromagnetic.
+        let mut ising = Ising::new(n);
+        for i in 0..n {
+            ising.set_h(i, -1.0);
+        }
+        if n == 2 {
+            ising.set_coupling(0, 1, -0.5);
+        }
+        let down = vec![-1i8; n];
+        for (schedule, initial) in [
+            (AnnealSchedule::forward(2.0).unwrap(), None),
+            (
+                AnnealSchedule::reverse(0.3, 1.0).unwrap(),
+                Some(down.as_slice()),
+            ),
+        ] {
+            for slices in [2, 8] {
+                let pimc = PimcEngine::new(slices);
+                assert_batch_matches_lone_runs(
+                    &pimc, 16, &ising, &schedule, &params, initial, &mut rng,
+                )
+                .unwrap();
+                let mut rngs: Vec<Rng64> = (0..16).map(|k| Rng64::new(100 + k)).collect();
+                let reads =
+                    pimc.run_reads(&ising, &profile, &schedule, &params, initial, &mut rngs);
+                assert!(reads
+                    .iter()
+                    .all(|r| r.len() == n && r.iter().all(|&s| s * s == 1)));
+                let ground = reads.iter().filter(|r| r.iter().all(|&s| s == 1)).count();
+                assert!(
+                    ground >= 12,
+                    "n {n}, P {slices}, {schedule:?}: {ground}/16 reads in the ground state"
+                );
+            }
+        }
+    }
+}

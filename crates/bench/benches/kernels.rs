@@ -24,7 +24,8 @@
 //! The PIMC/SVMC engine reads run their one (gate-first, bit-identical)
 //! kernel; the PIMC rows include the shapes the system serves: the paper
 //! detector's 16-read reverse anneal on 16 spins and the mock QPU's 4-read
-//! forward anneal on its 32-qubit embedding.
+//! forward anneal on its 32-qubit embedding. `program/qubo_to_ising`
+//! times the QUBO → Ising conversion that programs each served frame.
 //! Output: a human-readable table on stdout plus
 //! `BENCH_kernels.json` at the workspace root (override with the
 //! `BENCH_OUT` environment variable), including a `machine` stanza so the
@@ -402,6 +403,26 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
     ));
 }
 
+/// Programming a served frame: `Qubo::to_ising` on the detector's
+/// 8-user QPSK problem (16 spins), ns per conversion. Every served anneal
+/// and greedy seed starts with this conversion.
+fn bench_programming(out: &mut Vec<Measurement>) {
+    let frame = DetectionInstance::generate(
+        &InstanceConfig::paper(8, Modulation::Qpsk),
+        &mut Rng64::new(15),
+    );
+    let q = frame.reduction.qubo;
+    let n = q.num_vars();
+    out.extend(bench_interleaved(
+        &[&format!("program/qubo_to_ising/{n}")],
+        n,
+        20_000,
+        &mut [&mut || {
+            black_box(black_box(&q).to_ising());
+        }],
+    ));
+}
+
 /// Minimal JSON emitter (no external crates available offline).
 fn write_json(path: &std::path::Path, results: &[Measurement], derived: &[(String, f64)]) {
     let cores = std::thread::available_parallelism()
@@ -447,6 +468,7 @@ fn main() {
     bench_sweep_kernels(&mut results, &mut derived);
     bench_parallel_reads(&mut results, &mut derived);
     bench_engine_reads(&mut results);
+    bench_programming(&mut results);
 
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| default_path.to_string());

@@ -128,18 +128,19 @@ pub fn reduce_to_qubo(system: &MimoSystem, h: &CMatrix, y: &CVector) -> ReducedP
                        // b = −2 (H̃T)ᵀ ỹ
     let b = ht.tr_matvec(&y_stacked);
 
-    let mut ising = Ising::new(n_vars);
+    let h = (0..n_vars).map(|i| -2.0 * b[i]).collect();
+    let mut couplings = Vec::with_capacity(n_vars * n_vars.saturating_sub(1) / 2);
     let mut const_term = y_stacked.norm_sqr();
     for i in 0..n_vars {
-        ising.set_h(i, -2.0 * b[i]);
         const_term += a[(i, i)]; // s_i² = 1
         for j in i + 1..n_vars {
             let jij = 2.0 * a[(i, j)];
             if jij != 0.0 {
-                ising.set_coupling(i, j, jij);
+                couplings.push((i, j, jij));
             }
         }
     }
+    let ising = Ising::from_couplings(h, couplings);
 
     // E_ml(s) = ising.energy(s) + const_term; convert to QUBO exactly.
     let (qubo, ml_offset) = Qubo::from_ising_with_constant(&ising, const_term);

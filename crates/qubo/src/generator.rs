@@ -70,7 +70,16 @@ pub fn pm_j_spin_glass(n: usize, rng: &mut Rng64) -> Ising {
 /// that is minimized exactly when both variables match the planted values.
 /// Used to validate samplers on instances with a known answer at sizes where
 /// enumeration is impossible.
+///
+/// # Panics
+/// Panics when `n == 0`, or when `pairs > 0` and `n < 2` (no two distinct
+/// variables to couple).
 pub fn planted_qubo(n: usize, pairs: usize, rng: &mut Rng64) -> (Qubo, Vec<u8>) {
+    assert!(n > 0, "planted_qubo: need at least one variable");
+    assert!(
+        pairs == 0 || n >= 2,
+        "planted_qubo: {pairs} coupled pairs need at least two variables, got n = {n}"
+    );
     let planted: Vec<u8> = (0..n).map(|_| rng.next_bool() as u8).collect();
     let mut ising = Ising::new(n);
     for _ in 0..pairs {
@@ -133,6 +142,29 @@ mod tests {
     fn pm_j_couplings_are_unit_magnitude() {
         let g = pm_j_spin_glass(5, &mut Rng64::new(3));
         assert!(g.edges().iter().all(|e| e.2.abs() == 1.0));
+    }
+
+    #[test]
+    fn planted_single_variable_has_only_the_tie_break() {
+        let (q, planted) = planted_qubo(1, 0, &mut Rng64::new(4));
+        assert_eq!(q.num_vars(), 1);
+        assert_eq!(exhaustive_minimum(&q).0, planted);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least two variables")]
+    fn planted_pairs_on_one_variable_are_rejected() {
+        // Used to loop forever drawing a partner `j != i` from one index.
+        planted_qubo(1, 1, &mut Rng64::new(5));
+    }
+
+    #[test]
+    fn planted_repeated_pairs_accumulate_in_place() {
+        // Three variables and many pairs: every pair repeats, so each
+        // repeat updates its existing edge instead of adding one.
+        let (q, planted) = planted_qubo(3, 40, &mut Rng64::new(6));
+        assert_eq!(q.nonzero_count(), 6);
+        assert_eq!(exhaustive_minimum(&q).0, planted);
     }
 
     #[test]

@@ -1,13 +1,27 @@
 //! Sparse Ising model: `E(s) = Σ_i h_i s_i + Σ_{i<j} J_ij s_i s_j`, `s ∈ {−1,+1}ⁿ`.
 //!
-//! This is the form annealing hardware programs natively. Storage is an
-//! adjacency list (each edge mirrored into both endpoints' lists), which is
-//! convenient to build and mutate incrementally. Monte-Carlo sweep kernels
-//! should not iterate it directly: flatten to [`crate::CsrIsing`] once per
-//! problem and sweep with [`crate::LocalFieldState`]'s incrementally-cached
-//! local fields (O(1) proposals) instead.
-
-use std::collections::HashMap;
+//! This is the form annealing hardware programs natively. Storage is a
+//! canonical edge list (`i < j`) plus an adjacency list that mirrors each
+//! edge into both endpoints' rows, all in edge-creation order. There is no
+//! hash index:
+//!
+//! * [`Ising::from_couplings`] builds a model whose pairs are known to be
+//!   distinct in O(n + edges), with every row reserved at its exact degree
+//!   and no lookup; the QUBO, ML-reduction and embedding builders use it.
+//! * [`Ising::coupling`] scans the shorter endpoint row, and
+//!   [`Ising::set_coupling`] / [`Ising::add_coupling`] scan both rows:
+//!   O(degree). Updating an existing edge also needs its index in the edge
+//!   list; the first such update derives every row's edge indices in
+//!   O(n + edges), so perturbing every edge stays linear and a model that
+//!   is only built never pays for them.
+//!
+//! Both paths append rows and edges in the same order, so a model built
+//! either way is bit-identical.
+//!
+//! Monte-Carlo sweep kernels should not iterate the adjacency directly:
+//! flatten to [`crate::CsrIsing`] once per problem and sweep with
+//! [`crate::LocalFieldState`]'s incrementally-cached local fields (O(1)
+//! proposals) instead.
 
 /// A sparse Ising problem over ±1 spins.
 #[derive(Clone, Debug, Default)]
@@ -15,10 +29,11 @@ pub struct Ising {
     h: Vec<f64>,
     /// Mirrored adjacency: `adj[i]` holds `(j, J_ij)` for every neighbor `j`.
     adj: Vec<Vec<(usize, f64)>>,
+    /// `edge_ids[i][p]` is the index into `edges` of the edge `adj[i][p]`;
+    /// empty until the first update of an existing edge needs it.
+    edge_ids: Vec<Vec<usize>>,
     /// Canonical edge list (`i < j`).
     edges: Vec<(usize, usize, f64)>,
-    /// Edge lookup: canonical pair → index into `edges`.
-    edge_index: HashMap<(usize, usize), usize>,
 }
 
 impl Ising {
@@ -27,8 +42,55 @@ impl Ising {
         Ising {
             h: vec![0.0; n],
             adj: vec![Vec::new(); n],
+            edge_ids: Vec::new(),
             edges: Vec::new(),
-            edge_index: HashMap::new(),
+        }
+    }
+
+    /// Builds a model from its fields and its couplings `(i, j, J_ij)`,
+    /// each pair given once in either orientation. The result equals the
+    /// model that `Ising::new(h.len())`, the fields, and `set_coupling` in
+    /// `couplings` order would build, without a lookup per edge.
+    ///
+    /// # Panics
+    /// Panics on a self-coupling, an index out of range or a repeated pair.
+    pub fn from_couplings(h: Vec<f64>, mut couplings: Vec<(usize, usize, f64)>) -> Self {
+        let n = h.len();
+        let mut degree = vec![0usize; n];
+        for e in &mut couplings {
+            let (i, j) = (e.0.min(e.1), e.0.max(e.1));
+            assert!(
+                i != j,
+                "Ising::from_couplings: self-coupling is not allowed"
+            );
+            assert!(j < n, "Ising::from_couplings: index out of range");
+            degree[i] += 1;
+            degree[j] += 1;
+            (e.0, e.1) = (i, j);
+        }
+        let mut adj: Vec<Vec<(usize, f64)>> =
+            degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+        for &(i, j, w) in &couplings {
+            adj[i].push((j, w));
+            adj[j].push((i, w));
+        }
+        // A repeated pair would leave two entries for one neighbor:
+        // reuse `degree` as a last-seen stamp (`i + 1` once row `i` saw `j`).
+        degree.fill(0);
+        for (i, row) in adj.iter().enumerate() {
+            for &(j, _) in row {
+                assert!(
+                    degree[j] != i + 1,
+                    "Ising::from_couplings: pair ({i}, {j}) is repeated"
+                );
+                degree[j] = i + 1;
+            }
+        }
+        Ising {
+            h,
+            adj,
+            edge_ids: Vec::new(),
+            edges: couplings,
         }
     }
 
@@ -61,6 +123,30 @@ impl Ising {
         self.h[i] += value;
     }
 
+    /// Position of `j` in row `i`, if the edge exists.
+    #[inline]
+    fn slot(&self, i: usize, j: usize) -> Option<usize> {
+        self.adj[i].iter().position(|&(k, _)| k == j)
+    }
+
+    /// Index into `edges` of the edge `adj[i][p]`. The first call derives
+    /// every row's edge ids in O(n + edges).
+    fn edge_id(&mut self, i: usize, p: usize) -> usize {
+        if self.edge_ids.is_empty() {
+            self.edge_ids = self
+                .adj
+                .iter()
+                .map(|row| Vec::with_capacity(row.len()))
+                .collect();
+            // Rows list their edges in creation order, which is edge order.
+            for (idx, &(a, b, _)) in self.edges.iter().enumerate() {
+                self.edge_ids[a].push(idx);
+                self.edge_ids[b].push(idx);
+            }
+        }
+        self.edge_ids[i][p]
+    }
+
     /// Coupling `J_ij` (0 when absent).
     ///
     /// # Panics
@@ -68,11 +154,12 @@ impl Ising {
     pub fn coupling(&self, i: usize, j: usize) -> f64 {
         assert!(i != j, "Ising::coupling: self-coupling is not allowed");
         assert!(i < self.num_vars() && j < self.num_vars());
-        let key = (i.min(j), i.max(j));
-        self.edge_index
-            .get(&key)
-            .map(|&idx| self.edges[idx].2)
-            .unwrap_or(0.0)
+        let (a, b) = if self.adj[i].len() <= self.adj[j].len() {
+            (i, j)
+        } else {
+            (j, i)
+        };
+        self.slot(a, b).map_or(0.0, |p| self.adj[a][p].1)
     }
 
     /// Sets coupling `J_ij`, creating or updating the edge.
@@ -85,22 +172,23 @@ impl Ising {
     pub fn set_coupling(&mut self, i: usize, j: usize, value: f64) {
         assert!(i != j, "Ising::set_coupling: self-coupling is not allowed");
         assert!(i < self.num_vars() && j < self.num_vars());
-        let key = (i.min(j), i.max(j));
-        if let Some(&idx) = self.edge_index.get(&key) {
-            self.edges[idx].2 = value;
-            for &(node, other) in &[(i, j), (j, i)] {
-                for entry in &mut self.adj[node] {
-                    if entry.0 == other {
-                        entry.1 = value;
-                        break;
-                    }
-                }
-            }
+        if let Some(p) = self.slot(i, j) {
+            let q = self
+                .slot(j, i)
+                .expect("Ising: adjacency rows mirror each other");
+            self.adj[i][p].1 = value;
+            self.adj[j][q].1 = value;
+            let e = self.edge_id(i, p);
+            self.edges[e].2 = value;
         } else {
-            self.edge_index.insert(key, self.edges.len());
-            self.edges.push((key.0, key.1, value));
+            let idx = self.edges.len();
+            self.edges.push((i.min(j), i.max(j), value));
             self.adj[i].push((j, value));
             self.adj[j].push((i, value));
+            if !self.edge_ids.is_empty() {
+                self.edge_ids[i].push(idx);
+                self.edge_ids[j].push(idx);
+            }
         }
     }
 
@@ -115,7 +203,7 @@ impl Ising {
         &self.edges
     }
 
-    /// Neighbors of spin `i` as `(j, J_ij)` pairs.
+    /// Neighbors of spin `i` as `(j, J_ij)` pairs, in edge-creation order.
     pub fn neighbors(&self, i: usize) -> &[(usize, f64)] {
         &self.adj[i]
     }

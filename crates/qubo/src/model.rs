@@ -170,23 +170,28 @@ impl Qubo {
     /// `s_i = 2 q_i − 1`.
     pub fn to_ising(&self) -> (Ising, f64) {
         let n = self.n;
-        let mut ising = Ising::new(n);
+        let diagonal_nnz = (0..n).filter(|&i| self.diagonal(i) != 0.0).count();
+        let mut couplings = Vec::with_capacity(self.nonzero_count() - diagonal_nnz);
+        let mut h = vec![0.0; n];
         let mut offset = 0.0;
+        let mut row_start = 0;
         for i in 0..n {
-            let d = self.diagonal(i);
-            ising.add_h(i, d / 2.0);
+            // Row i of the triangle: Q_ii, then Q_ij for j = i+1..n.
+            let row = &self.coeffs[row_start..row_start + n - i];
+            row_start += n - i;
+            let d = row[0];
+            h[i] += d / 2.0;
             offset += d / 2.0;
-            for j in i + 1..n {
-                let c = self.get(i, j);
+            for (j, &c) in (i + 1..n).zip(&row[1..]) {
                 if c != 0.0 {
-                    ising.add_coupling(i, j, c / 4.0);
-                    ising.add_h(i, c / 4.0);
-                    ising.add_h(j, c / 4.0);
+                    couplings.push((i, j, c / 4.0));
+                    h[i] += c / 4.0;
+                    h[j] += c / 4.0;
                     offset += c / 4.0;
                 }
             }
         }
-        (ising, offset)
+        (Ising::from_couplings(h, couplings), offset)
     }
 
     /// Builds a QUBO from an Ising model (inverse of [`Qubo::to_ising`]).

@@ -7,8 +7,9 @@ use hqw_qubo::generator::{random_qubo, sparse_random_qubo};
 use hqw_qubo::preprocess::preprocess;
 use hqw_qubo::sa::{sample_qubo, SaParams, SweepKernel};
 use hqw_qubo::solution::{bits_to_spins, spins_to_bits};
-use hqw_qubo::{greedy_search, CsrIsing, LocalFieldState, Qubo, SampleSet};
+use hqw_qubo::{greedy_search, CsrIsing, Ising, LocalFieldState, Qubo, SampleSet};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn random_bits(n: usize, rng: &mut Rng64) -> Vec<u8> {
     (0..n).map(|_| rng.next_bool() as u8).collect()
@@ -286,4 +287,197 @@ proptest! {
             prop_assert!((q.energy(&s.bits) - s.energy).abs() < 1e-9 * (1.0 + s.energy.abs()));
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The hash-free Ising against reference models
+// ---------------------------------------------------------------------------
+
+/// Reference for the Ising edge store: weights by canonical pair, plus the
+/// pairs in creation order (an edge set to 0 keeps its place).
+#[derive(Default)]
+struct EdgeModel {
+    weight: BTreeMap<(usize, usize), f64>,
+    order: Vec<(usize, usize)>,
+}
+
+impl EdgeModel {
+    fn get(&self, i: usize, j: usize) -> f64 {
+        *self.weight.get(&(i.min(j), i.max(j))).unwrap_or(&0.0)
+    }
+
+    fn set(&mut self, i: usize, j: usize, value: f64) {
+        let key = (i.min(j), i.max(j));
+        if self.weight.insert(key, value).is_none() {
+            self.order.push(key);
+        }
+    }
+}
+
+/// Every view of `ising`, bit for bit: the edge list, both adjacency
+/// mirrors (each row lists its edges in creation order) and `coupling` on
+/// every pair.
+fn assert_matches_model(ising: &Ising, model: &EdgeModel) -> Result<(), TestCaseError> {
+    let n = ising.num_vars();
+    let expected: Vec<(usize, usize, u64)> = model
+        .order
+        .iter()
+        .map(|&(i, j)| (i, j, model.get(i, j).to_bits()))
+        .collect();
+    let got: Vec<(usize, usize, u64)> = ising
+        .edges()
+        .iter()
+        .map(|&(i, j, w)| (i, j, w.to_bits()))
+        .collect();
+    prop_assert_eq!(got, expected);
+    for k in 0..n {
+        let row: Vec<(usize, u64)> = model
+            .order
+            .iter()
+            .filter(|&&(i, j)| i == k || j == k)
+            .map(|&(i, j)| (i + j - k, model.get(i, j).to_bits()))
+            .collect();
+        let got: Vec<(usize, u64)> = ising
+            .neighbors(k)
+            .iter()
+            .map(|&(j, w)| (j, w.to_bits()))
+            .collect();
+        prop_assert_eq!(got, row, "adjacency row {}", k);
+        for j in (0..n).filter(|&j| j != k) {
+            prop_assert_eq!(ising.coupling(k, j).to_bits(), model.get(k, j).to_bits());
+        }
+    }
+    Ok(())
+}
+
+/// `Qubo::to_ising` as it was written over `add_coupling`, one hash lookup
+/// per pair: the bit-exact reference for the direct row build.
+fn to_ising_reference(q: &Qubo) -> (Ising, f64) {
+    let n = q.num_vars();
+    let mut ising = Ising::new(n);
+    let mut offset = 0.0;
+    for i in 0..n {
+        let d = q.diagonal(i);
+        ising.add_h(i, d / 2.0);
+        offset += d / 2.0;
+        for j in i + 1..n {
+            let c = q.get(i, j);
+            if c != 0.0 {
+                ising.add_coupling(i, j, c / 4.0);
+                ising.add_h(i, c / 4.0);
+                ising.add_h(j, c / 4.0);
+                offset += c / 4.0;
+            }
+        }
+    }
+    (ising, offset)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn ising_updates_match_a_btreemap_model(seed in any::<u64>(), n in 2usize..10) {
+        let mut rng = Rng64::new(seed);
+        let mut model = EdgeModel::default();
+        // Half the cases start from a one-pass build of some distinct pairs.
+        let mut ising = if rng.next_bool() {
+            let mut couplings = Vec::new();
+            for i in 0..n {
+                for j in i + 1..n {
+                    if rng.next_bool() {
+                        couplings.push((i, j, rng.next_range(-1.0, 1.0)));
+                    }
+                }
+            }
+            for k in (1..couplings.len()).rev() {
+                couplings.swap(k, rng.next_index(k + 1));
+            }
+            for &(i, j, w) in &couplings {
+                model.set(i, j, w);
+            }
+            Ising::from_couplings(vec![0.0; n], couplings)
+        } else {
+            Ising::new(n)
+        };
+        assert_matches_model(&ising, &model)?;
+        for _ in 0..80 {
+            // Few spins, so pairs repeat; a third of the values are zero.
+            let i = rng.next_index(n);
+            let j = (i + 1 + rng.next_index(n - 1)) % n;
+            let value = if rng.next_index(3) == 0 { 0.0 } else { rng.next_range(-1.0, 1.0) };
+            match rng.next_index(3) {
+                0 => {
+                    ising.set_coupling(i, j, value);
+                    model.set(i, j, value);
+                }
+                1 => {
+                    ising.add_coupling(i, j, value);
+                    model.set(i, j, model.get(i, j) + value);
+                }
+                _ => prop_assert_eq!(ising.coupling(i, j).to_bits(), model.get(i, j).to_bits()),
+            }
+            assert_matches_model(&ising, &model)?;
+        }
+    }
+
+    #[test]
+    fn to_ising_is_bit_identical_to_the_add_coupling_build(
+        seed in any::<u64>(), n in 1usize..24, dense in any::<bool>()
+    ) {
+        let mut rng = Rng64::new(seed);
+        let q = if dense {
+            random_qubo(n, &mut rng)
+        } else {
+            sparse_random_qubo(n, rng.next_range(0.0, 0.5), &mut rng)
+        };
+        let (ising, offset) = q.to_ising();
+        let (reference, ref_offset) = to_ising_reference(&q);
+        prop_assert_eq!(offset.to_bits(), ref_offset.to_bits());
+        let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(ising.h_slice()), bits(reference.h_slice()));
+        let edge_bits = |m: &Ising| {
+            m.edges().iter().map(|&(i, j, w)| (i, j, w.to_bits())).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(edge_bits(&ising), edge_bits(&reference));
+        let (csr, ref_csr) = (CsrIsing::from_ising(&ising), CsrIsing::from_ising(&reference));
+        prop_assert_eq!(csr.num_runs(), ref_csr.num_runs());
+        prop_assert_eq!(bits(csr.h_slice()), bits(ref_csr.h_slice()));
+        for k in 0..n {
+            let ((cols, w), (ref_cols, ref_w)) = (csr.row(k), ref_csr.row(k));
+            prop_assert_eq!(cols, ref_cols, "row {} order", k);
+            prop_assert_eq!(bits(w), bits(ref_w), "row {} weights", k);
+        }
+    }
+}
+
+#[test]
+fn from_couplings_equals_set_coupling_in_order() {
+    let couplings = vec![(2, 0, 0.5), (1, 2, -0.25), (0, 1, 0.0), (3, 1, 1.5)];
+    let built = Ising::from_couplings(vec![0.1, 0.2, 0.3, 0.4], couplings.clone());
+    let mut set = Ising::new(4);
+    for (k, &h) in [0.1, 0.2, 0.3, 0.4].iter().enumerate() {
+        set.set_h(k, h);
+    }
+    for &(i, j, w) in &couplings {
+        set.set_coupling(i, j, w);
+    }
+    assert_eq!(built.h_slice(), set.h_slice());
+    assert_eq!(built.edges(), set.edges());
+    assert_eq!(built.edges()[0], (0, 2, 0.5), "pairs are stored canonical");
+    for k in 0..4 {
+        assert_eq!(built.neighbors(k), set.neighbors(k));
+    }
+    // Updating an edge of a built model reaches every view.
+    let mut updated = built.clone();
+    updated.add_coupling(1, 3, 0.5);
+    assert_eq!(updated.edges()[3], (1, 3, 2.0));
+    assert_eq!(updated.coupling(3, 1), 2.0);
+    assert_eq!(updated.neighbors(3), &[(1, 2.0)]);
+}
+
+#[test]
+#[should_panic(expected = "is repeated")]
+fn from_couplings_rejects_a_repeated_pair() {
+    Ising::from_couplings(vec![0.0; 3], vec![(0, 1, 1.0), (1, 2, 1.0), (1, 0, 2.0)]);
 }
