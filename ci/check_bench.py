@@ -4,10 +4,9 @@
 Checked invariants (exit status 1 on any violation, with a diagnostic):
 
 BENCH_kernels.json
-  * the incremental-CSR (Exact) SA sweep kernel keeps a >= 3x speedup over
-    the baseline adjacency-list kernel on the dense 256-spin problem, and
-    the bit-packed/f32 SA Fast kernel keeps >= 10x there;
-  * at 512 spins (sparse) both rebuilt SA kernels keep >= 1.5x;
+  * the incremental-CSR SA sweep kernel keeps a >= 3x speedup over the
+    baseline adjacency-list kernel on the dense 256-spin problem, and
+    >= 1.5x at 512 spins (sparse);
   * (the PIMC/SVMC engine reads have one kernel, so their anneal_read/*
     rows carry no ratio floor; the --history walk tracks the PIMC-16 read
     and the served 16-read PIMC-8 submission)
@@ -62,8 +61,9 @@ BENCH_fabric_rt.json
     detect-ra's 16-read PIMC-8 submission (anneal_read/ra_pimc8_16reads/16),
     "-" where a commit did not record it;
   * gates that the *newest* committed BENCH_kernels.json still holds the
-    dense-256 Fast sweep-kernel speedup floor (>= 10x) — history may wander,
-    the present may not.
+    dense-256 SA sweep-kernel speedup floor (>= 3x, the same floor the
+    fresh-measurement gate applies) — history may wander, the present may
+    not.
 
 BENCH_fabric.json
   * every point's rates are in [0, 1], latencies ordered (p99 >= p50 > 0),
@@ -162,10 +162,8 @@ def check(ok, message):
 
 # (derived key, floor, description) gates for BENCH_kernels.json.
 KERNEL_RATIO_FLOORS = [
-    ("sa_sweep_speedup_256", 3.0, "dense-256 Exact sweep kernel"),
-    ("sa_sweep_speedup_fast_256", 10.0, "dense-256 Fast sweep kernel"),
-    ("sa_sweep_speedup_512", 1.5, "sparse-512 Exact sweep kernel"),
-    ("sa_sweep_speedup_fast_512", 1.5, "sparse-512 Fast sweep kernel"),
+    ("sa_sweep_speedup_256", 3.0, "dense-256 SA sweep kernel"),
+    ("sa_sweep_speedup_512", 1.5, "sparse-512 SA sweep kernel"),
 ]
 
 
@@ -214,8 +212,7 @@ def check_kernels(path, baseline_path=None):
 
     print(
         f"{path}: {len(results)} measurements OK "
-        f"(dense-256 exact {derived.get('sa_sweep_speedup_256')}x, "
-        f"fast {derived.get('sa_sweep_speedup_fast_256')}x, "
+        f"(dense-256 sweep kernel {derived.get('sa_sweep_speedup_256')}x, "
         f"{cores}-core box)"
     )
 
@@ -927,7 +924,6 @@ def _result_ns(bench, name):
 # each contributes to the trajectory table (file, column, extractor).
 HISTORY_COLUMNS = [
     ("BENCH_kernels.json", "exact256", lambda b: b["derived"]["sa_sweep_speedup_256"]),
-    ("BENCH_kernels.json", "fast256", lambda b: b["derived"]["sa_sweep_speedup_fast_256"]),
     ("BENCH_kernels.json", "pimc16", lambda b: _result_ns(b, "anneal_read/ra_pimc16/64")),
     ("BENCH_kernels.json", "pimc8x16", lambda b: _result_ns(b, "anneal_read/ra_pimc8_16reads/16")),
     ("BENCH_fabric.json", "fab_pts", lambda b: len(b["points"])),
@@ -945,8 +941,9 @@ HISTORY_COLUMNS = [
 ]
 
 # Floor the newest commit in the walk must hold (the committed state, as
-# opposed to the fresh re-measurement the regular gate checks).
-HISTORY_FAST256_FLOOR = 10.0
+# opposed to the fresh re-measurement the regular gate checks): the same
+# dense-256 floor that gate applies.
+HISTORY_EXACT256_FLOOR = dict((k, f) for k, f, _ in KERNEL_RATIO_FLOORS)["sa_sweep_speedup_256"]
 
 
 def _git(*argv):
@@ -967,7 +964,7 @@ def _show_json(sha, path):
 
 def check_history():
     """Prints the perf trajectory of every committed BENCH_*.json and gates
-    the newest commit's dense-256 Fast speedup."""
+    the newest commit's dense-256 SA sweep-kernel speedup."""
     tracked = sorted({file for file, _, _ in HISTORY_COLUMNS})
     log = _git("log", "--format=%H|%h|%cs", "--", *tracked)
     commits = [line.split("|") for line in log.splitlines() if line]
@@ -981,7 +978,7 @@ def check_history():
     print("perf trajectory (committed BENCH_*.json across git history):")
     print(header)
     print("-" * len(header))
-    newest_fast256 = None
+    newest_exact256 = None
     for sha, short, date in commits:
         docs = {file: _show_json(sha, file) for file in tracked}
         row = [f"{short:<10} {date:<11}"]
@@ -1000,23 +997,23 @@ def check_history():
         print("".join(row))
         kernels = docs.get("BENCH_kernels.json")
         if kernels is not None:
-            fast = kernels.get("derived", {}).get("sa_sweep_speedup_fast_256")
-            if fast is not None:
-                newest_fast256 = fast
+            exact = kernels.get("derived", {}).get("sa_sweep_speedup_256")
+            if exact is not None:
+                newest_exact256 = exact
 
     check(
-        newest_fast256 is not None,
-        "--history: no commit carries derived.sa_sweep_speedup_fast_256",
+        newest_exact256 is not None,
+        "--history: no commit carries derived.sa_sweep_speedup_256",
     )
-    if newest_fast256 is not None:
+    if newest_exact256 is not None:
         check(
-            newest_fast256 >= HISTORY_FAST256_FLOOR,
-            f"--history: newest committed dense-256 Fast speedup "
-            f"{newest_fast256}x under the {HISTORY_FAST256_FLOOR}x floor",
+            newest_exact256 >= HISTORY_EXACT256_FLOOR,
+            f"--history: newest committed dense-256 SA sweep-kernel speedup "
+            f"{newest_exact256}x under the {HISTORY_EXACT256_FLOOR}x floor",
         )
         print(
-            f"\nnewest committed dense-256 Fast speedup: {newest_fast256}x "
-            f"(floor: {HISTORY_FAST256_FLOOR}x)"
+            f"\nnewest committed dense-256 SA sweep-kernel speedup: {newest_exact256}x "
+            f"(floor: {HISTORY_EXACT256_FLOOR}x)"
         )
 
 

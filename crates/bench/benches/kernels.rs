@@ -9,17 +9,17 @@
 //! of B, batch 2 of A, … — so slow drift (thermal throttling, a background
 //! task) biases both sides equally instead of whichever ran last.
 //!
-//! The headline comparisons are the sweep-kernel reworks:
+//! The headline comparison is the SA sweep-kernel rework:
 //!
 //! * `baseline_adjlist` — the pre-change kernel, reproduced verbatim below:
 //!   recomputes the local field from the `Vec<Vec<(usize, f64)>>` adjacency
 //!   list on every proposal (O(degree) per proposal).
-//! * `incremental_csr` — the `Exact` kernel: flat CSR, incrementally
+//! * `incremental_csr` — the SA kernel: flat CSR, incrementally
 //!   maintained local fields (O(1) per proposal), contiguous-run AXPY
 //!   neighbor updates. Bit-identical to the historical outputs.
-//! * `fast_csr` — the `Fast` kernel: bit-packed spins, f32 fields,
-//!   graph-colored sweep order, draw-skipping accepts/rejects.
-//!   Statistically equivalent, not bit-identical.
+//!
+//! `sa_job/48x2/8` times the SA pool's served job: one `sample_qubo` call
+//! at 48 sweeps × 2 reads on a 4-user QPSK frame's 8-spin QUBO.
 //!
 //! The PIMC/SVMC engine reads run their one (gate-first, bit-identical)
 //! kernel; the PIMC rows include the shapes the system serves: the paper
@@ -46,7 +46,7 @@ use hqw_phy::{DetectionInstance, InstanceConfig, Modulation};
 use hqw_qubo::csr::CsrIsing;
 use hqw_qubo::generator::sparse_random_qubo;
 use hqw_qubo::greedy::{greedy_search, GreedyConfig};
-use hqw_qubo::sa::{sa_read_csr, sa_read_fast, sample_qubo, SaParams};
+use hqw_qubo::sa::{sa_read_csr, sample_qubo, SaParams};
 use hqw_qubo::{Ising, Qubo};
 use std::hint::black_box;
 use std::time::Instant;
@@ -162,8 +162,8 @@ fn random_spins(n: usize, rng: &mut Rng64) -> Vec<i8> {
         .collect()
 }
 
-/// Sweep-kernel three-way (baseline / Exact / Fast) at several sizes;
-/// returns measurements plus derived `(key, ratio)` pairs.
+/// Sweep-kernel baseline vs CSR kernel at two sizes; returns measurements
+/// plus derived `(key, ratio)` pairs.
 fn bench_sweep_kernels(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f64)>) {
     // Density 1.0 = the paper's regime: the ML→QUBO reduction produces fully
     // dense couplings, which is exactly where per-proposal O(degree)
@@ -171,9 +171,9 @@ fn bench_sweep_kernels(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f6
     // deep quench (β: 0.1 → 100 over 256 sweeps) so the measurement window
     // covers both regimes a real read anneals through — the hot phase,
     // where the incremental AXPY update dominates, and the frozen tail,
-    // where the Fast kernel's certain-reject skips and draw-free Metropolis
-    // filtering take over. The sparse point keeps a short hot schedule and
-    // tracks hardware-graph-like (embedded/Chimera) workloads.
+    // where almost every proposal is rejected. The sparse point keeps a
+    // short hot schedule and tracks hardware-graph-like (embedded/Chimera)
+    // workloads.
     for &(n, density, sweeps, beta_final, iters) in &[
         (256usize, 1.0f64, 256usize, 100.0f64, 10usize),
         (512, 0.10, 64, 10.0, 10),
@@ -189,12 +189,7 @@ fn bench_sweep_kernels(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f6
             num_reads: 1,
             ..SaParams::default()
         };
-        // Build the lazy caches outside the timed region: production reads
-        // amortize coloring/f32 mirrors across a whole read batch.
-        csr.coloring();
-        csr.weights_f32();
-
-        let (mut s0, mut s1, mut s2) = (0u64, 0u64, 0u64);
+        let (mut s0, mut s1) = (0u64, 0u64);
         let mut base = || {
             s0 += 1;
             black_box(sa_read_ising_baseline(
@@ -213,37 +208,50 @@ fn bench_sweep_kernels(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f6
                 &mut Rng64::new(s1),
             ));
         };
-        let mut fast = || {
-            s2 += 1;
-            black_box(sa_read_fast(
-                &csr,
-                &params,
-                black_box(&start),
-                &mut Rng64::new(s2),
-            ));
-        };
         let ms = bench_interleaved(
             &[
                 &format!("sa_sweep/baseline_adjlist/{n}"),
                 &format!("sa_sweep/incremental_csr/{n}"),
-                &format!("sa_sweep/fast_csr/{n}"),
             ]
             .iter()
             .map(|s| s.as_str())
             .collect::<Vec<_>>(),
             n,
             iters,
-            &mut [&mut base, &mut exact, &mut fast],
+            &mut [&mut base, &mut exact],
         );
-        let exact_speedup = ms[0].ns_per_iter / ms[1].ns_per_iter;
-        let fast_speedup = ms[0].ns_per_iter / ms[2].ns_per_iter;
-        println!(
-            "  -> sweep-kernel speedup at {n} spins: exact {exact_speedup:.2}x, fast {fast_speedup:.2}x"
-        );
-        derived.push((format!("sa_sweep_speedup_{n}"), exact_speedup));
-        derived.push((format!("sa_sweep_speedup_fast_{n}"), fast_speedup));
+        let speedup = ms[0].ns_per_iter / ms[1].ns_per_iter;
+        println!("  -> sweep-kernel speedup at {n} spins: {speedup:.2}x");
+        derived.push((format!("sa_sweep_speedup_{n}"), speedup));
         out.extend(ms);
     }
+}
+
+/// The SA pool's served job (`fabric` preset): one `sample_qubo` call at
+/// 48 sweeps × 2 reads, serial, on a 4-user QPSK frame's 8-spin QUBO.
+fn bench_sa_job(out: &mut Vec<Measurement>) {
+    let frame = DetectionInstance::generate(
+        &InstanceConfig::paper(4, Modulation::Qpsk),
+        &mut Rng64::new(16),
+    );
+    let q = frame.reduction.qubo;
+    let n = q.num_vars();
+    let params = SaParams {
+        sweeps: 48,
+        num_reads: 2,
+        threads: 1,
+        ..SaParams::default()
+    };
+    let mut seed = 0u64;
+    out.extend(bench_interleaved(
+        &[&format!("sa_job/48x2/{n}")],
+        n,
+        2_000,
+        &mut [&mut || {
+            seed += 1;
+            black_box(sample_qubo(&q, &params, &mut Rng64::new(seed)));
+        }],
+    ));
 }
 
 /// Parallel-read scaling of `sample_qubo` (bit-identical output per seed,
@@ -466,6 +474,7 @@ fn main() {
     let mut results = Vec::new();
     let mut derived = Vec::new();
     bench_sweep_kernels(&mut results, &mut derived);
+    bench_sa_job(&mut results);
     bench_parallel_reads(&mut results, &mut derived);
     bench_engine_reads(&mut results);
     bench_programming(&mut results);

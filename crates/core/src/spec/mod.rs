@@ -39,7 +39,7 @@ use crate::stream::{CostModel, DispatchPolicy, StreamGridConfig};
 use hqw_phy::channel::{ChannelModel, TrackConfig};
 use hqw_phy::modulation::Modulation;
 use hqw_qubo::pt::PtParams;
-use hqw_qubo::sa::{SaParams, SweepKernel};
+use hqw_qubo::sa::SaParams;
 use hqw_qubo::tabu::TabuParams;
 use json::Json;
 
@@ -445,7 +445,6 @@ fn sa_json(s: &SaParams) -> Json {
         ("sweeps", uint(s.sweeps)),
         ("num_reads", uint(s.num_reads)),
         ("threads", uint(s.threads)),
-        ("kernel", Json::Str(s.kernel.name().to_string())),
     ])
 }
 
@@ -873,7 +872,6 @@ fn parse_sa(o: &Json, ctx: &str) -> Result<SaParams, SpecError> {
             "sweeps",
             "num_reads",
             "threads",
-            "kernel",
         ],
         ctx,
     )?;
@@ -883,22 +881,7 @@ fn parse_sa(o: &Json, ctx: &str) -> Result<SaParams, SpecError> {
         sweeps: req_usize(sa, "sweeps", ctx)?,
         num_reads: req_usize(sa, "num_reads", ctx)?,
         threads: req_usize(sa, "threads", ctx)?,
-        kernel: parse_kernel(sa, ctx)?,
     })
-}
-
-/// The SA `"kernel"` is optional (pre-kernel specs default to the bit-identical
-/// `Exact` mode), but when present it must be a known kernel name.
-fn parse_kernel(o: &Json, ctx: &str) -> Result<SweepKernel, SpecError> {
-    match o.get("kernel") {
-        None => Ok(SweepKernel::Exact),
-        Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or_else(|| SpecError::new(ctx, "field \"kernel\" must be a string"))?;
-            SweepKernel::parse(name).map_err(|e| SpecError::new(ctx, e))
-        }
-    }
 }
 
 fn parse_stream(config: &Json) -> Result<StreamGridConfig, SpecError> {

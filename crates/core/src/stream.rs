@@ -43,7 +43,7 @@ use hqw_phy::channel::{ChannelTrack, TrackConfig};
 use hqw_phy::detect::{Detector, DetectorMeta, Mmse};
 use hqw_phy::instance::DetectionInstance;
 use hqw_phy::metrics::bit_error_rate;
-use hqw_qubo::sa::{sa_read_traced, SaParams};
+use hqw_qubo::sa::{sa_read_csr_traced, SaParams};
 use hqw_qubo::{bits_to_spins, spins_to_bits, CsrIsing};
 
 /// How the dispatcher routes frames between the classical and hybrid arms.
@@ -360,8 +360,8 @@ pub fn run_stream_observed(
             let cold_start: Vec<i8> = (0..n)
                 .map(|_| if frame_rng.next_bool() { 1 } else { -1 })
                 .collect();
-            let (cold_spins, _, cold_trace) =
-                sa_read_traced(&csr, &single_read, &cold_start, &mut frame_rng);
+            let (cold_state, cold_trace) =
+                sa_read_csr_traced(&csr, &single_read, &cold_start, &mut frame_rng);
 
             // Serving read: warm-started from the previous frame's decision
             // when one exists; the cold read doubles as the serving read on
@@ -369,8 +369,8 @@ pub fn run_stream_observed(
             let natural = match &warm {
                 Some(prev) if prev.len() == n => {
                     let warm_start = bits_to_spins(prev);
-                    let (warm_spins, warm_energy, warm_trace) =
-                        sa_read_traced(&csr, &warm_read, &warm_start, &mut frame_rng);
+                    let (warm_state, warm_trace) =
+                        sa_read_csr_traced(&csr, &warm_read, &warm_start, &mut frame_rng);
                     warm_pairs += 1;
                     cold_sweep_sum += cold_trace.sweeps_to_best() as f64;
                     warm_sweep_sum += warm_trace
@@ -380,13 +380,13 @@ pub fn run_stream_observed(
                     // seed itself, whichever is lower — refinement can only
                     // help, never hurt. `best_by_sweep[0]` is the seed's
                     // energy on *this* frame's problem.
-                    if warm_trace.best_by_sweep[0] < warm_energy {
+                    if warm_trace.best_by_sweep[0] < warm_state.energy() {
                         prev.clone()
                     } else {
-                        spins_to_bits(&warm_spins)
+                        spins_to_bits(warm_state.spins())
                     }
                 }
-                _ => spins_to_bits(&cold_spins),
+                _ => spins_to_bits(cold_state.spins()),
             };
             let gray = inst.reduction.natural_to_gray(&natural);
             let meta = DetectorMeta {

@@ -17,7 +17,7 @@ use hqw_math::Rng64;
 use hqw_phy::channel::{ChannelModel, TrackConfig};
 use hqw_phy::modulation::Modulation;
 use hqw_qubo::pt::PtParams;
-use hqw_qubo::sa::{SaParams, SweepKernel};
+use hqw_qubo::sa::SaParams;
 use hqw_qubo::tabu::TabuParams;
 use proptest::prelude::*;
 
@@ -50,11 +50,6 @@ fn arbitrary_sa(rng: &mut Rng64) -> SaParams {
         sweeps: 1 + rng.next_index(200),
         num_reads: 1 + rng.next_index(32),
         threads: rng.next_index(4),
-        kernel: if rng.next_bool() {
-            SweepKernel::Fast
-        } else {
-            SweepKernel::Exact
-        },
     }
 }
 

@@ -28,7 +28,6 @@
 
 pub mod cmat;
 pub mod complex;
-pub mod fastmath;
 pub mod linalg;
 pub mod parallel;
 pub mod rmat;

@@ -18,7 +18,6 @@
 //! per-read energy reporting free as well.
 
 use crate::ising::Ising;
-use std::sync::OnceLock;
 
 /// A compressed-sparse-row view of an Ising problem.
 ///
@@ -33,7 +32,7 @@ use std::sync::OnceLock;
 /// `col_idx` into contiguous slice AXPYs the compiler auto-vectorizes.
 /// Because a run replays exactly the same element-wise operations in exactly
 /// the same order as the gather loop, the run path is **bit-identical** to
-/// it and safe for the `Exact` kernel contract.
+/// it, so the sweep kernels' outputs do not depend on which path runs.
 #[derive(Debug, Clone, Default)]
 pub struct CsrIsing {
     h: Vec<f64>,
@@ -49,10 +48,6 @@ pub struct CsrIsing {
     /// trailing `nnz` sentinel; run `r` covers entries
     /// `run_ofs[r]..run_ofs[r+1]`.
     run_ofs: Vec<u32>,
-    /// Lazily-built greedy coloring (Fast-kernel sweep order).
-    coloring: OnceLock<Coloring>,
-    /// Lazily-built f32 weight mirror (Fast-kernel field updates).
-    weight_f32: OnceLock<Vec<f32>>,
 }
 
 impl CsrIsing {
@@ -91,8 +86,6 @@ impl CsrIsing {
             run_ptr,
             run_col,
             run_ofs,
-            coloring: OnceLock::new(),
-            weight_f32: OnceLock::new(),
         }
     }
 
@@ -203,7 +196,7 @@ impl CsrIsing {
     /// Performs exactly the same element-wise multiply-adds in exactly the
     /// same order as the `col_idx` gather loop (runs tile the row in entry
     /// order, and no accumulation is reassociated), so results are
-    /// **bit-identical** — this is the `Exact`-kernel flip update.
+    /// **bit-identical** — this is the sweep kernels' flip update.
     #[inline]
     pub fn axpy_row(&self, field: &mut [f64], k: usize, ds: f64) {
         let lo = self.row_ptr[k] as usize;
@@ -229,285 +222,6 @@ impl CsrIsing {
                 *f += w * ds;
             }
         }
-    }
-
-    /// f32 mirror of the coupling weights, built on first use (Fast kernel).
-    #[inline]
-    pub fn weights_f32(&self) -> &[f32] {
-        self.weight_f32
-            .get_or_init(|| self.weight.iter().map(|&w| w as f32).collect())
-    }
-
-    /// Neighbor columns and f32 weights of spin `k` as parallel slices
-    /// (Fast-kernel cache rebuilds).
-    #[inline]
-    pub fn row_f32(&self, k: usize) -> (&[u32], &[f32]) {
-        let ws = self.weights_f32();
-        let lo = self.row_ptr[k] as usize;
-        let hi = self.row_ptr[k + 1] as usize;
-        (&self.col_idx[lo..hi], &ws[lo..hi])
-    }
-
-    /// f32 variant of [`Self::axpy_row`] for the Fast kernel's single-precision
-    /// field cache. Not bit-exact against the f64 path (and doesn't claim to
-    /// be) — Fast mode refreshes the cache periodically and recomputes final
-    /// energies exactly.
-    #[inline]
-    pub fn axpy_row_f32(&self, field: &mut [f32], k: usize, ds: f32) {
-        let ws = self.weights_f32();
-        let lo = self.row_ptr[k] as usize;
-        let hi = self.row_ptr[k + 1] as usize;
-        let r_lo = self.run_ptr[k] as usize;
-        let r_hi = self.run_ptr[k + 1] as usize;
-        // Same runs-vs-gather dispatch as `axpy_row`; see the comment there.
-        if hi - lo < 2 * (r_hi - r_lo) {
-            for (&j, &w) in self.col_idx[lo..hi].iter().zip(&ws[lo..hi]) {
-                field[j as usize] += w * ds;
-            }
-            return;
-        }
-        for r in r_lo..r_hi {
-            let e_lo = self.run_ofs[r] as usize;
-            let e_hi = self.run_ofs[r + 1] as usize;
-            let c = self.run_col[r] as usize;
-            let dst = &mut field[c..c + (e_hi - e_lo)];
-            let src = &ws[e_lo..e_hi];
-            // Manual 8-lane unroll: fixed-size chunks let the compiler keep
-            // two 4-wide vector adds in flight per iteration with no bounds
-            // checks, which matters because this is the accept-path inner
-            // loop of the Fast sweep kernel.
-            let mut dc = dst.chunks_exact_mut(8);
-            let mut sc = src.chunks_exact(8);
-            for (d, w) in (&mut dc).zip(&mut sc) {
-                d[0] += w[0] * ds;
-                d[1] += w[1] * ds;
-                d[2] += w[2] * ds;
-                d[3] += w[3] * ds;
-                d[4] += w[4] * ds;
-                d[5] += w[5] * ds;
-                d[6] += w[6] * ds;
-                d[7] += w[7] * ds;
-            }
-            for (f, &w) in dc.into_remainder().iter_mut().zip(sc.remainder()) {
-                *f += w * ds;
-            }
-        }
-    }
-
-    /// Fills `out[k] = h_k + Σ_j J_kj s_j` in single precision from a
-    /// bit-packed spin word array (Fast-kernel cache rebuild).
-    pub fn fill_local_fields_f32(&self, spins: &BitSpins, out: &mut [f32]) {
-        assert_eq!(spins.len(), self.num_vars());
-        assert_eq!(out.len(), self.num_vars());
-        let ws = self.weights_f32();
-        // Unpack the signs once (n ops) so the nnz-sized inner loop is a
-        // plain gather-multiply instead of a shift/mask/convert per entry.
-        let signs: Vec<f32> = (0..self.num_vars()).map(|j| spins.sign_f32(j)).collect();
-        for k in 0..self.num_vars() {
-            let lo = self.row_ptr[k] as usize;
-            let hi = self.row_ptr[k + 1] as usize;
-            let mut f = self.h[k] as f32;
-            for (&j, &w) in self.col_idx[lo..hi].iter().zip(&ws[lo..hi]) {
-                f += w * signs[j as usize];
-            }
-            out[k] = f;
-        }
-    }
-
-    /// Greedy graph coloring of the coupling graph, built on first use.
-    ///
-    /// Spins within one color class share no coupling, so a Fast-mode sweep
-    /// can propose a whole class back-to-back without any proposal reading a
-    /// field another proposal in the same class just wrote — the checkerboard
-    /// decomposition that also lets multicore sweeps split a class across
-    /// threads without cache-line contention.
-    pub fn coloring(&self) -> &Coloring {
-        self.coloring.get_or_init(|| self.build_coloring())
-    }
-
-    fn build_coloring(&self) -> Coloring {
-        let n = self.num_vars();
-        let mut color = vec![0u32; n];
-        // mark[c] == k means a neighbor of k already uses color c.
-        let mut mark = vec![u32::MAX; 1];
-        for k in 0..n {
-            let (cols, _) = self.row(k);
-            for &j in cols {
-                let j = j as usize;
-                if j < k {
-                    let c = color[j] as usize;
-                    if c >= mark.len() {
-                        mark.resize(c + 1, u32::MAX);
-                    }
-                    mark[c] = k as u32;
-                }
-            }
-            let mut c = 0;
-            while c < mark.len() && mark[c] == k as u32 {
-                c += 1;
-            }
-            if c >= mark.len() {
-                mark.resize(c + 1, u32::MAX);
-            }
-            color[k] = c as u32;
-        }
-        let num_colors = color.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
-        // Bucket spins by color; ascending spin order within each class.
-        let mut counts = vec![0u32; num_colors + 1];
-        for &c in &color {
-            counts[c as usize + 1] += 1;
-        }
-        for c in 1..counts.len() {
-            counts[c] += counts[c - 1];
-        }
-        let class_ptr = counts.clone();
-        let mut order = vec![0u32; n];
-        let mut cursor = counts;
-        for (k, &c) in color.iter().enumerate() {
-            order[cursor[c as usize] as usize] = k as u32;
-            cursor[c as usize] += 1;
-        }
-        Coloring {
-            class_ptr,
-            order,
-            num_colors,
-        }
-    }
-}
-
-/// Greedy coloring of a coupling graph: a partition of the spins into
-/// independent sets ("color classes") covering every spin exactly once.
-#[derive(Debug, Clone, Default)]
-pub struct Coloring {
-    /// Class `c` spins live at `order[class_ptr[c]..class_ptr[c+1]]`.
-    class_ptr: Vec<u32>,
-    /// Spin indices grouped by class, ascending within each class.
-    order: Vec<u32>,
-    num_colors: usize,
-}
-
-impl Coloring {
-    /// Number of color classes.
-    #[inline]
-    pub fn num_colors(&self) -> usize {
-        self.num_colors
-    }
-
-    /// Total number of spins covered (sum of class sizes).
-    #[inline]
-    pub fn num_spins(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Spin indices of class `c`, ascending.
-    #[inline]
-    pub fn class(&self, c: usize) -> &[u32] {
-        let lo = self.class_ptr[c] as usize;
-        let hi = self.class_ptr[c + 1] as usize;
-        &self.order[lo..hi]
-    }
-
-    /// Iterator over the classes, in color order.
-    pub fn classes(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.num_colors).map(move |c| self.class(c))
-    }
-
-    /// All spin indices in sweep order — the concatenation of the classes.
-    ///
-    /// Visiting this flat slice is the same proposal sequence as nesting
-    /// over [`classes`](Self::classes), without the per-class loop overhead
-    /// (a complete graph degenerates to `n` singleton classes).
-    #[inline]
-    pub fn order(&self) -> &[u32] {
-        &self.order
-    }
-}
-
-/// Bit-packed ±1 spins: 64 spins per `u64` word, bit set ⇔ spin `+1`.
-///
-/// Readout and flip are branchless bit operations, and 64-spin words make
-/// whole-state copies (PIMC Trotter slices, warm starts) 8× smaller than
-/// `Vec<i8>` — the Fast kernel's working-set advantage.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitSpins {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl BitSpins {
-    /// Packs a ±1 spin slice. Any value `>= 0` packs as up (`+1`).
-    pub fn from_spins(spins: &[i8]) -> Self {
-        let len = spins.len();
-        let mut words = vec![0u64; len.div_ceil(64)];
-        for (k, &s) in spins.iter().enumerate() {
-            if s >= 0 {
-                words[k >> 6] |= 1u64 << (k & 63);
-            }
-        }
-        BitSpins { words, len }
-    }
-
-    /// All-down (`-1`) state of `len` spins.
-    pub fn all_down(len: usize) -> Self {
-        BitSpins {
-            words: vec![0u64; len.div_ceil(64)],
-            len,
-        }
-    }
-
-    /// Number of spins.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when there are no spins.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Spin `k` as ±1. Branchless.
-    #[inline]
-    pub fn get(&self, k: usize) -> i8 {
-        debug_assert!(k < self.len);
-        let bit = (self.words[k >> 6] >> (k & 63)) & 1;
-        (2 * bit as i8) - 1
-    }
-
-    /// Spin `k` as ±1.0f32. Branchless.
-    #[inline]
-    pub fn sign_f32(&self, k: usize) -> f32 {
-        debug_assert!(k < self.len);
-        let bit = (self.words[k >> 6] >> (k & 63)) & 1;
-        (2 * bit as i32 - 1) as f32
-    }
-
-    /// `s_k · x`: applies spin `k`'s sign to `x` by XORing the IEEE sign
-    /// bit — no int→float convert, no multiply. Branchless.
-    #[inline]
-    pub fn apply_sign_f32(&self, k: usize, x: f32) -> f32 {
-        debug_assert!(k < self.len);
-        let bit = (self.words[k >> 6] >> (k & 63)) & 1;
-        f32::from_bits(x.to_bits() ^ (((bit ^ 1) as u32) << 31))
-    }
-
-    /// Flips spin `k`.
-    #[inline]
-    pub fn flip(&mut self, k: usize) {
-        debug_assert!(k < self.len);
-        self.words[k >> 6] ^= 1u64 << (k & 63);
-    }
-
-    /// Unpacks to the `Vec<i8>` ±1 representation.
-    pub fn to_spins(&self) -> Vec<i8> {
-        (0..self.len).map(|k| self.get(k)).collect()
-    }
-
-    /// Raw packed words (trailing bits beyond `len` are zero).
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 }
 
@@ -678,7 +392,6 @@ mod tests {
         assert_eq!(csr.num_vars(), 0);
         assert_eq!(csr.energy(&[]), 0.0);
         assert_eq!(csr.num_runs(), 0);
-        assert_eq!(csr.coloring().num_colors(), 0);
         let state = LocalFieldState::new(&csr, Vec::new());
         assert_eq!(state.energy(), 0.0);
     }
@@ -720,62 +433,5 @@ mod tests {
             let gather_bits: Vec<u64> = via_gather.iter().map(|f| f.to_bits()).collect();
             assert_eq!(runs_bits, gather_bits, "density {density}");
         }
-    }
-
-    #[test]
-    fn coloring_is_a_proper_partition() {
-        let mut rng = Rng64::new(127);
-        for density in [0.1, 0.5, 1.0] {
-            let q = crate::generator::sparse_random_qubo(24, density, &mut rng);
-            let (ising, _) = q.to_ising();
-            let csr = CsrIsing::from_ising(&ising);
-            let coloring = csr.coloring();
-            // Every spin appears exactly once across all classes.
-            let mut seen = [false; 24];
-            for class in coloring.classes() {
-                for &k in class {
-                    assert!(!seen[k as usize], "spin {k} colored twice");
-                    seen[k as usize] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s));
-            assert_eq!(coloring.num_spins(), 24);
-            // No two spins in one class are coupled.
-            for class in coloring.classes() {
-                for &a in class {
-                    let (cols, _) = csr.row(a as usize);
-                    for &b in class {
-                        assert!(
-                            a == b || !cols.contains(&b),
-                            "coupled spins {a},{b} share a color (density {density})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bitspins_round_trip_and_flip() {
-        let mut rng = Rng64::new(131);
-        for n in [0usize, 1, 63, 64, 65, 130] {
-            let spins: Vec<i8> = (0..n)
-                .map(|_| if rng.next_bool() { 1 } else { -1 })
-                .collect();
-            let mut packed = BitSpins::from_spins(&spins);
-            assert_eq!(packed.len(), n);
-            assert_eq!(packed.to_spins(), spins);
-            for k in 0..n {
-                assert_eq!(packed.get(k), spins[k]);
-                assert_eq!(packed.sign_f32(k), spins[k] as f32);
-            }
-            for k in 0..n {
-                packed.flip(k);
-                assert_eq!(packed.get(k), -spins[k]);
-                packed.flip(k);
-            }
-            assert_eq!(packed.to_spins(), spins);
-        }
-        assert_eq!(BitSpins::all_down(70).to_spins(), vec![-1i8; 70]);
     }
 }

@@ -49,11 +49,10 @@ pub mod sa;
 pub mod solution;
 pub mod tabu;
 
-pub use csr::{BitSpins, Coloring, CsrIsing, LocalFieldState};
+pub use csr::{CsrIsing, LocalFieldState};
 pub use greedy::{greedy_search, GreedyOrder, GreedyVariant};
 pub use ising::Ising;
 pub use model::Qubo;
 pub use pt::{parallel_tempering, PtParams};
-pub use sa::SweepKernel;
 pub use solution::{bits_to_spins, spins_to_bits, Sample, SampleSet};
 pub use tabu::{tabu_from_random, tabu_search, TabuParams};

@@ -13,59 +13,11 @@
 //! independent and fan out across threads with per-read seeds derived from
 //! the caller's RNG, so results are bit-identical for any thread count.
 
-use crate::csr::{BitSpins, CsrIsing, LocalFieldState};
-use crate::ising::Ising;
+use crate::csr::{CsrIsing, LocalFieldState};
 use crate::model::Qubo;
 use crate::solution::{spins_to_bits, SampleSet};
-use hqw_math::fastmath::exp_fast;
 use hqw_math::parallel::parallel_map_indexed;
 use hqw_math::Rng64;
-
-/// Which sweep kernel a sampler runs.
-///
-/// The two modes trade determinism guarantees for speed:
-///
-/// * [`SweepKernel::Exact`] (the default) — the historical serial kernel:
-///   f64 local fields, index-ordered proposals, one RNG draw per uphill
-///   proposal. Its outputs are **bit-identical** across releases, thread
-///   counts and storage-layout changes (regression-pinned by golden tests).
-/// * [`SweepKernel::Fast`] — the optimized kernel: bit-packed spins
-///   (64/`u64`), single-precision local fields with periodic exact
-///   refreshes, graph-colored proposal order, and a rejection cutoff that
-///   skips the `exp`/RNG draw for hopeless uphill moves. It promises
-///   **statistical equivalence only** (same energy distribution, not the
-///   same bits); final energies are always recomputed exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SweepKernel {
-    /// Bit-identical deterministic kernel (default).
-    #[default]
-    Exact,
-    /// Vectorized statistical-equivalence kernel.
-    Fast,
-}
-
-impl SweepKernel {
-    /// Canonical lower-case name (`"exact"` / `"fast"`), as used by the
-    /// experiment-spec JSON codec.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SweepKernel::Exact => "exact",
-            SweepKernel::Fast => "fast",
-        }
-    }
-
-    /// Parses a canonical name.
-    ///
-    /// # Errors
-    /// Returns the offending string on anything but `"exact"` / `"fast"`.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "exact" => Ok(SweepKernel::Exact),
-            "fast" => Ok(SweepKernel::Fast),
-            other => Err(format!("unknown sweep kernel {other:?}")),
-        }
-    }
-}
 
 /// Simulated-annealing parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,9 +33,6 @@ pub struct SaParams {
     /// Worker threads for parallel reads (1 = serial, 0 = all available
     /// cores). Results are bit-identical for any value.
     pub threads: usize,
-    /// Sweep kernel: bit-identical [`SweepKernel::Exact`] (default) or the
-    /// vectorized, statistically-equivalent [`SweepKernel::Fast`].
-    pub kernel: SweepKernel,
 }
 
 impl Default for SaParams {
@@ -94,7 +43,6 @@ impl Default for SaParams {
             sweeps: 128,
             num_reads: 32,
             threads: 1,
-            kernel: SweepKernel::Exact,
         }
     }
 }
@@ -155,7 +103,7 @@ impl SweepTrace {
     /// Lowest energy seen over the whole read.
     ///
     /// # Panics
-    /// Panics on an empty trajectory (never produced by the SA kernels).
+    /// Panics on an empty trajectory (never produced by the SA kernel).
     pub fn best_energy(&self) -> f64 {
         *self
             .best_by_sweep
@@ -258,259 +206,6 @@ fn sa_read_impl(
     state
 }
 
-/// Fast-kernel cadence for rebuilding the f32 field cache (and re-anchoring
-/// the running energy estimate) from scratch.
-const FAST_FIELD_REFRESH_SWEEPS: usize = 64;
-
-/// Uphill moves with `β·ΔE` above this are rejected without spending an RNG
-/// draw + `exp` (acceptance probability < e⁻³⁰ ≈ 9·10⁻¹⁴ — statistically
-/// indistinguishable from zero).
-const FAST_REJECT_CUTOFF: f64 = 30.0;
-
-/// One Fast-kernel SA read: bit-packed spins, f32 local fields with periodic
-/// exact refreshes, graph-colored proposal order. Returns `(spins, energy)`
-/// where the energy is recomputed **exactly** from the final spins.
-///
-/// Statistically equivalent to [`sa_read_csr`] (same proposal density, same
-/// schedule, acceptance probabilities within f32 rounding) but not
-/// bit-identical to it, and RNG consumption differs — use only where the
-/// caller opted into [`SweepKernel::Fast`].
-///
-/// # Panics
-/// Panics on invalid parameters or a start-length mismatch.
-pub fn sa_read_fast(
-    csr: &CsrIsing,
-    params: &SaParams,
-    start: &[i8],
-    rng: &mut Rng64,
-) -> (Vec<i8>, f64) {
-    sa_read_fast_impl(csr, params, start, rng, None)
-}
-
-/// [`sa_read_fast`] that also records a running-best trace. Trace entries
-/// between refresh points come from the f32 energy estimate (exactly
-/// re-anchored every `FAST_FIELD_REFRESH_SWEEPS` sweeps and at the end),
-/// so they are approximate — within f32 accumulation error — but the
-/// non-increasing invariant and the final energy are exact.
-pub fn sa_read_fast_traced(
-    csr: &CsrIsing,
-    params: &SaParams,
-    start: &[i8],
-    rng: &mut Rng64,
-) -> (Vec<i8>, f64, SweepTrace) {
-    let mut best_by_sweep = Vec::with_capacity(params.sweeps + 1);
-    let (spins, energy) = sa_read_fast_impl(csr, params, start, rng, Some(&mut best_by_sweep));
-    (spins, energy, SweepTrace { best_by_sweep })
-}
-
-fn sa_read_fast_impl(
-    csr: &CsrIsing,
-    params: &SaParams,
-    start: &[i8],
-    rng: &mut Rng64,
-    mut trace: Option<&mut Vec<f64>>,
-) -> (Vec<i8>, f64) {
-    params.validate_or_panic();
-    let n = csr.num_vars();
-    assert_eq!(start.len(), n, "sa_read_fast: start length mismatch");
-    let mut spins = BitSpins::from_spins(start);
-    let mut h_eff = vec![0.0f32; n];
-    csr.fill_local_fields_f32(&spins, &mut h_eff);
-    let mut energy = csr.energy(start);
-    let mut best = energy;
-    if let Some(t) = trace.as_deref_mut() {
-        t.push(best);
-    }
-    if n == 0 {
-        return (Vec::new(), 0.0);
-    }
-    let coloring = csr.coloring();
-    let traced = trace.is_some();
-    let ratio = if params.sweeps > 1 {
-        (params.beta_final / params.beta_initial).powf(1.0 / (params.sweeps - 1) as f64)
-    } else {
-        1.0
-    };
-    let order = coloring.order();
-    // On a complete graph the greedy coloring degenerates to singleton
-    // classes in index order, so the sweep order is the identity — which
-    // unlocks the chunked scan below (contiguous field loads, packed sign
-    // bits straight off one word).
-    let identity_order = order.iter().enumerate().all(|(idx, &v)| v as usize == idx);
-    // Mean |h| steers the frozen-sweep scan below; refreshed with the field
-    // cache (a heuristic only — per-spin decisions stay exact).
-    let mean_abs_h =
-        |h: &[f32]| h.iter().map(|&f| f.abs() as f64).sum::<f64>() / h.len().max(1) as f64;
-    let mut h_scale = mean_abs_h(&h_eff);
-    let mut beta = params.beta_initial;
-    for sweep in 1..=params.sweeps {
-        let beta_f32 = beta as f32;
-        // Full proposal at spin `k` — shared by both sweep paths below.
-        macro_rules! propose {
-            ($k:expr) => {{
-                let k = $k;
-                // s·h via a sign-bit XOR (no convert, no multiply); the
-                // whole filter chain below stays in f32 — only the rare
-                // boundary-octave fallback promotes to f64.
-                let sh = spins.apply_sign_f32(k, h_eff[k]);
-                let delta = -2.0 * sh;
-                let accept = if delta <= 0.0 {
-                    true
-                } else {
-                    let bd = beta_f32 * delta;
-                    if bd > FAST_REJECT_CUTOFF as f32 {
-                        false
-                    } else {
-                        // Metropolis test `u < e^{-βΔ}` resolved in the log2
-                        // domain: the raw draw r pins u = (r >> 11)·2⁻⁵³ into
-                        // [2^{-lz-1}, 2^{-lz}) where lz = leading zeros of r,
-                        // so comparing −lz against t = −βΔ·log₂e decides all
-                        // but the one boundary octave without evaluating the
-                        // exponential. Only draws whose octave straddles t
-                        // (a ~2⁻ˡᶻ-probability sliver) pay for `exp_fast`.
-                        let r = rng.next_u64();
-                        let lz = r.leading_zeros() as f32;
-                        let t = -bd * std::f32::consts::LOG2_E;
-                        if t >= -lz {
-                            true
-                        } else if t <= -(lz + 1.0) {
-                            false
-                        } else {
-                            (r >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < exp_fast(-(bd as f64))
-                        }
-                    }
-                };
-                if accept {
-                    spins.flip(k);
-                    csr.axpy_row_f32(&mut h_eff, k, 2.0 * spins.apply_sign_f32(k, 1.0));
-                    if traced {
-                        energy += delta as f64;
-                    }
-                }
-            }};
-        }
-        // A proposal is a *certain reject* iff Δ > 0 and β·Δ exceeds the
-        // cutoff, i.e. s·h < −cutoff/(2β): a strongly-satisfied spin. Certain
-        // rejects consume no RNG and flip nothing, so whole runs of them can
-        // be skipped with one multiply-compare per spin, 8 lanes at a time.
-        // That only pays once a good fraction of a sweep is such spins, so
-        // the scan arms when the *mean* spin clears the cutoff (cold,
-        // frozen sweeps) — hot sweeps keep the plain loop, where the filter
-        // would be pure overhead. The margin (+0.5) keeps the f32 filter
-        // conservative: anything near the cutoff falls through to the exact
-        // scalar test.
-        let frozen = 2.0 * beta * h_scale > FAST_REJECT_CUTOFF + 0.5;
-        if identity_order && frozen {
-            let neg_thresh = (-(FAST_REJECT_CUTOFF + 0.5) / (2.0 * beta)) as f32;
-            let mut k = 0usize;
-            while k < n {
-                if k + 8 <= n {
-                    // Chunk starts drift after a live proposal, so the 8
-                    // sign bits may straddle a word boundary.
-                    let sh = k & 63;
-                    let lo = spins.words()[k >> 6] >> sh;
-                    let merged = if sh <= 56 {
-                        lo
-                    } else {
-                        lo | (spins.words()[(k >> 6) + 1] << (64 - sh))
-                    };
-                    let bits = (merged & 0xFF) as u32;
-                    let mut live = 0u32;
-                    for j in 0..8 {
-                        let s = ((bits >> j & 1) as i32 * 2 - 1) as f32;
-                        let t = s * h_eff[k + j];
-                        live |= ((t >= neg_thresh) as u32) << j;
-                    }
-                    if live == 0 {
-                        k += 8; // eight certain rejects
-                        continue;
-                    }
-                    k += live.trailing_zeros() as usize;
-                }
-                propose!(k);
-                k += 1;
-            }
-        } else {
-            // Color-ordered pass: `order()` is the flat concatenation of the
-            // independent color classes — same sequence as nesting over
-            // `classes()`, without the per-class loop overhead.
-            for &k in order {
-                propose!(k as usize);
-            }
-        }
-        beta *= ratio;
-        if sweep % FAST_FIELD_REFRESH_SWEEPS == 0 && sweep < params.sweeps {
-            // f32 deltas drift; rebuild the field cache from scratch (but
-            // not on the final sweep — the returned energy is recomputed
-            // exactly from the spins, so a last-sweep rebuild is dead work).
-            // The
-            // running energy estimate only feeds the trace, so the exact
-            // re-anchor is skipped on untraced reads (the returned energy is
-            // always an exact final recompute either way).
-            csr.fill_local_fields_f32(&spins, &mut h_eff);
-            h_scale = mean_abs_h(&h_eff);
-            if traced {
-                energy = csr.energy(&spins.to_spins());
-            }
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            best = best.min(energy);
-            t.push(best);
-        }
-    }
-    let final_spins = spins.to_spins();
-    let final_energy = csr.energy(&final_spins);
-    (final_spins, final_energy)
-}
-
-/// Kernel-dispatching traced read: runs the kernel selected by
-/// `params.kernel` and returns `(spins, exact final energy, trace)`.
-///
-/// With [`SweepKernel::Exact`] this is precisely [`sa_read_csr_traced`]
-/// (bit-identical state, tracked energy and RNG stream); with
-/// [`SweepKernel::Fast`] it is [`sa_read_fast_traced`].
-pub fn sa_read_traced(
-    csr: &CsrIsing,
-    params: &SaParams,
-    start: &[i8],
-    rng: &mut Rng64,
-) -> (Vec<i8>, f64, SweepTrace) {
-    match params.kernel {
-        SweepKernel::Exact => {
-            let (state, trace) = sa_read_csr_traced(csr, params, start, rng);
-            let energy = state.energy();
-            (state.into_spins(), energy, trace)
-        }
-        SweepKernel::Fast => sa_read_fast_traced(csr, params, start, rng),
-    }
-}
-
-/// Kernel-dispatching single read used by the sampling fan-outs: returns
-/// `(spins, exact Ising energy)` from whichever kernel `params.kernel`
-/// selects. The `Exact` arm consumes the RNG exactly as the historical
-/// kernel did, keeping the sample paths bit-identical at the default.
-#[inline]
-fn run_read(csr: &CsrIsing, params: &SaParams, start: &[i8], rng: &mut Rng64) -> (Vec<i8>, f64) {
-    match params.kernel {
-        SweepKernel::Exact => {
-            let state = sa_read_csr(csr, params, start, rng);
-            let energy = state.energy();
-            (state.into_spins(), energy)
-        }
-        SweepKernel::Fast => sa_read_fast(csr, params, start, rng),
-    }
-}
-
-/// One SA read on an Ising model starting from `start` spins.
-/// Returns the final spin configuration.
-///
-/// Convenience wrapper over [`sa_read_csr`]; when running many reads on one
-/// problem, build the [`CsrIsing`] once and call the CSR kernel directly.
-pub fn sa_read_ising(ising: &Ising, params: &SaParams, start: &[i8], rng: &mut Rng64) -> Vec<i8> {
-    let csr = CsrIsing::from_ising(ising);
-    sa_read_csr(&csr, params, start, rng).into_spins()
-}
-
 /// Samples a QUBO with SA: `num_reads` independent reads from uniform random
 /// starts, aggregated into a [`SampleSet`] with QUBO energies.
 ///
@@ -567,8 +262,9 @@ pub fn sample_qubo_with_start(
                 .map(|_| if read_rng.next_bool() { 1 } else { -1 })
                 .collect(),
         };
-        let (spins, ising_energy) = run_read(&csr, params, &start, &mut read_rng);
-        let energy = ising_energy + offset;
+        let state = sa_read_csr(&csr, params, &start, &mut read_rng);
+        let energy = state.energy() + offset;
+        let spins = state.into_spins();
         debug_assert!(
             (energy - qubo.energy(&spins_to_bits(&spins))).abs() < 1e-6 * (1.0 + energy.abs()),
             "tracked energy drifted from the exact QUBO energy"
@@ -662,8 +358,8 @@ fn run_batch_reads(
         let start: Vec<i8> = (0..*n)
             .map(|_| if read_rng.next_bool() { 1 } else { -1 })
             .collect();
-        let (spins, ising_energy) = run_read(csr, params, &start, &mut read_rng);
-        (spins_to_bits(&spins), ising_energy + offset)
+        let state = sa_read_csr(csr, params, &start, &mut read_rng);
+        (spins_to_bits(state.spins()), state.energy() + offset)
     });
 
     let mut per_problem: Vec<Vec<(Vec<u8>, f64)>> = vec![Vec::new(); qubos.len()];
@@ -686,7 +382,6 @@ pub fn intensive_search(qubo: &Qubo, num_reads: usize, rng: &mut Rng64) -> (Vec<
         sweeps: 256,
         num_reads,
         threads: 1,
-        kernel: SweepKernel::Exact,
     };
     let set = sample_qubo(qubo, &params, rng);
     let best = set.best().expect("intensive_search: no samples");
@@ -1018,163 +713,6 @@ mod tests {
             ..SaParams::default()
         };
         params.validate_or_panic();
-    }
-
-    #[test]
-    fn fast_kernel_finds_optimum_on_small_problems() {
-        let mut rng = Rng64::new(41);
-        let params = SaParams {
-            kernel: SweepKernel::Fast,
-            ..SaParams::default()
-        };
-        for _ in 0..5 {
-            let q = random_qubo(12, &mut rng);
-            let (_, e_best) = exhaustive_minimum(&q);
-            let set = sample_qubo(&q, &params, &mut rng);
-            assert!(
-                (set.best_energy() - e_best).abs() < 1e-9,
-                "Fast kernel missed the optimum: {} vs {e_best}",
-                set.best_energy()
-            );
-        }
-    }
-
-    #[test]
-    fn fast_kernel_energies_are_exact_recomputes() {
-        let mut rng = Rng64::new(43);
-        let q = random_qubo(20, &mut rng);
-        let params = SaParams {
-            kernel: SweepKernel::Fast,
-            num_reads: 8,
-            ..SaParams::default()
-        };
-        let set = sample_qubo(&q, &params, &mut rng);
-        for s in set.iter() {
-            assert!(
-                (q.energy(&s.bits) - s.energy).abs() < 1e-9 * (1.0 + s.energy.abs()),
-                "Fast-kernel reported energy must be an exact recompute"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_kernel_is_deterministic_and_thread_invariant() {
-        let q = random_qubo(16, &mut Rng64::new(45));
-        let collect = |threads: usize| {
-            let params = SaParams {
-                kernel: SweepKernel::Fast,
-                num_reads: 11,
-                sweeps: 40,
-                threads,
-                ..SaParams::default()
-            };
-            sample_qubo(&q, &params, &mut Rng64::new(7))
-        };
-        let serial = collect(1);
-        for threads in [2, 0] {
-            let parallel = collect(threads);
-            assert_eq!(serial.total_reads(), parallel.total_reads());
-            for (a, b) in serial.iter().zip(parallel.iter()) {
-                assert_eq!(a.bits, b.bits, "threads={threads}");
-                assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn fast_kernel_is_statistically_equivalent_to_exact() {
-        // Same schedule, same read count: the two kernels must land in the
-        // same energy range. This is the distributional contract — means
-        // within a few percent of the energy scale, not identical bits.
-        let q = random_qubo(32, &mut Rng64::new(47));
-        let run = |kernel: SweepKernel| {
-            let params = SaParams {
-                kernel,
-                num_reads: 48,
-                sweeps: 192,
-                ..SaParams::default()
-            };
-            let set = sample_qubo(&q, &params, &mut Rng64::new(3));
-            let mean: f64 = set
-                .iter()
-                .map(|s| s.energy * s.occurrences as f64)
-                .sum::<f64>()
-                / set.total_reads() as f64;
-            (set.best_energy(), mean)
-        };
-        let (exact_best, exact_mean) = run(SweepKernel::Exact);
-        let (fast_best, fast_mean) = run(SweepKernel::Fast);
-        let scale = 1.0 + exact_best.abs();
-        assert!(
-            (exact_best - fast_best).abs() < 0.05 * scale,
-            "best energies diverged: exact {exact_best} vs fast {fast_best}"
-        );
-        assert!(
-            (exact_mean - fast_mean).abs() < 0.05 * scale,
-            "mean energies diverged: exact {exact_mean} vs fast {fast_mean}"
-        );
-    }
-
-    #[test]
-    fn fast_traced_read_has_exact_anchors() {
-        let q = random_qubo(18, &mut Rng64::new(49));
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
-        let params = SaParams {
-            kernel: SweepKernel::Fast,
-            sweeps: 150, // crosses two refresh points
-            ..SaParams::default()
-        };
-        let start = vec![1i8; 18];
-        let (spins, energy, trace) = sa_read_traced(&csr, &params, &start, &mut Rng64::new(5));
-        assert_eq!(trace.best_by_sweep.len(), params.sweeps + 1);
-        for w in trace.best_by_sweep.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12, "running best must be non-increasing");
-        }
-        assert_eq!(
-            energy.to_bits(),
-            csr.energy(&spins).to_bits(),
-            "final Fast energy must be an exact recompute"
-        );
-    }
-
-    #[test]
-    fn sa_read_traced_exact_matches_untraced_kernel() {
-        let q = random_qubo(14, &mut Rng64::new(51));
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
-        let params = SaParams::default();
-        let start = vec![-1i8; 14];
-        let state = sa_read_csr(&csr, &params, &start, &mut Rng64::new(5));
-        let (spins, energy, _) = sa_read_traced(&csr, &params, &start, &mut Rng64::new(5));
-        assert_eq!(state.spins(), &spins[..]);
-        assert_eq!(state.energy().to_bits(), energy.to_bits());
-    }
-
-    #[test]
-    fn fast_warm_start_keeps_the_seed_guarantee() {
-        let mut rng = Rng64::new(53);
-        let (q, planted) = planted_qubo(24, 60, &mut rng);
-        let params = SaParams {
-            kernel: SweepKernel::Fast,
-            beta_initial: 1e-3,
-            beta_final: 1e-3,
-            sweeps: 1,
-            num_reads: 4,
-            ..SaParams::default()
-        };
-        let set = sample_qubo_with_start(&q, &params, Some(&planted), &mut rng);
-        assert_eq!(set.total_reads(), 5);
-        assert!(set.best_energy() <= q.energy(&planted) + 1e-9);
-    }
-
-    #[test]
-    fn kernel_names_round_trip() {
-        for kernel in [SweepKernel::Exact, SweepKernel::Fast] {
-            assert_eq!(SweepKernel::parse(kernel.name()), Ok(kernel));
-        }
-        assert!(SweepKernel::parse("turbo").is_err());
-        assert_eq!(SweepKernel::default(), SweepKernel::Exact);
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Golden-output regression for the `Exact` SA kernel.
+//! Golden-output regression for the SA kernel.
 //!
 //! These samples were captured from the pre-optimization sweep kernel (the
-//! PR-1 incremental-CSR implementation). The `Exact` kernel mode promises
+//! first incremental-CSR implementation). The SA kernel promises
 //! **byte-identical** outputs across implementation changes — same bits, same
 //! tracked-energy float bit patterns, same occurrence counts — so any
 //! optimization that reorders a float operation or consumes the RNG
-//! differently trips this test. (The `Fast` mode is exempt: it promises
-//! statistical equivalence only, and is tested elsewhere.)
+//! differently trips this test.
 
 use hqw_math::Rng64;
 use hqw_qubo::generator::random_qubo;
@@ -51,7 +50,6 @@ fn hot_short_schedule_golden() {
         sweeps: 6,
         num_reads: 5,
         threads: 1,
-        ..SaParams::default()
     };
     let set = sample_qubo(&q, &params, &mut Rng64::new(17));
     let expected: Vec<(Vec<u8>, u64, u64)> = vec![
