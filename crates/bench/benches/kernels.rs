@@ -45,7 +45,7 @@ use hqw_math::Rng64;
 use hqw_phy::{DetectionInstance, InstanceConfig, Modulation};
 use hqw_qubo::csr::CsrIsing;
 use hqw_qubo::generator::sparse_random_qubo;
-use hqw_qubo::greedy::{greedy_search, GreedyConfig};
+use hqw_qubo::greedy::greedy_search;
 use hqw_qubo::sa::{sa_read_csr, sample_qubo, SaParams};
 use hqw_qubo::{Ising, Qubo};
 use std::hint::black_box;
@@ -313,7 +313,7 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
         &mut Rng64::new(15),
     );
     let paper_q = frame.reduction.qubo;
-    let (paper_init, _) = greedy_search(&paper_q, GreedyConfig::default());
+    let (paper_init, _) = greedy_search(&paper_q);
     let paper_schedule = AnnealSchedule::reverse(0.65, 1.0).unwrap();
     let sampler_for = |engine: EngineKind, num_reads: usize, params: AnnealParams| {
         QuantumSampler::new(

@@ -19,9 +19,9 @@ pub struct RegistryEntry {
     pub description: &'static str,
 }
 
-/// Every registered experiment, in listing order: the three grid
+/// Every registered experiment, in listing order: the five grid
 /// experiments first, then the canned figures in [`CannedKind::ALL`] order.
-pub const ALL: [RegistryEntry; 19] = [
+pub const ALL: [RegistryEntry; 12] = [
     RegistryEntry {
         name: "ber",
         description: "end-to-end BER/SER-vs-SNR across every detector family",
@@ -69,34 +69,6 @@ pub const ALL: [RegistryEntry; 19] = [
     RegistryEntry {
         name: "headline",
         description: "best-parameter RA+GS vs best-parameter FA over 8-user 16-QAM instances",
-    },
-    RegistryEntry {
-        name: "ablation-embedding",
-        description: "Chimera clique-embedding overhead vs direct sampling",
-    },
-    RegistryEntry {
-        name: "ablation-engine",
-        description: "engine / Trotter slices / freeze-out ablation, 8-user 16-QAM",
-    },
-    RegistryEntry {
-        name: "ablation-greedy",
-        description: "Greedy Search order/variant seed quality",
-    },
-    RegistryEntry {
-        name: "ablation-pause",
-        description: "anneal pause duration for FA and RA-GS",
-    },
-    RegistryEntry {
-        name: "ext-initializers",
-        description: "classical initializers feeding RA on noisy 5-user 16-QAM",
-    },
-    RegistryEntry {
-        name: "ext-iterative",
-        description: "one-shot GS->RA vs iterated RA vs sample-persistence prefixing",
-    },
-    RegistryEntry {
-        name: "pipeline-study",
-        description: "pipelined classical-quantum processing of successive channel uses",
     },
 ];
 
@@ -184,13 +156,6 @@ fn run_canned(canned: &CannedSpec, opts: &Options) {
         CannedKind::Fig7 => legacy::run_fig7(&opts),
         CannedKind::Fig8 => legacy::run_fig8(&opts),
         CannedKind::Headline => legacy::run_headline(&opts),
-        CannedKind::AblationEmbedding => legacy::run_ablation_embedding(&opts),
-        CannedKind::AblationEngine => legacy::run_ablation_engine(&opts),
-        CannedKind::AblationGreedy => legacy::run_ablation_greedy(&opts),
-        CannedKind::AblationPause => legacy::run_ablation_pause(&opts),
-        CannedKind::ExtInitializers => legacy::run_ext_initializers(&opts),
-        CannedKind::ExtIterative => legacy::run_ext_iterative(&opts),
-        CannedKind::PipelineStudy => legacy::run_pipeline_study(&opts),
     }
 }
 
@@ -319,6 +284,7 @@ mod tests {
             .collect();
         let kinds: Vec<&str> = CannedKind::ALL.iter().map(|k| k.name()).collect();
         assert_eq!(canned, kinds);
+        assert_eq!(all().len(), 12);
     }
 
     #[test]

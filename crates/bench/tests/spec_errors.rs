@@ -5,33 +5,43 @@ use hqw_bench::cli::Options;
 use hqw_bench::registry;
 use hqw_core::spec::ExperimentSpec;
 
-/// Asserts that `bad` fails to parse with `unknown field "kernel"` and that
-/// `hqw run` on it exits 2 with that error and no panic.
-fn assert_kernel_key_exits_2(bad: &str, file: &str) {
+/// Asserts that `hqw <args>` exits 2 with `needle` on stderr and no panic.
+fn assert_hqw_exits_2(args: &[&str], needle: &str) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hqw"))
+        .args(args)
+        .output()
+        .expect("spawn hqw");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(needle), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Asserts that the spec text `bad` fails to parse with `needle` and that
+/// `hqw run` on it as a spec file exits 2 with that error and no panic.
+fn assert_spec_file_exits_2(bad: &str, file: &str, needle: &str) {
     let err = ExperimentSpec::parse(bad).unwrap_err();
-    assert!(
-        err.to_string().contains("unknown field \"kernel\""),
-        "got: {err}"
-    );
+    assert!(err.to_string().contains(needle), "got: {err}");
 
     let dir = std::env::temp_dir().join(format!("hqw_spec_errors_{}_{file}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{file}.json"));
     std::fs::write(&path, bad).unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hqw"))
-        .args([
+    assert_hqw_exits_2(
+        &[
             "run",
             path.to_str().unwrap(),
             "--out",
             dir.to_str().unwrap(),
-        ])
-        .output()
-        .expect("spawn hqw");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("unknown field \"kernel\""), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+        ],
+        needle,
+    );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// [`assert_spec_file_exits_2`] for a spec that still selects a sweep kernel.
+fn assert_kernel_key_exits_2(bad: &str, file: &str) {
+    assert_spec_file_exits_2(bad, file, "unknown field \"kernel\"");
 }
 
 fn quick_preset_json(name: &str) -> String {
@@ -71,4 +81,19 @@ fn sa_stanza_kernel_key_exits_2() {
             assert_kernel_key_exits_2(&bad, &format!("{preset}_sa_{kernel}"));
         }
     }
+}
+
+#[test]
+fn deleted_canned_kinds_exit_2() {
+    // The non-paper canned experiments are gone: by registry name and by
+    // spec-file tag alike they are unknown experiments, not panics.
+    assert_hqw_exits_2(
+        &["run", "ablation-greedy", "--quick"],
+        "unknown experiment 'ablation-greedy'",
+    );
+    let text = quick_preset_json("fig3");
+    let tag = "\"experiment\": \"fig3\"";
+    assert!(text.contains(tag), "the fig3 preset has no experiment tag");
+    let bad = text.replacen(tag, "\"experiment\": \"ext-iterative\"", 1);
+    assert_spec_file_exits_2(&bad, "ext_iterative", "unknown experiment 'ext-iterative'");
 }

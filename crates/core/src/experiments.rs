@@ -13,9 +13,8 @@
 //! are wider.
 
 use crate::harvest::{harvest_states, HarvestedState};
-use crate::metrics::{delta_e_percent, success_probability, time_to_solution};
+use crate::metrics::{delta_e_percent, success_probability};
 use crate::protocol::{paper_sp_grid, Protocol};
-use crate::stages::{ClassicalInitializer, GreedyInitializer};
 use crate::sweep::{best_point, sweep_protocol, SweepPoint};
 use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
 use hqw_anneal::{AnnealParams, DWaveProfile, IceModel};
@@ -192,7 +191,7 @@ pub fn run_fig6(scale: Scale, seed: u64) -> Vec<Fig6Row> {
         // Arm setup on the first instance.
         let first = &instances[0];
         let eg0 = first.ground_energy();
-        let (gs_bits0, _) = hqw_qubo::greedy_search(&first.reduction.qubo, Default::default());
+        let (gs_bits0, _) = hqw_qubo::greedy_search(&first.reduction.qubo);
         let pick_sp = |protocol: &dyn Fn(f64) -> Protocol, init: Option<&[u8]>| -> f64 {
             let pts = sweep_protocol(
                 &sampler,
@@ -231,7 +230,7 @@ pub fn run_fig6(scale: Scale, seed: u64) -> Vec<Fig6Row> {
         for (idx, inst) in instances.iter().enumerate() {
             let eg = inst.ground_energy();
             let qubo = &inst.reduction.qubo;
-            let (gs_bits, _) = hqw_qubo::greedy_search(qubo, Default::default());
+            let (gs_bits, _) = hqw_qubo::greedy_search(qubo);
             let mut inst_rng = Rng64::new(seed.wrapping_add(idx as u64 * 7919));
             let random_bits: Vec<u8> = (0..36).map(|_| inst_rng.next_bool() as u8).collect();
 
@@ -526,7 +525,7 @@ pub fn run_headline(scale: Scale, seed: u64) -> Vec<HeadlineRow> {
             DetectionInstance::generate(&InstanceConfig::paper(8, Modulation::Qam16), &mut rng);
         let eg = inst.ground_energy();
         let qubo = &inst.reduction.qubo;
-        let (gs_bits, gs_e) = hqw_qubo::greedy_search(qubo, Default::default());
+        let (gs_bits, gs_e) = hqw_qubo::greedy_search(qubo);
 
         let fa = sweep_protocol(
             &sampler,
@@ -634,91 +633,6 @@ pub fn run_fig4_softinfo(scale: Scale, seed: u64) -> Vec<SoftInfoRow> {
                 optimum_preserved,
             });
         }
-    }
-    rows
-}
-
-// ---------------------------------------------------------------------------
-// §5 extension: application-specific initializers
-// ---------------------------------------------------------------------------
-
-/// One initializer's aggregate performance.
-#[derive(Debug, Clone)]
-pub struct InitializerRow {
-    /// Initializer name.
-    pub name: &'static str,
-    /// Mean ΔE_IS% of its candidates.
-    pub mean_delta_e_is: f64,
-    /// Mean modeled classical latency (µs).
-    pub mean_latency_us: f64,
-    /// Mean per-read success probability of RA seeded by it.
-    pub p_star: f64,
-    /// Mean TTS (µs) of the hybrid at 99% confidence (∞-safe mean: infinite
-    /// entries are counted as failures and reported as `f64::INFINITY` when
-    /// all fail).
-    pub mean_tts_us: f64,
-}
-
-/// Runs the §5 initializer comparison on noisy 5-user 16-QAM instances
-/// (20 variables, exhaustively certifiable ground states).
-pub fn run_ext_initializers(scale: Scale, seed: u64) -> Vec<InitializerRow> {
-    let mut config = InstanceConfig::paper(5, Modulation::Qam16);
-    config.noise_variance = hqw_phy::channel::snr_db_to_noise_variance(16.0, 5);
-    let mut rng = Rng64::new(seed);
-    let instances = DetectionInstance::generate_batch(&config, scale.instances, &mut rng);
-    let sampler = paper_sampler(scale.reads);
-    let s_p = 0.69;
-    let schedule = Protocol::paper_ra(s_p).schedule().expect("valid");
-
-    let initializers: Vec<Box<dyn ClassicalInitializer>> = vec![
-        Box::new(GreedyInitializer::default()),
-        Box::new(crate::stages::TabuInitializer::default()),
-        Box::new(crate::stages::RandomInitializer),
-        Box::new(crate::stages::zf_initializer(5)),
-        Box::new(crate::stages::kbest_initializer(4, 5)),
-        Box::new(crate::stages::fcsd_initializer(1, 5)),
-    ];
-
-    let mut rows = Vec::new();
-    for init in &initializers {
-        let mut de_sum = 0.0;
-        let mut lat_sum = 0.0;
-        let mut p_sum = 0.0;
-        let mut tts_values = Vec::new();
-        for (k, inst) in instances.iter().enumerate() {
-            // Noisy instance: certify the true ground state exhaustively.
-            let (_, eg) = exhaustive_minimum(&inst.reduction.qubo);
-            let mut init_rng = Rng64::new(seed.wrapping_add(k as u64));
-            let state = init.initialize(inst, &mut init_rng);
-            de_sum += delta_e_percent(state.energy, eg);
-            lat_sum += state.latency_us;
-            let run = sampler.sample_qubo(
-                &inst.reduction.qubo,
-                &schedule,
-                Some(&state.bits),
-                seed.wrapping_add(500 + k as u64),
-            );
-            let p = success_probability(&run.samples, eg);
-            p_sum += p;
-            tts_values.push(time_to_solution(schedule.duration_us(), p, 99.0));
-        }
-        let n = instances.len() as f64;
-        let finite: Vec<f64> = tts_values
-            .iter()
-            .copied()
-            .filter(|t| t.is_finite())
-            .collect();
-        rows.push(InitializerRow {
-            name: init.name(),
-            mean_delta_e_is: de_sum / n,
-            mean_latency_us: lat_sum / n,
-            p_star: p_sum / n,
-            mean_tts_us: if finite.is_empty() {
-                f64::INFINITY
-            } else {
-                finite.iter().sum::<f64>() / finite.len() as f64
-            },
-        });
     }
     rows
 }

@@ -33,9 +33,9 @@
 //! and `BENCH_fabric.json` is byte-identical at any thread count.
 
 use crate::grid::{check_coordinates, run_grid, GridEngine};
-use crate::pipeline::item_seed;
 use crate::scenario::json_num;
 use crate::sched::{corrected_us, ClassReport, PriorityClass, SchedOptions, ServicePredictor};
+use crate::solver::item_seed;
 use crate::spec::json::Json;
 use crate::spec::{
     check_keys, req, req_f64, req_ratio, req_str, req_u64, req_us, req_usize, SpecError,

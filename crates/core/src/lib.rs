@@ -2,13 +2,12 @@
 //!
 //! The paper's contribution: a framework for composing classical and quantum
 //! processing stages for wireless-network optimization problems, its
-//! GS+Reverse-Annealing prototype, the metrics it evaluates with, and the
-//! pipelined computation structure it envisions.
+//! GS+Reverse-Annealing prototype, and the metrics it evaluates with.
 //!
 //! * [`protocol`] — FA / RA / FR protocol definitions (§4.1, Figure 5).
-//! * [`stages`] — classical initializers: the paper's Greedy Search plus the
-//!   §5 application-specific solvers (ZF, K-best, FCSD), random and oracle
-//!   controls.
+//! * [`stages`] — classical initializers: the paper's Greedy Search, any
+//!   classical detector as a §5 application-specific solver (e.g. ZF), and
+//!   random and oracle controls.
 //! * [`solver`] — [`solver::HybridSolver`]: classical stage → quantum stage →
 //!   best-sample selection (Figure 1).
 //! * [`metrics`] — ΔE%, success probability `p★`, TTS (Eq. 2).
@@ -16,11 +15,6 @@
 //!   methodology).
 //! * [`sweep`] — `s_p`/`c_p` parameter sweeps with median-best selection
 //!   (Challenge 2).
-//! * [`pipeline`] / [`event_sim`] — the Figure-2 pipelined computation
-//!   structure: a real threaded pipeline and a discrete-event latency
-//!   analyzer (Challenge 3).
-//! * [`iterative`] — the richer hybrid couplings of §2's survey: iterated
-//!   reverse annealing and sample-persistence variable prefixing.
 //! * [`scenario`] — the batched BER-vs-SNR scenario engine: any
 //!   [`hqw_phy::detect::Detector`] (classical, SA-QUBO, or the hybrid solver
 //!   via [`scenario::HybridDetector`]) swept over a deterministic
@@ -66,15 +60,12 @@
 
 #![warn(missing_docs)]
 
-pub mod event_sim;
 pub mod experiments;
 pub mod fabric;
 pub mod fabric_rt;
 pub mod grid;
 pub mod harvest;
-pub mod iterative;
 pub mod metrics;
-pub mod pipeline;
 pub mod protocol;
 pub mod report;
 pub mod scenario;

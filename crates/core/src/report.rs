@@ -188,14 +188,20 @@ impl Table {
 }
 
 /// Formats a float with fixed precision, rendering non-finite values
-/// readably (`inf` for unreachable TTS).
+/// readably (`inf` for unreachable TTS) and a value that rounds to zero
+/// without a sign.
 pub fn fnum(value: f64, decimals: usize) -> String {
     if value.is_infinite() {
         "inf".to_string()
     } else if value.is_nan() {
         "nan".to_string()
     } else {
-        format!("{value:.decimals$}")
+        let text = format!("{value:.decimals$}");
+        // A negative value that rounds to zero would print as "-0.00".
+        match text.strip_prefix('-') {
+            Some(digits) if digits.bytes().all(|b| b == b'0' || b == b'.') => digits.to_string(),
+            _ => text,
+        }
     }
 }
 
@@ -233,6 +239,13 @@ mod tests {
         assert_eq!(fnum(1.23456, 2), "1.23");
         assert_eq!(fnum(f64::INFINITY, 2), "inf");
         assert_eq!(fnum(f64::NAN, 2), "nan");
+        // A negative value that rounds to zero prints unsigned…
+        assert_eq!(fnum(-1e-14, 2), "0.00");
+        assert_eq!(fnum(-0.004, 2), "0.00");
+        assert_eq!(fnum(-0.0, 0), "0");
+        // …and one that stays negative after rounding keeps its sign.
+        assert_eq!(fnum(-0.006, 2), "-0.01");
+        assert_eq!(fnum(-10.0, 1), "-10.0");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! diffing a 1-thread against an N-thread run.
 
 use crate::grid::{check_coordinates, GridEngine};
-use crate::pipeline::item_seed;
 use crate::protocol::Protocol;
+use crate::solver::item_seed;
 use crate::solver::{HybridConfig, HybridSolver};
 use crate::spec::json::Json;
 use crate::spec::{check_keys, req, req_f64, req_ratio, req_str, SpecError};
@@ -377,7 +377,7 @@ pub fn paper_roster(seed: u64) -> Vec<ScenarioDetector> {
         sampler,
         HybridConfig {
             protocol: Protocol::paper_ra(0.65),
-            initializer: Box::new(GreedyInitializer::default()),
+            initializer: Box::new(GreedyInitializer),
         },
     );
     vec![
@@ -786,7 +786,7 @@ mod tests {
             sampler,
             HybridConfig {
                 protocol: Protocol::paper_ra(0.65),
-                initializer: Box::new(GreedyInitializer::default()),
+                initializer: Box::new(GreedyInitializer),
             },
         );
         HybridDetector::new(solver, 0xA11CE)

@@ -198,7 +198,7 @@ impl ClassMix {
             return PriorityClass::Embb;
         }
         let stream =
-            crate::pipeline::item_seed(crate::pipeline::item_seed(seed ^ CLASS_SEED, cell), frame);
+            crate::solver::item_seed(crate::solver::item_seed(seed ^ CLASS_SEED, cell), frame);
         let total = (self.urllc + self.embb + self.bulk) as u64;
         let draw = Rng64::new(stream).next_below(total);
         if draw < self.urllc as u64 {

@@ -26,9 +26,9 @@
 
 use crate::fabric::{render_coordinates, run_fabric, BackendMix, FabricConfig, FabricReport};
 use crate::grid::{check_coordinates, GridEngine};
-use crate::pipeline::item_seed;
 use crate::scenario::json_num;
 use crate::sched::{ClassMix, PriorityClass, SchedOptions, SchedPolicy};
+use crate::solver::item_seed;
 use crate::spec::json::Json;
 use crate::spec::{check_keys, req, req_f64, req_str, req_usize, SpecError};
 use crate::stream::CostModel;

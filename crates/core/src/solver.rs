@@ -109,7 +109,7 @@ impl HybridSolver {
             sampler,
             HybridConfig {
                 protocol: Protocol::paper_ra(s_p),
-                initializer: Box::new(crate::stages::GreedyInitializer::default()),
+                initializer: Box::new(crate::stages::GreedyInitializer),
             },
         )
     }
@@ -202,12 +202,11 @@ impl HybridSolver {
     /// Solves a batch of instances, fanning the instances out across
     /// `threads` worker threads (0 = all available cores).
     ///
-    /// Each instance gets a seed derived from `batch_seed` and its index —
-    /// the same derivation [`crate::pipeline::run_sequential`] uses — so the
-    /// output is bit-identical to solving the batch serially, for any thread
-    /// count. This is the data-parallel outer loop for figure sweeps and
-    /// high-traffic serving, layered on top of the sampler's own parallel
-    /// reads (keep `sampler.config.threads = 1` when batching many
+    /// Each instance gets a seed derived from `batch_seed` and its index, so
+    /// the output is bit-identical to solving the batch serially, for any
+    /// thread count. This is the data-parallel outer loop for figure sweeps
+    /// and high-traffic serving, layered on top of the sampler's own
+    /// parallel reads (keep `sampler.config.threads = 1` when batching many
     /// instances, or the two levels will oversubscribe cores).
     pub fn solve_batch(
         &self,
@@ -216,9 +215,16 @@ impl HybridSolver {
         threads: usize,
     ) -> Vec<HybridResult> {
         hqw_math::parallel::parallel_map_indexed(instances, threads, |i, inst| {
-            self.solve(inst, crate::pipeline::item_seed(batch_seed, i))
+            self.solve(inst, item_seed(batch_seed, i))
         })
     }
+}
+
+/// Per-item seed derivation shared by [`HybridSolver::solve_batch`] and the
+/// grid engines: item `index` of a batch seeded `batch_seed`.
+pub(crate) fn item_seed(batch_seed: u64, index: usize) -> u64 {
+    let mut rng = Rng64::new(batch_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    rng.next_u64()
 }
 
 #[cfg(test)]
@@ -239,6 +245,20 @@ mod tests {
                 ..Default::default()
             },
         )
+    }
+
+    /// The serial reference `solve_batch` must match: one `solve` per
+    /// instance, in order, on the per-item seeds.
+    fn run_sequential(
+        solver: &HybridSolver,
+        instances: &[DetectionInstance],
+        batch_seed: u64,
+    ) -> Vec<HybridResult> {
+        instances
+            .iter()
+            .enumerate()
+            .map(|(i, inst)| solver.solve(inst, item_seed(batch_seed, i)))
+            .collect()
     }
 
     fn instance() -> DetectionInstance {
@@ -278,7 +298,7 @@ mod tests {
             quick_sampler(10),
             HybridConfig {
                 protocol: Protocol::paper_fa(0.45),
-                initializer: Box::new(GreedyInitializer::default()),
+                initializer: Box::new(GreedyInitializer),
             },
         );
         let result = solver.solve(&inst, 3);
@@ -349,7 +369,7 @@ mod tests {
             quick_sampler(6),
             HybridConfig {
                 protocol: Protocol::paper_fa(0.45),
-                initializer: Box::new(GreedyInitializer::default()),
+                initializer: Box::new(GreedyInitializer),
             },
         );
         let result = solver.solve_warm(&inst, 3, Some(&inst.tx_natural_bits));
@@ -398,7 +418,7 @@ mod tests {
         );
         let solver = HybridSolver::paper_prototype(quick_sampler(6), 0.7);
         let batch = solver.solve_batch(&instances, 55, 0);
-        let reference = crate::pipeline::run_sequential(&solver, &instances, 55);
+        let reference = run_sequential(&solver, &instances, 55);
         for (a, b) in batch.iter().zip(&reference) {
             assert_eq!(a.best_bits, b.best_bits);
             assert_eq!(a.best_energy.to_bits(), b.best_energy.to_bits());

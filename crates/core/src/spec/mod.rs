@@ -109,25 +109,11 @@ pub enum CannedKind {
     Fig8,
     /// Headline claim: RA+GS vs FA success probability.
     Headline,
-    /// Ablation: Chimera minor-embedding overhead.
-    AblationEmbedding,
-    /// Ablation: simulation-engine and move-set choices.
-    AblationEngine,
-    /// Ablation: Greedy Search order/variant.
-    AblationGreedy,
-    /// Ablation: anneal-pause duration.
-    AblationPause,
-    /// §5 extension: application-specific initializers.
-    ExtInitializers,
-    /// §2 extension: iterated RA and sample persistence.
-    ExtIterative,
-    /// Figure 2: the pipelined computation structure.
-    PipelineStudy,
 }
 
 impl CannedKind {
     /// Every canned experiment, in registry order.
-    pub const ALL: [CannedKind; 14] = [
+    pub const ALL: [CannedKind; 7] = [
         CannedKind::Fig3,
         CannedKind::Fig4SoftInfo,
         CannedKind::Fig5Schedules,
@@ -135,13 +121,6 @@ impl CannedKind {
         CannedKind::Fig7,
         CannedKind::Fig8,
         CannedKind::Headline,
-        CannedKind::AblationEmbedding,
-        CannedKind::AblationEngine,
-        CannedKind::AblationGreedy,
-        CannedKind::AblationPause,
-        CannedKind::ExtInitializers,
-        CannedKind::ExtIterative,
-        CannedKind::PipelineStudy,
     ];
 
     /// Stable machine-readable name (the registry key and spec tag).
@@ -154,13 +133,6 @@ impl CannedKind {
             CannedKind::Fig7 => "fig7",
             CannedKind::Fig8 => "fig8",
             CannedKind::Headline => "headline",
-            CannedKind::AblationEmbedding => "ablation-embedding",
-            CannedKind::AblationEngine => "ablation-engine",
-            CannedKind::AblationGreedy => "ablation-greedy",
-            CannedKind::AblationPause => "ablation-pause",
-            CannedKind::ExtInitializers => "ext-initializers",
-            CannedKind::ExtIterative => "ext-iterative",
-            CannedKind::PipelineStudy => "pipeline-study",
         }
     }
 

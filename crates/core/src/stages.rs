@@ -3,20 +3,20 @@
 //! The hybrid structure (paper Figure 1) is: **classical stage produces a
 //! candidate → quantum stage refines it**. The paper's prototype uses Greedy
 //! Search "by choosing the simplest classical module"; its §5 proposes
-//! application-specific alternatives — linear solvers (zero-forcing) and
-//! tree-based solvers (K-best, FCSD) — which are wrapped here as
-//! [`DetectorInitializer`] so the framework can compose any of them.
+//! application-specific alternatives such as linear solvers (zero-forcing),
+//! which [`DetectorInitializer`] wraps so the framework can compose any
+//! classical detector.
 //!
-//! Each initializer reports an estimated classical latency so the pipeline
-//! studies (Figure 2) can budget stages. The estimates are simple documented
-//! operation-count models (cycles at a notional 1 GHz base-station DSP), not
-//! wall-clock measurements — the same convention as the annealer's
-//! programmed-microsecond accounting.
+//! Each initializer reports an estimated classical latency so the hybrid
+//! result can account for its classical stage. The estimates are simple
+//! documented operation-count models (cycles at a notional 1 GHz
+//! base-station DSP), not wall-clock measurements — the same convention as
+//! the annealer's programmed-microsecond accounting.
 
 use hqw_math::Rng64;
 use hqw_phy::detect::Detector;
 use hqw_phy::instance::DetectionInstance;
-use hqw_qubo::greedy::{greedy_search, GreedyConfig};
+use hqw_qubo::greedy::greedy_search;
 
 /// A candidate solution from a classical stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,10 +44,7 @@ const OPS_PER_US: f64 = 1000.0;
 /// The paper's Greedy Search stage (§4.1): "a good initial guess that
 /// requires nearly negligible computation time".
 #[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyInitializer {
-    /// Greedy variant/order configuration.
-    pub config: GreedyConfig,
-}
+pub struct GreedyInitializer;
 
 impl ClassicalInitializer for GreedyInitializer {
     fn name(&self) -> &'static str {
@@ -55,7 +52,7 @@ impl ClassicalInitializer for GreedyInitializer {
     }
 
     fn initialize(&self, instance: &DetectionInstance, _rng: &mut Rng64) -> InitialState {
-        let (bits, energy) = greedy_search(&instance.reduction.qubo, self.config);
+        let (bits, energy) = greedy_search(&instance.reduction.qubo);
         let n = instance.num_vars() as f64;
         InitialState {
             bits,
@@ -107,63 +104,6 @@ impl ClassicalInitializer for OracleInitializer {
     }
 }
 
-/// A fixed, externally-supplied initial state (used by the Figure 7/8
-/// harnesses, which harvest states of controlled ΔE_IS% from sample sets).
-#[derive(Debug, Clone)]
-pub struct FixedInitializer {
-    /// The candidate bits to return.
-    pub bits: Vec<u8>,
-}
-
-impl ClassicalInitializer for FixedInitializer {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn initialize(&self, instance: &DetectionInstance, _rng: &mut Rng64) -> InitialState {
-        assert_eq!(
-            self.bits.len(),
-            instance.num_vars(),
-            "FixedInitializer: state length mismatch"
-        );
-        InitialState {
-            bits: self.bits.clone(),
-            energy: instance.reduction.qubo.energy(&self.bits),
-            latency_us: 0.0,
-        }
-    }
-}
-
-/// Tabu-search initializer — the classical component of D-Wave's commercial
-/// hybrid offering cited in the paper's §2 ("a solver block design
-/// consisting of multiple quantum annealing processors hybridized with Tabu
-/// search"). Stronger seeds than GS at correspondingly higher latency.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TabuInitializer {
-    /// Tabu-search parameters.
-    pub params: hqw_qubo::tabu::TabuParams,
-}
-
-impl ClassicalInitializer for TabuInitializer {
-    fn name(&self) -> &'static str {
-        "tabu"
-    }
-
-    fn initialize(&self, instance: &DetectionInstance, _rng: &mut Rng64) -> InitialState {
-        // Deterministic start from greedy search, then tabu refinement.
-        let (start, _) = greedy_search(&instance.reduction.qubo, GreedyConfig::default());
-        let (bits, energy) =
-            hqw_qubo::tabu::tabu_search(&instance.reduction.qubo, &start, &self.params);
-        let n = instance.num_vars() as f64;
-        InitialState {
-            bits,
-            energy,
-            // O(iters · N) move evaluations of N-term deltas each.
-            latency_us: self.params.max_iters as f64 * n * n / OPS_PER_US,
-        }
-    }
-}
-
 /// Wraps any classical MIMO detector as an initializer — the
 /// "application-specific solvers" of the paper's §5.
 #[derive(Debug, Clone, Copy)]
@@ -187,19 +127,6 @@ impl<D: Detector> DetectorInitializer<D> {
 pub fn zf_initializer(n_users: usize) -> DetectorInitializer<hqw_phy::detect::ZeroForcing> {
     let n = (2 * n_users) as f64; // real-stacked dimension
     DetectorInitializer::new(hqw_phy::detect::ZeroForcing, n * n * n)
-}
-
-/// K-best initializer; latency `O(K · levels · dim)`.
-pub fn kbest_initializer(k: usize, n_users: usize) -> DetectorInitializer<hqw_phy::detect::KBest> {
-    let dim = (2 * n_users) as f64;
-    DetectorInitializer::new(hqw_phy::detect::KBest::new(k), k as f64 * 8.0 * dim * dim)
-}
-
-/// FCSD initializer; latency `O(levels^ρ · dim²)`.
-pub fn fcsd_initializer(rho: usize, n_users: usize) -> DetectorInitializer<hqw_phy::detect::Fcsd> {
-    let dim = (2 * n_users) as f64;
-    let paths = 4f64.powi(rho as i32);
-    DetectorInitializer::new(hqw_phy::detect::Fcsd::new(rho), paths * dim * dim)
 }
 
 impl<D: Detector> ClassicalInitializer for DetectorInitializer<D> {
@@ -243,25 +170,9 @@ mod tests {
     #[test]
     fn greedy_energy_is_self_consistent_and_latency_positive() {
         let inst = instance();
-        let init = GreedyInitializer::default().initialize(&inst, &mut Rng64::new(1));
+        let init = GreedyInitializer.initialize(&inst, &mut Rng64::new(1));
         assert!((inst.reduction.qubo.energy(&init.bits) - init.energy).abs() < 1e-9);
         assert!(init.latency_us > 0.0);
-    }
-
-    #[test]
-    fn tabu_initializer_is_at_least_as_good_as_greedy() {
-        let inst = instance();
-        let greedy = GreedyInitializer::default().initialize(&inst, &mut Rng64::new(1));
-        let tabu = TabuInitializer::default().initialize(&inst, &mut Rng64::new(1));
-        assert!(
-            tabu.energy <= greedy.energy + 1e-9,
-            "tabu starts from greedy and only improves"
-        );
-        assert!(
-            tabu.latency_us > greedy.latency_us,
-            "tabu must cost more than its greedy start"
-        );
-        assert!((inst.reduction.qubo.energy(&tabu.bits) - tabu.energy).abs() < 1e-9);
     }
 
     #[test]
@@ -278,8 +189,6 @@ mod tests {
     #[test]
     fn detector_initializers_report_names() {
         assert_eq!(zf_initializer(4).name(), "ZF");
-        assert_eq!(kbest_initializer(4, 4).name(), "K-best");
-        assert_eq!(fcsd_initializer(1, 4).name(), "FCSD");
     }
 
     #[test]
@@ -291,20 +200,5 @@ mod tests {
         // Deterministic per seed.
         let c = RandomInitializer.initialize(&inst, &mut Rng64::new(1));
         assert_eq!(a.bits, c.bits);
-    }
-
-    #[test]
-    fn fixed_initializer_round_trips() {
-        let inst = instance();
-        let bits = inst.tx_natural_bits.clone();
-        let init = FixedInitializer { bits: bits.clone() }.initialize(&inst, &mut Rng64::new(1));
-        assert_eq!(init.bits, bits);
-    }
-
-    #[test]
-    #[should_panic(expected = "state length mismatch")]
-    fn fixed_initializer_rejects_bad_length() {
-        let inst = instance();
-        FixedInitializer { bits: vec![0, 1] }.initialize(&inst, &mut Rng64::new(1));
     }
 }

@@ -32,8 +32,8 @@
 //! 1-thread against an N-thread `hqw run stream`.
 
 use crate::grid::{check_coordinates, GridEngine};
-use crate::pipeline::item_seed;
 use crate::scenario::json_num;
+use crate::solver::item_seed;
 use crate::spec::json::Json;
 use crate::spec::{check_keys, req_f64, req_ratio, req_str, req_us, req_usize, SpecError};
 use crate::telemetry::Collector;
@@ -254,9 +254,8 @@ pub struct StreamReport {
 
 /// Runs one streaming cell: frames arrive every `arrival_period_us` on a
 /// virtual clock, the policy routes each to `classical` or to the
-/// warm-started SA path, and a FIFO single-server queue (the
-/// [`crate::event_sim`] recurrence `start = max(arrival, prev_finish)`)
-/// models the detection stage.
+/// warm-started SA path, and a FIFO single-server queue (the recurrence
+/// `start = max(arrival, prev_finish)`) models the detection stage.
 ///
 /// The classical arm is any [`Detector`]; the hybrid arm runs one
 /// warm-started serving read per frame (seeded from the previous frame's

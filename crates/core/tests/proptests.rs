@@ -1,6 +1,5 @@
 //! Property-based tests for the hybrid-solver framework.
 
-use hqw_core::event_sim::{simulate_pipeline, Stage};
 use hqw_core::metrics::{delta_e_percent, time_to_solution};
 use hqw_core::protocol::Protocol;
 use proptest::prelude::*;
@@ -50,41 +49,6 @@ proptest! {
         let fs = fa.schedule().unwrap();
         prop_assert!((fs.duration_us() - (1.0 + s_p + 1.0)).abs() < 1e-9);
         prop_assert!(!fs.requires_initial_state());
-    }
-
-    #[test]
-    fn pipeline_latencies_are_bounded_by_physics(
-        arrival in 0.5f64..20.0,
-        svc_a in 0.1f64..15.0,
-        svc_b in 0.1f64..15.0,
-        n in 1usize..24,
-    ) {
-        let stages = [
-            Stage { name: "a".into(), service_us: vec![svc_a; n] },
-            Stage { name: "b".into(), service_us: vec![svc_b; n] },
-        ];
-        let report = simulate_pipeline(arrival, &stages, 1e12);
-        // Lower bound: an item can never finish faster than its total service.
-        for &l in &report.latency_us {
-            prop_assert!(l >= svc_a + svc_b - 1e-9);
-        }
-        // Latency is non-decreasing when arrivals outpace the bottleneck and
-        // constant when they don't; either way the first item is minimal.
-        let first = report.latency_us[0];
-        prop_assert!((first - (svc_a + svc_b)).abs() < 1e-9);
-        // Throughput bound from two exact makespan lower bounds: the last
-        // item arrives at (n−1)·arrival and still needs full service, and
-        // the bottleneck stage serves all n items sequentially.
-        let bottleneck = svc_a.max(svc_b);
-        let makespan_lb = ((n - 1) as f64 * arrival + svc_a + svc_b)
-            .max(n as f64 * bottleneck);
-        let max_rate = n as f64 / makespan_lb * 1000.0;
-        prop_assert!(report.throughput_per_ms <= max_rate + 1e-6,
-            "throughput {} exceeds bound {}", report.throughput_per_ms, max_rate);
-        // Utilization is a fraction.
-        for &u in &report.utilization {
-            prop_assert!((0.0..=1.0).contains(&u));
-        }
     }
 
     #[test]

@@ -10,128 +10,82 @@
 //!
 //! The sort key is exactly the Ising linear field `h_i` (the paper's own
 //! footnote: "sorted by the absolute magnitude of matrix's diagonal elements
-//! in the Ising model"). Two ambiguities in the prose are exposed as options:
+//! in the Ising model"). This module implements one reading of the prose,
+//! which departs from its literal wording in two places:
 //!
-//! * [`GreedyOrder`] — the text says *ascending*, but the cited greedy
+//! * **Descending order.** The text says *ascending*, but the cited greedy
 //!   descent (Venturelli & Kondratyev 2018) fixes the **largest**-magnitude
-//!   field first, which is also the variant that behaves like a descent.
-//!   Default: [`GreedyOrder::Descending`]; both are implemented and ablated.
-//! * [`GreedyVariant`] — `StaticOrder` fixes the order once from the bare
-//!   `h_i` (the literal reading); `Dynamic` re-selects the unset variable
-//!   with the strongest *effective* field (bare field plus couplings to
-//!   already-set spins) at every step. Default: `Dynamic`, matching
-//!   "iterated recursively … considering only the variables that are set".
+//!   field first, which is also the order that behaves like a descent.
+//! * **Dynamic selection.** Rather than fixing the order once from the bare
+//!   `h_i`, each step re-selects the unset variable with the strongest
+//!   *effective* field (bare field plus couplings to already-set spins),
+//!   matching "iterated recursively … considering only the variables that
+//!   are set".
 //!
-//! Complexity: `O(n²)` for dense problems in either variant — "nearly
-//! negligible computation time" as the paper requires of its classical stage.
+//! The departure is measured, not assumed. Over 60 noiseless 8-user 16-QAM
+//! instances (seed 2026), the four order/selection combinations gave these
+//! seed qualities (mean ΔE_IS%, lower is better; exact rate = fraction of
+//! instances where the seed is the ground state):
+//!
+//! | order / selection | mean ΔE_IS% | exact rate |
+//! |---|---|---|
+//! | descending / dynamic (kept) | 1.21 | 0.400 |
+//! | descending / static | 3.82 | 0.017 |
+//! | ascending / dynamic | 23.27 | 0.000 |
+//! | ascending / static (literal prose) | 12.77 | 0.000 |
+//!
+//! Complexity: `O(n²)` for dense problems — "nearly negligible computation
+//! time" as the paper requires of its classical stage.
 
 use crate::ising::Ising;
 use crate::model::Qubo;
 use crate::solution::spins_to_bits;
-
-/// Which end of the |field| ordering is assigned first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GreedyOrder {
-    /// Strongest field first (greedy descent; default).
-    #[default]
-    Descending,
-    /// Weakest field first (the paper's literal prose).
-    Ascending,
-}
-
-/// Whether the assignment order adapts to already-set variables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GreedyVariant {
-    /// Re-select the unset variable with the strongest effective field at
-    /// every step (default).
-    #[default]
-    Dynamic,
-    /// Fix the order once from the bare Ising fields.
-    StaticOrder,
-}
-
-/// Configuration for [`greedy_search`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyConfig {
-    /// Ordering direction.
-    pub order: GreedyOrder,
-    /// Static or dynamic ordering.
-    pub variant: GreedyVariant,
-}
 
 /// Runs Greedy Search on a QUBO, returning `(bits, energy)`.
 ///
 /// Deterministic: ties in field magnitude are broken by variable index, and
 /// a zero effective field assigns `q = 1` (spin up), matching the paper's
 /// "0 if the corresponding \[field\] is positive and 1 otherwise".
-pub fn greedy_search(qubo: &Qubo, config: GreedyConfig) -> (Vec<u8>, f64) {
+pub fn greedy_search(qubo: &Qubo) -> (Vec<u8>, f64) {
     let (ising, _offset) = qubo.to_ising();
-    let spins = greedy_search_ising(&ising, config);
+    let spins = greedy_search_ising(&ising);
     let bits = spins_to_bits(&spins);
     let energy = qubo.energy(&bits);
     (bits, energy)
 }
 
 /// Greedy Search directly on an Ising model, returning spins.
-pub fn greedy_search_ising(ising: &Ising, config: GreedyConfig) -> Vec<i8> {
+///
+/// # Panics
+/// Panics when a linear field is NaN.
+pub fn greedy_search_ising(ising: &Ising) -> Vec<i8> {
     let n = ising.num_vars();
     let mut spins: Vec<i8> = vec![0; n]; // 0 = unset
-                                         // Effective field of each unset variable, updated as spins are fixed.
+
+    // Effective field of each unset variable, updated as spins are fixed.
     let mut field: Vec<f64> = (0..n).map(|i| ising.h(i)).collect();
-    let mut set_count = 0usize;
+    assert!(!field.iter().any(|f| f.is_nan()), "greedy: NaN field");
 
-    // For the static variant, precompute the visit order from bare fields.
-    let static_order: Vec<usize> = {
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.sort_by(|&a, &b| {
-            let (fa, fb) = (field[a].abs(), field[b].abs());
-            let cmp = fa.partial_cmp(&fb).expect("greedy: NaN field");
-            match config.order {
-                GreedyOrder::Descending => cmp.reverse().then(a.cmp(&b)),
-                GreedyOrder::Ascending => cmp.then(a.cmp(&b)),
+    for _ in 0..n {
+        // Pick the unset variable with the largest |effective field|; ties
+        // go to the lowest index.
+        let mut k = usize::MAX;
+        let mut best_mag = f64::NEG_INFINITY;
+        for i in 0..n {
+            if spins[i] != 0 {
+                continue;
             }
-        });
-        idx
-    };
-    let mut static_cursor = 0usize;
-
-    while set_count < n {
-        let k = match config.variant {
-            GreedyVariant::StaticOrder => {
-                let k = static_order[static_cursor];
-                static_cursor += 1;
-                k
+            let mag = field[i].abs();
+            if mag > best_mag || k == usize::MAX {
+                k = i;
+                best_mag = mag;
             }
-            GreedyVariant::Dynamic => {
-                // Pick the unset variable with the extremal |effective field|.
-                let mut best = usize::MAX;
-                let mut best_mag = match config.order {
-                    GreedyOrder::Descending => f64::NEG_INFINITY,
-                    GreedyOrder::Ascending => f64::INFINITY,
-                };
-                for i in 0..n {
-                    if spins[i] != 0 {
-                        continue;
-                    }
-                    let mag = field[i].abs();
-                    let better = match config.order {
-                        GreedyOrder::Descending => mag > best_mag,
-                        GreedyOrder::Ascending => mag < best_mag,
-                    };
-                    if better || best == usize::MAX {
-                        best = i;
-                        best_mag = mag;
-                    }
-                }
-                best
-            }
-        };
+        }
 
         // Assign the value minimizing the energy contribution f_k · s_k:
         // s_k = −sign(f_k), with the zero-field tie going to +1 (q = 1).
         let s = if field[k] > 0.0 { -1i8 } else { 1i8 };
         spins[k] = s;
-        set_count += 1;
 
         // Fold the fixed spin into its neighbors' effective fields.
         for &(j, jij) in ising.neighbors(k) {
@@ -157,7 +111,7 @@ mod tests {
         q.set(0, 0, -1.0);
         q.set(1, 1, 2.0);
         q.set(2, 2, -3.0);
-        let (bits, e) = greedy_search(&q, GreedyConfig::default());
+        let (bits, e) = greedy_search(&q);
         assert_eq!(bits, vec![1, 0, 1]);
         assert_eq!(e, -4.0);
     }
@@ -170,7 +124,7 @@ mod tests {
         q.set(0, 0, -8.0);
         q.set(1, 1, -1.0);
         q.set(0, 1, 10.0);
-        let (bits, e) = greedy_search(&q, GreedyConfig::default());
+        let (bits, e) = greedy_search(&q);
         assert_eq!(bits, vec![1, 0]);
         assert_eq!(e, -8.0);
     }
@@ -178,7 +132,7 @@ mod tests {
     #[test]
     fn zero_field_assigns_one() {
         let q = Qubo::new(2); // all-zero problem: every field is 0
-        let (bits, _) = greedy_search(&q, GreedyConfig::default());
+        let (bits, _) = greedy_search(&q);
         assert_eq!(bits, vec![1, 1]);
     }
 
@@ -186,8 +140,8 @@ mod tests {
     fn deterministic_across_runs() {
         let mut rng = Rng64::new(99);
         let q = random_qubo(12, &mut rng);
-        let a = greedy_search(&q, GreedyConfig::default());
-        let b = greedy_search(&q, GreedyConfig::default());
+        let a = greedy_search(&q);
+        let b = greedy_search(&q);
         assert_eq!(a, b);
     }
 
@@ -196,12 +150,8 @@ mod tests {
         let mut rng = Rng64::new(7);
         for _ in 0..10 {
             let q = random_qubo(10, &mut rng);
-            for order in [GreedyOrder::Descending, GreedyOrder::Ascending] {
-                for variant in [GreedyVariant::Dynamic, GreedyVariant::StaticOrder] {
-                    let (bits, e) = greedy_search(&q, GreedyConfig { order, variant });
-                    assert!((q.energy(&bits) - e).abs() < 1e-12);
-                }
-            }
+            let (bits, e) = greedy_search(&q);
+            assert!((q.energy(&bits) - e).abs() < 1e-12);
         }
     }
 
@@ -214,7 +164,7 @@ mod tests {
         let trials = 20;
         for _ in 0..trials {
             let q = random_qubo(16, &mut rng);
-            let (_, e_greedy) = greedy_search(&q, GreedyConfig::default());
+            let (_, e_greedy) = greedy_search(&q);
             let mut rand_mean = 0.0;
             let reads = 64;
             for _ in 0..reads {
@@ -243,7 +193,7 @@ mod tests {
         let trials = 30;
         for _ in 0..trials {
             let q = random_qubo(8, &mut rng);
-            let (_, e_greedy) = greedy_search(&q, GreedyConfig::default());
+            let (_, e_greedy) = greedy_search(&q);
             let (_, e_best) = exhaustive_minimum(&q);
             if (e_greedy - e_best).abs() < 1e-9 {
                 hits += 1;

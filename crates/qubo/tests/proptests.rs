@@ -100,7 +100,7 @@ proptest! {
     fn greedy_energy_is_self_consistent(seed in any::<u64>(), n in 1usize..32) {
         let mut rng = Rng64::new(seed);
         let q = random_qubo(n, &mut rng);
-        let (bits, e) = greedy_search(&q, Default::default());
+        let (bits, e) = greedy_search(&q);
         prop_assert_eq!(bits.len(), n);
         prop_assert!((q.energy(&bits) - e).abs() < 1e-9);
     }

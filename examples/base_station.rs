@@ -1,18 +1,14 @@
 //! Base-station scenario: a stream of channel uses flows through the
-//! pipelined classical-quantum computation structure (the paper's Figure 2).
+//! paper's hybrid classical-quantum detector.
 //!
-//! The classical stage (Greedy Search) runs one channel use ahead of the
-//! quantum stage (Reverse Annealing), exactly as the paper's pipeline
-//! sketch; the example verifies the pipelined results match a sequential
-//! run bit-for-bit and reports link-level quality plus the programmed-time
-//! budget per channel use.
+//! Each channel use gets a Greedy Search seed refined by Reverse Annealing;
+//! the stream is solved as one data-parallel batch. The example reports
+//! link-level quality plus the programmed-time budget per channel use.
 //!
 //! ```sh
 //! cargo run --release --example base_station
 //! ```
 
-use hqw::core::event_sim::{simulate_pipeline, uniform_stage};
-use hqw::core::pipeline::{run_pipelined, run_sequential};
 use hqw::core::stages::GreedyInitializer;
 use hqw::prelude::*;
 
@@ -22,10 +18,12 @@ fn main() {
     let config = InstanceConfig::paper(6, Modulation::Qam16); // 24 vars/use
     let stream = DetectionInstance::generate_batch(&config, uses, &mut rng);
 
+    // One thread per solve: the batch itself fans out across cores.
     let sampler = QuantumSampler::new(
         DWaveProfile::calibrated(),
         SamplerConfig {
             num_reads: 100,
+            threads: 1,
             ..Default::default()
         },
     );
@@ -33,33 +31,19 @@ fn main() {
         sampler,
         HybridConfig {
             protocol: Protocol::paper_ra(0.69),
-            initializer: Box::new(GreedyInitializer::default()),
+            initializer: Box::new(GreedyInitializer),
         },
     );
 
-    // Process the stream, pipelined and sequentially.
     let t0 = std::time::Instant::now();
-    let pipelined = run_pipelined(&solver, &stream, 99, 3);
-    let pipelined_wall = t0.elapsed();
-    let t1 = std::time::Instant::now();
-    let sequential = run_sequential(&solver, &stream, 99);
-    let sequential_wall = t1.elapsed();
-
-    let identical = pipelined
-        .iter()
-        .zip(&sequential)
-        .all(|(a, b)| a.best_bits == b.best_bits);
-    println!(
-        "Processed {uses} channel uses: pipelined {pipelined_wall:?} vs sequential \
-         {sequential_wall:?} (outputs {})",
-        if identical { "bit-identical" } else { "DIFFER" }
-    );
+    let results = solver.solve_batch(&stream, 99, 0);
+    println!("Processed {uses} channel uses in {:?}", t0.elapsed());
 
     // Link-level quality.
     let mut bits_total = 0usize;
     let mut bit_errors = 0usize;
     let mut exact = 0usize;
-    for (inst, result) in stream.iter().zip(&pipelined) {
+    for (inst, result) in stream.iter().zip(&results) {
         let ber = inst.score_ber(&result.best_bits);
         bits_total += inst.num_vars();
         bit_errors += (ber * inst.num_vars() as f64).round() as usize;
@@ -76,28 +60,11 @@ fn main() {
 
     // Programmed-time budget per use (the quantity a real deployment cares
     // about): classical latency + QPU sampling time.
-    let classical_us = pipelined[0].classical_us;
-    let quantum_us = pipelined[0].quantum_timing.sampling_us();
+    let classical_us = results[0].classical_us;
+    let quantum_us = results[0].quantum_timing.sampling_us();
     println!(
         "Programmed time per use: classical {classical_us:.2} µs + quantum {quantum_us:.0} µs \
          ({} reads × {:.2} µs anneal + readout overheads)",
-        pipelined[0].quantum_timing.num_reads, pipelined[0].quantum_timing.anneal_us_per_read,
-    );
-
-    // Pipeline headroom analysis at this stage balance.
-    let report = simulate_pipeline(
-        quantum_us.max(classical_us) * 1.05,
-        &[
-            uniform_stage("classical", classical_us, uses),
-            uniform_stage("quantum", quantum_us, uses),
-        ],
-        3_000.0,
-    );
-    println!(
-        "Discrete-event check: throughput {:.4} uses/ms, max queue {}, {} deadline violations \
-         against a 3 ms turnaround budget",
-        report.throughput_per_ms,
-        report.max_queue_depth.iter().max().unwrap(),
-        report.deadline_violations
+        results[0].quantum_timing.num_reads, results[0].quantum_timing.anneal_us_per_read,
     );
 }

@@ -22,8 +22,7 @@ fn main() {
     let qubo = &instance.reduction.qubo;
 
     // Seed RA with a greedy-search candidate, as the paper's prototype does.
-    let (gs_bits, gs_energy) =
-        hqw::qubo::greedy_search(qubo, hqw::qubo::greedy::GreedyConfig::default());
+    let (gs_bits, gs_energy) = hqw::qubo::greedy_search(qubo);
     println!(
         "Greedy seed quality: ΔE_IS = {:.2}%",
         delta_e_percent(gs_energy, eg)

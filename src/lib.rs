@@ -17,7 +17,7 @@
 //! | [`qubo`] | `hqw-qubo` | QUBO/Ising models, preprocessing, classical solvers |
 //! | [`phy`] | `hqw-phy` | modulation, channels, MIMO detectors, ML→QUBO reduction |
 //! | [`anneal`] | `hqw-anneal` | anneal schedules, PIMC/SVMC engines, Chimera embedding |
-//! | [`core`] | `hqw-core` | hybrid solver, FA/RA/FR protocols, metrics, pipelines |
+//! | [`core`] | `hqw-core` | hybrid solver, FA/RA/FR protocols, metrics, grid engines |
 //!
 //! ## Quickstart
 //!

@@ -62,7 +62,7 @@ fn greedy_seeded_hybrid_never_degrades_the_seed() {
             quick_sampler(20),
             HybridConfig {
                 protocol: Protocol::paper_ra(0.69),
-                initializer: Box::new(GreedyInitializer::default()),
+                initializer: Box::new(GreedyInitializer),
             },
         );
         let result = solver.solve(&inst, seed);
