@@ -20,7 +20,7 @@
 use crate::dwave::DWaveProfile;
 use crate::sampler::ConfigError;
 use crate::schedule::AnnealSchedule;
-use hqw_math::Rng64;
+use hqw_math::{Exp1, Rng64};
 use hqw_qubo::Ising;
 
 /// Transverse-field-gated kinetics ("freeze-out").
@@ -64,12 +64,6 @@ impl FreezeOut {
     }
 }
 
-/// Gate value from which [`GateGaps`] counts Bernoulli trials instead of
-/// inverting the geometric CDF: below it one `ln` per passing move is
-/// cheaper than the `1/g` draws it replaces, above it (the mock QPU's
-/// forward anneals run at `g ≈ 0.5`) counting trials wins.
-const GAP_TRIALS_FROM: f64 = 0.125;
-
 /// Sampler of the gaps between the moves a freeze-out gate lets through.
 ///
 /// Within one sweep the gate `g` is a constant, so the moves that pass it
@@ -78,29 +72,32 @@ const GAP_TRIALS_FROM: f64 = 0.125;
 /// `P(G = k) = (1−g)^k·g`. [`GateGaps::gap`] draws that gap directly.
 ///
 /// * `g ≥ 1` — every move passes: the gap is 0 and no draw is made.
-/// * `g < 1/8` — inversion, `G = ⌊ln(1−U) / ln1p(−g)⌋` from one uniform
-///   `U = m·2⁻⁵³`. Rounding bound: `1−U` is exact, and with `ln`/`ln1p`
-///   within 1 ulp and the division within ½ ulp the computed quotient is
-///   `x·(1+δ)`, `|δ| ≤ 3·2⁻⁵³`. That shifts each tail `P(G ≥ k) = (1−g)^k`
-///   by at most `3·2⁻⁵³·y·e^{−y}` with `y = −k·ln(1−g)`, i.e. by
-///   `3·2⁻⁵³/e`; the 2⁻⁵³ grid of `U` adds at most 2⁻⁵³. Every tail
-///   probability is therefore within 2⁻⁵¹ of the exact geometric one —
-///   the resolution of the per-move `u < g` test it replaces.
-/// * `1/8 ≤ g < 1` — counts integer Bernoulli trials `m < ⌈g·2⁵³⌉`
-///   ([`Rng64::unit_threshold`]): exactly Geometric(⌈g·2⁵³⌉·2⁻⁵³), the
-///   coin the per-move test `u < g` tossed.
+/// * `g < 1` — `G = ⌊E/λ⌋` from one Exp(1) draw `E` ([`Exp1`]), with
+///   `λ = −ln1p(−g)` cached per sweep as `1/λ`:
+///   `P(G ≥ k) = P(E ≥ kλ) = e^{−kλ} = (1−g)^k`.
+///
+/// Rounding bound, on every tail `P(G ≥ k)`:
+/// * the ziggurat's table error: its layer areas differ by at most
+///   `ε ≤ 6·10⁻¹⁴` relative, which moves any probability by at most `ε`;
+/// * its 2⁻⁵³ grid, which moves any tail of `E` by about 2⁻⁵³;
+/// * the product `E·(1/λ)`: with `ln1p` within 1 ulp and the reciprocal
+///   and the product each within ½ ulp, it is `E/λ·(1+δ)`,
+///   `|δ| ≤ 4·2⁻⁵³`, which shifts the tail `e^{−y}` at `y = kλ` by at
+///   most `|δ|·y·e^{−y} ≤ 4·2⁻⁵³/e`.
+///
+/// Every tail is therefore within `ε + 2⁻⁵¹` (below 10⁻¹³) of the exact
+/// geometric one.
 ///
 /// Every gap is capped at the moves left, so `pos + gap` never passes the
-/// move count (a quotient beyond `usize`, even `+∞` at sub-normal `g`,
-/// saturates in the cast before the cap).
+/// move count. A product beyond `usize`, even `+∞` once `1/λ` overflows
+/// at sub-normal `g`, saturates in the cast before the cap; the one NaN,
+/// `0·∞` from an `E = 0` draw, casts to 0, which is the exact `⌊0/λ⌋`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum GateGaps {
     /// `g ≥ 1`: no move is skipped.
     Every,
-    /// `g < 1/8`: inversion with the cached `ln1p(−g)`.
-    Inversion { ln_q: f64 },
-    /// `1/8 ≤ g < 1`: trial counting against the integer threshold.
-    Trials { below: u64 },
+    /// `g < 1`: `⌊E·(1/λ)⌋` with the cached `1/λ = −1/ln1p(−g)`.
+    Exp { inv_lambda: f64, exp1: Exp1 },
 }
 
 impl GateGaps {
@@ -109,11 +106,10 @@ impl GateGaps {
         debug_assert!(g > 0.0, "a closed gate has no passing moves");
         if g >= 1.0 {
             GateGaps::Every
-        } else if g < GAP_TRIALS_FROM {
-            GateGaps::Inversion { ln_q: (-g).ln_1p() }
         } else {
-            GateGaps::Trials {
-                below: Rng64::unit_threshold(g),
+            GateGaps::Exp {
+                inv_lambda: -1.0 / (-g).ln_1p(),
+                exp1: Exp1::new(),
             }
         }
     }
@@ -127,15 +123,8 @@ impl GateGaps {
         }
         match *self {
             GateGaps::Every => 0,
-            GateGaps::Inversion { ln_q } => {
-                (((1.0 - rng.next_f64()).ln() / ln_q) as usize).min(left)
-            }
-            GateGaps::Trials { below } => {
-                let mut skipped = 0;
-                while skipped < left && rng.next_u53() >= below {
-                    skipped += 1;
-                }
-                skipped
+            GateGaps::Exp { inv_lambda, exp1 } => {
+                ((exp1.sample(rng) * inv_lambda) as usize).min(left)
             }
         }
     }
@@ -145,7 +134,7 @@ impl GateGaps {
     /// geometric distribution is memoryless. The gap to the next passing
     /// move is drawn before the current one is visited: the gaps are
     /// independent of the moves, so the order of the draws is free, and
-    /// this one lets the `ln` of an inverted gap overlap the move's work.
+    /// this one lets the gap's draw overlap the move's work.
     #[inline]
     pub(crate) fn walk(
         &self,
@@ -390,20 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn both_gap_branches_match_the_geometric_pmf() {
+    fn gaps_match_the_geometric_pmf() {
         const SAMPLES: usize = 20_000;
         const BINS: usize = 16;
-        let below_crossover = f64::from_bits(GAP_TRIALS_FROM.to_bits() - 1);
-        assert!(matches!(
-            GateGaps::new(GAP_TRIALS_FROM),
-            GateGaps::Trials { .. }
-        ));
-        assert!(matches!(
-            GateGaps::new(below_crossover),
-            GateGaps::Inversion { .. }
-        ));
         let mut rng = Rng64::new(0x6E0);
-        for g in [0.9, 0.5, GAP_TRIALS_FROM, below_crossover, 0.053, 1e-3] {
+        for g in [0.9, 0.5, 0.125, 0.053, 1e-3f64] {
             let q = 1.0 - g;
             // Bins [edge_j, edge_{j+1}) of near-equal Geometric(g) mass;
             // the last one is the tail.
@@ -419,31 +399,19 @@ mod tests {
                 })
                 .collect();
             assert!(expected.iter().all(|&e| e >= 5.0), "g={g}: sparse bin");
-            for (branch, gaps) in [
-                ("inversion", GateGaps::Inversion { ln_q: (-g).ln_1p() }),
-                (
-                    "trials",
-                    GateGaps::Trials {
-                        below: Rng64::unit_threshold(g),
-                    },
-                ),
-            ] {
-                let mut counts = vec![0u64; edges.len()];
-                for _ in 0..SAMPLES {
-                    let gap = gaps.gap(&mut rng, usize::MAX);
-                    counts[edges.partition_point(|&e| e as usize <= gap) - 1] += 1;
-                }
-                let chi2: f64 = counts
-                    .iter()
-                    .zip(&expected)
-                    .map(|(&o, &e)| (o as f64 - e).powi(2) / e)
-                    .sum();
-                let critical = chi2_critical(edges.len() - 1);
-                assert!(
-                    chi2 < critical,
-                    "{branch} at g={g}: chi2 {chi2:.1} >= {critical:.1}"
-                );
+            let gaps = GateGaps::new(g);
+            let mut counts = vec![0u64; edges.len()];
+            for _ in 0..SAMPLES {
+                let gap = gaps.gap(&mut rng, usize::MAX);
+                counts[edges.partition_point(|&e| e as usize <= gap) - 1] += 1;
             }
+            let chi2: f64 = counts
+                .iter()
+                .zip(&expected)
+                .map(|(&o, &e)| (o as f64 - e).powi(2) / e)
+                .sum();
+            let critical = chi2_critical(edges.len() - 1);
+            assert!(chi2 < critical, "g={g}: chi2 {chi2:.1} >= {critical:.1}");
         }
     }
 

@@ -35,15 +35,19 @@
 //! sweep numbers its `P·n` single-site moves (slice-major), then its `n`
 //! cluster moves, and jumps from one passing move to the next
 //! (`engine::GateGaps`); a skipped move draws nothing. The walk restarts
-//! at every sweep boundary, exact by memorylessness. A passing move tests
-//! `e^{−Δ}` with a fresh uniform when `Δ > 0`; a passing cluster move
-//! first draws its start slice and grows its Wolff segment, which is
-//! valid because the growth is independent of the gate coin. Rounding:
-//! below `g = 1/8` a gap is `⌊ln(1−U) / ln1p(−g)⌋`, with every tail
-//! `P(G ≥ k)` within 2⁻⁵¹ of `(1−g)^k`; from `1/8` up it counts integer
-//! trials `m < ⌈g·2⁵³⌉`, exactly the per-move coin; at `g ≥ 1` it is 0.
+//! at every sweep boundary, exact by memorylessness. A passing move with
+//! `Δ > 0` is accepted when a fresh Exp(1) draw `E` ([`hqw_math::Exp1`])
+//! exceeds `Δ`: `P(E > Δ) = e^{−Δ}`, the probability of the uniform test
+//! `u < e^{−Δ}`, with no `exp`; a move with `Δ ≤ 0` draws nothing. A
+//! passing cluster move first draws its start slice and grows its Wolff
+//! segment, which is valid because the growth is independent of the gate
+//! coin. Rounding: a gap is `⌊E/λ⌋` with `λ = −ln1p(−g)`, every tail
+//! `P(G ≥ k)` within `ε + 2⁻⁵¹` of `(1−g)^k`, where `ε ≤ 6·10⁻¹⁴` is the
+//! ziggurat's table error (derived at `engine::GateGaps`); at `g ≥ 1` it
+//! is 0. An acceptance `E > Δ` is within `ε` plus about 2⁻⁵³ of `e^{−Δ}`.
 //! The chain is the same in distribution (`tests/equivalence.rs` checks
-//! it against the per-move chain) at about `g` of the draws.
+//! it against the per-move chain) at about `g` of the draws and with no
+//! `ln` or `exp` per visited move.
 //!
 //! Reads: [`AnnealEngine::run_reads`] builds the CSR, the sweep plan and
 //! a programmed state's local fields once, then runs the reads one after
@@ -53,7 +57,7 @@
 use crate::dwave::DWaveProfile;
 use crate::engine::{resolve_initial, AnnealEngine, AnnealParams, GateGaps};
 use crate::schedule::AnnealSchedule;
-use hqw_math::Rng64;
+use hqw_math::{Exp1, Rng64};
 use hqw_qubo::{CsrIsing, Ising};
 
 /// Cap on the inter-slice coupling: beyond this the alignment Boltzmann
@@ -200,6 +204,7 @@ impl PimcEngine {
         let p = self.trotter_slices;
         let pn = p * n;
         let slice_of = SliceIndex::new(n, pn + n);
+        let exp1 = Exp1::new();
 
         // Replicas, spins[k*n + i] = site i of slice k, and their cached
         // local fields h_eff[k*n + i] = h_i + Σ_j J_ij s_{j,k}: proposals
@@ -254,7 +259,7 @@ impl PimcEngine {
                     // +2·J⊥·s·neighbor.
                     let delta =
                         -2.0 * sik * sweep.k_cl * field + 2.0 * sik * sweep.j_perp * time_neighbors;
-                    if delta <= 0.0 || rng.next_f64() < (-delta).exp() {
+                    if delta <= 0.0 || exp1.sample(rng) > delta {
                         flip_and_update(spins, h_eff, row, i);
                     }
                     return;
@@ -295,7 +300,7 @@ impl PimcEngine {
                     delta += -2.0 * s0 as f64 * sweep.k_cl * h_eff[at(k)];
                     k = up(k);
                 }
-                if delta <= 0.0 || rng.next_f64() < (-delta).exp() {
+                if delta <= 0.0 || exp1.sample(rng) > delta {
                     // Each flip touches only its own slice's fields, so the
                     // flip order is free.
                     k = lo;

@@ -479,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn uneven_lockstep_chunks_give_identical_sample_sets() {
+    fn uneven_chunks_give_identical_sample_sets() {
         // 16 reads split 16, 8+8, 6+6+4 and across all cores: every chunking
         // yields the same sample set, with ICE noise off and on.
         let mut rng = Rng64::new(44);

@@ -23,16 +23,20 @@
 //! with the freeze-out gate `g` of [`crate::engine::FreezeOut`], i.e. a
 //! sweep-constant Bernoulli(g) gate coin, independent of the state,
 //! followed by a Metropolis test. As in [`crate::pimc`], each sweep walks
-//! its rotors by Geometric(g) gaps (`engine::GateGaps`, with the same
-//! rounding bound) and only a rotor that passes the gate draws its
-//! proposal angle and, when `Δ > 0`, a uniform tested against `e^{−βΔ}`.
-//! It is the same chain in distribution, with no draw, `cos`/`sin` or field
-//! read for a rotor the gate skips.
+//! its rotors by Geometric(g) gaps (`engine::GateGaps`) and only a rotor
+//! that passes the gate draws its proposal angle and, when `Δ > 0`, an
+//! Exp(1) draw `E` ([`hqw_math::Exp1`]); it rotates when `E > βΔ`, which
+//! has probability `e^{−βΔ}`. Rounding: the gaps carry the bound derived
+//! at `engine::GateGaps`, every tail within `ε + 2⁻⁵¹` of the geometric
+//! one (`ε ≤ 6·10⁻¹⁴`, the ziggurat's table error), and an acceptance is
+//! within `ε` plus about 2⁻⁵³ of `e^{−βΔ}`. It is the same chain in
+//! distribution, with no draw, `cos`/`sin` or field read for a rotor the
+//! gate skips, and no `ln` or `exp` for one it visits.
 
 use crate::dwave::DWaveProfile;
 use crate::engine::{resolve_initial, AnnealEngine, AnnealParams, GateGaps};
 use crate::schedule::AnnealSchedule;
-use hqw_math::Rng64;
+use hqw_math::{Exp1, Rng64};
 use hqw_qubo::{CsrIsing, Ising};
 
 /// Rebuild the cached mean fields from scratch every this many sweeps: the
@@ -82,7 +86,7 @@ fn initial_theta(init: &Option<Vec<i8>>, n: usize) -> Vec<f64> {
 }
 
 /// The sweep loop: f64 fields; each rotor the gate lets through draws a
-/// proposal and, uphill, an acceptance uniform.
+/// proposal and, uphill, an Exp(1) acceptance draw.
 fn anneal(
     csr: &CsrIsing,
     profile: &DWaveProfile,
@@ -93,6 +97,7 @@ fn anneal(
 ) -> Vec<i8> {
     let n = csr.num_vars();
     let beta = params.beta(profile);
+    let exp1 = Exp1::new();
 
     // Rotor angles plus cached cos/sin (cosines enter neighbors' fields;
     // sines enter only the rotor's own transverse term).
@@ -132,7 +137,7 @@ fn anneal(
             let p_sin = proposal.sin();
             let d_cos = p_cos - cos_t[i];
             let delta = b_half * field[i] * d_cos - a_half * (p_sin - sin_t[i]);
-            if delta <= 0.0 || rng.next_f64() < (-beta * delta).exp() {
+            if delta <= 0.0 || exp1.sample(rng) > beta * delta {
                 cos_t[i] = p_cos;
                 sin_t[i] = p_sin;
                 csr.axpy_row(&mut field, i, d_cos);

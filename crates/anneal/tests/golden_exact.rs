@@ -34,7 +34,7 @@ fn pimc_forward_golden() {
     );
     assert_eq!(
         out,
-        vec![1, -1, -1, -1, -1, -1, 1, -1, 1, 1, 1, 1, -1, 1, 1, 1],
+        vec![1, -1, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1, -1, 1, 1, 1],
         "Exact PIMC forward anneal drifted from its golden"
     );
 }
@@ -51,7 +51,7 @@ fn pimc_reverse_golden() {
     );
     assert_eq!(
         out,
-        vec![-1, -1, -1, 1, -1, 1, 1, 1, 1, 1, -1, 1, 1, 1, -1, 1],
+        vec![1, -1, -1, -1, -1, 1, 1, 1, -1, 1, -1, 1, 1, -1, -1, 1],
         "Exact PIMC reverse anneal drifted from its golden"
     );
 }
@@ -68,7 +68,7 @@ fn svmc_forward_golden() {
     );
     assert_eq!(
         out,
-        vec![-1, -1, -1, -1, -1, -1, 1, -1, 1, 1, 1, -1, -1, 1, 1, 1],
+        vec![1, -1, -1, -1, 1, 1, 1, -1, 1, -1, 1, 1, -1, -1, -1, 1],
         "Exact SVMC forward anneal drifted from its golden"
     );
 }
@@ -85,7 +85,7 @@ fn svmc_reverse_golden() {
     );
     assert_eq!(
         out,
-        vec![-1, -1, -1, -1, 1, 1, 1, -1, -1, 1, -1, -1, 1, 1, -1, 1],
+        vec![1, -1, -1, 1, -1, -1, 1, 1, 1, 1, -1, -1, 1, 1, 1, 1],
         "Exact SVMC reverse anneal drifted from its golden"
     );
 }
@@ -111,18 +111,11 @@ fn sampler_end_to_end_golden() {
         .collect();
     assert_eq!(
         samples,
-        vec![
-            (
-                vec![1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1],
-                0xc02102addc9df5d0,
-                5,
-            ),
-            (
-                vec![0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1],
-                0xc0204a3d91f1c2ab,
-                1,
-            ),
-        ],
+        vec![(
+            vec![1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1],
+            0xc02102addc9df5d0,
+            6,
+        )],
         "Exact sampler pipeline drifted from its golden"
     );
 }

@@ -26,6 +26,8 @@
 //! detector's 16-read reverse anneal on 16 spins and the mock QPU's 4-read
 //! forward anneal on its 32-qubit embedding. `program/qubo_to_ising`
 //! times the QUBO → Ising conversion that programs each served frame.
+//! `rng/exp1` times one Exp(1) ziggurat draw, the draw behind every
+//! annealer gate gap and Metropolis test, in ns per draw.
 //! Output: a human-readable table on stdout plus
 //! `BENCH_kernels.json` at the workspace root (override with the
 //! `BENCH_OUT` environment variable), including a `machine` stanza so the
@@ -41,7 +43,7 @@ use hqw_anneal::embedding::{ChainStrength, CliqueEmbedding};
 use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
 use hqw_anneal::topology::Chimera;
 use hqw_anneal::{AnnealParams, AnnealSchedule, DWaveProfile};
-use hqw_math::Rng64;
+use hqw_math::{Exp1, Rng64};
 use hqw_phy::{DetectionInstance, InstanceConfig, Modulation};
 use hqw_qubo::csr::CsrIsing;
 use hqw_qubo::generator::sparse_random_qubo;
@@ -431,6 +433,25 @@ fn bench_programming(out: &mut Vec<Measurement>) {
     ));
 }
 
+/// One [`Exp1`] draw, ns per draw. Draws are timed in blocks so the
+/// harness's per-iteration indirect call does not count.
+fn bench_exp1(out: &mut Vec<Measurement>) {
+    const BLOCK: usize = 1024;
+    const ITERS: usize = 200;
+    let exp1 = Exp1::new();
+    let mut rng = Rng64::new(17);
+    let mut block = || {
+        for _ in 0..BLOCK {
+            black_box(exp1.sample(&mut rng));
+        }
+    };
+    time_batch(ITERS, &mut block); // warm-up
+    let samples = (0..REPEATS)
+        .map(|_| time_batch(ITERS, &mut block) / BLOCK as f64)
+        .collect();
+    out.push(reduce("rng/exp1", 0, ITERS * BLOCK, samples));
+}
+
 /// Minimal JSON emitter (no external crates available offline).
 fn write_json(path: &std::path::Path, results: &[Measurement], derived: &[(String, f64)]) {
     let cores = std::thread::available_parallelism()
@@ -478,6 +499,7 @@ fn main() {
     bench_parallel_reads(&mut results, &mut derived);
     bench_engine_reads(&mut results);
     bench_programming(&mut results);
+    bench_exp1(&mut results);
 
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
     let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| default_path.to_string());

@@ -14,6 +14,9 @@
 //!   Gaussian and categorical sampling. Every stochastic API in the workspace
 //!   threads one of these through explicitly, so all experiments reproduce
 //!   bit-exactly from a seed.
+//! * [`ziggurat`] — [`Exp1`], a table-driven Exp(1) sampler that takes no
+//!   logarithm; the annealers draw their gate gaps and Metropolis tests
+//!   from it.
 //! * [`parallel`] — the deterministic, order-preserving thread fan-out every
 //!   parallel surface (SA/anneal reads, batch solves, grid sweeps) shares.
 //! * [`stats`] — descriptive statistics, percentiles, histograms and the
@@ -33,11 +36,13 @@ pub mod parallel;
 pub mod rmat;
 pub mod rng;
 pub mod stats;
+pub mod ziggurat;
 
 pub use cmat::{CMatrix, CVector};
 pub use complex::Complex64;
 pub use rmat::{RMatrix, RVector};
 pub use rng::Rng64;
+pub use ziggurat::Exp1;
 
 /// Tolerance used by the workspace when comparing floating-point energies.
 ///
