@@ -60,7 +60,9 @@ BENCH_fabric_rt.json
     its pimc16 column is the PIMC-16 engine read's ns/iter
     (anneal_read/ra_pimc16/64) and its pimc8x16 column the served shape's,
     detect-ra's 16-read PIMC-8 submission (anneal_read/ra_pimc8_16reads/16),
-    "-" where a commit did not record it;
+    and its pimc8x1 column the same submission with one read
+    (anneal_read/ra_pimc8_1read/16, the per-submission fixed cost), "-"
+    where a commit did not record it;
   * gates that the *newest* committed BENCH_kernels.json still holds the
     dense-256 SA sweep-kernel speedup floor (>= 3x, the same floor the
     fresh-measurement gate applies) — history may wander, the present may
@@ -935,6 +937,7 @@ HISTORY_COLUMNS = [
     ("BENCH_kernels.json", "exact256", lambda b: b["derived"]["sa_sweep_speedup_256"]),
     ("BENCH_kernels.json", "pimc16", lambda b: _result_ns(b, "anneal_read/ra_pimc16/64")),
     ("BENCH_kernels.json", "pimc8x16", lambda b: _result_ns(b, "anneal_read/ra_pimc8_16reads/16")),
+    ("BENCH_kernels.json", "pimc8x1", lambda b: _result_ns(b, "anneal_read/ra_pimc8_1read/16")),
     ("BENCH_fabric.json", "fab_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_fps", lambda b: max(p["frames_per_sec"] for p in b["points"])),

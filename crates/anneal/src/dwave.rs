@@ -115,6 +115,13 @@ impl DWaveProfile {
         select(self.table.last().expect("validated: non-empty"))
     }
 
+    /// Every number the profile holds, as bit patterns: two profiles with
+    /// equal bits give bit-identical `A(s)`, `B(s)` and `β` everywhere.
+    pub(crate) fn bits(&self) -> impl Iterator<Item = u64> + '_ {
+        let rows = self.table.iter().flat_map(|&(s, a, b)| [s, a, b]);
+        rows.chain([self.temperature_mk]).map(f64::to_bits)
+    }
+
     /// Transverse-field scale `A(s)` in GHz.
     pub fn a_ghz(&self, s: f64) -> f64 {
         self.interp(s, |row| row.1)

@@ -180,6 +180,23 @@ impl AnnealParams {
         self.beta_override.unwrap_or_else(|| profile.beta())
     }
 
+    /// Every field as bit patterns (a `None` as a tag alone): two
+    /// parameter sets with equal bits drive bit-identical sweeps.
+    pub(crate) fn bits(&self) -> [u64; 6] {
+        let beta = self.beta_override.map_or(0, f64::to_bits);
+        let (a_ref, exponent) = self
+            .freeze_out
+            .map_or((0, 0), |f| (f.a_ref_ghz.to_bits(), f.exponent.to_bits()));
+        [
+            self.sweeps_per_us as u64,
+            u64::from(self.beta_override.is_some()),
+            beta,
+            u64::from(self.freeze_out.is_some()),
+            a_ref,
+            exponent,
+        ]
+    }
+
     /// Kinetic gate factor at transverse field `a_ghz` (1.0 when disabled).
     #[inline]
     pub fn gate(&self, a_ghz: f64) -> f64 {
@@ -269,8 +286,9 @@ pub trait AnnealEngine: Send + Sync {
     /// Every read consumes only its own generator, in the order
     /// [`AnnealEngine::run`] would, so each readout and each trailing
     /// generator state equals a lone `run` on that generator. The reads
-    /// run one after another; [`crate::pimc::PimcEngine`] shares one CSR,
-    /// one sweep plan and one scratch across them.
+    /// run one after another; [`crate::pimc::PimcEngine`] builds one sweep
+    /// plan, one CSR and one scratch for them all (the sampler keeps the
+    /// plan across submissions).
     ///
     /// # Panics
     /// As [`AnnealEngine::run`].

@@ -15,11 +15,16 @@
 //!   problem, as the D-Wave stack does.
 //! * **Batched reads** — reads are independent, so each worker thread
 //!   (std scoped threads) takes one contiguous chunk of the submission's
-//!   reads and runs it as one batch ([`AnnealEngine::run_reads`]): the PIMC
-//!   engine builds the CSR and the sweep plan once per chunk and runs the
-//!   reads one after another over one scratch. Per-read RNG streams are
-//!   derived from the seed and each read consumes only its own, so results
-//!   are bit-identical regardless of thread count or chunking.
+//!   reads and runs it as one batch ([`AnnealEngine::run_reads`]). The PIMC
+//!   sweep plan depends only on the profile, the schedule, the parameters
+//!   and `P`, so the sampler keeps the last one it built and reuses it
+//!   while that key holds; each chunk builds only its CSR and start fields
+//!   and runs its reads one after another over one scratch. Per-read RNG
+//!   streams are derived from the seed and each read consumes only its
+//!   own, so results are bit-identical regardless of thread count,
+//!   chunking or what the cache held.
+//! * **Aggregation** — the readouts are sorted and counted first, so each
+//!   distinct state is converted to bits and its energy evaluated once.
 //! * **QPU time accounting** — programming / per-read anneal / readout
 //!   charges, in *programmed microseconds*; the paper's TTS metric consumes
 //!   the schedule duration.
@@ -27,13 +32,14 @@
 use crate::dwave::DWaveProfile;
 use crate::engine::{AnnealEngine, AnnealParams};
 use crate::noise::IceModel;
-use crate::pimc::PimcEngine;
+use crate::pimc::{PimcEngine, PimcPlan};
 use crate::schedule::AnnealSchedule;
 use crate::svmc::SvmcEngine;
 use hqw_math::parallel::parallel_map_chunks;
 use hqw_math::Rng64;
 use hqw_qubo::solution::{bits_to_spins, spins_to_bits};
 use hqw_qubo::{Ising, Qubo, SampleSet};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which simulation engine backs the sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,6 +231,79 @@ pub struct QuantumSampler {
     pub profile: DWaveProfile,
     /// Submission configuration.
     pub config: SamplerConfig,
+    /// The last PIMC sweep plan built, reused while its key holds.
+    plan: PlanCache,
+}
+
+/// A one-plan cache. A clone starts with the same plan; a plan whose key
+/// no longer matches the profile, schedule, parameters or slice count is
+/// replaced, so editing the sampler's public fields is always safe.
+#[derive(Default)]
+struct PlanCache(Mutex<Option<Arc<PimcPlan>>>);
+
+impl std::fmt::Debug for PlanCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let held = if self.lock().is_some() {
+            "a plan"
+        } else {
+            "empty"
+        };
+        write!(f, "PlanCache({held})")
+    }
+}
+
+impl Clone for PlanCache {
+    fn clone(&self) -> Self {
+        PlanCache(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl PlanCache {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Arc<PimcPlan>>> {
+        // A plan is immutable once built: a panic elsewhere cannot leave a
+        // half-written one behind.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The plan `engine` builds for the key, from the cache when it holds
+    /// it.
+    fn get(
+        &self,
+        engine: &PimcEngine,
+        profile: &DWaveProfile,
+        schedule: &AnnealSchedule,
+        params: &AnnealParams,
+    ) -> Arc<PimcPlan> {
+        let mut cached = self.lock();
+        match &*cached {
+            Some(plan) if plan.is_for(engine, profile, schedule, params) => Arc::clone(plan),
+            _ => Arc::clone(cached.insert(Arc::new(engine.plan(profile, schedule, params)))),
+        }
+    }
+}
+
+/// The distinct items of `items` with their counts, ascending. Sorting
+/// keeps it O(R log R) in the R items, however many are distinct.
+fn tally<T: Ord>(mut items: Vec<T>) -> Vec<(T, u64)> {
+    items.sort_unstable();
+    let mut counts: Vec<(T, u64)> = Vec::new();
+    for item in items {
+        match counts.last_mut() {
+            Some((last, count)) if *last == item => *count += 1,
+            _ => counts.push((item, 1)),
+        }
+    }
+    counts
+}
+
+/// The sample set of `states`, each distinct state converted to bits and
+/// its `energy(spins, bits)` evaluated once.
+fn count_samples(states: Vec<Vec<i8>>, energy: impl Fn(&[i8], &[u8]) -> f64) -> SampleSet {
+    SampleSet::from_counts(tally(states).into_iter().map(|(spins, count)| {
+        let bits = spins_to_bits(&spins);
+        let energy = energy(&spins, &bits);
+        (bits, energy, count)
+    }))
 }
 
 impl QuantumSampler {
@@ -234,7 +313,11 @@ impl QuantumSampler {
     /// Panics on invalid configuration.
     pub fn new(profile: DWaveProfile, config: SamplerConfig) -> Self {
         config.validate_or_panic();
-        QuantumSampler { profile, config }
+        QuantumSampler {
+            profile,
+            config,
+            plan: PlanCache::default(),
+        }
     }
 
     /// Sampler with the calibrated 2000Q-like profile (see
@@ -261,13 +344,8 @@ impl QuantumSampler {
         let (ising, _offset) = qubo.to_ising();
         let initial_spins = initial_bits.map(bits_to_spins);
         let states = self.run_reads(&ising, schedule, initial_spins.as_deref(), seed);
-        let samples = SampleSet::from_reads(states.into_iter().map(|spins| {
-            let bits = spins_to_bits(&spins);
-            let energy = qubo.energy(&bits);
-            (bits, energy)
-        }));
         AnnealResult {
-            samples,
+            samples: count_samples(states, |_, bits| qubo.energy(bits)),
             timing: QpuTiming::new(schedule, self.config.num_reads),
         }
     }
@@ -285,12 +363,8 @@ impl QuantumSampler {
         seed: u64,
     ) -> AnnealResult {
         let states = self.run_reads(ising, schedule, initial, seed);
-        let samples = SampleSet::from_reads(states.into_iter().map(|spins| {
-            let energy = ising.energy(&spins);
-            (spins_to_bits(&spins), energy)
-        }));
         AnnealResult {
-            samples,
+            samples: count_samples(states, |spins, _| ising.energy(spins)),
             timing: QpuTiming::new(schedule, self.config.num_reads),
         }
     }
@@ -336,13 +410,15 @@ impl QuantumSampler {
         let states = self.run_reads(&physical, schedule, physical_init.as_deref(), seed);
         let mut broken_total = 0usize;
         let reads = states.len();
-        let samples = SampleSet::from_reads(states.into_iter().map(|phys| {
-            let (logical_spins, broken) = embedding.unembed(&phys);
-            broken_total += broken;
-            let bits = spins_to_bits(&logical_spins);
-            let energy = qubo.energy(&bits);
-            (bits, energy)
-        }));
+        let logical: Vec<Vec<i8>> = states
+            .iter()
+            .map(|phys| {
+                let (logical_spins, broken) = embedding.unembed(phys);
+                broken_total += broken;
+                logical_spins
+            })
+            .collect();
+        let samples = count_samples(logical, |_, bits| qubo.energy(bits));
         let chain_break_fraction =
             broken_total as f64 / (reads * embedding.num_logical()).max(1) as f64;
         (
@@ -377,30 +453,30 @@ impl QuantumSampler {
             .map(|_| master.next_u64())
             .collect();
 
-        let engine: Box<dyn AnnealEngine> = match self.config.engine {
-            EngineKind::Pimc { trotter_slices } => Box::new(PimcEngine::new(trotter_slices)),
-            EngineKind::Svmc => Box::new(SvmcEngine),
-        };
         let (profile, params) = (&self.profile, &self.config.params);
+        let plan = match self.config.engine {
+            EngineKind::Pimc { trotter_slices } => {
+                let engine = PimcEngine::new(trotter_slices);
+                Some(self.plan.get(&engine, profile, schedule, params))
+            }
+            EngineKind::Svmc => None,
+        };
+        let anneal = |problem: &Ising, rngs: &mut [Rng64]| match &plan {
+            Some(plan) => plan.run_reads(problem, initial, rngs),
+            None => SvmcEngine.run_reads(problem, profile, schedule, params, initial, rngs),
+        };
         // Each thread runs its contiguous chunk of reads as one batch.
         parallel_map_chunks(&read_seeds, self.config.threads, |_, seeds| {
             let mut rngs: Vec<Rng64> = seeds.iter().map(|&s| Rng64::new(s)).collect();
             if self.config.ice.is_none() {
-                return engine.run_reads(
-                    &programmed,
-                    profile,
-                    schedule,
-                    params,
-                    initial,
-                    &mut rngs,
-                );
+                return anneal(&programmed, &mut rngs);
             }
             // ICE: every read anneals its own perturbed copy, drawn from
             // its own stream before the anneal.
             rngs.iter_mut()
-                .map(|rng| {
+                .flat_map(|rng| {
                     let problem = self.config.ice.perturb(&programmed, rng);
-                    engine.run(&problem, profile, schedule, params, initial, rng)
+                    anneal(&problem, std::slice::from_mut(rng))
                 })
                 .collect()
         })
@@ -499,6 +575,118 @@ mod tests {
                 assert_eq!(run(threads), serial, "threads={threads} ice={ice:?}");
             }
         }
+    }
+
+    #[test]
+    fn the_plan_cache_never_changes_a_sample_set() {
+        // One sampler alternating two schedules and two parameter sets
+        // (each submission replacing the cached plan, and a repeat reusing
+        // it) matches a freshly built sampler on every submission, at any
+        // thread count.
+        let mut rng = Rng64::new(48);
+        let q = random_qubo(8, &mut rng);
+        let init: Vec<u8> = (0..8).map(|_| rng.next_bool() as u8).collect();
+        let schedules = [
+            AnnealSchedule::reverse(0.65, 1.0).unwrap(),
+            AnnealSchedule::forward(1.0).unwrap(),
+        ];
+        let params = [
+            quick_config(1).params,
+            AnnealParams {
+                sweeps_per_us: 16,
+                beta_override: Some(3.0),
+                freeze_out: None,
+            },
+        ];
+        let submit = |sampler: &QuantumSampler, schedule: &AnnealSchedule, seed: u64| {
+            let init = schedule.requires_initial_state().then_some(init.as_slice());
+            fingerprint(&sampler.sample_qubo(&q, schedule, init, seed))
+        };
+        for threads in [1, 2, 0] {
+            let mut cfg = quick_config(12);
+            cfg.threads = threads;
+            let mut shared = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
+            let order = [(0, 0), (1, 0), (0, 1), (1, 1), (1, 1), (0, 0)];
+            for (round, &(s, p)) in order.iter().enumerate() {
+                shared.config.params = params[p];
+                let seed = 100 + round as u64;
+                let mut fresh_cfg = cfg;
+                fresh_cfg.params = params[p];
+                fresh_cfg.threads = 1;
+                let fresh = QuantumSampler::new(DWaveProfile::calibrated(), fresh_cfg);
+                assert_eq!(
+                    submit(&shared, &schedules[s], seed),
+                    submit(&fresh, &schedules[s], seed),
+                    "threads={threads}, round {round}"
+                );
+            }
+        }
+    }
+
+    /// The sample set of `reads` through today's `SampleSet::from_reads`,
+    /// one `(bits, energy)` pair per read.
+    fn from_reads_reference(qubo: &Qubo, reads: &[Vec<i8>]) -> Vec<(Vec<u8>, u64, u64)> {
+        let set = SampleSet::from_reads(reads.iter().map(|spins| {
+            let bits = spins_to_bits(spins);
+            let energy = qubo.energy(&bits);
+            (bits, energy)
+        }));
+        set.iter()
+            .map(|s| (s.bits.clone(), s.energy.to_bits(), s.occurrences))
+            .collect()
+    }
+
+    #[test]
+    fn counted_aggregation_matches_the_per_read_hash_map() {
+        // 2,000 short, hot forward reads of 10 spins: many distinct
+        // states, many repeats.
+        let mut rng = Rng64::new(52);
+        let q = random_qubo(10, &mut rng);
+        let (ising, _) = q.to_ising();
+        let schedule = AnnealSchedule::forward(0.25).unwrap();
+        let mut cfg = quick_config(2_000);
+        cfg.params = AnnealParams {
+            sweeps_per_us: 8,
+            beta_override: Some(0.5),
+            freeze_out: None,
+        };
+        cfg.threads = 1;
+        let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
+        let reads = sampler.run_reads(&ising, &schedule, None, 29);
+        let counted = fingerprint(&sampler.sample_qubo(&q, &schedule, None, 29));
+        assert_eq!(counted, from_reads_reference(&q, &reads));
+        assert!(
+            counted.len() >= 50,
+            "only {} distinct states",
+            counted.len()
+        );
+        assert!(counted.iter().any(|s| s.2 > 1), "no repeated state");
+
+        // Counting sorts: its comparisons stay near R·log₂R (about 22,000
+        // at R = 2,000), far below a pairwise scan's R²/2 = 2,000,000.
+        use std::cell::Cell;
+        let comparisons = Cell::new(0u64);
+        #[derive(PartialEq, Eq)]
+        struct Counted<'a>(Vec<i8>, &'a Cell<u64>);
+        impl PartialOrd for Counted<'_> {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        impl Ord for Counted<'_> {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                self.1.set(self.1.get() + 1);
+                self.0.cmp(&other.0)
+            }
+        }
+        let items = reads
+            .into_iter()
+            .map(|r| Counted(r, &comparisons))
+            .collect();
+        let counts = tally(items);
+        assert_eq!(counts.len(), counted.len());
+        let cmp = comparisons.get();
+        assert!(cmp < 100_000, "{cmp} comparisons for 2,000 reads");
     }
 
     #[test]
@@ -757,6 +945,56 @@ mod embedded_tests {
         assert!(
             preserved >= 6,
             "embedded shallow RA should mostly preserve the seed ({preserved}/8)"
+        );
+    }
+
+    #[test]
+    fn embedded_counted_aggregation_matches_the_per_read_hash_map() {
+        // The mock QPU's shape: forward reads of a 4-spin problem through
+        // the clique embedding on C₂, unembedded by majority vote. Short
+        // anneals and many reads leave many distinct logical states.
+        let mut rng = Rng64::new(73);
+        let q = random_qubo(4, &mut rng);
+        let embedding = CliqueEmbedding::new(Chimera::new(2), 4);
+        let sampler = QuantumSampler::new(
+            DWaveProfile::calibrated(),
+            SamplerConfig {
+                num_reads: 200,
+                engine: EngineKind::Pimc { trotter_slices: 8 },
+                params: AnnealParams {
+                    sweeps_per_us: 8,
+                    beta_override: None,
+                    freeze_out: Some(FreezeOut::default()),
+                },
+                threads: 1,
+                ..Default::default()
+            },
+        );
+        let strength = ChainStrength::RelativeToMax(2.0);
+        let schedule = AnnealSchedule::forward(0.5).unwrap();
+        let (result, _) =
+            sampler.sample_qubo_embedded(&q, &embedding, strength, &schedule, None, 3);
+        let (logical, _) = q.to_ising();
+        let physical = embedding.embed(&logical, strength);
+        let reads: Vec<Vec<i8>> = sampler
+            .run_reads(&physical, &schedule, None, 3)
+            .iter()
+            .map(|phys| embedding.unembed(phys).0)
+            .collect();
+        let reference = SampleSet::from_reads(reads.iter().map(|spins| {
+            let bits = spins_to_bits(spins);
+            let energy = q.energy(&bits);
+            (bits, energy)
+        }));
+        let fingerprint = |set: &SampleSet| -> Vec<(Vec<u8>, u64, u64)> {
+            set.iter()
+                .map(|s| (s.bits.clone(), s.energy.to_bits(), s.occurrences))
+                .collect()
+        };
+        assert_eq!(fingerprint(&result.samples), fingerprint(&reference));
+        assert!(
+            result.samples.num_distinct() >= 8,
+            "too few distinct states"
         );
     }
 

@@ -205,6 +205,14 @@ impl AnnealSchedule {
         &self.points
     }
 
+    /// The waypoints as bit patterns: two schedules with equal bits give
+    /// bit-identical `s(t)`.
+    pub(crate) fn bits(&self) -> impl Iterator<Item = u64> + '_ {
+        self.points
+            .iter()
+            .flat_map(|&(t, s)| [t.to_bits(), s.to_bits()])
+    }
+
     /// Total programmed duration in µs — the quantity the paper's TTS
     /// metric charges per read ("RA total duration depends on switch and
     /// pause location s_p").

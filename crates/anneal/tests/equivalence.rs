@@ -11,6 +11,13 @@
 //! forward-reverse schedules. The same test must reject a kernel whose
 //! gate is scaled by 1.1 (`a_ref_ghz = 2/√1.1`, exponent 2) on a reverse
 //! anneal whose gate never reaches the clamp at 1.
+//!
+//! A reverse anneal from a programmed low-energy state is where PIMC's
+//! thinned site walk does its work: there almost every site agrees with
+//! both its time neighbours, so those moves are visited at `g·2^{−j}`
+//! rather than `g`. One more case runs that regime at the detector's
+//! shape: `P = 8` slices, an enumerated local minimum programmed, `s_p =
+//! 0.65` and the served 32 sweeps/µs, with a 3 µs pause.
 
 use hqw_anneal::engine::{AnnealParams, FreezeOut};
 use hqw_anneal::schedule::AnnealSchedule;
@@ -18,6 +25,7 @@ use hqw_anneal::{AnnealEngine, DWaveProfile, PimcEngine, SvmcEngine};
 use hqw_math::Rng64;
 use hqw_qubo::generator::random_qubo;
 use hqw_qubo::{CsrIsing, Ising};
+use std::f64::consts::LN_2;
 
 /// Reads per arm.
 const READS: usize = 10_000;
@@ -44,6 +52,22 @@ enum Shape {
 /// A fixed dense problem of `n` spins.
 fn problem(n: usize) -> Ising {
     random_qubo(n, &mut Rng64::new(0xE9_0001)).to_ising().0
+}
+
+/// Where the reads start and how many Trotter slices PIMC runs.
+struct Start {
+    /// PIMC's slice count (SVMC ignores it).
+    slices: usize,
+    /// The programmed state of a reverse schedule.
+    initial: Vec<i8>,
+}
+
+/// The start the schedule cases share: 4 slices and a fixed mixed state.
+fn mixed_start(n: usize) -> Start {
+    Start {
+        slices: 4,
+        initial: (0..n).map(|i| if i % 3 == 0 { 1 } else { -1 }).collect(),
+    }
 }
 
 /// The three schedule kinds, by name. The reverse anneal stays at
@@ -81,17 +105,17 @@ fn histogram(
     ising: &Ising,
     schedule: &AnnealSchedule,
     params: &AnnealParams,
+    start: &Start,
     seed: u64,
 ) -> Vec<u64> {
     let n = ising.num_vars();
     let profile = DWaveProfile::calibrated();
-    let initial: Vec<i8> = (0..n).map(|i| if i % 3 == 0 { 1 } else { -1 }).collect();
     let initial = schedule
         .requires_initial_state()
-        .then_some(initial.as_slice());
+        .then_some(start.initial.as_slice());
     let mut master = Rng64::new(seed);
     let mut rngs: Vec<Rng64> = (0..READS).map(|_| master.split()).collect();
-    let pimc = PimcEngine::new(4);
+    let pimc = PimcEngine::new(start.slices);
     let reads: Vec<Vec<i8>> = match (shape, kernel) {
         (Shape::Pimc, Kernel::Engine) => {
             pimc.run_reads(ising, &profile, schedule, params, initial, &mut rngs)
@@ -164,13 +188,15 @@ fn chi2_critical(dof: usize) -> f64 {
     k * (1.0 - c + Z_ALPHA * c.sqrt()).powi(3)
 }
 
-/// Whether the engine (at `engine_params`) and the reference (at the
-/// default gate) give the same readout distribution on `schedule`; the
-/// statistic, its critical value and the dof go into the message.
-fn same_distribution(
+/// Whether the engine (at `engine_params`) and the reference (at
+/// `reference_params`) give the same readout distribution on `schedule`
+/// from `start`; the statistic, its critical value and the dof go into
+/// the message.
+fn same_distribution_from(
     shape: Shape,
     schedule: &AnnealSchedule,
-    engine_params: &AnnealParams,
+    (engine_params, reference_params): (&AnnealParams, &AnnealParams),
+    start: &Start,
 ) -> (bool, String) {
     let ising = problem(6);
     let engine = histogram(
@@ -179,6 +205,7 @@ fn same_distribution(
         &ising,
         schedule,
         engine_params,
+        start,
         0xA11,
     );
     let reference = histogram(
@@ -186,7 +213,8 @@ fn same_distribution(
         Kernel::Reference,
         &ising,
         schedule,
-        &params(2.0),
+        reference_params,
+        start,
         0xB22,
     );
     let (g, dof) = g_test(&engine, &reference);
@@ -195,6 +223,17 @@ fn same_distribution(
         g < critical,
         format!("{shape:?}: G = {g:.1} on {dof} dof, critical {critical:.1}"),
     )
+}
+
+/// [`same_distribution_from`] the mixed start, the reference at the
+/// default gate.
+fn same_distribution(
+    shape: Shape,
+    schedule: &AnnealSchedule,
+    engine_params: &AnnealParams,
+) -> (bool, String) {
+    let start = mixed_start(6);
+    same_distribution_from(shape, schedule, (engine_params, &params(2.0)), &start)
 }
 
 #[test]
@@ -222,6 +261,50 @@ fn a_gate_scaled_by_1_1_is_rejected() {
         let (same, report) = same_distribution(shape, reverse, &mutant);
         assert!(!same, "the 1.1x gate passed: {report}");
     }
+}
+
+#[test]
+fn pimc_thinned_walk_matches_the_per_move_chain_from_a_local_minimum() {
+    // Program the highest-energy local minimum, a state greedy descent can
+    // stop at: the readout then both stays and escapes, so it depends on
+    // how often the thinned walk flips an aligned site and on the kink
+    // moves that follow each flip.
+    let ising = problem(6);
+    let n = ising.num_vars();
+    let csr = CsrIsing::from_ising(&ising);
+    let stable =
+        |state: &[i8]| (0..n).all(|i| -2.0 * state[i] as f64 * csr.local_field(state, i) > 0.0);
+    // The ground state is a local minimum too, so two of them mean the
+    // highest is not the ground state.
+    let mut minima: Vec<Vec<i8>> = (0..1usize << n)
+        .map(|m| {
+            (0..n)
+                .map(|i| if m >> i & 1 == 1 { 1 } else { -1 })
+                .collect()
+        })
+        .filter(|state: &Vec<i8>| stable(state))
+        .collect();
+    assert!(minima.len() >= 2, "the problem has one local minimum only");
+    minima.sort_by(|a, b| ising.energy(a).total_cmp(&ising.energy(b)));
+    let minimum = minima.pop().expect("two minima");
+    // The walk thins here: at a local minimum every site's X = −2·s·h is
+    // positive, and at the pause the time links alone bound an aligned
+    // move's action by 4·J⊥ ≥ ln 2, so j ≥ 1.
+    let s_p = 0.65;
+    let profile = DWaveProfile::calibrated();
+    let j_perp = PimcEngine::new(8).j_perp(&profile, profile.beta(), s_p);
+    assert!(4.0 * j_perp >= LN_2, "J⊥ {j_perp} gives no thinning");
+    let served = AnnealParams {
+        sweeps_per_us: 32,
+        ..params(2.0)
+    };
+    let schedule = AnnealSchedule::reverse(s_p, 3.0).unwrap();
+    let start = Start {
+        slices: 8,
+        initial: minimum,
+    };
+    let (same, report) = same_distribution_from(Shape::Pimc, &schedule, (&served, &served), &start);
+    assert!(same, "local-minimum reverse anneal: {report}");
 }
 
 // ---------------------------------------------------------------------------

@@ -301,8 +301,9 @@ fn bench_parallel_reads(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f
 /// iteration. PIMC-16 and SVMC run 4 reads on a medium random instance;
 /// PIMC-8 runs the paper detector's problem (an 8-user QPSK frame, 16
 /// spins, greedy seed, `s_p = 0.65`) with 4 reads, the row's historical
-/// shape, and with the 16 reads that `detect-ra` and the `ber` roster
-/// actually submit. The last row is the mock QPU's served shape: 4
+/// shape, with the 16 reads that `detect-ra` and the `ber` roster
+/// actually submit, and with one read, which shows what a submission
+/// costs beyond its reads. The last row is the mock QPU's served shape: 4
 /// forward-anneal reads of a 4-user QPSK frame through the 32-qubit C₂
 /// clique embedding.
 fn bench_engine_reads(out: &mut Vec<Measurement>) {
@@ -357,6 +358,15 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
             &paper_init,
             &paper_schedule,
             10,
+        ),
+        (
+            "pimc8_1read",
+            EngineKind::Pimc { trotter_slices: 8 },
+            1,
+            &paper_q,
+            &paper_init,
+            &paper_schedule,
+            160,
         ),
     ] {
         let n = q.num_vars();

@@ -134,8 +134,8 @@ impl HybridSolver {
     /// is exactly `solve(i, s)`.
     ///
     /// # Panics
-    /// Panics when the protocol parameters are invalid or the warm-start
-    /// length mismatches the instance.
+    /// Panics when the protocol parameters are invalid, or the warm start's
+    /// length mismatches the instance or it holds a bit other than 0 or 1.
     pub fn solve_warm(
         &self,
         instance: &DetectionInstance,
@@ -156,6 +156,10 @@ impl HybridSolver {
                         bits.len(),
                         instance.num_vars(),
                         "solve_warm: warm-start length mismatch"
+                    );
+                    assert!(
+                        bits.iter().all(|&b| b <= 1),
+                        "solve_warm: warm-start bits must be 0 or 1"
                     );
                     InitialState {
                         bits: bits.to_vec(),
@@ -382,6 +386,18 @@ mod tests {
         let inst = instance();
         let solver = HybridSolver::paper_prototype(quick_sampler(4), 0.7);
         solver.solve_warm(&inst, 1, Some(&[0, 1, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "warm-start bits must be 0 or 1")]
+    fn warm_start_non_binary_bits_panic() {
+        // A 2 would read as 0 in the programmed spins but count as 1 in
+        // the QUBO energy, and could come back as a decision bit.
+        let inst = instance();
+        let solver = HybridSolver::paper_prototype(quick_sampler(4), 0.7);
+        let mut bits = inst.tx_natural_bits.clone();
+        bits[0] = 2;
+        solver.solve_warm(&inst, 1, Some(&bits));
     }
 
     #[test]

@@ -46,16 +46,27 @@ impl SampleSet {
     /// duplicates and sorting ascending by energy.
     pub fn from_reads(reads: impl IntoIterator<Item = (Vec<u8>, f64)>) -> Self {
         let mut agg: HashMap<Vec<u8>, (f64, u64)> = HashMap::new();
-        let mut total = 0u64;
         for (bits, energy) in reads {
-            total += 1;
             agg.entry(bits)
                 .and_modify(|e| e.1 += 1)
                 .or_insert((energy, 1));
         }
-        let mut samples: Vec<Sample> = agg
+        SampleSet::from_counts(
+            agg.into_iter()
+                .map(|(bits, (energy, occurrences))| (bits, energy, occurrences)),
+        )
+    }
+
+    /// Builds a sample set from distinct `(bits, energy, occurrences)`
+    /// states, sorting ascending by energy (ties by bits), as
+    /// [`SampleSet::from_reads`] does once it has counted its reads.
+    ///
+    /// # Panics
+    /// Panics in debug builds when two entries share their bits.
+    pub fn from_counts(counts: impl IntoIterator<Item = (Vec<u8>, f64, u64)>) -> Self {
+        let mut samples: Vec<Sample> = counts
             .into_iter()
-            .map(|(bits, (energy, occurrences))| Sample {
+            .map(|(bits, energy, occurrences)| Sample {
                 bits,
                 energy,
                 occurrences,
@@ -67,9 +78,13 @@ impl SampleSet {
                 .expect("SampleSet: NaN energy")
                 .then_with(|| a.bits.cmp(&b.bits))
         });
+        debug_assert!(
+            samples.windows(2).all(|w| w[0].bits != w[1].bits),
+            "SampleSet::from_counts: repeated state"
+        );
         SampleSet {
+            total_reads: samples.iter().map(|s| s.occurrences).sum(),
             samples,
-            total_reads: total,
         }
     }
 
