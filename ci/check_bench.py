@@ -61,8 +61,11 @@ BENCH_fabric_rt.json
     (anneal_read/ra_pimc16/64) and its pimc8x16 column the served shape's,
     detect-ra's 16-read PIMC-8 submission (anneal_read/ra_pimc8_16reads/16),
     and its pimc8x1 column the same submission with one read
-    (anneal_read/ra_pimc8_1read/16, the per-submission fixed cost), "-"
-    where a commit did not record it;
+    (anneal_read/ra_pimc8_1read/16, the per-submission fixed cost); its
+    mockqpu and sajob columns are fabric-hybrid's two served kernels, the
+    mock QPU's 4-read forward PIMC-8 job (anneal_read/fa_mockqpu_pimc8/32)
+    and the SA pool's job (sa_job/48x2/8); "-" where a commit did not
+    record it;
   * gates that the *newest* committed BENCH_kernels.json still holds the
     dense-256 SA sweep-kernel speedup floor (>= 3x, the same floor the
     fresh-measurement gate applies) — history may wander, the present may
@@ -938,6 +941,8 @@ HISTORY_COLUMNS = [
     ("BENCH_kernels.json", "pimc16", lambda b: _result_ns(b, "anneal_read/ra_pimc16/64")),
     ("BENCH_kernels.json", "pimc8x16", lambda b: _result_ns(b, "anneal_read/ra_pimc8_16reads/16")),
     ("BENCH_kernels.json", "pimc8x1", lambda b: _result_ns(b, "anneal_read/ra_pimc8_1read/16")),
+    ("BENCH_kernels.json", "mockqpu", lambda b: _result_ns(b, "anneal_read/fa_mockqpu_pimc8/32")),
+    ("BENCH_kernels.json", "sajob", lambda b: _result_ns(b, "sa_job/48x2/8")),
     ("BENCH_fabric.json", "fab_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_fps", lambda b: max(p["frames_per_sec"] for p in b["points"])),

@@ -33,9 +33,9 @@
 //! test. Within a sweep `g` is constant, so the passing moves are a
 //! Bernoulli(g) process in move order, with i.i.d. Geometric(g) gaps. Each
 //! sweep numbers its `P·n` single-site moves (slice-major), then its `n`
-//! cluster moves, and jumps from one passing move to the next
-//! (`engine::GateGaps`); a skipped move draws nothing. The walk restarts
-//! at every sweep boundary, exact by memorylessness. A passing move with
+//! cluster moves; a forward read jumps from one passing move to the next
+//! (`engine::GateGaps`), and a skipped move draws nothing. Its walk
+//! restarts at every sweep boundary, exact by memorylessness. A passing move with
 //! `Δ > 0` is accepted when a fresh Exp(1) draw `E` ([`hqw_math::Exp1`])
 //! exceeds `Δ`: `P(E > Δ) = e^{−Δ}`, the probability of the uniform test
 //! `u < e^{−Δ}`, with no `exp`; a move with `Δ ≤ 0` draws nothing. A
@@ -49,52 +49,95 @@
 //! it against the per-move chain) at about `g` of the draws and with no
 //! `ln` or `exp` per visited move.
 //!
-//! Thinned site walk (reverse anneals). Call the site move at `(i, k)`
-//! *aligned* when both time neighbours agree with `s = s_{i,k}`. Its
-//! action is then `Δ = k_cl·X + 4·J⊥` with `X = −2·s·h_eff`, so every
-//! aligned move of a sweep has `Δ ≥ d = k_cl·min X + 4·J⊥`, the minimum
-//! over aligned sites (`k_cl ≥ 0`). With `j = ⌊d/ln 2⌋` (capped at
-//! `J_MAX`), such a move is accepted with `g·e^{−Δ} = g·2^{−j} ·
-//! e^{−(Δ − j·ln 2)}`, both factors at most 1: a gate coin of probability
-//! `g·2^{−j}`, then the test `E > Δ − j·ln 2`. So a read walks the
-//! aligned moves at rate `g·2^{−j}` (the plan caches `1/λ_j` for every
-//! `j`) and, merged with it in move order, the moves next to a kink at
-//! rate `g` under today's test. Each walk is a Bernoulli process on its
-//! own set of moves; the sets and the rates change only with a flip, and
-//! after a flip both walks restart behind it, which is exact by
-//! memorylessness. For the same reason an aligned walk still pending at
-//! a sweep's end carries into the next sweep when their constants are
-//! identical (the `s_p` pause). The bound costs little to keep: a
-//! programmed start has every slice equal, so no kinks and one `min X`;
-//! a site flip inside a thinned sweep updates the kink list and the
-//! per-slice minima of its three slices in O(n + P); any other flip (a
-//! cluster move, or a site move of today's walk) marks the bound stale,
-//! and a stale bound runs today's walk over every move. It is rebuilt, in
-//! O(P·n), only after a flip-free sweep with at least 0.3 expected gate
-//! passes per move still ahead, about what the rebuild costs. Forward
-//! anneals start from random replicas with no bound and keep today's
-//! walk and stream.
+//! Spanning walks (reverse anneals). Call the site move at `(i, k)`
+//! *aligned* when both time neighbours agree with `s = s_{i,k}`, else a
+//! *kink* move, and ring `i` *kink-free* when site `i` agrees in all `P`
+//! slices. A reverse read walks four classes of moves: aligned moves at
+//! `g·2^{−j}`, kink moves at `g`, kink-free rings' cluster moves at the
+//! tilted rate `g·a` below, and kinked rings' cluster moves at `g`, grown
+//! and tested as in a forward read. Each class is one Bernoulli process
+//! over the whole read, in (sweep, move) order. Its next pass is one
+//! Exp(1) draw `E` less each sweep's hazard `(moves left)·λ`, where
+//! `λ = −ln(1 − p)` for the sweep's per-move rate `p`, until `E` falls
+//! within a sweep, then `⌊E·(1/λ)⌋` moves into it: move `m` passes first
+//! with probability `e^{−Σ_{m'<m} λ_{m'}}·(1 − e^{−λ_m})`, so a walk spans
+//! sweeps of any rates exactly, by memorylessness. The classes and rates
+//! change only with a flip: the four walks merge in order, and all restart
+//! behind every flip. The aligned walk runs over every site move and the
+//! kink-free walk over every ring, passing over the other class's members
+//! they land on. The plan caches every rate per *row*, a run of sweeps
+//! with equal constants; a state's levels cost O(rows) lookups and its
+//! hazards ahead O(sweeps) additions, with no `exp`.
 //!
-//! Rounding of the thinned walk: in floating point an aligned move's `Δ`
-//! is `fl(fl(k_cl·X) + 4·J⊥)`. The site move computes it as
+//! Aligned bound: an aligned move's action is `Δ = k_cl·X + 4·J⊥` with
+//! `X = −2·s·h_eff`, so every aligned move has `Δ ≥ d = k_cl·min X +
+//! 4·J⊥`, the minimum over aligned sites (`k_cl ≥ 0`). With `j =
+//! ⌊d/ln 2⌋` (capped at `J_MAX`), it is accepted with `g·e^{−Δ} =
+//! g·2^{−j}·e^{−(Δ − j·ln 2)}`, both factors at most 1: a pass at
+//! `g·2^{−j}`, then the test `E > Δ − j·ln 2`.
+//!
+//! Tilted cluster law: on a kink-free ring only a failed bond (probability
+//! `1 − b`, `b = bond_below·2⁻⁵³`) or a full ring stops the growth.
+//! Forward growth takes up to `P−1` bonds and backward growth the rest, so
+//! the length has the law `Q(L) = L·b^{L−1}·(1−b)²` for `L < P` and
+//! `Q(P) = ((P−1)·(1−b) + 1)·b^{P−1}`, and the segment's first slice is
+//! uniform and independent of `L`. Every site of a kink-free ring is
+//! aligned, so a segment of `L` slices has `Δ ≥ L·c` with `c = k_cl·min X`,
+//! and it flips with probability `g·Q(L)/P·e^{−Δ} = g·a ·
+//! (Q(L)·e^{−L·c}/a)/P · e^{−(Δ − L·c)}`, `a = Σ_L Q(L)·e^{−L·c}`: a visit
+//! at `g·a`, `L` from the tilted law, the first slice uniform, and the
+//! test `E > Δ − L·c`. At `c ≤ 0` this is the plain move (`a = 1`). Each
+//! row keeps tilt levels of `c`, each `ln 2 / E[L]` (the tilted mean)
+//! above the last, so `a` at most halves per level, down to
+//! `a ≤ 2^{−J_MAX}`; a read takes the highest level not above its `c`. A
+//! site flip lowers the `X` of its neighbours in its slice only, so a
+//! second form spares one slice: with `next` the lowest `X` outside the
+//! slice holding `min X`, every segment has `Δ ≥ c_low + (L−1)·c_next`,
+//! which bounds the offset `(L−1)·c` for `c ≤ c_next + min(c_low, 0)` (and
+//! `(L−1)·c ≥ 0`). That form draws the same length law at the rate
+//! `g·Σ_L Q(L)·e^{−(L−1)·c}`; each row takes the form with the lower rate.
+//!
+//! Keeping the bound: the replicas hold each position's `X` when it is
+//! aligned, `+∞` when not. A flip folds its neighbours' new `X` into it
+//! with their field update; the bound then refreshes ring `i`'s alignment
+//! and kinks in the flipped slices and the two beside them, and those
+//! slices' minima, in O((L + 2)·n + P). `min X` and `next` are rounded
+//! down to multiples of 2⁻²⁰, which keeps them lower bounds and lets
+//! states that differ by the rounding of an undone flip share levels.
+//! Forward anneals start from random replicas with no bound and keep the
+//! per-sweep walk and its stream.
+//!
+//! Rounding of the spanning walks: in floating point an aligned move's
+//! `Δ` is `fl(fl(k_cl·X) + 4·J⊥)`. The site move computes it as
 //! `(−2·s·k_cl)·h + (2·s·J⊥)·(2·s)`; the doublings and sign changes are
 //! exact, so the first product rounds the same real number as `k_cl·X`
 //! and the second is `4·J⊥` exactly. Rounding is monotone, so the
 //! computed `Δ` is never below `d = fl(fl(k_cl·min X) + 4·J⊥)`, and `j` is
 //! lowered until `fl(j·ln 2) ≤ d`: the test's argument `Δ − fl(j·ln 2)`
-//! is never negative, so it never saturates. It is within `2⁻⁵¹·Δ` of the
-//! exact `Δ − j·ln 2` (the rounded `ln 2`, its product and the
-//! difference), so the accepted probability `g·e^{−Δ}` moves by at most
-//! `g·2⁻⁵¹·Δ·e^{−Δ} ≤ g·2⁻⁵¹/e`; the rate `g·2^{−j}` is an exact scaling,
-//! its gaps within `ε + 2⁻⁵¹` as above.
+//! is never negative. It is within `2⁻⁵¹·Δ` of the exact `Δ − j·ln 2`, so
+//! the accepted probability `g·e^{−Δ}` moves by at most
+//! `g·2⁻⁵¹·Δ·e^{−Δ} ≤ g·2⁻⁵¹/e`. A tilt level's `c` is a multiple of
+//! 2⁻²⁰, so `L·c` is exact (for `P < 2²⁶`), and each term of a segment's
+//! `Δ` rounds to at least `fl(k_cl·min X) ≥ c`: by induction every partial
+//! sum is at least `m·c`, which is representable, so `Δ − L·c` is never
+//! negative either. The spared form's bound is not per term: there a
+//! computed `Δ` may fall below `(L−1)·c` by a few ulps, the excess is then
+//! not positive, and the move is accepted outright, short of its exact
+//! probability by a factor within those ulps of 1. The weights `y^L` are
+//! repeated products within `L·2⁻⁵³` of `e^{−L·c}`, and `a` sums the same
+//! products, so the drawn law is normalized. Each hazard subtracted from
+//! `E` rounds its remainder by at most 2⁻⁵³ of it, so a pass that crosses
+//! `S` sweeps lands within `S·2⁻⁵³` of its exact tail, besides the
+//! `ε + 2⁻⁵¹` of a gap. A move with `g ≥ 1` gets the hazard 1024: it then
+//! fails to pass with probability `e^{−1024}`, 0 in double precision.
 //!
 //! Reads: `PimcEngine::plan` builds the sweep plan, which depends only on
 //! the profile, the schedule, the parameters and `P`, so a caller may keep
 //! it across submissions ([`crate::QuantumSampler`] does).
 //! `PimcPlan::run_reads` builds the CSR and a programmed state's local
-//! fields once, then runs the reads one after another over one scratch.
-//! Each read consumes only its own generator, so the results equal lone
-//! [`AnnealEngine::run`] calls.
+//! fields, `X` and levels once, then runs the reads one after another
+//! over one scratch. Each read consumes only its own generator, so the
+//! results equal lone [`AnnealEngine::run`] calls.
 
 use crate::dwave::DWaveProfile;
 use crate::engine::{resolve_initial, AnnealEngine, AnnealParams, GateGaps};
@@ -135,13 +178,42 @@ impl Default for PimcEngine {
 
 /// Deepest thinning level: aligned site moves are visited at no less than
 /// `g·2^{−J_MAX}` per move, about 10⁻¹² of the gate rate, where a
-/// deeper level would save no measurable work.
+/// deeper level would save no measurable work. A kink-free ring's cluster
+/// tilt stops at the same depth.
 const J_MAX: usize = 40;
 
-/// Expected gate passes per move that must still lie ahead for a stale
-/// thinning bound to be rebuilt: a rebuild scans all `P·n` sites, which
-/// costs about as much as visiting 0.3 of them.
-const REBUILD_MIN_PASSES: f64 = 0.3;
+/// Hazard of a move the gate always lets through (`g ≥ 1`): it then
+/// fails to pass with probability `e^{−1024}`, which is 0 in double
+/// precision, and every hazard sum stays finite.
+const HAZARD_MAX: f64 = 1024.0;
+
+/// The cluster tilt offsets `c` and the walks' floors are multiples of
+/// `1/GRID` = 2⁻²⁰: every `L·c` is exact, and rounding a floor down to the
+/// grid is exact too.
+const GRID: f64 = (1u64 << 20) as f64;
+
+/// Cap on a row's cluster tilt levels.
+const TILT_LEVELS_MAX: usize = 4 * J_MAX;
+
+/// A per-move pass probability `p` as a walk uses it: the hazard
+/// `λ = −ln(1 − p)` and its reciprocal, so the moves a walk skips before
+/// its next pass number `⌊E·(1/λ)⌋` for an Exp(1) draw `E`.
+#[derive(Debug, Clone, Copy)]
+struct Rate {
+    lambda: f64,
+    inv: f64,
+}
+
+impl Rate {
+    fn of(p: f64) -> Self {
+        // `−ln1p(−1) = +∞` (and NaN past 1) fall to the cap.
+        let lambda = (-(-p).ln_1p()).min(HAZARD_MAX);
+        Rate {
+            lambda,
+            inv: 1.0 / lambda,
+        }
+    }
+}
 
 /// One sweep's constants, a row of the plan built before any read runs.
 #[derive(Debug)]
@@ -154,25 +226,185 @@ struct Sweep {
     bond_below: u64,
     /// Gaps between the moves the sweep's gate lets through.
     gaps: GateGaps,
+    /// Index of the sweep's entry in [`PimcPlan::rows`] (reverse plans).
+    row: usize,
 }
 
-/// A reverse-anneal sweep's thinned-walk constants.
+/// The spanning walks' constants of one run of sweeps with identical
+/// constants (reverse plans).
 #[derive(Debug)]
-struct ThinSweep {
-    /// Index of the sweep's `1/λ_j` row in [`PimcPlan::rates`].
-    rates: usize,
-    /// The previous open sweep has identical constants, so an aligned-move
-    /// walk still pending at its end carries into this one.
-    carries: bool,
-    /// `Σ g` over this sweep and every later one: the expected gate
-    /// passes per move still ahead.
-    passes_left: f64,
+struct Row {
+    k_cl: f64,
+    j_perp: f64,
+    /// The aligned-site walk's rate `g·2^{−j}` at each level
+    /// `j = 0..=J_MAX`; level 0 is the gate itself, the kink walks' rate.
+    site: [Rate; J_MAX + 1],
+    /// The segment law `Q(L)`, `L = 1..=P`, of a cluster move on a
+    /// kink-free ring.
+    segment: Vec<f64>,
+    /// The kink-free ring's cluster tilt levels, ascending in `c`; level 0
+    /// (`c = 0`) is the untilted move at the gate's rate.
+    tilts: Vec<Tilt>,
+    /// Their offsets `c`, for the level search.
+    tilt_c: Vec<f64>,
+}
+
+/// One cluster tilt level: a kink-free ring's cluster moves are visited
+/// at `g·a` and draw their segment length `L` from `Q(L)·y^L / a`, or,
+/// when one slice is spared the offset, at `g·a·e^c`.
+#[derive(Debug)]
+struct Tilt {
+    /// The offset per slice; a multiple of 2⁻²⁰.
+    c: f64,
+    /// `e^{−c}`.
+    y: f64,
+    /// `a = Σ_L Q(L)·y^L`, each `y^L` by repeated multiplication (as the
+    /// visit forms it).
+    a: f64,
+    /// The walk's rate `g·a`, with the offset `L·c`.
+    rate: Rate,
+    /// The walk's rate `g·Σ_L Q(L)·y^{L−1}`, with the offset `(L−1)·c`.
+    spared: Rate,
+}
+
+impl Row {
+    fn new(sweep: &Sweep, gate: f64, p: usize) -> Self {
+        let site = std::array::from_fn(|j| Rate::of(gate * 0.5f64.powi(j as i32)));
+        // Forward growth draws up to P−1 bonds, backward growth the rest:
+        // a segment shorter than the ring took L−1 bonds and two misses,
+        // with its forward share any of L values.
+        let b = Rng64::unit_f64(sweep.bond_below);
+        let segment: Vec<f64> = (1..=p)
+            .map(|len| {
+                let bonds = b.powi(len as i32 - 1);
+                if len < p {
+                    len as f64 * bonds * (1.0 - b) * (1.0 - b)
+                } else {
+                    ((p - 1) as f64 * (1.0 - b) + 1.0) * bonds
+                }
+            })
+            .collect();
+        let tilts = Self::tilts(&segment, gate, site[0]);
+        Row {
+            k_cl: sweep.k_cl,
+            j_perp: sweep.j_perp,
+            site,
+            segment,
+            tilt_c: tilts.iter().map(|tilt| tilt.c).collect(),
+            tilts,
+        }
+    }
+
+    /// The tilt levels: each step raises `c` by `ln 2 / E[L]`, the mean
+    /// length under the current tilt, rounded down to the grid, so `a` at
+    /// most halves from one level to the next (`ln a` falls at rate
+    /// `E[L]`, which only shrinks as `c` grows); they stop once `a` is
+    /// below `2^{−J_MAX}`.
+    fn tilts(segment: &[f64], gate: f64, plain: Rate) -> Vec<Tilt> {
+        let mut levels = vec![Tilt {
+            c: 0.0,
+            y: 1.0,
+            a: 1.0,
+            rate: plain,
+            spared: plain,
+        }];
+        let mut mean: f64 = (1..=segment.len())
+            .zip(segment)
+            .map(|(len, q)| len as f64 * q)
+            .sum();
+        while levels.len() < TILT_LEVELS_MAX {
+            let last = levels.last().expect("level 0").c;
+            let next = ((last + LN_2 / mean) * GRID).floor() / GRID;
+            let c = next.max(last + 1.0 / GRID);
+            let y = (-c).exp();
+            let (mut a, mut spared, mut length, mut y_len) = (0.0, 0.0, 0.0, 1.0);
+            for (len, &q) in (1..).zip(segment) {
+                spared += q * y_len;
+                y_len *= y;
+                a += q * y_len;
+                length += len as f64 * q * y_len;
+            }
+            levels.push(Tilt {
+                c,
+                y,
+                a,
+                rate: Rate::of(gate * a),
+                spared: Rate::of(gate * spared),
+            });
+            if a <= 0.5f64.powi(J_MAX as i32) {
+                break;
+            }
+            mean = length / a;
+        }
+        levels
+    }
+
+    /// The levels at `floors`: the aligned-site level from the lowest
+    /// `X`, and the tilt level and offset form of the kink-free cluster
+    /// walk whose rate is lower.
+    fn levels(&self, floors: Floors) -> RowLevels {
+        // Every slice but one holds X ≥ next, so a segment's action is at
+        // least c_low + (L−1)·c_next, which bounds both L·c (c ≤ c_low) and
+        // (L−1)·c (c ≤ c_next + min(c_low, 0)).
+        let c_low = self.k_cl * floors.low;
+        let whole = self.tilt_level(c_low);
+        let spare = self.tilt_level(self.k_cl * floors.next + c_low.min(0.0));
+        let (tilt, spared, free) =
+            if self.tilts[spare].spared.lambda < self.tilts[whole].rate.lambda {
+                (spare, 1, self.tilts[spare].spared)
+            } else {
+                (whole, 0, self.tilts[whole].rate)
+            };
+        let j = self.level(floors.low);
+        RowLevels {
+            j,
+            aligned: self.site[j],
+            tilt,
+            spared,
+            free,
+        }
+    }
+
+    /// The thinning level of the aligned-site walk: the largest
+    /// `j ≤ J_MAX` whose offset `j·ln 2` (as computed in floating point)
+    /// does not exceed `d = k_cl·min X + 4·J⊥`, the least action of any
+    /// aligned site move. 0 when the bound gives nothing (or `k_cl < 0`
+    /// reverses it).
+    fn level(&self, min_x: f64) -> usize {
+        let d = self.k_cl * min_x + 4.0 * self.j_perp;
+        // NaN: no aligned site at `k_cl = 0` (0·∞).
+        if self.k_cl < 0.0 || d.is_nan() || d < LN_2 {
+            return 0;
+        }
+        let mut j = ((d / LN_2) as usize).min(J_MAX);
+        while offset(j) > d {
+            j -= 1;
+        }
+        j
+    }
+
+    /// The highest tilt level whose offset does not exceed `c`; 0 when
+    /// `c` is not positive (or NaN).
+    fn tilt_level(&self, c: f64) -> usize {
+        if c > 0.0 {
+            self.tilt_c.partition_point(|&at| at <= c) - 1
+        } else {
+            0
+        }
+    }
+}
+
+/// The acceptance offset `j·ln 2` of thinning level `j`.
+#[inline]
+fn offset(j: usize) -> f64 {
+    j as f64 * LN_2
 }
 
 /// The sweep plan of one (profile, schedule, parameters, `P`): every
-/// open sweep's constants and, for a reverse schedule, the rates of its
-/// thinned site walk. It depends on nothing else, so one plan serves every
-/// submission with that key ([`crate::QuantumSampler`] caches it).
+/// open sweep's constants and, for a reverse schedule, the rates and
+/// tilts of its spanning walks. It depends on nothing else, so one plan
+/// serves every submission with that key ([`crate::QuantumSampler`]
+/// caches it).
 #[derive(Debug)]
 pub(crate) struct PimcPlan {
     slices: usize,
@@ -180,11 +412,12 @@ pub(crate) struct PimcPlan {
     schedule: AnnealSchedule,
     params: AnnealParams,
     sweeps: Vec<Sweep>,
-    /// One entry per sweep for a reverse schedule; empty for a forward one.
-    thin: Vec<ThinSweep>,
-    /// `1/λ_j = −1/ln1p(−g·2^{−j})` for `j = 0..=J_MAX`, one row per run of
-    /// sweeps with equal constants.
-    rates: Vec<[f64; J_MAX + 1]>,
+    /// One row per run of sweeps with equal constants for a reverse
+    /// schedule; empty for a forward one.
+    rows: Vec<Row>,
+    /// `gate_left[t]`: the gate hazard per move summed over sweeps `t..`
+    /// (reverse schedules; one entry more than `sweeps`).
+    gate_left: Vec<f64>,
 }
 
 impl PimcPlan {
@@ -205,9 +438,9 @@ impl PimcPlan {
     /// Runs one read per generator in `rngs` on `problem` and returns the
     /// readouts in `rngs` order, exactly as [`AnnealEngine::run_reads`].
     ///
-    /// The CSR and a programmed state's local fields are built once; the
-    /// reads run one after another over one scratch, each consuming only
-    /// its own generator.
+    /// The CSR, a programmed state's local fields and the walks' levels
+    /// at that state are built once; the reads run one after another over
+    /// one scratch, each consuming only its own generator.
     ///
     /// # Panics
     /// As [`AnnealEngine::run`].
@@ -222,99 +455,221 @@ impl PimcPlan {
         if n == 0 {
             return vec![Vec::new(); rngs.len()];
         }
-        // A programmed state starts every slice of every read: its local
-        // fields, and the lowest `X = −2·s·h` of its (all aligned) sites,
-        // are computed once.
-        let start = resolve_initial(&self.schedule, n, initial).map(|state| {
-            let mut fields = vec![0.0; n];
-            csr.fill_local_fields(&state, &mut fields);
-            let min_x = state
-                .iter()
-                .zip(&fields)
-                .map(|(&s, &h)| -2.0 * s as f64 * h)
-                .fold(f64::INFINITY, f64::min);
-            Start {
-                state,
-                fields,
-                min_x,
-            }
-        });
         let p = self.slices;
-        let kernel = Kernel {
+        let mut kernel = Kernel {
             plan: self,
             csr: &csr,
             n,
             p,
             slice_of: SliceIndex::new(n, p * n + n),
             exp1: Exp1::new(),
+            start: None,
         };
+        // A programmed state starts every slice of every read: its local
+        // fields, the lowest `X = −2·s·h` of its (all aligned) sites and
+        // the walks' levels there are computed once.
+        kernel.start = resolve_initial(&self.schedule, n, initial).map(|state| {
+            let mut fields = vec![0.0; n];
+            csr.fill_local_fields(&state, &mut fields);
+            let xs: Vec<f64> = state
+                .iter()
+                .zip(&fields)
+                .map(|(&s, &h)| -2.0 * s as f64 * h)
+                .collect();
+            let min_x = lowest(&xs);
+            let mut levels = Levels::default();
+            if !self.sweeps.is_empty() {
+                levels.fill(&kernel, Floors::new(min_x, min_x));
+            }
+            Start {
+                state,
+                fields,
+                xs,
+                min_x,
+                levels,
+            }
+        });
         let mut scratch = Scratch::default();
         rngs.iter_mut()
-            .map(|rng| kernel.read(start.as_ref(), &mut scratch, rng))
+            .map(|rng| kernel.read(&mut scratch, rng))
             .collect()
     }
 }
 
-/// A programmed start: the state, its local fields and the lowest `X` of
-/// its sites.
+/// A programmed start: the state, its local fields, their `X = −2·s·h`
+/// (every site is aligned), the lowest and the walks' levels there.
 struct Start {
     state: Vec<i8>,
     fields: Vec<f64>,
+    xs: Vec<f64>,
     min_x: f64,
+    levels: Levels,
 }
 
 /// Buffers reused across the reads of one submission.
 #[derive(Default)]
 struct Scratch {
-    /// Replicas, `spins[k*n + i]` = site `i` of slice `k`.
+    replicas: Replicas,
+    /// The walks' view of the replicas.
+    bound: Bound,
+    /// The walks' levels at the last floors other than the start's.
+    levels: Levels,
+}
+
+/// The `P` replicas of one read.
+#[derive(Default)]
+struct Replicas {
+    /// `spins[k*n + i]` = site `i` of slice `k`.
     spins: Vec<i8>,
     /// Their cached local fields `h_i + Σ_j J_ij s_{j,k}`.
     h_eff: Vec<f64>,
-    /// The thinned walk's bound and kink list.
-    bound: Bound,
+    /// Per position, `X = −2·s·h` when the site is aligned, else `+∞`
+    /// (reverse reads; empty on forward ones).
+    xs: Vec<f64>,
 }
 
-/// The thinned walk's view of the replicas: which site moves sit next to a
-/// kink, and the lowest `X = −2·s·h` over the others, per slice.
+/// The walks' view of the replicas: which site moves sit next to a kink,
+/// which rings hold one, and the lowest `X = −2·s·h` over the aligned
+/// sites, per slice.
 #[derive(Default)]
 struct Bound {
     /// Ascending positions of the site moves with a time neighbour that
     /// disagrees.
     kinks: Vec<usize>,
-    /// Per slice, the lowest `X` over its aligned sites (`+∞` if none).
+    /// Per ring (site), how many of its positions are in `kinks`.
+    ring_kinks: Vec<u32>,
+    /// Ascending rings with a kink.
+    kinked: Vec<usize>,
+    /// Per slice, the lowest `xs` (`+∞` if no site is aligned).
     slice_min: Vec<f64>,
-    /// The lowest `slice_min`.
-    min_x: f64,
-    /// False once a flip the bound does not track has happened.
-    fresh: bool,
-    /// An aligned-move walk still pending at the end of the last thinned
-    /// sweep: the moves it skips in the next one, and its level `j`.
-    carry: Option<(usize, usize)>,
+    /// The floors of `slice_min`.
+    floors: Floors,
 }
 
-impl Bound {
-    /// The thinning level of `sweep`: the largest `j ≤ J_MAX` whose
-    /// offset `j·ln 2` (as computed in floating point) does not exceed
-    /// `d = k_cl·min X + 4·J⊥`, the least action of any aligned site move.
-    /// 0 when the bound gives nothing (or `k_cl < 0` reverses it).
-    fn level(&self, sweep: &Sweep) -> usize {
-        let d = sweep.k_cl * self.min_x + 4.0 * sweep.j_perp;
-        // NaN: no aligned site at `k_cl = 0` (0·∞).
-        if sweep.k_cl < 0.0 || d.is_nan() || d < LN_2 {
-            return 0;
+/// The bound's two numbers: the lowest `X` over the aligned sites, and
+/// the lowest over the aligned sites outside the slice that holds it,
+/// each rounded down to a multiple of 2⁻²⁰. Rounding down keeps both
+/// lower bounds, and lets states that differ only by the rounding of
+/// their field updates (a flip and its undo) share their levels.
+#[derive(Debug, Clone, Copy, Default)]
+struct Floors {
+    low: f64,
+    next: f64,
+}
+
+impl Floors {
+    /// The floors `low ≤ next`, rounded down to the grid (exactly:
+    /// the scaling is by a power of two).
+    fn new(low: f64, next: f64) -> Self {
+        let down = |x: f64| (x * GRID).floor() / GRID;
+        Floors {
+            low: down(low),
+            next: down(next),
         }
-        let mut j = ((d / LN_2) as usize).min(J_MAX);
-        while offset(j) > d {
-            j -= 1;
-        }
-        j
+    }
+
+    /// The floors of per-slice minima.
+    fn of(slice_min: &[f64]) -> Self {
+        let (at, low) = slice_min
+            .iter()
+            .enumerate()
+            .fold(
+                (0, f64::INFINITY),
+                |best, (k, &x)| if x < best.1 { (k, x) } else { best },
+            );
+        let next = slice_min
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| k != at)
+            .fold(f64::INFINITY, |m, (_, &x)| m.min(x));
+        Floors::new(low, next)
+    }
+
+    /// Whether two floors are the same bit for bit.
+    fn same(self, other: Floors) -> bool {
+        self.low.to_bits() == other.low.to_bits() && self.next.to_bits() == other.next.to_bits()
     }
 }
 
-/// The acceptance offset `j·ln 2` of thinning level `j`.
+/// The state-dependent part of the spanning walks for one pair of
+/// floors: each row's aligned-site level and cluster tilt level with
+/// their rates, and the hazard the aligned and kink-free walks still have
+/// ahead at each sweep.
+#[derive(Default)]
+struct Levels {
+    floors: Floors,
+    rows: Vec<RowLevels>,
+    /// Per sweep `t`, the hazard of sweeps `t..` of the aligned walk
+    /// (`P·n` moves a sweep) and of the kink-free cluster walk (`n`).
+    aligned_left: Vec<f64>,
+    free_left: Vec<f64>,
+}
+
+/// One row's levels and rates at a pair of floors.
+#[derive(Debug, Clone, Copy)]
+struct RowLevels {
+    /// The aligned-site level `j` and its rate `g·2^{−j}`.
+    j: usize,
+    aligned: Rate,
+    /// The cluster tilt level, the slices its offset spares (0 or 1) and
+    /// its rate.
+    tilt: usize,
+    spared: usize,
+    free: Rate,
+}
+
+impl Levels {
+    /// The levels at `floors`: O(rows + sweeps) and no `exp`, the rates
+    /// being the plan's.
+    fn fill(&mut self, kernel: &Kernel, floors: Floors) {
+        let plan = kernel.plan;
+        let sweeps = plan.sweeps.len();
+        self.floors = floors;
+        self.rows.clear();
+        self.rows
+            .extend(plan.rows.iter().map(|row| row.levels(floors)));
+        self.aligned_left.resize(sweeps + 1, 0.0);
+        self.free_left.resize(sweeps + 1, 0.0);
+        self.aligned_left[sweeps] = 0.0;
+        self.free_left[sweeps] = 0.0;
+        let (site_moves, rings) = ((kernel.p * kernel.n) as f64, kernel.n as f64);
+        for t in (0..sweeps).rev() {
+            let at = self.rows[plan.sweeps[t].row];
+            self.aligned_left[t] = self.aligned_left[t + 1] + site_moves * at.aligned.lambda;
+            self.free_left[t] = self.free_left[t + 1] + rings * at.free.lambda;
+        }
+    }
+
+    /// Whether these are the levels at `floors`.
+    fn hold(&self, floors: Floors) -> bool {
+        self.floors.same(floors) && !self.rows.is_empty()
+    }
+}
+
+/// No further visit: past every sweep.
+const END: u64 = u64::MAX;
+
+/// A walk position: sweep `t` above bit 33, move `pos` below it, so
+/// positions order as integers. `pos` runs to `(P+1)·n ≤ 2³²`, one past a
+/// sweep's last move, which the walks read as nothing left in that sweep.
 #[inline]
-fn offset(j: usize) -> f64 {
-    j as f64 * LN_2
+fn pack(t: usize, pos: usize) -> u64 {
+    (t as u64) << 33 | pos as u64
+}
+
+/// Sweep and move of a packed position.
+#[inline]
+fn unpack(at: u64) -> (usize, usize) {
+    ((at >> 33) as usize, (at & ((1 << 33) - 1)) as usize)
+}
+
+/// A flip the walks restart behind: its position, and the segment of
+/// ring `i` it flipped, `len` slices from slice `lo` upward.
+struct Flip {
+    at: u64,
+    i: usize,
+    lo: usize,
+    len: usize,
 }
 
 /// Exact `pos / n` as a multiply-high by `⌈2⁶⁴/n⌉`, for `pos < 2³²`.
@@ -384,7 +739,7 @@ impl PimcEngine {
     }
 
     /// The plan of every sweep whose freeze-out gate is open, with the
-    /// thinned-walk rates when `schedule` starts from a programmed state.
+    /// spanning walks' rows when `schedule` starts from a programmed state.
     pub(crate) fn plan(
         &self,
         profile: &DWaveProfile,
@@ -392,51 +747,48 @@ impl PimcEngine {
         params: &AnnealParams,
     ) -> PimcPlan {
         let beta = params.beta(profile);
-        let p_f = self.trotter_slices as f64;
-        let (sweeps, gates): (Vec<Sweep>, Vec<f64>) = params
+        let p = self.trotter_slices;
+        let (mut sweeps, gates): (Vec<Sweep>, Vec<f64>) = params
             .open_sweeps(profile, schedule)
             .map(|(_, s, gate)| {
                 let j_perp = self.j_perp(profile, beta, s);
                 let sweep = Sweep {
                     j_perp,
-                    k_cl: beta * profile.b_ghz(s) / (2.0 * p_f),
+                    k_cl: beta * profile.b_ghz(s) / (2.0 * p as f64),
                     bond_below: Rng64::unit_threshold(1.0 - (-2.0 * j_perp).exp()),
                     gaps: GateGaps::new(gate),
+                    row: 0,
                 };
                 (sweep, gate)
             })
             .unzip();
-        let (mut thin, mut rates) = (Vec::new(), Vec::new());
+        let (mut rows, mut gate_left) = (Vec::new(), Vec::new());
         if schedule.requires_initial_state() {
-            let mut passes_left: f64 = gates.iter().sum();
-            for (at, (sweep, &gate)) in sweeps.iter().zip(&gates).enumerate() {
-                let carries = at > 0 && {
-                    let prev = &sweeps[at - 1];
+            for at in 0..sweeps.len() {
+                let repeats = at > 0 && {
+                    let (prev, sweep) = (&sweeps[at - 1], &sweeps[at]);
                     prev.j_perp.to_bits() == sweep.j_perp.to_bits()
                         && prev.k_cl.to_bits() == sweep.k_cl.to_bits()
-                        && gates[at - 1].to_bits() == gate.to_bits()
+                        && gates[at - 1].to_bits() == gates[at].to_bits()
                 };
-                if !carries {
-                    rates.push(std::array::from_fn(|j| {
-                        -1.0 / (-gate * 0.5f64.powi(j as i32)).ln_1p()
-                    }));
+                if !repeats {
+                    rows.push(Row::new(&sweeps[at], gates[at], p));
                 }
-                thin.push(ThinSweep {
-                    rates: rates.len() - 1,
-                    carries,
-                    passes_left,
-                });
-                passes_left -= gate;
+                sweeps[at].row = rows.len() - 1;
+            }
+            gate_left = vec![0.0; sweeps.len() + 1];
+            for t in (0..sweeps.len()).rev() {
+                gate_left[t] = gate_left[t + 1] + rows[sweeps[t].row].site[0].lambda;
             }
         }
         PimcPlan {
-            slices: self.trotter_slices,
+            slices: p,
             profile: profile.clone(),
             schedule: schedule.clone(),
             params: *params,
             sweeps,
-            thin,
-            rates,
+            rows,
+            gate_left,
         }
     }
 }
@@ -451,6 +803,8 @@ struct Kernel<'a> {
     /// `pos / n` for every move position, below `(P+1)·n`.
     slice_of: SliceIndex,
     exp1: Exp1,
+    /// The programmed start of a reverse schedule.
+    start: Option<Start>,
 }
 
 impl Kernel<'_> {
@@ -474,14 +828,32 @@ impl Kernel<'_> {
         }
     }
 
-    /// Flips the spin at `row + i` (`row` = a slice offset) and folds its
-    /// sign change into the cached fields of its in-slice neighbors.
+    /// Flips site `i` of slice `k` and folds its sign change into the
+    /// cached fields of its in-slice neighbors and, on a reverse read,
+    /// into their `xs` (their alignment does not change).
     #[inline]
-    fn flip(&self, spins: &mut [i8], h_eff: &mut [f64], row: usize, i: usize) {
-        let s_new = -spins[row + i];
-        spins[row + i] = s_new;
+    fn flip(&self, r: &mut Replicas, k: usize, i: usize) {
+        let row = k * self.n;
+        let s_new = -r.spins[row + i];
+        r.spins[row + i] = s_new;
         let ds = 2.0 * s_new as f64;
-        self.csr.axpy_row(&mut h_eff[row..row + self.n], i, ds);
+        if r.xs.is_empty() {
+            self.csr.axpy_row(&mut r.h_eff[row..row + self.n], i, ds);
+            return;
+        }
+        let (up, down) = (self.up(k) * self.n, self.down(k) * self.n);
+        let (cols, weights) = self.csr.row(i);
+        for (&j, &w) in cols.iter().zip(weights) {
+            let at = row + j as usize;
+            r.h_eff[at] += w * ds;
+            let s = r.spins[at];
+            let aligned = r.spins[up + j as usize] == s && r.spins[down + j as usize] == s;
+            r.xs[at] = if aligned {
+                -2.0 * s as f64 * r.h_eff[at]
+            } else {
+                f64::INFINITY
+            };
+        }
     }
 
     /// Whether both time neighbours of the site at `pos` agree with it.
@@ -498,42 +870,72 @@ impl Kernel<'_> {
     /// `+2·J⊥·s·neighbor`. For an aligned site this is, bit for bit,
     /// `k_cl·X + 4·J⊥` with `X = −2·s·h` (see the module doc).
     #[inline(always)]
-    fn site_delta(
-        &self,
-        sweep: &Sweep,
-        spins: &[i8],
-        h_eff: &[f64],
-        pos: usize,
-    ) -> (usize, usize, f64) {
-        let n = self.n;
+    fn site_delta(&self, sweep: &Sweep, r: &Replicas, pos: usize) -> (usize, usize, f64) {
+        let (n, spins) = (self.n, &r.spins);
         let k = self.slice_of.of(pos);
         let row = k * n;
         let i = pos - row;
         let sik = spins[pos] as f64;
-        let field = h_eff[pos];
+        let field = r.h_eff[pos];
         let time_neighbors = (spins[self.up(k) * n + i] + spins[self.down(k) * n + i]) as f64;
         let delta = -2.0 * sik * sweep.k_cl * field + 2.0 * sik * sweep.j_perp * time_neighbors;
         (k, i, delta)
     }
 
     /// The Metropolis single-site move at `pos < P·n`, accepted when
-    /// `Δ ≤ 0` or a fresh Exp(1) draw exceeds `Δ`; returns its slice when
-    /// it flipped.
+    /// `Δ − offset ≤ 0` or a fresh Exp(1) draw exceeds it; returns its
+    /// slice when it flipped.
     #[inline(always)]
     fn site_move(
         &self,
         sweep: &Sweep,
-        spins: &mut [i8],
-        h_eff: &mut [f64],
+        r: &mut Replicas,
         rng: &mut Rng64,
         pos: usize,
+        offset: f64,
     ) -> Option<usize> {
-        let (k, i, delta) = self.site_delta(sweep, spins, h_eff, pos);
-        if delta <= 0.0 || self.exp1.sample(rng) > delta {
-            self.flip(spins, h_eff, k * self.n, i);
+        let (k, i, delta) = self.site_delta(sweep, r, pos);
+        let excess = delta - offset;
+        if excess <= 0.0 || self.exp1.sample(rng) > excess {
+            self.flip(r, k, i);
             return Some(k);
         }
         None
+    }
+
+    /// Flips the `len` slices of ring `i` from slice `lo` upward when their
+    /// classical action change `Δ`, less `offset`, is not positive or a
+    /// fresh Exp(1) draw exceeds it. The cached fields of site `i` never
+    /// contain `s_i` itself (no self-coupling), so the per-slice deltas are
+    /// independent and are all read before flipping, and each flip touches
+    /// only its own slice's fields, so the flip order is free.
+    #[inline(always)]
+    fn segment_move(
+        &self,
+        sweep: &Sweep,
+        r: &mut Replicas,
+        rng: &mut Rng64,
+        (i, lo, len): (usize, usize, usize),
+        offset: f64,
+    ) -> bool {
+        let n = self.n;
+        let s0 = r.spins[lo * n + i];
+        let mut delta = 0.0;
+        let mut k = lo;
+        for _ in 0..len {
+            delta += -2.0 * s0 as f64 * sweep.k_cl * r.h_eff[k * n + i];
+            k = self.up(k);
+        }
+        let excess = delta - offset;
+        if excess <= 0.0 || self.exp1.sample(rng) > excess {
+            k = lo;
+            for _ in 0..len {
+                self.flip(r, k, i);
+                k = self.up(k);
+            }
+            return true;
+        }
+        false
     }
 
     /// The imaginary-time cluster move at site `i`: grow a Wolff segment
@@ -542,17 +944,17 @@ impl Kernel<'_> {
     /// (field) part alone. Stochastic bond growth makes the proposal
     /// symmetric; at large `J⊥` the segment usually wraps the whole ring
     /// and the move degenerates into a classical Metropolis flip at the full
-    /// device β — thermal activation. Returns whether it flipped.
+    /// device β — thermal activation. Returns the segment's first slice
+    /// and length when it flipped.
     #[inline(always)]
     fn cluster_move(
         &self,
         sweep: &Sweep,
-        spins: &mut [i8],
-        h_eff: &mut [f64],
+        r: &mut Replicas,
         rng: &mut Rng64,
         i: usize,
-    ) -> bool {
-        let (n, p) = (self.n, self.p);
+    ) -> Option<(usize, usize)> {
+        let (n, p, spins) = (self.n, self.p, &r.spins);
         let at = |k: usize| k * n + i;
         let start = rng.next_index(p);
         let s0 = spins[at(start)];
@@ -570,61 +972,78 @@ impl Kernel<'_> {
             lo = self.down(lo);
             len += 1;
         }
-        // Classical action change of flipping the whole segment. The
-        // cached fields of site i never contain s_i itself (no
-        // self-coupling), so the per-slice deltas are independent and can
-        // all be read before flipping.
-        let mut delta = 0.0;
-        let mut k = lo;
-        for _ in 0..len {
-            delta += -2.0 * s0 as f64 * sweep.k_cl * h_eff[at(k)];
-            k = self.up(k);
-        }
-        if delta <= 0.0 || self.exp1.sample(rng) > delta {
-            // Each flip touches only its own slice's fields, so the flip
-            // order is free.
-            k = lo;
-            for _ in 0..len {
-                self.flip(spins, h_eff, k * n, i);
-                k = self.up(k);
+        self.segment_move(sweep, r, rng, (i, lo, len), 0.0)
+            .then_some((lo, len))
+    }
+
+    /// The cluster move on the kink-free ring `i` at a tilt level, its
+    /// offset sparing `spared` slices: the segment length from
+    /// `Q(L)·y^L / a`, its first slice uniform, then the test on
+    /// `Δ − (L − spared)·c`. Returns the segment when it flipped.
+    fn tilted_cluster_move(
+        &self,
+        sweep: &Sweep,
+        row: &Row,
+        (tilt, spared): (&Tilt, usize),
+        r: &mut Replicas,
+        rng: &mut Rng64,
+        i: usize,
+    ) -> Option<(usize, usize)> {
+        // The weights are the plan's products, formed in the same order; a
+        // draw left over by rounding takes the longest positive weight.
+        let mut u = rng.next_f64() * tilt.a;
+        let (mut len, mut y_len) = (0, 1.0);
+        for (l, &q) in (1..).zip(&row.segment) {
+            y_len *= tilt.y;
+            let weight = q * y_len;
+            if weight > 0.0 {
+                len = l;
+                if u < weight {
+                    break;
+                }
+                u -= weight;
             }
-            return true;
         }
-        false
+        debug_assert!(len > 0, "a visited tilt level has weight");
+        let lo = rng.next_index(self.p);
+        let offset = (len - spared) as f64 * tilt.c;
+        self.segment_move(sweep, r, rng, (i, lo, len), offset)
+            .then_some((lo, len))
     }
 
     /// One read over the plan, from the programmed state when the schedule
     /// has one; `scratch` is reused across reads.
-    fn read(&self, start: Option<&Start>, scratch: &mut Scratch, rng: &mut Rng64) -> Vec<i8> {
+    fn read(&self, scratch: &mut Scratch, rng: &mut Rng64) -> Vec<i8> {
         let (n, p) = (self.n, self.p);
         let pn = p * n;
         let Scratch {
-            spins,
-            h_eff,
+            replicas: r,
             bound,
+            levels,
         } = scratch;
         // Proposals read a cached field in O(1); only accepted flips pay an
         // O(degree) update.
-        spins.clear();
-        h_eff.clear();
-        match start {
-            Some(start) => (0..p).for_each(|_| {
-                spins.extend_from_slice(&start.state);
-                h_eff.extend_from_slice(&start.fields);
-            }),
+        r.spins.clear();
+        r.h_eff.clear();
+        r.xs.clear();
+        match &self.start {
+            Some(start) => {
+                (0..p).for_each(|_| {
+                    r.spins.extend_from_slice(&start.state);
+                    r.h_eff.extend_from_slice(&start.fields);
+                    r.xs.extend_from_slice(&start.xs);
+                });
+                self.reverse_read(start, r, bound, levels, rng);
+            }
             // Forward start (s = 0): the transverse field dominates and the
             // computational-basis marginal is uniform — random replicas.
             None => {
-                spins.extend((0..pn).map(|_| if rng.next_bool() { 1i8 } else { -1 }));
-                h_eff.resize(pn, 0.0);
-                for (slice, fields) in spins.chunks_exact(n).zip(h_eff.chunks_exact_mut(n)) {
+                r.spins
+                    .extend((0..pn).map(|_| if rng.next_bool() { 1i8 } else { -1 }));
+                r.h_eff.resize(pn, 0.0);
+                for (slice, fields) in r.spins.chunks_exact(n).zip(r.h_eff.chunks_exact_mut(n)) {
                     self.csr.fill_local_fields(slice, fields);
                 }
-            }
-        }
-        match start {
-            Some(start) => self.reverse_sweeps(start, spins, h_eff, bound, rng),
-            None => {
                 for sweep in &self.plan.sweeps {
                     // Moves 0..pn are the (slice, site) Metropolis updates,
                     // moves pn..pn+n the per-site cluster moves; only
@@ -636,9 +1055,9 @@ impl Kernel<'_> {
                     // exit, and a hardware divide costs more than either.
                     sweep.gaps.walk(rng, pn + n, |rng, pos| {
                         if pos < pn {
-                            self.site_move(sweep, spins, h_eff, rng, pos);
+                            self.site_move(sweep, r, rng, pos, 0.0);
                         } else {
-                            self.cluster_move(sweep, spins, h_eff, rng, pos - pn);
+                            self.cluster_move(sweep, r, rng, pos - pn);
                         }
                     });
                 }
@@ -646,178 +1065,297 @@ impl Kernel<'_> {
         }
 
         // Majority-vote readout across slices.
-        let vote = |i: usize| (0..p).map(|k| spins[k * n + i] as i32).sum::<i32>();
+        let vote = |i: usize| (0..p).map(|k| r.spins[k * n + i] as i32).sum::<i32>();
         (0..n).map(|i| if vote(i) >= 0 { 1 } else { -1 }).collect()
     }
 
-    /// The sweeps of a read from a programmed state: thinned while the
-    /// bound is fresh, today's walk over every move while it is stale.
-    fn reverse_sweeps(
+    /// A read from a programmed state: the four walks run from the start
+    /// to the first flip, the bound follows the flip, and the walks
+    /// restart behind it, until no walk passes another move.
+    fn reverse_read(
         &self,
         start: &Start,
-        spins: &mut [i8],
-        h_eff: &mut [f64],
+        r: &mut Replicas,
         bound: &mut Bound,
+        levels: &mut Levels,
         rng: &mut Rng64,
     ) {
-        let (n, pn) = (self.n, self.p * self.n);
+        if self.plan.sweeps.is_empty() {
+            return;
+        }
         // All slices equal the programmed state: no kinks, and every slice
         // holds the start's lowest X.
+        let floors = start.levels.floors;
         bound.kinks.clear();
+        bound.ring_kinks.clear();
+        bound.ring_kinks.resize(self.n, 0);
+        bound.kinked.clear();
         bound.slice_min.clear();
         bound.slice_min.resize(self.p, start.min_x);
-        bound.min_x = start.min_x;
-        bound.fresh = true;
-        bound.carry = None;
-        let mut flipped_before = false;
-        for (sweep, thin) in self.plan.sweeps.iter().zip(&self.plan.thin) {
-            if !bound.fresh && !flipped_before && thin.passes_left >= REBUILD_MIN_PASSES {
-                self.rebuild(spins, h_eff, bound);
-            }
-            let mut flipped = false;
-            if bound.fresh {
-                flipped = self.thinned_sites(sweep, thin, spins, h_eff, bound, rng);
-                sweep.gaps.walk(rng, n, |rng, i| {
-                    if self.cluster_move(sweep, spins, h_eff, rng, i) {
-                        flipped = true;
-                        bound.fresh = false;
-                        bound.carry = None;
-                    }
-                });
-            } else {
-                sweep.gaps.walk(rng, pn + n, |rng, pos| {
-                    flipped |= if pos < pn {
-                        self.site_move(sweep, spins, h_eff, rng, pos).is_some()
-                    } else {
-                        self.cluster_move(sweep, spins, h_eff, rng, pos - pn)
-                    };
-                });
-            }
-            flipped_before = flipped;
-        }
-    }
-
-    /// The site moves of one sweep under a fresh bound, as two merged
-    /// walks in position order: the aligned moves at rate `g·2^{−j}`,
-    /// accepted on `E > Δ − j·ln 2`, and the kink moves at rate `g` under
-    /// today's test. After a flip both walks restart behind it. Returns
-    /// whether any move flipped.
-    fn thinned_sites(
-        &self,
-        sweep: &Sweep,
-        thin: &ThinSweep,
-        spins: &mut [i8],
-        h_eff: &mut [f64],
-        bound: &mut Bound,
-        rng: &mut Rng64,
-    ) -> bool {
-        let pn = self.p * self.n;
-        let rates = &self.plan.rates[thin.rates];
-        // The aligned walk's gap: geometric at rate g·2^{−j}, uncapped (a
-        // gap past the sweep's end carries over), saturating in the cast.
-        let gap = |rng: &mut Rng64, j: usize| (self.exp1.sample(rng) * rates[j]) as usize;
-        let mut j = bound.level(sweep);
-        let mut aligned_at = match bound.carry.take() {
-            Some((skip, level)) if thin.carries && level == j => skip,
-            _ => gap(rng, j),
-        };
-        let mut kink = sweep.gaps.gap(rng, bound.kinks.len());
-        let mut flipped = false;
+        bound.floors = floors;
+        // Whether the levels in use are `levels` rather than the start's.
+        let mut own = false;
+        let mut from = 0;
         loop {
-            let kink_at = bound.kinks.get(kink).copied().unwrap_or(usize::MAX);
-            let pos = aligned_at.min(kink_at);
-            if pos >= pn {
-                break;
-            }
-            let flip = if kink_at == pos {
-                // A kink move: rate g, today's test. An aligned-walk
-                // candidate on the same position is not aligned.
-                let slice = self.site_move(sweep, spins, h_eff, rng, pos);
-                if slice.is_none() {
-                    kink += 1 + sweep.gaps.gap(rng, bound.kinks.len() - kink - 1);
-                }
-                slice
-            } else if !self.aligned(spins, pos) {
-                aligned_at = aligned_at.saturating_add(1 + gap(rng, j));
-                None
-            } else {
-                let (k, i, delta) = self.site_delta(sweep, spins, h_eff, pos);
-                // Δ ≥ j·ln 2 whenever j ≥ 1 (the bound); at j = 0 this is
-                // today's test.
-                let excess = delta - offset(j);
-                debug_assert!(j == 0 || excess >= 0.0, "Δ {delta} below level {j}");
-                if excess <= 0.0 || self.exp1.sample(rng) > excess {
-                    self.flip(spins, h_eff, k * self.n, i);
-                    Some(k)
-                } else {
-                    aligned_at = aligned_at.saturating_add(1 + gap(rng, j));
-                    None
-                }
+            let current = if own { &*levels } else { &start.levels };
+            let Some(flip) = self.walk(current, r, bound, rng, from) else {
+                return;
             };
-            if let Some(k) = flip {
-                flipped = true;
-                self.track_site_flip(spins, h_eff, bound, k, pos - k * self.n);
-                j = bound.level(sweep);
-                aligned_at = (pos + 1).saturating_add(gap(rng, j));
-                kink = bound.kinks.partition_point(|&q| q <= pos);
-                kink += sweep.gaps.gap(rng, bound.kinks.len() - kink);
+            from = flip.at + 1;
+            self.track(r, bound, flip);
+            own = !bound.floors.same(floors);
+            if own && !levels.hold(bound.floors) {
+                levels.fill(self, bound.floors);
             }
         }
-        bound.carry = Some((aligned_at - pn, j));
-        flipped
     }
 
-    /// The lowest `X = −2·s·h` over the aligned sites of slice `k`.
-    fn slice_min(&self, spins: &[i8], h_eff: &[f64], k: usize) -> f64 {
-        let n = self.n;
-        let (row, up, down) = (k * n, self.up(k) * n, self.down(k) * n);
-        (0..n)
-            .filter(|&i| spins[up + i] == spins[row + i] && spins[down + i] == spins[row + i])
-            .map(|i| -2.0 * spins[row + i] as f64 * h_eff[row + i])
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Updates the bound after the site at slice `k`, site `i` flipped:
-    /// only that site's membership in slices `k`, `k ± 1`, and slice `k`'s
-    /// fields, changed. O(n + P).
-    fn track_site_flip(&self, spins: &[i8], h_eff: &[f64], bound: &mut Bound, k: usize, i: usize) {
-        for slice in [self.down(k), k, self.up(k)] {
-            let pos = slice * self.n + i;
-            let kink = !self.aligned(spins, pos);
-            match bound.kinks.binary_search(&pos) {
-                Ok(at) if !kink => {
-                    bound.kinks.remove(at);
+    /// Runs the four walks from `from` until a move flips, and returns
+    /// that flip; `None` when no walk passes another move.
+    fn walk(
+        &self,
+        levels: &Levels,
+        r: &mut Replicas,
+        bound: &Bound,
+        rng: &mut Rng64,
+        from: u64,
+    ) -> Option<Flip> {
+        let pn = self.p * self.n;
+        let mut aligned = self.aligned_walk(levels, rng, from);
+        let mut kink = self.kink_walk(bound, rng, from);
+        let mut free = self.free_walk(levels, rng, from);
+        let mut kinked = self.kinked_walk(bound, rng, from);
+        loop {
+            let at = aligned.min(kink).min(free).min(kinked);
+            if at == END {
+                return None;
+            }
+            let (t, pos) = unpack(at);
+            let sweep = &self.plan.sweeps[t];
+            let row = &self.plan.rows[sweep.row];
+            let RowLevels {
+                j, tilt, spared, ..
+            } = levels.rows[sweep.row];
+            // A kink walk's move comes first on a shared position: there
+            // the aligned walk's candidate is not aligned, or the kink-free
+            // walk's ring not kink-free, and is passed over next.
+            if at == kink {
+                if let Some(k) = self.site_move(sweep, r, rng, pos, 0.0) {
+                    return Some(Flip {
+                        at,
+                        i: pos - k * self.n,
+                        lo: k,
+                        len: 1,
+                    });
                 }
-                Err(at) if kink => bound.kinks.insert(at, pos),
+                kink = self.kink_walk(bound, rng, at + 1);
+            } else if at == aligned {
+                // Δ ≥ j·ln 2 at an aligned site (the bound), so the test on
+                // the excess completes the rate g·2^{−j} to g·e^{−Δ}.
+                if r.xs[pos] < f64::INFINITY {
+                    debug_assert!(
+                        j == 0 || self.site_delta(sweep, r, pos).2 >= offset(j),
+                        "Δ below level {j}"
+                    );
+                    if let Some(k) = self.site_move(sweep, r, rng, pos, offset(j)) {
+                        return Some(Flip {
+                            at,
+                            i: pos - k * self.n,
+                            lo: k,
+                            len: 1,
+                        });
+                    }
+                }
+                aligned = self.aligned_walk(levels, rng, at + 1);
+            } else if at == kinked {
+                let i = pos - pn;
+                if let Some((lo, len)) = self.cluster_move(sweep, r, rng, i) {
+                    return Some(Flip { at, i, lo, len });
+                }
+                kinked = self.kinked_walk(bound, rng, at + 1);
+            } else {
+                let i = pos - pn;
+                if bound.ring_kinks[i] == 0 {
+                    let tilt = &row.tilts[tilt];
+
+                    if let Some((lo, len)) =
+                        self.tilted_cluster_move(sweep, row, (tilt, spared), r, rng, i)
+                    {
+                        return Some(Flip { at, i, lo, len });
+                    }
+                }
+                free = self.free_walk(levels, rng, at + 1);
+            }
+        }
+    }
+
+    /// The next pass of a walk over `count` moves a sweep, the first
+    /// `skip` of sweep `t` behind it: one Exp(1) draw `E` less each
+    /// sweep's hazard `(moves left)·λ` until it falls within one, then
+    /// `⌊E·(1/λ)⌋` moves into it. `rate(t)` is sweep `t`'s per-move rate,
+    /// `after` the hazard of sweeps `t+1..` (for an early end), and
+    /// `place(t, k)` packs the `k`-th move of sweep `t`.
+    #[inline]
+    fn span(
+        &self,
+        rng: &mut Rng64,
+        (t, skip): (usize, usize),
+        count: usize,
+        rate: impl Fn(usize) -> Rate,
+        after: impl Fn(usize) -> f64,
+        place: impl Fn(usize, usize) -> u64,
+    ) -> u64 {
+        let sweeps = self.plan.sweeps.len();
+        if count == 0 || t >= sweeps {
+            return END;
+        }
+        let mut e = self.exp1.sample(rng);
+        let Rate { lambda, inv } = rate(t);
+        let here = (count - skip) as f64 * lambda;
+        if e >= here + after(t + 1) {
+            return END;
+        }
+        if e < here {
+            return place(t, skip + ((e * inv) as usize).min(count - skip - 1));
+        }
+        e -= here;
+        for t in t + 1..sweeps {
+            let Rate { lambda, inv } = rate(t);
+            let whole = count as f64 * lambda;
+            if e < whole {
+                return place(t, ((e * inv) as usize).min(count - 1));
+            }
+            e -= whole;
+        }
+        END
+    }
+
+    /// The aligned-site walk from `from`: every site move at `g·2^{−j}`.
+    fn aligned_walk(&self, levels: &Levels, rng: &mut Rng64, from: u64) -> u64 {
+        let (t, pos) = unpack(from);
+        let pn = self.p * self.n;
+        let plan = self.plan;
+        self.span(
+            rng,
+            (t, pos.min(pn)),
+            pn,
+            |t| levels.rows[plan.sweeps[t].row].aligned,
+            |t| levels.aligned_left[t],
+            pack,
+        )
+    }
+
+    /// The kink walk from `from`: the site moves next to a kink at `g`.
+    fn kink_walk(&self, bound: &Bound, rng: &mut Rng64, from: u64) -> u64 {
+        let (t, pos) = unpack(from);
+        let kinks = &bound.kinks;
+        let plan = self.plan;
+        self.span(
+            rng,
+            (t, kinks.partition_point(|&q| q < pos)),
+            kinks.len(),
+            |t| plan.rows[plan.sweeps[t].row].site[0],
+            |t| kinks.len() as f64 * plan.gate_left[t],
+            |t, k| pack(t, kinks[k]),
+        )
+    }
+
+    /// The kink-free cluster walk from `from`: every ring's cluster move
+    /// at its tilt rate `g·a`.
+    fn free_walk(&self, levels: &Levels, rng: &mut Rng64, from: u64) -> u64 {
+        let (t, pos) = unpack(from);
+        let pn = self.p * self.n;
+        let plan = self.plan;
+        self.span(
+            rng,
+            (t, pos.saturating_sub(pn)),
+            self.n,
+            |t| levels.rows[plan.sweeps[t].row].free,
+            |t| levels.free_left[t],
+            |t, k| pack(t, pn + k),
+        )
+    }
+
+    /// The kinked-ring cluster walk from `from`: the cluster moves of the
+    /// rings holding a kink at `g`.
+    fn kinked_walk(&self, bound: &Bound, rng: &mut Rng64, from: u64) -> u64 {
+        let (t, pos) = unpack(from);
+        let pn = self.p * self.n;
+        let kinked = &bound.kinked;
+        let plan = self.plan;
+        self.span(
+            rng,
+            (t, kinked.partition_point(|&i| pn + i < pos)),
+            kinked.len(),
+            |t| plan.rows[plan.sweeps[t].row].site[0],
+            |t| kinked.len() as f64 * plan.gate_left[t],
+            |t, k| pack(t, pn + kinked[k]),
+        )
+    }
+
+    /// Updates the bound after `flip`, whose slices' flips already
+    /// updated the `xs` of site `i`'s neighbours: ring `i`'s alignment
+    /// changed in the flipped slices and the two beside them, so only its
+    /// `xs` and kinks there, and those slices' minima (a plain scan of
+    /// `xs`), do. O((len + 2)·n + P).
+    fn track(&self, r: &mut Replicas, bound: &mut Bound, flip: Flip) {
+        let (n, p) = (self.n, self.p);
+        let Flip { i, lo, len, .. } = flip;
+        let (first, slices) = if len + 2 >= p {
+            (0, p)
+        } else {
+            (self.down(lo), len + 2)
+        };
+        let mut k = first;
+        for _ in 0..slices {
+            let pos = k * n + i;
+            let aligned = self.aligned(&r.spins, pos);
+            r.xs[pos] = if aligned {
+                -2.0 * r.spins[pos] as f64 * r.h_eff[pos]
+            } else {
+                f64::INFINITY
+            };
+            match bound.kinks.binary_search(&pos) {
+                Ok(at) if aligned => {
+                    bound.kinks.remove(at);
+                    bound.ring_kinks[i] -= 1;
+                }
+                Err(at) if !aligned => {
+                    bound.kinks.insert(at, pos);
+                    bound.ring_kinks[i] += 1;
+                }
                 _ => {}
             }
-            bound.slice_min[slice] = self.slice_min(spins, h_eff, slice);
+            bound.slice_min[k] = lowest(&r.xs[k * n..][..n]);
+            k = self.up(k);
         }
-        bound.min_x = bound
-            .slice_min
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
+        match (bound.kinked.binary_search(&i), bound.ring_kinks[i] > 0) {
+            (Ok(at), false) => {
+                bound.kinked.remove(at);
+            }
+            (Err(at), true) => bound.kinked.insert(at, i),
+            _ => {}
+        }
+        bound.floors = Floors::of(&bound.slice_min);
     }
+}
 
-    /// Rebuilds a stale bound from the replicas. O(P·n).
-    fn rebuild(&self, spins: &[i8], h_eff: &[f64], bound: &mut Bound) {
-        bound.kinks.clear();
-        for k in 0..self.p {
-            let row = k * self.n;
-            bound
-                .kinks
-                .extend((row..row + self.n).filter(|&pos| !self.aligned(spins, pos)));
-            bound.slice_min[k] = self.slice_min(spins, h_eff, k);
+/// The lowest of `xs` (`+∞` if empty), as four interleaved minima so the
+/// scan does not serialize on one compare chain.
+fn lowest(xs: &[f64]) -> f64 {
+    let mut min = [f64::INFINITY; 4];
+    let mut chunks = xs.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (min, &x) in min.iter_mut().zip(chunk) {
+            if x < *min {
+                *min = x;
+            }
         }
-        bound.min_x = bound
-            .slice_min
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        bound.fresh = true;
-        bound.carry = None;
     }
+    chunks
+        .remainder()
+        .iter()
+        .fold(min[0].min(min[1]).min(min[2].min(min[3])), |a, &x| a.min(x))
 }
 
 impl AnnealEngine for PimcEngine {
@@ -1046,6 +1584,100 @@ mod tests {
     #[should_panic(expected = "exceed the exact range")]
     fn slice_index_rejects_positions_past_two_to_the_32() {
         SliceIndex::new(3, (1 << 32) + 1);
+    }
+
+    /// A row at bond probability `b` and gate `g` over `p` slices.
+    fn row(b: f64, g: f64, p: usize) -> Row {
+        let sweep = Sweep {
+            j_perp: 1.0,
+            k_cl: 2.0,
+            bond_below: Rng64::unit_threshold(b),
+            gaps: GateGaps::new(g),
+            row: 0,
+        };
+        Row::new(&sweep, g, p)
+    }
+
+    #[test]
+    fn segment_law_matches_the_growth_on_a_kink_free_ring() {
+        // The cluster move's growth with every slice aligned: forward bonds
+        // up to a full ring, then backward ones.
+        const GROWTHS: usize = 40_000;
+        let mut rng = Rng64::new(0x5E6);
+        for p in [2, 3, 8] {
+            for b in [0.3, 0.85, 0.99] {
+                let row = row(b, 0.05, p);
+                let bond_below = Rng64::unit_threshold(b);
+                let mut counts = vec![0u64; p];
+                for _ in 0..GROWTHS {
+                    let mut len = 1;
+                    while len < p && rng.next_u53() < bond_below {
+                        len += 1;
+                    }
+                    while len < p && rng.next_u53() < bond_below {
+                        len += 1;
+                    }
+                    counts[len - 1] += 1;
+                }
+                let total: f64 = row.segment.iter().sum();
+                assert!(
+                    (total - 1.0).abs() < 1e-12,
+                    "P {p}, b {b}: Q sums to {total}"
+                );
+                // χ² over the lengths with an expected count of at least 5.
+                let (chi2, dof) =
+                    counts
+                        .iter()
+                        .zip(&row.segment)
+                        .fold((0.0, 0usize), |(chi2, dof), (&o, &q)| {
+                            let e = q * GROWTHS as f64;
+                            if e < 5.0 {
+                                (chi2, dof)
+                            } else {
+                                (chi2 + (o as f64 - e).powi(2) / e, dof + 1)
+                            }
+                        });
+                // The χ² quantile at 1 − 10⁻³ for at most 7 dof is below 25.
+                assert!(chi2 < 25.0, "P {p}, b {b}: χ² {chi2:.1} on {dof} bins");
+            }
+        }
+    }
+
+    #[test]
+    fn tilt_levels_at_most_halve_the_rate_and_reach_the_floor() {
+        for (b, p) in [(0.85, 8), (0.998, 8), (0.3, 16), (0.95, 2)] {
+            let row = row(b, 0.05, p);
+            let tilts = &row.tilts;
+            assert_eq!((tilts[0].c, tilts[0].a), (0.0, 1.0));
+            for pair in tilts.windows(2) {
+                let (last, next) = (&pair[0], &pair[1]);
+                assert!(next.c > last.c, "offsets ascend");
+                assert_eq!(next.c * GRID, (next.c * GRID).floor(), "on the grid");
+                // Rounding aside, a level keeps at least half the mass.
+                assert!(
+                    next.a >= 0.5 * last.a * (1.0 - 1e-12),
+                    "a {} -> {}",
+                    last.a,
+                    next.a
+                );
+                assert!(
+                    next.spared.lambda >= next.rate.lambda,
+                    "sparing a slice adds mass"
+                );
+            }
+            let last = tilts.last().expect("level 0");
+            assert!(
+                last.a <= 0.5f64.powi(J_MAX as i32) || tilts.len() == TILT_LEVELS_MAX,
+                "b {b}, P {p}: stops at a = {}",
+                last.a
+            );
+            assert_eq!(row.tilt_level(-1.0), 0);
+            assert_eq!(row.tilt_level(f64::NAN), 0);
+            assert_eq!(row.tilt_level(f64::INFINITY), tilts.len() - 1);
+            for (m, tilt) in tilts.iter().enumerate().skip(1) {
+                assert_eq!(row.tilt_level(tilt.c), m);
+            }
+        }
     }
 
     #[test]

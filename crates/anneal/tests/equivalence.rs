@@ -13,11 +13,15 @@
 //! anneal whose gate never reaches the clamp at 1.
 //!
 //! A reverse anneal from a programmed low-energy state is where PIMC's
-//! thinned site walk does its work: there almost every site agrees with
-//! both its time neighbours, so those moves are visited at `g·2^{−j}`
-//! rather than `g`. One more case runs that regime at the detector's
-//! shape: `P = 8` slices, an enumerated local minimum programmed, `s_p =
-//! 0.65` and the served 32 sweeps/µs, with a 3 µs pause.
+//! thinned walks do their work: there almost every site agrees with both
+//! its time neighbours, so those moves are visited at `g·2^{−j}` rather
+//! than `g`, and a kink-free ring's cluster moves at their tilted rate.
+//! More cases run that regime at the detector's shape: `P = 8` slices,
+//! an enumerated local minimum programmed, `s_p = 0.65` and the served 32
+//! sweeps/µs: the highest-energy local minimum with a 3 µs pause, and
+//! every local minimum with the detector's 1 µs pause. The 1.1× gate
+//! must be rejected from the highest one at 1 µs too, where the readout
+//! has not settled.
 
 use hqw_anneal::engine::{AnnealParams, FreezeOut};
 use hqw_anneal::schedule::AnnealSchedule;
@@ -261,21 +265,38 @@ fn a_gate_scaled_by_1_1_is_rejected() {
         let (same, report) = same_distribution(shape, reverse, &mutant);
         assert!(!same, "the 1.1x gate passed: {report}");
     }
+    // From a local minimum, where PIMC's reverse read thins its walks,
+    // with a pause short enough that the readout has not settled.
+    let (start, schedule) = local_minimum_case(SERVED_PAUSE_US);
+    let served = served_params(2.0);
+    let mutant = served_params(2.0 / 1.1f64.sqrt());
+    let (same, report) = same_distribution_from(Shape::Pimc, &schedule, (&mutant, &served), &start);
+    assert!(!same, "the 1.1x gate passed from a local minimum: {report}");
 }
 
-#[test]
-fn pimc_thinned_walk_matches_the_per_move_chain_from_a_local_minimum() {
-    // Program the highest-energy local minimum, a state greedy descent can
-    // stop at: the readout then both stays and escapes, so it depends on
-    // how often the thinned walk flips an aligned site and on the kink
-    // moves that follow each flip.
+/// The detector's own pause (the paper's reverse anneal pauses 1 µs),
+/// short enough that a local-minimum start's readout still depends on
+/// how many moves the gate lets through: at 3 µs it has settled, and a
+/// walk whose hazard is off by a fifth still passes.
+const SERVED_PAUSE_US: f64 = 1.0;
+
+/// The detector's anneal parameters (32 sweeps/µs) at freeze-out
+/// reference field `a_ref_ghz`.
+fn served_params(a_ref_ghz: f64) -> AnnealParams {
+    AnnealParams {
+        sweeps_per_us: 32,
+        ..params(a_ref_ghz)
+    }
+}
+
+/// The harness problem's local minima (every site's `X = −2·s·h`
+/// positive), by ascending energy.
+fn local_minima() -> Vec<Vec<i8>> {
     let ising = problem(6);
     let n = ising.num_vars();
     let csr = CsrIsing::from_ising(&ising);
     let stable =
         |state: &[i8]| (0..n).all(|i| -2.0 * state[i] as f64 * csr.local_field(state, i) > 0.0);
-    // The ground state is a local minimum too, so two of them mean the
-    // highest is not the ground state.
     let mut minima: Vec<Vec<i8>> = (0..1usize << n)
         .map(|m| {
             (0..n)
@@ -284,27 +305,57 @@ fn pimc_thinned_walk_matches_the_per_move_chain_from_a_local_minimum() {
         })
         .filter(|state: &Vec<i8>| stable(state))
         .collect();
-    assert!(minima.len() >= 2, "the problem has one local minimum only");
     minima.sort_by(|a, b| ising.energy(a).total_cmp(&ising.energy(b)));
-    let minimum = minima.pop().expect("two minima");
-    // The walk thins here: at a local minimum every site's X = −2·s·h is
-    // positive, and at the pause the time links alone bound an aligned
-    // move's action by 4·J⊥ ≥ ln 2, so j ≥ 1.
+    minima
+}
+
+/// The detector's reverse anneal from `minimum`: `P = 8`, `s_p = 0.65`,
+/// pausing `pause` µs.
+fn local_minimum_start(minimum: Vec<i8>, pause: f64) -> (Start, AnnealSchedule) {
+    // The walks thin here: at a local minimum every site's X is positive,
+    // and at the pause the time links alone bound an aligned move's action
+    // by 4·J⊥ ≥ ln 2, so j ≥ 1.
     let s_p = 0.65;
     let profile = DWaveProfile::calibrated();
     let j_perp = PimcEngine::new(8).j_perp(&profile, profile.beta(), s_p);
     assert!(4.0 * j_perp >= LN_2, "J⊥ {j_perp} gives no thinning");
-    let served = AnnealParams {
-        sweeps_per_us: 32,
-        ..params(2.0)
-    };
-    let schedule = AnnealSchedule::reverse(s_p, 3.0).unwrap();
     let start = Start {
         slices: 8,
         initial: minimum,
     };
+    (start, AnnealSchedule::reverse(s_p, pause).unwrap())
+}
+
+/// [`local_minimum_start`] from the highest-energy local minimum, a state
+/// greedy descent can stop at: the readout then both stays and escapes,
+/// so it depends on how often the thinned walks flip an aligned site or a
+/// whole ring and on the kink moves that follow each flip.
+fn local_minimum_case(pause: f64) -> (Start, AnnealSchedule) {
+    // The ground state is a local minimum too, so two of them mean the
+    // highest is not the ground state.
+    let mut minima = local_minima();
+    assert!(minima.len() >= 2, "the problem has one local minimum only");
+    local_minimum_start(minima.pop().expect("two minima"), pause)
+}
+
+#[test]
+fn pimc_thinned_walk_matches_the_per_move_chain_from_a_local_minimum() {
+    let served = served_params(2.0);
+    let (start, schedule) = local_minimum_case(3.0);
     let (same, report) = same_distribution_from(Shape::Pimc, &schedule, (&served, &served), &start);
     assert!(same, "local-minimum reverse anneal: {report}");
+    // Every local minimum at the detector's pause: the shallower ones put
+    // the tilted cluster walk's segment law to the test (a walk that draws
+    // its lengths untilted fails on the middle one).
+    for (rank, minimum) in local_minima().into_iter().enumerate() {
+        let (start, schedule) = local_minimum_start(minimum, SERVED_PAUSE_US);
+        let (same, report) =
+            same_distribution_from(Shape::Pimc, &schedule, (&served, &served), &start);
+        assert!(
+            same,
+            "local minimum {rank}, {SERVED_PAUSE_US} µs pause: {report}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

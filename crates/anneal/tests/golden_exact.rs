@@ -1,7 +1,7 @@
 //! Golden-output regression for the PIMC / SVMC engine kernels.
 //!
 //! Captured from the rejection-free kernels (PIMC's reverse anneal from
-//! its thinned site walk). Implementation changes that
+//! its spanning walks). Implementation changes that
 //! keep the RNG stream — buffer hoisting, vectorized field updates,
 //! storage changes — must leave these readouts byte-identical. A change
 //! that alters the stream on purpose re-pins them, and must first pass the
@@ -52,7 +52,7 @@ fn pimc_reverse_golden() {
     );
     assert_eq!(
         out,
-        vec![1, -1, -1, -1, -1, -1, 1, 1, -1, 1, 1, 1, -1, 1, -1, -1],
+        vec![-1, -1, -1, -1, -1, 1, -1, 1, 1, -1, 1, 1, -1, -1, -1, 1],
         "Exact PIMC reverse anneal drifted from its golden"
     );
 }

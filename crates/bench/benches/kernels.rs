@@ -15,8 +15,8 @@
 //!   recomputes the local field from the `Vec<Vec<(usize, f64)>>` adjacency
 //!   list on every proposal (O(degree) per proposal).
 //! * `incremental_csr` — the SA kernel: flat CSR, incrementally
-//!   maintained local fields (O(1) per proposal), contiguous-run AXPY
-//!   neighbor updates. Bit-identical to the historical outputs.
+//!   maintained local fields (O(1) per proposal), a gather AXPY over the
+//!   flipped spin's CSR row. Bit-identical to the historical outputs.
 //!
 //! `sa_job/48x2/8` times the SA pool's served job: one `sample_qubo` call
 //! at 48 sweeps × 2 reads on a 4-user QPSK frame's 8-spin QUBO.

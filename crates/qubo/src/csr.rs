@@ -23,16 +23,6 @@ use crate::ising::Ising;
 ///
 /// Rows mirror both endpoints of every edge (like `Ising`'s adjacency), so
 /// `row(k)` enumerates every neighbor of `k` exactly once.
-///
-/// On top of the plain `row_ptr`/`col_idx`/`weight` triple the builder
-/// detects **contiguous column runs** (maximal stretches where
-/// `col_idx[t+1] == col_idx[t] + 1`). Dense rows — e.g. every row of a
-/// dense-QUBO-derived Ising, which is `[0..k) ∪ (k..n)` — collapse to two
-/// runs, turning the per-flip neighbor update from a gather-scatter through
-/// `col_idx` into contiguous slice AXPYs the compiler auto-vectorizes.
-/// Because a run replays exactly the same element-wise operations in exactly
-/// the same order as the gather loop, the run path is **bit-identical** to
-/// it, so the sweep kernels' outputs do not depend on which path runs.
 #[derive(Debug, Clone, Default)]
 pub struct CsrIsing {
     h: Vec<f64>,
@@ -40,14 +30,6 @@ pub struct CsrIsing {
     row_ptr: Vec<u32>,
     col_idx: Vec<u32>,
     weight: Vec<f64>,
-    /// Runs of row `i` live at `run_ptr[i]..run_ptr[i+1]`.
-    run_ptr: Vec<u32>,
-    /// First column of each run.
-    run_col: Vec<u32>,
-    /// Entry offset (into `col_idx`/`weight`) where each run starts, with a
-    /// trailing `nnz` sentinel; run `r` covers entries
-    /// `run_ofs[r]..run_ofs[r+1]`.
-    run_ofs: Vec<u32>,
 }
 
 impl CsrIsing {
@@ -57,35 +39,19 @@ impl CsrIsing {
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::new();
         let mut weight = Vec::new();
-        let mut run_ptr = Vec::with_capacity(n + 1);
-        let mut run_col = Vec::new();
-        let mut run_ofs = Vec::new();
         row_ptr.push(0u32);
-        run_ptr.push(0u32);
         for i in 0..n {
-            let mut prev_col = u32::MAX - 1; // never adjacent to a real column
             for &(j, w) in ising.neighbors(i) {
-                let col = j as u32;
-                if col != prev_col.wrapping_add(1) {
-                    run_col.push(col);
-                    run_ofs.push(col_idx.len() as u32);
-                }
-                prev_col = col;
-                col_idx.push(col);
+                col_idx.push(j as u32);
                 weight.push(w);
             }
             row_ptr.push(col_idx.len() as u32);
-            run_ptr.push(run_col.len() as u32);
         }
-        run_ofs.push(col_idx.len() as u32);
         CsrIsing {
             h: ising.h_slice().to_vec(),
             row_ptr,
             col_idx,
             weight,
-            run_ptr,
-            run_col,
-            run_ofs,
         }
     }
 
@@ -181,46 +147,13 @@ impl CsrIsing {
         }
     }
 
-    /// Number of contiguous-column runs across all rows. `nnz / num_runs`
-    /// is the average run length — the vectorization win of [`Self::axpy_row`]
-    /// over the gather loop it replaces.
-    #[inline]
-    pub fn num_runs(&self) -> usize {
-        self.run_col.len()
-    }
-
-    /// `field[j] += w_kj * ds` for every neighbor `j` of `k`, walking the
-    /// row's contiguous-column runs so each run is a slice AXPY the compiler
-    /// vectorizes.
-    ///
-    /// Performs exactly the same element-wise multiply-adds in exactly the
-    /// same order as the `col_idx` gather loop (runs tile the row in entry
-    /// order, and no accumulation is reassociated), so results are
-    /// **bit-identical** — this is the sweep kernels' flip update.
+    /// `field[j] += w_kj * ds` for every neighbor `j` of `k`, in row
+    /// order: the sweep kernels' flip update.
     #[inline]
     pub fn axpy_row(&self, field: &mut [f64], k: usize, ds: f64) {
-        let lo = self.row_ptr[k] as usize;
-        let hi = self.row_ptr[k + 1] as usize;
-        let r_lo = self.run_ptr[k] as usize;
-        let r_hi = self.run_ptr[k + 1] as usize;
-        // Runs pay per-run loop overhead: on rows that barely compress
-        // (scattered sparse columns → singleton runs) the plain gather is
-        // faster. Either path performs the identical multiply-adds in the
-        // identical order, so the choice cannot change a single bit.
-        if hi - lo < 2 * (r_hi - r_lo) {
-            for (&j, &w) in self.col_idx[lo..hi].iter().zip(&self.weight[lo..hi]) {
-                field[j as usize] += w * ds;
-            }
-            return;
-        }
-        for r in r_lo..r_hi {
-            let e_lo = self.run_ofs[r] as usize;
-            let e_hi = self.run_ofs[r + 1] as usize;
-            let c = self.run_col[r] as usize;
-            let dst = &mut field[c..c + (e_hi - e_lo)];
-            for (f, &w) in dst.iter_mut().zip(&self.weight[e_lo..e_hi]) {
-                *f += w * ds;
-            }
+        let (cols, ws) = self.row(k);
+        for (&j, &w) in cols.iter().zip(ws) {
+            field[j as usize] += w * ds;
         }
     }
 }
@@ -288,9 +221,7 @@ impl LocalFieldState {
     /// Flips spin `k`, updating neighbors' cached fields and the tracked
     /// energy. O(degree of `k`).
     ///
-    /// The neighbor update walks contiguous-column runs
-    /// ([`CsrIsing::axpy_row`]) — bit-identical to the historical `col_idx`
-    /// gather, but vectorizable on dense rows.
+    /// The neighbor update is [`CsrIsing::axpy_row`].
     #[inline]
     pub fn flip(&mut self, csr: &CsrIsing, k: usize) {
         let delta = self.flip_delta(k);
@@ -391,25 +322,8 @@ mod tests {
         let csr = CsrIsing::from_ising(&Ising::new(0));
         assert_eq!(csr.num_vars(), 0);
         assert_eq!(csr.energy(&[]), 0.0);
-        assert_eq!(csr.num_runs(), 0);
         let state = LocalFieldState::new(&csr, Vec::new());
         assert_eq!(state.energy(), 0.0);
-    }
-
-    #[test]
-    fn dense_rows_compress_to_two_runs() {
-        let mut rng = Rng64::new(109);
-        let q = crate::generator::sparse_random_qubo(32, 1.0, &mut rng);
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
-        // A dense row's neighbors are [0..k) ∪ (k..n): ≤ 2 runs per row.
-        assert!(
-            csr.num_runs() <= 2 * csr.num_vars(),
-            "dense rows should run-compress ({} runs, {} nnz)",
-            csr.num_runs(),
-            csr.nnz()
-        );
-        assert!(csr.num_runs() < csr.nnz() / 4, "runs should beat gather");
     }
 
     #[test]

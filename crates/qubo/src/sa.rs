@@ -234,7 +234,8 @@ pub fn sample_qubo(qubo: &Qubo, params: &SaParams, rng: &mut Rng64) -> SampleSet
 /// frame `t`, so warm reads reach cold-start quality in fewer sweeps.
 ///
 /// # Panics
-/// Panics on invalid parameters or a warm-start length mismatch.
+/// Panics on invalid parameters, a warm-start length mismatch or a warm
+/// bit other than 0 or 1.
 pub fn sample_qubo_with_start(
     qubo: &Qubo,
     params: &SaParams,
@@ -247,6 +248,10 @@ pub fn sample_qubo_with_start(
     let n = qubo.num_vars();
     let warm_spins = warm_start.map(|bits| {
         assert_eq!(bits.len(), n, "sample_qubo_with_start: start length");
+        assert!(
+            bits.iter().all(|&b| b <= 1),
+            "sample_qubo_with_start: warm-start bits must be 0 or 1"
+        );
         crate::solution::bits_to_spins(bits)
     });
 
@@ -702,6 +707,16 @@ mod tests {
     fn warm_start_length_mismatch_panics() {
         let q = random_qubo(6, &mut Rng64::new(89));
         sample_qubo_with_start(&q, &SaParams::default(), Some(&[0, 1]), &mut Rng64::new(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "warm-start bits must be 0 or 1")]
+    fn warm_start_non_binary_bits_panic() {
+        // A 2 would start its read as spin −1 but count as 1 in the seed's
+        // QUBO energy, and could come back as the best sample.
+        let q = random_qubo(6, &mut Rng64::new(89));
+        let bits = [0, 1, 2, 0, 1, 0];
+        sample_qubo_with_start(&q, &SaParams::default(), Some(&bits), &mut Rng64::new(1));
     }
 
     #[test]

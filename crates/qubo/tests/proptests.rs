@@ -354,7 +354,6 @@ proptest! {
         };
         prop_assert_eq!(edge_bits(&ising), edge_bits(&reference));
         let (csr, ref_csr) = (CsrIsing::from_ising(&ising), CsrIsing::from_ising(&reference));
-        prop_assert_eq!(csr.num_runs(), ref_csr.num_runs());
         prop_assert_eq!(bits(csr.h_slice()), bits(ref_csr.h_slice()));
         for k in 0..n {
             let ((cols, w), (ref_cols, ref_w)) = (csr.row(k), ref_csr.row(k));
