@@ -166,3 +166,42 @@ fn report_surfaces_agree_on_shape() {
     assert!(csv.starts_with("detector,snr_db,"));
     assert_eq!(Report::to_json(&report), report.to_json());
 }
+
+/// Every registry preset's spec fingerprint at `--quick`, standard and
+/// `--full` scale. Shard files and checkpoint journals carry these hashes,
+/// so a spec serializer that reorders or reformats a single field would
+/// make every existing artifact fail with "fingerprint mismatch" — a drift
+/// that `parse(to_json(s)) == s` alone cannot see.
+#[test]
+fn registry_spec_fingerprints_are_pinned() {
+    use hqw_core::shard::spec_fingerprint;
+    // One row per registry entry: name, then the --quick, standard and
+    // --full fingerprints.
+    const PINNED: [&str; 12] = [
+        "ber 05363bc071b2fe40 eaa921da112cd27b 6638e9c1c43180d7",
+        "stream bb9d396ff322b773 ad58e8d34b2357f0 ddd58e8a7ac06155",
+        "fabric 4329f0f33629fd86 832c58dbbbaf8633 377d23aac9da9b92",
+        "fabric-rt beabc58564c2bda4 e0c34acc6730dc0a e539e6012cd58aa8",
+        "sched a405b747e1e7df20 44d6632a6cbf4e5c 88176b0cb5a3415b",
+        "fig3 edc9a9bc65173195 6c91f240bcfddd39 80b11412cd642da4",
+        "fig4-softinfo 44b63a25344e8ac3 44961d6a5667ef53 ea75b0140f8a8202",
+        "fig5-schedules 264fceb603c1b1d0 01e327734059b616 b6455667997a5dff",
+        "fig6 7036b803579f36e6 fe2072695aa21c58 8ef1cba3fedd674d",
+        "fig7 e60e70fd268ad091 2c41653b93953d65 4212ccc38e86a640",
+        "fig8 87e7fbf82a5b39b8 36686e66ae7366ae f1a192390339c877",
+        "headline e2ca1ff434c225da fe9513acb859dc4c 988144b2349857a1",
+    ];
+    let names: Vec<&str> = registry::all().iter().map(|e| e.name).collect();
+    let pinned: Vec<Vec<&str>> = PINNED.iter().map(|row| row.split(' ').collect()).collect();
+    assert_eq!(
+        names,
+        pinned.iter().map(|row| row[0]).collect::<Vec<_>>(),
+        "registry changed"
+    );
+    for row in &pinned {
+        for (flags, want) in [&["--quick"][..], &[], &["--full"]].iter().zip(&row[1..]) {
+            let spec = registry::spec(row[0], &opts(flags)).unwrap();
+            assert_eq!(&spec_fingerprint(&spec), want, "{} {flags:?}", row[0]);
+        }
+    }
+}

@@ -1475,6 +1475,54 @@ mod tests {
         }
     }
 
+    /// The wire bytes of every fixture, optional stanzas included (sched
+    /// options, PT/tabu backends, a bursty realtime fabric), pinned by
+    /// fingerprint: a serializer that reorders or reformats a field fails
+    /// here even when it still round-trips.
+    #[test]
+    fn fixture_documents_are_pinned() {
+        use crate::shard::spec_fingerprint;
+        let ExperimentSpec::Fabric(mut variant) = adaptive_fabric_spec() else {
+            unreachable!()
+        };
+        // A static policy is still written once the stanza is.
+        variant.sched.policy = SchedPolicy::Static;
+        variant.sched.assumed_cost = None;
+        variant.arrival = ArrivalProcess::Diurnal {
+            amplitude: 0.5,
+            cycle_frames: 16,
+        };
+        let mut heavy = variant.clone();
+        heavy.arrival = ArrivalProcess::HeavyTailed { alpha: 1.5 };
+        heavy.sched.policy = SchedPolicy::Ucb { explore_milli: 250 };
+        let fixtures = [
+            ber_spec(),
+            stream_spec(),
+            fabric_spec(),
+            adaptive_fabric_spec(),
+            sched_spec(),
+            fabric_rt_spec(),
+            canned_spec(),
+            ExperimentSpec::Fabric(variant),
+            ExperimentSpec::Fabric(heavy),
+        ];
+        let got: Vec<String> = fixtures.iter().map(spec_fingerprint).collect();
+        assert_eq!(
+            got,
+            [
+                "8705b81eb1e027b5",
+                "55e57f062dfe5755",
+                "5d36f7d427a11d12",
+                "8777261a3578b9bb",
+                "eb5b59726a86cd69",
+                "b830d665250cec9c",
+                "97148630584afd82",
+                "c1da64d860e5e03e",
+                "dbe199a3168ea7e4",
+            ]
+        );
+    }
+
     #[test]
     fn arrival_processes_round_trip_and_typos_are_rejected() {
         let ExperimentSpec::Fabric(base) = fabric_spec() else {
