@@ -33,13 +33,12 @@
 //! and `BENCH_fabric.json` is byte-identical at any thread count.
 
 use crate::grid::{check_coordinates, run_grid, GridEngine};
-use crate::scenario::json_num;
+use crate::report::{render, Layout, SCENARIO};
 use crate::sched::{corrected_us, ClassReport, PriorityClass, SchedOptions, ServicePredictor};
 use crate::solver::item_seed;
+use crate::spec::codec::{record, Field, Omit, Ratio, Record, Us};
 use crate::spec::json::Json;
-use crate::spec::{
-    check_keys, req, req_f64, req_ratio, req_str, req_u64, req_us, req_usize, SpecError,
-};
+use crate::spec::SpecError;
 use crate::stream::CostModel;
 use crate::telemetry::Collector;
 use crate::telemetry::LogHistogram;
@@ -916,9 +915,10 @@ pub struct BackendMix {
 /// times are a pure function of `(seed, cell, frame)`: virtual and realtime
 /// runs of the same config see byte-identical arrival sequences, which is
 /// what makes the realtime service's sim-replay gate possible.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ArrivalProcess {
     /// Evenly spaced arrivals (the original fabric process).
+    #[default]
     Periodic,
     /// `burst` frames arrive back-to-back (same timestamp), then a gap of
     /// `burst` periods: bursty traffic at unchanged mean rate.
@@ -2461,12 +2461,8 @@ impl GridEngine for FabricGridConfig {
         units.pop().expect("one unit per fabric point")
     }
 
-    fn encode(&self, point: &FabricReport) -> String {
-        point.to_json_object()
-    }
-
     fn decode(&self, id: usize, doc: &Json, ctx: &str) -> Result<FabricReport, SpecError> {
-        let point = FabricReport::from_json(doc, ctx)?;
+        let point = FabricReport::decode(doc, ctx)?;
         let (mix, want) = self.point(id);
         check_coordinates(
             ctx,
@@ -2494,249 +2490,62 @@ impl GridEngine for FabricGridConfig {
 // JSON report
 // ---------------------------------------------------------------------------
 
-impl BackendReport {
-    /// Parses a [`BackendReport::to_json_object`] document back. Exact:
-    /// the float codec round-trips shortest-`Display` renderings
-    /// losslessly.
-    fn from_json(o: &Json, ctx: &str) -> Result<BackendReport, SpecError> {
-        check_keys(
-            o,
-            &[
-                "name",
-                "jobs",
-                "batches",
-                "utilization",
-                "mean_batch",
-                "mean_service_us",
-                "batch_histogram",
-                "embed_cache_hits",
-                "embed_cache_misses",
-            ],
-            ctx,
-        )?;
-        let batch_histogram = req(o, "batch_histogram", ctx)?
-            .as_arr()
-            .ok_or_else(|| {
-                SpecError::new(
-                    ctx.to_string(),
-                    "field \"batch_histogram\" must be an array",
-                )
-            })?
-            .iter()
-            .map(|v| {
-                v.as_u64().ok_or_else(|| {
-                    SpecError::new(
-                        ctx.to_string(),
-                        "field \"batch_histogram\" must contain only unsigned integers",
-                    )
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BackendReport {
-            name: req_str(o, "name", ctx)?.to_string(),
-            jobs: req_usize(o, "jobs", ctx)?,
-            batches: req_u64(o, "batches", ctx)?,
-            utilization: req_ratio(o, "utilization", ctx)?,
-            mean_batch: req_f64(o, "mean_batch", ctx)?,
-            mean_service_us: req_us(o, "mean_service_us", ctx)?,
-            batch_histogram,
-            embed_cache_hits: req_u64(o, "embed_cache_hits", ctx)?,
-            embed_cache_misses: req_u64(o, "embed_cache_misses", ctx)?,
-        })
-    }
+record!(BackendReport {
+    name: String,
+    jobs: usize,
+    batches: u64,
+    utilization: Ratio,
+    mean_batch: f64,
+    mean_service_us: Us,
+    batch_histogram: Vec<u64>,
+    embed_cache_hits: u64,
+    embed_cache_misses: u64,
+});
 
-    fn to_json_object(&self) -> String {
-        let histogram = self
-            .batch_histogram
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"name\": \"{}\", \"jobs\": {}, \"batches\": {}, \
-             \"utilization\": {}, \"mean_batch\": {}, \
-             \"mean_service_us\": {}, \"batch_histogram\": [{}], \
-             \"embed_cache_hits\": {}, \"embed_cache_misses\": {}}}",
-            self.name,
-            self.jobs,
-            self.batches,
-            json_num(self.utilization),
-            json_num(self.mean_batch),
-            json_num(self.mean_service_us),
-            histogram,
-            self.embed_cache_hits,
-            self.embed_cache_misses,
-        )
-    }
-}
-
-impl FabricReport {
-    /// Parses a [`FabricReport::to_json_object`] document back. Exact: the
-    /// float codec round-trips shortest-`Display` renderings losslessly.
-    pub(crate) fn from_json(o: &Json, ctx: &str) -> Result<FabricReport, SpecError> {
-        check_keys(
-            o,
-            &[
-                "mix",
-                "n_cells",
-                "arrival_period_us",
-                "jobs",
-                "ber",
-                "deadline_miss_rate",
-                "fallback_rate",
-                "served_miss_rate",
-                "p50_latency_us",
-                "p99_latency_us",
-                "mean_latency_us",
-                "mean_served_latency_us",
-                "backends",
-                "preemptions",
-                "prediction_mae_us",
-                "classes",
-            ],
-            ctx,
-        )?;
-        let backends = req(o, "backends", ctx)?
-            .as_arr()
-            .ok_or_else(|| SpecError::new(ctx.to_string(), "field \"backends\" must be an array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, b)| BackendReport::from_json(b, &format!("{ctx}.backends[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Scheduling fields are serialized only when non-default, so legacy
-        // documents (and static-policy points) parse without them.
-        let preemptions = match o.get("preemptions") {
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| SpecError::new(ctx.to_string(), "\"preemptions\" must be a u64"))?,
-            None => 0,
-        };
-        let prediction_mae_us = match o.get("prediction_mae_us") {
-            Some(_) => req_us(o, "prediction_mae_us", ctx)?,
-            None => 0.0,
-        };
-        let classes = match o.get("classes") {
-            Some(v) => v
-                .as_arr()
-                .ok_or_else(|| {
-                    SpecError::new(ctx.to_string(), "field \"classes\" must be an array")
-                })?
-                .iter()
-                .map(ClassReport::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            None => Vec::new(),
-        };
-        Ok(FabricReport {
-            mix: req_str(o, "mix", ctx)?.to_string(),
-            n_cells: req_usize(o, "n_cells", ctx)?,
-            arrival_period_us: req_f64(o, "arrival_period_us", ctx)?,
-            jobs: req_usize(o, "jobs", ctx)?,
-            ber: req_ratio(o, "ber", ctx)?,
-            deadline_miss_rate: req_ratio(o, "deadline_miss_rate", ctx)?,
-            fallback_rate: req_ratio(o, "fallback_rate", ctx)?,
-            served_miss_rate: req_ratio(o, "served_miss_rate", ctx)?,
-            p50_latency_us: req_us(o, "p50_latency_us", ctx)?,
-            p99_latency_us: req_us(o, "p99_latency_us", ctx)?,
-            mean_latency_us: req_us(o, "mean_latency_us", ctx)?,
-            mean_served_latency_us: req_us(o, "mean_served_latency_us", ctx)?,
-            backends,
-            preemptions,
-            prediction_mae_us,
-            classes,
-        })
-    }
-
-    /// Renders one grid point as a JSON object — one entry of the report's
-    /// `points` array and the `point` field of a shard/checkpoint record.
-    pub fn to_json_object(&self) -> String {
-        let backends = self
-            .backends
-            .iter()
-            .map(|b| b.to_json_object())
-            .collect::<Vec<_>>()
-            .join(", ");
-        // The scheduling fields trail the legacy layout and render only
-        // when non-default, keeping committed static-policy documents
-        // byte-identical.
-        let mut sched = String::new();
-        if self.preemptions > 0 {
-            sched.push_str(&format!(", \"preemptions\": {}", self.preemptions));
-        }
-        if self.prediction_mae_us != 0.0 {
-            sched.push_str(&format!(
-                ", \"prediction_mae_us\": {}",
-                json_num(self.prediction_mae_us)
-            ));
-        }
-        if !self.classes.is_empty() {
-            let classes = self
-                .classes
-                .iter()
-                .map(|c| c.to_json().to_string_compact())
-                .collect::<Vec<_>>()
-                .join(", ");
-            sched.push_str(&format!(", \"classes\": [{classes}]"));
-        }
-        format!(
-            "{{\"mix\": \"{}\", \"n_cells\": {}, \"arrival_period_us\": {}, \
-             \"jobs\": {}, \"ber\": {}, \"deadline_miss_rate\": {}, \
-             \"fallback_rate\": {}, \"served_miss_rate\": {}, \
-             \"p50_latency_us\": {}, \
-             \"p99_latency_us\": {}, \"mean_latency_us\": {}, \
-             \"mean_served_latency_us\": {}, \"backends\": [{}]{}}}",
-            self.mix,
-            self.n_cells,
-            json_num(self.arrival_period_us),
-            self.jobs,
-            json_num(self.ber),
-            json_num(self.deadline_miss_rate),
-            json_num(self.fallback_rate),
-            json_num(self.served_miss_rate),
-            json_num(self.p50_latency_us),
-            json_num(self.p99_latency_us),
-            json_num(self.mean_latency_us),
-            json_num(self.mean_served_latency_us),
-            backends,
-            sched,
-        )
-    }
-}
+// The scheduling fields trail the original layout and are left out at
+// their defaults, keeping static-policy documents byte-identical.
+record!(FabricReport {
+    mix: String,
+    n_cells: usize,
+    arrival_period_us: f64,
+    jobs: usize,
+    ber: Ratio,
+    deadline_miss_rate: Ratio,
+    fallback_rate: Ratio,
+    served_miss_rate: Ratio,
+    p50_latency_us: Us,
+    p99_latency_us: Us,
+    mean_latency_us: Us,
+    mean_served_latency_us: Us,
+    backends: Vec<BackendReport>,
+    preemptions: Omit<u64>,
+    prediction_mae_us: Omit<Us>,
+    classes: Omit<Vec<ClassReport>>,
+});
 
 impl FabricGridReport {
     /// Renders the report as the `BENCH_fabric.json` document (schema in
     /// `crates/bench/README.md`). Pure function of the report contents:
     /// byte-identical across runs and thread counts.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"fabric\",\n  \"scenario\": {\n");
-        s.push_str(&format!("    \"n_users\": {},\n", self.n_users));
-        s.push_str(&format!("    \"n_rx\": {},\n", self.n_rx));
-        s.push_str(&format!("    \"modulation\": \"{}\",\n", self.modulation));
-        s.push_str(&format!(
-            "    \"noise_variance\": {},\n",
-            json_num(self.noise_variance)
-        ));
-        s.push_str(&format!(
-            "    \"frames_per_cell\": {},\n",
-            self.frames_per_cell
-        ));
-        s.push_str(&format!(
-            "    \"deadline_us\": {},\n",
-            json_num(self.deadline_us)
-        ));
-        s.push_str(&format!("    \"seed\": {}\n  }},\n", self.seed));
-        s.push_str("  \"points\": [\n");
-        for (i, point) in self.points.iter().enumerate() {
-            s.push_str("    ");
-            s.push_str(&point.to_json_object());
-            s.push_str(if i + 1 < self.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let doc = Json::object([
+            ("bench", "fabric".into()),
+            (
+                "scenario",
+                Json::object([
+                    ("n_users", self.n_users.into()),
+                    ("n_rx", self.n_rx.into()),
+                    ("modulation", self.modulation.as_str().into()),
+                    ("noise_variance", self.noise_variance.into()),
+                    ("frames_per_cell", self.frames_per_cell.into()),
+                    ("deadline_us", self.deadline_us.into()),
+                    ("seed", self.seed.into()),
+                ]),
+            ),
+            ("points", Vec::<FabricReport>::to_json(&self.points)),
+        ]);
+        const ROWS: Layout = Layout::Rows(&Layout::Inline);
+        render(&doc, &Layout::Block(&[SCENARIO, ("points", ROWS)]))
     }
 }
 
@@ -2886,7 +2695,10 @@ mod tests {
         let config = fabric(2, 150.0, 600.0, hetero_pool());
         let a = run_fabric(&config);
         let b = run_fabric(&config);
-        assert_eq!(a.to_json_object(), b.to_json_object());
+        assert_eq!(
+            a.encode().to_string_compact(),
+            b.encode().to_string_compact()
+        );
     }
 
     #[test]
@@ -3406,8 +3218,8 @@ mod tests {
         calibrated.sched.policy = SchedPolicy::Ewma { shift: 1 };
         let adaptive_calibrated = run_fabric(&calibrated);
         assert_eq!(
-            baseline.to_json_object(),
-            adaptive_calibrated.to_json_object()
+            baseline.encode().to_string_compact(),
+            adaptive_calibrated.encode().to_string_compact()
         );
     }
 }

@@ -40,7 +40,8 @@ use crate::fabric::{
     FabricScheduler, RealtimeConfig, RouteTrace,
 };
 use crate::grid::GridEngine;
-use crate::scenario::json_num;
+use crate::report::{render, Layout, SCENARIO};
+use crate::spec::codec::{decode_tagged, encode_tagged, record, Field, Ratio};
 use crate::spec::json::Json;
 use crate::spec::{ExperimentSpec, SpecError};
 use crate::telemetry::{Collector, CounterSample, LogHistogram, TelemetrySummary};
@@ -739,30 +740,21 @@ pub fn run_fabric_rt_grid_observed(
 // JSON report
 // ---------------------------------------------------------------------------
 
-impl FabricRtReport {
-    fn to_json_object(&self) -> String {
-        format!(
-            "{{\"mix\": \"{}\", \"n_cells\": {}, \"arrival_period_us\": {}, \
-             \"jobs\": {}, \"ber\": {}, \"fallback_rate\": {}, \
-             \"frames_per_sec\": {}, \"p50_ms\": {}, \"p99_ms\": {}, \
-             \"p999_ms\": {}, \"decision_ns_per_job\": {}, \"wall_ms\": {}, \
-             \"replay_divergences\": {}}}",
-            self.mix,
-            self.n_cells,
-            json_num(self.arrival_period_us),
-            self.jobs,
-            json_num(self.ber),
-            json_num(self.fallback_rate),
-            json_num(self.frames_per_sec),
-            json_num(self.p50_ms),
-            json_num(self.p99_ms),
-            json_num(self.p999_ms),
-            json_num(self.decision_ns_per_job),
-            json_num(self.wall_ms),
-            self.replay_divergences,
-        )
-    }
-}
+record!(FabricRtReport {
+    mix: String,
+    n_cells: usize,
+    arrival_period_us: f64,
+    jobs: usize,
+    ber: Ratio,
+    fallback_rate: Ratio,
+    frames_per_sec: f64,
+    p50_ms: f64,
+    p99_ms: f64,
+    p999_ms: f64,
+    decision_ns_per_job: f64,
+    wall_ms: f64,
+    replay_divergences: usize,
+});
 
 impl FabricRtGridReport {
     /// Renders the report as the `BENCH_fabric_rt.json` document (schema in
@@ -770,48 +762,37 @@ impl FabricRtGridReport {
     /// run; the deterministic fields (`jobs`, `ber`, `fallback_rate`,
     /// `replay_divergences`) do not.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"fabric-rt\",\n  \"scenario\": {\n");
-        s.push_str(&format!("    \"n_users\": {},\n", self.n_users));
-        s.push_str(&format!("    \"n_rx\": {},\n", self.n_rx));
-        s.push_str(&format!("    \"modulation\": \"{}\",\n", self.modulation));
-        s.push_str(&format!(
-            "    \"noise_variance\": {},\n",
-            json_num(self.noise_variance)
-        ));
-        s.push_str(&format!(
-            "    \"frames_per_cell\": {},\n",
-            self.frames_per_cell
-        ));
-        s.push_str(&format!(
-            "    \"deadline_us\": {},\n",
-            json_num(self.deadline_us)
-        ));
-        s.push_str(&format!("    \"seed\": {},\n", self.seed));
-        s.push_str(&format!("    \"arrival\": \"{}\",\n", self.arrival));
-        s.push_str(&format!("    \"producers\": {},\n", self.producers));
-        s.push_str(&format!(
-            "    \"queue_shards\": {}\n  }},\n",
-            self.queue_shards
-        ));
-        s.push_str("  \"points\": [\n");
-        for (i, point) in self.points.iter().enumerate() {
-            s.push_str("    ");
-            s.push_str(&point.to_json_object());
-            s.push_str(if i + 1 < self.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
+        let mut fields = vec![
+            ("bench", "fabric-rt".into()),
+            (
+                "scenario",
+                Json::object([
+                    ("n_users", self.n_users.into()),
+                    ("n_rx", self.n_rx.into()),
+                    ("modulation", self.modulation.as_str().into()),
+                    ("noise_variance", self.noise_variance.into()),
+                    ("frames_per_cell", self.frames_per_cell.into()),
+                    ("deadline_us", self.deadline_us.into()),
+                    ("seed", self.seed.into()),
+                    ("arrival", self.arrival.as_str().into()),
+                    ("producers", self.producers.into()),
+                    ("queue_shards", self.queue_shards.into()),
+                ]),
+            ),
+            ("points", Vec::<FabricRtReport>::to_json(&self.points)),
+        ];
         if let Some(summary) = &self.telemetry {
-            s.push_str("  ],\n  \"telemetry\": ");
-            s.push_str(&summary.to_json_stanza(2));
-            s.push_str("\n}\n");
-        } else {
-            s.push_str("  ]\n}\n");
+            fields.push(("telemetry", summary.to_json()));
         }
-        s
+        const ROWS: Layout = Layout::Rows(&Layout::Inline);
+        render(
+            &Json::object(fields),
+            &Layout::Block(&[
+                SCENARIO,
+                ("points", ROWS),
+                ("telemetry", TelemetrySummary::LAYOUT),
+            ]),
+        )
     }
 }
 
@@ -875,47 +856,49 @@ pub fn diff_traces(recorded: &[Option<usize>], simulated: &[Option<usize>]) -> V
         .collect()
 }
 
-fn route_json(route: &Option<usize>) -> Json {
-    match route {
-        Some(b) => Json::UInt(*b as u64),
-        None => Json::Null,
+/// The tag that marks a replay-trace document.
+const TRACE_TAG: (&str, &str) = ("bench", "fabric-rt-trace");
+
+record!(
+    /// The replay-trace document behind its [`TRACE_TAG`]: the full spec (so
+    /// the replayer can rebuild the exact grid) plus each point's recorded
+    /// routing decisions.
+    struct TraceDoc {
+        spec: Json,
+        points: Vec<TracePoint>,
     }
-}
+);
+
+record!(
+    /// One point of a [`TraceDoc`] (`null` routes are classical fallbacks).
+    struct TracePoint {
+        mix: String,
+        n_cells: usize,
+        arrival_period_us: f64,
+        routes: Vec<Option<usize>>,
+    }
+);
 
 /// Renders the replay-trace document: the full spec (so the replayer can
 /// rebuild the exact grid) plus each point's recorded routing decisions
 /// (`null` = classical fallback). Schema in `crates/bench/README.md`.
 pub fn trace_doc(config: &FabricGridConfig, report: &FabricRtGridReport) -> String {
-    let spec_text = ExperimentSpec::Fabric(config.clone()).to_json();
-    let spec_json = Json::parse(&spec_text).expect("spec serializer emits valid JSON");
-    let points = report
-        .points
-        .iter()
-        .zip(&report.traces)
-        .map(|(p, trace)| {
-            Json::Obj(vec![
-                ("mix".to_string(), Json::Str(p.mix.clone())),
-                ("n_cells".to_string(), Json::UInt(p.n_cells as u64)),
-                (
-                    "arrival_period_us".to_string(),
-                    Json::Float(p.arrival_period_us),
-                ),
-                (
-                    "routes".to_string(),
-                    Json::Arr(trace.iter().map(route_json).collect()),
-                ),
-            ])
-        })
-        .collect();
-    let doc = Json::Obj(vec![
-        (
-            "bench".to_string(),
-            Json::Str("fabric-rt-trace".to_string()),
-        ),
-        ("spec".to_string(), spec_json),
-        ("points".to_string(), Json::Arr(points)),
-    ]);
-    let mut text = doc.to_string_pretty();
+    let doc = TraceDoc {
+        spec: ExperimentSpec::Fabric(config.clone()).to_doc(),
+        points: report
+            .points
+            .iter()
+            .zip(&report.traces)
+            .map(|(p, routes)| TracePoint {
+                mix: p.mix.clone(),
+                n_cells: p.n_cells,
+                arrival_period_us: p.arrival_period_us,
+                routes: routes.clone(),
+            })
+            .collect(),
+    };
+    let (tag, value) = TRACE_TAG;
+    let mut text = encode_tagged(tag, value, &doc).to_string_pretty();
     text.push('\n');
     text
 }
@@ -950,22 +933,6 @@ impl ReplayReport {
     }
 }
 
-fn parse_routes(point: &Json, ctx: &str) -> Result<RouteTrace, SpecError> {
-    point
-        .get("routes")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| SpecError::new(ctx, "missing \"routes\" array"))?
-        .iter()
-        .map(|r| match r {
-            Json::Null => Ok(None),
-            other => other
-                .as_u64()
-                .map(|b| Some(b as usize))
-                .ok_or_else(|| SpecError::new(ctx, "routes must be backend indices or null")),
-        })
-        .collect()
-}
-
 /// Replays a recorded trace document through the virtual-time sim: rebuilds
 /// the grid from the embedded spec, re-simulates every point, and diffs
 /// each simulated [`RouteTrace`] against the recorded one. Zero divergence
@@ -977,54 +944,41 @@ fn parse_routes(point: &Json, ctx: &str) -> Result<RouteTrace, SpecError> {
 /// content; callers decide the exit status.
 pub fn replay_trace_doc(text: &str) -> Result<ReplayReport, SpecError> {
     let ctx = "trace";
-    let doc = Json::parse(text).map_err(|e| SpecError::new(ctx, e.to_string()))?;
-    if doc.get("bench").and_then(Json::as_str) != Some("fabric-rt-trace") {
-        return Err(SpecError::new(ctx, "not a fabric-rt-trace document"));
-    }
-    let spec_json = doc
-        .get("spec")
-        .ok_or_else(|| SpecError::new(ctx, "missing \"spec\""))?;
-    let spec = ExperimentSpec::parse(&spec_json.to_string_pretty())?;
-    let ExperimentSpec::Fabric(config) = spec else {
+    let json = Json::parse(text).map_err(|e| SpecError::new(ctx, e.to_string()))?;
+    let doc: TraceDoc = decode_tagged(&json, TRACE_TAG, "not a fabric-rt-trace document", ctx)?;
+    let ExperimentSpec::Fabric(config) = ExperimentSpec::from_doc(&doc.spec)? else {
         return Err(SpecError::new(ctx, "embedded spec is not a fabric spec"));
     };
-    let recorded_points = doc
-        .get("points")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| SpecError::new(ctx, "missing \"points\" array"))?;
     let total = config.grid_len();
-    if total != recorded_points.len() {
+    if total != doc.points.len() {
         return Err(SpecError::new(
             ctx,
             format!(
                 "trace has {} points but the spec expands to {total}",
-                recorded_points.len(),
+                doc.points.len(),
             ),
         ));
     }
 
     let mut points = Vec::with_capacity(total);
-    for (i, recorded) in recorded_points.iter().enumerate() {
+    for (i, recorded) in doc.points.iter().enumerate() {
         let (mix_name, point_config) = config.point(i);
-        let p_ctx = &format!("{ctx}.points[{i}]");
-        let mix = recorded
-            .get("mix")
-            .and_then(Json::as_str)
-            .ok_or_else(|| SpecError::new(p_ctx, "missing \"mix\""))?;
-        if mix != mix_name {
+        if recorded.mix != mix_name {
             return Err(SpecError::new(
-                p_ctx,
-                format!("point order mismatch: trace says '{mix}', spec expands to '{mix_name}'"),
+                format!("{ctx}.points[{i}]"),
+                format!(
+                    "point order mismatch: trace says '{}', spec expands to '{mix_name}'",
+                    recorded.mix
+                ),
             ));
         }
-        let routes = parse_routes(recorded, p_ctx)?;
         let (_, sim_trace) = run_fabric_traced(&point_config);
         points.push(PointReplay {
             mix: mix_name.to_string(),
             n_cells: point_config.n_cells,
             arrival_period_us: point_config.arrival_period_us,
-            jobs: routes.len(),
-            divergences: diff_traces(&routes, &sim_trace),
+            jobs: recorded.routes.len(),
+            divergences: diff_traces(&recorded.routes, &sim_trace),
         });
     }
     Ok(ReplayReport { points })

@@ -2,9 +2,10 @@
 //! `fabric`, `sched`) runs, shards, merges and resumes through this module.
 //!
 //! An experiment family implements [`GridEngine`] — how many points its
-//! grid has, how to compute one point, how to encode and decode a point's
-//! record payload, and how to assemble the report — and gets the rest once,
-//! generically:
+//! grid has, how to compute one point, how to check a decoded point
+//! against its grid coordinates, and how to assemble the report — and gets
+//! the rest once, generically (a point is a [`Record`], so its payload
+//! codec is its field table):
 //!
 //! * [`run_grid`] / [`run_records`] — id validation plus the
 //!   [`parallel_map_indexed`] fan-out. The unit of parallel work is a
@@ -29,6 +30,7 @@
 use crate::fabric::FabricMode;
 use crate::report::{PointRecord, Report};
 use crate::scenario::{paper_roster, BerSweep};
+use crate::spec::codec::Record;
 use crate::spec::json::Json;
 use crate::spec::{ExperimentSpec, SpecError};
 use crate::telemetry::Collector;
@@ -43,7 +45,7 @@ pub trait GridEngine: Sync {
     /// The result of one unit of parallel work.
     type Unit: Send;
     /// The result of one grid point (one shard/checkpoint record).
-    type Point;
+    type Point: Record;
     /// The assembled report.
     type Report: Report + 'static;
 
@@ -78,11 +80,9 @@ pub trait GridEngine: Sync {
     /// Reduces a point's units (in unit order) to the point's result.
     fn reduce(&self, id: usize, units: Vec<Self::Unit>) -> Self::Point;
 
-    /// Renders a point as its single-line JSON record payload.
-    fn encode(&self, point: &Self::Point) -> String;
-
-    /// Parses a record payload back, rejecting out-of-range values and
-    /// grid coordinates that contradict the record's id.
+    /// Reads a record payload back ([`Record::decode`] plus whatever the
+    /// payload leaves to the spec), rejecting out-of-range values and grid
+    /// coordinates that contradict the record's id.
     ///
     /// # Errors
     /// Returns a [`SpecError`] naming the offending field.
@@ -149,7 +149,7 @@ pub fn run_records<E: GridEngine>(engine: &E, ids: &[usize]) -> Vec<PointRecord>
         .zip(ids)
         .map(|(point, &id)| PointRecord {
             id,
-            payload: engine.encode(point),
+            payload: point.encode(),
         })
         .collect()
 }
@@ -166,12 +166,7 @@ pub fn assemble_records<E: GridEngine>(
     sort_and_check_point_ids(&mut records, engine.grid_len(), "records")?;
     let points = records
         .iter()
-        .map(|record| {
-            let ctx = format!("point {}", record.id);
-            let doc = Json::parse(&record.payload)
-                .map_err(|e| SpecError::new(ctx.clone(), e.to_string()))?;
-            engine.decode(record.id, &doc, &ctx)
-        })
+        .map(|record| engine.decode(record.id, &record.payload, &format!("point {}", record.id)))
         .collect::<Result<Vec<_>, SpecError>>()?;
     engine.assemble(points)
 }

@@ -1,14 +1,19 @@
-//! The unified report surface and its table/CSV rendering helpers.
+//! The unified report surface: the one document writer and the table/CSV
+//! rendering helpers.
 //!
 //! [`Report`] is the one trait every grid-style experiment report
 //! implements — `BerReport`, `StreamGridReport`, `FabricGridReport` and
 //! `SchedGridReport` all render through it, so JSON emission, CSV emission
 //! and the stdout table live here instead of being copy-pasted per
-//! experiment. The figure experiments print the same series the paper
-//! plots; [`Table`] keeps that output consistent and machine-readable (CSV
-//! files land in `results/` so downstream plotting never re-runs
-//! experiments).
+//! experiment. [`render`] is the one writer behind every JSON document the
+//! workspace emits — the five reports, shard documents and Chrome traces:
+//! a [`Json`] tree plus a [`Layout`] saying where its lines break. The
+//! figure experiments print the same series the paper plots; [`Table`]
+//! keeps that output consistent and machine-readable (CSV files land in
+//! `results/` so downstream plotting never re-runs experiments).
 
+use crate::spec::codec::record;
+use crate::spec::json::{write_string, Json};
 use std::path::Path;
 
 /// The unified experiment-report surface: one trait carrying every
@@ -61,15 +66,15 @@ pub trait Report: std::fmt::Debug {
 }
 
 /// One grid point of a grid report: the stable grid-order id plus the
-/// point's JSON rendering.
+/// point's record.
 ///
-/// The payload is the exact single-line JSON object the full report embeds
-/// for this point, so reassembling a grid's records through
+/// The payload is the exact record the full report embeds for this point,
+/// so reassembling a grid's records through
 /// [`crate::grid::assemble_records`] reproduces the report byte-for-byte —
 /// the invariant the shard/merge and checkpoint planes are built on. The
 /// float codec round-trips exactly (shortest `Display` form parsed back
 /// with `str::parse::<f64>`), so going through text loses nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointRecord {
     /// Grid-order point id: the index into the spec's expanded point grid
     /// (`0..grid_len`). Which grid dimension a point spans is
@@ -77,9 +82,85 @@ pub struct PointRecord {
     /// cell for the stream grid, one (mix, cells, load) cell for the
     /// fabric grid.
     pub id: usize,
-    /// The point's JSON object, single-line, engine-specific schema
-    /// (documented in `crates/bench/README.md`).
-    pub payload: String,
+    /// The point's record, engine-specific schema (documented in
+    /// `crates/bench/README.md`).
+    pub payload: Json,
+}
+
+record!(PointRecord {
+    id: usize,
+    payload as "point": Json,
+});
+
+/// Where a document's lines break. Keys a layout does not list are
+/// [`Layout::Inline`].
+#[derive(Debug)]
+pub enum Layout {
+    /// One compact line.
+    Inline,
+    /// An object with one key per line.
+    Block(&'static [(&'static str, Layout)]),
+    /// An object on one line whose listed keys may break it.
+    Line(&'static [(&'static str, Layout)]),
+    /// An array with one element per line.
+    Rows(&'static Layout),
+}
+
+/// The layout of a grid report's `scenario` header.
+pub const SCENARIO: (&str, Layout) = ("scenario", Layout::Block(&[]));
+
+/// Renders a document with two-space indentation and a trailing newline.
+pub fn render(doc: &Json, layout: &Layout) -> String {
+    let mut out = String::new();
+    write_laid_out(doc, layout, 0, &mut out);
+    out.push('\n');
+    out
+}
+
+fn write_laid_out(value: &Json, layout: &Layout, depth: usize, out: &mut String) {
+    let pad = |out: &mut String, depth: usize| out.push_str(&"  ".repeat(depth));
+    fn layout_of(keys: &'static [(&'static str, Layout)], key: &str) -> &'static Layout {
+        keys.iter()
+            .find(|(k, _)| *k == key)
+            .map_or(&Layout::Inline, |(_, l)| l)
+    }
+    match (layout, value) {
+        (Layout::Block(keys), Json::Obj(fields)) => {
+            out.push_str("{\n");
+            for (i, (key, v)) in fields.iter().enumerate() {
+                pad(out, depth + 1);
+                write_string(out, key);
+                out.push_str(": ");
+                write_laid_out(v, layout_of(keys, key), depth + 1, out);
+                out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
+            }
+            pad(out, depth);
+            out.push('}');
+        }
+        (Layout::Line(keys), Json::Obj(fields)) => {
+            out.push('{');
+            for (i, (key, v)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_string(out, key);
+                out.push_str(": ");
+                write_laid_out(v, layout_of(keys, key), depth, out);
+            }
+            out.push('}');
+        }
+        (Layout::Rows(row), Json::Arr(items)) => {
+            out.push_str("[\n");
+            for (i, item) in items.iter().enumerate() {
+                pad(out, depth + 1);
+                write_laid_out(item, row, depth + 1, out);
+                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+            }
+            pad(out, depth);
+            out.push(']');
+        }
+        _ => value.write_compact(out),
+    }
 }
 
 /// Writes `content` to `path`, creating parent directories first (shared by

@@ -20,10 +20,12 @@
 
 use crate::grid::{check_coordinates, GridEngine};
 use crate::protocol::Protocol;
+use crate::report::{render, Layout, SCENARIO};
 use crate::solver::item_seed;
 use crate::solver::{HybridConfig, HybridSolver};
+use crate::spec::codec::{record, Derived, Field, Ratio, Record};
 use crate::spec::json::Json;
-use crate::spec::{check_keys, req, req_f64, req_ratio, req_str, SpecError};
+use crate::spec::SpecError;
 use crate::stages::GreedyInitializer;
 use crate::telemetry::Collector;
 use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
@@ -504,47 +506,20 @@ impl GridEngine for BerSweep<'_> {
         BerColumn { id, arms }
     }
 
-    /// `{"arms": [{"detector": ..., "qubo_backed": ..., "point": {...}}]}`.
-    fn encode(&self, column: &BerColumn) -> String {
-        let arms = column
-            .arms
-            .iter()
-            .map(|a| {
-                format!(
-                    "{{\"detector\": {}, \"qubo_backed\": {}, \"point\": {}}}",
-                    Json::Str(a.detector.clone()).to_string_compact(),
-                    a.qubo_backed,
-                    a.point.to_json_object()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!("{{\"arms\": [{arms}]}}")
-    }
-
     fn decode(&self, id: usize, doc: &Json, ctx: &str) -> Result<BerColumn, SpecError> {
-        check_keys(doc, &["arms"], ctx)?;
+        let column = BerColumn {
+            id,
+            ..BerColumn::decode(doc, ctx)?
+        };
         let want = format!("snr_db {}", self.config.snr_db[id]);
-        let arms = req(doc, "arms", ctx)?
-            .as_arr()
-            .ok_or_else(|| SpecError::new(ctx, "field \"arms\" must be an array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let a_ctx = &format!("{ctx}.arms[{i}]");
-                check_keys(a, &["detector", "qubo_backed", "point"], a_ctx)?;
-                let point = BerPoint::from_json(req(a, "point", a_ctx)?, a_ctx)?;
-                check_coordinates(a_ctx, format!("snr_db {}", point.snr_db), want.clone())?;
-                Ok(BerArmPoint {
-                    detector: req_str(a, "detector", a_ctx)?.to_string(),
-                    qubo_backed: req(a, "qubo_backed", a_ctx)?.as_bool().ok_or_else(|| {
-                        SpecError::new(a_ctx.clone(), "field \"qubo_backed\" must be a boolean")
-                    })?,
-                    point,
-                })
-            })
-            .collect::<Result<Vec<_>, SpecError>>()?;
-        Ok(BerColumn { id, arms })
+        for (i, a) in column.arms.iter().enumerate() {
+            check_coordinates(
+                &format!("{ctx}.arms[{i}]"),
+                format!("snr_db {}", a.point.snr_db),
+                want.clone(),
+            )?;
+        }
+        Ok(column)
     }
 
     fn assemble(&self, columns: Vec<BerColumn>) -> Result<BerReport, SpecError> {
@@ -601,103 +576,59 @@ impl GridEngine for BerSweep<'_> {
     }
 }
 
-/// Formats a finite float as a JSON number (shared with the stream engine's
-/// report writer).
-///
-/// # Panics
-/// Panics on non-finite input (JSON has no representation for it, and the
-/// scenario metrics are finite by construction).
-pub(crate) fn json_num(v: f64) -> String {
-    assert!(v.is_finite(), "json_num: non-finite value {v}");
-    format!("{v}")
-}
+record!(BerPoint {
+    snr_db: f64,
+    noise_variance: f64,
+    ber: Ratio,
+    ser: Ratio,
+    bler: Ratio,
+    goodput_bpcu: f64,
+    avg_nodes_visited: f64,
+    avg_sweeps: f64,
+});
 
-impl BerPoint {
-    /// Renders the point as a single-line JSON object — one line of the
-    /// report's points arrays and the `point` field of a shard/checkpoint
-    /// record.
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"snr_db\": {}, \"noise_variance\": {}, \"ber\": {}, \
-             \"ser\": {}, \"bler\": {}, \"goodput_bpcu\": {}, \
-             \"avg_nodes_visited\": {}, \"avg_sweeps\": {}}}",
-            json_num(self.snr_db),
-            json_num(self.noise_variance),
-            json_num(self.ber),
-            json_num(self.ser),
-            json_num(self.bler),
-            json_num(self.goodput_bpcu),
-            json_num(self.avg_nodes_visited),
-            json_num(self.avg_sweeps),
-        )
-    }
+record!(BerArmPoint {
+    detector: String,
+    qubo_backed: bool,
+    point: BerPoint,
+});
 
-    /// Parses a [`BerPoint::to_json_object`] document back. Exact: the
-    /// float codec round-trips shortest-`Display` renderings losslessly.
-    pub(crate) fn from_json(o: &Json, ctx: &str) -> Result<BerPoint, SpecError> {
-        check_keys(
-            o,
-            &[
-                "snr_db",
-                "noise_variance",
-                "ber",
-                "ser",
-                "bler",
-                "goodput_bpcu",
-                "avg_nodes_visited",
-                "avg_sweeps",
-            ],
-            ctx,
-        )?;
-        Ok(BerPoint {
-            snr_db: req_f64(o, "snr_db", ctx)?,
-            noise_variance: req_f64(o, "noise_variance", ctx)?,
-            ber: req_ratio(o, "ber", ctx)?,
-            ser: req_ratio(o, "ser", ctx)?,
-            bler: req_ratio(o, "bler", ctx)?,
-            goodput_bpcu: req_f64(o, "goodput_bpcu", ctx)?,
-            avg_nodes_visited: req_f64(o, "avg_nodes_visited", ctx)?,
-            avg_sweeps: req_f64(o, "avg_sweeps", ctx)?,
-        })
-    }
-}
+// A column's id is its record's, not part of the payload.
+record!(BerColumn {
+    id: Derived<usize>,
+    arms: Vec<BerArmPoint>,
+});
+
+record!(DetectorSeries {
+    detector: String,
+    qubo_backed: bool,
+    points: Vec<BerPoint>,
+});
 
 impl BerReport {
     /// Renders the report as the `BENCH_ber.json` document (schema in
     /// `crates/bench/README.md`). Pure function of the report contents:
     /// byte-identical across runs and thread counts.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"ber\",\n  \"scenario\": {\n");
-        s.push_str(&format!("    \"n_users\": {},\n", self.n_users));
-        s.push_str(&format!("    \"n_rx\": {},\n", self.n_rx));
-        s.push_str(&format!(
-            "    \"modulation\": \"{}\",\n",
-            self.modulation.name()
-        ));
-        s.push_str(&format!("    \"channel\": \"{}\",\n", self.channel.name()));
-        s.push_str(&format!("    \"realizations\": {},\n", self.realizations));
-        s.push_str(&format!("    \"seed\": {}\n  }},\n", self.seed));
-        s.push_str("  \"series\": [\n");
-        for (i, series) in self.series.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"detector\": \"{}\", \"qubo_backed\": {}, \"points\": [\n",
-                series.detector, series.qubo_backed
-            ));
-            for (j, p) in series.points.iter().enumerate() {
-                s.push_str(&format!(
-                    "      {}{}\n",
-                    p.to_json_object(),
-                    if j + 1 < series.points.len() { "," } else { "" }
-                ));
-            }
-            s.push_str(&format!(
-                "    ]}}{}\n",
-                if i + 1 < self.series.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let doc = Json::object([
+            ("bench", "ber".into()),
+            (
+                "scenario",
+                Json::object([
+                    ("n_users", self.n_users.into()),
+                    ("n_rx", self.n_rx.into()),
+                    ("modulation", self.modulation.name().into()),
+                    ("channel", self.channel.name().into()),
+                    ("realizations", self.realizations.into()),
+                    ("seed", self.seed.into()),
+                ]),
+            ),
+            ("series", Vec::<DetectorSeries>::to_json(&self.series)),
+        ]);
+        // Each detector's points break onto their own lines too.
+        const SERIES: Layout =
+            Layout::Rows(&Layout::Line(&[("points", Layout::Rows(&Layout::Inline))]));
+        render(&doc, &Layout::Block(&[SCENARIO, ("series", SERIES)]))
     }
 }
 

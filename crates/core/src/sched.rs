@@ -27,8 +27,7 @@
 //! best-effort tier) and [`PriorityClass::Bulk`] (relaxed deadline,
 //! first to be evicted).
 
-use crate::spec::json::Json;
-use crate::spec::{check_keys, req, req_str, req_us, req_usize, SpecError};
+use crate::spec::codec::{named, record, Us};
 use crate::stream::CostModel;
 use crate::telemetry::LogHistogram;
 use hqw_math::Rng64;
@@ -107,18 +106,9 @@ impl PriorityClass {
         }
     }
 
-    /// Parses a canonical name.
-    ///
-    /// # Errors
-    /// Returns the offending string on anything but `"urllc"` / `"embb"` /
-    /// `"bulk"`.
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "urllc" => Ok(PriorityClass::Urllc),
-            "embb" => Ok(PriorityClass::Embb),
-            "bulk" => Ok(PriorityClass::Bulk),
-            other => Err(format!("unknown priority class {other:?}")),
-        }
+    /// Parses a [`PriorityClass::name`] back (`None` for unknown names).
+    pub fn from_name(name: &str) -> Option<Self> {
+        PriorityClass::ALL.into_iter().find(|c| c.name() == name)
     }
 
     /// Preemption rank: higher preempts lower, equal never preempts equal.
@@ -560,70 +550,23 @@ pub struct ClassReport {
     pub hist: LogHistogram,
 }
 
-impl ClassReport {
-    /// Serializes to the JSON object [`ClassReport::from_json`] parses
-    /// back exactly.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "class".to_string(),
-                Json::Str(self.class.name().to_string()),
-            ),
-            ("jobs".to_string(), Json::UInt(self.jobs as u64)),
-            ("misses".to_string(), Json::UInt(self.misses as u64)),
-            (
-                "mean_latency_us".to_string(),
-                Json::Float(self.mean_latency_us),
-            ),
-            (
-                "p50_latency_us".to_string(),
-                Json::Float(self.p50_latency_us),
-            ),
-            (
-                "p99_latency_us".to_string(),
-                Json::Float(self.p99_latency_us),
-            ),
-            ("hist".to_string(), self.hist.to_json()),
-        ])
-    }
+named!(PriorityClass, "priority class");
 
-    /// Parses a [`ClassReport::to_json`] document back.
-    ///
-    /// # Errors
-    /// Returns a [`SpecError`] on unknown keys, missing fields or an
-    /// unknown class name.
-    pub fn from_json(doc: &Json) -> Result<ClassReport, SpecError> {
-        let ctx = "ClassReport";
-        check_keys(
-            doc,
-            &[
-                "class",
-                "jobs",
-                "misses",
-                "mean_latency_us",
-                "p50_latency_us",
-                "p99_latency_us",
-                "hist",
-            ],
-            ctx,
-        )?;
-        let class = PriorityClass::parse(req_str(doc, "class", ctx)?)
-            .map_err(|e| SpecError::new(ctx, e))?;
-        Ok(ClassReport {
-            class,
-            jobs: req_usize(doc, "jobs", ctx)?,
-            misses: req_usize(doc, "misses", ctx)?,
-            mean_latency_us: req_us(doc, "mean_latency_us", ctx)?,
-            p50_latency_us: req_us(doc, "p50_latency_us", ctx)?,
-            p99_latency_us: req_us(doc, "p99_latency_us", ctx)?,
-            hist: LogHistogram::from_json(req(doc, "hist", ctx)?)?,
-        })
-    }
-}
+record!(ClassReport {
+    class: PriorityClass,
+    jobs: usize,
+    misses: usize,
+    mean_latency_us: Us,
+    p50_latency_us: Us,
+    p99_latency_us: Us,
+    hist: LogHistogram,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::codec::Record;
+    use crate::spec::json::Json;
 
     #[test]
     fn default_options_are_default() {
@@ -681,9 +624,9 @@ mod tests {
     #[test]
     fn class_names_round_trip() {
         for c in PriorityClass::ALL {
-            assert_eq!(PriorityClass::parse(c.name()).unwrap(), c);
+            assert_eq!(PriorityClass::from_name(c.name()), Some(c));
         }
-        assert!(PriorityClass::parse("gold").is_err());
+        assert_eq!(PriorityClass::from_name("gold"), None);
     }
 
     #[test]
@@ -808,14 +751,14 @@ mod tests {
             p99_latency_us: 980.0,
             hist,
         };
-        let back = ClassReport::from_json(&r.to_json()).unwrap();
+        let back = ClassReport::decode(&r.encode(), "class").unwrap();
         assert_eq!(back, r);
         // Unknown keys are rejected.
-        let mut doc = match r.to_json() {
+        let mut doc = match r.encode() {
             Json::Obj(fields) => fields,
             _ => unreachable!(),
         };
         doc.push(("extra".to_string(), Json::UInt(1)));
-        assert!(ClassReport::from_json(&Json::Obj(doc)).is_err());
+        assert!(ClassReport::decode(&Json::Obj(doc), "class").is_err());
     }
 }

@@ -26,11 +26,12 @@
 
 use crate::fabric::{render_coordinates, run_fabric, BackendMix, FabricConfig, FabricReport};
 use crate::grid::{check_coordinates, GridEngine};
-use crate::scenario::json_num;
+use crate::report::{render, Layout, SCENARIO};
 use crate::sched::{ClassMix, PriorityClass, SchedOptions, SchedPolicy};
 use crate::solver::item_seed;
+use crate::spec::codec::{record, Field, Record};
 use crate::spec::json::Json;
-use crate::spec::{check_keys, req, req_f64, req_str, req_usize, SpecError};
+use crate::spec::SpecError;
 use crate::stream::CostModel;
 use crate::telemetry::{Collector, LogHistogram};
 use hqw_phy::channel::TrackConfig;
@@ -180,46 +181,13 @@ pub struct SchedPointReport {
     pub adaptive: FabricReport,
 }
 
-impl SchedPointReport {
-    /// Renders the point as a single-line JSON object (the shard/checkpoint
-    /// payload and one entry of the report's `points` array).
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"workload\": \"{}\", \"n_cells\": {}, \"arrival_period_us\": {}, \
-             \"static\": {}, \"adaptive\": {}}}",
-            self.workload,
-            self.n_cells,
-            json_num(self.arrival_period_us),
-            self.static_arm.to_json_object(),
-            self.adaptive.to_json_object(),
-        )
-    }
-
-    /// Parses a [`SchedPointReport::to_json_object`] document back exactly.
-    pub(crate) fn from_json(o: &Json, ctx: &str) -> Result<SchedPointReport, SpecError> {
-        check_keys(
-            o,
-            &[
-                "workload",
-                "n_cells",
-                "arrival_period_us",
-                "static",
-                "adaptive",
-            ],
-            ctx,
-        )?;
-        Ok(SchedPointReport {
-            workload: req_str(o, "workload", ctx)?.to_string(),
-            n_cells: req_usize(o, "n_cells", ctx)?,
-            arrival_period_us: req_f64(o, "arrival_period_us", ctx)?,
-            static_arm: FabricReport::from_json(req(o, "static", ctx)?, &format!("{ctx}.static"))?,
-            adaptive: FabricReport::from_json(
-                req(o, "adaptive", ctx)?,
-                &format!("{ctx}.adaptive"),
-            )?,
-        })
-    }
-}
+record!(SchedPointReport {
+    workload: String,
+    n_cells: usize,
+    arrival_period_us: f64,
+    static_arm as "static": FabricReport,
+    adaptive: FabricReport,
+});
 
 /// Cross-point aggregate of one arm under one workload — what the CI gate
 /// reads and the results table prints. Derived entirely from the point
@@ -258,37 +226,23 @@ pub struct ClassSummary {
     pub p99_latency_us: f64,
 }
 
-impl ArmSummary {
-    fn to_json_object(&self) -> String {
-        let classes = self
-            .classes
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"class\": \"{}\", \"jobs\": {}, \"misses\": {}, \
-                     \"p99_latency_us\": {}}}",
-                    c.class.name(),
-                    c.jobs,
-                    c.misses,
-                    json_num(c.p99_latency_us)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"workload\": \"{}\", \"arm\": \"{}\", \"jobs\": {}, \
-             \"misses\": {}, \"fallback_rate\": {}, \"p99_latency_us\": {}, \
-             \"preemptions\": {}, \"classes\": [{classes}]}}",
-            self.workload,
-            self.arm,
-            self.jobs,
-            self.misses,
-            json_num(self.fallback_rate),
-            json_num(self.p99_latency_us),
-            self.preemptions,
-        )
-    }
-}
+record!(ArmSummary {
+    workload: String,
+    arm: String,
+    jobs: usize,
+    misses: usize,
+    fallback_rate: f64,
+    p99_latency_us: f64,
+    preemptions: u64,
+    classes: Vec<ClassSummary>,
+});
+
+record!(ClassSummary {
+    class: PriorityClass,
+    jobs: usize,
+    misses: usize,
+    p99_latency_us: f64,
+});
 
 /// The full adaptive-scheduling report: config echo, per-point reports, and
 /// the derived per-arm summaries.
@@ -393,45 +347,30 @@ impl SchedGridReport {
     /// `crates/bench/README.md`). Pure function of the report contents:
     /// byte-identical across runs, thread counts and shard partitions.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"sched\",\n  \"scenario\": {\n");
-        s.push_str(&format!("    \"n_users\": {},\n", self.n_users));
-        s.push_str(&format!("    \"n_rx\": {},\n", self.n_rx));
-        s.push_str(&format!("    \"modulation\": \"{}\",\n", self.modulation));
-        s.push_str(&format!(
-            "    \"noise_variance\": {},\n",
-            json_num(self.noise_variance)
-        ));
-        s.push_str(&format!(
-            "    \"frames_per_cell\": {},\n",
-            self.frames_per_cell
-        ));
-        s.push_str(&format!(
-            "    \"deadline_us\": {},\n",
-            json_num(self.deadline_us)
-        ));
-        s.push_str(&format!("    \"policy\": \"{}\",\n", self.policy));
-        s.push_str(&format!("    \"mix\": \"{}\",\n", self.mix));
-        s.push_str(&format!("    \"seed\": {}\n  }},\n", self.seed));
-        s.push_str("  \"summary\": [\n");
-        let summaries = self.summaries();
-        for (i, a) in summaries.iter().enumerate() {
-            s.push_str("    ");
-            s.push_str(&a.to_json_object());
-            s.push_str(if i + 1 < summaries.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n  \"points\": [\n");
-        for (i, point) in self.points.iter().enumerate() {
-            s.push_str("    ");
-            s.push_str(&point.to_json_object());
-            s.push_str(if i + 1 < self.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let doc = Json::object([
+            ("bench", "sched".into()),
+            (
+                "scenario",
+                Json::object([
+                    ("n_users", self.n_users.into()),
+                    ("n_rx", self.n_rx.into()),
+                    ("modulation", self.modulation.as_str().into()),
+                    ("noise_variance", self.noise_variance.into()),
+                    ("frames_per_cell", self.frames_per_cell.into()),
+                    ("deadline_us", self.deadline_us.into()),
+                    ("policy", self.policy.as_str().into()),
+                    ("mix", self.mix.as_str().into()),
+                    ("seed", self.seed.into()),
+                ]),
+            ),
+            ("summary", Vec::<ArmSummary>::to_json(&self.summaries())),
+            ("points", Vec::<SchedPointReport>::to_json(&self.points)),
+        ]);
+        const ROWS: Layout = Layout::Rows(&Layout::Inline);
+        render(
+            &doc,
+            &Layout::Block(&[SCENARIO, ("summary", ROWS), ("points", ROWS)]),
+        )
     }
 }
 
@@ -529,12 +468,8 @@ impl GridEngine for SchedGridConfig {
         units.pop().expect("one unit per sched point")
     }
 
-    fn encode(&self, point: &SchedPointReport) -> String {
-        point.to_json_object()
-    }
-
     fn decode(&self, id: usize, doc: &Json, ctx: &str) -> Result<SchedPointReport, SpecError> {
-        let point = SchedPointReport::from_json(doc, ctx)?;
+        let point = SchedPointReport::decode(doc, ctx)?;
         let (workload, cells_idx, period) = self.coordinates(id);
         check_coordinates(
             ctx,
@@ -638,8 +573,8 @@ mod tests {
         let report = run_grid(&quick_config(0), None);
         for p in report.points.iter().filter(|p| p.workload == "calibrated") {
             assert_eq!(
-                p.static_arm.to_json_object(),
-                p.adaptive.to_json_object(),
+                p.static_arm.encode().to_string_compact(),
+                p.adaptive.encode().to_string_compact(),
                 "calibrated arms diverged at cells={} period={}",
                 p.n_cells,
                 p.arrival_period_us
@@ -663,14 +598,14 @@ mod tests {
     }
 
     /// The report's points, encoded as shard/checkpoint records.
-    fn records(config: &SchedGridConfig, report: &SchedGridReport) -> Vec<PointRecord> {
+    fn records(report: &SchedGridReport) -> Vec<PointRecord> {
         report
             .points
             .iter()
             .enumerate()
             .map(|(id, point)| PointRecord {
                 id,
-                payload: config.encode(point),
+                payload: point.encode(),
             })
             .collect()
     }
@@ -679,7 +614,7 @@ mod tests {
     fn report_round_trips_through_points() {
         let config = quick_config(0);
         let report = run_grid(&config, None);
-        let rebuilt = assemble_records(&config, records(&config, &report)).expect("round trip");
+        let rebuilt = assemble_records(&config, records(&report)).expect("round trip");
         assert_eq!(rebuilt.to_json(), report.to_json());
     }
 
@@ -687,7 +622,7 @@ mod tests {
     fn from_points_rejects_mismatched_coordinates() {
         let config = quick_config(0);
         let report = run_grid(&config, None);
-        let mut points = records(&config, &report);
+        let mut points = records(&report);
         points.swap(0, 1);
         let (a, b) = (points[0].id, points[1].id);
         points[0].id = b;

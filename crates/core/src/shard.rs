@@ -29,9 +29,10 @@
 //! same spec at different seeds/scales) can never be mixed silently.
 
 use crate::grid::{check_point_ids, spec_grid};
-use crate::report::{PointRecord, Report};
+use crate::report::{render, Layout, PointRecord, Report};
+use crate::spec::codec::{decode_tagged, encode_tagged, record, Record};
 use crate::spec::json::Json;
-use crate::spec::{check_keys, req, req_str, req_u64, req_usize, ExperimentSpec, SpecError};
+use crate::spec::{ExperimentSpec, SpecError};
 
 /// Version of the shard/checkpoint document schemas this build reads and
 /// writes (documented in `crates/bench/README.md`). Bump on any
@@ -81,17 +82,8 @@ pub fn shard_ids(total: usize, index: usize, count: usize) -> Vec<usize> {
     (0..total).filter(|id| id % count == index - 1).collect()
 }
 
-/// Renders the spec's canonical JSON document in compact (single-line)
-/// form, for embedding in shard headers and checkpoint lines.
-fn compact_spec(spec: &ExperimentSpec) -> String {
-    Json::parse(&spec.to_json())
-        .expect("spec JSON is valid by construction")
-        .to_string_compact()
-}
-
 /// Rejects shard/checkpoint documents of another schema version.
-fn check_schema_version(doc: &Json, ctx: &str) -> Result<(), SpecError> {
-    let version = req_u64(doc, "schema_version", ctx)?;
+fn check_schema_version(version: u64, ctx: &str) -> Result<(), SpecError> {
     if version != SHARD_SCHEMA_VERSION {
         return Err(SpecError::new(
             ctx,
@@ -103,63 +95,93 @@ fn check_schema_version(doc: &Json, ctx: &str) -> Result<(), SpecError> {
     Ok(())
 }
 
-/// Parses the embedded spec subtree of a shard/checkpoint header and
-/// cross-checks it against the header's own tags.
+/// Reads the embedded spec of a shard/checkpoint header and cross-checks it
+/// against the header's own tags.
 fn parse_embedded_spec(
-    header: &Json,
+    spec: &Json,
+    experiment: &str,
+    fingerprint: &str,
+    total: usize,
     ctx: &str,
-) -> Result<(ExperimentSpec, String, usize), SpecError> {
-    let spec_doc = req(header, "spec", ctx)?.to_string_compact();
-    let spec = ExperimentSpec::parse(&spec_doc)
-        .map_err(|e| SpecError::new(ctx.to_string(), format!("embedded spec: {e}")))?;
-    let experiment = req_str(header, "experiment", ctx)?;
+) -> Result<ExperimentSpec, SpecError> {
+    let spec = ExperimentSpec::from_doc(spec)
+        .map_err(|e| SpecError::new(ctx, format!("embedded spec: {e}")))?;
     if experiment != spec.family() {
         return Err(SpecError::new(
-            ctx.to_string(),
+            ctx,
             format!(
                 "experiment tag '{experiment}' does not match the embedded spec family '{}'",
                 spec.family()
             ),
         ));
     }
-    let fingerprint = req_str(header, "fingerprint", ctx)?.to_string();
     let actual = spec_fingerprint(&spec);
     if fingerprint != actual {
         return Err(SpecError::new(
-            ctx.to_string(),
+            ctx,
             format!(
                 "fingerprint mismatch: document says {fingerprint} but the \
                  embedded spec hashes to {actual}"
             ),
         ));
     }
-    let total = req_usize(header, "total_points", ctx)?;
     let expected = grid_len(&spec)?;
     if total != expected {
         return Err(SpecError::new(
-            ctx.to_string(),
+            ctx,
             format!(
                 "total_points {total} does not match the embedded spec's \
                  grid ({expected} points)"
             ),
         ));
     }
-    Ok((spec, fingerprint, total))
-}
-
-/// Parses one `{"id": N, "point": {...}}` record object.
-fn parse_point_entry(doc: &Json, ctx: &str) -> Result<PointRecord, SpecError> {
-    check_keys(doc, &["id", "point"], ctx)?;
-    Ok(PointRecord {
-        id: req_usize(doc, "id", ctx)?,
-        payload: req(doc, "point", ctx)?.to_string_compact(),
-    })
+    Ok(spec)
 }
 
 /// The record ids, in order.
 fn record_ids(points: &[PointRecord]) -> Vec<usize> {
     points.iter().map(|p| p.id).collect()
 }
+
+/// The tag that marks a shard document.
+const SHARD_TAG: (&str, &str) = ("bench", "shard");
+
+/// The tag that marks a checkpoint journal's header line.
+const CHECKPOINT_TAG: (&str, &str) = ("checkpoint", "hqw");
+
+record!(
+    /// A shard document's wire form behind its [`SHARD_TAG`] (schema in
+    /// `crates/bench/README.md`).
+    struct ShardDoc {
+        schema_version: u64,
+        experiment: String,
+        fingerprint: String,
+        shard: ShardCoords,
+        total_points: usize,
+        point_ids: Vec<usize>,
+        spec: Json,
+        points: Vec<PointRecord>,
+    }
+);
+
+record!(
+    /// Which slice of the partition a shard is.
+    struct ShardCoords {
+        index: usize,
+        count: usize,
+    }
+);
+
+record!(
+    /// Line 1 of a checkpoint journal, behind its [`CHECKPOINT_TAG`].
+    struct CheckpointHeader {
+        schema_version: u64,
+        experiment: String,
+        fingerprint: String,
+        total_points: usize,
+        spec: Json,
+    }
+);
 
 /// One shard's output: the spec it was cut from, which slice it is, and the
 /// completed point records. `hqw run --shard k/N` writes one; `hqw merge`
@@ -216,39 +238,24 @@ impl ShardReport {
     /// Renders the shard document (schema in `crates/bench/README.md`).
     /// Pure function of the shard contents.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"shard\",\n");
-        s.push_str(&format!("  \"schema_version\": {SHARD_SCHEMA_VERSION},\n"));
-        s.push_str(&format!("  \"experiment\": \"{}\",\n", self.spec.family()));
-        s.push_str(&format!("  \"fingerprint\": \"{}\",\n", self.fingerprint));
-        s.push_str(&format!(
-            "  \"shard\": {{\"index\": {}, \"count\": {}}},\n",
-            self.index, self.count
-        ));
-        s.push_str(&format!("  \"total_points\": {},\n", self.total_points));
-        let ids = self
-            .points
-            .iter()
-            .map(|p| p.id.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        s.push_str(&format!("  \"point_ids\": [{ids}],\n"));
-        s.push_str(&format!("  \"spec\": {},\n", compact_spec(&self.spec)));
-        if self.points.is_empty() {
-            s.push_str("  \"points\": []\n}\n");
-        } else {
-            s.push_str("  \"points\": [\n");
-            for (i, p) in self.points.iter().enumerate() {
-                s.push_str(&format!(
-                    "    {{\"id\": {}, \"point\": {}}}{}\n",
-                    p.id,
-                    p.payload,
-                    if i + 1 < self.points.len() { "," } else { "" }
-                ));
-            }
-            s.push_str("  ]\n}\n");
-        }
-        s
+        let doc = ShardDoc {
+            schema_version: SHARD_SCHEMA_VERSION,
+            experiment: self.spec.family().to_string(),
+            fingerprint: self.fingerprint.clone(),
+            shard: ShardCoords {
+                index: self.index,
+                count: self.count,
+            },
+            total_points: self.total_points,
+            point_ids: record_ids(&self.points),
+            spec: self.spec.to_doc(),
+            points: self.points.clone(),
+        };
+        // One record per line; an empty shard writes `[]`.
+        const POINTS: &[(&str, Layout)] = &[("points", Layout::Rows(&Layout::Inline))];
+        let rows = if self.points.is_empty() { &[] } else { POINTS };
+        let (tag, value) = SHARD_TAG;
+        render(&encode_tagged(tag, value, &doc), &Layout::Block(rows))
     }
 
     /// Parses a [`ShardReport::to_json`] document back, re-validating the
@@ -260,66 +267,31 @@ impl ShardReport {
     /// inconsistent point ids.
     pub fn parse(text: &str) -> Result<ShardReport, SpecError> {
         let ctx = "shard document";
-        let doc = Json::parse(text).map_err(|e| SpecError::new(ctx, e.to_string()))?;
-        check_keys(
-            &doc,
-            &[
-                "bench",
-                "schema_version",
-                "experiment",
-                "fingerprint",
-                "shard",
-                "total_points",
-                "point_ids",
-                "spec",
-                "points",
-            ],
+        let json = Json::parse(text).map_err(|e| SpecError::new(ctx, e.to_string()))?;
+        let doc: ShardDoc = decode_tagged(
+            &json,
+            SHARD_TAG,
+            "not a shard document (bench != \"shard\")",
             ctx,
         )?;
-        if req_str(&doc, "bench", ctx)? != "shard" {
-            return Err(SpecError::new(
-                ctx,
-                "not a shard document (bench != \"shard\")",
-            ));
-        }
-        check_schema_version(&doc, ctx)?;
-        let (spec, fingerprint, total_points) = parse_embedded_spec(&doc, ctx)?;
-        let shard = req(&doc, "shard", ctx)?;
-        let shard_ctx = &format!("{ctx}.shard");
-        check_keys(shard, &["index", "count"], shard_ctx)?;
-        let index = req_usize(shard, "index", shard_ctx)?;
-        let count = req_usize(shard, "count", shard_ctx)?;
+        check_schema_version(doc.schema_version, ctx)?;
+        let spec = parse_embedded_spec(
+            &doc.spec,
+            &doc.experiment,
+            &doc.fingerprint,
+            doc.total_points,
+            ctx,
+        )?;
+        let ShardCoords { index, count } = doc.shard;
         if index < 1 || index > count {
             return Err(SpecError::new(
-                shard_ctx.clone(),
+                format!("{ctx}.shard"),
                 format!("shard index must satisfy 1 <= index ({index}) <= count ({count})"),
             ));
         }
-        let points = req(&doc, "points", ctx)?
-            .as_arr()
-            .ok_or_else(|| SpecError::new(ctx, "field \"points\" must be an array"))?
-            .iter()
-            .enumerate()
-            .map(|(i, p)| parse_point_entry(p, &format!("{ctx}.points[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let actual = record_ids(&points);
-        check_point_ids(&actual, total_points, ctx)?;
-        let declared = req(&doc, "point_ids", ctx)?
-            .as_arr()
-            .ok_or_else(|| SpecError::new(ctx, "field \"point_ids\" must be an array"))?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|u| usize::try_from(u).ok())
-                    .ok_or_else(|| {
-                        SpecError::new(
-                            ctx,
-                            "field \"point_ids\" must contain only unsigned integers",
-                        )
-                    })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        if declared != actual {
+        let actual = record_ids(&doc.points);
+        check_point_ids(&actual, doc.total_points, ctx)?;
+        if doc.point_ids != actual {
             return Err(SpecError::new(
                 ctx,
                 "point_ids header does not match the points array",
@@ -327,11 +299,11 @@ impl ShardReport {
         }
         Ok(ShardReport {
             spec,
-            fingerprint,
+            fingerprint: doc.fingerprint,
             index,
             count,
-            total_points,
-            points,
+            total_points: doc.total_points,
+            points: doc.points,
         })
     }
 }
@@ -427,20 +399,20 @@ impl Checkpoint {
     /// # Errors
     /// Returns a [`SpecError`] for specs without a shardable grid.
     pub fn header_line(spec: &ExperimentSpec) -> Result<String, SpecError> {
-        let total = grid_len(spec)?;
-        Ok(format!(
-            "{{\"checkpoint\": \"hqw\", \"schema_version\": {SHARD_SCHEMA_VERSION}, \
-             \"experiment\": \"{}\", \"fingerprint\": \"{}\", \
-             \"total_points\": {total}, \"spec\": {}}}",
-            spec.family(),
-            spec_fingerprint(spec),
-            compact_spec(spec)
-        ))
+        let header = CheckpointHeader {
+            schema_version: SHARD_SCHEMA_VERSION,
+            experiment: spec.family().to_string(),
+            fingerprint: spec_fingerprint(spec),
+            total_points: grid_len(spec)?,
+            spec: spec.to_doc(),
+        };
+        let (tag, value) = CHECKPOINT_TAG;
+        Ok(encode_tagged(tag, value, &header).to_string_compact())
     }
 
     /// Renders one completed point as a journal line (no trailing newline).
     pub fn point_line(record: &PointRecord) -> String {
-        format!("{{\"id\": {}, \"point\": {}}}", record.id, record.payload)
+        record.encode().to_string_compact()
     }
 
     /// Parses a journal back. A torn trailing line (the run was killed
@@ -456,25 +428,18 @@ impl Checkpoint {
         let header_text = lines
             .next()
             .ok_or_else(|| SpecError::new(ctx, "empty checkpoint file"))?;
-        let header =
+        let json =
             Json::parse(header_text).map_err(|e| SpecError::new(ctx, format!("line 1: {e}")))?;
-        check_keys(
-            &header,
-            &[
-                "checkpoint",
-                "schema_version",
-                "experiment",
-                "fingerprint",
-                "total_points",
-                "spec",
-            ],
+        let header: CheckpointHeader =
+            decode_tagged(&json, CHECKPOINT_TAG, "not an hqw checkpoint", ctx)?;
+        check_schema_version(header.schema_version, ctx)?;
+        let spec = parse_embedded_spec(
+            &header.spec,
+            &header.experiment,
+            &header.fingerprint,
+            header.total_points,
             ctx,
         )?;
-        if req_str(&header, "checkpoint", ctx)? != "hqw" {
-            return Err(SpecError::new(ctx, "not an hqw checkpoint"));
-        }
-        check_schema_version(&header, ctx)?;
-        let (spec, fingerprint, total_points) = parse_embedded_spec(&header, ctx)?;
         let rest: Vec<&str> = lines.collect();
         let mut points = Vec::new();
         for (i, line) in rest.iter().enumerate() {
@@ -488,14 +453,14 @@ impl Checkpoint {
                     return Err(SpecError::new(ctx, format!("line {}: {e}", i + 2)));
                 }
             };
-            points.push(parse_point_entry(&doc, &format!("{ctx} line {}", i + 2))?);
+            points.push(PointRecord::decode(&doc, &format!("{ctx} line {}", i + 2))?);
         }
         points.sort_by_key(|p| p.id);
-        check_point_ids(&record_ids(&points), total_points, ctx)?;
+        check_point_ids(&record_ids(&points), header.total_points, ctx)?;
         Ok(Checkpoint {
             spec,
-            fingerprint,
-            total_points,
+            fingerprint: header.fingerprint,
+            total_points: header.total_points,
             points,
         })
     }

@@ -1,11 +1,17 @@
-//! Minimal, offline-safe JSON tree used by the experiment-spec layer.
+//! Minimal, offline-safe JSON tree: the one document model every spec,
+//! report, shard document, checkpoint journal and trace file is written
+//! and read through.
 //!
-//! The build environment has no crates-io access, so the spec
-//! parser/serializer is hand-rolled against this small document model. It
-//! supports exactly the JSON subset specs need — objects, arrays, strings,
-//! booleans, `null` and numbers — and keeps two number representations so
-//! 64-bit seeds survive a round trip without drifting through `f64`
-//! (`u64::MAX` is not representable as a double).
+//! The build environment has no crates-io access, so the parser and
+//! writer are hand-rolled. The model holds exactly the JSON subset the
+//! workspace needs — objects, arrays, strings, booleans, `null` and
+//! numbers — and keeps two number representations so 64-bit seeds survive
+//! a round trip without drifting through `f64` (`u64::MAX` is not
+//! representable as a double). Floats print in their shortest round-trip
+//! form and every string goes through one escaper, so any document this
+//! module writes parses back to the same tree. The field-table codec in
+//! [`super::codec`] maps records onto this tree; the layout writer in
+//! `crate::report` decides where its lines break.
 //!
 //! Parsing errors carry a byte offset and a human-readable message; the
 //! `hqw` runner surfaces them verbatim with exit status 2.
@@ -13,7 +19,11 @@
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is document equality: numbers compare by their written text,
+/// so `Float(3.0)` (written `3`) equals the `UInt(3)` that text parses
+/// back to.
+#[derive(Debug, Clone)]
 pub enum Json {
     /// `null`.
     Null,
@@ -31,6 +41,23 @@ pub enum Json {
     /// An object, in insertion order (specs are small; a vec keeps the
     /// serializer deterministic without a map dependency).
     Obj(Vec<(String, Json)>),
+}
+
+impl PartialEq for Json {
+    fn eq(&self, other: &Json) -> bool {
+        match (self, other) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::Str(a), Json::Str(b)) => a == b,
+            (Json::Arr(a), Json::Arr(b)) => a == b,
+            (Json::Obj(a), Json::Obj(b)) => a == b,
+            (Json::UInt(a), Json::UInt(b)) => a == b,
+            (Json::UInt(_) | Json::Float(_), Json::UInt(_) | Json::Float(_)) => {
+                self.to_string_compact() == other.to_string_compact()
+            }
+            _ => false,
+        }
+    }
 }
 
 /// A JSON syntax error: byte offset plus message.
@@ -51,6 +78,16 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Parses a complete JSON document (rejects trailing garbage).
     ///
     /// # Errors
@@ -171,7 +208,8 @@ impl Json {
         }
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Appends the one-line rendering (as [`Json::to_string_compact`]).
+    pub(crate) fn write_compact(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -215,7 +253,9 @@ fn pad(out: &mut String, indent: usize) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a quoted, escaped JSON string — the one escaper every
+/// document goes through.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -231,6 +271,30 @@ fn write_string(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::UInt(v)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::UInt(v as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Float(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
 }
 
 struct Parser<'a> {

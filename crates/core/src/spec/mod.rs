@@ -10,11 +10,13 @@
 //!   ([`StreamGridConfig`]), a compute-fabric sweep ([`FabricGridConfig`]),
 //!   or one of the canned figure experiments ([`CannedKind`] + a
 //!   [`Scale`]).
-//! * [`ExperimentSpec::to_json`] / [`ExperimentSpec::parse`] — a
-//!   hand-rolled, offline-safe JSON serializer/parser (the build
-//!   environment has no crates-io access) over the [`json`] document
-//!   model. `parse(serialize(spec)) == spec` is property-tested in
-//!   `tests/spec_proptests.rs`.
+//! * [`ExperimentSpec::to_json`] / [`ExperimentSpec::parse`] — the spec
+//!   document, written and read through the field tables at the bottom of
+//!   this module: one line per wire key, declared with the [`codec`]
+//!   macros over the [`json`] document model (the build environment has
+//!   no crates-io access). `parse(serialize(spec)) == spec` is
+//!   property-tested in `tests/spec_proptests.rs`, and the registry's
+//!   fingerprints pin the bytes.
 //! * [`SpecError`] — the shared validation error every config's
 //!   `validate()` returns, replacing the old ad-hoc assert/panic mix
 //!   (panicking `validate_or_panic` shims remain for the engine
@@ -25,6 +27,7 @@
 //! file into one. The spec document format is versioned through
 //! [`SPEC_VERSION`] and documented in `crates/bench/README.md`.
 
+pub mod codec;
 pub mod json;
 
 use crate::experiments::Scale;
@@ -36,6 +39,7 @@ use crate::scenario::SnrSweepConfig;
 use crate::sched::{ClassMix, SchedOptions, SchedPolicy};
 use crate::sched_grid::SchedGridConfig;
 use crate::stream::{CostModel, DispatchPolicy, StreamGridConfig};
+use codec::{named, record, tagged, Derived, Field, Omit, OrDefault, Record};
 use hqw_phy::channel::{ChannelModel, TrackConfig};
 use hqw_phy::modulation::Modulation;
 use hqw_qubo::pt::PtParams;
@@ -92,10 +96,12 @@ impl std::error::Error for SpecError {}
 /// The canned (fixed-shape) figure experiments: each reproduces one
 /// figure/claim of the paper at a chosen [`Scale`]. The grid-style
 /// experiments (`ber`/`stream`/`fabric`) are *not* canned — their whole
-/// configuration is spec data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// configuration is spec data. The default only stands in while a spec
+/// document is read: the kind comes from the document's `experiment` tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CannedKind {
     /// Figure 3: QUBO-simplification preprocessing sweep.
+    #[default]
     Fig3,
     /// Figure 4 / §3.1: soft-information constraints under ICE noise.
     Fig4SoftInfo,
@@ -298,19 +304,25 @@ impl ExperimentSpec {
     /// format, trailing newline). [`ExperimentSpec::parse`] reads it back
     /// exactly: `parse(to_json(spec)) == spec`.
     pub fn to_json(&self) -> String {
+        self.to_doc().to_string_pretty()
+    }
+
+    /// The spec document as a JSON tree — the form shard documents,
+    /// checkpoint headers and trace files embed.
+    pub fn to_doc(&self) -> Json {
         let config = match self {
-            ExperimentSpec::Ber(c) => ber_json(c),
-            ExperimentSpec::Stream(c) => stream_json(c),
-            ExperimentSpec::Fabric(c) => fabric_json(c),
-            ExperimentSpec::Sched(c) => sched_grid_json(c),
-            ExperimentSpec::Canned(c) => canned_json(c),
+            ExperimentSpec::Ber(c) => c.encode(),
+            ExperimentSpec::Stream(c) => c.encode(),
+            ExperimentSpec::Fabric(c) => c.encode(),
+            ExperimentSpec::Sched(c) => c.encode(),
+            ExperimentSpec::Canned(c) => c.encode(),
         };
-        obj(vec![
-            ("spec_version", Json::UInt(SPEC_VERSION)),
-            ("experiment", Json::Str(self.family().to_string())),
-            ("config", config),
-        ])
-        .to_string_pretty()
+        SpecDoc {
+            spec_version: SPEC_VERSION,
+            experiment: self.family().to_string(),
+            config,
+        }
+        .encode()
     }
 
     /// Parses and validates a spec JSON document.
@@ -321,27 +333,65 @@ impl ExperimentSpec {
     /// mistyped fields, or a configuration that fails `validate()`.
     pub fn parse(text: &str) -> Result<ExperimentSpec, SpecError> {
         let doc = Json::parse(text).map_err(|e| SpecError::new("spec", e.to_string()))?;
-        let ctx = "spec";
-        check_keys(&doc, &["spec_version", "experiment", "config"], ctx)?;
-        let version = req_u64(&doc, "spec_version", ctx)?;
-        if version != SPEC_VERSION {
+        ExperimentSpec::from_doc(&doc)
+    }
+
+    /// Reads and validates a spec document tree ([`ExperimentSpec::to_doc`]
+    /// output).
+    ///
+    /// # Errors
+    /// As [`ExperimentSpec::parse`], less the syntax errors.
+    pub fn from_doc(doc: &Json) -> Result<ExperimentSpec, SpecError> {
+        let SpecDoc {
+            spec_version,
+            experiment,
+            config,
+        } = SpecDoc::decode(doc, "spec")?;
+        if spec_version != SPEC_VERSION {
             return Err(SpecError::new(
-                ctx,
-                format!("unsupported spec_version {version} (this build reads {SPEC_VERSION})"),
+                "spec",
+                format!(
+                    "unsupported spec_version {spec_version} (this build reads {SPEC_VERSION})"
+                ),
             ));
         }
-        let experiment = req_str(&doc, "experiment", ctx)?.to_string();
-        let config = req(&doc, "config", ctx)?;
+        let ctx = &format!("spec.config ({experiment})");
         let spec = match experiment.as_str() {
-            "ber" => ExperimentSpec::Ber(parse_ber(config)?),
-            "stream" => ExperimentSpec::Stream(parse_stream(config)?),
-            "fabric" => ExperimentSpec::Fabric(parse_fabric(config, false)?),
-            "fabric-rt" => ExperimentSpec::Fabric(parse_fabric(config, true)?),
-            "sched" => ExperimentSpec::Sched(parse_sched_grid(config)?),
+            "ber" => ExperimentSpec::Ber(Record::decode(&config, ctx)?),
+            "stream" => ExperimentSpec::Stream(Record::decode(&config, ctx)?),
+            "fabric" => {
+                let config = FabricGridConfig::decode(&config, ctx)?;
+                if config.mode != FabricMode::Virtual {
+                    return Err(SpecError::new(
+                        ctx,
+                        "\"realtime\" settings on a virtual fabric spec \
+                         (use experiment \"fabric-rt\")",
+                    ));
+                }
+                ExperimentSpec::Fabric(config)
+            }
+            "fabric-rt" => {
+                let mut config = FabricGridConfig::decode(&config, ctx)?;
+                if config.mode == FabricMode::Virtual {
+                    // Realtime with the default thread topology.
+                    config.mode = FabricMode::Realtime(RealtimeConfig {
+                        producers: 2,
+                        queue_shards: 2,
+                    });
+                }
+                ExperimentSpec::Fabric(config)
+            }
+            "sched" => ExperimentSpec::Sched(Record::decode(&config, ctx)?),
             other => match CannedKind::from_name(other) {
-                Some(kind) => ExperimentSpec::Canned(parse_canned(kind, config)?),
+                Some(experiment) => ExperimentSpec::Canned(CannedSpec {
+                    experiment,
+                    ..Record::decode(&config, ctx)?
+                }),
                 None => {
-                    return Err(SpecError::new(ctx, format!("unknown experiment '{other}'")));
+                    return Err(SpecError::new(
+                        "spec",
+                        format!("unknown experiment '{other}'"),
+                    ));
                 }
             },
         };
@@ -351,923 +401,239 @@ impl ExperimentSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization (struct → Json)
+// The wire tables: one line per key, in document order
 // ---------------------------------------------------------------------------
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn uint(v: usize) -> Json {
-    Json::UInt(v as u64)
-}
-
-fn num(v: f64) -> Json {
-    Json::Float(v)
-}
-
-fn f64_arr(values: &[f64]) -> Json {
-    Json::Arr(values.iter().map(|&v| num(v)).collect())
-}
-
-fn usize_arr(values: &[usize]) -> Json {
-    Json::Arr(values.iter().map(|&v| uint(v)).collect())
-}
-
-fn ber_json(c: &SnrSweepConfig) -> Json {
-    obj(vec![
-        ("n_users", uint(c.n_users)),
-        ("n_rx", uint(c.n_rx)),
-        ("modulation", Json::Str(c.modulation.name().to_string())),
-        ("channel", Json::Str(c.channel.name().to_string())),
-        ("snr_db", f64_arr(&c.snr_db)),
-        ("realizations", uint(c.realizations)),
-        ("seed", Json::UInt(c.seed)),
-        ("threads", uint(c.threads)),
-    ])
-}
-
-fn track_json(t: &TrackConfig) -> Json {
-    obj(vec![
-        ("n_users", uint(t.n_users)),
-        ("n_rx", uint(t.n_rx)),
-        ("modulation", Json::Str(t.modulation.name().to_string())),
-        ("rho", num(t.rho)),
-        ("noise_variance", num(t.noise_variance)),
-    ])
-}
-
-fn cost_json(c: &CostModel) -> Json {
-    obj(vec![
-        ("base_us", num(c.base_us)),
-        ("us_per_node", num(c.us_per_node)),
-        ("us_per_sweep", num(c.us_per_sweep)),
-    ])
-}
-
-fn sa_json(s: &SaParams) -> Json {
-    obj(vec![
-        ("beta_initial", num(s.beta_initial)),
-        ("beta_final", num(s.beta_final)),
-        ("sweeps", uint(s.sweeps)),
-        ("num_reads", uint(s.num_reads)),
-        ("threads", uint(s.threads)),
-    ])
-}
-
-fn stream_json(c: &StreamGridConfig) -> Json {
-    obj(vec![
-        ("track", track_json(&c.track)),
-        ("frames", uint(c.frames)),
-        ("arrival_periods_us", f64_arr(&c.arrival_periods_us)),
-        ("rhos", f64_arr(&c.rhos)),
-        (
-            "policies",
-            Json::Arr(
-                c.policies
-                    .iter()
-                    .map(|p| Json::Str(p.name().to_string()))
-                    .collect(),
-            ),
-        ),
-        ("deadline_us", num(c.deadline_us)),
-        ("cost", cost_json(&c.cost)),
-        ("sa", sa_json(&c.sa)),
-        ("seed", Json::UInt(c.seed)),
-        ("threads", uint(c.threads)),
-    ])
-}
-
-fn annealer_fields(c: &AnnealerConfig) -> Vec<(&'static str, Json)> {
-    vec![
-        ("num_reads", uint(c.num_reads)),
-        ("anneal_us", num(c.anneal_us)),
-        ("sweeps_per_us", uint(c.sweeps_per_us)),
-        ("capacity", uint(c.capacity)),
-        ("max_batch", uint(c.max_batch)),
-    ]
-}
-
-fn backend_json(b: &BackendSpec) -> Json {
-    match b {
-        BackendSpec::SaPool(c) => obj(vec![
-            ("backend", Json::Str("sa-pool".to_string())),
-            ("workers", uint(c.workers)),
-            ("max_batch", uint(c.max_batch)),
-            ("sa", sa_json(&c.sa)),
-        ]),
-        BackendSpec::Pimc(c) => {
-            let mut fields = vec![("backend", Json::Str("pimc".to_string()))];
-            fields.extend(annealer_fields(c));
-            obj(fields)
-        }
-        BackendSpec::Svmc(c) => {
-            let mut fields = vec![("backend", Json::Str("svmc".to_string()))];
-            fields.extend(annealer_fields(c));
-            obj(fields)
-        }
-        BackendSpec::Pt(c) => obj(vec![
-            ("backend", Json::Str("pt".to_string())),
-            ("workers", uint(c.workers)),
-            ("max_batch", uint(c.max_batch)),
-            (
-                "pt",
-                obj(vec![
-                    ("replicas", uint(c.pt.replicas)),
-                    ("sweeps", uint(c.pt.sweeps)),
-                    ("swap_interval", uint(c.pt.swap_interval)),
-                    ("beta_min", num(c.pt.beta_min)),
-                    ("beta_max", num(c.pt.beta_max)),
-                ]),
-            ),
-        ]),
-        BackendSpec::Tabu(c) => obj(vec![
-            ("backend", Json::Str("tabu".to_string())),
-            ("workers", uint(c.workers)),
-            ("max_batch", uint(c.max_batch)),
-            (
-                "tabu",
-                obj(vec![
-                    ("tenure", uint(c.tabu.tenure)),
-                    ("max_iters", uint(c.tabu.max_iters)),
-                    ("stall_limit", uint(c.tabu.stall_limit)),
-                ]),
-            ),
-        ]),
-        BackendSpec::MockQpu(c) => obj(vec![
-            ("backend", Json::Str("mock-qpu".to_string())),
-            ("num_reads", uint(c.num_reads)),
-            ("anneal_us", num(c.anneal_us)),
-            ("sweeps_per_us", uint(c.sweeps_per_us)),
-            ("trotter_slices", uint(c.trotter_slices)),
-            ("max_batch", uint(c.max_batch)),
-            (
-                "network",
-                obj(vec![
-                    ("rtt_base_us", num(c.network.rtt_base_us)),
-                    ("jitter_us", num(c.network.jitter_us)),
-                ]),
-            ),
-            ("programming_us", num(c.programming_us)),
-            (
-                "embed_derive_us_per_qubit",
-                num(c.embed_derive_us_per_qubit),
-            ),
-            ("chain_strength", num(c.chain_strength)),
-        ]),
+record!(
+    /// The spec document's envelope; `config` is read by the family's table.
+    struct SpecDoc {
+        spec_version: u64,
+        experiment: String,
+        config: Json,
     }
-}
+);
 
-fn arrival_json(a: &ArrivalProcess) -> Json {
-    let mut fields = vec![("process", Json::Str(a.name().to_string()))];
-    match *a {
-        ArrivalProcess::Periodic => {}
-        ArrivalProcess::Bursty { burst } => fields.push(("burst", uint(burst))),
-        ArrivalProcess::Diurnal {
-            amplitude,
-            cycle_frames,
-        } => {
-            fields.push(("amplitude", num(amplitude)));
-            fields.push(("cycle_frames", uint(cycle_frames)));
-        }
-        ArrivalProcess::HeavyTailed { alpha } => fields.push(("alpha", num(alpha))),
-    }
-    obj(fields)
-}
+named!(Modulation, "modulation");
+named!(ChannelModel, "channel");
+named!(DispatchPolicy, "policy");
 
-fn mix_json(m: &BackendMix) -> Json {
-    obj(vec![
-        ("name", Json::Str(m.name.clone())),
-        (
-            "backends",
-            Json::Arr(m.backends.iter().map(backend_json).collect()),
-        ),
-    ])
-}
+record!(SnrSweepConfig {
+    n_users: usize,
+    n_rx: usize,
+    modulation: Modulation,
+    channel: ChannelModel,
+    snr_db: Vec<f64>,
+    realizations: usize,
+    seed: u64,
+    threads: usize,
+});
 
-fn class_mix_json(c: &ClassMix) -> Json {
-    obj(vec![
-        ("urllc", Json::UInt(u64::from(c.urllc))),
-        ("embb", Json::UInt(u64::from(c.embb))),
-        ("bulk", Json::UInt(u64::from(c.bulk))),
-    ])
-}
+record!(TrackConfig {
+    n_users: usize,
+    n_rx: usize,
+    modulation: Modulation,
+    rho: f64,
+    noise_variance: f64,
+});
 
-fn policy_json(p: &SchedPolicy) -> Json {
-    let mut fields = vec![("name", Json::Str(p.name().to_string()))];
-    match *p {
-        SchedPolicy::Static => {}
-        SchedPolicy::Ewma { shift } => fields.push(("shift", Json::UInt(u64::from(shift)))),
-        SchedPolicy::Ucb { explore_milli } => {
-            fields.push(("explore_milli", Json::UInt(u64::from(explore_milli))));
+record!(CostModel {
+    base_us: f64,
+    us_per_node: f64,
+    us_per_sweep: f64,
+});
+
+record!(SaParams {
+    beta_initial: f64,
+    beta_final: f64,
+    sweeps: usize,
+    num_reads: usize,
+    threads: usize,
+});
+
+record!(StreamGridConfig {
+    track: TrackConfig,
+    frames: usize,
+    arrival_periods_us: Vec<f64>,
+    rhos: Vec<f64>,
+    policies: Vec<DispatchPolicy>,
+    deadline_us: f64,
+    cost: CostModel,
+    sa: SaParams,
+    seed: u64,
+    threads: usize,
+});
+
+record!(SaPoolConfig {
+    workers: usize,
+    max_batch: usize,
+    sa: SaParams,
+});
+
+record!(AnnealerConfig {
+    num_reads: usize,
+    anneal_us: f64,
+    sweeps_per_us: usize,
+    capacity: usize,
+    max_batch: usize,
+});
+
+record!(PtParams {
+    replicas: usize,
+    sweeps: usize,
+    swap_interval: usize,
+    beta_min: f64,
+    beta_max: f64,
+});
+
+record!(PtConfig {
+    workers: usize,
+    max_batch: usize,
+    pt: PtParams,
+});
+
+record!(TabuParams {
+    tenure: usize,
+    max_iters: usize,
+    stall_limit: usize,
+});
+
+record!(TabuConfig {
+    workers: usize,
+    max_batch: usize,
+    tabu: TabuParams,
+});
+
+record!(NetworkModel {
+    rtt_base_us: f64,
+    jitter_us: f64,
+});
+
+record!(MockQpuConfig {
+    num_reads: usize,
+    anneal_us: f64,
+    sweeps_per_us: usize,
+    trotter_slices: usize,
+    max_batch: usize,
+    network: NetworkModel,
+    programming_us: f64,
+    embed_derive_us_per_qubit: f64,
+    chain_strength: f64,
+});
+
+tagged!(BackendSpec by "backend", "backend" {
+    "sa-pool" => SaPool(SaPoolConfig),
+    "pimc" => Pimc(AnnealerConfig),
+    "svmc" => Svmc(AnnealerConfig),
+    "pt" => Pt(PtConfig),
+    "tabu" => Tabu(TabuConfig),
+    "mock-qpu" => MockQpu(MockQpuConfig),
+});
+
+record!(BackendMix {
+    name: String,
+    backends: Vec<BackendSpec>,
+});
+
+tagged!(ArrivalProcess by "process", "arrival process" {
+    "periodic" => Periodic {},
+    "bursty" => Bursty { burst: usize },
+    "diurnal" => Diurnal { amplitude: f64, cycle_frames: usize },
+    "heavy-tailed" => HeavyTailed { alpha: f64 },
+});
+
+record!(ClassMix {
+    urllc: u32,
+    embb: u32,
+    bulk: u32,
+});
+
+tagged!(SchedPolicy by "name", "scheduling policy" {
+    "static" => Static {},
+    "ewma" => Ewma { shift: u32 },
+    "ucb" => Ucb { explore_milli: u32 },
+});
+
+// Inside the stanza every knob may be left out; the policy is still
+// written, as it always was.
+record!(SchedOptions {
+    policy: OrDefault<SchedPolicy>,
+    assumed_cost: Option<CostModel>,
+    classes: Omit<ClassMix>,
+});
+
+record!(RealtimeConfig {
+    producers: usize,
+    queue_shards: usize,
+});
+
+/// A fabric's mode travels as its `realtime` stanza (the thread topology),
+/// written for realtime configs only; the `experiment` tag says which mode
+/// a document must have.
+impl Field for FabricMode {
+    type Value = FabricMode;
+    fn to_json(value: &FabricMode) -> Json {
+        match value {
+            FabricMode::Virtual => Json::Null,
+            FabricMode::Realtime(rt) => rt.encode(),
         }
     }
-    obj(fields)
-}
-
-fn sched_opts_json(s: &SchedOptions) -> Json {
-    let mut fields = vec![("policy", policy_json(&s.policy))];
-    if let Some(c) = &s.assumed_cost {
-        fields.push(("assumed_cost", cost_json(c)));
+    fn from_json(json: &Json, key: &str, ctx: &str) -> Result<FabricMode, SpecError> {
+        RealtimeConfig::from_json(json, key, ctx).map(FabricMode::Realtime)
     }
-    if !s.classes.is_default() {
-        fields.push(("classes", class_mix_json(&s.classes)));
+    fn write(value: &FabricMode) -> Option<Json> {
+        (*value != FabricMode::Virtual).then(|| Self::to_json(value))
     }
-    obj(fields)
-}
-
-fn fabric_json(c: &FabricGridConfig) -> Json {
-    let mut fields = vec![
-        ("track", track_json(&c.track)),
-        ("frames_per_cell", uint(c.frames_per_cell)),
-        ("cell_counts", usize_arr(&c.cell_counts)),
-        ("arrival_periods_us", f64_arr(&c.arrival_periods_us)),
-        ("mixes", Json::Arr(c.mixes.iter().map(mix_json).collect())),
-    ];
-    // Periodic is the implicit default: pre-arrival fabric specs stay
-    // parseable and serialize unchanged.
-    if c.arrival != ArrivalProcess::Periodic {
-        fields.push(("arrival", arrival_json(&c.arrival)));
-    }
-    // The mode itself lives in the `experiment` tag ("fabric" vs
-    // "fabric-rt"); only the realtime thread topology is config.
-    if let FabricMode::Realtime(rt) = &c.mode {
-        fields.push((
-            "realtime",
-            obj(vec![
-                ("producers", uint(rt.producers)),
-                ("queue_shards", uint(rt.queue_shards)),
-            ]),
-        ));
-    }
-    // The all-default scheduler (static policy, no miscalibration, pure
-    // eMBB) is implicit: pre-sched fabric specs serialize unchanged.
-    if !c.sched.is_default() {
-        fields.push(("sched", sched_opts_json(&c.sched)));
-    }
-    fields.extend(vec![
-        ("deadline_us", num(c.deadline_us)),
-        ("cost", cost_json(&c.cost)),
-        ("seed", Json::UInt(c.seed)),
-        ("threads", uint(c.threads)),
-    ]);
-    obj(fields)
-}
-
-fn sched_grid_json(c: &SchedGridConfig) -> Json {
-    obj(vec![
-        ("track", track_json(&c.track)),
-        ("frames_per_cell", uint(c.frames_per_cell)),
-        ("cell_counts", usize_arr(&c.cell_counts)),
-        ("arrival_periods_us", f64_arr(&c.arrival_periods_us)),
-        ("mix", mix_json(&c.mix)),
-        ("policy", policy_json(&c.policy)),
-        ("classes", class_mix_json(&c.classes)),
-        ("assumed_cost", cost_json(&c.assumed_cost)),
-        ("deadline_us", num(c.deadline_us)),
-        ("cost", cost_json(&c.cost)),
-        ("seed", Json::UInt(c.seed)),
-        ("threads", uint(c.threads)),
-    ])
-}
-
-fn canned_json(c: &CannedSpec) -> Json {
-    obj(vec![
-        (
-            "scale",
-            obj(vec![
-                ("instances", uint(c.scale.instances)),
-                ("reads", uint(c.scale.reads)),
-                ("harvest_reads", uint(c.scale.harvest_reads)),
-                ("grid_thin", uint(c.scale.grid_thin)),
-            ]),
-        ),
-        ("seed", Json::UInt(c.seed)),
-    ])
-}
-
-// ---------------------------------------------------------------------------
-// Parsing (Json → struct)
-// ---------------------------------------------------------------------------
-
-pub(crate) fn req<'a>(o: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, SpecError> {
-    match o {
-        Json::Obj(_) => o
-            .get(key)
-            .ok_or_else(|| SpecError::new(ctx, format!("missing field \"{key}\""))),
-        _ => Err(SpecError::new(ctx, "expected an object")),
-    }
-}
-
-/// Rejects unknown object keys — the typo guard for hand-written specs.
-pub(crate) fn check_keys(o: &Json, allowed: &[&str], ctx: &str) -> Result<(), SpecError> {
-    match o {
-        Json::Obj(fields) => {
-            for (key, _) in fields {
-                if !allowed.contains(&key.as_str()) {
-                    return Err(SpecError::new(
-                        ctx,
-                        format!("unknown field \"{key}\" (expected one of: {})", {
-                            allowed.join(", ")
-                        }),
-                    ));
-                }
-            }
-            Ok(())
-        }
-        _ => Err(SpecError::new(ctx, "expected an object")),
-    }
-}
-
-pub(crate) fn req_u64(o: &Json, key: &str, ctx: &str) -> Result<u64, SpecError> {
-    req(o, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| SpecError::new(ctx, format!("field \"{key}\" must be an unsigned integer")))
-}
-
-pub(crate) fn req_usize(o: &Json, key: &str, ctx: &str) -> Result<usize, SpecError> {
-    usize::try_from(req_u64(o, key, ctx)?)
-        .map_err(|_| SpecError::new(ctx, format!("field \"{key}\" overflows usize")))
-}
-
-pub(crate) fn req_f64(o: &Json, key: &str, ctx: &str) -> Result<f64, SpecError> {
-    req(o, key, ctx)?
-        .as_f64()
-        .ok_or_else(|| SpecError::new(ctx, format!("field \"{key}\" must be a number")))
-}
-
-/// A ratio field of a report payload (an error or miss rate): finite and
-/// in `[0, 1]`. Every point decoder reads rates through this, so a merged
-/// shard or resumed checkpoint cannot carry an impossible rate into a
-/// report.
-pub(crate) fn req_ratio(o: &Json, key: &str, ctx: &str) -> Result<f64, SpecError> {
-    let v = req_f64(o, key, ctx)?;
-    if (0.0..=1.0).contains(&v) {
-        Ok(v)
-    } else {
-        Err(SpecError::new(
-            ctx,
-            format!("field \"{key}\" must be a ratio in [0, 1], got {v}"),
-        ))
-    }
-}
-
-/// A microsecond field of a report payload (a latency or service time):
-/// finite and non-negative. The duration counterpart of [`req_ratio`].
-pub(crate) fn req_us(o: &Json, key: &str, ctx: &str) -> Result<f64, SpecError> {
-    let v = req_f64(o, key, ctx)?;
-    if v.is_finite() && v >= 0.0 {
-        Ok(v)
-    } else {
-        Err(SpecError::new(
-            ctx,
-            format!("field \"{key}\" must be a non-negative duration in us, got {v}"),
-        ))
-    }
-}
-
-pub(crate) fn req_str<'a>(o: &'a Json, key: &str, ctx: &str) -> Result<&'a str, SpecError> {
-    req(o, key, ctx)?
-        .as_str()
-        .ok_or_else(|| SpecError::new(ctx, format!("field \"{key}\" must be a string")))
-}
-
-fn req_f64_arr(o: &Json, key: &str, ctx: &str) -> Result<Vec<f64>, SpecError> {
-    req(o, key, ctx)?
-        .as_arr()
-        .ok_or_else(|| SpecError::new(ctx, format!("field \"{key}\" must be an array")))?
-        .iter()
-        .map(|v| {
-            v.as_f64().ok_or_else(|| {
-                SpecError::new(ctx, format!("field \"{key}\" must contain only numbers"))
-            })
+    fn read(json: Option<&Json>, key: &str, ctx: &str) -> Result<FabricMode, SpecError> {
+        json.map_or(Ok(FabricMode::Virtual), |json| {
+            Self::from_json(json, key, ctx)
         })
-        .collect()
-}
-
-fn req_usize_arr(o: &Json, key: &str, ctx: &str) -> Result<Vec<usize>, SpecError> {
-    req(o, key, ctx)?
-        .as_arr()
-        .ok_or_else(|| SpecError::new(ctx, format!("field \"{key}\" must be an array")))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|u| usize::try_from(u).ok())
-                .ok_or_else(|| {
-                    SpecError::new(
-                        ctx,
-                        format!("field \"{key}\" must contain only unsigned integers"),
-                    )
-                })
-        })
-        .collect()
-}
-
-fn parse_modulation(name: &str, ctx: &str) -> Result<Modulation, SpecError> {
-    Modulation::from_name(name)
-        .ok_or_else(|| SpecError::new(ctx, format!("unknown modulation '{name}'")))
-}
-
-fn parse_ber(config: &Json) -> Result<SnrSweepConfig, SpecError> {
-    let ctx = "spec.config (ber)";
-    check_keys(
-        config,
-        &[
-            "n_users",
-            "n_rx",
-            "modulation",
-            "channel",
-            "snr_db",
-            "realizations",
-            "seed",
-            "threads",
-        ],
-        ctx,
-    )?;
-    let channel_name = req_str(config, "channel", ctx)?;
-    Ok(SnrSweepConfig {
-        n_users: req_usize(config, "n_users", ctx)?,
-        n_rx: req_usize(config, "n_rx", ctx)?,
-        modulation: parse_modulation(req_str(config, "modulation", ctx)?, ctx)?,
-        channel: ChannelModel::from_name(channel_name)
-            .ok_or_else(|| SpecError::new(ctx, format!("unknown channel '{channel_name}'")))?,
-        snr_db: req_f64_arr(config, "snr_db", ctx)?,
-        realizations: req_usize(config, "realizations", ctx)?,
-        seed: req_u64(config, "seed", ctx)?,
-        threads: req_usize(config, "threads", ctx)?,
-    })
-}
-
-fn parse_track(o: &Json, ctx: &str) -> Result<TrackConfig, SpecError> {
-    let track = req(o, "track", ctx)?;
-    let ctx = &format!("{ctx}.track");
-    check_keys(
-        track,
-        &["n_users", "n_rx", "modulation", "rho", "noise_variance"],
-        ctx,
-    )?;
-    Ok(TrackConfig {
-        n_users: req_usize(track, "n_users", ctx)?,
-        n_rx: req_usize(track, "n_rx", ctx)?,
-        modulation: parse_modulation(req_str(track, "modulation", ctx)?, ctx)?,
-        rho: req_f64(track, "rho", ctx)?,
-        noise_variance: req_f64(track, "noise_variance", ctx)?,
-    })
-}
-
-fn parse_cost(o: &Json, ctx: &str) -> Result<CostModel, SpecError> {
-    parse_cost_obj(req(o, "cost", ctx)?, &format!("{ctx}.cost"))
-}
-
-fn parse_cost_obj(cost: &Json, ctx: &str) -> Result<CostModel, SpecError> {
-    check_keys(cost, &["base_us", "us_per_node", "us_per_sweep"], ctx)?;
-    Ok(CostModel {
-        base_us: req_f64(cost, "base_us", ctx)?,
-        us_per_node: req_f64(cost, "us_per_node", ctx)?,
-        us_per_sweep: req_f64(cost, "us_per_sweep", ctx)?,
-    })
-}
-
-fn parse_sa(o: &Json, ctx: &str) -> Result<SaParams, SpecError> {
-    let sa = req(o, "sa", ctx)?;
-    let ctx = &format!("{ctx}.sa");
-    check_keys(
-        sa,
-        &[
-            "beta_initial",
-            "beta_final",
-            "sweeps",
-            "num_reads",
-            "threads",
-        ],
-        ctx,
-    )?;
-    Ok(SaParams {
-        beta_initial: req_f64(sa, "beta_initial", ctx)?,
-        beta_final: req_f64(sa, "beta_final", ctx)?,
-        sweeps: req_usize(sa, "sweeps", ctx)?,
-        num_reads: req_usize(sa, "num_reads", ctx)?,
-        threads: req_usize(sa, "threads", ctx)?,
-    })
-}
-
-fn parse_stream(config: &Json) -> Result<StreamGridConfig, SpecError> {
-    let ctx = "spec.config (stream)";
-    check_keys(
-        config,
-        &[
-            "track",
-            "frames",
-            "arrival_periods_us",
-            "rhos",
-            "policies",
-            "deadline_us",
-            "cost",
-            "sa",
-            "seed",
-            "threads",
-        ],
-        ctx,
-    )?;
-    let policies = req(config, "policies", ctx)?
-        .as_arr()
-        .ok_or_else(|| SpecError::new(ctx, "field \"policies\" must be an array"))?
-        .iter()
-        .map(|v| {
-            let name = v
-                .as_str()
-                .ok_or_else(|| SpecError::new(ctx, "policies must be strings"))?;
-            DispatchPolicy::from_name(name)
-                .ok_or_else(|| SpecError::new(ctx, format!("unknown policy '{name}'")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(StreamGridConfig {
-        track: parse_track(config, ctx)?,
-        frames: req_usize(config, "frames", ctx)?,
-        arrival_periods_us: req_f64_arr(config, "arrival_periods_us", ctx)?,
-        rhos: req_f64_arr(config, "rhos", ctx)?,
-        policies,
-        deadline_us: req_f64(config, "deadline_us", ctx)?,
-        cost: parse_cost(config, ctx)?,
-        sa: parse_sa(config, ctx)?,
-        seed: req_u64(config, "seed", ctx)?,
-        threads: req_usize(config, "threads", ctx)?,
-    })
-}
-
-fn parse_annealer(o: &Json, ctx: &str) -> Result<AnnealerConfig, SpecError> {
-    Ok(AnnealerConfig {
-        num_reads: req_usize(o, "num_reads", ctx)?,
-        anneal_us: req_f64(o, "anneal_us", ctx)?,
-        sweeps_per_us: req_usize(o, "sweeps_per_us", ctx)?,
-        capacity: req_usize(o, "capacity", ctx)?,
-        max_batch: req_usize(o, "max_batch", ctx)?,
-    })
-}
-
-fn parse_backend(o: &Json, ctx: &str) -> Result<BackendSpec, SpecError> {
-    let kind = req_str(o, "backend", ctx)?;
-    const ANNEALER_KEYS: &[&str] = &[
-        "backend",
-        "num_reads",
-        "anneal_us",
-        "sweeps_per_us",
-        "capacity",
-        "max_batch",
-    ];
-    match kind {
-        "sa-pool" => {
-            check_keys(o, &["backend", "workers", "max_batch", "sa"], ctx)?;
-            Ok(BackendSpec::SaPool(SaPoolConfig {
-                workers: req_usize(o, "workers", ctx)?,
-                max_batch: req_usize(o, "max_batch", ctx)?,
-                sa: parse_sa(o, ctx)?,
-            }))
-        }
-        "pimc" => {
-            check_keys(o, ANNEALER_KEYS, ctx)?;
-            Ok(BackendSpec::Pimc(parse_annealer(o, ctx)?))
-        }
-        "svmc" => {
-            check_keys(o, ANNEALER_KEYS, ctx)?;
-            Ok(BackendSpec::Svmc(parse_annealer(o, ctx)?))
-        }
-        "pt" => {
-            check_keys(o, &["backend", "workers", "max_batch", "pt"], ctx)?;
-            let pt = req(o, "pt", ctx)?;
-            let pt_ctx = &format!("{ctx}.pt");
-            check_keys(
-                pt,
-                &[
-                    "replicas",
-                    "sweeps",
-                    "swap_interval",
-                    "beta_min",
-                    "beta_max",
-                ],
-                pt_ctx,
-            )?;
-            Ok(BackendSpec::Pt(PtConfig {
-                workers: req_usize(o, "workers", ctx)?,
-                max_batch: req_usize(o, "max_batch", ctx)?,
-                pt: PtParams {
-                    replicas: req_usize(pt, "replicas", pt_ctx)?,
-                    sweeps: req_usize(pt, "sweeps", pt_ctx)?,
-                    swap_interval: req_usize(pt, "swap_interval", pt_ctx)?,
-                    beta_min: req_f64(pt, "beta_min", pt_ctx)?,
-                    beta_max: req_f64(pt, "beta_max", pt_ctx)?,
-                },
-            }))
-        }
-        "tabu" => {
-            check_keys(o, &["backend", "workers", "max_batch", "tabu"], ctx)?;
-            let tabu = req(o, "tabu", ctx)?;
-            let tabu_ctx = &format!("{ctx}.tabu");
-            check_keys(tabu, &["tenure", "max_iters", "stall_limit"], tabu_ctx)?;
-            Ok(BackendSpec::Tabu(TabuConfig {
-                workers: req_usize(o, "workers", ctx)?,
-                max_batch: req_usize(o, "max_batch", ctx)?,
-                tabu: TabuParams {
-                    tenure: req_usize(tabu, "tenure", tabu_ctx)?,
-                    max_iters: req_usize(tabu, "max_iters", tabu_ctx)?,
-                    stall_limit: req_usize(tabu, "stall_limit", tabu_ctx)?,
-                },
-            }))
-        }
-        "mock-qpu" => {
-            check_keys(
-                o,
-                &[
-                    "backend",
-                    "num_reads",
-                    "anneal_us",
-                    "sweeps_per_us",
-                    "trotter_slices",
-                    "max_batch",
-                    "network",
-                    "programming_us",
-                    "embed_derive_us_per_qubit",
-                    "chain_strength",
-                ],
-                ctx,
-            )?;
-            let network = req(o, "network", ctx)?;
-            let net_ctx = &format!("{ctx}.network");
-            check_keys(network, &["rtt_base_us", "jitter_us"], net_ctx)?;
-            Ok(BackendSpec::MockQpu(MockQpuConfig {
-                num_reads: req_usize(o, "num_reads", ctx)?,
-                anneal_us: req_f64(o, "anneal_us", ctx)?,
-                sweeps_per_us: req_usize(o, "sweeps_per_us", ctx)?,
-                trotter_slices: req_usize(o, "trotter_slices", ctx)?,
-                max_batch: req_usize(o, "max_batch", ctx)?,
-                network: NetworkModel {
-                    rtt_base_us: req_f64(network, "rtt_base_us", net_ctx)?,
-                    jitter_us: req_f64(network, "jitter_us", net_ctx)?,
-                },
-                programming_us: req_f64(o, "programming_us", ctx)?,
-                embed_derive_us_per_qubit: req_f64(o, "embed_derive_us_per_qubit", ctx)?,
-                chain_strength: req_f64(o, "chain_strength", ctx)?,
-            }))
-        }
-        other => Err(SpecError::new(ctx, format!("unknown backend '{other}'"))),
     }
 }
 
-/// `"arrival"` is optional (pre-arrival fabric specs default to the
-/// original periodic process); when present, `process` selects the variant
-/// and the variant's own parameters are required.
-fn parse_arrival(config: &Json, ctx: &str) -> Result<ArrivalProcess, SpecError> {
-    let Some(a) = config.get("arrival") else {
-        return Ok(ArrivalProcess::Periodic);
-    };
-    let a_ctx = &format!("{ctx}.arrival");
-    let process = req_str(a, "process", a_ctx)?;
-    match process {
-        "periodic" => {
-            check_keys(a, &["process"], a_ctx)?;
-            Ok(ArrivalProcess::Periodic)
-        }
-        "bursty" => {
-            check_keys(a, &["process", "burst"], a_ctx)?;
-            Ok(ArrivalProcess::Bursty {
-                burst: req_usize(a, "burst", a_ctx)?,
-            })
-        }
-        "diurnal" => {
-            check_keys(a, &["process", "amplitude", "cycle_frames"], a_ctx)?;
-            Ok(ArrivalProcess::Diurnal {
-                amplitude: req_f64(a, "amplitude", a_ctx)?,
-                cycle_frames: req_usize(a, "cycle_frames", a_ctx)?,
-            })
-        }
-        "heavy-tailed" => {
-            check_keys(a, &["process", "alpha"], a_ctx)?;
-            Ok(ArrivalProcess::HeavyTailed {
-                alpha: req_f64(a, "alpha", a_ctx)?,
-            })
-        }
-        other => Err(SpecError::new(
-            a_ctx,
-            format!("unknown arrival process '{other}'"),
-        )),
-    }
-}
+// The optional stanzas are left out at their defaults, so specs written
+// before they existed keep their bytes and fingerprints.
+record!(FabricGridConfig {
+    track: TrackConfig,
+    frames_per_cell: usize,
+    cell_counts: Vec<usize>,
+    arrival_periods_us: Vec<f64>,
+    mixes: Vec<BackendMix>,
+    arrival: Omit<ArrivalProcess>,
+    mode as "realtime": FabricMode,
+    sched: Omit<SchedOptions>,
+    deadline_us: f64,
+    cost: CostModel,
+    seed: u64,
+    threads: usize,
+});
 
-fn parse_mix(m: &Json, ctx: &str) -> Result<BackendMix, SpecError> {
-    check_keys(m, &["name", "backends"], ctx)?;
-    let backends = req(m, "backends", ctx)?
-        .as_arr()
-        .ok_or_else(|| SpecError::new(ctx, "field \"backends\" must be an array"))?
-        .iter()
-        .enumerate()
-        .map(|(j, b)| parse_backend(b, &format!("{ctx}.backends[{j}]")))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(BackendMix {
-        name: req_str(m, "name", ctx)?.to_string(),
-        backends,
-    })
-}
+record!(SchedGridConfig {
+    track: TrackConfig,
+    frames_per_cell: usize,
+    cell_counts: Vec<usize>,
+    arrival_periods_us: Vec<f64>,
+    mix: BackendMix,
+    policy: SchedPolicy,
+    classes: ClassMix,
+    assumed_cost: CostModel,
+    deadline_us: f64,
+    cost: CostModel,
+    seed: u64,
+    threads: usize,
+});
 
-fn req_u32(o: &Json, key: &str, ctx: &str) -> Result<u32, SpecError> {
-    u32::try_from(req_u64(o, key, ctx)?)
-        .map_err(|_| SpecError::new(ctx, format!("field \"{key}\" overflows u32")))
-}
+record!(Scale {
+    instances: usize,
+    reads: usize,
+    harvest_reads: usize,
+    grid_thin: usize,
+});
 
-fn parse_class_mix(c: &Json, ctx: &str) -> Result<ClassMix, SpecError> {
-    check_keys(c, &["urllc", "embb", "bulk"], ctx)?;
-    Ok(ClassMix {
-        urllc: req_u32(c, "urllc", ctx)?,
-        embb: req_u32(c, "embb", ctx)?,
-        bulk: req_u32(c, "bulk", ctx)?,
-    })
-}
-
-fn parse_policy(p: &Json, ctx: &str) -> Result<SchedPolicy, SpecError> {
-    let name = req_str(p, "name", ctx)?;
-    match name {
-        "static" => {
-            check_keys(p, &["name"], ctx)?;
-            Ok(SchedPolicy::Static)
-        }
-        "ewma" => {
-            check_keys(p, &["name", "shift"], ctx)?;
-            Ok(SchedPolicy::Ewma {
-                shift: req_u32(p, "shift", ctx)?,
-            })
-        }
-        "ucb" => {
-            check_keys(p, &["name", "explore_milli"], ctx)?;
-            Ok(SchedPolicy::Ucb {
-                explore_milli: req_u32(p, "explore_milli", ctx)?,
-            })
-        }
-        other => Err(SpecError::new(
-            ctx,
-            format!("unknown scheduling policy '{other}'"),
-        )),
-    }
-}
-
-/// `"sched"` is optional (pre-sched fabric specs default to the historical
-/// static scheduler); within the stanza every knob is individually
-/// optional.
-fn parse_sched_opts(config: &Json, ctx: &str) -> Result<SchedOptions, SpecError> {
-    let Some(s) = config.get("sched") else {
-        return Ok(SchedOptions::default());
-    };
-    let s_ctx = &format!("{ctx}.sched");
-    check_keys(s, &["policy", "assumed_cost", "classes"], s_ctx)?;
-    Ok(SchedOptions {
-        policy: match s.get("policy") {
-            None => SchedPolicy::Static,
-            Some(p) => parse_policy(p, &format!("{s_ctx}.policy"))?,
-        },
-        assumed_cost: match s.get("assumed_cost") {
-            None => None,
-            Some(c) => Some(parse_cost_obj(c, &format!("{s_ctx}.assumed_cost"))?),
-        },
-        classes: match s.get("classes") {
-            None => ClassMix::default(),
-            Some(c) => parse_class_mix(c, &format!("{s_ctx}.classes"))?,
-        },
-    })
-}
-
-fn parse_sched_grid(config: &Json) -> Result<SchedGridConfig, SpecError> {
-    let ctx = "spec.config (sched)";
-    check_keys(
-        config,
-        &[
-            "track",
-            "frames_per_cell",
-            "cell_counts",
-            "arrival_periods_us",
-            "mix",
-            "policy",
-            "classes",
-            "assumed_cost",
-            "deadline_us",
-            "cost",
-            "seed",
-            "threads",
-        ],
-        ctx,
-    )?;
-    Ok(SchedGridConfig {
-        track: parse_track(config, ctx)?,
-        frames_per_cell: req_usize(config, "frames_per_cell", ctx)?,
-        cell_counts: req_usize_arr(config, "cell_counts", ctx)?,
-        arrival_periods_us: req_f64_arr(config, "arrival_periods_us", ctx)?,
-        mix: parse_mix(req(config, "mix", ctx)?, &format!("{ctx}.mix"))?,
-        policy: parse_policy(req(config, "policy", ctx)?, &format!("{ctx}.policy"))?,
-        classes: parse_class_mix(req(config, "classes", ctx)?, &format!("{ctx}.classes"))?,
-        assumed_cost: parse_cost_obj(
-            req(config, "assumed_cost", ctx)?,
-            &format!("{ctx}.assumed_cost"),
-        )?,
-        deadline_us: req_f64(config, "deadline_us", ctx)?,
-        cost: parse_cost(config, ctx)?,
-        seed: req_u64(config, "seed", ctx)?,
-        threads: req_usize(config, "threads", ctx)?,
-    })
-}
-
-fn parse_fabric(config: &Json, realtime: bool) -> Result<FabricGridConfig, SpecError> {
-    let ctx = if realtime {
-        "spec.config (fabric-rt)"
-    } else {
-        "spec.config (fabric)"
-    };
-    check_keys(
-        config,
-        &[
-            "track",
-            "frames_per_cell",
-            "cell_counts",
-            "arrival_periods_us",
-            "mixes",
-            "arrival",
-            "realtime",
-            "sched",
-            "deadline_us",
-            "cost",
-            "seed",
-            "threads",
-        ],
-        ctx,
-    )?;
-    let mode = match (realtime, config.get("realtime")) {
-        (false, None) => FabricMode::Virtual,
-        (false, Some(_)) => {
-            return Err(SpecError::new(
-                ctx,
-                "\"realtime\" settings on a virtual fabric spec \
-                 (use experiment \"fabric-rt\")",
-            ));
-        }
-        // Realtime with the default thread topology.
-        (true, None) => FabricMode::Realtime(RealtimeConfig {
-            producers: 2,
-            queue_shards: 2,
-        }),
-        (true, Some(rt)) => {
-            let rt_ctx = &format!("{ctx}.realtime");
-            check_keys(rt, &["producers", "queue_shards"], rt_ctx)?;
-            FabricMode::Realtime(RealtimeConfig {
-                producers: req_usize(rt, "producers", rt_ctx)?,
-                queue_shards: req_usize(rt, "queue_shards", rt_ctx)?,
-            })
-        }
-    };
-    let mixes = req(config, "mixes", ctx)?
-        .as_arr()
-        .ok_or_else(|| SpecError::new(ctx, "field \"mixes\" must be an array"))?
-        .iter()
-        .enumerate()
-        .map(|(i, m)| parse_mix(m, &format!("{ctx}.mixes[{i}]")))
-        .collect::<Result<Vec<_>, SpecError>>()?;
-    Ok(FabricGridConfig {
-        track: parse_track(config, ctx)?,
-        frames_per_cell: req_usize(config, "frames_per_cell", ctx)?,
-        cell_counts: req_usize_arr(config, "cell_counts", ctx)?,
-        arrival_periods_us: req_f64_arr(config, "arrival_periods_us", ctx)?,
-        mixes,
-        arrival: parse_arrival(config, ctx)?,
-        mode,
-        sched: parse_sched_opts(config, ctx)?,
-        deadline_us: req_f64(config, "deadline_us", ctx)?,
-        cost: parse_cost(config, ctx)?,
-        seed: req_u64(config, "seed", ctx)?,
-        threads: req_usize(config, "threads", ctx)?,
-    })
-}
-
-fn parse_canned(kind: CannedKind, config: &Json) -> Result<CannedSpec, SpecError> {
-    let ctx = &format!("spec.config ({})", kind.name());
-    check_keys(config, &["scale", "seed"], ctx)?;
-    let scale = req(config, "scale", ctx)?;
-    let scale_ctx = &format!("{ctx}.scale");
-    check_keys(
-        scale,
-        &["instances", "reads", "harvest_reads", "grid_thin"],
-        scale_ctx,
-    )?;
-    Ok(CannedSpec {
-        experiment: kind,
-        scale: Scale {
-            instances: req_usize(scale, "instances", scale_ctx)?,
-            reads: req_usize(scale, "reads", scale_ctx)?,
-            harvest_reads: req_usize(scale, "harvest_reads", scale_ctx)?,
-            grid_thin: req_usize(scale, "grid_thin", scale_ctx)?,
-        },
-        seed: req_u64(config, "seed", ctx)?,
-    })
-}
+record!(CannedSpec {
+    experiment: Derived<CannedKind>,
+    scale: Scale,
+    seed: u64,
+});
 
 #[cfg(test)]
 mod tests {

@@ -32,10 +32,11 @@
 //! 1-thread against an N-thread `hqw run stream`.
 
 use crate::grid::{check_coordinates, GridEngine};
-use crate::scenario::json_num;
+use crate::report::{render, Layout, SCENARIO};
 use crate::solver::item_seed;
+use crate::spec::codec::{record, Derived, Field, Ratio, Record, Us};
 use crate::spec::json::Json;
-use crate::spec::{check_keys, req_f64, req_ratio, req_str, req_us, req_usize, SpecError};
+use crate::spec::SpecError;
 use crate::telemetry::Collector;
 use hqw_math::stats::percentiles_of;
 use hqw_math::Rng64;
@@ -680,127 +681,51 @@ pub(crate) fn stream_cell_config(config: &StreamGridConfig, id: usize) -> Stream
     }
 }
 
-impl StreamReport {
-    /// Renders one cell as a JSON object — one line of the report's `cells`
-    /// array and the `point` field of a shard/checkpoint record.
-    ///
-    /// `frames`, `deadline_us` and `seed` are omitted: they are derivable
-    /// from the grid config (and `StreamReport::from_json` reconstructs
-    /// them from it).
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"policy\": \"{}\", \"rho\": {}, \"arrival_period_us\": {}, \
-             \"ber\": {}, \"deadline_miss_rate\": {}, \"p50_latency_us\": {}, \
-             \"p99_latency_us\": {}, \"throughput_per_ms\": {}, \
-             \"avg_service_us\": {}, \"classical_frames\": {}, \
-             \"hybrid_frames\": {}, \"warm_pairs\": {}, \
-             \"cold_sweeps_to_solution\": {}, \"warm_sweeps_to_solution\": {}}}",
-            self.policy.name(),
-            json_num(self.rho),
-            json_num(self.arrival_period_us),
-            json_num(self.ber),
-            json_num(self.deadline_miss_rate),
-            json_num(self.p50_latency_us),
-            json_num(self.p99_latency_us),
-            json_num(self.throughput_per_ms),
-            json_num(self.avg_service_us),
-            self.classical_frames,
-            self.hybrid_frames,
-            self.warm_pairs,
-            json_num(self.cold_sweeps_to_solution),
-            json_num(self.warm_sweeps_to_solution),
-        )
-    }
-
-    /// Parses a [`StreamReport::to_json_object`] document back, taking the
-    /// omitted `frames`/`deadline_us`/`seed` fields as arguments. Exact:
-    /// the float codec round-trips shortest-`Display` renderings
-    /// losslessly.
-    pub(crate) fn from_json(
-        o: &Json,
-        frames: usize,
-        deadline_us: f64,
-        seed: u64,
-        ctx: &str,
-    ) -> Result<StreamReport, SpecError> {
-        check_keys(
-            o,
-            &[
-                "policy",
-                "rho",
-                "arrival_period_us",
-                "ber",
-                "deadline_miss_rate",
-                "p50_latency_us",
-                "p99_latency_us",
-                "throughput_per_ms",
-                "avg_service_us",
-                "classical_frames",
-                "hybrid_frames",
-                "warm_pairs",
-                "cold_sweeps_to_solution",
-                "warm_sweeps_to_solution",
-            ],
-            ctx,
-        )?;
-        let policy_name = req_str(o, "policy", ctx)?;
-        let policy = DispatchPolicy::from_name(policy_name).ok_or_else(|| {
-            SpecError::new(ctx.to_string(), format!("unknown policy '{policy_name}'"))
-        })?;
-        Ok(StreamReport {
-            policy,
-            rho: req_f64(o, "rho", ctx)?,
-            frames,
-            arrival_period_us: req_f64(o, "arrival_period_us", ctx)?,
-            deadline_us,
-            seed,
-            ber: req_ratio(o, "ber", ctx)?,
-            deadline_miss_rate: req_ratio(o, "deadline_miss_rate", ctx)?,
-            p50_latency_us: req_us(o, "p50_latency_us", ctx)?,
-            p99_latency_us: req_us(o, "p99_latency_us", ctx)?,
-            throughput_per_ms: req_f64(o, "throughput_per_ms", ctx)?,
-            avg_service_us: req_us(o, "avg_service_us", ctx)?,
-            classical_frames: req_usize(o, "classical_frames", ctx)?,
-            hybrid_frames: req_usize(o, "hybrid_frames", ctx)?,
-            warm_pairs: req_usize(o, "warm_pairs", ctx)?,
-            cold_sweeps_to_solution: req_f64(o, "cold_sweeps_to_solution", ctx)?,
-            warm_sweeps_to_solution: req_f64(o, "warm_sweeps_to_solution", ctx)?,
-        })
-    }
-}
+// `frames`, `deadline_us` and `seed` are not written: the grid config
+// holds them, and the engine's decoder fills them back in.
+record!(StreamReport {
+    policy: DispatchPolicy,
+    rho: f64,
+    arrival_period_us: f64,
+    ber: Ratio,
+    deadline_miss_rate: Ratio,
+    p50_latency_us: Us,
+    p99_latency_us: Us,
+    throughput_per_ms: f64,
+    avg_service_us: Us,
+    classical_frames: usize,
+    hybrid_frames: usize,
+    warm_pairs: usize,
+    cold_sweeps_to_solution: f64,
+    warm_sweeps_to_solution: f64,
+    frames: Derived<usize>,
+    deadline_us: Derived<f64>,
+    seed: Derived<u64>,
+});
 
 impl StreamGridReport {
     /// Renders the report as the `BENCH_stream.json` document (schema in
     /// `crates/bench/README.md`). Pure function of the report contents:
     /// byte-identical across runs and thread counts.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"bench\": \"stream\",\n  \"scenario\": {\n");
-        s.push_str(&format!("    \"n_users\": {},\n", self.n_users));
-        s.push_str(&format!("    \"n_rx\": {},\n", self.n_rx));
-        s.push_str(&format!("    \"modulation\": \"{}\",\n", self.modulation));
-        s.push_str(&format!(
-            "    \"noise_variance\": {},\n",
-            json_num(self.noise_variance)
-        ));
-        s.push_str(&format!("    \"frames\": {},\n", self.frames));
-        s.push_str(&format!(
-            "    \"deadline_us\": {},\n",
-            json_num(self.deadline_us)
-        ));
-        s.push_str(&format!("    \"seed\": {}\n  }},\n", self.seed));
-        s.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            s.push_str("    ");
-            s.push_str(&cell.to_json_object());
-            s.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let doc = Json::object([
+            ("bench", "stream".into()),
+            (
+                "scenario",
+                Json::object([
+                    ("n_users", self.n_users.into()),
+                    ("n_rx", self.n_rx.into()),
+                    ("modulation", self.modulation.as_str().into()),
+                    ("noise_variance", self.noise_variance.into()),
+                    ("frames", self.frames.into()),
+                    ("deadline_us", self.deadline_us.into()),
+                    ("seed", self.seed.into()),
+                ]),
+            ),
+            ("cells", Vec::<StreamReport>::to_json(&self.cells)),
+        ]);
+        const ROWS: Layout = Layout::Rows(&Layout::Inline);
+        render(&doc, &Layout::Block(&[SCENARIO, ("cells", ROWS)]))
     }
 }
 
@@ -892,15 +817,16 @@ impl GridEngine for StreamGridConfig {
         units.pop().expect("one unit per stream cell")
     }
 
-    fn encode(&self, cell: &StreamReport) -> String {
-        cell.to_json_object()
-    }
-
     fn decode(&self, id: usize, doc: &Json, ctx: &str) -> Result<StreamReport, SpecError> {
         // Frames, deadline and seed come from the spec; the payload's own
         // coordinates must agree with its id.
         let want = stream_cell_config(self, id);
-        let cell = StreamReport::from_json(doc, want.frames, want.deadline_us, want.seed, ctx)?;
+        let cell = StreamReport {
+            frames: want.frames,
+            deadline_us: want.deadline_us,
+            seed: want.seed,
+            ..StreamReport::decode(doc, ctx)?
+        };
         let coordinates = |policy: DispatchPolicy, rho: f64, period: f64| {
             format!("{}, rho {rho}, period {period}", policy.name())
         };
@@ -978,7 +904,10 @@ mod tests {
         let config = cell(DispatchPolicy::DeadlineAware, 0.9, 100.0);
         let a = run_stream(&config, &mmse());
         let b = run_stream(&config, &mmse());
-        assert_eq!(a.to_json_object(), b.to_json_object());
+        assert_eq!(
+            a.encode().to_string_compact(),
+            b.encode().to_string_compact()
+        );
     }
 
     #[test]

@@ -35,6 +35,8 @@
 //! origin; virtual-clock engines ([`crate::fabric`], [`crate::stream`])
 //! emit the same event shapes with virtual-µs timestamps.
 
+use crate::report::{render, Layout};
+use crate::spec::codec::{record, Field, Record};
 use crate::spec::json::Json;
 use crate::spec::SpecError;
 use std::collections::BTreeMap;
@@ -217,84 +219,71 @@ impl LogHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
+}
 
-    /// Serializes to the JSON object `from_json` parses back exactly
-    /// (bucket keys and counts are integers; min/max round-trip through
-    /// the shortest-`Display` float codec).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("sub_buckets".to_string(), Json::UInt(SUB)),
-            ("count".to_string(), Json::UInt(self.count)),
-            ("zero".to_string(), Json::UInt(self.zero)),
-            ("min".to_string(), Json::Float(self.min())),
-            ("max".to_string(), Json::Float(self.max())),
-            (
-                "buckets".to_string(),
-                Json::Arr(
-                    self.buckets
-                        .iter()
-                        .map(|(&idx, &c)| Json::Arr(vec![Json::UInt(idx), Json::UInt(c)]))
-                        .collect(),
-                ),
-            ),
-        ])
+record!(
+    /// The wire form of a [`LogHistogram`]: its `[index, count]` bucket pairs
+    /// plus the exact extremes (0 when empty). Bucket keys and counts are
+    /// integers and min/max round-trip through the shortest-`Display` float
+    /// codec, so decoding is exact.
+    struct HistogramDoc {
+        sub_buckets: u64,
+        count: u64,
+        zero: u64,
+        min: f64,
+        max: f64,
+        buckets: Vec<Vec<u64>>,
+    }
+);
+
+/// A histogram is written as its [`HistogramDoc`]; reading one back
+/// rejects a sub-bucket width other than this build's, malformed or
+/// duplicate buckets, and counts that do not add up.
+impl Field for LogHistogram {
+    type Value = LogHistogram;
+
+    fn to_json(h: &LogHistogram) -> Json {
+        HistogramDoc {
+            sub_buckets: SUB,
+            count: h.count,
+            zero: h.zero,
+            min: h.min(),
+            max: h.max(),
+            buckets: h.buckets.iter().map(|(&idx, &c)| vec![idx, c]).collect(),
+        }
+        .encode()
     }
 
-    /// Parses a [`LogHistogram::to_json`] document back.
-    ///
-    /// # Errors
-    /// Returns a [`SpecError`] on missing/mistyped fields or a sub-bucket
-    /// width that does not match this build.
-    pub fn from_json(doc: &Json) -> Result<LogHistogram, SpecError> {
-        let ctx = "LogHistogram";
-        let field_u64 = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| SpecError::new(ctx, format!("missing integer \"{key}\"")))
-        };
-        let field_f64 = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| SpecError::new(ctx, format!("missing number \"{key}\"")))
-        };
-        if field_u64("sub_buckets")? != SUB {
+    fn from_json(json: &Json, key: &str, ctx: &str) -> Result<LogHistogram, SpecError> {
+        let ctx = &format!("{ctx}.{key}");
+        let doc = HistogramDoc::decode(json, ctx)?;
+        if doc.sub_buckets != SUB {
             return Err(SpecError::new(ctx, "sub-bucket width mismatch"));
         }
-        let count = field_u64("count")?;
-        let zero = field_u64("zero")?;
         let mut buckets = BTreeMap::new();
-        for entry in doc
-            .get("buckets")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| SpecError::new(ctx, "missing \"buckets\" array"))?
-        {
-            let pair = entry
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| SpecError::new(ctx, "bucket entries are [index, count] pairs"))?;
-            let idx = pair[0]
-                .as_u64()
-                .ok_or_else(|| SpecError::new(ctx, "bucket index must be an integer"))?;
-            let c = pair[1]
-                .as_u64()
-                .ok_or_else(|| SpecError::new(ctx, "bucket count must be an integer"))?;
+        for pair in &doc.buckets {
+            let &[idx, c] = pair.as_slice() else {
+                return Err(SpecError::new(
+                    ctx,
+                    "bucket entries are [index, count] pairs",
+                ));
+            };
             if buckets.insert(idx, c).is_some() {
                 return Err(SpecError::new(ctx, format!("duplicate bucket index {idx}")));
             }
         }
-        let in_buckets: u64 = buckets.values().sum();
-        if zero + in_buckets != count {
+        if doc.zero + buckets.values().sum::<u64>() != doc.count {
             return Err(SpecError::new(ctx, "bucket counts do not sum to count"));
         }
-        let (min, max) = if count == 0 {
+        let (min, max) = if doc.count == 0 {
             (f64::INFINITY, f64::NEG_INFINITY)
         } else {
-            (field_f64("min")?, field_f64("max")?)
+            (doc.min, doc.max)
         };
         Ok(LogHistogram {
             buckets,
-            zero,
-            count,
+            zero: doc.zero,
+            count: doc.count,
             min,
             max,
         })
@@ -450,83 +439,67 @@ impl Collector {
     /// `C` counter events for the sampler series. Load it in Perfetto or
     /// `chrome://tracing`.
     pub fn to_chrome_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let num = |v: f64| {
-            assert!(v.is_finite(), "trace event with non-finite number");
-            format!("{v}")
-        };
-        let mut lines: Vec<String> = Vec::new();
         let (processes, threads) = {
             let inner = self.inner.lock().expect("collector poisoned");
             (inner.processes.clone(), inner.threads.clone())
         };
-        for (pid, name) in &processes {
-            lines.push(format!(
-                "{{\"ph\": \"M\", \"name\": \"process_name\", \"pid\": {pid}, \"tid\": 0, \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                esc(name)
-            ));
-        }
-        for ((pid, tid), name) in &threads {
-            lines.push(format!(
-                "{{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": {pid}, \"tid\": {tid}, \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                esc(name)
-            ));
-        }
+        let meta = |kind: &str, pid: u32, tid: u32, name: &str| {
+            Json::object([
+                ("ph", "M".into()),
+                ("name", kind.into()),
+                ("pid", u64::from(pid).into()),
+                ("tid", u64::from(tid).into()),
+                ("args", Json::object([("name", name.into())])),
+            ])
+        };
+        let mut events: Vec<Json> = processes
+            .iter()
+            .map(|(&pid, name)| meta("process_name", pid, 0, name))
+            .chain(
+                threads
+                    .iter()
+                    .map(|(&(pid, tid), name)| meta("thread_name", pid, tid, name)),
+            )
+            .collect();
         for e in self.events() {
-            let args = match e.job {
-                Some(job) => format!("{{\"job\": {job}}}"),
-                None => "{}".to_string(),
-            };
-            if e.cat == "mark" {
-                lines.push(format!(
-                    "{{\"ph\": \"i\", \"s\": \"t\", \"name\": \"{}\", \"cat\": \"{}\", \
-                     \"pid\": {}, \"tid\": {}, \"ts\": {}, \"args\": {args}}}",
-                    esc(&e.name),
-                    e.cat,
-                    e.pid,
-                    e.tid,
-                    num(e.ts_us),
-                ));
+            let mut fields = if e.cat == "mark" {
+                vec![("ph", "i".into()), ("s", "t".into())]
             } else {
-                lines.push(format!(
-                    "{{\"ph\": \"X\", \"name\": \"{}\", \"cat\": \"{}\", \"pid\": {}, \
-                     \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {args}}}",
-                    esc(&e.name),
-                    e.cat,
-                    e.pid,
-                    e.tid,
-                    num(e.ts_us),
-                    num(e.dur_us),
-                ));
+                vec![("ph", "X".into())]
+            };
+            fields.extend([
+                ("name", e.name.as_str().into()),
+                ("cat", e.cat.into()),
+                ("pid", u64::from(e.pid).into()),
+                ("tid", u64::from(e.tid).into()),
+                ("ts", e.ts_us.into()),
+            ]);
+            if e.cat != "mark" {
+                fields.push(("dur", e.dur_us.into()));
             }
+            let args = e.job.map(|job| ("job", job.into()));
+            fields.push(("args", Json::object(args)));
+            events.push(Json::object(fields));
         }
         for c in self.counters() {
-            let args = c
-                .values
-                .iter()
-                .map(|(k, v)| format!("\"{}\": {}", esc(k), num(*v)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            lines.push(format!(
-                "{{\"ph\": \"C\", \"name\": \"{}\", \"pid\": {}, \"tid\": 0, \"ts\": {}, \
-                 \"args\": {{{args}}}}}",
-                esc(c.name),
-                c.pid,
-                num(c.ts_us),
-            ));
+            let args = c.values.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+            events.push(Json::object([
+                ("ph", "C".into()),
+                ("name", c.name.into()),
+                ("pid", u64::from(c.pid).into()),
+                ("tid", 0u64.into()),
+                ("ts", c.ts_us.into()),
+                ("args", Json::object(args)),
+            ]));
         }
-        let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-        for (i, line) in lines.iter().enumerate() {
-            out.push_str("  ");
-            out.push_str(line);
-            out.push_str(if i + 1 < lines.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("]}\n");
-        out
+        let doc = Json::object([
+            ("displayTimeUnit", "ms".into()),
+            ("traceEvents", Json::Arr(events)),
+        ]);
+        render(
+            &doc,
+            &Layout::Line(&[("traceEvents", Layout::Rows(&Layout::Inline))]),
+        )
     }
 
     /// Writes [`Collector::to_chrome_json`] to `path`, creating parent
@@ -699,64 +672,42 @@ impl TelemetrySummary {
         table
     }
 
-    /// Renders the `"telemetry"` stanza body (the braces and their
-    /// contents; `indent` spaces prefix every line after the first). The
-    /// percentile fields are ordered by construction — `check_telemetry`
-    /// in `ci/check_bench.py` re-verifies.
-    pub fn to_json_stanza(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let num = |v: f64| {
-            assert!(v.is_finite(), "telemetry stanza with non-finite number");
-            format!("{v}")
+    /// The `"telemetry"` stanza of a report (its layout is
+    /// [`TelemetrySummary::LAYOUT`]). The percentile fields are ordered by
+    /// construction — `check_telemetry` in `ci/check_bench.py`
+    /// re-verifies.
+    pub fn to_json(&self) -> Json {
+        let row = |label: &str, hist: &LogHistogram| {
+            Json::object([
+                ("stage", label.into()),
+                ("count", hist.count().into()),
+                ("p50_us", hist.percentile(50.0).into()),
+                ("p90_us", hist.percentile(90.0).into()),
+                ("p99_us", hist.percentile(99.0).into()),
+                ("max_us", hist.max().into()),
+            ])
         };
-        let hist_line = |label: &str, hist: &LogHistogram| {
-            format!(
-                "{{\"stage\": \"{}\", \"count\": {}, \"p50_us\": {}, \"p90_us\": {}, \
-                 \"p99_us\": {}, \"max_us\": {}}}",
-                label,
-                hist.count(),
-                num(hist.percentile(50.0)),
-                num(hist.percentile(90.0)),
-                num(hist.percentile(99.0)),
-                num(hist.max()),
-            )
-        };
-        let mut s = String::from("{\n");
-        s.push_str(&format!("{pad}  \"spans\": {},\n", self.spans));
-        s.push_str(&format!("{pad}  \"samples\": {},\n", self.samples));
-        s.push_str(&format!("{pad}  \"stages\": [\n"));
-        for (i, stage) in self.stages.iter().enumerate() {
-            s.push_str(&format!(
-                "{pad}    {}",
-                hist_line(&stage.stage, &stage.hist)
-            ));
-            s.push_str(if i + 1 < self.stages.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str(&format!("{pad}  ],\n"));
-        s.push_str(&format!(
-            "{pad}  \"end_to_end\": {},\n",
-            hist_line("end_to_end", &self.end_to_end)
-        ));
-        s.push_str(&format!("{pad}  \"counters\": [\n"));
-        for (i, (name, max)) in self.counters.iter().enumerate() {
-            s.push_str(&format!(
-                "{pad}    {{\"name\": \"{name}\", \"max\": {}}}",
-                num(*max)
-            ));
-            s.push_str(if i + 1 < self.counters.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str(&format!("{pad}  ]\n"));
-        s.push_str(&format!("{pad}}}"));
-        s
+        let counters = self.counters.iter().map(|(name, max)| {
+            Json::object([("name", name.as_str().into()), ("max", (*max).into())])
+        });
+        Json::object([
+            ("spans", self.spans.into()),
+            ("samples", self.samples.into()),
+            (
+                "stages",
+                Json::Arr(self.stages.iter().map(|s| row(&s.stage, &s.hist)).collect()),
+            ),
+            ("end_to_end", row("end_to_end", &self.end_to_end)),
+            ("counters", Json::Arr(counters.collect())),
+        ])
     }
+
+    /// The stanza's layout: one key per line, one stage or counter per
+    /// line.
+    pub const LAYOUT: Layout = Layout::Block(&[
+        ("stages", Layout::Rows(&Layout::Inline)),
+        ("counters", Layout::Rows(&Layout::Inline)),
+    ]);
 
     /// The p50 of a named stage, when that stage was recorded — the hook
     /// `ci/check_bench.py --history` folds into the trajectory table.
@@ -855,15 +806,15 @@ mod tests {
         for v in [0.0, 1e-9, 0.5, 1.0, 3.25, 1e6, 7.0] {
             h.record(v);
         }
-        let parsed = LogHistogram::from_json(&h.to_json()).expect("round trip");
-        assert_eq!(parsed, h);
+        let round_trip =
+            |h: &LogHistogram| LogHistogram::from_json(&LogHistogram::to_json(h), "hist", "test");
+        assert_eq!(round_trip(&h).expect("round trip"), h);
 
         let empty = LogHistogram::new();
-        let parsed = LogHistogram::from_json(&empty.to_json()).expect("empty round trip");
-        assert_eq!(parsed, empty);
+        assert_eq!(round_trip(&empty).expect("empty round trip"), empty);
 
         // Inconsistent totals are rejected, not silently absorbed.
-        let mut doc = h.to_json();
+        let mut doc = LogHistogram::to_json(&h);
         if let Json::Obj(fields) = &mut doc {
             for (k, v) in fields.iter_mut() {
                 if k == "count" {
@@ -871,7 +822,7 @@ mod tests {
                 }
             }
         }
-        assert!(LogHistogram::from_json(&doc).is_err());
+        assert!(LogHistogram::from_json(&doc, "hist", "test").is_err());
     }
 
     #[test]
@@ -953,7 +904,7 @@ mod tests {
         assert_eq!(summary.counters, vec![("delivery".to_string(), 5.0)]);
 
         // The stanza parses and keeps its percentile ordering.
-        let stanza = summary.to_json_stanza(2);
+        let stanza = render(&summary.to_json(), &TelemetrySummary::LAYOUT);
         let doc = Json::parse(&stanza).expect("stanza parses");
         for stage in doc.get("stages").and_then(Json::as_arr).expect("stages") {
             let p50 = stage.get("p50_us").and_then(Json::as_f64).unwrap();

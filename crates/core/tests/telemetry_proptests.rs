@@ -4,6 +4,7 @@
 //! one sub-bucket's relative error of the exact nearest-rank percentile,
 //! and the JSON codec must round-trip record-for-record.
 
+use hqw_core::spec::codec::Field;
 use hqw_core::spec::json::Json;
 use hqw_core::telemetry::LogHistogram;
 use hqw_math::Rng64;
@@ -125,9 +126,9 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let (hist, _) = arbitrary_histogram(&mut rng);
 
-        let text = hist.to_json().to_string_pretty();
+        let text = LogHistogram::to_json(&hist).to_string_pretty();
         let doc = Json::parse(&text).expect("histogram JSON must parse");
-        let back = LogHistogram::from_json(&doc).expect("histogram JSON must decode");
+        let back = LogHistogram::from_json(&doc, "hist", "test").expect("histogram JSON must decode");
         prop_assert_eq!(&back, &hist);
         for p in [0.0, 50.0, 99.0, 100.0] {
             prop_assert_eq!(back.percentile(p), hist.percentile(p));
@@ -138,9 +139,9 @@ proptest! {
         let (other, _) = arbitrary_histogram(&mut rng);
         let mut direct = hist.clone();
         direct.merge(&other);
-        let other_doc = Json::parse(&other.to_json().to_string_pretty()).unwrap();
+        let other_doc = Json::parse(&LogHistogram::to_json(&other).to_string_pretty()).unwrap();
         let mut via_codec = back;
-        via_codec.merge(&LogHistogram::from_json(&other_doc).unwrap());
+        via_codec.merge(&LogHistogram::from_json(&other_doc, "hist", "test").unwrap());
         prop_assert_eq!(&via_codec, &direct);
     }
 }
