@@ -897,8 +897,7 @@ pub fn trace_doc(config: &FabricGridConfig, report: &FabricRtGridReport) -> Stri
             })
             .collect(),
     };
-    let (tag, value) = TRACE_TAG;
-    let mut text = encode_tagged(tag, value, &doc).to_string_pretty();
+    let mut text = encode_tagged(TRACE_TAG, &doc).to_string_pretty();
     text.push('\n');
     text
 }

@@ -5,9 +5,9 @@
 //! implements — `BerReport`, `StreamGridReport`, `FabricGridReport` and
 //! `SchedGridReport` all render through it, so JSON emission, CSV emission
 //! and the stdout table live here instead of being copy-pasted per
-//! experiment. [`render`] is the one writer behind every JSON document the
+//! experiment. `render` is the one writer behind every JSON document the
 //! workspace emits — the five reports, shard documents and Chrome traces:
-//! a [`Json`] tree plus a [`Layout`] saying where its lines break. The
+//! a [`Json`] tree plus a `Layout` saying where its lines break. The
 //! figure experiments print the same series the paper plots; [`Table`]
 //! keeps that output consistent and machine-readable (CSV files land in
 //! `results/` so downstream plotting never re-runs experiments).
@@ -95,7 +95,7 @@ record!(PointRecord {
 /// Where a document's lines break. Keys a layout does not list are
 /// [`Layout::Inline`].
 #[derive(Debug)]
-pub enum Layout {
+pub(crate) enum Layout {
     /// One compact line.
     Inline,
     /// An object with one key per line.
@@ -107,10 +107,10 @@ pub enum Layout {
 }
 
 /// The layout of a grid report's `scenario` header.
-pub const SCENARIO: (&str, Layout) = ("scenario", Layout::Block(&[]));
+pub(crate) const SCENARIO: (&str, Layout) = ("scenario", Layout::Block(&[]));
 
 /// Renders a document with two-space indentation and a trailing newline.
-pub fn render(doc: &Json, layout: &Layout) -> String {
+pub(crate) fn render(doc: &Json, layout: &Layout) -> String {
     let mut out = String::new();
     write_laid_out(doc, layout, 0, &mut out);
     out.push('\n');

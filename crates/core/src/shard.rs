@@ -82,28 +82,25 @@ pub fn shard_ids(total: usize, index: usize, count: usize) -> Vec<usize> {
     (0..total).filter(|id| id % count == index - 1).collect()
 }
 
-/// Rejects shard/checkpoint documents of another schema version.
-fn check_schema_version(version: u64, ctx: &str) -> Result<(), SpecError> {
-    if version != SHARD_SCHEMA_VERSION {
-        return Err(SpecError::new(
-            ctx,
-            format!(
-                "unsupported schema_version {version} (this build reads {SHARD_SCHEMA_VERSION})"
-            ),
-        ));
-    }
-    Ok(())
-}
-
 /// Reads the embedded spec of a shard/checkpoint header and cross-checks it
-/// against the header's own tags.
+/// against the header's schema version and its own tags.
 fn parse_embedded_spec(
+    schema_version: u64,
     spec: &Json,
     experiment: &str,
     fingerprint: &str,
     total: usize,
     ctx: &str,
 ) -> Result<ExperimentSpec, SpecError> {
+    if schema_version != SHARD_SCHEMA_VERSION {
+        return Err(SpecError::new(
+            ctx,
+            format!(
+                "unsupported schema_version {schema_version} \
+                 (this build reads {SHARD_SCHEMA_VERSION})"
+            ),
+        ));
+    }
     let spec = ExperimentSpec::from_doc(spec)
         .map_err(|e| SpecError::new(ctx, format!("embedded spec: {e}")))?;
     if experiment != spec.family() {
@@ -254,8 +251,7 @@ impl ShardReport {
         // One record per line; an empty shard writes `[]`.
         const POINTS: &[(&str, Layout)] = &[("points", Layout::Rows(&Layout::Inline))];
         let rows = if self.points.is_empty() { &[] } else { POINTS };
-        let (tag, value) = SHARD_TAG;
-        render(&encode_tagged(tag, value, &doc), &Layout::Block(rows))
+        render(&encode_tagged(SHARD_TAG, &doc), &Layout::Block(rows))
     }
 
     /// Parses a [`ShardReport::to_json`] document back, re-validating the
@@ -274,8 +270,8 @@ impl ShardReport {
             "not a shard document (bench != \"shard\")",
             ctx,
         )?;
-        check_schema_version(doc.schema_version, ctx)?;
         let spec = parse_embedded_spec(
+            doc.schema_version,
             &doc.spec,
             &doc.experiment,
             &doc.fingerprint,
@@ -406,8 +402,7 @@ impl Checkpoint {
             total_points: grid_len(spec)?,
             spec: spec.to_doc(),
         };
-        let (tag, value) = CHECKPOINT_TAG;
-        Ok(encode_tagged(tag, value, &header).to_string_compact())
+        Ok(encode_tagged(CHECKPOINT_TAG, &header).to_string_compact())
     }
 
     /// Renders one completed point as a journal line (no trailing newline).
@@ -432,8 +427,8 @@ impl Checkpoint {
             Json::parse(header_text).map_err(|e| SpecError::new(ctx, format!("line 1: {e}")))?;
         let header: CheckpointHeader =
             decode_tagged(&json, CHECKPOINT_TAG, "not an hqw checkpoint", ctx)?;
-        check_schema_version(header.schema_version, ctx)?;
         let spec = parse_embedded_spec(
+            header.schema_version,
             &header.spec,
             &header.experiment,
             &header.fingerprint,

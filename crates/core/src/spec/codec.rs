@@ -4,17 +4,16 @@
 //!
 //! * [`Field`] — a wire kind: how one field's value is written to and read
 //!   from a [`Json`] value. Scalars, strings, vectors and nested records
-//!   are kinds of their own; [`Ratio`] and [`Us`] are range-checked `f64`
-//!   kinds for report payloads; [`Omit`], [`OrDefault`], `Option` and
-//!   [`Derived`] say when a key may be absent.
-//! * [`Record`] — a struct with a field table, declared with
-//!   [`record!`](crate::spec::codec::record): one line per key, in wire
-//!   order. The macro builds the struct literal directly, so a table that
-//!   misses a field does not compile.
-//! * [`tagged!`](crate::spec::codec::tagged) — a tag → record table for
-//!   the tagged unions (`BackendSpec` by `backend`, `ArrivalProcess` by
-//!   `process`, `SchedPolicy` by `name`), and
-//!   [`named!`](crate::spec::codec::named) for enums written as their
+//!   are kinds of their own; `Ratio` and `Us` are range-checked `f64`
+//!   kinds for report payloads; `Omit`, `OrDefault`, `Option` and
+//!   `Derived` say when a key may be absent.
+//! * [`Record`] — a struct with a field table, declared with the
+//!   crate-internal `record!` macro: one line per key, in wire order. The
+//!   macro builds the struct literal directly, so a table that misses a
+//!   field does not compile.
+//! * `tagged!` — a tag → record table for the tagged unions
+//!   (`BackendSpec` by `backend`, `ArrivalProcess` by `process`,
+//!   `SchedPolicy` by `name`), and `named!` for enums written as their
 //!   `name()`.
 //!
 //! Every string goes through the one escaper in [`super::json`], and
@@ -30,7 +29,7 @@ pub trait Field {
     /// The Rust value the kind carries.
     type Value;
 
-    /// Whether the key is written at all ([`Derived`] fields are not).
+    /// Whether the key is written at all (`Derived` fields are not).
     const ON_WIRE: bool = true;
 
     /// Renders a value.
@@ -61,7 +60,7 @@ pub trait Field {
     }
 }
 
-/// A struct with a field table (see [`record!`](crate::spec::codec::record)).
+/// A struct with a field table (declared with the `record!` macro).
 pub trait Record: Sized {
     /// The table's keys in wire order, each with its kind's
     /// [`Field::ON_WIRE`].
@@ -99,7 +98,7 @@ pub trait Record: Sized {
 ///
 /// # Errors
 /// Names the first unknown key and the expected ones.
-pub fn check_keys(
+pub(crate) fn check_keys(
     json: &Json,
     fields: &[(&str, bool)],
     tags: &[&str],
@@ -127,7 +126,7 @@ pub fn check_keys(
 
 /// Renders `record` behind a fixed document tag (`"bench": "shard"`,
 /// `"checkpoint": "hqw"`), which comes first.
-pub fn encode_tagged(tag: &str, value: &str, record: &impl Record) -> Json {
+pub(crate) fn encode_tagged((tag, value): (&str, &str), record: &impl Record) -> Json {
     let mut fields = vec![(tag.to_string(), Json::Str(value.to_string()))];
     record.write_fields(&mut fields);
     Json::Obj(fields)
@@ -138,7 +137,7 @@ pub fn encode_tagged(tag: &str, value: &str, record: &impl Record) -> Json {
 ///
 /// # Errors
 /// Returns `wrong`, an unknown key or the first bad field.
-pub fn decode_tagged<R: Record>(
+pub(crate) fn decode_tagged<R: Record>(
     json: &Json,
     (tag, value): (&str, &str),
     wrong: &str,
@@ -155,7 +154,7 @@ pub fn decode_tagged<R: Record>(
 ///
 /// # Errors
 /// Returns a [`SpecError`] for a non-object or a missing or non-string tag.
-pub fn tag_of<'a>(json: &'a Json, tag: &str, ctx: &str) -> Result<&'a str, SpecError> {
+pub(crate) fn tag_of<'a>(json: &'a Json, tag: &str, ctx: &str) -> Result<&'a str, SpecError> {
     if !matches!(json, Json::Obj(_)) {
         return Err(SpecError::new(ctx, "expected an object"));
     }
@@ -264,7 +263,7 @@ impl<K: Field> Field for Option<K> {
 /// A report rate (an error or miss rate): a number in `[0, 1]`, so a merged
 /// shard or resumed checkpoint cannot carry an impossible rate into a
 /// report.
-pub struct Ratio;
+pub(crate) struct Ratio;
 
 impl Field for Ratio {
     type Value = f64;
@@ -283,7 +282,7 @@ impl Field for Ratio {
 
 /// A report duration (a latency or service time, µs): finite and
 /// non-negative.
-pub struct Us;
+pub(crate) struct Us;
 
 impl Field for Us {
     type Value = f64;
@@ -307,7 +306,7 @@ impl Field for Us {
 /// Kind `K`, left out when the value is its default and read as the
 /// default when absent — how fields added after a format shipped keep the
 /// older documents' bytes.
-pub struct Omit<K>(PhantomData<K>);
+pub(crate) struct Omit<K>(PhantomData<K>);
 
 impl<K: Field> Field for Omit<K>
 where
@@ -332,7 +331,7 @@ where
 }
 
 /// Kind `K`, always written but read as the default when absent.
-pub struct OrDefault<K>(PhantomData<K>);
+pub(crate) struct OrDefault<K>(PhantomData<K>);
 
 impl<K: Field> Field for OrDefault<K>
 where
@@ -353,7 +352,7 @@ where
 /// A field that is not on the wire: never written, rejected as an unknown
 /// key, and read as its default for the decoder's caller to fill in from
 /// context (a stream cell's frame count comes from its spec).
-pub struct Derived<T>(PhantomData<T>);
+pub(crate) struct Derived<T>(PhantomData<T>);
 
 impl<T: Default> Field for Derived<T> {
     type Value = T;
@@ -452,7 +451,7 @@ macro_rules! tagged {
             type Value = $ty;
             fn to_json(value: &$ty) -> $crate::spec::json::Json {
                 match value {
-                    $( $ty::$variant(inner) => $crate::spec::codec::encode_tagged($tag, $name, inner), )*
+                    $( $ty::$variant(inner) => $crate::spec::codec::encode_tagged(($tag, $name), inner), )*
                 }
             }
             fn from_json(

@@ -52,8 +52,9 @@ impl PartialEq for Json {
             (Json::Arr(a), Json::Arr(b)) => a == b,
             (Json::Obj(a), Json::Obj(b)) => a == b,
             (Json::UInt(a), Json::UInt(b)) => a == b,
-            (Json::UInt(_) | Json::Float(_), Json::UInt(_) | Json::Float(_)) => {
-                self.to_string_compact() == other.to_string_compact()
+            (Json::Float(a), Json::Float(b)) => a.to_string() == b.to_string(),
+            (Json::UInt(a), Json::Float(b)) | (Json::Float(b), Json::UInt(a)) => {
+                a.to_string() == b.to_string()
             }
             _ => false,
         }
@@ -79,7 +80,7 @@ impl std::error::Error for JsonError {}
 
 impl Json {
     /// An object from `(key, value)` pairs, in order.
-    pub fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    pub(crate) fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
         Json::Obj(
             fields
                 .into_iter()
@@ -534,6 +535,16 @@ mod tests {
             let text = v.to_string_compact();
             assert_eq!(Json::parse(&text).unwrap().as_f64(), Some(x), "{text}");
         }
+    }
+
+    #[test]
+    fn numbers_are_equal_when_their_text_is() {
+        // `Float(3.0)` is written `3`, which parses back as `UInt(3)`.
+        assert_eq!(Json::parse("3").unwrap(), Json::Float(3.0));
+        assert_eq!(Json::Float(0.5), Json::Float(0.5));
+        assert_ne!(Json::Float(-0.0), Json::Float(0.0));
+        assert_ne!(Json::UInt(3), Json::Float(3.5));
+        assert_ne!(Json::UInt(3), Json::Str("3".into()));
     }
 
     #[test]

@@ -309,7 +309,7 @@ impl ExperimentSpec {
 
     /// The spec document as a JSON tree — the form shard documents,
     /// checkpoint headers and trace files embed.
-    pub fn to_doc(&self) -> Json {
+    pub(crate) fn to_doc(&self) -> Json {
         let config = match self {
             ExperimentSpec::Ber(c) => c.encode(),
             ExperimentSpec::Stream(c) => c.encode(),
@@ -336,12 +336,12 @@ impl ExperimentSpec {
         ExperimentSpec::from_doc(&doc)
     }
 
-    /// Reads and validates a spec document tree ([`ExperimentSpec::to_doc`]
+    /// Reads and validates a spec document tree (`ExperimentSpec::to_doc`
     /// output).
     ///
     /// # Errors
     /// As [`ExperimentSpec::parse`], less the syntax errors.
-    pub fn from_doc(doc: &Json) -> Result<ExperimentSpec, SpecError> {
+    pub(crate) fn from_doc(doc: &Json) -> Result<ExperimentSpec, SpecError> {
         let SpecDoc {
             spec_version,
             experiment,
@@ -553,8 +553,8 @@ tagged!(SchedPolicy by "name", "scheduling policy" {
     "ucb" => Ucb { explore_milli: u32 },
 });
 
-// Inside the stanza every knob may be left out; the policy is still
-// written, as it always was.
+// Inside the stanza every knob may be left out when read; the policy is
+// always written.
 record!(SchedOptions {
     policy: OrDefault<SchedPolicy>,
     assumed_cost: Option<CostModel>,

@@ -236,7 +236,7 @@ record!(
     }
 );
 
-/// A histogram is written as its [`HistogramDoc`]; reading one back
+/// A histogram is written as its `HistogramDoc`; reading one back
 /// rejects a sub-bucket width other than this build's, malformed or
 /// duplicate buckets, and counts that do not add up.
 impl Field for LogHistogram {
@@ -673,10 +673,10 @@ impl TelemetrySummary {
     }
 
     /// The `"telemetry"` stanza of a report (its layout is
-    /// [`TelemetrySummary::LAYOUT`]). The percentile fields are ordered by
+    /// `TelemetrySummary::LAYOUT`). The percentile fields are ordered by
     /// construction — `check_telemetry` in `ci/check_bench.py`
     /// re-verifies.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let row = |label: &str, hist: &LogHistogram| {
             Json::object([
                 ("stage", label.into()),
@@ -704,7 +704,7 @@ impl TelemetrySummary {
 
     /// The stanza's layout: one key per line, one stage or counter per
     /// line.
-    pub const LAYOUT: Layout = Layout::Block(&[
+    pub(crate) const LAYOUT: Layout = Layout::Block(&[
         ("stages", Layout::Rows(&Layout::Inline)),
         ("counters", Layout::Rows(&Layout::Inline)),
     ]);
