@@ -33,7 +33,7 @@
 //! and `BENCH_fabric.json` is byte-identical at any thread count.
 
 use crate::grid::{check_coordinates, run_grid, GridEngine};
-use crate::report::{render, Layout, SCENARIO};
+use crate::report::{render, Layout, ROWS, SCENARIO};
 use crate::sched::{corrected_us, ClassReport, PriorityClass, SchedOptions, ServicePredictor};
 use crate::solver::item_seed;
 use crate::spec::codec::{record, Field, Omit, Ratio, Record, Us};
@@ -2544,7 +2544,6 @@ impl FabricGridReport {
             ),
             ("points", Vec::<FabricReport>::to_json(&self.points)),
         ]);
-        const ROWS: Layout = Layout::Rows(&Layout::Inline);
         render(&doc, &Layout::Block(&[SCENARIO, ("points", ROWS)]))
     }
 }

@@ -40,7 +40,7 @@ use crate::fabric::{
     FabricScheduler, RealtimeConfig, RouteTrace,
 };
 use crate::grid::GridEngine;
-use crate::report::{render, Layout, SCENARIO};
+use crate::report::{render, Layout, ROWS, SCENARIO};
 use crate::spec::codec::{decode_tagged, encode_tagged, record, Field, Ratio};
 use crate::spec::json::Json;
 use crate::spec::{ExperimentSpec, SpecError};
@@ -784,7 +784,6 @@ impl FabricRtGridReport {
         if let Some(summary) = &self.telemetry {
             fields.push(("telemetry", summary.to_json()));
         }
-        const ROWS: Layout = Layout::Rows(&Layout::Inline);
         render(
             &Json::object(fields),
             &Layout::Block(&[

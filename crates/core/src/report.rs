@@ -109,6 +109,9 @@ pub(crate) enum Layout {
 /// The layout of a grid report's `scenario` header.
 pub(crate) const SCENARIO: (&str, Layout) = ("scenario", Layout::Block(&[]));
 
+/// An array of records, one compact record per line.
+pub(crate) const ROWS: Layout = Layout::Rows(&Layout::Inline);
+
 /// Renders a document with two-space indentation and a trailing newline.
 pub(crate) fn render(doc: &Json, layout: &Layout) -> String {
     let mut out = String::new();

@@ -20,7 +20,7 @@
 
 use crate::grid::{check_coordinates, GridEngine};
 use crate::protocol::Protocol;
-use crate::report::{render, Layout, SCENARIO};
+use crate::report::{render, Layout, ROWS, SCENARIO};
 use crate::solver::item_seed;
 use crate::solver::{HybridConfig, HybridSolver};
 use crate::spec::codec::{record, Derived, Field, Ratio, Record};
@@ -626,8 +626,7 @@ impl BerReport {
             ("series", Vec::<DetectorSeries>::to_json(&self.series)),
         ]);
         // Each detector's points break onto their own lines too.
-        const SERIES: Layout =
-            Layout::Rows(&Layout::Line(&[("points", Layout::Rows(&Layout::Inline))]));
+        const SERIES: Layout = Layout::Rows(&Layout::Line(&[("points", ROWS)]));
         render(&doc, &Layout::Block(&[SCENARIO, ("series", SERIES)]))
     }
 }

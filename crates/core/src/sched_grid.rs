@@ -26,7 +26,7 @@
 
 use crate::fabric::{render_coordinates, run_fabric, BackendMix, FabricConfig, FabricReport};
 use crate::grid::{check_coordinates, GridEngine};
-use crate::report::{render, Layout, SCENARIO};
+use crate::report::{render, Layout, ROWS, SCENARIO};
 use crate::sched::{ClassMix, PriorityClass, SchedOptions, SchedPolicy};
 use crate::solver::item_seed;
 use crate::spec::codec::{record, Field, Record};
@@ -366,7 +366,6 @@ impl SchedGridReport {
             ("summary", Vec::<ArmSummary>::to_json(&self.summaries())),
             ("points", Vec::<SchedPointReport>::to_json(&self.points)),
         ]);
-        const ROWS: Layout = Layout::Rows(&Layout::Inline);
         render(
             &doc,
             &Layout::Block(&[SCENARIO, ("summary", ROWS), ("points", ROWS)]),

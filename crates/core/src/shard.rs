@@ -29,7 +29,7 @@
 //! same spec at different seeds/scales) can never be mixed silently.
 
 use crate::grid::{check_point_ids, spec_grid};
-use crate::report::{render, Layout, PointRecord, Report};
+use crate::report::{render, Layout, PointRecord, Report, ROWS};
 use crate::spec::codec::{decode_tagged, encode_tagged, record, Record};
 use crate::spec::json::Json;
 use crate::spec::{ExperimentSpec, SpecError};
@@ -249,7 +249,7 @@ impl ShardReport {
             points: self.points.clone(),
         };
         // One record per line; an empty shard writes `[]`.
-        const POINTS: &[(&str, Layout)] = &[("points", Layout::Rows(&Layout::Inline))];
+        const POINTS: &[(&str, Layout)] = &[("points", ROWS)];
         let rows = if self.points.is_empty() { &[] } else { POINTS };
         render(&encode_tagged(SHARD_TAG, &doc), &Layout::Block(rows))
     }

@@ -32,7 +32,7 @@
 //! 1-thread against an N-thread `hqw run stream`.
 
 use crate::grid::{check_coordinates, GridEngine};
-use crate::report::{render, Layout, SCENARIO};
+use crate::report::{render, Layout, ROWS, SCENARIO};
 use crate::solver::item_seed;
 use crate::spec::codec::{record, Derived, Field, Ratio, Record, Us};
 use crate::spec::json::Json;
@@ -724,7 +724,6 @@ impl StreamGridReport {
             ),
             ("cells", Vec::<StreamReport>::to_json(&self.cells)),
         ]);
-        const ROWS: Layout = Layout::Rows(&Layout::Inline);
         render(&doc, &Layout::Block(&[SCENARIO, ("cells", ROWS)]))
     }
 }

@@ -35,7 +35,7 @@
 //! origin; virtual-clock engines ([`crate::fabric`], [`crate::stream`])
 //! emit the same event shapes with virtual-µs timestamps.
 
-use crate::report::{render, Layout};
+use crate::report::{render, Layout, ROWS};
 use crate::spec::codec::{record, Field, Record};
 use crate::spec::json::Json;
 use crate::spec::SpecError;
@@ -496,10 +496,7 @@ impl Collector {
             ("displayTimeUnit", "ms".into()),
             ("traceEvents", Json::Arr(events)),
         ]);
-        render(
-            &doc,
-            &Layout::Line(&[("traceEvents", Layout::Rows(&Layout::Inline))]),
-        )
+        render(&doc, &Layout::Line(&[("traceEvents", ROWS)]))
     }
 
     /// Writes [`Collector::to_chrome_json`] to `path`, creating parent
@@ -704,10 +701,7 @@ impl TelemetrySummary {
 
     /// The stanza's layout: one key per line, one stage or counter per
     /// line.
-    pub(crate) const LAYOUT: Layout = Layout::Block(&[
-        ("stages", Layout::Rows(&Layout::Inline)),
-        ("counters", Layout::Rows(&Layout::Inline)),
-    ]);
+    pub(crate) const LAYOUT: Layout = Layout::Block(&[("stages", ROWS), ("counters", ROWS)]);
 
     /// The p50 of a named stage, when that stage was recorded — the hook
     /// `ci/check_bench.py --history` folds into the trajectory table.
