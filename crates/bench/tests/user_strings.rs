@@ -1,6 +1,8 @@
 //! User strings reach every document escaped: a spec whose mix name holds
 //! a quote, a backslash and a newline still writes reports, checkpoint
-//! journals and shard documents that parse, resume and merge.
+//! journals and shard documents that parse, resume and merge. So does a
+//! spec whose mix name is a non-BMP char written as a UTF-16 surrogate
+//! pair escape, as Python's `json.dumps` writes it.
 
 use hqw_bench::cli::Options;
 use hqw_bench::registry;
@@ -33,10 +35,11 @@ fn quick(name: &str) -> ExperimentSpec {
     registry::spec(name, &opts).unwrap()
 }
 
-/// Writes `spec` into `dir`, runs it plainly and returns the report path.
-fn write_and_run(dir: &Path, spec: &ExperimentSpec) -> (PathBuf, PathBuf) {
+/// Writes `spec_text` into `dir`, runs it plainly and returns the spec and
+/// report paths.
+fn write_and_run(dir: &Path, spec_text: &str) -> (PathBuf, PathBuf) {
     let spec_path = dir.join("spec.json");
-    std::fs::write(&spec_path, spec.to_json()).unwrap();
+    std::fs::write(&spec_path, spec_text).unwrap();
     let report = dir.join("plain.json");
     hqw(&[
         "run",
@@ -53,9 +56,11 @@ fn read(p: &Path) -> String {
     std::fs::read_to_string(p).unwrap()
 }
 
-#[test]
-fn fabric_mix_names_are_escaped_through_every_document() {
-    let dir = std::env::temp_dir().join(format!("hqw_user_strings_{}", std::process::id()));
+/// Runs the quick fabric preset's SA pool under mix name `name`, its spec
+/// text passed through `rewrite`, plainly, checkpointed, resumed and as a
+/// 2-way shard merge: every report carries `name` and all agree.
+fn check_fabric_mix_name(tag: &str, name: &str, rewrite: impl Fn(String) -> String) {
+    let dir = std::env::temp_dir().join(format!("hqw_user_strings_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
     // The quick fabric preset's SA pool alone, two points, few frames.
@@ -63,17 +68,18 @@ fn fabric_mix_names_are_escaped_through_every_document() {
         panic!("fabric preset must be a Fabric spec")
     };
     config.mixes.truncate(1);
-    config.mixes[0].name = NAME.to_string();
+    config.mixes[0].name = name.to_string();
     config.frames_per_cell = 6;
     config.cell_counts = vec![2];
     config.arrival_periods_us = vec![400.0, 200.0];
-    let (spec_path, report) = write_and_run(&dir, &ExperimentSpec::Fabric(config));
+    let spec_text = rewrite(ExperimentSpec::Fabric(config).to_json());
+    let (spec_path, report) = write_and_run(&dir, &spec_text);
 
     // The plain run's report parses and carries the name intact.
     let plain = read(&report);
     let doc = Json::parse(&plain).expect("report parses");
     let points = doc.get("points").and_then(Json::as_arr).unwrap();
-    assert_eq!(points[0].get("mix").and_then(Json::as_str), Some(NAME));
+    assert_eq!(points[0].get("mix").and_then(Json::as_str), Some(name));
 
     // A checkpointed run completes, and resuming its journal reproduces it.
     let journal = dir.join("ck.jsonl");
@@ -130,6 +136,20 @@ fn fabric_mix_names_are_escaped_through_every_document() {
 }
 
 #[test]
+fn fabric_mix_names_are_escaped_through_every_document() {
+    check_fabric_mix_name("quotes", NAME, |text| text);
+}
+
+#[test]
+fn surrogate_pair_escapes_in_a_spec_decode_to_one_char() {
+    check_fabric_mix_name("emoji", "sa-pool \u{1F680}", |text| {
+        let escaped = text.replace('\u{1F680}', "\\ud83d\\ude80");
+        assert_ne!(escaped, text, "the spec must carry the escaped pair");
+        escaped
+    });
+}
+
+#[test]
 fn sched_mix_names_are_escaped_in_the_report_header() {
     let dir = std::env::temp_dir().join(format!("hqw_user_strings_sched_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -140,7 +160,7 @@ fn sched_mix_names_are_escaped_in_the_report_header() {
     config.mix.name = NAME.to_string();
     config.frames_per_cell = 6;
     config.arrival_periods_us = vec![240.0];
-    let (_, report) = write_and_run(&dir, &ExperimentSpec::Sched(config));
+    let (_, report) = write_and_run(&dir, &ExperimentSpec::Sched(config).to_json());
 
     let doc = Json::parse(&read(&report)).expect("report parses");
     let scenario = doc.get("scenario").unwrap();

@@ -7,10 +7,25 @@
 //! **C cells × U users** stream detection frames into a [`FabricScheduler`]
 //! that performs admission control, coalesces same-shape QUBOs into batches,
 //! and routes each batch to one of a heterogeneous pool of
-//! [`SolverBackend`]s — an SA worker pool, PIMC and SVMC annealer
-//! simulators, and a mock QPU behind a [`NetworkModel`] whose minor
+//! [`SolverBackend`]s. The pool has two backend shapes: a local pool of
+//! workers (SA, parallel tempering, tabu, or a PIMC/SVMC annealer
+//! simulator), and a mock QPU behind a [`NetworkModel`] whose minor
 //! embeddings come from an [`hqw_anneal::EmbeddingCache`] so repeated
 //! frames never re-derive chains.
+//!
+//! ## Control plane and executor
+//!
+//! The scheduler is the classical control plane of the paper's hybrid
+//! structure, and it solves nothing: it charges each batch it forms
+//! through [`SolverBackend::charge_batch_us`] on its own backend
+//! instances, and records the batch with its completion time and each
+//! fallback with its queueing delay. Routing never reads a decision, so
+//! the routing trace is a pure function of the arrival sequence. An
+//! executor then runs the recorded work on instances of its own: the
+//! virtual sim ([`run_fabric`]) runs the batches in formation order after
+//! routing, the realtime service (`crate::fabric_rt`) on worker threads
+//! while routing goes on. Decisions depend only on per-job seeds and batch
+//! composition, so both executors reach the same bits.
 //!
 //! Batch formation is the fabric's amortization lever: a batch pays the
 //! per-call overhead (network round trip, QPU programming, embedding
@@ -130,12 +145,12 @@ pub trait SolverBackend {
     /// Charges a batch **without solving it**: returns exactly the
     /// `service_us` that [`SolverBackend::solve_batch`] would charge for the
     /// same batch, evolving any amortization state (e.g. the mock QPU's
-    /// embedding cache) identically. The realtime service's control plane
-    /// runs the virtual clock through this, so routing decisions stay a pure
-    /// function of the arrival sequence while the actual solves happen on
-    /// worker threads. An instance must serve either the charging or the
-    /// solving role, never both — interleaving them double-counts
-    /// cache-dependent overheads.
+    /// embedding cache) identically. The control plane ([`FabricScheduler`])
+    /// runs the virtual clock through this on its own instances, and the
+    /// executor solves the same batch sequence on separate ones, so the two
+    /// charges agree bit for bit. One instance must not do both for the
+    /// same batch: charging then solving it double-counts cache-dependent
+    /// overheads.
     fn charge_batch_us(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> f64;
 
     /// `(hits, misses)` of the backend's embedding cache, when it has one.
@@ -172,7 +187,7 @@ fn expect_valid(result: Result<(), String>) {
 }
 
 // ---------------------------------------------------------------------------
-// Local classical pools: SA, parallel tempering, tabu
+// Local pools: SA, parallel tempering, tabu, PIMC and SVMC
 // ---------------------------------------------------------------------------
 
 /// The worker/batch checks every local pool configuration shares.
@@ -263,8 +278,8 @@ impl TabuConfig {
     }
 }
 
-/// The classical solver a [`LocalPool`] runs: its per-job charge and its
-/// batch solve.
+/// The solver a [`LocalPool`] runs: its per-job charge and its batch
+/// solve.
 trait LocalSolver {
     /// Charged sweeps (or sweep-equivalents) per job.
     fn sweeps_per_job(&self) -> u64;
@@ -327,8 +342,9 @@ impl LocalSolver for TabuParams {
     }
 }
 
-/// A pool of local classical workers running solver `S`. Each job's search
-/// is seeded from the job alone (salted per solver), so a job's decision —
+/// A pool of local workers running solver `S` — a classical search or an
+/// annealer simulator. Each job's search is seeded from the job alone
+/// (salted per classical solver), so a job's decision —
 /// and every BER metric — is invariant to how the scheduler bucketed it:
 /// the same paired-comparison property the mock QPU pins with per-job
 /// seeds. A batch runs in `ceil(B / workers)` rounds of the per-job charge.
@@ -393,12 +409,8 @@ impl<S: LocalSolver> SolverBackend for LocalPool<S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// PIMC / SVMC annealer simulators
-// ---------------------------------------------------------------------------
-
-/// Shared configuration of the [`PimcBackend`] and [`SvmcBackend`] annealer
-/// simulators.
+/// Shared configuration of the PIMC and SVMC annealer-simulator pools
+/// ([`BackendSpec::Pimc`], [`BackendSpec::Svmc`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnealerConfig {
     /// Reads per job.
@@ -414,7 +426,7 @@ pub struct AnnealerConfig {
 }
 
 /// Total MC sweeps one annealer job costs:
-/// `reads × anneal_us × sweeps_per_us`. Shared by the PIMC/SVMC backends
+/// `reads × anneal_us × sweeps_per_us`. Shared by the PIMC/SVMC pools
 /// and the mock QPU so predicted and charged service can never drift apart.
 fn mc_sweeps_per_job(num_reads: usize, anneal_us: f64, sweeps_per_us: usize) -> u64 {
     (num_reads as f64 * anneal_us * sweeps_per_us as f64).round() as u64
@@ -462,118 +474,42 @@ impl AnnealerConfig {
         Ok(())
     }
 
+    /// The annealer this configuration runs on `engine`; call it only on a
+    /// validated configuration.
+    fn annealer(&self, engine: EngineKind) -> Annealer {
+        Annealer {
+            sampler: annealer_sampler(engine, self.num_reads, self.sweeps_per_us),
+            schedule: AnnealSchedule::forward(self.anneal_us).expect("anneal_us validated > 0"),
+            sweeps: mc_sweeps_per_job(self.num_reads, self.anneal_us, self.sweeps_per_us),
+        }
+    }
+}
+
+/// A PIMC or SVMC annealer simulator: one forward-anneal sampler run per
+/// job, seeded by the job alone.
+#[derive(Debug)]
+struct Annealer {
+    sampler: QuantumSampler,
+    schedule: AnnealSchedule,
+    sweeps: u64,
+}
+
+impl LocalSolver for Annealer {
+    /// `reads × anneal_us × sweeps_per_us` simulated MC sweeps.
     fn sweeps_per_job(&self) -> u64 {
-        mc_sweeps_per_job(self.num_reads, self.anneal_us, self.sweeps_per_us)
+        self.sweeps
     }
 
-    fn sampler(&self, engine: EngineKind) -> QuantumSampler {
-        annealer_sampler(engine, self.num_reads, self.sweeps_per_us)
+    fn solve(&self, jobs: &[(&Qubo, u64)]) -> Vec<Vec<u8>> {
+        jobs.iter()
+            .map(|&(qubo, seed)| {
+                let result = self.sampler.sample_qubo(qubo, &self.schedule, None, seed);
+                let best = result.samples.best().expect("annealer produced no samples");
+                best.bits.clone()
+            })
+            .collect()
     }
 }
-
-/// Runs one annealer job (forward schedule, per-job seed) and returns the
-/// decision. Shared by the PIMC, SVMC and mock-QPU backends.
-fn annealer_decide(
-    sampler: &QuantumSampler,
-    schedule: &AnnealSchedule,
-    sweeps_per_job: u64,
-    job: &FabricJob,
-) -> JobDecision {
-    let result = sampler.sample_qubo(&job.inst.reduction.qubo, schedule, None, job.seed);
-    let best = result.samples.best().expect("annealer produced no samples");
-    natural_to_gray_decision(
-        job,
-        &best.bits,
-        DetectorMeta {
-            nodes_visited: 0,
-            sweeps: sweeps_per_job,
-        },
-    )
-}
-
-macro_rules! annealer_backend {
-    ($(#[$doc:meta])* $name:ident, $tag:literal, $engine:expr) => {
-        $(#[$doc])*
-        #[derive(Debug)]
-        pub struct $name {
-            config: AnnealerConfig,
-            sampler: QuantumSampler,
-            schedule: AnnealSchedule,
-        }
-
-        impl $name {
-            /// Creates the backend.
-            ///
-            /// # Panics
-            /// Panics on invalid configuration.
-            pub fn new(config: AnnealerConfig) -> Self {
-                expect_valid(config.validate());
-                $name {
-                    config,
-                    sampler: config.sampler($engine),
-                    schedule: AnnealSchedule::forward(config.anneal_us)
-                        .expect("anneal_us validated > 0"),
-                }
-            }
-        }
-
-        impl SolverBackend for $name {
-            fn name(&self) -> &'static str {
-                $tag
-            }
-
-            fn capacity(&self) -> usize {
-                self.config.capacity
-            }
-
-            fn max_batch(&self) -> usize {
-                self.config.max_batch
-            }
-
-            fn predict_job_us(&self, cost: &CostModel, _n_logical: usize) -> f64 {
-                cost.service_us(&DetectorMeta {
-                    nodes_visited: 0,
-                    sweeps: self.config.sweeps_per_job(),
-                })
-            }
-
-            fn solve_batch(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> BatchOutcome {
-                let sweeps = self.config.sweeps_per_job();
-                let decisions = jobs
-                    .iter()
-                    .map(|job| annealer_decide(&self.sampler, &self.schedule, sweeps, job))
-                    .collect();
-                BatchOutcome {
-                    decisions,
-                    service_us: self.charge_batch_us(cost, jobs),
-                }
-            }
-
-            fn charge_batch_us(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> f64 {
-                rounds_us(
-                    jobs.len(),
-                    self.config.capacity,
-                    self.predict_job_us(cost, jobs[0].inst.num_vars()),
-                )
-            }
-        }
-    };
-}
-
-annealer_backend!(
-    /// Path-integral quantum Monte Carlo simulator backend (16 Trotter
-    /// slices by default of [`EngineKind`]; here 8 — quick but quantum).
-    PimcBackend,
-    "pimc",
-    EngineKind::Pimc { trotter_slices: 8 }
-);
-
-annealer_backend!(
-    /// Spin-vector (semi-classical) Monte Carlo simulator backend.
-    SvmcBackend,
-    "svmc",
-    EngineKind::Svmc
-);
 
 // ---------------------------------------------------------------------------
 // Mock QPU behind a network
@@ -823,6 +759,23 @@ impl SolverBackend for MockQpuBackend {
 // Backend specs and mixes
 // ---------------------------------------------------------------------------
 
+/// Boxes a local pool of `workers` slots running `solver`.
+fn pool<S: LocalSolver + 'static>(
+    name: &'static str,
+    salt: u64,
+    workers: usize,
+    max_batch: usize,
+    solver: S,
+) -> Box<dyn SolverBackend> {
+    Box::new(LocalPool {
+        name,
+        salt,
+        workers,
+        max_batch,
+        solver,
+    })
+}
+
 /// A buildable description of one backend — what the grid fans out, so each
 /// grid point constructs its own (stateful) backends and stays deterministic
 /// at any thread count.
@@ -834,9 +787,10 @@ pub enum BackendSpec {
     Pt(PtConfig),
     /// Classical tabu-search worker pool.
     Tabu(TabuConfig),
-    /// PIMC annealer simulator.
+    /// Path-integral quantum Monte Carlo annealer-simulator pool (8 Trotter
+    /// slices: quick but quantum).
     Pimc(AnnealerConfig),
-    /// SVMC annealer simulator.
+    /// Spin-vector (semi-classical) Monte Carlo annealer-simulator pool.
     Svmc(AnnealerConfig),
     /// Centralized mock QPU behind a network.
     MockQpu(MockQpuConfig),
@@ -848,34 +802,23 @@ impl BackendSpec {
     /// # Panics
     /// Panics on invalid configuration.
     pub fn build(&self) -> Box<dyn SolverBackend> {
+        expect_valid(self.validate());
         match *self {
-            // The salts decorrelate the local pools' per-job seed streams.
-            BackendSpec::SaPool(c) => self.pool("sa-pool", 0x5A_B47C, c.workers, c.max_batch, c.sa),
-            BackendSpec::Pt(c) => self.pool("pt", 0x97_7E3A, c.workers, c.max_batch, c.pt),
-            BackendSpec::Tabu(c) => self.pool("tabu", 0x7AB_005, c.workers, c.max_batch, c.tabu),
-            BackendSpec::Pimc(c) => Box::new(PimcBackend::new(c)),
-            BackendSpec::Svmc(c) => Box::new(SvmcBackend::new(c)),
+            // The salts decorrelate the classical pools' per-job seed
+            // streams; the annealers run on the job seed itself.
+            BackendSpec::SaPool(c) => pool("sa-pool", 0x5A_B47C, c.workers, c.max_batch, c.sa),
+            BackendSpec::Pt(c) => pool("pt", 0x97_7E3A, c.workers, c.max_batch, c.pt),
+            BackendSpec::Tabu(c) => pool("tabu", 0x7AB_005, c.workers, c.max_batch, c.tabu),
+            BackendSpec::Pimc(c) => {
+                let annealer = c.annealer(EngineKind::Pimc { trotter_slices: 8 });
+                pool("pimc", 0, c.capacity, c.max_batch, annealer)
+            }
+            BackendSpec::Svmc(c) => {
+                let annealer = c.annealer(EngineKind::Svmc);
+                pool("svmc", 0, c.capacity, c.max_batch, annealer)
+            }
             BackendSpec::MockQpu(c) => Box::new(MockQpuBackend::new(c)),
         }
-    }
-
-    /// Builds a validated local pool of this spec.
-    fn pool<S: LocalSolver + 'static>(
-        &self,
-        name: &'static str,
-        salt: u64,
-        workers: usize,
-        max_batch: usize,
-        solver: S,
-    ) -> Box<dyn SolverBackend> {
-        expect_valid(self.validate());
-        Box::new(LocalPool {
-            name,
-            salt,
-            workers,
-            max_batch,
-            solver,
-        })
     }
 
     /// Validates the wrapped backend configuration without building it.
@@ -1253,10 +1196,8 @@ struct JobFinish {
 struct BackendState {
     backend: Box<dyn SolverBackend>,
     queue: VecDeque<usize>,
-    /// Jobs of the in-flight batch with their decisions (empty when idle).
-    /// Decisions are `None` in charge-only mode, where the actual solves
-    /// happen on the realtime service's worker threads.
-    in_flight: Vec<(usize, Option<JobDecision>)>,
+    /// Jobs of the in-flight batch (0 when idle).
+    in_flight: usize,
     free_at: f64,
     busy_us: f64,
     batches: u64,
@@ -1300,7 +1241,7 @@ impl BackendState {
         let tail = jobs_ahead % max_batch;
         let batches_ahead = (full + usize::from(tail > 0)) as f64;
         let rounds = full * max_batch.div_ceil(capacity) + tail.div_ceil(capacity);
-        let ready = if self.in_flight.is_empty() {
+        let ready = if self.in_flight == 0 {
             now
         } else {
             self.free_at.max(now)
@@ -1309,20 +1250,17 @@ impl BackendState {
     }
 
     /// Starts the next batch from the queue at `start` (queue must be
-    /// non-empty): pops the longest same-shape prefix up to `max_batch`.
-    /// With `solve` the batch is solved inline (the virtual-time sim); in
-    /// charge-only mode the backend is charged the identical `service_us`
-    /// but returns no decisions, and the formed batch's job ids are the
-    /// caller's to dispatch. Returns the batch in queue order plus the
-    /// charged service µs (the predictor's learning signal).
+    /// non-empty): pops the longest same-shape prefix up to `max_batch` and
+    /// charges it through [`SolverBackend::charge_batch_us`]. Returns the
+    /// batch in queue order plus the charged service µs (the predictor's
+    /// learning signal).
     fn start_batch(
         &mut self,
         start: f64,
         cost: &CostModel,
         jobs: &[FabricJob],
-        solve: bool,
     ) -> (Vec<usize>, f64) {
-        debug_assert!(self.in_flight.is_empty());
+        debug_assert_eq!(self.in_flight, 0);
         let head_vars = jobs[*self.queue.front().expect("start_batch: empty queue")].num_vars();
         let mut batch_ids = Vec::new();
         while batch_ids.len() < self.backend.max_batch() {
@@ -1335,24 +1273,7 @@ impl BackendState {
             }
         }
         let batch_jobs: Vec<&FabricJob> = batch_ids.iter().map(|&id| &jobs[id]).collect();
-        let (service_us, decisions) = if solve {
-            let outcome = self.backend.solve_batch(cost, &batch_jobs);
-            assert_eq!(
-                outcome.decisions.len(),
-                batch_jobs.len(),
-                "backend {} returned a mismatched batch",
-                self.backend.name()
-            );
-            (
-                outcome.service_us,
-                outcome.decisions.into_iter().map(Some).collect(),
-            )
-        } else {
-            (
-                self.backend.charge_batch_us(cost, &batch_jobs),
-                vec![None; batch_jobs.len()],
-            )
-        };
+        let service_us = self.backend.charge_batch_us(cost, &batch_jobs);
         self.free_at = start + service_us;
         self.busy_us += service_us;
         self.batches += 1;
@@ -1360,7 +1281,7 @@ impl BackendState {
             self.batch_histogram.resize(batch_ids.len(), 0);
         }
         self.batch_histogram[batch_ids.len() - 1] += 1;
-        self.in_flight = batch_ids.iter().copied().zip(decisions).collect();
+        self.in_flight = batch_ids.len();
         (batch_ids, service_us)
     }
 
@@ -1431,6 +1352,12 @@ pub(crate) fn generate_jobs(config: &FabricConfig) -> Vec<FabricJob> {
 /// service time alone). Idle backends start serving immediately; jobs
 /// arriving at a busy backend queue up and coalesce into its next
 /// same-shape batch when the backend frees.
+///
+/// The scheduler solves nothing. It charges each batch it forms through
+/// [`SolverBackend::charge_batch_us`] on its own backend instances, and
+/// records the batch with its completion time and each fallback with its
+/// queueing delay. An executor — the virtual sim's [`run_fabric_observed`]
+/// or the realtime service's workers — runs them on instances of its own.
 pub struct FabricScheduler {
     cost: CostModel,
     /// The cost model admission quotes are computed from: the true `cost`
@@ -1442,25 +1369,19 @@ pub struct FabricScheduler {
     /// The learned service corrector (a no-op for the static policy).
     predictor: Box<dyn ServicePredictor>,
     backends: Vec<BackendState>,
-    fallbacks: usize,
     /// Queued lower-class jobs evicted by preempting admissions.
     preemptions: u64,
-    /// Whether batches are solved inline (virtual sim) or only charged
-    /// (realtime control plane; solves happen on worker threads).
-    solve: bool,
     /// Per-job routing decision, indexed by job id: `Some(backend)` or
     /// `None` for the classical fallback. This is the replay trace.
-    /// Preemption **rewrites** a victim's entry from `Some(b)` to `None` —
-    /// deterministically, inside the same admission step on both the
-    /// virtual and realtime paths.
+    /// Preemption **rewrites** a victim's entry from `Some(b)` to `None`
+    /// inside the admission step that evicts it.
     trace: Vec<Option<usize>>,
-    /// Batches formed in charge-only mode, in formation order, for the
-    /// realtime service to dispatch to its worker pools.
+    /// Batches formed since the last [`FabricScheduler::take_formed`], in
+    /// formation order.
     formed: Vec<FormedBatch>,
-    /// Jobs evicted in charge-only mode since the last
-    /// [`FabricScheduler::take_evicted`] — the realtime service routes
-    /// them to its fallback worker.
-    evicted: Vec<usize>,
+    /// Fallbacks decided since the last [`FabricScheduler::take_fallbacks`],
+    /// in decision order.
+    fallbacks: Vec<Fallback>,
     /// `(virtual µs, |observed − corrected prediction| µs)` per batch —
     /// the prediction-error telemetry series. Empty for the static policy.
     pred_events: Vec<(f64, f64)>,
@@ -1469,14 +1390,27 @@ pub struct FabricScheduler {
     preempt_events: Vec<(f64, u64)>,
 }
 
-/// A batch formed by the charge-only scheduler, ready for dispatch to a
-/// realtime worker pool.
+/// A batch the control plane formed, ready for an executor.
 #[derive(Debug, Clone)]
 pub(crate) struct FormedBatch {
     /// Index of the backend pool the batch is routed to.
     pub backend: usize,
     /// Job ids of the batch, in queue order.
     pub jobs: Vec<usize>,
+    /// Virtual µs at which the batch completes: its start plus the charged
+    /// service.
+    pub free_at: f64,
+}
+
+/// A job the admission control downgraded to the classical fallback.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fallback {
+    /// The job id.
+    pub job: usize,
+    /// Virtual µs the job waited before falling back: 0 when rejected at
+    /// arrival, `t_a − arrival` when a preempting admission at `t_a`
+    /// evicted it from a queue.
+    pub wait_us: f64,
 }
 
 /// The routing decisions of one fabric run, indexed by job id:
@@ -1492,58 +1426,24 @@ impl std::fmt::Debug for FabricScheduler {
             .field("deadline_us", &self.deadline_us)
             .field("policy", &self.options.policy.name())
             .field("backends", &self.backends.len())
-            .field("fallbacks", &self.fallbacks)
             .field("preemptions", &self.preemptions)
-            .field("solve", &self.solve)
             .finish()
     }
 }
 
 impl FabricScheduler {
-    /// Builds the scheduler and its backend pool.
+    /// Builds the control plane with its charging instance of every backend
+    /// and the adaptive-scheduling options (predictor policy, assumed
+    /// routing cost model, class handling).
     ///
     /// # Panics
-    /// Panics on an empty pool, a negative deadline, or invalid backend
-    /// parameters.
-    pub fn new(specs: &[BackendSpec], cost: CostModel, deadline_us: f64) -> Self {
-        Self::with_mode(specs, cost, deadline_us, SchedOptions::default(), true)
-    }
-
-    /// [`FabricScheduler::new`] with explicit adaptive-scheduling options
-    /// (predictor policy, assumed routing cost model, class handling).
-    /// Default options reproduce [`FabricScheduler::new`] byte-for-byte.
-    ///
-    /// # Panics
-    /// As [`FabricScheduler::new`], plus invalid sched options.
-    pub fn with_options(
+    /// Panics on an empty pool, a negative deadline, invalid backend
+    /// parameters or invalid sched options.
+    pub fn new(
         specs: &[BackendSpec],
         cost: CostModel,
         deadline_us: f64,
         options: SchedOptions,
-    ) -> Self {
-        Self::with_mode(specs, cost, deadline_us, options, true)
-    }
-
-    /// Builds a **charge-only** scheduler: admission and batch formation run
-    /// exactly as in the virtual sim, but backends are charged via
-    /// [`SolverBackend::charge_batch_us`] instead of solving, and formed
-    /// batches accumulate for the caller to dispatch (the realtime
-    /// service's control plane).
-    pub(crate) fn new_charge_only(
-        specs: &[BackendSpec],
-        cost: CostModel,
-        deadline_us: f64,
-        options: SchedOptions,
-    ) -> Self {
-        Self::with_mode(specs, cost, deadline_us, options, false)
-    }
-
-    fn with_mode(
-        specs: &[BackendSpec],
-        cost: CostModel,
-        deadline_us: f64,
-        options: SchedOptions,
-        solve: bool,
     ) -> Self {
         assert!(!specs.is_empty(), "FabricScheduler: empty backend pool");
         assert!(
@@ -1562,7 +1462,7 @@ impl FabricScheduler {
                 .map(|spec| BackendState {
                     backend: spec.build(),
                     queue: VecDeque::new(),
-                    in_flight: Vec::new(),
+                    in_flight: 0,
                     free_at: 0.0,
                     busy_us: 0.0,
                     batches: 0,
@@ -1570,12 +1470,10 @@ impl FabricScheduler {
                     jobs_done: 0,
                 })
                 .collect(),
-            fallbacks: 0,
             preemptions: 0,
-            solve,
             trace: Vec::new(),
             formed: Vec::new(),
-            evicted: Vec::new(),
+            fallbacks: Vec::new(),
             pred_events: Vec::new(),
             preempt_events: Vec::new(),
         }
@@ -1586,33 +1484,20 @@ impl FabricScheduler {
         &self.trace
     }
 
-    /// Drains the batches formed since the last call (charge-only mode).
+    /// Drains the batches formed since the last call.
     pub(crate) fn take_formed(&mut self) -> Vec<FormedBatch> {
         std::mem::take(&mut self.formed)
     }
 
-    /// Drains the job ids evicted by preempting admissions since the last
-    /// call (charge-only mode): the realtime service routes them to its
-    /// classical fallback worker.
-    pub(crate) fn take_evicted(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.evicted)
-    }
-
-    /// Queued lower-class jobs evicted by preempting admissions so far.
-    pub(crate) fn preemptions(&self) -> u64 {
-        self.preemptions
-    }
-
-    /// Mean absolute service-prediction error (µs) of the learned
-    /// predictor; 0.0 under the static policy.
-    pub(crate) fn prediction_mae_us(&self) -> f64 {
-        self.predictor.mae_us()
+    /// Drains the fallbacks decided since the last call: rejected arrivals
+    /// and the queued jobs preempting admissions evicted.
+    pub(crate) fn take_fallbacks(&mut self) -> Vec<Fallback> {
+        std::mem::take(&mut self.fallbacks)
     }
 
     /// Starts the next batch on backend `b_idx` at `start` (its queue must
     /// be non-empty and nothing in flight), feeds the completion back to
-    /// the service predictor, and in charge-only mode records the formed
-    /// batch for dispatch.
+    /// the service predictor, and records the formed batch.
     fn start_and_learn(&mut self, b_idx: usize, start: f64, jobs: &[FabricJob]) {
         let head_vars = jobs[*self.backends[b_idx]
             .queue
@@ -1620,8 +1505,7 @@ impl FabricScheduler {
             .expect("start_and_learn: empty queue")]
         .num_vars();
         let correction = self.predictor.correction_q16(b_idx, head_vars);
-        let (batch, service_us) =
-            self.backends[b_idx].start_batch(start, &self.cost, jobs, self.solve);
+        let (batch, service_us) = self.backends[b_idx].start_batch(start, &self.cost, jobs);
         let quote =
             self.backends[b_idx].static_batch_quote_us(&self.route_cost, batch.len(), head_vars);
         self.predictor.observe(b_idx, head_vars, quote, service_us);
@@ -1629,12 +1513,11 @@ impl FabricScheduler {
             let err = (service_us - corrected_us(quote, correction)).abs();
             self.pred_events.push((start, err));
         }
-        if !self.solve {
-            self.formed.push(FormedBatch {
-                backend: b_idx,
-                jobs: batch,
-            });
-        }
+        self.formed.push(FormedBatch {
+            backend: b_idx,
+            jobs: batch,
+            free_at: self.backends[b_idx].free_at,
+        });
     }
 
     /// Inserts `job_id` into backend `b_idx`'s queue in class-rank order
@@ -1657,7 +1540,7 @@ impl FabricScheduler {
         self.backends
             .iter()
             .enumerate()
-            .filter(|(_, b)| !b.in_flight.is_empty())
+            .filter(|(_, b)| b.in_flight > 0)
             .map(|(i, b)| (b.free_at, i))
             .min_by(|a, b| {
                 a.0.partial_cmp(&b.0)
@@ -1666,72 +1549,39 @@ impl FabricScheduler {
             })
     }
 
-    /// Completes backend `b_idx`'s in-flight batch at `t_c`, recording each
-    /// job's outcome into `finished`, then starts the next batch from its
-    /// queue when one is waiting.
-    fn complete(
-        &mut self,
-        b_idx: usize,
-        t_c: f64,
-        jobs: &[FabricJob],
-        finished: &mut [Option<JobFinish>],
-    ) {
-        let state = &mut self.backends[b_idx];
-        for (job_id, decision) in std::mem::take(&mut state.in_flight) {
-            if let Some(decision) = decision {
-                let job = &jobs[job_id];
-                finished[job_id] = Some(JobFinish {
-                    latency_us: t_c - job.arrival_us,
-                    ber: bit_error_rate(&job.inst.tx_gray_bits, &decision.gray_bits),
-                    fallback: false,
-                });
-            }
-            state.jobs_done += 1;
-        }
-        if !self.backends[b_idx].queue.is_empty() {
-            self.start_and_learn(b_idx, t_c, jobs);
-        }
-    }
-
     /// Names of the pooled backends, in routing-index order (the realtime
     /// service labels its telemetry lanes with these).
     pub(crate) fn backend_names(&self) -> Vec<&'static str> {
         self.backends.iter().map(|b| b.backend.name()).collect()
     }
 
-    /// Charge-mode driver: advances the virtual clock to `t`, completing
-    /// every in-flight batch due at or before it (completions fire before
-    /// the arrival sharing their timestamp, exactly as in [`run_fabric`]).
+    /// Advances the virtual clock to `t`, completing every in-flight batch
+    /// due at or before it and starting each backend's next batch from its
+    /// queue. Call it before admitting an arrival at `t`, so capacity freed
+    /// at the arrival's own timestamp is visible to the decision.
     pub(crate) fn advance_to(&mut self, t: f64, jobs: &[FabricJob]) {
         while let Some((t_c, b_idx)) = self.next_completion() {
             if t_c > t {
                 break;
             }
-            self.complete(b_idx, t_c, jobs, &mut []);
+            let state = &mut self.backends[b_idx];
+            state.jobs_done += std::mem::take(&mut state.in_flight);
+            if !state.queue.is_empty() {
+                self.start_and_learn(b_idx, t_c, jobs);
+            }
         }
     }
 
-    /// Charge-mode admission of job `job_id` at `t_a`. Call
-    /// [`Self::advance_to`] first so capacity freed by earlier completions
-    /// is visible to the decision.
-    pub(crate) fn admit_charged(&mut self, job_id: usize, t_a: f64, jobs: &[FabricJob]) {
-        debug_assert!(!self.solve, "admit_charged on a solving scheduler");
-        self.admit(job_id, t_a, jobs, None, &mut []);
-    }
-
-    /// Charge-mode drain after the last admission: completes every
-    /// remaining in-flight batch so residual queued jobs form batches.
+    /// Runs the virtual clock out after the last admission, so residual
+    /// queued jobs form their final batches.
     pub(crate) fn drain(&mut self, jobs: &[FabricJob]) {
-        while let Some((t_c, b_idx)) = self.next_completion() {
-            self.complete(b_idx, t_c, jobs, &mut []);
-        }
+        self.advance_to(f64::INFINITY, jobs);
     }
 
     /// Admits job `job_id` arriving at `t_a`: routes it to the backend with
     /// the lowest predicted completion when that fits the job's
-    /// class-effective deadline, or runs the local classical fallback
-    /// immediately (recording its result into `finished`; charge-only mode
-    /// skips the fallback solve, so `classical` is `None` there).
+    /// class-effective deadline, or sends it to the local classical
+    /// fallback.
     ///
     /// A higher-class job whose best quote misses its deadline may
     /// **preempt**: evict the fewest queued lower-class jobs (never
@@ -1741,14 +1591,7 @@ impl FabricScheduler {
     /// their queueing delay charged honestly (`t_a − arrival` plus the
     /// classical service). When even maximal eviction cannot meet the
     /// deadline, nothing is evicted and the job itself falls back.
-    fn admit(
-        &mut self,
-        job_id: usize,
-        t_a: f64,
-        jobs: &[FabricJob],
-        classical: Option<&dyn Detector>,
-        finished: &mut [Option<JobFinish>],
-    ) {
+    pub(crate) fn admit(&mut self, job_id: usize, t_a: f64, jobs: &[FabricJob]) {
         let job = &jobs[job_id];
         let n = job.num_vars();
         let eff_deadline_us = self.deadline_us * job.class.deadline_factor();
@@ -1775,37 +1618,33 @@ impl FabricScheduler {
             })
             .expect("backend pool is non-empty");
         if best.0 - t_a <= eff_deadline_us {
-            self.trace.push(Some(best.1));
-            self.enqueue_ranked(best.1, job_id, jobs);
-            if self.backends[best.1].in_flight.is_empty() {
-                self.start_and_learn(best.1, t_a, jobs);
-            }
+            self.route(best.1, job_id, t_a, jobs);
             return;
         }
         if job.class.rank() > 0 {
             if let Some((k, b_idx)) = self.preemption_plan(t_a, n, job.class, eff_deadline_us, jobs)
             {
-                self.evict(b_idx, k, t_a, jobs, classical, finished);
-                self.trace.push(Some(b_idx));
-                self.enqueue_ranked(b_idx, job_id, jobs);
-                if self.backends[b_idx].in_flight.is_empty() {
-                    self.start_and_learn(b_idx, t_a, jobs);
-                }
+                self.evict(b_idx, k, t_a, jobs);
+                self.route(b_idx, job_id, t_a, jobs);
                 return;
             }
         }
         // Admission control rejects: local classical fallback,
         // uncontended at the cell.
         self.trace.push(None);
-        self.fallbacks += 1;
-        if self.solve {
-            let classical = classical.expect("solving scheduler needs a classical fallback");
-            let result = classical.detect(&job.inst.system, &job.inst.h, &job.inst.y);
-            finished[job_id] = Some(JobFinish {
-                latency_us: self.cost.service_us(&result.meta),
-                ber: bit_error_rate(&job.inst.tx_gray_bits, &result.gray_bits),
-                fallback: true,
-            });
+        self.fallbacks.push(Fallback {
+            job: job_id,
+            wait_us: 0.0,
+        });
+    }
+
+    /// Routes `job_id` to backend `b_idx` at `t_a`, starting a batch at
+    /// once when the backend is idle.
+    fn route(&mut self, b_idx: usize, job_id: usize, t_a: f64, jobs: &[FabricJob]) {
+        self.trace.push(Some(b_idx));
+        self.enqueue_ranked(b_idx, job_id, jobs);
+        if self.backends[b_idx].in_flight == 0 {
+            self.start_and_learn(b_idx, t_a, jobs);
         }
     }
 
@@ -1847,73 +1686,105 @@ impl FabricScheduler {
     }
 
     /// Evicts the `k` lowest-priority queued jobs of backend `b_idx` (from
-    /// the back of its rank-ordered queue), rewriting their trace entries
-    /// to the fallback and charging the classical downgrade honestly.
-    fn evict(
-        &mut self,
-        b_idx: usize,
-        k: usize,
-        t_a: f64,
-        jobs: &[FabricJob],
-        classical: Option<&dyn Detector>,
-        finished: &mut [Option<JobFinish>],
-    ) {
+    /// the back of its rank-ordered queue) at `t_a`, rewriting their trace
+    /// entries to the fallback.
+    fn evict(&mut self, b_idx: usize, k: usize, t_a: f64, jobs: &[FabricJob]) {
         for _ in 0..k {
             let victim = self.backends[b_idx]
                 .queue
                 .pop_back()
                 .expect("preemption_plan counted evictable jobs");
             self.trace[victim] = None;
-            self.fallbacks += 1;
             self.preemptions += 1;
-            if self.solve {
-                let classical = classical.expect("solving scheduler needs a classical fallback");
-                let v = &jobs[victim];
-                let result = classical.detect(&v.inst.system, &v.inst.h, &v.inst.y);
-                finished[victim] = Some(JobFinish {
-                    // The victim waited in queue from arrival to the
-                    // eviction instant, then ran the classical fallback.
-                    latency_us: (t_a - v.arrival_us) + self.cost.service_us(&result.meta),
-                    ber: bit_error_rate(&v.inst.tx_gray_bits, &result.gray_bits),
-                    fallback: true,
-                });
-            } else {
-                self.evicted.push(victim);
-            }
+            // The victim waited in queue from arrival to the eviction
+            // instant; the classical fallback runs after that.
+            self.fallbacks.push(Fallback {
+                job: victim,
+                wait_us: t_a - jobs[victim].arrival_us,
+            });
         }
         self.preempt_events.push((t_a, self.preemptions));
     }
 }
 
-/// Runs one fabric simulation: a deterministic virtual-time event loop over
-/// job arrivals and batch completions, driven by a [`FabricScheduler`].
+/// Runs the control plane over the arrival-sorted `jobs`: each arrival
+/// advances the virtual clock to itself and is admitted; after the last
+/// one the clock runs out. The realtime sequencer makes the same calls in
+/// the same order.
+fn schedule(config: &FabricConfig, jobs: &[FabricJob]) -> FabricScheduler {
+    let mut scheduler = FabricScheduler::new(
+        &config.backends,
+        config.cost,
+        config.deadline_us,
+        config.sched,
+    );
+    for (id, job) in jobs.iter().enumerate() {
+        scheduler.advance_to(job.arrival_us, jobs);
+        scheduler.admit(id, job.arrival_us, jobs);
+    }
+    scheduler.drain(jobs);
+    scheduler
+}
+
+/// The routing decisions the control plane takes for `config`, with
+/// nothing solved: the trace a realtime run of the same config must
+/// record.
+///
+/// # Panics
+/// As [`run_fabric`].
+pub(crate) fn route_trace(config: &FabricConfig) -> RouteTrace {
+    schedule(config, &generate_jobs(config)).trace
+}
+
+/// Solves one formed batch on `backend` and returns each job's bit error
+/// rate, in batch order: the executor step the virtual sim and the
+/// realtime workers share.
+///
+/// # Panics
+/// Panics when the backend answers a different number of jobs.
+pub(crate) fn solve_formed(
+    backend: &mut dyn SolverBackend,
+    cost: &CostModel,
+    batch: &[usize],
+    jobs: &[FabricJob],
+) -> Vec<f64> {
+    let batch_jobs: Vec<&FabricJob> = batch.iter().map(|&id| &jobs[id]).collect();
+    let outcome = backend.solve_batch(cost, &batch_jobs);
+    assert_eq!(
+        outcome.decisions.len(),
+        batch_jobs.len(),
+        "backend {} returned a mismatched batch",
+        backend.name()
+    );
+    batch_jobs
+        .iter()
+        .zip(&outcome.decisions)
+        .map(|(job, decision)| bit_error_rate(&job.inst.tx_gray_bits, &decision.gray_bits))
+        .collect()
+}
+
+/// Runs one fabric simulation: the control plane's virtual-time routing,
+/// then its formed batches and fallbacks executed.
 ///
 /// # Panics
 /// Panics on zero cells/frames, a non-positive arrival period, a negative
 /// deadline, an empty backend pool, or invalid backend parameters (see
 /// [`FabricConfig::validate`] for the non-panicking check).
 pub fn run_fabric(config: &FabricConfig) -> FabricReport {
-    run_fabric_traced(config).0
+    run_fabric_observed(config, None, 0).0
 }
 
-/// [`run_fabric`] plus the recorded [`RouteTrace`] — the oracle side of the
-/// realtime service's replay contract: the trace a realtime run records
-/// must equal the trace this simulation produces for the same config.
+/// [`run_fabric`] plus the [`RouteTrace`], with optional telemetry: when
+/// a collector is given, the run emits virtual-time spans — one `"job"`
+/// span per frame on its routed backend's lane (or the fallback lane),
+/// stamped with the simulation's own µs clock under trace process `pid`.
 ///
-/// # Panics
-/// As [`run_fabric`].
-pub fn run_fabric_traced(config: &FabricConfig) -> (FabricReport, RouteTrace) {
-    run_fabric_observed(config, None, 0)
-}
-
-/// [`run_fabric_traced`] with optional telemetry: when a collector is
-/// given, the run emits virtual-time spans — one `"job"` span per frame on
-/// its routed backend's lane (or the fallback lane), stamped with the
-/// simulation's own µs clock under trace process `pid`.
-///
-/// Telemetry is emitted from the finished per-job outcomes *after* the
-/// event loop, so the simulation itself is untouched: the report and trace
-/// are byte-identical with and without a collector.
+/// The control plane routes every job first; then the formed batches run
+/// in formation order, each pool entry on one fresh backend instance, and
+/// the fallbacks run on MMSE. A served job finishes when its batch does;
+/// a fallback after its queueing delay plus the classical service.
+/// Telemetry is emitted from the finished per-job outcomes, so the report
+/// and trace are byte-identical with and without a collector.
 ///
 /// # Panics
 /// As [`run_fabric`].
@@ -1925,49 +1796,50 @@ pub fn run_fabric_observed(
     config.validate_or_panic();
 
     let jobs = generate_jobs(config);
-    let classical = Mmse::new(config.track.noise_variance);
-    let mut scheduler = FabricScheduler::with_options(
-        &config.backends,
-        config.cost,
-        config.deadline_us,
-        config.sched,
-    );
+    let mut scheduler = schedule(config, &jobs);
 
-    // Per-job outcomes; filled as jobs finish.
     let mut finished: Vec<Option<JobFinish>> = vec![None; jobs.len()];
-    let mut next_arrival = 0usize;
-
-    loop {
-        let arrival_t = jobs.get(next_arrival).map(|j| j.arrival_us);
-        match (scheduler.next_completion(), arrival_t) {
-            (None, None) => break,
-            // Completions fire first on ties so freed capacity is visible
-            // to the arrival that shares its timestamp.
-            (Some((t_c, b_idx)), arrival) if arrival.is_none_or(|t_a| t_c <= t_a) => {
-                scheduler.complete(b_idx, t_c, &jobs, &mut finished);
-            }
-            (_, Some(t_a)) => {
-                scheduler.admit(next_arrival, t_a, &jobs, Some(&classical), &mut finished);
-                next_arrival += 1;
-            }
-            (Some(_), None) => unreachable!("guarded arm covers completions with no arrivals"),
+    let mut executors: Vec<Box<dyn SolverBackend>> =
+        config.backends.iter().map(BackendSpec::build).collect();
+    for batch in scheduler.take_formed() {
+        let executor = executors[batch.backend].as_mut();
+        let bers = solve_formed(executor, &config.cost, &batch.jobs, &jobs);
+        for (&id, ber) in batch.jobs.iter().zip(bers) {
+            finished[id] = Some(JobFinish {
+                latency_us: batch.free_at - jobs[id].arrival_us,
+                ber,
+                fallback: false,
+            });
         }
+    }
+    let classical = Mmse::new(config.track.noise_variance);
+    for Fallback { job: id, wait_us } in scheduler.take_fallbacks() {
+        let job = &jobs[id];
+        let result = classical.detect(&job.inst.system, &job.inst.h, &job.inst.y);
+        finished[id] = Some(JobFinish {
+            latency_us: wait_us + config.cost.service_us(&result.meta),
+            ber: bit_error_rate(&job.inst.tx_gray_bits, &result.gray_bits),
+            fallback: true,
+        });
     }
 
     let trace = std::mem::take(&mut scheduler.trace);
-    let preemptions = scheduler.preemptions();
-    let prediction_mae_us = scheduler.prediction_mae_us();
-    let pred_events = std::mem::take(&mut scheduler.pred_events);
-    let preempt_events = std::mem::take(&mut scheduler.preempt_events);
+    let fallbacks = trace.iter().filter(|route| route.is_none()).count();
+    let preemptions = scheduler.preemptions;
+    let prediction_mae_us = scheduler.predictor.mae_us();
     let backends = scheduler.backends;
-    let fallbacks = scheduler.fallbacks;
     let per_job: Vec<JobFinish> = finished
         .into_iter()
         .map(|f| f.expect("every job finishes"))
         .collect();
     if let Some(collector) = telemetry {
         emit_virtual_spans(collector, pid, config, &jobs, &per_job, &trace, &backends);
-        emit_sched_counters(collector, pid, &pred_events, &preempt_events);
+        emit_sched_counters(
+            collector,
+            pid,
+            &scheduler.pred_events,
+            &scheduler.preempt_events,
+        );
     }
     let n = per_job.len() as f64;
     let makespan_us = jobs
@@ -3088,9 +2960,12 @@ mod tests {
                 config.frames_per_cell = backlog;
                 let jobs = generate_jobs(&config);
                 let n = jobs[0].num_vars();
-                let mut sched =
-                    FabricScheduler::new(&config.backends, config.cost, config.deadline_us);
-                let mut finished: Vec<Option<JobFinish>> = vec![None; jobs.len()];
+                let mut sched = FabricScheduler::new(
+                    &config.backends,
+                    config.cost,
+                    config.deadline_us,
+                    SchedOptions::default(),
+                );
                 let mut predicted = 0.0f64;
                 for id in 0..jobs.len() {
                     let correction = sched.predictor.correction_q16(0, n);
@@ -3101,15 +2976,17 @@ mod tests {
                         correction,
                         0,
                     );
-                    sched.admit(id, 0.0, &jobs, None, &mut finished);
+                    sched.admit(id, 0.0, &jobs);
                 }
-                let mut charged = 0.0f64;
-                while let Some((t_c, b_idx)) = sched.next_completion() {
-                    sched.complete(b_idx, t_c, &jobs, &mut finished);
-                    charged = t_c;
-                }
-                assert_eq!(sched.fallbacks, 0, "huge deadline must admit everything");
-                assert!(finished.iter().all(Option::is_some));
+                sched.drain(&jobs);
+                let formed = sched.take_formed();
+                let charged = formed.iter().map(|b| b.free_at).fold(0.0, f64::max);
+                assert!(
+                    sched.take_fallbacks().is_empty(),
+                    "huge deadline must admit everything"
+                );
+                let served: usize = formed.iter().map(|b| b.jobs.len()).sum();
+                assert_eq!(served, jobs.len());
                 let slack = 1e-9 * predicted.max(1.0);
                 assert!(
                     charged <= predicted + slack,
@@ -3121,6 +2998,73 @@ mod tests {
                     "capacity {capacity} max_batch {max_batch} backlog {backlog}: \
                      quote {predicted} us drifted from charged {charged} us"
                 );
+            }
+        }
+    }
+
+    /// The control plane charges each batch on its own instances and the
+    /// executor solves it on fresh ones, so the two charges must agree bit
+    /// for bit for every backend kind. Batch sizes run 1..=`max_batch` on
+    /// two problem shapes, so the mock QPU misses its embedding cache on
+    /// each shape's first batch and hits it after.
+    #[test]
+    fn executor_charge_equals_control_plane_charge() {
+        let shape = |n_users: usize| {
+            let mut config = fabric(1, 100.0, 1e9, Vec::new());
+            config.track.n_users = n_users;
+            config.track.n_rx = n_users;
+            config.frames_per_cell = 16;
+            generate_jobs(&config)
+        };
+        let shapes = [shape(2), shape(3)];
+        let cost = CostModel::default();
+        let specs = [
+            quick_sa_pool(),
+            BackendSpec::Pt(PtConfig {
+                workers: 2,
+                max_batch: 3,
+                pt: PtParams {
+                    replicas: 4,
+                    sweeps: 16,
+                    ..PtParams::default()
+                },
+            }),
+            BackendSpec::Tabu(TabuConfig {
+                workers: 1,
+                max_batch: 3,
+                tabu: TabuParams {
+                    max_iters: 40,
+                    ..TabuParams::default()
+                },
+            }),
+            BackendSpec::Pimc(quick_annealer()),
+            BackendSpec::Svmc(quick_annealer()),
+            quick_qpu(4),
+        ];
+        for spec in specs {
+            let mut control = spec.build();
+            let mut executor = spec.build();
+            let max_batch = control.max_batch();
+            for jobs in &shapes {
+                let mut at = 0;
+                for size in 1..=max_batch {
+                    let batch: Vec<&FabricJob> = jobs[at..at + size].iter().collect();
+                    at += size;
+                    let charged = control.charge_batch_us(&cost, &batch);
+                    let solved = executor.solve_batch(&cost, &batch).service_us;
+                    assert_eq!(
+                        charged.to_bits(),
+                        solved.to_bits(),
+                        "{} batch of {size}: charged {charged} us, solved {solved} us",
+                        control.name()
+                    );
+                }
+            }
+            let stats = control.embedding_cache_stats();
+            assert_eq!(stats, executor.embedding_cache_stats());
+            if control.name() == "mock-qpu" {
+                let hits = 2 * (max_batch as u64 - 1);
+                assert_eq!(stats, Some((hits, 2)), "one miss per shape");
             }
         }
     }

@@ -1,42 +1,46 @@
 //! The wall-clock realtime fabric service — the production twin of the
 //! [`crate::fabric`] virtual-time simulation.
 //!
-//! ## Architecture: virtual control plane, wall-clock data plane
+//! ## Architecture: virtual control plane, wall-clock executor
 //!
-//! The service splits the fabric into two planes running on real threads:
+//! The service runs the fabric's one control plane — the same
+//! [`FabricScheduler`] the virtual sim drives — and executes its decisions
+//! on real threads:
 //!
 //! * **Producers** (`RealtimeConfig::producers` threads): cells are sharded
 //!   across producer threads; each producer streams its cells' frames, in
 //!   arrival order, into **sharded MPMC delivery queues**
 //!   (`RealtimeConfig::queue_shards` mutex+condvar queues, std-only).
 //! * **Sequencer** (the control plane): drains the delivery shards and
-//!   feeds a **charge-only** [`FabricScheduler`] in virtual-arrival order.
-//!   Charge-only means backends are charged the exact `service_us` that
-//!   [`crate::fabric::SolverBackend::solve_batch`] would bill — via
-//!   `charge_batch_us`, which also evolves amortization state (the mock
-//!   QPU's embedding cache) identically — without solving anything.
-//!   Admission, batch formation and routing therefore remain a **pure
-//!   function of the arrival sequence**, no matter how threads race.
-//! * **Workers** (one pool per backend, plus a classical-fallback worker):
-//!   consume the formed batches from per-backend execution queues and run
-//!   the actual solves on their own backend instances, off the control
-//!   plane's critical path.
+//!   makes the scheduler's `advance_to`/`admit`/`drain` calls in
+//!   virtual-arrival order, exactly as the virtual sim does. The scheduler
+//!   solves nothing: it charges each batch through
+//!   [`crate::fabric::SolverBackend::charge_batch_us`] on its own backend
+//!   instances. Admission, batch formation and routing therefore remain a
+//!   **pure function of the arrival sequence**, no matter how threads
+//!   race. After each admission the sequencer dispatches the batches
+//!   formed and the fallbacks decided since the last one.
+//! * **Workers** (the executor: one per backend, plus a
+//!   classical-fallback worker): consume the formed batches from
+//!   per-backend execution queues and solve them on their own backend
+//!   instances through the same per-batch step the virtual sim uses, off
+//!   the control plane's critical path.
 //!
 //! ## The replay contract
 //!
 //! Because the control plane's virtual bookkeeping is deterministic, the
 //! recorded [`RouteTrace`] must be **bit-identical** to the trace the
-//! virtual-time sim produces for the same config
-//! ([`crate::fabric::run_fabric_traced`]) — zero divergence, by
+//! control plane takes alone for the same config — zero divergence, by
 //! construction, checked per point at run time and re-checked in CI by
-//! replaying the committed trace file through the sim
-//! ([`replay_trace_doc`]). Detection results are equally deterministic
+//! replaying the committed trace file ([`replay_trace_doc`]); neither
+//! check solves anything. Detection results are equally deterministic
 //! (per-job seeds, identical batch composition), so the realtime BER
-//! equals the sim's bit for bit; only the wall-clock throughput/latency
-//! numbers (`BENCH_fabric_rt.json`) vary with the machine.
+//! equals the virtual sim's bit for bit; only the wall-clock
+//! throughput/latency numbers (`BENCH_fabric_rt.json`) vary with the
+//! machine.
 
 use crate::fabric::{
-    generate_jobs, run_fabric_traced, FabricConfig, FabricGridConfig, FabricJob, FabricMode,
+    generate_jobs, route_trace, solve_formed, FabricConfig, FabricGridConfig, FabricMode,
     FabricScheduler, RealtimeConfig, RouteTrace,
 };
 use crate::grid::GridEngine;
@@ -202,8 +206,8 @@ pub struct FabricRtReport {
     pub decision_ns_per_job: f64,
     /// Wall-clock makespan of the point (ms).
     pub wall_ms: f64,
-    /// Routing decisions differing from the virtual-time sim's on the same
-    /// config. The service self-checks every point; **must be 0**.
+    /// Routing decisions differing from a fresh virtual-time routing of the
+    /// same config. The service self-checks every point; **must be 0**.
     pub replay_divergences: usize,
 }
 
@@ -278,7 +282,7 @@ fn run_fabric_rt_point(
         (0..n_backends).map(|_| SharedQueue::new()).collect();
     let fallback_queue: SharedQueue<(usize, Instant)> = SharedQueue::new();
 
-    let mut scheduler = FabricScheduler::new_charge_only(
+    let mut scheduler = FabricScheduler::new(
         &config.backends,
         config.cost,
         config.deadline_us,
@@ -321,9 +325,9 @@ fn run_fabric_rt_point(
         }
 
         // Backend workers: each owns a freshly built backend instance (the
-        // solving role; the control plane's instances only charge) and
-        // drains its execution queue. Backends hold `Rc` state internally,
-        // so each instance is built inside its own thread.
+        // executor; the control plane's instances only charge) and drains
+        // its execution queue. Backends hold `Rc` state internally, so each
+        // instance is built inside its own thread.
         let worker_handles: Vec<_> = (0..n_backends)
             .map(|b| {
                 let jobs = &jobs;
@@ -339,9 +343,7 @@ fn run_fabric_rt_point(
                     let mut results = Vec::new();
                     while let Some((batch, formed)) = queue.pop() {
                         let popped = Instant::now();
-                        let batch_jobs: Vec<&FabricJob> =
-                            batch.iter().map(|&id| &jobs[id]).collect();
-                        let outcome = backend.solve_batch(&cost, &batch_jobs);
+                        let bers = solve_formed(backend.as_mut(), &cost, &batch, jobs);
                         let done = Instant::now();
                         if let Some(rec) = &mut recorder {
                             busy_ns[b]
@@ -353,11 +355,7 @@ fn run_fabric_rt_point(
                                 rec.span_wall("stage", "solve", Some(id as u64), popped, done);
                             }
                         }
-                        for (&id, decision) in batch.iter().zip(&outcome.decisions) {
-                            let ber =
-                                bit_error_rate(&jobs[id].inst.tx_gray_bits, &decision.gray_bits);
-                            results.push((id, ber, done));
-                        }
+                        results.extend(batch.iter().zip(bers).map(|(&id, ber)| (id, ber, done)));
                     }
                     results
                 })
@@ -459,8 +457,32 @@ fn run_fabric_rt_point(
             })
         });
 
+        // Hands the batches formed and the fallbacks decided since the last
+        // call to the executor, stamped with the dispatch instant.
+        let mut dispatch = |scheduler: &mut FabricScheduler| {
+            for formed in scheduler.take_formed() {
+                let at = Instant::now();
+                if let Some(stamps) = &mut formed_at {
+                    for &id in &formed.jobs {
+                        stamps[id] = Some(at);
+                    }
+                }
+                exec_queues[formed.backend].push((formed.jobs, at));
+            }
+            // A rejected arrival, or the queued (never dispatched) victims
+            // a preempting admission evicted.
+            for fallback in scheduler.take_fallbacks() {
+                let at = Instant::now();
+                if let Some(stamps) = &mut formed_at {
+                    stamps[fallback.job] = Some(at);
+                }
+                fallback_queue.push((fallback.job, at));
+            }
+        };
+
         // Sequencer (control plane), on this thread: consume deliveries,
-        // admit in virtual-arrival order, dispatch formed batches.
+        // admit in virtual-arrival order, dispatch what each admission
+        // decided.
         let mut next = 0usize;
         let mut consumed = 0usize;
         let mut drained: Vec<(usize, Instant)> = Vec::new();
@@ -479,54 +501,21 @@ fn run_fabric_rt_point(
                 let t_a = jobs[next].arrival_us;
                 let t0 = Instant::now();
                 scheduler.advance_to(t_a, &jobs);
-                scheduler.admit_charged(next, t_a, &jobs);
+                scheduler.admit(next, t_a, &jobs);
                 let t1 = Instant::now();
                 decision_ns += (t1 - t0).as_nanos();
                 if let Some(bounds) = &mut admit_bounds {
                     bounds.push((t0, t1));
                     admitted.fetch_add(1, Ordering::Relaxed);
                 }
-                for formed in scheduler.take_formed() {
-                    let at = Instant::now();
-                    if let Some(stamps) = &mut formed_at {
-                        for &id in &formed.jobs {
-                            stamps[id] = Some(at);
-                        }
-                    }
-                    exec_queues[formed.backend].push((formed.jobs, at));
-                }
-                if scheduler.trace()[next].is_none() {
-                    let at = Instant::now();
-                    if let Some(stamps) = &mut formed_at {
-                        stamps[next] = Some(at);
-                    }
-                    fallback_queue.push((next, at));
-                }
-                // Preempted victims were still queued (never dispatched),
-                // so they take the classical path here exactly as in the
-                // sim; their trace entries already read `None`.
-                for victim in scheduler.take_evicted() {
-                    let at = Instant::now();
-                    if let Some(stamps) = &mut formed_at {
-                        stamps[victim] = Some(at);
-                    }
-                    fallback_queue.push((victim, at));
-                }
+                dispatch(&mut scheduler);
                 next += 1;
             }
         }
         // All jobs admitted: run the virtual clock out so residual queued
         // jobs coalesce into their final batches, then release the pools.
         scheduler.drain(&jobs);
-        for formed in scheduler.take_formed() {
-            let at = Instant::now();
-            if let Some(stamps) = &mut formed_at {
-                for &id in &formed.jobs {
-                    stamps[id] = Some(at);
-                }
-            }
-            exec_queues[formed.backend].push((formed.jobs, at));
-        }
+        dispatch(&mut scheduler);
         for queue in &exec_queues {
             queue.close();
         }
@@ -610,8 +599,8 @@ fn run_fabric_rt_point(
         latency_hist.record(to.duration_since(from).as_secs_f64() * 1e3);
     }
 
-    // Self-check: the virtual-time sim must make the same decisions.
-    let (_, sim_trace) = run_fabric_traced(config);
+    // Self-check: the control plane alone must take the same decisions.
+    let sim_trace = route_trace(config);
     let replay_divergences = diff_traces(&trace, &sim_trace).len();
 
     let fallbacks = trace.iter().filter(|r| r.is_none()).count();
@@ -912,12 +901,12 @@ pub struct PointReplay {
     pub arrival_period_us: f64,
     /// Jobs in the trace.
     pub jobs: usize,
-    /// Positions where the recorded trace and the sim's disagree.
+    /// Positions where the recorded trace and the fresh routing disagree.
     pub divergences: Vec<usize>,
 }
 
 /// The verdict of replaying a recorded trace document through the
-/// virtual-time sim.
+/// virtual-time control plane.
 #[derive(Debug, Clone)]
 pub struct ReplayReport {
     /// Per-point verdicts, in document order.
@@ -931,10 +920,10 @@ impl ReplayReport {
     }
 }
 
-/// Replays a recorded trace document through the virtual-time sim: rebuilds
-/// the grid from the embedded spec, re-simulates every point, and diffs
-/// each simulated [`RouteTrace`] against the recorded one. Zero divergence
-/// is the realtime service's CI contract.
+/// Replays a recorded trace document through the virtual-time control
+/// plane: rebuilds the grid from the embedded spec, routes every point
+/// (solving nothing), and diffs each [`RouteTrace`] against the recorded
+/// one. Zero divergence is the realtime service's CI contract.
 ///
 /// # Errors
 /// Returns a [`SpecError`] on malformed documents or a spec/points
@@ -970,7 +959,7 @@ pub fn replay_trace_doc(text: &str) -> Result<ReplayReport, SpecError> {
                 ),
             ));
         }
-        let (_, sim_trace) = run_fabric_traced(&point_config);
+        let sim_trace = route_trace(&point_config);
         points.push(PointReplay {
             mix: mix_name.to_string(),
             n_cells: point_config.n_cells,
@@ -1180,13 +1169,15 @@ mod tests {
             assert_eq!(replay.points.len(), report.points.len());
             assert_eq!(replay.total_divergences(), 0);
 
-            // A corrupted route is caught.
-            let corrupted =
-                doc.replacen("\"routes\": [\n        0,", "\"routes\": [\n        1,", 1);
-            if corrupted != doc {
-                let replay = replay_trace_doc(&corrupted).expect("still well-formed");
-                assert_eq!(replay.total_divergences(), 1);
-            }
+            // A corrupted route is caught at its position.
+            let json = Json::parse(&doc).expect("trace doc parses");
+            let mut parsed: TraceDoc = decode_tagged(&json, TRACE_TAG, "", "trace").unwrap();
+            let route = &mut parsed.points[1].routes[2];
+            *route = if *route == Some(0) { Some(1) } else { Some(0) };
+            let corrupted = encode_tagged(TRACE_TAG, &parsed).to_string_pretty();
+            let replay = replay_trace_doc(&corrupted).expect("still well-formed");
+            assert_eq!(replay.total_divergences(), 1);
+            assert_eq!(replay.points[1].divergences, vec![2]);
 
             // A truncated document is an error, not a silent pass.
             assert!(replay_trace_doc("{\"bench\": \"other\"}").is_err());

@@ -37,9 +37,9 @@
 //!   mispredicted planner cost model, both arms over identical frames, with
 //!   merged-histogram per-class summaries (`BENCH_sched.json`).
 //! * [`fabric_rt`] — the fabric's wall-clock realtime twin: concurrent
-//!   frame producers, sharded MPMC delivery queues, per-backend worker
-//!   pools, and a charge-only control plane whose routing decisions replay
-//!   bit-exactly through the [`fabric`] virtual-time sim.
+//!   frame producers, sharded MPMC delivery queues and per-backend
+//!   workers executing the decisions of the [`fabric`] control plane,
+//!   whose routing replays bit-exactly on the virtual clock.
 //! * [`experiments`] — canned runners for every figure in the evaluation.
 //! * [`spec`] — the unified experiment-spec layer: declarative, versioned
 //!   [`spec::ExperimentSpec`] descriptions of every experiment, an
@@ -80,9 +80,9 @@ pub mod sweep;
 pub mod telemetry;
 
 pub use fabric::{
-    run_fabric, run_fabric_grid, run_fabric_traced, ArrivalProcess, BackendMix, BackendSpec,
-    FabricConfig, FabricGridConfig, FabricGridReport, FabricMode, FabricReport, FabricScheduler,
-    NetworkModel, RealtimeConfig, RouteTrace, SolverBackend,
+    run_fabric, run_fabric_grid, ArrivalProcess, BackendMix, BackendSpec, FabricConfig,
+    FabricGridConfig, FabricGridReport, FabricMode, FabricReport, FabricScheduler, NetworkModel,
+    RealtimeConfig, RouteTrace, SolverBackend,
 };
 pub use fabric_rt::{
     diff_traces, replay_trace_doc, run_fabric_rt_grid, run_fabric_rt_grid_observed,

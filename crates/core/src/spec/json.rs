@@ -441,21 +441,7 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogates are rejected rather than paired:
-                            // spec strings are ASCII names in practice.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            self.pos += 4;
-                            out.push(c);
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         c => {
                             self.pos -= 1;
                             return Err(self.err(format!("unknown escape '\\{}'", c as char)));
@@ -466,6 +452,47 @@ impl Parser<'_> {
                 None => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// The char of a `\u` escape whose `\u` is already consumed. A high
+    /// surrogate pairs with the `\uDC00`–`\uDFFF` escape right after it
+    /// (how `json.dumps` writes a non-BMP char); a lone or reversed
+    /// surrogate is rejected at the offending escape's digits.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let code = self.hex4()?;
+        if !(0xD800..0xDC00).contains(&code) {
+            return char::from_u32(code).ok_or_else(|| {
+                self.pos -= 4;
+                self.err("\\u escape is not a scalar value")
+            });
+        }
+        if !self.bytes[self.pos..].starts_with(b"\\u") {
+            return Err(self.err("high surrogate not followed by a \\u escape"));
+        }
+        self.pos += 2;
+        let low = self.hex4()?;
+        if !(0xDC00..0xE000).contains(&low) {
+            self.pos -= 4;
+            return Err(self.err("high surrogate not followed by a low surrogate"));
+        }
+        let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        Ok(char::from_u32(scalar).expect("a surrogate pair decodes to a scalar value"))
+    }
+
+    /// Exactly four hex digits (no sign, no fewer), consumed.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let code = digits.iter().try_fold(0, |code, &d| {
+            (d as char)
+                .to_digit(16)
+                .map(|v| code * 16 + v)
+                .ok_or_else(|| self.err("invalid \\u escape"))
+        })?;
+        self.pos += 4;
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -553,6 +580,39 @@ mod tests {
         let v = Json::Str(s.to_string());
         let text = v.to_string_compact();
         assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        // `json.dumps("sa-pool \u{1F680}")` writes the rocket as a UTF-16 pair.
+        let v = Json::parse(r#""sa-pool \ud83d\ude80""#).unwrap();
+        assert_eq!(v.as_str(), Some("sa-pool \u{1F680}"));
+        let v = Json::parse(r#""\ud800\udc00\udbff\udfff\u0041""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{10000}\u{10FFFF}A"));
+    }
+
+    #[test]
+    fn bad_unicode_escapes_are_rejected_at_their_digits() {
+        for (doc, offset, needle) in [
+            (r#""\ud83d""#, 7, "not followed by a \\u escape"),
+            (r#""\ud83dx""#, 7, "not followed by a \\u escape"),
+            (r#""\ud83d\u0041""#, 9, "not followed by a low surrogate"),
+            (r#""\ud83d\ud83d""#, 9, "not followed by a low surrogate"),
+            (r#""\ude80""#, 3, "not a scalar value"),
+            (r#""\ude80\ud83d""#, 3, "not a scalar value"),
+            (r#""x\u+041""#, 4, "invalid \\u escape"),
+            (r#""\u-041""#, 3, "invalid \\u escape"),
+            (r#""\u04 1""#, 3, "invalid \\u escape"),
+            (r#""\ud83d\ude8""#, 9, "invalid \\u escape"),
+            (r#""\u12"#, 3, "truncated \\u escape"),
+        ] {
+            let err = Json::parse(doc).expect_err(doc);
+            assert_eq!(err.offset, offset, "{doc}: {err}");
+            assert!(
+                err.message.contains(needle),
+                "{doc}: {err} missing {needle}"
+            );
+        }
     }
 
     #[test]

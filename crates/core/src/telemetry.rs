@@ -6,7 +6,7 @@
 //!
 //! Telemetry **reads clocks but feeds nothing back into scheduling**. The
 //! realtime service's routing is a pure function of the virtual arrival
-//! sequence (charge-only control plane), and the virtual-time engines are
+//! sequence (the control plane only charges), and the virtual-time engines are
 //! deterministic by construction — so enabling telemetry must leave every
 //! committed `BENCH_*.json` byte-identical and the replay contract at zero
 //! divergence. The `telemetry` CI job pins this with `cmp` on a
