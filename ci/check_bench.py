@@ -943,6 +943,7 @@ HISTORY_COLUMNS = [
     ("BENCH_kernels.json", "pimc8x1", lambda b: _result_ns(b, "anneal_read/ra_pimc8_1read/16")),
     ("BENCH_kernels.json", "mockqpu", lambda b: _result_ns(b, "anneal_read/fa_mockqpu_pimc8/32")),
     ("BENCH_kernels.json", "sajob", lambda b: _result_ns(b, "sa_job/48x2/8")),
+    ("BENCH_kernels.json", "prog16", lambda b: _result_ns(b, "program/qubo_to_csr/16")),
     ("BENCH_fabric.json", "fab_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_fps", lambda b: max(p["frames_per_sec"] for p in b["points"])),

@@ -11,7 +11,7 @@
 //! unit-normalized programming range).
 
 use hqw_math::Rng64;
-use hqw_qubo::Ising;
+use hqw_qubo::CsrIsing;
 
 /// Gaussian perturbation model for programmed coefficients.
 #[derive(Debug, Clone, Copy)]
@@ -57,11 +57,10 @@ impl IceModel {
     }
 
     /// Returns a perturbed copy of `problem` (the topology is unchanged;
-    /// only weights jitter), as seen by one anneal read.
-    pub fn perturb(&self, problem: &Ising, rng: &mut Rng64) -> Ising {
-        if self.is_none() {
-            return problem.clone();
-        }
+    /// only weights jitter), as seen by one anneal read: one draw per
+    /// field in spin order, then one per coupling in edge order (each edge
+    /// from its lower endpoint, rows in order).
+    pub fn perturb(&self, problem: &CsrIsing, rng: &mut Rng64) -> CsrIsing {
         let mut noisy = problem.clone();
         if self.sigma_h > 0.0 {
             for i in 0..problem.num_vars() {
@@ -69,9 +68,7 @@ impl IceModel {
             }
         }
         if self.sigma_j > 0.0 {
-            for &(i, j, _) in problem.edges() {
-                noisy.add_coupling(i, j, rng.next_gaussian_with(0.0, self.sigma_j));
-            }
+            noisy.add_to_couplings(|| rng.next_gaussian_with(0.0, self.sigma_j));
         }
         noisy
     }
@@ -80,14 +77,20 @@ impl IceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hqw_qubo::Ising;
 
-    fn sample_problem() -> Ising {
+    fn sample_problem() -> CsrIsing {
         let mut ising = Ising::new(4);
         ising.set_h(0, 0.5);
         ising.set_h(2, -0.25);
         ising.set_coupling(0, 1, 1.0);
         ising.set_coupling(2, 3, -0.5);
-        ising
+        CsrIsing::from_ising(&ising)
+    }
+
+    /// `J_01`: spin 0's only neighbour is spin 1.
+    fn j01(problem: &CsrIsing) -> f64 {
+        problem.row(0).1[0]
     }
 
     #[test]
@@ -97,8 +100,8 @@ mod tests {
         let out = IceModel::none().perturb(&p, &mut rng);
         for i in 0..4 {
             assert_eq!(out.h(i), p.h(i));
+            assert_eq!(out.row(i), p.row(i));
         }
-        assert_eq!(out.edges(), p.edges());
     }
 
     #[test]
@@ -107,10 +110,12 @@ mod tests {
         let mut rng = Rng64::new(2);
         let out = IceModel::default().perturb(&p, &mut rng);
         assert_eq!(out.num_vars(), 4);
-        assert_eq!(out.edges().len(), p.edges().len());
-        for (a, b) in out.edges().iter().zip(p.edges()) {
-            assert_eq!((a.0, a.1), (b.0, b.1), "edge endpoints changed");
+        assert_eq!(out.nnz(), p.nnz());
+        for i in 0..4 {
+            assert_eq!(out.row(i).0, p.row(i).0, "edge endpoints changed");
         }
+        // Both mirrored entries of an edge see the same noise.
+        assert_eq!(j01(&out), out.row(1).1[0]);
     }
 
     #[test]
@@ -124,7 +129,7 @@ mod tests {
         for _ in 0..trials {
             let out = model.perturb(&p, &mut rng);
             h_err_sq += (out.h(0) - p.h(0)).powi(2);
-            j_err_sq += (out.coupling(0, 1) - p.coupling(0, 1)).powi(2);
+            j_err_sq += (j01(&out) - j01(&p)).powi(2);
         }
         let h_std = (h_err_sq / trials as f64).sqrt();
         let j_std = (j_err_sq / trials as f64).sqrt();

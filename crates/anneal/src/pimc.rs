@@ -435,22 +435,28 @@ impl PimcPlan {
             && self.profile.bits().eq(profile.bits())
     }
 
-    /// Runs one read per generator in `rngs` on `problem` and returns the
+    /// Runs one read per generator in `rngs` on `csr` and returns the
     /// readouts in `rngs` order, exactly as [`AnnealEngine::run_reads`].
     ///
-    /// The CSR, a programmed state's local fields and the walks' levels
-    /// at that state are built once; the reads run one after another over
-    /// one scratch, each consuming only its own generator.
+    /// A programmed state is built once into a template: the state, its
+    /// local fields and their `X = −2·s·h` tiled across the `P` slices,
+    /// and the walks' levels there. The reads run one after another over
+    /// one scratch, each consuming only its own generator. A reverse read
+    /// starts by copying the template's three flat buffers into the
+    /// scratch, unless the scratch still equals it: a read whose walks
+    /// flip nothing leaves every slice at the programmed state and the
+    /// bound at the start's, so the next read skips the copy, and this
+    /// read returns the programmed state without the majority vote (all
+    /// `P` slices agree on it). Both shortcuts are exact.
     ///
     /// # Panics
     /// As [`AnnealEngine::run`].
     pub(crate) fn run_reads(
         &self,
-        problem: &Ising,
+        csr: &CsrIsing,
         initial: Option<&[i8]>,
         rngs: &mut [Rng64],
     ) -> Vec<Vec<i8>> {
-        let csr = CsrIsing::from_ising(problem);
         let n = csr.num_vars();
         if n == 0 {
             return vec![Vec::new(); rngs.len()];
@@ -458,7 +464,7 @@ impl PimcPlan {
         let p = self.slices;
         let mut kernel = Kernel {
             plan: self,
-            csr: &csr,
+            csr,
             n,
             p,
             slice_of: SliceIndex::new(n, p * n + n),
@@ -467,7 +473,8 @@ impl PimcPlan {
         };
         // A programmed state starts every slice of every read: its local
         // fields, the lowest `X = −2·s·h` of its (all aligned) sites and
-        // the walks' levels there are computed once.
+        // the walks' levels there are computed once, and the slices' start
+        // is tiled once into the template.
         kernel.start = resolve_initial(&self.schedule, n, initial).map(|state| {
             let mut fields = vec![0.0; n];
             csr.fill_local_fields(&state, &mut fields);
@@ -482,9 +489,10 @@ impl PimcPlan {
                 levels.fill(&kernel, Floors::new(min_x, min_x));
             }
             Start {
+                spins: state.repeat(p),
+                fields: fields.repeat(p),
+                xs: xs.repeat(p),
                 state,
-                fields,
-                xs,
                 min_x,
                 levels,
             }
@@ -496,10 +504,13 @@ impl PimcPlan {
     }
 }
 
-/// A programmed start: the state, its local fields, their `X = −2·s·h`
-/// (every site is aligned), the lowest and the walks' levels there.
+/// A programmed start: the state; the template every reverse read starts
+/// from (the state, its local fields and their `X = −2·s·h`, every site
+/// aligned, each tiled across the `P` slices as [`Replicas`] lays them
+/// out); and the lowest `X` and the walks' levels there.
 struct Start {
     state: Vec<i8>,
+    spins: Vec<i8>,
     fields: Vec<f64>,
     xs: Vec<f64>,
     min_x: f64,
@@ -514,6 +525,9 @@ struct Scratch {
     bound: Bound,
     /// The walks' levels at the last floors other than the start's.
     levels: Levels,
+    /// Whether `replicas` and `bound` still hold the start: the last
+    /// reverse read flipped nothing.
+    clean: bool,
 }
 
 /// The `P` replicas of one read.
@@ -1020,24 +1034,27 @@ impl Kernel<'_> {
             replicas: r,
             bound,
             levels,
+            clean,
         } = scratch;
         // Proposals read a cached field in O(1); only accepted flips pay an
         // O(degree) update.
-        r.spins.clear();
-        r.h_eff.clear();
-        r.xs.clear();
         match &self.start {
             Some(start) => {
-                (0..p).for_each(|_| {
-                    r.spins.extend_from_slice(&start.state);
-                    r.h_eff.extend_from_slice(&start.fields);
-                    r.xs.extend_from_slice(&start.xs);
-                });
-                self.reverse_read(start, r, bound, levels, rng);
+                if !*clean {
+                    self.restart(start, r, bound);
+                }
+                *clean = !self.reverse_read(start, r, bound, levels, rng);
+                if *clean {
+                    // Every slice still holds the programmed state.
+                    return start.state.clone();
+                }
             }
             // Forward start (s = 0): the transverse field dominates and the
             // computational-basis marginal is uniform — random replicas.
             None => {
+                r.spins.clear();
+                r.h_eff.clear();
+                r.xs.clear();
                 r.spins
                     .extend((0..pn).map(|_| if rng.next_bool() { 1i8 } else { -1 }));
                 r.h_eff.resize(pn, 0.0);
@@ -1069,9 +1086,26 @@ impl Kernel<'_> {
         (0..n).map(|i| if vote(i) >= 0 { 1 } else { -1 }).collect()
     }
 
-    /// A read from a programmed state: the four walks run from the start
-    /// to the first flip, the bound follows the flip, and the walks
-    /// restart behind it, until no walk passes another move.
+    /// Puts every slice at the programmed state: the replicas from the
+    /// template, and the bound of that state, no kinks and every slice
+    /// holding the start's lowest `X`.
+    fn restart(&self, start: &Start, r: &mut Replicas, bound: &mut Bound) {
+        r.spins.clone_from(&start.spins);
+        r.h_eff.clone_from(&start.fields);
+        r.xs.clone_from(&start.xs);
+        bound.kinks.clear();
+        bound.ring_kinks.clear();
+        bound.ring_kinks.resize(self.n, 0);
+        bound.kinked.clear();
+        bound.slice_min.clear();
+        bound.slice_min.resize(self.p, start.min_x);
+        bound.floors = start.levels.floors;
+    }
+
+    /// A read from a programmed state, the replicas and the bound at it:
+    /// the four walks run from the start to the first flip, the bound
+    /// follows the flip, and the walks restart behind it, until no walk
+    /// passes another move. Returns whether any move flipped.
     fn reverse_read(
         &self,
         start: &Start,
@@ -1079,27 +1113,19 @@ impl Kernel<'_> {
         bound: &mut Bound,
         levels: &mut Levels,
         rng: &mut Rng64,
-    ) {
+    ) -> bool {
         if self.plan.sweeps.is_empty() {
-            return;
+            return false;
         }
-        // All slices equal the programmed state: no kinks, and every slice
-        // holds the start's lowest X.
         let floors = start.levels.floors;
-        bound.kinks.clear();
-        bound.ring_kinks.clear();
-        bound.ring_kinks.resize(self.n, 0);
-        bound.kinked.clear();
-        bound.slice_min.clear();
-        bound.slice_min.resize(self.p, start.min_x);
-        bound.floors = floors;
         // Whether the levels in use are `levels` rather than the start's.
         let mut own = false;
         let mut from = 0;
         loop {
             let current = if own { &*levels } else { &start.levels };
             let Some(flip) = self.walk(current, r, bound, rng, from) else {
-                return;
+                // `from` moved past the first flip, if there was one.
+                return from > 0;
             };
             from = flip.at + 1;
             self.track(r, bound, flip);
@@ -1386,8 +1412,9 @@ impl AnnealEngine for PimcEngine {
         initial: Option<&[i8]>,
         rngs: &mut [Rng64],
     ) -> Vec<Vec<i8>> {
+        let csr = CsrIsing::from_ising(problem);
         self.plan(profile, schedule, params)
-            .run_reads(problem, initial, rngs)
+            .run_reads(&csr, initial, rngs)
     }
 }
 

@@ -8,18 +8,21 @@
 //!
 //! Front-end behaviours modeled after the hardware stack:
 //!
-//! * **Auto-scaling** — the programmed Ising is normalized to the device's
-//!   `[-1, 1]` coefficient range (does not change the argmin).
+//! * **Programming** — each submission builds the problem's CSR once
+//!   ([`CsrIsing::from_qubo`] for a QUBO, one pass over its triangle),
+//!   and every engine and read works on that one CSR.
+//! * **Auto-scaling** — the programmed CSR is normalized in place to the
+//!   device's `[-1, 1]` coefficient range (does not change the argmin).
 //! * **ICE noise** — each read perturbs the programmed coefficients
 //!   ([`IceModel`]), while reported energies are evaluated on the *intended*
 //!   problem, as the D-Wave stack does.
 //! * **Batched reads** — reads are independent, so each worker thread
 //!   (std scoped threads) takes one contiguous chunk of the submission's
-//!   reads and runs it as one batch ([`AnnealEngine::run_reads`]). The PIMC
-//!   sweep plan depends only on the profile, the schedule, the parameters
-//!   and `P`, so the sampler keeps the last one it built and reuses it
-//!   while that key holds; each chunk builds only its CSR and start fields
-//!   and runs its reads one after another over one scratch. Per-read RNG
+//!   reads and runs it as one batch ([`crate::AnnealEngine::run_reads`]).
+//!   The PIMC sweep plan depends only on the profile, the schedule, the
+//!   parameters and `P`, so the sampler keeps the last one it built and
+//!   reuses it while that key holds; each chunk builds only its start
+//!   state and runs its reads one after another over one scratch. Per-read RNG
 //!   streams are derived from the seed and each read consumes only its
 //!   own, so results are bit-identical regardless of thread count,
 //!   chunking or what the cache held.
@@ -30,15 +33,15 @@
 //!   the schedule duration.
 
 use crate::dwave::DWaveProfile;
-use crate::engine::{AnnealEngine, AnnealParams};
+use crate::engine::AnnealParams;
 use crate::noise::IceModel;
 use crate::pimc::{PimcEngine, PimcPlan};
 use crate::schedule::AnnealSchedule;
-use crate::svmc::SvmcEngine;
+use crate::svmc;
 use hqw_math::parallel::parallel_map_chunks;
 use hqw_math::Rng64;
 use hqw_qubo::solution::{bits_to_spins, spins_to_bits};
-use hqw_qubo::{Ising, Qubo, SampleSet};
+use hqw_qubo::{CsrIsing, Ising, Qubo, SampleSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which simulation engine backs the sampler.
@@ -341,9 +344,9 @@ impl QuantumSampler {
         initial_bits: Option<&[u8]>,
         seed: u64,
     ) -> AnnealResult {
-        let (ising, _offset) = qubo.to_ising();
+        let (programmed, _offset) = CsrIsing::from_qubo(qubo);
         let initial_spins = initial_bits.map(bits_to_spins);
-        let states = self.run_reads(&ising, schedule, initial_spins.as_deref(), seed);
+        let states = self.run_reads(programmed, schedule, initial_spins.as_deref(), seed);
         AnnealResult {
             samples: count_samples(states, |_, bits| qubo.energy(bits)),
             timing: QpuTiming::new(schedule, self.config.num_reads),
@@ -362,7 +365,7 @@ impl QuantumSampler {
         initial: Option<&[i8]>,
         seed: u64,
     ) -> AnnealResult {
-        let states = self.run_reads(ising, schedule, initial, seed);
+        let states = self.run_reads(CsrIsing::from_ising(ising), schedule, initial, seed);
         AnnealResult {
             samples: count_samples(states, |spins, _| ising.energy(spins)),
             timing: QpuTiming::new(schedule, self.config.num_reads),
@@ -407,7 +410,8 @@ impl QuantumSampler {
             embedding.embed_state(&spins, &mut init_rng)
         });
 
-        let states = self.run_reads(&physical, schedule, physical_init.as_deref(), seed);
+        let programmed = CsrIsing::from_ising(&physical);
+        let states = self.run_reads(programmed, schedule, physical_init.as_deref(), seed);
         let mut broken_total = 0usize;
         let reads = states.len();
         let logical: Vec<Vec<i8>> = states
@@ -430,19 +434,19 @@ impl QuantumSampler {
         )
     }
 
-    /// Runs the configured number of reads, in parallel, deterministically.
-    /// The configuration is validated here, once per submission; the
-    /// engines' per-read loops take it as valid.
+    /// Runs the configured number of reads of the intended problem
+    /// `programmed`, in parallel, deterministically. The configuration is
+    /// validated here, once per submission; the engines' per-read loops
+    /// take it as valid.
     fn run_reads(
         &self,
-        intended: &Ising,
+        mut programmed: CsrIsing,
         schedule: &AnnealSchedule,
         initial: Option<&[i8]>,
         seed: u64,
     ) -> Vec<Vec<i8>> {
         self.config.validate_or_panic();
         // Program the device: auto-scale the intended problem.
-        let mut programmed = intended.clone();
         if self.config.auto_scale {
             programmed.normalize();
         }
@@ -461,9 +465,12 @@ impl QuantumSampler {
             }
             EngineKind::Svmc => None,
         };
-        let anneal = |problem: &Ising, rngs: &mut [Rng64]| match &plan {
+        let anneal = |problem: &CsrIsing, rngs: &mut [Rng64]| match &plan {
             Some(plan) => plan.run_reads(problem, initial, rngs),
-            None => SvmcEngine.run_reads(problem, profile, schedule, params, initial, rngs),
+            None => rngs
+                .iter_mut()
+                .map(|rng| svmc::read(problem, profile, schedule, params, initial, rng))
+                .collect(),
         };
         // Each thread runs its contiguous chunk of reads as one batch.
         parallel_map_chunks(&read_seeds, self.config.threads, |_, seeds| {
@@ -486,7 +493,7 @@ impl QuantumSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::FreezeOut;
+    use crate::engine::{AnnealEngine, FreezeOut};
     use hqw_qubo::exact::exhaustive_minimum;
     use hqw_qubo::generator::random_qubo;
 
@@ -652,7 +659,7 @@ mod tests {
         };
         cfg.threads = 1;
         let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
-        let reads = sampler.run_reads(&ising, &schedule, None, 29);
+        let reads = sampler.run_reads(CsrIsing::from_ising(&ising), &schedule, None, 29);
         let counted = fingerprint(&sampler.sample_qubo(&q, &schedule, None, 29));
         assert_eq!(counted, from_reads_reference(&q, &reads));
         assert!(
@@ -700,7 +707,7 @@ mod tests {
         let mut cfg = quick_config(5);
         cfg.threads = 1;
         let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
-        let batched = sampler.run_reads(&ising, &schedule, None, 23);
+        let batched = sampler.run_reads(CsrIsing::from_ising(&ising), &schedule, None, 23);
         let mut programmed = ising.clone();
         programmed.normalize();
         let mut master = Rng64::new(23);
@@ -977,7 +984,7 @@ mod embedded_tests {
         let (logical, _) = q.to_ising();
         let physical = embedding.embed(&logical, strength);
         let reads: Vec<Vec<i8>> = sampler
-            .run_reads(&physical, &schedule, None, 3)
+            .run_reads(CsrIsing::from_ising(&physical), &schedule, None, 3)
             .iter()
             .map(|phys| embedding.unembed(phys).0)
             .collect();

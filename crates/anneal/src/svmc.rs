@@ -64,13 +64,26 @@ impl AnnealEngine for SvmcEngine {
         rng: &mut Rng64,
     ) -> Vec<i8> {
         let csr = CsrIsing::from_ising(problem);
-        let n = csr.num_vars();
-        if n == 0 {
-            return Vec::new();
-        }
-        let init = resolve_initial(schedule, n, initial);
-        anneal(&csr, profile, schedule, params, init, rng)
+        read(&csr, profile, schedule, params, initial, rng)
     }
+}
+
+/// One read on a problem already flattened: [`AnnealEngine::run`] after
+/// its conversion, and the sampler's entry.
+pub(crate) fn read(
+    csr: &CsrIsing,
+    profile: &DWaveProfile,
+    schedule: &AnnealSchedule,
+    params: &AnnealParams,
+    initial: Option<&[i8]>,
+    rng: &mut Rng64,
+) -> Vec<i8> {
+    let n = csr.num_vars();
+    if n == 0 {
+        return Vec::new();
+    }
+    let init = resolve_initial(schedule, n, initial);
+    anneal(csr, profile, schedule, params, init, rng)
 }
 
 /// Initial rotor angles for a schedule.

@@ -24,8 +24,9 @@
 //! The PIMC/SVMC engine reads run their one (gate-first, bit-identical)
 //! kernel; the PIMC rows include the shapes the system serves: the paper
 //! detector's 16-read reverse anneal on 16 spins and the mock QPU's 4-read
-//! forward anneal on its 32-qubit embedding. `program/qubo_to_ising`
-//! times the QUBO → Ising conversion that programs each served frame.
+//! forward anneal on its 32-qubit embedding. `program/qubo_to_csr`
+//! times `CsrIsing::from_qubo`, the one-pass build that programs each
+//! served frame.
 //! `rng/exp1` times one Exp(1) ziggurat draw, the draw behind every
 //! annealer gate gap and Metropolis test, in ns per draw.
 //! Output: a human-readable table on stdout plus
@@ -423,9 +424,9 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
     ));
 }
 
-/// Programming a served frame: `Qubo::to_ising` on the detector's
-/// 8-user QPSK problem (16 spins), ns per conversion. Every served anneal
-/// and greedy seed starts with this conversion.
+/// Programming a served frame: `CsrIsing::from_qubo` on the detector's
+/// 8-user QPSK problem (16 spins), ns per build. Every served greedy
+/// seed, SA read and anneal submission starts with this build.
 fn bench_programming(out: &mut Vec<Measurement>) {
     let frame = DetectionInstance::generate(
         &InstanceConfig::paper(8, Modulation::Qpsk),
@@ -434,11 +435,11 @@ fn bench_programming(out: &mut Vec<Measurement>) {
     let q = frame.reduction.qubo;
     let n = q.num_vars();
     out.extend(bench_interleaved(
-        &[&format!("program/qubo_to_ising/{n}")],
+        &[&format!("program/qubo_to_csr/{n}")],
         n,
         20_000,
         &mut [&mut || {
-            black_box(black_box(&q).to_ising());
+            black_box(CsrIsing::from_qubo(black_box(&q)));
         }],
     ));
 }

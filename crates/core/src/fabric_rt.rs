@@ -396,7 +396,9 @@ fn run_fabric_rt_point(
 
         // Periodic sampler (telemetry only): queue depths, in-flight count
         // and per-lane utilization roughly every millisecond, entirely
-        // read-only against the data plane.
+        // read-only against the data plane. It takes one closing sample
+        // once told to stop, so a run shorter than the period still
+        // records one.
         let sampler_handle = telemetry.map(|collector| {
             let delivery = &delivery;
             let exec_queues = &exec_queues;
@@ -409,8 +411,11 @@ fn run_fabric_rt_point(
             s.spawn(move || {
                 let mut last = Instant::now();
                 let mut last_busy = vec![0u64; busy_ns.len()];
-                while !sampler_stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(1));
+                loop {
+                    let stopping = sampler_stop.load(Ordering::Relaxed);
+                    if !stopping {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
                     let now = Instant::now();
                     let ts_us = collector.us_since_origin(now);
 
@@ -453,6 +458,9 @@ fn run_fabric_rt_point(
                         });
                     }
                     last = now;
+                    if stopping {
+                        break;
+                    }
                 }
             })
         });

@@ -352,8 +352,7 @@ pub fn run_stream_observed(
         let (gray_decision, natural_decision, meta) = if take_hybrid {
             hybrid_frames += 1;
             let mut frame_rng = Rng64::new(item_seed(config.seed ^ 0x0057_EA4D, t));
-            let (ising, _offset) = inst.reduction.qubo.to_ising();
-            let csr = CsrIsing::from_ising(&ising);
+            let (csr, _offset) = CsrIsing::from_qubo(&inst.reduction.qubo);
             let n = inst.num_vars();
 
             // Cold reference read: uniform random start.

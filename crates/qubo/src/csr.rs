@@ -16,8 +16,17 @@
 //! `O(n·deg)`, which is the difference between toy 12-spin tests and the
 //! large-MIMO instances the roadmap targets. The tracked energy makes
 //! per-read energy reporting free as well.
+//!
+//! Build the CSR from the QUBO: [`CsrIsing::from_qubo`] writes the fields,
+//! rows and offset in one pass over the triangle, bit-identical to
+//! flattening [`crate::Qubo::to_ising`]'s model, and
+//! [`CsrIsing::normalize`] auto-scales it in place as
+//! [`Ising::normalize`] would. Every served frame's greedy seed, SA read
+//! and anneal submission starts there; [`CsrIsing::from_ising`] remains for
+//! problems that only exist as an [`Ising`] (embedded physical models).
 
 use crate::ising::Ising;
+use crate::model::Qubo;
 
 /// A compressed-sparse-row view of an Ising problem.
 ///
@@ -52,6 +61,110 @@ impl CsrIsing {
             row_ptr,
             col_idx,
             weight,
+        }
+    }
+
+    /// The Ising form of `qubo` and its offset, as [`Qubo::to_ising`]
+    /// gives them, flattened in one pass: fields, rows, weights and offset
+    /// equal `CsrIsing::from_ising(&qubo.to_ising().0)` bit for bit.
+    ///
+    /// Row `k` is built whole: column `k` of the triangle (`Q_ik`, `i < k`),
+    /// the diagonal, then row `k` (`Q_kj`, `j > k`), skipping zeros. That
+    /// writes each row's neighbours in ascending order, as `to_ising`'s
+    /// row-major edge creation leaves them, and adds `Q_ik/4`, `Q_kk/2`,
+    /// `Q_kj/4` to `h_k` in the order `to_ising` does. The offset sums
+    /// each row's `Q_kk/2` and `Q_kj/4` in that same order. O(n²).
+    pub fn from_qubo(qubo: &Qubo) -> (Self, f64) {
+        let n = qubo.num_vars();
+        let tri = qubo.triangle();
+        let mut h = Vec::with_capacity(n);
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::with_capacity(n * n.saturating_sub(1));
+        let mut weight = Vec::with_capacity(n * n.saturating_sub(1));
+        let mut offset = 0.0;
+        row_ptr.push(0u32);
+        let mut row_start = 0;
+        for k in 0..n {
+            let mut hk = 0.0;
+            // Column k above the diagonal: Q_0k sits at k, and Q_(i+1)k
+            // n − i − 1 entries after Q_ik (row i holds n − i entries).
+            let mut at = k;
+            for i in 0..k {
+                let c = tri[at];
+                if c != 0.0 {
+                    col_idx.push(i as u32);
+                    weight.push(c / 4.0);
+                    hk += c / 4.0;
+                }
+                at += n - i - 1;
+            }
+            let row = &tri[row_start..row_start + n - k];
+            row_start += n - k;
+            hk += row[0] / 2.0;
+            offset += row[0] / 2.0;
+            for (j, &c) in (k + 1..n).zip(&row[1..]) {
+                if c != 0.0 {
+                    col_idx.push(j as u32);
+                    weight.push(c / 4.0);
+                    hk += c / 4.0;
+                    offset += c / 4.0;
+                }
+            }
+            h.push(hk);
+            row_ptr.push(col_idx.len() as u32);
+        }
+        let csr = CsrIsing {
+            h,
+            row_ptr,
+            col_idx,
+            weight,
+        };
+        (csr, offset)
+    }
+
+    /// Rescales in place so that `max(max|h|, max|J|) == 1` (no-op for an
+    /// all-zero problem) and returns the applied factor: bit for bit what
+    /// [`Ising::normalize`] does to the model this CSR flattens.
+    pub fn normalize(&mut self) -> f64 {
+        let max_abs = |xs: &[f64]| xs.iter().map(|x| x.abs()).fold(0.0, f64::max);
+        let m = f64::max(max_abs(&self.h), max_abs(&self.weight));
+        if m > 0.0 {
+            let k = 1.0 / m;
+            self.h.iter_mut().for_each(|h| *h *= k);
+            self.weight.iter_mut().for_each(|w| *w *= k);
+            k
+        } else {
+            1.0
+        }
+    }
+
+    /// Adds to `h_i`.
+    pub fn add_h(&mut self, i: usize, value: f64) {
+        self.h[i] += value;
+    }
+
+    /// Adds `delta()` to every coupling, each edge once, from its lower
+    /// endpoint, rows in order; both mirrored entries get the sum. On a CSR
+    /// built from a QUBO that visits the edges in [`Ising::edges`] order,
+    /// so it is [`Ising::add_coupling`] over the model's edge list, draw
+    /// for draw.
+    pub fn add_to_couplings(&mut self, mut delta: impl FnMut() -> f64) {
+        for i in 0..self.num_vars() {
+            for p in self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize {
+                let j = self.col_idx[p] as usize;
+                if j <= i {
+                    continue;
+                }
+                let w = self.weight[p] + delta();
+                self.weight[p] = w;
+                let (lo, hi) = (self.row_ptr[j] as usize, self.row_ptr[j + 1] as usize);
+                let q = lo
+                    + self.col_idx[lo..hi]
+                        .iter()
+                        .position(|&c| c as usize == i)
+                        .expect("CsrIsing: rows mirror each other");
+                self.weight[q] = w;
+            }
         }
     }
 

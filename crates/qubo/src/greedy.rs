@@ -37,7 +37,7 @@
 //! Complexity: `O(n²)` for dense problems — "nearly negligible computation
 //! time" as the paper requires of its classical stage.
 
-use crate::ising::Ising;
+use crate::csr::CsrIsing;
 use crate::model::Qubo;
 use crate::solution::spins_to_bits;
 
@@ -46,24 +46,23 @@ use crate::solution::spins_to_bits;
 /// Deterministic: ties in field magnitude are broken by variable index, and
 /// a zero effective field assigns `q = 1` (spin up), matching the paper's
 /// "0 if the corresponding \[field\] is positive and 1 otherwise".
+///
+/// # Panics
+/// Panics when a linear field is NaN.
 pub fn greedy_search(qubo: &Qubo) -> (Vec<u8>, f64) {
-    let (ising, _offset) = qubo.to_ising();
-    let spins = greedy_search_ising(&ising);
-    let bits = spins_to_bits(&spins);
+    let (csr, _offset) = CsrIsing::from_qubo(qubo);
+    let bits = spins_to_bits(&greedy_spins(&csr));
     let energy = qubo.energy(&bits);
     (bits, energy)
 }
 
-/// Greedy Search directly on an Ising model, returning spins.
-///
-/// # Panics
-/// Panics when a linear field is NaN.
-pub fn greedy_search_ising(ising: &Ising) -> Vec<i8> {
-    let n = ising.num_vars();
+/// Greedy Search on the Ising form, returning spins.
+fn greedy_spins(csr: &CsrIsing) -> Vec<i8> {
+    let n = csr.num_vars();
     let mut spins: Vec<i8> = vec![0; n]; // 0 = unset
 
     // Effective field of each unset variable, updated as spins are fixed.
-    let mut field: Vec<f64> = (0..n).map(|i| ising.h(i)).collect();
+    let mut field: Vec<f64> = csr.h_slice().to_vec();
     assert!(!field.iter().any(|f| f.is_nan()), "greedy: NaN field");
 
     for _ in 0..n {
@@ -88,7 +87,9 @@ pub fn greedy_search_ising(ising: &Ising) -> Vec<i8> {
         spins[k] = s;
 
         // Fold the fixed spin into its neighbors' effective fields.
-        for &(j, jij) in ising.neighbors(k) {
+        let (cols, ws) = csr.row(k);
+        for (&j, &jij) in cols.iter().zip(ws) {
+            let j = j as usize;
             if spins[j] == 0 {
                 field[j] += jij * s as f64;
             }

@@ -19,9 +19,11 @@
 //! either way is bit-identical.
 //!
 //! Monte-Carlo sweep kernels should not iterate the adjacency directly:
-//! flatten to [`crate::CsrIsing`] once per problem and sweep with
-//! [`crate::LocalFieldState`]'s incrementally-cached local fields (O(1)
-//! proposals) instead.
+//! build the CSR from the QUBO ([`crate::CsrIsing::from_qubo`], one pass,
+//! bit-identical to flattening [`crate::Qubo::to_ising`]'s model) once per
+//! problem and sweep with [`crate::LocalFieldState`]'s incrementally-cached
+//! local fields (O(1) proposals) instead. An `Ising` remains the form to
+//! edit a model in, and the input of the minor embedding.
 
 /// A sparse Ising problem over ±1 spins.
 #[derive(Clone, Debug, Default)]

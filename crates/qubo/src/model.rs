@@ -158,6 +158,12 @@ impl Qubo {
         self.coeffs.iter().filter(|&&c| c != 0.0).count()
     }
 
+    /// The upper triangle, row-major: row `i` holds `Q_ii`, then `Q_ij`
+    /// for `j = i+1..n`.
+    pub(crate) fn triangle(&self) -> &[f64] {
+        &self.coeffs
+    }
+
     /// Uniformly rescales every coefficient.
     pub fn scale(&mut self, k: f64) {
         for c in &mut self.coeffs {

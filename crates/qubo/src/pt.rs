@@ -110,8 +110,7 @@ pub fn parallel_tempering(qubo: &Qubo, params: &PtParams, seed: u64) -> (Vec<u8>
     if n == 0 {
         return (Vec::new(), 0.0);
     }
-    let (ising, _offset) = qubo.to_ising();
-    let csr = CsrIsing::from_ising(&ising);
+    let (csr, _offset) = CsrIsing::from_qubo(qubo);
     let betas = beta_ladder(params);
     let mut rng = Rng64::new(seed);
 

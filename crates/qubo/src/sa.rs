@@ -243,8 +243,7 @@ pub fn sample_qubo_with_start(
     rng: &mut Rng64,
 ) -> SampleSet {
     params.validate_or_panic();
-    let (ising, offset) = qubo.to_ising();
-    let csr = CsrIsing::from_ising(&ising);
+    let (csr, offset) = CsrIsing::from_qubo(qubo);
     let n = qubo.num_vars();
     let warm_spins = warm_start.map(|bits| {
         assert_eq!(bits.len(), n, "sample_qubo_with_start: start length");
@@ -352,8 +351,8 @@ fn run_batch_reads(
     let prepared: Vec<(CsrIsing, f64, usize)> = qubos
         .iter()
         .map(|qubo| {
-            let (ising, offset) = qubo.to_ising();
-            (CsrIsing::from_ising(&ising), offset, qubo.num_vars())
+            let (csr, offset) = CsrIsing::from_qubo(qubo);
+            (csr, offset, qubo.num_vars())
         })
         .collect();
 

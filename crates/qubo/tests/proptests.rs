@@ -363,6 +363,82 @@ proptest! {
     }
 }
 
+/// A QUBO over `n` variables whose off-diagonal entries are zero with
+/// probability `holes` (a few of them `−0.0`), with every diagonal entry
+/// zero when `zero_diagonal`.
+fn holey_qubo(n: usize, holes: f64, zero_diagonal: bool, rng: &mut Rng64) -> Qubo {
+    let mut q = Qubo::new(n);
+    for i in 0..n {
+        for j in i..n {
+            let value = if i == j && zero_diagonal {
+                0.0
+            } else if rng.next_f64() < holes {
+                if rng.next_index(4) == 0 {
+                    -0.0
+                } else {
+                    0.0
+                }
+            } else {
+                rng.next_range(-3.0, 3.0)
+            };
+            q.set(i, j, value);
+        }
+    }
+    q
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn from_qubo_and_normalize_are_bit_identical_to_the_ising_path(
+        seed in any::<u64>(), n in 0usize..20, shape in 0usize..4
+    ) {
+        let mut rng = Rng64::new(seed);
+        // n ∈ {0, 1} come up often at this range; the shapes cover dense,
+        // sparse, holey and zero-diagonal problems.
+        let q = match shape {
+            0 => random_qubo(n, &mut rng),
+            1 => sparse_random_qubo(n, rng.next_range(0.0, 0.5), &mut rng),
+            2 => holey_qubo(n, rng.next_f64(), false, &mut rng),
+            _ => holey_qubo(n, rng.next_f64(), true, &mut rng),
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let same = |a: &CsrIsing, b: &CsrIsing| -> Result<(), TestCaseError> {
+            prop_assert_eq!(a.num_vars(), b.num_vars());
+            prop_assert_eq!(a.nnz(), b.nnz());
+            prop_assert_eq!(bits(a.h_slice()), bits(b.h_slice()));
+            for k in 0..a.num_vars() {
+                let ((cols, w), (ref_cols, ref_w)) = (a.row(k), b.row(k));
+                prop_assert_eq!(cols, ref_cols, "row {} columns", k);
+                prop_assert_eq!(bits(w), bits(ref_w), "row {} weights", k);
+            }
+            Ok(())
+        };
+
+        let (mut csr, offset) = CsrIsing::from_qubo(&q);
+        let (mut ising, ref_offset) = q.to_ising();
+        prop_assert_eq!(offset.to_bits(), ref_offset.to_bits());
+        same(&csr, &CsrIsing::from_ising(&ising))?;
+
+        let factor = csr.normalize();
+        let ref_factor = ising.normalize();
+        prop_assert_eq!(factor.to_bits(), ref_factor.to_bits());
+        same(&csr, &CsrIsing::from_ising(&ising))?;
+
+        // Per-edge additions in edge-list order reach both mirrored entries.
+        let deltas: Vec<f64> = (0..ising.edges().len()).map(|_| rng.next_range(-0.1, 0.1)).collect();
+        let mut next = deltas.iter();
+        csr.add_to_couplings(|| *next.next().expect("one delta per edge"));
+        prop_assert!(next.next().is_none(), "one delta per edge");
+        let edges: Vec<(usize, usize)> = ising.edges().iter().map(|&(i, j, _)| (i, j)).collect();
+        for (&(i, j), &d) in edges.iter().zip(&deltas) {
+            ising.add_coupling(i, j, d);
+        }
+        same(&csr, &CsrIsing::from_ising(&ising))?;
+    }
+}
+
 #[test]
 fn from_couplings_equals_set_coupling_in_order() {
     let couplings = vec![(2, 0, 0.5), (1, 2, -0.25), (0, 1, 0.0), (3, 1, 1.5)];
