@@ -62,10 +62,14 @@ BENCH_fabric_rt.json
     detect-ra's 16-read PIMC-8 submission (anneal_read/ra_pimc8_16reads/16),
     and its pimc8x1 column the same submission with one read
     (anneal_read/ra_pimc8_1read/16, the per-submission fixed cost); its
-    mockqpu and sajob columns are fabric-hybrid's two served kernels, the
-    mock QPU's 4-read forward PIMC-8 job (anneal_read/fa_mockqpu_pimc8/32)
-    and the SA pool's job (sa_job/48x2/8); "-" where a commit did not
-    record it;
+    ra060x16 and ra055x16 columns the 16-read submission at s_p 0.60 and
+    0.55, where reverse reads flip many times
+    (anneal_read/ra_pimc8_16reads_sp0{60,55}/16), and its fa8x16 column
+    the paper's 16-read FA on the same frame
+    (anneal_read/fa_pimc8_16reads/16); its mockqpu and sajob columns are
+    fabric-hybrid's two served kernels, the mock QPU's 4-read forward
+    PIMC-8 job (anneal_read/fa_mockqpu_pimc8/32) and the SA pool's job
+    (sa_job/48x2/8); "-" where a commit did not record it;
   * gates that the *newest* committed BENCH_kernels.json still holds the
     dense-256 SA sweep-kernel speedup floor (>= 3x, the same floor the
     fresh-measurement gate applies) — history may wander, the present may
@@ -941,6 +945,9 @@ HISTORY_COLUMNS = [
     ("BENCH_kernels.json", "pimc16", lambda b: _result_ns(b, "anneal_read/ra_pimc16/64")),
     ("BENCH_kernels.json", "pimc8x16", lambda b: _result_ns(b, "anneal_read/ra_pimc8_16reads/16")),
     ("BENCH_kernels.json", "pimc8x1", lambda b: _result_ns(b, "anneal_read/ra_pimc8_1read/16")),
+    ("BENCH_kernels.json", "ra060x16", lambda b: _result_ns(b, "anneal_read/ra_pimc8_16reads_sp060/16")),
+    ("BENCH_kernels.json", "ra055x16", lambda b: _result_ns(b, "anneal_read/ra_pimc8_16reads_sp055/16")),
+    ("BENCH_kernels.json", "fa8x16", lambda b: _result_ns(b, "anneal_read/fa_pimc8_16reads/16")),
     ("BENCH_kernels.json", "mockqpu", lambda b: _result_ns(b, "anneal_read/fa_mockqpu_pimc8/32")),
     ("BENCH_kernels.json", "sajob", lambda b: _result_ns(b, "sa_job/48x2/8")),
     ("BENCH_kernels.json", "prog16", lambda b: _result_ns(b, "program/qubo_to_csr/16")),

@@ -71,7 +71,10 @@ impl FreezeOut {
 /// skipped before the next passing one is Geometric(g):
 /// `P(G = k) = (1−g)^k·g`. [`GateGaps::gap`] draws that gap directly.
 ///
-/// * `g ≥ 1` — every move passes: the gap is 0 and no draw is made.
+/// * `g ≥ 1` — every move passes: the gap is 0 and no draw is made, so
+///   a walk visits every move in order and draws only what the moves
+///   draw. PIMC's forward reads therefore run such a sweep as one dense
+///   pass over its moves, with the same draws in the same order.
 /// * `g < 1` — `G = ⌊E/λ⌋` from one Exp(1) draw `E` ([`Exp1`]), with
 ///   `λ = −ln1p(−g)` cached per sweep as `1/λ`:
 ///   `P(G ≥ k) = P(E ≥ kλ) = e^{−kλ} = (1−g)^k`.

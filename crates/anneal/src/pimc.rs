@@ -104,8 +104,19 @@
 //! slices' minima, in O((L + 2)·n + P). `min X` and `next` are rounded
 //! down to multiples of 2⁻²⁰, which keeps them lower bounds and lets
 //! states that differ by the rounding of an undone flip share levels.
-//! Forward anneals start from random replicas with no bound and keep the
-//! per-sweep walk and its stream.
+//!
+//! Forward reads start from random replicas with no bound and keep the
+//! per-sweep walk's stream. A sweep whose gate is open (`g ≥ 1`, the
+//! early sweeps of a forward anneal) lets every move through and its walk
+//! draws no gap, so it runs as one dense pass instead: for each slice, its
+//! time neighbours' rows found once, each site's `Δ` from the per-sweep
+//! products `s·(−2·k_cl)` and `s·(2·J⊥)` (bit for bit the walk's
+//! `(−2·s)·k_cl` and `(2·s)·J⊥`, as `s = ±1`), then the `n` cluster moves
+//! in site order. That is the walk's move order, with each move's draws in
+//! the walk's order, so the readouts and the generator's trailing state
+//! are the walk's exactly (a test keeps the walk over every move as the
+//! reference). Gated sweeps keep the walk. A forward read holds its
+//! generator in a local for the whole read.
 //!
 //! Rounding of the spanning walks: in floating point an aligned move's
 //! `Δ` is `fl(fl(k_cl·X) + 4·J⊥)`. The site move computes it as
@@ -457,10 +468,20 @@ impl PimcPlan {
         initial: Option<&[i8]>,
         rngs: &mut [Rng64],
     ) -> Vec<Vec<i8>> {
-        let n = csr.num_vars();
-        if n == 0 {
+        if csr.num_vars() == 0 {
             return vec![Vec::new(); rngs.len()];
         }
+        let kernel = self.kernel(csr, initial);
+        let mut scratch = Scratch::default();
+        rngs.iter_mut()
+            .map(|rng| kernel.read(&mut scratch, rng))
+            .collect()
+    }
+
+    /// The kernel of one submission on a non-empty `csr`, with the
+    /// programmed start built when the schedule has one.
+    fn kernel<'a>(&'a self, csr: &'a CsrIsing, initial: Option<&[i8]>) -> Kernel<'a> {
+        let n = csr.num_vars();
         let p = self.slices;
         let mut kernel = Kernel {
             plan: self,
@@ -497,10 +518,7 @@ impl PimcPlan {
                 levels,
             }
         });
-        let mut scratch = Scratch::default();
-        rngs.iter_mut()
-            .map(|rng| kernel.read(&mut scratch, rng))
-            .collect()
+        kernel
     }
 }
 
@@ -1028,8 +1046,6 @@ impl Kernel<'_> {
     /// One read over the plan, from the programmed state when the schedule
     /// has one; `scratch` is reused across reads.
     fn read(&self, scratch: &mut Scratch, rng: &mut Rng64) -> Vec<i8> {
-        let (n, p) = (self.n, self.p);
-        let pn = p * n;
         let Scratch {
             replicas: r,
             bound,
@@ -1049,41 +1065,118 @@ impl Kernel<'_> {
                     return start.state.clone();
                 }
             }
-            // Forward start (s = 0): the transverse field dominates and the
-            // computational-basis marginal is uniform — random replicas.
-            None => {
-                r.spins.clear();
-                r.h_eff.clear();
-                r.xs.clear();
-                r.spins
-                    .extend((0..pn).map(|_| if rng.next_bool() { 1i8 } else { -1 }));
-                r.h_eff.resize(pn, 0.0);
-                for (slice, fields) in r.spins.chunks_exact(n).zip(r.h_eff.chunks_exact_mut(n)) {
-                    self.csr.fill_local_fields(slice, fields);
-                }
-                for sweep in &self.plan.sweeps {
-                    // Moves 0..pn are the (slice, site) Metropolis updates,
-                    // moves pn..pn+n the per-site cluster moves; only
-                    // passing moves are visited. Slice `k = pos / n` comes
-                    // from a multiply-high by a reciprocal fixed per
-                    // submission (`SliceIndex`, exact because every position
-                    // is below (P+1)·n ≤ 2³²): passing moves land at random
-                    // gaps, so a cursor stepping row by row mispredicts its
-                    // exit, and a hardware divide costs more than either.
-                    sweep.gaps.walk(rng, pn + n, |rng, pos| {
-                        if pos < pn {
-                            self.site_move(sweep, r, rng, pos, 0.0);
-                        } else {
-                            self.cluster_move(sweep, r, rng, pos - pn);
-                        }
-                    });
+            None => self.forward_read(r, rng),
+        }
+        self.vote(r)
+    }
+
+    /// Majority-vote readout across slices.
+    fn vote(&self, r: &Replicas) -> Vec<i8> {
+        let (n, p) = (self.n, self.p);
+        let vote = |i: usize| (0..p).map(|k| r.spins[k * n + i] as i32).sum::<i32>();
+        (0..n).map(|i| if vote(i) >= 0 { 1 } else { -1 }).collect()
+    }
+
+    /// Random replicas with their local fields: the forward start (s = 0),
+    /// where the transverse field dominates and the computational-basis
+    /// marginal is uniform.
+    #[inline(always)]
+    fn random_replicas(&self, r: &mut Replicas, rng: &mut Rng64) {
+        let (n, pn) = (self.n, self.p * self.n);
+        r.spins.clear();
+        r.h_eff.clear();
+        r.xs.clear();
+        r.spins
+            .extend((0..pn).map(|_| if rng.next_bool() { 1i8 } else { -1 }));
+        r.h_eff.resize(pn, 0.0);
+        for (slice, fields) in r.spins.chunks_exact(n).zip(r.h_eff.chunks_exact_mut(n)) {
+            self.csr.fill_local_fields(slice, fields);
+        }
+    }
+
+    /// A forward read from random replicas: a sweep whose gate is open
+    /// runs as one dense pass, a gated one walks its passing moves. The
+    /// read's generator lives in a local for the whole read: the hot loops
+    /// then keep its state in registers instead of loading and storing it
+    /// through `rng` on every draw.
+    #[inline(never)]
+    fn forward_read(&self, r: &mut Replicas, rng: &mut Rng64) {
+        let mut local = rng.clone();
+        self.random_replicas(r, &mut local);
+        for sweep in &self.plan.sweeps {
+            match sweep.gaps {
+                GateGaps::Every => self.dense_sweep(sweep, r, &mut local),
+                GateGaps::Exp { .. } => self.walk_sweep(sweep, r, &mut local),
+            }
+        }
+        *rng = local;
+    }
+
+    /// The gate's walk over one sweep. Moves 0..pn are the (slice, site)
+    /// Metropolis updates, moves pn..pn+n the per-site cluster moves; only
+    /// passing moves are visited. Slice `k = pos / n` comes from a
+    /// multiply-high by a reciprocal fixed per submission (`SliceIndex`,
+    /// exact because every position is below (P+1)·n ≤ 2³²): passing moves
+    /// land at random gaps, so a cursor stepping row by row mispredicts its
+    /// exit, and a hardware divide costs more than either.
+    #[inline(always)]
+    fn walk_sweep(&self, sweep: &Sweep, r: &mut Replicas, rng: &mut Rng64) {
+        let pn = self.p * self.n;
+        sweep.gaps.walk(rng, pn + self.n, |rng, pos| {
+            if pos < pn {
+                self.site_move(sweep, r, rng, pos, 0.0);
+            } else {
+                self.cluster_move(sweep, r, rng, pos - pn);
+            }
+        });
+    }
+
+    /// A sweep whose gate is open: every move passes and the walk draws
+    /// no gap, so its moves run in move order, slice by slice and site by
+    /// site, then the `n` cluster moves in site order. Each slice's time
+    /// neighbours are found once, and `Δ` takes the per-sweep products
+    /// `s·(−2·k_cl)` and `s·(2·J⊥)`, which equal the site move's
+    /// `(−2·s)·k_cl` and `(2·s)·J⊥` bit for bit (`s = ±1`, and doubling
+    /// and negating are exact). The draws are the walk's, one by one.
+    #[inline(always)]
+    fn dense_sweep(&self, sweep: &Sweep, r: &mut Replicas, rng: &mut Rng64) {
+        let n = self.n;
+        let (field_scale, link_scale) = (-2.0 * sweep.k_cl, 2.0 * sweep.j_perp);
+        for k in 0..self.p {
+            let (row, up, down) = (k * n, self.up(k) * n, self.down(k) * n);
+            for i in 0..n {
+                let s = r.spins[row + i];
+                let sik = s as f64;
+                let time_neighbors = (r.spins[up + i] + r.spins[down + i]) as f64;
+                let delta =
+                    sik * field_scale * r.h_eff[row + i] + sik * link_scale * time_neighbors;
+                if delta <= 0.0 || self.exp1.sample(rng) > delta {
+                    r.spins[row + i] = -s;
+                    self.csr.axpy_row(&mut r.h_eff[row..row + n], i, -2.0 * sik);
                 }
             }
         }
+        for i in 0..n {
+            self.cluster_move(sweep, r, rng, i);
+        }
+        debug_assert!(self.fields_hold(r), "a dense pass broke the field cache");
+    }
 
-        // Majority-vote readout across slices.
-        let vote = |i: usize| (0..p).map(|k| r.spins[k * n + i] as i32).sum::<i32>();
-        (0..n).map(|i| if vote(i) >= 0 { 1 } else { -1 }).collect()
+    /// Whether every spin is ±1 and every cached field is within
+    /// `1e-9·(1 + |h|)` of a fresh `fill_local_fields` (checked builds).
+    fn fields_hold(&self, r: &Replicas) -> bool {
+        let mut fresh = vec![0.0; self.n];
+        r.spins.iter().all(|&s| s == 1 || s == -1)
+            && r.spins
+                .chunks_exact(self.n)
+                .zip(r.h_eff.chunks_exact(self.n))
+                .all(|(slice, cached)| {
+                    self.csr.fill_local_fields(slice, &mut fresh);
+                    cached
+                        .iter()
+                        .zip(&fresh)
+                        .all(|(&c, &h)| (c - h).abs() <= 1e-9 * (1.0 + h.abs()))
+                })
     }
 
     /// Puts every slice at the programmed state: the replicas from the
@@ -1703,6 +1796,89 @@ mod tests {
             assert_eq!(row.tilt_level(f64::INFINITY), tilts.len() - 1);
             for (m, tilt) in tilts.iter().enumerate().skip(1) {
                 assert_eq!(row.tilt_level(tilt.c), m);
+            }
+        }
+    }
+
+    impl Kernel<'_> {
+        /// The forward read before the dense pass: random replicas, then
+        /// the gate's walk over every sweep, open or not, on the caller's
+        /// generator.
+        fn walk_read(&self, r: &mut Replicas, rng: &mut Rng64) -> Vec<i8> {
+            self.random_replicas(r, rng);
+            for sweep in &self.plan.sweeps {
+                self.walk_sweep(sweep, r, rng);
+            }
+            self.vote(r)
+        }
+    }
+
+    #[test]
+    fn dense_pass_reads_equal_the_walk_bit_for_bit() {
+        use crate::embedding::{ChainStrength, CliqueEmbedding};
+        use crate::topology::Chimera;
+        use hqw_qubo::generator::random_qubo;
+
+        let mut rng = Rng64::new(0xDE5E);
+        // Dense logical problems, and the mock QPU's: an 8-variable clique
+        // through the C₂ embedding onto 32 qubits.
+        let mut problems: Vec<Ising> = [1, 2, 5, 32]
+            .iter()
+            .map(|&n| random_qubo(n, &mut rng).to_ising().0)
+            .collect();
+        let logical = random_qubo(8, &mut rng).to_ising().0;
+        problems.push(
+            CliqueEmbedding::new(Chimera::new(2), 8)
+                .embed(&logical, ChainStrength::RelativeToMax(2.0)),
+        );
+        let profile = DWaveProfile::calibrated();
+        let open = AnnealParams {
+            sweeps_per_us: 8,
+            beta_override: None,
+            freeze_out: None,
+        };
+        let gated = AnnealParams {
+            freeze_out: Some(FreezeOut::default()),
+            ..open
+        };
+        let schedules = [
+            (open, AnnealSchedule::forward(2.0).unwrap()),
+            (gated, AnnealSchedule::forward(2.0).unwrap()),
+            (
+                AnnealParams::default(),
+                AnnealSchedule::forward(1.0).unwrap(),
+            ),
+        ];
+        for (s, (params, schedule)) in schedules.iter().enumerate() {
+            for p in [2, 3, 8] {
+                let plan = PimcEngine::new(p).plan(&profile, schedule, params);
+                let dense = plan
+                    .sweeps
+                    .iter()
+                    .filter(|sweep| matches!(sweep.gaps, GateGaps::Every))
+                    .count();
+                // The first schedule opens every gate, the others only some.
+                assert!(dense > 0, "schedule {s}: no open gate");
+                assert_eq!(dense == plan.sweeps.len(), s == 0, "schedule {s}");
+                for problem in &problems {
+                    let mut csr = CsrIsing::from_ising(problem);
+                    csr.normalize();
+                    let n = csr.num_vars();
+                    let kernel = plan.kernel(&csr, None);
+                    let (mut scratch, mut replicas) = (Scratch::default(), Replicas::default());
+                    for seed in 0..6 {
+                        let (mut a, mut b) = (Rng64::new(seed), Rng64::new(seed));
+                        let read = kernel.read(&mut scratch, &mut a);
+                        let walked = kernel.walk_read(&mut replicas, &mut b);
+                        let at = format!("schedule {s}, P {p}, n {n}, seed {seed}");
+                        assert_eq!(read, walked, "{at}: readouts differ");
+                        assert_eq!(scratch.replicas.spins, replicas.spins, "{at}");
+                        let bits = |r: &Replicas| r.h_eff.iter().map(|h| h.to_bits()).collect();
+                        let fields: Vec<u64> = bits(&scratch.replicas);
+                        assert_eq!(fields, bits(&replicas), "{at}: fields");
+                        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{at}: generators");
+                    }
+                }
             }
         }
     }

@@ -23,8 +23,10 @@
 //!
 //! The PIMC/SVMC engine reads run their one (gate-first, bit-identical)
 //! kernel; the PIMC rows include the shapes the system serves: the paper
-//! detector's 16-read reverse anneal on 16 spins and the mock QPU's 4-read
-//! forward anneal on its 32-qubit embedding. `program/qubo_to_csr`
+//! detector's 16-read reverse anneal on 16 spins (also at `s_p` 0.60 and
+//! 0.55, where reads flip many times), the paper's 16-read FA on the same
+//! frame, and the mock QPU's 4-read forward anneal on its 32-qubit
+//! embedding. `program/qubo_to_csr`
 //! times `CsrIsing::from_qubo`, the one-pass build that programs each
 //! served frame.
 //! `rng/exp1` times one Exp(1) ziggurat draw, the draw behind every
@@ -44,6 +46,7 @@ use hqw_anneal::embedding::{ChainStrength, CliqueEmbedding};
 use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
 use hqw_anneal::topology::Chimera;
 use hqw_anneal::{AnnealParams, AnnealSchedule, DWaveProfile};
+use hqw_core::protocol::Protocol;
 use hqw_math::{Exp1, Rng64};
 use hqw_phy::{DetectionInstance, InstanceConfig, Modulation};
 use hqw_qubo::csr::CsrIsing;
@@ -298,15 +301,18 @@ fn bench_parallel_reads(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f
     out.extend(ms);
 }
 
-/// Annealer-engine read costs: one reverse-anneal submission per
-/// iteration. PIMC-16 and SVMC run 4 reads on a medium random instance;
+/// Annealer-engine read costs: one submission per iteration. PIMC-16
+/// and SVMC run 4 reverse-anneal reads on a medium random instance;
 /// PIMC-8 runs the paper detector's problem (an 8-user QPSK frame, 16
 /// spins, greedy seed, `s_p = 0.65`) with 4 reads, the row's historical
 /// shape, with the 16 reads that `detect-ra` and the `ber` roster
 /// actually submit, and with one read, which shows what a submission
-/// costs beyond its reads. The last row is the mock QPU's served shape: 4
-/// forward-anneal reads of a 4-user QPSK frame through the 32-qubit C₂
-/// clique embedding.
+/// costs beyond its reads. The same 16-read submission at `s_p` 0.60 and
+/// 0.55 is the regime where reverse reads flip many times. The paper's FA
+/// (`paper_fa(0.45)`, a forward anneal with a 1 µs pause) runs 16 reads of
+/// the same frame, the figures' forward path. The last row is the mock
+/// QPU's served shape: 4 forward-anneal reads of a 4-user QPSK frame
+/// through the 32-qubit C₂ clique embedding.
 fn bench_engine_reads(out: &mut Vec<Measurement>) {
     let mut rng = Rng64::new(14);
     let q = sparse_random_qubo(64, 0.3, &mut rng);
@@ -319,6 +325,8 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
     let paper_q = frame.reduction.qubo;
     let (paper_init, _) = greedy_search(&paper_q);
     let paper_schedule = AnnealSchedule::reverse(0.65, 1.0).unwrap();
+    let sp060 = AnnealSchedule::reverse(0.60, 1.0).unwrap();
+    let sp055 = AnnealSchedule::reverse(0.55, 1.0).unwrap();
     let sampler_for = |engine: EngineKind, num_reads: usize, params: AnnealParams| {
         QuantumSampler::new(
             DWaveProfile::calibrated(),
@@ -369,6 +377,24 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
             &paper_schedule,
             160,
         ),
+        (
+            "pimc8_16reads_sp060",
+            EngineKind::Pimc { trotter_slices: 8 },
+            16,
+            &paper_q,
+            &paper_init,
+            &sp060,
+            4,
+        ),
+        (
+            "pimc8_16reads_sp055",
+            EngineKind::Pimc { trotter_slices: 8 },
+            16,
+            &paper_q,
+            &paper_init,
+            &sp055,
+            2,
+        ),
     ] {
         let n = q.num_vars();
         let sampler = sampler_for(engine, reads, AnnealParams::default());
@@ -384,6 +410,25 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
             &mut [&mut read],
         ));
     }
+
+    let fa = sampler_for(
+        EngineKind::Pimc { trotter_slices: 8 },
+        16,
+        AnnealParams::default(),
+    );
+    let fa_schedule = Protocol::paper_fa(0.45).schedule().unwrap();
+    let n = paper_q.num_vars();
+    let mut seed = 0u64;
+    let mut read = || {
+        seed += 1;
+        black_box(fa.sample_qubo(&paper_q, &fa_schedule, None, seed));
+    };
+    out.extend(bench_interleaved(
+        &[&format!("anneal_read/fa_pimc8_16reads/{n}")],
+        n,
+        10,
+        &mut [&mut read],
+    ));
 
     // The mock QPU (`fabric` preset): 2 µs forward anneals at 8 sweeps/µs,
     // 8 Trotter slices, chain strength 2× the largest coupling.

@@ -425,11 +425,21 @@ pub struct AnnealerConfig {
     pub max_batch: usize,
 }
 
-/// Total MC sweeps one annealer job costs:
-/// `reads × anneal_us × sweeps_per_us`. Shared by the PIMC/SVMC pools
-/// and the mock QPU so predicted and charged service can never drift apart.
-fn mc_sweeps_per_job(num_reads: usize, anneal_us: f64, sweeps_per_us: usize) -> u64 {
-    (num_reads as f64 * anneal_us * sweeps_per_us as f64).round() as u64
+/// Total MC sweeps one annealer job simulates: `reads ×` the sweeps of
+/// one read, [`AnnealParams::total_sweeps`] (`max(1, round(anneal_us ×
+/// sweeps_per_us))`). Shared by the PIMC/SVMC pools and the mock QPU so
+/// predicted and charged service can never drift apart.
+fn mc_sweeps_per_job(num_reads: usize, schedule: &AnnealSchedule, sweeps_per_us: usize) -> u64 {
+    num_reads as u64 * annealer_params(sweeps_per_us).total_sweeps(schedule) as u64
+}
+
+/// The anneal parameters every annealer-simulator backend runs.
+fn annealer_params(sweeps_per_us: usize) -> AnnealParams {
+    AnnealParams {
+        sweeps_per_us,
+        beta_override: None,
+        freeze_out: Some(FreezeOut::default()),
+    }
 }
 
 /// The one sampler construction every annealer-simulator backend shares.
@@ -439,11 +449,7 @@ fn annealer_sampler(engine: EngineKind, num_reads: usize, sweeps_per_us: usize) 
         SamplerConfig {
             num_reads,
             engine,
-            params: AnnealParams {
-                sweeps_per_us,
-                beta_override: None,
-                freeze_out: Some(FreezeOut::default()),
-            },
+            params: annealer_params(sweeps_per_us),
             threads: 1, // the fabric grid is the parallel level
             ..SamplerConfig::default()
         },
@@ -477,10 +483,11 @@ impl AnnealerConfig {
     /// The annealer this configuration runs on `engine`; call it only on a
     /// validated configuration.
     fn annealer(&self, engine: EngineKind) -> Annealer {
+        let schedule = AnnealSchedule::forward(self.anneal_us).expect("anneal_us validated > 0");
         Annealer {
             sampler: annealer_sampler(engine, self.num_reads, self.sweeps_per_us),
-            schedule: AnnealSchedule::forward(self.anneal_us).expect("anneal_us validated > 0"),
-            sweeps: mc_sweeps_per_job(self.num_reads, self.anneal_us, self.sweeps_per_us),
+            sweeps: mc_sweeps_per_job(self.num_reads, &schedule, self.sweeps_per_us),
+            schedule,
         }
     }
 }
@@ -495,7 +502,7 @@ struct Annealer {
 }
 
 impl LocalSolver for Annealer {
-    /// `reads × anneal_us × sweeps_per_us` simulated MC sweeps.
+    /// The MC sweeps its reads simulate ([`mc_sweeps_per_job`]).
     fn sweeps_per_job(&self) -> u64 {
         self.sweeps
     }
@@ -656,7 +663,7 @@ impl MockQpuBackend {
     fn sweeps_per_job(&self) -> u64 {
         mc_sweeps_per_job(
             self.config.num_reads,
-            self.config.anneal_us,
+            &self.schedule,
             self.config.sweeps_per_us,
         )
     }
@@ -2558,6 +2565,42 @@ mod tests {
             backends,
             sched: SchedOptions::default(),
             seed: 42,
+        }
+    }
+
+    #[test]
+    fn annealers_charge_the_sweeps_their_reads_simulate() {
+        // A read runs `max(1, round(anneal_us × sweeps_per_us))` sweeps: at
+        // 8 sweeps/µs, 0.3 µs is 2 a read (rounding the job's 9.6 would
+        // charge 10 for 4 reads) and 0.05 µs is the 1-sweep floor (2).
+        let cost = CostModel::default();
+        let BackendSpec::MockQpu(qpu) = quick_qpu(1) else {
+            unreachable!("quick_qpu builds a mock QPU")
+        };
+        for (anneal_us, per_read) in [(0.3, 2), (0.05, 1), (2.0, 16)] {
+            let params = annealer_params(8);
+            let schedule = AnnealSchedule::forward(anneal_us).unwrap();
+            assert_eq!(params.total_sweeps(&schedule), per_read as usize);
+            let expected = cost.service_us(&DetectorMeta {
+                nodes_visited: 0,
+                sweeps: 4 * per_read,
+            });
+            let pool = BackendSpec::Pimc(AnnealerConfig {
+                num_reads: 4,
+                anneal_us,
+                sweeps_per_us: 8,
+                ..quick_annealer()
+            });
+            let qpu = BackendSpec::MockQpu(MockQpuConfig {
+                num_reads: 4,
+                anneal_us,
+                sweeps_per_us: 8,
+                ..qpu
+            });
+            for spec in [pool, qpu] {
+                let charged = spec.build().predict_job_us(&cost, 8);
+                assert_eq!(charged, expected, "{anneal_us} µs: {spec:?}");
+            }
         }
     }
 
