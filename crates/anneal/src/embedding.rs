@@ -25,7 +25,7 @@
 
 use crate::topology::Chimera;
 use hqw_math::Rng64;
-use hqw_qubo::Ising;
+use hqw_qubo::CsrIsing;
 
 /// Chain-strength policy for binding chain qubits.
 #[derive(Debug, Clone, Copy)]
@@ -39,7 +39,7 @@ pub enum ChainStrength {
 }
 
 impl ChainStrength {
-    fn resolve(&self, logical: &Ising) -> f64 {
+    fn resolve(&self, logical: &CsrIsing) -> f64 {
         match *self {
             ChainStrength::Fixed(v) => {
                 assert!(v > 0.0, "ChainStrength::Fixed must be positive");
@@ -47,8 +47,7 @@ impl ChainStrength {
             }
             ChainStrength::RelativeToMax(factor) => {
                 assert!(factor > 0.0, "ChainStrength factor must be positive");
-                let scale = f64::max(logical.max_abs_h(), logical.max_abs_j()).max(1e-9);
-                factor * scale
+                factor * logical.max_abs().max(1e-9)
             }
         }
     }
@@ -161,9 +160,14 @@ impl CliqueEmbedding {
     /// evenly over the available cross couplers, chains bound with
     /// ferromagnetic `−strength`.
     ///
+    /// The logical edges are each row's entries above the diagonal, in row
+    /// order; a coupling the CSR does not store (an exact zero, for
+    /// [`CsrIsing::from_qubo`]) gets no cross coupler. Each physical row
+    /// lists chain edges (`ℓ = 0..n`), then cross couplers in that order.
+    ///
     /// # Panics
     /// Panics when the logical problem size mismatches the embedding.
-    pub fn embed(&self, logical: &Ising, strength: ChainStrength) -> Ising {
+    pub fn embed(&self, logical: &CsrIsing, strength: ChainStrength) -> CsrIsing {
         let n = self.num_logical();
         assert_eq!(
             logical.num_vars(),
@@ -171,37 +175,31 @@ impl CliqueEmbedding {
             "embed: logical problem size mismatch"
         );
         let binding = strength.resolve(logical);
-        // Chains are disjoint and each cross coupler joins one pair of
-        // chains, so every physical pair below is created exactly once.
-        let chain_pairs: usize = self.chain_edges.iter().map(Vec::len).sum();
-        let cross_pairs: usize = logical
-            .edges()
-            .iter()
-            .map(|&(i, j, _)| self.cross_couplers[i][j].len())
-            .sum();
-        let mut couplings = Vec::with_capacity(chain_pairs + cross_pairs);
         let mut h = vec![0.0; self.graph.num_qubits()];
-
-        for l in 0..n {
-            let chain = &self.chains[l];
+        for (l, chain) in self.chains.iter().enumerate() {
             let h_per_qubit = logical.h(l) / chain.len() as f64;
             for &q in chain {
                 h[q] += h_per_qubit;
             }
-            for &(a, b) in &self.chain_edges[l] {
-                couplings.push((a, b, -binding));
-            }
         }
-        // Logical edges are canonical (i < j), as `cross_couplers` is keyed.
-        for &(i, j, jij) in logical.edges() {
+        let chain_edges = self
+            .chain_edges
+            .iter()
+            .flat_map(move |edges| edges.iter().map(move |&(a, b)| (a, b, -binding)));
+        let logical_edges = (0..n).flat_map(move |i| {
+            let (cols, ws) = logical.row(i);
+            let upper = cols.iter().zip(ws).filter(move |&(&j, _)| j as usize > i);
+            upper.map(move |(&j, &jij)| (i, j as usize, jij))
+        });
+        // Chains are disjoint and each cross coupler joins one pair of
+        // chains, so every physical pair is listed exactly once.
+        let cross_edges = logical_edges.flat_map(move |(i, j, jij)| {
             let couplers = &self.cross_couplers[i][j];
             assert!(!couplers.is_empty(), "no cross coupler for ({i},{j})");
             let per = jij / couplers.len() as f64;
-            for &(a, b) in couplers {
-                couplings.push((a, b, per));
-            }
-        }
-        Ising::from_couplings(h, couplings)
+            couplers.iter().map(move |&(a, b)| (a, b, per))
+        });
+        CsrIsing::from_couplings(h, chain_edges.chain(cross_edges))
     }
 
     /// Unembeds a physical state into logical spins by per-chain majority
@@ -254,8 +252,9 @@ impl CliqueEmbedding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hqw_qubo::generator::random_qubo;
+    use hqw_qubo::generator::{random_qubo, sparse_random_qubo};
     use hqw_qubo::solution::bits_to_spins;
+    use hqw_qubo::{Ising, Qubo};
 
     #[test]
     fn chains_are_disjoint_and_connected() {
@@ -311,7 +310,7 @@ mod tests {
         let n = 8;
         let mut rng = Rng64::new(7);
         let q = random_qubo(n, &mut rng);
-        let (logical, _) = q.to_ising();
+        let (logical, _) = CsrIsing::from_qubo(&q);
         let emb = CliqueEmbedding::new(graph, n);
         let physical = emb.embed(&logical, ChainStrength::RelativeToMax(2.0));
 
@@ -340,10 +339,16 @@ mod tests {
         }
     }
 
-    /// `embed` as it was written over `add_h`/`add_coupling`, one lookup
-    /// per coupler: the bit-exact reference for the one-pass build.
+    /// `embed` as it was written over `add_h`/`add_coupling` into an
+    /// `Ising`, one lookup per coupler: the bit-exact reference for the
+    /// one-pass CSR build.
     fn embed_reference(emb: &CliqueEmbedding, logical: &Ising, strength: ChainStrength) -> Ising {
-        let binding = strength.resolve(logical);
+        let binding = match strength {
+            ChainStrength::Fixed(v) => v,
+            ChainStrength::RelativeToMax(factor) => {
+                factor * f64::max(logical.max_abs_h(), logical.max_abs_j()).max(1e-9)
+            }
+        };
         let mut physical = Ising::new(emb.graph.num_qubits());
         for l in 0..emb.num_logical() {
             let chain = &emb.chains[l];
@@ -367,25 +372,37 @@ mod tests {
 
     #[test]
     fn embed_is_bit_identical_to_the_add_coupling_build() {
-        for (m, n, seed) in [(1, 1, 1), (1, 4, 2), (2, 5, 3), (2, 8, 4), (3, 12, 5)] {
-            let (logical, _) = random_qubo(n, &mut Rng64::new(seed)).to_ising();
+        let relative = ChainStrength::RelativeToMax(2.0);
+        let mut cases: Vec<(usize, Qubo, ChainStrength)> =
+            [(1, 1, 1), (1, 4, 2), (2, 5, 3), (2, 8, 4), (3, 12, 5)]
+                .into_iter()
+                .map(|(m, n, seed)| (m, random_qubo(n, &mut Rng64::new(seed)), relative))
+                .collect();
+        // Holey problems: exact-zero couplings get no cross coupler.
+        for (m, n, seed) in [(2, 8, 6), (3, 12, 7)] {
+            let q = sparse_random_qubo(n, 0.5, &mut Rng64::new(seed));
+            assert!(CsrIsing::from_qubo(&q).0.nnz() < n * (n - 1), "no hole");
+            cases.push((m, q.clone(), relative));
+            cases.push((m, q, ChainStrength::Fixed(1.5)));
+        }
+        cases.push((
+            2,
+            random_qubo(8, &mut Rng64::new(8)),
+            ChainStrength::Fixed(0.75),
+        ));
+        for (m, q, strength) in cases {
+            let n = q.num_vars();
             let emb = CliqueEmbedding::new(Chimera::new(m), n);
-            let strength = ChainStrength::RelativeToMax(2.0);
-            let (got, want) = (
-                emb.embed(&logical, strength),
-                embed_reference(&emb, &logical, strength),
-            );
+            let got = emb.embed(&CsrIsing::from_qubo(&q).0, strength);
+            let want = CsrIsing::from_ising(&embed_reference(&emb, &q.to_ising().0, strength));
             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(got.h_slice()), bits(want.h_slice()));
-            let edges = |m: &Ising| {
-                m.edges()
-                    .iter()
-                    .map(|&(i, j, w)| (i, j, w.to_bits()))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(edges(&got), edges(&want), "C{m}, {n} logical: edge order");
-            for q in 0..got.num_vars() {
-                assert_eq!(got.neighbors(q), want.neighbors(q), "qubit {q} row order");
+            let at = format!("C{m}, {n} logical, {strength:?}");
+            assert_eq!(bits(got.h_slice()), bits(want.h_slice()), "{at}: fields");
+            assert_eq!(got.nnz(), want.nnz(), "{at}: coupler count");
+            for k in 0..got.num_vars() {
+                let ((cols, w), (want_cols, want_w)) = (got.row(k), want.row(k));
+                assert_eq!(cols, want_cols, "{at}: qubit {k} row order");
+                assert_eq!(bits(w), bits(want_w), "{at}: qubit {k} weights");
             }
         }
     }

@@ -1,10 +1,10 @@
 //! The annealing-engine abstraction and shared hot-loop machinery.
 //!
-//! An [`AnnealEngine`] consumes an Ising problem, a device profile, a
-//! schedule and (for reverse schedules) a programmed initial state, and
-//! returns one classical readout — exactly one "anneal read" of the paper's
-//! hardware ([`AnnealEngine::run_reads`] runs a submission's reads on one
-//! problem together). Two engines are provided:
+//! An [`AnnealEngine`] consumes an Ising problem (a [`CsrIsing`]), a
+//! device profile, a schedule and (for reverse schedules) a programmed
+//! initial state, and returns one classical readout — exactly one "anneal
+//! read" of the paper's hardware ([`AnnealEngine::run_reads`] runs a
+//! submission's reads on one problem together). Two engines are provided:
 //!
 //! * [`crate::pimc::PimcEngine`] — path-integral (Trotterized) quantum Monte
 //!   Carlo, the standard classical simulation of transverse-field annealing.
@@ -21,7 +21,7 @@ use crate::dwave::DWaveProfile;
 use crate::sampler::ConfigError;
 use crate::schedule::AnnealSchedule;
 use hqw_math::{Exp1, Rng64};
-use hqw_qubo::Ising;
+use hqw_qubo::CsrIsing;
 
 /// Transverse-field-gated kinetics ("freeze-out").
 ///
@@ -275,7 +275,7 @@ pub trait AnnealEngine: Send + Sync {
     /// initial state length mismatches the problem.
     fn run(
         &self,
-        problem: &Ising,
+        problem: &CsrIsing,
         profile: &DWaveProfile,
         schedule: &AnnealSchedule,
         params: &AnnealParams,
@@ -290,14 +290,14 @@ pub trait AnnealEngine: Send + Sync {
     /// [`AnnealEngine::run`] would, so each readout and each trailing
     /// generator state equals a lone `run` on that generator. The reads
     /// run one after another; [`crate::pimc::PimcEngine`] builds one sweep
-    /// plan, one CSR and one scratch for them all (the sampler keeps the
-    /// plan across submissions).
+    /// plan and one scratch for them all (the sampler keeps the plan across
+    /// submissions).
     ///
     /// # Panics
     /// As [`AnnealEngine::run`].
     fn run_reads(
         &self,
-        problem: &Ising,
+        problem: &CsrIsing,
         profile: &DWaveProfile,
         schedule: &AnnealSchedule,
         params: &AnnealParams,

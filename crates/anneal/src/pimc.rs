@@ -154,7 +154,7 @@ use crate::dwave::DWaveProfile;
 use crate::engine::{resolve_initial, AnnealEngine, AnnealParams, GateGaps};
 use crate::schedule::AnnealSchedule;
 use hqw_math::{Exp1, Rng64};
-use hqw_qubo::{CsrIsing, Ising};
+use hqw_qubo::CsrIsing;
 use std::f64::consts::LN_2;
 
 /// Cap on the inter-slice coupling: beyond this the alignment Boltzmann
@@ -1484,7 +1484,7 @@ impl AnnealEngine for PimcEngine {
 
     fn run(
         &self,
-        problem: &Ising,
+        problem: &CsrIsing,
         profile: &DWaveProfile,
         schedule: &AnnealSchedule,
         params: &AnnealParams,
@@ -1498,16 +1498,15 @@ impl AnnealEngine for PimcEngine {
 
     fn run_reads(
         &self,
-        problem: &Ising,
+        problem: &CsrIsing,
         profile: &DWaveProfile,
         schedule: &AnnealSchedule,
         params: &AnnealParams,
         initial: Option<&[i8]>,
         rngs: &mut [Rng64],
     ) -> Vec<Vec<i8>> {
-        let csr = CsrIsing::from_ising(problem);
         self.plan(profile, schedule, params)
-            .run_reads(&csr, initial, rngs)
+            .run_reads(problem, initial, rngs)
     }
 }
 
@@ -1516,8 +1515,9 @@ mod tests {
     use super::*;
     use crate::engine::FreezeOut;
     use hqw_qubo::solution::bits_to_spins;
+    use hqw_qubo::Ising;
 
-    fn ferromagnet(n: usize) -> Ising {
+    fn ferromagnet(n: usize) -> CsrIsing {
         // All-ferromagnetic chain with a field pinning the ground state to
         // all-up: E(all +1) is the unique minimum.
         let mut ising = Ising::new(n);
@@ -1527,7 +1527,7 @@ mod tests {
                 ising.set_coupling(i, i + 1, -1.0);
             }
         }
-        ising
+        CsrIsing::from_ising(&ising)
     }
 
     #[test]
@@ -1653,7 +1653,7 @@ mod tests {
 
     #[test]
     fn empty_problem_returns_empty_state() {
-        let ising = Ising::new(0);
+        let ising = CsrIsing::from_ising(&Ising::new(0));
         let engine = PimcEngine::default();
         let out = engine.run(
             &ising,
@@ -1822,11 +1822,11 @@ mod tests {
         let mut rng = Rng64::new(0xDE5E);
         // Dense logical problems, and the mock QPU's: an 8-variable clique
         // through the C₂ embedding onto 32 qubits.
-        let mut problems: Vec<Ising> = [1, 2, 5, 32]
+        let mut problems: Vec<CsrIsing> = [1, 2, 5, 32]
             .iter()
-            .map(|&n| random_qubo(n, &mut rng).to_ising().0)
+            .map(|&n| CsrIsing::from_qubo(&random_qubo(n, &mut rng)).0)
             .collect();
-        let logical = random_qubo(8, &mut rng).to_ising().0;
+        let logical = CsrIsing::from_qubo(&random_qubo(8, &mut rng)).0;
         problems.push(
             CliqueEmbedding::new(Chimera::new(2), 8)
                 .embed(&logical, ChainStrength::RelativeToMax(2.0)),
@@ -1861,7 +1861,7 @@ mod tests {
                 assert!(dense > 0, "schedule {s}: no open gate");
                 assert_eq!(dense == plan.sweeps.len(), s == 0, "schedule {s}");
                 for problem in &problems {
-                    let mut csr = CsrIsing::from_ising(problem);
+                    let mut csr = problem.clone();
                     csr.normalize();
                     let n = csr.num_vars();
                     let kernel = plan.kernel(&csr, None);

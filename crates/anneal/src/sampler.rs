@@ -10,7 +10,9 @@
 //!
 //! * **Programming** — each submission builds the problem's CSR once
 //!   ([`CsrIsing::from_qubo`] for a QUBO, one pass over its triangle),
-//!   and every engine and read works on that one CSR.
+//!   and every engine and read works on that one CSR. An embedded
+//!   submission writes the physical CSR straight from the logical one
+//!   ([`crate::CliqueEmbedding::embed`]); no path builds an `Ising`.
 //! * **Auto-scaling** — the programmed CSR is normalized in place to the
 //!   device's `[-1, 1]` coefficient range (does not change the argmin).
 //! * **ICE noise** — each read perturbs the programmed coefficients
@@ -33,15 +35,15 @@
 //!   the schedule duration.
 
 use crate::dwave::DWaveProfile;
-use crate::engine::AnnealParams;
+use crate::engine::{AnnealEngine, AnnealParams};
 use crate::noise::IceModel;
 use crate::pimc::{PimcEngine, PimcPlan};
 use crate::schedule::AnnealSchedule;
-use crate::svmc;
+use crate::svmc::SvmcEngine;
 use hqw_math::parallel::parallel_map_chunks;
 use hqw_math::Rng64;
 use hqw_qubo::solution::{bits_to_spins, spins_to_bits};
-use hqw_qubo::{CsrIsing, Ising, Qubo, SampleSet};
+use hqw_qubo::{CsrIsing, Qubo, SampleSet};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which simulation engine backs the sampler.
@@ -353,19 +355,19 @@ impl QuantumSampler {
         }
     }
 
-    /// Samples an Ising problem directly; energies are Ising energies of the
-    /// intended problem (bits are the usual `q = (s+1)/2` view).
+    /// Samples an Ising problem directly; energies are its own
+    /// [`CsrIsing::energy`] (bits are the usual `q = (s+1)/2` view).
     ///
     /// # Panics
     /// As [`QuantumSampler::sample_qubo`].
     pub fn sample_ising(
         &self,
-        ising: &Ising,
+        ising: &CsrIsing,
         schedule: &AnnealSchedule,
         initial: Option<&[i8]>,
         seed: u64,
     ) -> AnnealResult {
-        let states = self.run_reads(CsrIsing::from_ising(ising), schedule, initial, seed);
+        let states = self.run_reads(ising.clone(), schedule, initial, seed);
         AnnealResult {
             samples: count_samples(states, |spins, _| ising.energy(spins)),
             timing: QpuTiming::new(schedule, self.config.num_reads),
@@ -373,7 +375,7 @@ impl QuantumSampler {
     }
 
     /// Samples a QUBO **through a Chimera minor-embedding** — the full
-    /// hardware compilation path: embed the logical Ising onto the hardware
+    /// hardware compilation path: embed the logical CSR onto the hardware
     /// graph with chains, anneal the physical problem, unembed each read by
     /// majority vote, and report energies of the intended logical QUBO.
     ///
@@ -400,7 +402,7 @@ impl QuantumSampler {
             qubo.num_vars(),
             "sample_qubo_embedded: embedding size mismatch"
         );
-        let (logical, _offset) = qubo.to_ising();
+        let (logical, _offset) = CsrIsing::from_qubo(qubo);
         let physical = embedding.embed(&logical, strength);
 
         // Expand the reverse-anneal initial state through the chains.
@@ -410,8 +412,7 @@ impl QuantumSampler {
             embedding.embed_state(&spins, &mut init_rng)
         });
 
-        let programmed = CsrIsing::from_ising(&physical);
-        let states = self.run_reads(programmed, schedule, physical_init.as_deref(), seed);
+        let states = self.run_reads(physical, schedule, physical_init.as_deref(), seed);
         let mut broken_total = 0usize;
         let reads = states.len();
         let logical: Vec<Vec<i8>> = states
@@ -469,7 +470,7 @@ impl QuantumSampler {
             Some(plan) => plan.run_reads(problem, initial, rngs),
             None => rngs
                 .iter_mut()
-                .map(|rng| svmc::read(problem, profile, schedule, params, initial, rng))
+                .map(|rng| SvmcEngine.run(problem, profile, schedule, params, initial, rng))
                 .collect(),
         };
         // Each thread runs its contiguous chunk of reads as one batch.
@@ -493,7 +494,7 @@ impl QuantumSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{AnnealEngine, FreezeOut};
+    use crate::engine::FreezeOut;
     use hqw_qubo::exact::exhaustive_minimum;
     use hqw_qubo::generator::random_qubo;
 
@@ -710,6 +711,7 @@ mod tests {
         let batched = sampler.run_reads(CsrIsing::from_ising(&ising), &schedule, None, 23);
         let mut programmed = ising.clone();
         programmed.normalize();
+        let programmed = CsrIsing::from_ising(&programmed);
         let mut master = Rng64::new(23);
         let one_by_one: Vec<Vec<i8>> = (0..5)
             .map(|_| {
@@ -981,10 +983,10 @@ mod embedded_tests {
         let schedule = AnnealSchedule::forward(0.5).unwrap();
         let (result, _) =
             sampler.sample_qubo_embedded(&q, &embedding, strength, &schedule, None, 3);
-        let (logical, _) = q.to_ising();
+        let (logical, _) = CsrIsing::from_qubo(&q);
         let physical = embedding.embed(&logical, strength);
         let reads: Vec<Vec<i8>> = sampler
-            .run_reads(CsrIsing::from_ising(&physical), &schedule, None, 3)
+            .run_reads(physical, &schedule, None, 3)
             .iter()
             .map(|phys| embedding.unembed(phys).0)
             .collect();

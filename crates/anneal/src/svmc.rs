@@ -37,7 +37,7 @@ use crate::dwave::DWaveProfile;
 use crate::engine::{resolve_initial, AnnealEngine, AnnealParams, GateGaps};
 use crate::schedule::AnnealSchedule;
 use hqw_math::{Exp1, Rng64};
-use hqw_qubo::{CsrIsing, Ising};
+use hqw_qubo::CsrIsing;
 
 /// Rebuild the cached mean fields from scratch every this many sweeps: the
 /// incremental updates accumulate float rounding (cos values are not exactly
@@ -54,36 +54,76 @@ impl AnnealEngine for SvmcEngine {
         "SVMC"
     }
 
+    /// The sweep loop: f64 fields; each rotor the gate lets through draws
+    /// a proposal and, uphill, an Exp(1) acceptance draw.
     fn run(
         &self,
-        problem: &Ising,
+        csr: &CsrIsing,
         profile: &DWaveProfile,
         schedule: &AnnealSchedule,
         params: &AnnealParams,
         initial: Option<&[i8]>,
         rng: &mut Rng64,
     ) -> Vec<i8> {
-        let csr = CsrIsing::from_ising(problem);
-        read(&csr, profile, schedule, params, initial, rng)
-    }
-}
+        let n = csr.num_vars();
+        if n == 0 {
+            return Vec::new();
+        }
+        let init = resolve_initial(schedule, n, initial);
+        let beta = params.beta(profile);
+        let exp1 = Exp1::new();
 
-/// One read on a problem already flattened: [`AnnealEngine::run`] after
-/// its conversion, and the sampler's entry.
-pub(crate) fn read(
-    csr: &CsrIsing,
-    profile: &DWaveProfile,
-    schedule: &AnnealSchedule,
-    params: &AnnealParams,
-    initial: Option<&[i8]>,
-    rng: &mut Rng64,
-) -> Vec<i8> {
-    let n = csr.num_vars();
-    if n == 0 {
-        return Vec::new();
+        // Rotor angles plus cached cos/sin (cosines enter neighbors' fields;
+        // sines enter only the rotor's own transverse term).
+        let theta: Vec<f64> = initial_theta(&init, n);
+        let mut cos_t: Vec<f64> = theta.iter().map(|t| t.cos()).collect();
+        let mut sin_t: Vec<f64> = theta.iter().map(|t| t.sin()).collect();
+        drop(theta);
+
+        // Incrementally-maintained mean fields in cos-space:
+        // field[i] = h_i + Σ_j J_ij cos θ_j. A proposal reads its field in
+        // O(1); only accepted rotations pay an O(degree) neighbor update.
+        let rebuild = |cos_t: &[f64], field: &mut [f64]| {
+            for (i, slot) in field.iter_mut().enumerate() {
+                let (cols, ws) = csr.row(i);
+                let mut f = csr.h(i);
+                for (&j, &w) in cols.iter().zip(ws) {
+                    f += w * cos_t[j as usize];
+                }
+                *slot = f;
+            }
+        };
+        let mut field: Vec<f64> = vec![0.0; n];
+        rebuild(&cos_t, &mut field);
+
+        for (sweep, s, gate) in params.open_sweeps(profile, schedule) {
+            let a_half = profile.a_ghz(s) / 2.0;
+            let b_half = profile.b_ghz(s) / 2.0;
+            if sweep > 0 && sweep % FIELD_REFRESH_SWEEPS == 0 {
+                rebuild(&cos_t, &mut field);
+            }
+
+            // Only the rotors that pass the gate are visited (see the module
+            // docs); each proposes a fresh angle uniformly in [0, π].
+            GateGaps::new(gate).walk(rng, n, |rng, i| {
+                let proposal = rng.next_range(0.0, std::f64::consts::PI);
+                let p_cos = proposal.cos();
+                let p_sin = proposal.sin();
+                let d_cos = p_cos - cos_t[i];
+                let delta = b_half * field[i] * d_cos - a_half * (p_sin - sin_t[i]);
+                if delta <= 0.0 || exp1.sample(rng) > beta * delta {
+                    cos_t[i] = p_cos;
+                    sin_t[i] = p_sin;
+                    csr.axpy_row(&mut field, i, d_cos);
+                }
+            });
+        }
+
+        cos_t
+            .iter()
+            .map(|&c| if c >= 0.0 { 1 } else { -1 })
+            .collect()
     }
-    let init = resolve_initial(schedule, n, initial);
-    anneal(csr, profile, schedule, params, init, rng)
 }
 
 /// Initial rotor angles for a schedule.
@@ -98,79 +138,14 @@ fn initial_theta(init: &Option<Vec<i8>>, n: usize) -> Vec<f64> {
     }
 }
 
-/// The sweep loop: f64 fields; each rotor the gate lets through draws a
-/// proposal and, uphill, an Exp(1) acceptance draw.
-fn anneal(
-    csr: &CsrIsing,
-    profile: &DWaveProfile,
-    schedule: &AnnealSchedule,
-    params: &AnnealParams,
-    init: Option<Vec<i8>>,
-    rng: &mut Rng64,
-) -> Vec<i8> {
-    let n = csr.num_vars();
-    let beta = params.beta(profile);
-    let exp1 = Exp1::new();
-
-    // Rotor angles plus cached cos/sin (cosines enter neighbors' fields;
-    // sines enter only the rotor's own transverse term).
-    let theta: Vec<f64> = initial_theta(&init, n);
-    let mut cos_t: Vec<f64> = theta.iter().map(|t| t.cos()).collect();
-    let mut sin_t: Vec<f64> = theta.iter().map(|t| t.sin()).collect();
-    drop(theta);
-
-    // Incrementally-maintained mean fields in cos-space:
-    // field[i] = h_i + Σ_j J_ij cos θ_j. A proposal reads its field in
-    // O(1); only accepted rotations pay an O(degree) neighbor update.
-    let rebuild = |cos_t: &[f64], field: &mut [f64]| {
-        for (i, slot) in field.iter_mut().enumerate() {
-            let (cols, ws) = csr.row(i);
-            let mut f = csr.h(i);
-            for (&j, &w) in cols.iter().zip(ws) {
-                f += w * cos_t[j as usize];
-            }
-            *slot = f;
-        }
-    };
-    let mut field: Vec<f64> = vec![0.0; n];
-    rebuild(&cos_t, &mut field);
-
-    for (sweep, s, gate) in params.open_sweeps(profile, schedule) {
-        let a_half = profile.a_ghz(s) / 2.0;
-        let b_half = profile.b_ghz(s) / 2.0;
-        if sweep > 0 && sweep % FIELD_REFRESH_SWEEPS == 0 {
-            rebuild(&cos_t, &mut field);
-        }
-
-        // Only the rotors that pass the gate are visited (see the module
-        // docs); each proposes a fresh angle uniformly in [0, π].
-        GateGaps::new(gate).walk(rng, n, |rng, i| {
-            let proposal = rng.next_range(0.0, std::f64::consts::PI);
-            let p_cos = proposal.cos();
-            let p_sin = proposal.sin();
-            let d_cos = p_cos - cos_t[i];
-            let delta = b_half * field[i] * d_cos - a_half * (p_sin - sin_t[i]);
-            if delta <= 0.0 || exp1.sample(rng) > beta * delta {
-                cos_t[i] = p_cos;
-                sin_t[i] = p_sin;
-                csr.axpy_row(&mut field, i, d_cos);
-            }
-        });
-    }
-
-    cos_t
-        .iter()
-        .map(|&c| if c >= 0.0 { 1 } else { -1 })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::FreezeOut;
     use hqw_qubo::solution::bits_to_spins;
+    use hqw_qubo::Ising;
 
-    fn ferromagnet(n: usize) -> Ising {
+    fn ferromagnet(n: usize) -> CsrIsing {
         let mut ising = Ising::new(n);
         for i in 0..n {
             ising.set_h(i, -0.4);
@@ -178,7 +153,7 @@ mod tests {
                 ising.set_coupling(i, i + 1, -1.0);
             }
         }
-        ising
+        CsrIsing::from_ising(&ising)
     }
 
     #[test]

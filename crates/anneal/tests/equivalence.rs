@@ -120,12 +120,13 @@ fn histogram(
     let mut master = Rng64::new(seed);
     let mut rngs: Vec<Rng64> = (0..READS).map(|_| master.split()).collect();
     let pimc = PimcEngine::new(start.slices);
+    let csr = CsrIsing::from_ising(ising);
     let reads: Vec<Vec<i8>> = match (shape, kernel) {
         (Shape::Pimc, Kernel::Engine) => {
-            pimc.run_reads(ising, &profile, schedule, params, initial, &mut rngs)
+            pimc.run_reads(&csr, &profile, schedule, params, initial, &mut rngs)
         }
         (Shape::Svmc, Kernel::Engine) => {
-            SvmcEngine.run_reads(ising, &profile, schedule, params, initial, &mut rngs)
+            SvmcEngine.run_reads(&csr, &profile, schedule, params, initial, &mut rngs)
         }
         (Shape::Pimc, Kernel::Reference) => rngs
             .iter_mut()

@@ -12,11 +12,11 @@ use hqw_anneal::{
 };
 use hqw_math::Rng64;
 use hqw_qubo::generator::random_qubo;
-use hqw_qubo::Ising;
+use hqw_qubo::CsrIsing;
 
-fn problem() -> Ising {
+fn problem() -> CsrIsing {
     let q = random_qubo(16, &mut Rng64::new(55));
-    q.to_ising().0
+    CsrIsing::from_qubo(&q).0
 }
 
 fn init16() -> Vec<i8> {

@@ -10,7 +10,7 @@ use hqw_anneal::{AnnealEngine, DWaveProfile, PimcEngine, SvmcEngine};
 use hqw_math::Rng64;
 use hqw_qubo::generator::random_qubo;
 use hqw_qubo::solution::bits_to_spins;
-use hqw_qubo::Ising;
+use hqw_qubo::{CsrIsing, Ising};
 use proptest::prelude::*;
 
 proptest! {
@@ -129,7 +129,7 @@ proptest! {
         // Same embedded problem: identical physical energies everywhere we
         // probe.
         let q = random_qubo(n, &mut rng);
-        let (logical, _) = q.to_ising();
+        let (logical, _) = CsrIsing::from_qubo(&q);
         let strength = ChainStrength::RelativeToMax(2.0);
         let from_cache = cached.embed(&logical, strength);
         let from_fresh = fresh.embed(&logical, strength);
@@ -224,10 +224,9 @@ proptest! {
         let n = 4 * m;
         let mut rng = Rng64::new(seed);
         let q = random_qubo(n, &mut rng);
-        let (logical, _) = q.to_ising();
+        let (logical, _) = CsrIsing::from_qubo(&q);
         let emb = CliqueEmbedding::new(Chimera::new(m), n);
-        let physical = emb.embed(&logical, hqw_anneal::embedding::ChainStrength::RelativeToMax(2.0));
-        let csr = hqw_qubo::CsrIsing::from_ising(&physical);
+        let csr = emb.embed(&logical, hqw_anneal::embedding::ChainStrength::RelativeToMax(2.0));
         let nq = csr.num_vars();
         let start: Vec<i8> =
             (0..nq).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
@@ -240,7 +239,7 @@ proptest! {
             state.flip(&csr, k);
         }
         prop_assert!(state.max_field_error(&csr) < 1e-8, "h_eff drifted on hardware graph");
-        prop_assert!((state.energy() - physical.energy(state.spins())).abs()
+        prop_assert!((state.energy() - csr.energy(state.spins())).abs()
             < 1e-8 * (1.0 + state.energy().abs()));
     }
 
@@ -329,13 +328,13 @@ fn random_params(rng: &mut Rng64) -> AnnealParams {
 
 /// A problem the kernel serves: a random dense Ising, or a random logical
 /// QUBO minor-embedded (with chains) on a Chimera graph.
-fn served_problem(rng: &mut Rng64) -> Ising {
+fn served_problem(rng: &mut Rng64) -> CsrIsing {
     if rng.next_bool() {
-        random_ising(1 + rng.next_index(16), 1.0, rng)
+        CsrIsing::from_ising(&random_ising(1 + rng.next_index(16), 1.0, rng))
     } else {
         let m = 1 + rng.next_index(2);
         let n_logical = 1 + rng.next_index(4 * m);
-        let (logical, _) = random_qubo(n_logical, rng).to_ising();
+        let (logical, _) = CsrIsing::from_qubo(&random_qubo(n_logical, rng));
         CliqueEmbedding::new(Chimera::new(m), n_logical)
             .embed(&logical, ChainStrength::RelativeToMax(2.0))
     }
@@ -347,7 +346,7 @@ fn served_problem(rng: &mut Rng64) -> Ising {
 fn assert_batch_matches_lone_runs(
     engine: &dyn AnnealEngine,
     reads: usize,
-    ising: &Ising,
+    ising: &CsrIsing,
     schedule: &AnnealSchedule,
     params: &AnnealParams,
     initial: Option<&[i8]>,
@@ -410,6 +409,7 @@ fn pimc_serves_one_and_two_spin_problems() {
         if n == 2 {
             ising.set_coupling(0, 1, -0.5);
         }
+        let ising = CsrIsing::from_ising(&ising);
         let down = vec![-1i8; n];
         for (schedule, initial) in [
             (AnnealSchedule::forward(2.0).unwrap(), None),

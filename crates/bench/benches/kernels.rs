@@ -28,7 +28,8 @@
 //! frame, and the mock QPU's 4-read forward anneal on its 32-qubit
 //! embedding. `program/qubo_to_csr`
 //! times `CsrIsing::from_qubo`, the one-pass build that programs each
-//! served frame.
+//! served frame, and `program/embed_c2/8` the mock QPU's programming of
+//! an 8-variable job: that build plus the clique embedding onto C₂.
 //! `rng/exp1` times one Exp(1) ziggurat draw, the draw behind every
 //! annealer gate gap and Metropolis test, in ns per draw.
 //! Output: a human-readable table on stdout plus
@@ -471,7 +472,9 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
 
 /// Programming a served frame: `CsrIsing::from_qubo` on the detector's
 /// 8-user QPSK problem (16 spins), ns per build. Every served greedy
-/// seed, SA read and anneal submission starts with this build.
+/// seed, SA read and anneal submission starts with this build. Then the
+/// mock QPU's programming of its 8-variable job (a 4-user QPSK frame):
+/// `from_qubo` plus the clique embedding onto the 32 qubits of C₂.
 fn bench_programming(out: &mut Vec<Measurement>) {
     let frame = DetectionInstance::generate(
         &InstanceConfig::paper(8, Modulation::Qpsk),
@@ -485,6 +488,24 @@ fn bench_programming(out: &mut Vec<Measurement>) {
         20_000,
         &mut [&mut || {
             black_box(CsrIsing::from_qubo(black_box(&q)));
+        }],
+    ));
+
+    let qpu_q = DetectionInstance::generate(
+        &InstanceConfig::paper(4, Modulation::Qpsk),
+        &mut Rng64::new(16),
+    )
+    .reduction
+    .qubo;
+    let n = qpu_q.num_vars();
+    let embedding = CliqueEmbedding::new(Chimera::new(2), n);
+    out.extend(bench_interleaved(
+        &[&format!("program/embed_c2/{n}")],
+        n,
+        20_000,
+        &mut [&mut || {
+            let (logical, _) = CsrIsing::from_qubo(black_box(&qpu_q));
+            black_box(embedding.embed(&logical, ChainStrength::RelativeToMax(2.0)));
         }],
     ));
 }

@@ -22,8 +22,9 @@
 //! flattening [`crate::Qubo::to_ising`]'s model, and
 //! [`CsrIsing::normalize`] auto-scales it in place as
 //! [`Ising::normalize`] would. Every served frame's greedy seed, SA read
-//! and anneal submission starts there; [`CsrIsing::from_ising`] remains for
-//! problems that only exist as an [`Ising`] (embedded physical models).
+//! and anneal submission starts there; the minor embedding writes its
+//! physical CSR with [`CsrIsing::from_couplings`]. [`CsrIsing::from_ising`]
+//! flattens a model built as an [`Ising`] (test references, bench baseline).
 
 use crate::ising::Ising;
 use crate::model::Qubo;
@@ -58,6 +59,47 @@ impl CsrIsing {
         }
         CsrIsing {
             h: ising.h_slice().to_vec(),
+            row_ptr,
+            col_idx,
+            weight,
+        }
+    }
+
+    /// The CSR of fields `h` and couplings `(i, j, J_ij)`, each pair given
+    /// once in either orientation (a repeated pair is not merged): row `k`
+    /// lists `k`'s partners in `couplings` order, as
+    /// `CsrIsing::from_ising(&Ising::from_couplings(h, couplings))` does.
+    /// Walks `couplings` twice, to count degrees and to fill the rows.
+    ///
+    /// # Panics
+    /// Panics on a self-coupling or an index out of range.
+    pub fn from_couplings<I>(h: Vec<f64>, couplings: I) -> Self
+    where
+        I: IntoIterator<Item = (usize, usize, f64)> + Clone,
+    {
+        let n = h.len();
+        let mut row_ptr = vec![0u32; n + 1];
+        couplings.clone().into_iter().for_each(|(i, j, _)| {
+            assert!(i != j, "CsrIsing::from_couplings: self-coupling");
+            row_ptr[i + 1] += 1;
+            row_ptr[j + 1] += 1;
+        });
+        for k in 0..n {
+            row_ptr[k + 1] += row_ptr[k];
+        }
+        let nnz = row_ptr[n] as usize;
+        let (mut col_idx, mut weight) = (vec![0u32; nnz], vec![0.0; nnz]);
+        // `next[k]` is where row `k`'s next entry goes.
+        let mut next = row_ptr[..n].to_vec();
+        couplings.into_iter().for_each(|(i, j, w)| {
+            for (a, b) in [(i, j), (j, i)] {
+                let p = next[a] as usize;
+                (col_idx[p], weight[p]) = (b as u32, w);
+                next[a] += 1;
+            }
+        });
+        CsrIsing {
+            h,
             row_ptr,
             col_idx,
             weight,
@@ -126,8 +168,7 @@ impl CsrIsing {
     /// all-zero problem) and returns the applied factor: bit for bit what
     /// [`Ising::normalize`] does to the model this CSR flattens.
     pub fn normalize(&mut self) -> f64 {
-        let max_abs = |xs: &[f64]| xs.iter().map(|x| x.abs()).fold(0.0, f64::max);
-        let m = f64::max(max_abs(&self.h), max_abs(&self.weight));
+        let m = self.max_abs();
         if m > 0.0 {
             let k = 1.0 / m;
             self.h.iter_mut().for_each(|h| *h *= k);
@@ -136,6 +177,13 @@ impl CsrIsing {
         } else {
             1.0
         }
+    }
+
+    /// Largest absolute field or coupling, `max(max|h|, max|J|)` (0 when
+    /// every coefficient is zero).
+    pub fn max_abs(&self) -> f64 {
+        let max_abs = |xs: &[f64]| xs.iter().map(|x| x.abs()).fold(0.0, f64::max);
+        f64::max(max_abs(&self.h), max_abs(&self.weight))
     }
 
     /// Adds to `h_i`.

@@ -38,31 +38,6 @@ pub fn sparse_random_qubo(n: usize, density: f64, rng: &mut Rng64) -> Qubo {
     q
 }
 
-/// Sherrington-Kirkpatrick-style spin glass: complete graph with Gaussian
-/// couplings (`σ = 1/√n`) and no fields.
-pub fn sk_spin_glass(n: usize, rng: &mut Rng64) -> Ising {
-    let mut ising = Ising::new(n);
-    let sigma = 1.0 / (n as f64).sqrt();
-    for i in 0..n {
-        for j in i + 1..n {
-            ising.set_coupling(i, j, rng.next_gaussian_with(0.0, sigma));
-        }
-    }
-    ising
-}
-
-/// Random ±J spin glass on a complete graph.
-pub fn pm_j_spin_glass(n: usize, rng: &mut Rng64) -> Ising {
-    let mut ising = Ising::new(n);
-    for i in 0..n {
-        for j in i + 1..n {
-            let j_val = if rng.next_bool() { 1.0 } else { -1.0 };
-            ising.set_coupling(i, j, j_val);
-        }
-    }
-    ising
-}
-
 /// QUBO with a *planted* optimum: the returned `bits` are guaranteed to be a
 /// global minimizer with energy `-(weight sum)`.
 ///
@@ -129,19 +104,6 @@ mod tests {
             }
         }
         assert!(q.nonzero_count() <= 8);
-    }
-
-    #[test]
-    fn sk_glass_has_no_fields_and_full_graph() {
-        let g = sk_spin_glass(6, &mut Rng64::new(2));
-        assert!(g.h_slice().iter().all(|&h| h == 0.0));
-        assert_eq!(g.edges().len(), 6 * 5 / 2);
-    }
-
-    #[test]
-    fn pm_j_couplings_are_unit_magnitude() {
-        let g = pm_j_spin_glass(5, &mut Rng64::new(3));
-        assert!(g.edges().iter().all(|e| e.2.abs() == 1.0));
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! build the CSR from the QUBO ([`crate::CsrIsing::from_qubo`], one pass,
 //! bit-identical to flattening [`crate::Qubo::to_ising`]'s model) once per
 //! problem and sweep with [`crate::LocalFieldState`]'s incrementally-cached
-//! local fields (O(1) proposals) instead. An `Ising` remains the form to
-//! edit a model in, and the input of the minor embedding.
+//! local fields (O(1) proposals) instead. No engine, embedding or sampler
+//! reads an `Ising`: it is the form to edit a model in (the ML reduction,
+//! the planted generator) and the tests' reference for the CSR builds.
 
 /// A sparse Ising problem over ±1 spins.
 #[derive(Clone, Debug, Default)]

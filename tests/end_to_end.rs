@@ -9,6 +9,7 @@ use hqw::core::stages::{GreedyInitializer, OracleInitializer};
 use hqw::core::sweep::sweep_ra_sp;
 use hqw::prelude::*;
 use hqw::qubo::solution::{bits_to_spins, spins_to_bits};
+use hqw::qubo::CsrIsing;
 
 fn quick_sampler(reads: usize) -> QuantumSampler {
     QuantumSampler::new(
@@ -117,7 +118,7 @@ fn embedded_chimera_pipeline_round_trips() {
         &InstanceConfig::paper(2, Modulation::Qpsk), // 4 logical vars
         &mut rng,
     );
-    let (logical, _offset) = inst.reduction.qubo.to_ising();
+    let (logical, _offset) = CsrIsing::from_qubo(&inst.reduction.qubo);
     let graph = Chimera::new(1); // K4 fits on a single cell's shore pairing
     let embedding = CliqueEmbedding::new(graph, logical.num_vars());
     let physical = embedding.embed(&logical, ChainStrength::RelativeToMax(2.0));
