@@ -146,7 +146,7 @@ BENCH_sched.json (--sched, standalone mode)
 SHARD_*.json (via --shards, standalone mode)
   * every document is a well-formed ShardReport: bench == "shard",
     schema_version == 1, a 16-hex-digit fingerprint, a shardable
-    experiment family, point_ids matching the embedded points exactly,
+    experiment family (any registered experiment but fabric-rt), point_ids matching the embedded points exactly,
     all ids strictly increasing and inside [0, total_points);
   * across the group: one spec fingerprint, one (family, total_points),
     pairwise-disjoint point sets that together cover the full grid.
@@ -826,8 +826,9 @@ def check_overhead(on_path, off_path):
     )
 
 
-# Experiment families `hqw run --shard` can produce documents for.
-SHARDABLE_FAMILIES = {"ber", "stream", "fabric", "sched"}
+# Experiment families `hqw run --shard` can produce documents for: every
+# registered experiment but the wall-clock realtime fabric.
+SHARDABLE_FAMILIES = REGISTRY_NAMES - {"fabric-rt"}
 
 
 def check_shard(paths):

@@ -162,11 +162,12 @@ impl Options {
     }
 }
 
-/// A report's standard file names: `fig_<name>.csv` (under `--out`) and
-/// `BENCH_<name>.json`, with the report name's dashes as underscores.
+/// A report's standard file names: its [`Report::csv_name`] (under
+/// `--out`) and `BENCH_<name>.json`, with the report name's dashes as
+/// underscores.
 pub fn report_file_names(report: &dyn Report) -> (String, String) {
     let stem = report.name().replace('-', "_");
-    (format!("fig_{stem}.csv"), format!("BENCH_{stem}.json"))
+    (report.csv_name(), format!("BENCH_{stem}.json"))
 }
 
 /// Usage summary of the `hqw` runner binary.

@@ -20,7 +20,7 @@ use std::io::Write;
 use std::path::Path;
 
 /// The spec's grid engine, or the user-facing message for specs without a
-/// shardable grid (canned figures, realtime fabric, empty grids).
+/// point grid (the realtime fabric).
 fn grid(spec: &ExperimentSpec) -> Result<Box<dyn SpecGrid + '_>, String> {
     spec_grid(spec).map_err(|e| e.to_string())
 }
@@ -289,9 +289,12 @@ mod tests {
 
     #[test]
     fn unshardable_specs_are_reported() {
-        for (family, needle) in [("fabric-rt", "realtime"), ("fig3", "no point grid")] {
-            let err = grid(&quick_spec(family)).err().expect("unshardable");
-            assert!(err.contains(needle), "{err}");
+        let err = grid(&quick_spec("fabric-rt")).err().expect("unshardable");
+        assert!(err.contains("realtime"), "{err}");
+        // Every paper figure shards.
+        for figure in hqw_core::FigureKind::ALL {
+            let spec = quick_spec(figure.name());
+            assert!(grid(&spec).is_ok(), "{} should shard", figure.name());
         }
     }
 }

@@ -15,13 +15,12 @@
 //!   the crate README for the output format.
 //!
 //! Shared CLI conventions live in [`cli`]; experiment wiring lives in
-//! [`runs`] (grid experiments) and [`legacy`] (canned figures); the
-//! distributed shard/checkpoint/merge runners live in [`distributed`].
+//! [`runs`]; the distributed shard/checkpoint/merge runners live in
+//! [`distributed`].
 
 #![warn(missing_docs)]
 
 pub mod cli;
 pub mod distributed;
-pub mod legacy;
 pub mod registry;
 pub mod runs;

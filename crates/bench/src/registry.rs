@@ -7,8 +7,8 @@
 //! goes through the same [`ExperimentSpec`]-driven wiring.
 
 use crate::cli::{GivenFlags, Options};
-use crate::{legacy, runs};
-use hqw_core::spec::{CannedKind, CannedSpec, ExperimentSpec, SPEC_VERSION};
+use crate::runs;
+use hqw_core::spec::{ExperimentSpec, FigureKind, FigureSpec, SPEC_VERSION};
 
 /// One registry row: a runnable experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +20,7 @@ pub struct RegistryEntry {
 }
 
 /// Every registered experiment, in listing order: the five grid
-/// experiments first, then the canned figures in [`CannedKind::ALL`] order.
+/// experiments first, then the paper figures in [`FigureKind::ALL`] order.
 pub const ALL: [RegistryEntry; 12] = [
     RegistryEntry {
         name: "ber",
@@ -86,9 +86,10 @@ pub fn find(name: &str) -> Option<&'static RegistryEntry> {
 /// scale/seed (`None` for unknown names).
 ///
 /// For the grid experiments this is the full declarative configuration;
-/// for canned figures it is the scale + seed pair. Presets are built with `threads: 0` (all cores):
-/// the `--threads` flag is applied by [`resolve_target`], the one place
-/// that decides the effective thread count for every path into a run.
+/// for the figures it is the scale + seed pair. Presets are built with
+/// `threads: 0` (all cores): the `--threads` flag is applied by
+/// [`resolve_target`], the one place that decides the effective thread
+/// count for every path into a run.
 pub fn spec(name: &str, opts: &Options) -> Option<ExperimentSpec> {
     Some(match name {
         "ber" => ExperimentSpec::Ber(runs::ber_config(opts.scale_name, opts.seed, 0)),
@@ -96,66 +97,27 @@ pub fn spec(name: &str, opts: &Options) -> Option<ExperimentSpec> {
         "fabric" => ExperimentSpec::Fabric(runs::fabric_config(opts.scale_name, opts.seed, 0)),
         "fabric-rt" => ExperimentSpec::Fabric(runs::fabric_rt_config(opts.scale_name, opts.seed)),
         "sched" => ExperimentSpec::Sched(runs::sched_config(opts.scale_name, opts.seed, 0)),
-        other => {
-            find(other)?;
-            ExperimentSpec::Canned(CannedSpec {
-                experiment: CannedKind::from_name(other)?,
-                scale: opts.scale,
-                seed: opts.seed,
-            })
-        }
+        other => ExperimentSpec::Figure(FigureSpec {
+            experiment: FigureKind::from_name(other)?,
+            scale: opts.scale,
+            seed: opts.seed,
+            threads: 0,
+        }),
     })
 }
 
 /// Executes a spec: runs the experiment and emits its table/CSV/JSON
 /// through the shared [`Options`] conventions.
 ///
-/// The spec's own seed (and, for canned experiments, its scale) is copied
-/// into the [`Options`] first, so the stdout banner — the reproducibility
-/// record — always reports what actually ran, even when a spec file's
-/// values differ from the CLI flags.
+/// The spec's own seed is copied into the [`Options`] first, so the stdout
+/// banner — the reproducibility record — always reports what actually ran,
+/// even when a spec file's values differ from the CLI flags.
 pub fn run_spec(spec: &ExperimentSpec, opts: &Options) {
     let mut opts = opts.clone();
     opts.seed = spec.seed();
     match spec {
-        ExperimentSpec::Ber(config) => runs::run_ber(config, &opts),
-        ExperimentSpec::Stream(config) => runs::run_stream(config, &opts),
-        ExperimentSpec::Fabric(config) => {
-            if spec.is_realtime() {
-                runs::run_fabric_rt(config, &opts);
-            } else {
-                runs::run_fabric(config, &opts);
-            }
-        }
-        ExperimentSpec::Sched(config) => runs::run_sched(config, &opts),
-        ExperimentSpec::Canned(canned) => run_canned(canned, &opts),
-    }
-}
-
-/// Dispatches a canned spec to its legacy runner. The spec's scale
-/// overrides whatever the CLI flags said (they are equal when the spec
-/// came from [`spec`]; when a spec file is driving the run and its scale
-/// matches no preset, the banner reports `scale=spec`).
-fn run_canned(canned: &CannedSpec, opts: &Options) {
-    let scale_name = if canned.scale == opts.scale {
-        opts.scale_name
-    } else {
-        "spec"
-    };
-    let opts = Options {
-        scale: canned.scale,
-        scale_name,
-        seed: canned.seed,
-        ..opts.clone()
-    };
-    match canned.experiment {
-        CannedKind::Fig3 => legacy::run_fig3(&opts),
-        CannedKind::Fig4SoftInfo => legacy::run_fig4_softinfo(&opts),
-        CannedKind::Fig5Schedules => legacy::run_fig5_schedules(&opts),
-        CannedKind::Fig6 => legacy::run_fig6(&opts),
-        CannedKind::Fig7 => legacy::run_fig7(&opts),
-        CannedKind::Fig8 => legacy::run_fig8(&opts),
-        CannedKind::Headline => legacy::run_headline(&opts),
+        ExperimentSpec::Fabric(config) if spec.is_realtime() => runs::run_fabric_rt(config, &opts),
+        _ => runs::run_grid_spec(spec, &opts),
     }
 }
 
@@ -216,7 +178,7 @@ pub fn resolve_target(
         resolved.set_threads(opts.threads);
     }
     if opts.telemetry.is_some() && !resolved.supports_telemetry() {
-        // BER sweeps and canned figures have no frame lifecycle to trace;
+        // BER sweeps and the figures have no frame lifecycle to trace;
         // silently writing an empty trace would misreport what ran.
         return Err(format!(
             "--telemetry cannot apply to '{target}': only the stream/fabric \
@@ -277,13 +239,13 @@ mod tests {
 
     #[test]
     fn canned_entries_match_canned_kinds_exactly() {
-        let canned: Vec<&str> = all()
+        let figures: Vec<&str> = all()
             .iter()
             .map(|e| e.name)
             .filter(|n| !matches!(*n, "ber" | "stream" | "fabric" | "fabric-rt" | "sched"))
             .collect();
-        let kinds: Vec<&str> = CannedKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(canned, kinds);
+        let kinds: Vec<&str> = FigureKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(figures, kinds);
         assert_eq!(all().len(), 12);
     }
 

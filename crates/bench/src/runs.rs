@@ -1,7 +1,7 @@
-//! Runners for the grid experiments (`ber`, `stream`, `fabric`, `sched`)
-//! and the realtime `fabric-rt` service: the preset configurations each
-//! scale maps to, the shared backend mixes, and the execution + emission
-//! wiring.
+//! Runners for the grid experiments (`ber`, `stream`, `fabric`, `sched`,
+//! the paper figures) and the realtime `fabric-rt` service: the preset
+//! configurations each scale maps to, the shared backend mixes, and the
+//! execution + emission wiring.
 //!
 //! The `hqw` runner reaches these through [`crate::registry`]; every grid
 //! experiment runs through the one generic engine ([`hqw_core::grid`]), the
@@ -14,10 +14,12 @@ use hqw_core::fabric::{
     MockQpuConfig, NetworkModel, PtConfig, RealtimeConfig, SaPoolConfig, TabuConfig,
 };
 use hqw_core::fabric_rt::{run_fabric_rt_grid_observed, trace_doc};
-use hqw_core::grid::run_grid;
-use hqw_core::scenario::{paper_roster, BerSweep, SnrSweepConfig};
+use hqw_core::grid::spec_grid;
+use hqw_core::scenario::SnrSweepConfig;
 use hqw_core::sched::{ClassMix, SchedOptions, SchedPolicy};
 use hqw_core::sched_grid::SchedGridConfig;
+use hqw_core::shard::spec_fingerprint;
+use hqw_core::spec::ExperimentSpec;
 use hqw_core::stream::{CostModel, DispatchPolicy, StreamGridConfig};
 use hqw_core::telemetry::Collector;
 use hqw_phy::channel::{snr_db_to_noise_variance, ChannelModel, TrackConfig};
@@ -342,96 +344,23 @@ fn with_telemetry<R>(opts: &Options, body: impl FnOnce(Option<&Collector>) -> R)
     }
 }
 
-/// Runs a BER sweep over the standard roster and emits table + CSV + JSON.
-pub fn run_ber(config: &SnrSweepConfig, opts: &Options) {
+/// Runs any spec but the realtime fabric's through its grid engine
+/// ([`spec_grid`]) and emits table + CSV + JSON.
+pub fn run_grid_spec(spec: &ExperimentSpec, opts: &Options) {
+    let name = spec.family();
     opts.banner(
-        "BER sweep",
-        "end-to-end BER/SER-vs-SNR across every detector family",
+        name,
+        crate::registry::find(name).map_or("", |e| e.description),
     );
     println!(
-        "{} users, {}, {} SNR points x {} realizations, threads={} (0 = all cores)",
-        config.n_users,
-        config.modulation.name(),
-        config.snr_db.len(),
-        config.realizations,
-        config.threads
+        "fingerprint={} threads={} (0 = all cores)",
+        spec_fingerprint(spec),
+        spec.threads()
     );
     println!();
-    let sweep = BerSweep {
-        config,
-        detectors: paper_roster(config.seed),
-    };
-    opts.emit_report(&run_grid(&sweep, None));
-}
-
-/// Runs a streaming grid sweep and emits table + CSV + JSON.
-pub fn run_stream(config: &StreamGridConfig, opts: &Options) {
-    opts.banner(
-        "Stream sweep",
-        "deadline-aware streaming detection over a time-correlated channel",
-    );
-    println!(
-        "{} users QPSK at {SNR_DB} dB, {} frames/cell, deadline {} us, \
-         {} policies x {} rho x {} loads, threads={} (0 = all cores)",
-        config.track.n_users,
-        config.frames,
-        config.deadline_us,
-        config.policies.len(),
-        config.rhos.len(),
-        config.arrival_periods_us.len(),
-        config.threads
-    );
-    println!();
-    let report = with_telemetry(opts, |t| run_grid(config, t));
-    opts.emit_report(&report);
-}
-
-/// Runs a fabric grid sweep and emits table + CSV + JSON.
-pub fn run_fabric(config: &FabricGridConfig, opts: &Options) {
-    opts.banner(
-        "Fabric sweep",
-        "multi-cell streaming detection over a shared multi-backend solver pool",
-    );
-    println!(
-        "{} users QPSK at {SNR_DB} dB per cell, {} frames/cell, deadline {} us, \
-         {} mixes x {} cell-counts x {} loads, threads={} (0 = all cores)",
-        config.track.n_users,
-        config.frames_per_cell,
-        config.deadline_us,
-        config.mixes.len(),
-        config.cell_counts.len(),
-        config.arrival_periods_us.len(),
-        config.threads
-    );
-    println!();
-    let report = with_telemetry(opts, |t| run_grid(config, t));
-    opts.emit_report(&report);
-}
-
-/// Runs the static-vs-adaptive scheduling comparison and emits table +
-/// CSV + JSON.
-pub fn run_sched(config: &SchedGridConfig, opts: &Options) {
-    opts.banner(
-        "Scheduling comparison",
-        "static-vs-adaptive scheduling under calibrated and mispredicted cost models",
-    );
-    println!(
-        "{} users QPSK at {SNR_DB} dB per cell, {} frames/cell, deadline {} us, \
-         policy {}, classes urllc:embb:bulk = {}:{}:{}, \
-         2 workloads x {} cell-counts x {} loads x 2 arms, threads={} (0 = all cores)",
-        config.track.n_users,
-        config.frames_per_cell,
-        config.deadline_us,
-        config.policy.name(),
-        config.classes.urllc,
-        config.classes.embb,
-        config.classes.bulk,
-        config.cell_counts.len(),
-        config.arrival_periods_us.len(),
-        config.threads
-    );
-    println!();
-    opts.emit_report(&run_grid(config, None));
+    let grid = spec_grid(spec).expect("the registry routes only grid specs here");
+    let report = with_telemetry(opts, |t| grid.run_report(t));
+    opts.emit_report(report.as_ref());
 }
 
 /// Runs the wall-clock realtime fabric service and emits table + CSV +

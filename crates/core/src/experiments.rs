@@ -1,10 +1,9 @@
-//! Canned experiment runners — one per figure/claim in the paper.
-//!
-//! Each runner reproduces one evaluation artifact of the paper (`hqw list`
-//! prints the registry) and returns structured rows, which the `hqw` runner
-//! prints and writes as CSV. Runners take an explicit [`Scale`] so
-//! integration tests can exercise the full logic cheaply while the bench
-//! binaries run publication-scale sweeps.
+//! The paper's figure experiments — one per figure/claim of the evaluation
+//! (`hqw list` prints the registry), each a [`GridEngine`] behind its
+//! [`FigureSpec`], so it runs, shards, merges and resumes like every other
+//! experiment. A point is a unit that owns its RNG stream (one per `fig6`
+//! modulation, per headline instance, …; `crates/bench/README.md` lists
+//! them), and a point that needs an instance regenerates it from the seed.
 //!
 //! Scale note: the paper collects 200k–600k anneals per figure on real
 //! hardware; the simulator defaults are smaller (hundreds of reads per
@@ -12,10 +11,16 @@
 //! microseconds of QPU. The *shape* comparisons are unaffected; error bars
 //! are wider.
 
-use crate::harvest::{harvest_states, HarvestedState};
+use crate::grid::{check_coordinates, GridEngine};
+use crate::harvest::harvest_states;
 use crate::metrics::{delta_e_percent, success_probability};
 use crate::protocol::{paper_sp_grid, Protocol};
-use crate::sweep::{best_point, sweep_protocol, SweepPoint};
+use crate::report::{fnum, render, Layout, Report, Table, ROWS, SCENARIO};
+use crate::spec::codec::{record, tag_of, Field, Ratio, Record, Tts, Us};
+use crate::spec::json::Json;
+use crate::spec::{FigureKind, FigureSpec, SpecError};
+use crate::sweep::{best_point, fr_oracle_cp, sweep_protocol, SweepPoint};
+use crate::telemetry::Collector;
 use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
 use hqw_anneal::{AnnealParams, DWaveProfile, IceModel};
 use hqw_math::stats::percentile;
@@ -79,14 +84,16 @@ impl Scale {
     }
 }
 
-/// The workspace's standard simulated QPU for experiments.
-pub fn paper_sampler(reads: usize) -> QuantumSampler {
+/// The workspace's standard simulated QPU for experiments, reading on
+/// `threads` workers (0 = all cores; results are identical for any value).
+pub fn paper_sampler(reads: usize, threads: usize) -> QuantumSampler {
     QuantumSampler::new(
         DWaveProfile::calibrated(),
         SamplerConfig {
             num_reads: reads,
             engine: EngineKind::Pimc { trotter_slices: 16 },
             params: AnnealParams::default(),
+            threads,
             ..Default::default()
         },
     )
@@ -111,9 +118,10 @@ pub struct Fig3Row {
     pub avg_fixed: f64,
 }
 
-/// Runs the Figure 3 sweep: `instances_per_point` random MIMO QUBOs per
-/// (modulation, size), sizes spanning ~4–64 variables.
-pub fn run_fig3(instances_per_point: usize, seed: u64) -> Vec<Fig3Row> {
+/// The Figure 3 sweep: `instances_per_point` random MIMO QUBOs per
+/// (modulation, size), sizes spanning ~4–64 variables, all drawn from one
+/// generator.
+fn fig3_rows(instances_per_point: usize, seed: u64) -> Vec<Fig3Row> {
     let mut rng = Rng64::new(seed);
     let mut rows = Vec::new();
     for m in Modulation::ALL {
@@ -150,6 +158,127 @@ pub fn run_fig3(instances_per_point: usize, seed: u64) -> Vec<Fig3Row> {
 }
 
 // ---------------------------------------------------------------------------
+// §3.1 / Figure 4: soft-information constraints under analog noise
+// ---------------------------------------------------------------------------
+
+/// The §3.1 study's constraint strengths, relative to the QUBO's largest
+/// coefficient: one `fig4-softinfo` point each.
+pub const SOFTINFO_STRENGTHS: [f64; 6] = [0.0, 0.05, 0.2, 0.5, 1.0, 3.0];
+
+/// One row of the soft-information study.
+#[derive(Debug, Clone)]
+pub struct SoftInfoRow {
+    /// Constraint strength (absolute QUBO units).
+    pub strength: f64,
+    /// Whether ICE analog noise was enabled.
+    pub ice: bool,
+    /// FA success probability on the constrained problem, scored against
+    /// the original ground state.
+    pub p_star: f64,
+    /// Whether the constrained problem still has the original global
+    /// optimum (exhaustively verified).
+    pub optimum_preserved: bool,
+}
+
+/// The §3.1 constraint study at relative strength `rel` on a 4-user 16-QAM
+/// instance: inject two *correct* pair constraints (as in Figure 4's
+/// "pre-knowledge") and anneal noiseless and under ICE noise.
+fn softinfo_rows(scale: Scale, seed: u64, rel: f64, threads: usize) -> Vec<SoftInfoRow> {
+    let mut rng = Rng64::new(seed);
+    let inst = DetectionInstance::generate(&InstanceConfig::paper(4, Modulation::Qam16), &mut rng);
+    let truth = &inst.tx_natural_bits;
+    let strength = rel * inst.reduction.qubo.max_abs_coeff();
+    let mut qubo = inst.reduction.qubo.clone();
+    if strength > 0.0 {
+        // Fig. 4 constraints on the first user's I and Q rail MSB pairs,
+        // consistent with the transmitted symbol.
+        for &(a, b) in &[(0usize, 1usize), (2usize, 3usize)] {
+            apply_pair_constraint(
+                &mut qubo,
+                &PairConstraint {
+                    a,
+                    b,
+                    target_a: truth[a],
+                    target_b: truth[b],
+                    strength,
+                },
+            );
+        }
+    }
+    let (best_bits, _) = exhaustive_minimum(&qubo);
+    let optimum_preserved = best_bits == *truth;
+
+    [false, true]
+        .into_iter()
+        .map(|ice| {
+            let mut cfg = SamplerConfig {
+                num_reads: scale.reads,
+                engine: EngineKind::Pimc { trotter_slices: 16 },
+                threads,
+                ..Default::default()
+            };
+            if ice {
+                cfg.ice = IceModel::default();
+            }
+            let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
+            let schedule = Protocol::paper_fa(0.45).schedule().expect("valid");
+            let run = sampler.sample_qubo(&qubo, &schedule, None, seed ^ (rel.to_bits() >> 1));
+            // Score against the ORIGINAL optimum: a read succeeds only when
+            // it returns the true transmitted state.
+            let hits: u64 = run
+                .samples
+                .iter()
+                .filter(|s| s.bits == *truth)
+                .map(|s| s.occurrences)
+                .sum();
+            SoftInfoRow {
+                strength,
+                ice,
+                p_star: hits as f64 / run.samples.total_reads() as f64,
+                optimum_preserved,
+            }
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Figure 5: the anneal-schedule shapes
+// ---------------------------------------------------------------------------
+
+/// One schedule of Figure 5.
+#[derive(Debug, Clone)]
+pub struct Fig5Row {
+    /// Protocol name ("FA", "RA", "FR").
+    pub protocol: String,
+    /// Waypoint times (µs).
+    pub t_us: Vec<f64>,
+    /// Annealing fraction `s` at each waypoint.
+    pub s: Vec<f64>,
+    /// Programmed duration of one read (µs).
+    pub duration_us: f64,
+}
+
+/// The FA, RA and FR schedules at the paper's `s_p = 0.41`, `c_p = 0.65`.
+fn fig5_rows() -> Vec<Fig5Row> {
+    [
+        Protocol::paper_fa(0.41),
+        Protocol::paper_ra(0.41),
+        Protocol::paper_fr(0.65, 0.41),
+    ]
+    .iter()
+    .map(|p| {
+        let schedule = p.schedule().expect("valid paper parameters");
+        Fig5Row {
+            protocol: p.name().to_string(),
+            t_us: schedule.points().iter().map(|&(t, _)| t).collect(),
+            s: schedule.points().iter().map(|&(_, s)| s).collect(),
+            duration_us: schedule.duration_us(),
+        }
+    })
+    .collect()
+}
+
+// ---------------------------------------------------------------------------
 // Figure 6: ΔE% distributions for FA / RA-random / RA-GS
 // ---------------------------------------------------------------------------
 
@@ -161,84 +290,84 @@ pub const FIG6_PERCENTILES: [f64; 9] = [1.0, 5.0, 10.0, 25.0, 50.0, 75.0, 90.0, 
 pub struct Fig6Row {
     /// Modulation.
     pub modulation: Modulation,
-    /// Protocol arm: "FA", "RA-random" or "RA-GS".
-    pub arm: &'static str,
-    /// `s_p` used.
-    pub s_p: f64,
-    /// `(percentile, ΔE%)` pairs at [`FIG6_PERCENTILES`].
-    pub percentiles: Vec<(f64, f64)>,
+    /// Protocol arm: "FA", "RA-random", "RA-GS" or "SA-classical".
+    pub arm: String,
+    /// `s_p` used (`None` for the classical arm).
+    pub s_p: Option<f64>,
+    /// ΔE% at each of [`FIG6_PERCENTILES`].
+    pub percentiles: Vec<f64>,
     /// Fraction of reads that found the ground state.
     pub ground_fraction: f64,
     /// Mean ΔE% over all reads.
     pub mean_delta_e: f64,
 }
 
-/// Runs Figure 6: 36-variable instances for every modulation, three arms.
+/// Figure 6 for one modulation: 36-variable instances, three anneal arms
+/// plus a classical control.
 ///
 /// `s_p` per arm is chosen on the first instance by the best mean sample
 /// energy over a coarse grid (the distribution analogue of the paper's
 /// "median best parameter setting").
-pub fn run_fig6(scale: Scale, seed: u64) -> Vec<Fig6Row> {
-    let sampler = paper_sampler(scale.reads);
+fn fig6_rows(scale: Scale, seed: u64, m: Modulation, threads: usize) -> Vec<Fig6Row> {
+    let sampler = paper_sampler(scale.reads, threads);
     let coarse: Vec<f64> = [0.37, 0.53, 0.69, 0.85].to_vec();
-    let mut rows = Vec::new();
+    let config = InstanceConfig::paper_with_vars(36, m);
+    let mut rng = Rng64::new(seed ^ m.bits_per_symbol() as u64);
+    let instances = DetectionInstance::generate_batch(&config, scale.instances, &mut rng);
 
-    for m in Modulation::ALL {
-        let config = InstanceConfig::paper_with_vars(36, m);
-        let mut rng = Rng64::new(seed ^ m.bits_per_symbol() as u64);
-        let instances = DetectionInstance::generate_batch(&config, scale.instances, &mut rng);
+    // Arm setup on the first instance.
+    let first = &instances[0];
+    let eg0 = first.ground_energy();
+    let (gs_bits0, _) = hqw_qubo::greedy_search(&first.reduction.qubo);
+    let pick_sp = |protocol: &(dyn Fn(f64) -> Protocol + Sync), init: Option<&[u8]>| -> f64 {
+        let pts = sweep_protocol(
+            &sampler,
+            &first.reduction.qubo,
+            eg0,
+            &coarse,
+            protocol,
+            init,
+            seed,
+        );
+        pts.iter()
+            .min_by(|a, b| a.mean_energy.partial_cmp(&b.mean_energy).unwrap())
+            .map(|p| p.param)
+            .unwrap_or(0.53)
+    };
+    let sp_fa = pick_sp(&Protocol::paper_fa, None);
+    let sp_ra = pick_sp(&Protocol::paper_ra, Some(&gs_bits0));
 
-        // Arm setup on the first instance.
-        let first = &instances[0];
-        let eg0 = first.ground_energy();
-        let (gs_bits0, _) = hqw_qubo::greedy_search(&first.reduction.qubo);
-        let pick_sp = |protocol: &dyn Fn(f64) -> Protocol, init: Option<&[u8]>| -> f64 {
-            let pts = sweep_protocol(
-                &sampler,
-                &first.reduction.qubo,
-                eg0,
-                &coarse,
-                protocol,
-                init,
-                seed,
-            );
-            pts.iter()
-                .min_by(|a, b| a.mean_energy.partial_cmp(&b.mean_energy).unwrap())
-                .map(|p| p.param)
-                .unwrap_or(0.53)
-        };
-        let sp_fa = pick_sp(&Protocol::paper_fa, None);
-        let sp_ra = pick_sp(&Protocol::paper_ra, Some(&gs_bits0));
+    // A fourth, classical-baseline arm: simulated annealing at a
+    // Monte-Carlo budget matched to one anneal read (the "why not plain
+    // SA?" control; not in the paper's figure).
+    let sa_params = hqw_qubo::sa::SaParams {
+        sweeps: (sampler.config.params.sweeps_per_us as f64
+            * Protocol::paper_fa(sp_fa).duration_us()) as usize,
+        num_reads: scale.reads,
+        ..Default::default()
+    };
 
-        // A fourth, classical-baseline arm: simulated annealing at a
-        // Monte-Carlo budget matched to one anneal read (the reviewer's
-        // inevitable "why not plain SA?" control; not in the paper's figure).
-        let sa_params = hqw_qubo::sa::SaParams {
-            sweeps: (sampler.config.params.sweeps_per_us as f64
-                * Protocol::paper_fa(sp_fa).duration_us()) as usize,
-            num_reads: scale.reads,
-            ..Default::default()
-        };
+    let mut arm_dist = vec![
+        ("FA", Some(sp_fa), Vec::<f64>::new(), 0u64, 0u64),
+        ("RA-random", Some(sp_ra), Vec::new(), 0, 0),
+        ("RA-GS", Some(sp_ra), Vec::new(), 0, 0),
+        ("SA-classical", None, Vec::new(), 0, 0),
+    ];
 
-        let mut arm_dist: Vec<(&'static str, f64, Vec<f64>, u64, u64)> = vec![
-            ("FA", sp_fa, Vec::new(), 0, 0),
-            ("RA-random", sp_ra, Vec::new(), 0, 0),
-            ("RA-GS", sp_ra, Vec::new(), 0, 0),
-            ("SA-classical", f64::NAN, Vec::new(), 0, 0),
-        ];
+    for (idx, inst) in instances.iter().enumerate() {
+        let eg = inst.ground_energy();
+        let qubo = &inst.reduction.qubo;
+        let (gs_bits, _) = hqw_qubo::greedy_search(qubo);
+        let mut inst_rng = Rng64::new(seed.wrapping_add(idx as u64 * 7919));
+        let random_bits: Vec<u8> = (0..36).map(|_| inst_rng.next_bool() as u8).collect();
 
-        for (idx, inst) in instances.iter().enumerate() {
-            let eg = inst.ground_energy();
-            let qubo = &inst.reduction.qubo;
-            let (gs_bits, _) = hqw_qubo::greedy_search(qubo);
-            let mut inst_rng = Rng64::new(seed.wrapping_add(idx as u64 * 7919));
-            let random_bits: Vec<u8> = (0..36).map(|_| inst_rng.next_bool() as u8).collect();
-
-            for (arm, sp, dist, hits, total) in arm_dist.iter_mut() {
-                let samples = if *arm == "SA-classical" {
+        for (arm, sp, dist, hits, total) in arm_dist.iter_mut() {
+            let samples = match sp {
+                None => {
                     let mut sa_rng = Rng64::new(inst_rng.next_u64());
                     hqw_qubo::sa::sample_qubo(qubo, &sa_params, &mut sa_rng)
-                } else {
+                }
+                Some(sp) => {
                     let protocol = match *arm {
                         "FA" => Protocol::paper_fa(*sp),
                         _ => Protocol::paper_ra(*sp),
@@ -256,34 +385,33 @@ pub fn run_fig6(scale: Scale, seed: u64) -> Vec<Fig6Row> {
                             inst_rng.next_u64(),
                         )
                         .samples
-                };
-                for e in samples.energies_per_read() {
-                    let de = delta_e_percent(e, eg);
-                    dist.push(de);
-                    *total += 1;
-                    if de <= 1e-9 {
-                        *hits += 1;
-                    }
+                }
+            };
+            for e in samples.energies_per_read() {
+                let de = delta_e_percent(e, eg);
+                dist.push(de);
+                *total += 1;
+                if de <= 1e-9 {
+                    *hits += 1;
                 }
             }
         }
-
-        for (arm, sp, dist, hits, total) in arm_dist {
-            let percentiles = FIG6_PERCENTILES
-                .iter()
-                .map(|&p| (p, percentile(&dist, p)))
-                .collect();
-            rows.push(Fig6Row {
-                modulation: m,
-                arm,
-                s_p: sp,
-                percentiles,
-                ground_fraction: hits as f64 / total.max(1) as f64,
-                mean_delta_e: dist.iter().sum::<f64>() / dist.len().max(1) as f64,
-            });
-        }
     }
-    rows
+
+    arm_dist
+        .into_iter()
+        .map(|(arm, s_p, dist, hits, total)| Fig6Row {
+            modulation: m,
+            arm: arm.to_string(),
+            s_p,
+            percentiles: FIG6_PERCENTILES
+                .iter()
+                .map(|&p| percentile(&dist, p))
+                .collect(),
+            ground_fraction: hits as f64 / total.max(1) as f64,
+            mean_delta_e: dist.iter().sum::<f64>() / dist.len().max(1) as f64,
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -303,20 +431,20 @@ pub struct Fig7Row {
     pub mean_cost_delta_e: f64,
 }
 
-/// Runs Figure 7 on one 8-user 16-QAM instance: success probability and
+/// Figure 7 on one 8-user 16-QAM instance: success probability and
 /// expected cost of RA as a function of ΔE_IS% (2% bins over 0–10%, plus
 /// the exact-ground reference at bin center 0).
 ///
 /// Returns `(s_p used, rows)`.
-pub fn run_fig7(scale: Scale, seed: u64) -> (f64, Vec<Fig7Row>) {
+fn fig7_rows(scale: Scale, seed: u64, threads: usize) -> (f64, Vec<Fig7Row>) {
     let mut rng = Rng64::new(seed);
     let inst = DetectionInstance::generate(&InstanceConfig::paper(8, Modulation::Qam16), &mut rng);
     let eg = inst.ground_energy();
     let qubo = &inst.reduction.qubo;
-    let sampler = paper_sampler(scale.reads);
+    let sampler = paper_sampler(scale.reads, threads);
 
     // Harvest seed states by quality (the paper's 750k-sample methodology).
-    let harvester = paper_sampler(scale.reads.max(200));
+    let harvester = paper_sampler(scale.reads.max(200), threads);
     let bins = harvest_states(
         &harvester,
         qubo,
@@ -388,103 +516,79 @@ pub fn run_fig7(scale: Scale, seed: u64) -> (f64, Vec<Fig7Row>) {
 // Figure 8: p★ and TTS vs s_p for FA, FR (oracle c_p) and RA
 // ---------------------------------------------------------------------------
 
-/// One protocol line of Figure 8.
+/// The `fig8` points before the per-`s_p` FR points: the FA series, RA from
+/// the exact ground state, and RA from harvested states.
+const FIG8_SERIES_POINTS: usize = 3;
+
+/// The label of Figure 8's FR series.
+const FR_ORACLE: &str = "FR oracle c_p";
+
+/// One point of a Figure 8 series.
 #[derive(Debug, Clone)]
-pub struct Fig8Series {
-    /// Line label ("FA", "RA ΔE_IS=0%", "RA ΔE_IS≈2.1%", "FR oracle", …).
-    pub label: String,
-    /// Sweep points over `s_p`.
-    pub points: Vec<SweepPoint>,
+pub struct Fig8Row {
+    /// Line label ("FA", "RA ΔE_IS=0%", "RA ΔE_IS≈2.1%", "FR oracle c_p").
+    pub series: String,
+    /// The sweep point at the series' `s_p` (`param`).
+    pub point: SweepPoint,
 }
 
-/// Runs Figure 8 on one 8-user 16-QAM instance.
-pub fn run_fig8(scale: Scale, seed: u64) -> Vec<Fig8Series> {
+/// Figure 8 point `id` on one 8-user 16-QAM instance.
+fn fig8_rows(scale: Scale, seed: u64, id: usize, threads: usize) -> Vec<Fig8Row> {
     let mut rng = Rng64::new(seed);
     let inst = DetectionInstance::generate(&InstanceConfig::paper(8, Modulation::Qam16), &mut rng);
     let eg = inst.ground_energy();
     let qubo = &inst.reduction.qubo;
-    let sampler = paper_sampler(scale.reads);
+    let sampler = paper_sampler(scale.reads, threads);
     let grid = scale.sp_grid();
-    let mut series = Vec::new();
-
-    // FA line.
-    series.push(Fig8Series {
-        label: "FA".to_string(),
-        points: sweep_protocol(&sampler, qubo, eg, &grid, Protocol::paper_fa, None, seed),
-    });
-
-    // RA from the exact ground state (red dashed line).
-    series.push(Fig8Series {
-        label: "RA ΔE_IS=0%".to_string(),
-        points: sweep_protocol(
-            &sampler,
-            qubo,
-            eg,
-            &grid,
-            Protocol::paper_ra,
-            Some(&inst.tx_natural_bits),
-            seed ^ 1,
+    let sweep = |protocol: fn(f64) -> Protocol, init: Option<&[u8]>, seed: u64| {
+        sweep_protocol(&sampler, qubo, eg, &grid, protocol, init, seed)
+    };
+    let series = |label: &str, points: Vec<SweepPoint>| -> Vec<Fig8Row> {
+        let series = label.to_string();
+        let row = |point| Fig8Row {
+            series: series.clone(),
+            point,
+        };
+        points.into_iter().map(row).collect()
+    };
+    match id {
+        // FA line.
+        0 => series("FA", sweep(Protocol::paper_fa, None, seed)),
+        // RA from the exact ground state (red dashed line).
+        1 => series(
+            "RA ΔE_IS=0%",
+            sweep(Protocol::paper_ra, Some(&inst.tx_natural_bits), seed ^ 1),
         ),
-    });
-
-    // RA from harvested seeds of two quality levels (yellow lines).
-    let harvester = paper_sampler(scale.reads.max(200));
-    let bins = harvest_states(
-        &harvester,
-        qubo,
-        eg,
-        2.0,
-        10.0,
-        1,
-        scale.harvest_reads,
-        seed ^ 2,
-    );
-    let mut picks: Vec<&HarvestedState> = Vec::new();
-    if let Some(s) = bins.first().and_then(|b| b.first()) {
-        picks.push(s);
-    }
-    if let Some(s) = bins.get(2).and_then(|b| b.first()) {
-        picks.push(s);
-    }
-    for st in picks {
-        series.push(Fig8Series {
-            label: format!("RA ΔE_IS≈{:.1}%", st.delta_e_is),
-            points: sweep_protocol(
-                &sampler,
+        // RA from harvested seeds of two quality levels (yellow lines).
+        2 => {
+            let harvester = paper_sampler(scale.reads.max(200), threads);
+            let bins = harvest_states(
+                &harvester,
                 qubo,
                 eg,
-                &grid,
-                Protocol::paper_ra,
-                Some(&st.bits),
-                seed ^ 3,
-            ),
-        });
-    }
-
-    // FR with oracle c_p: for each s_p, the best c_p from the same grid.
-    let mut fr_points = Vec::new();
-    for (i, &sp) in grid.iter().enumerate() {
-        let cp_points = sweep_protocol(
-            &sampler,
-            qubo,
-            eg,
-            &grid,
-            |c_p| Protocol::paper_fr(c_p, sp),
-            None,
-            seed.wrapping_add(100 + i as u64),
-        );
-        if let Some(best) = best_point(&cp_points) {
-            fr_points.push(SweepPoint { param: sp, ..best });
-        } else if let Some(any) = cp_points.first() {
-            fr_points.push(SweepPoint { param: sp, ..*any });
+                2.0,
+                10.0,
+                1,
+                scale.harvest_reads,
+                seed ^ 2,
+            );
+            let picks = [bins.first(), bins.get(2)].into_iter().flatten();
+            picks
+                .filter_map(|bin| bin.first())
+                .flat_map(|st| {
+                    let label = format!("RA ΔE_IS≈{:.1}%", st.delta_e_is);
+                    series(&label, sweep(Protocol::paper_ra, Some(&st.bits), seed ^ 3))
+                })
+                .collect()
+        }
+        // FR with oracle c_p: at this s_p, the best c_p from the same grid.
+        _ => {
+            let i = id - FIG8_SERIES_POINTS;
+            let seed = seed.wrapping_add(100 + i as u64);
+            let best = fr_oracle_cp(&sampler, qubo, eg, &grid, grid[i], seed);
+            series(FR_ORACLE, best.into_iter().collect())
         }
     }
-    series.push(Fig8Series {
-        label: "FR oracle c_p".to_string(),
-        points: fr_points,
-    });
-
-    series
 }
 
 // ---------------------------------------------------------------------------
@@ -514,136 +618,523 @@ impl HeadlineRow {
     }
 }
 
-/// Runs the headline comparison over 8-user 16-QAM instances.
-pub fn run_headline(scale: Scale, seed: u64) -> Vec<HeadlineRow> {
+/// The headline comparison on 8-user 16-QAM instance `instance` of the
+/// seed's generator.
+fn headline_row(scale: Scale, seed: u64, instance: usize, threads: usize) -> HeadlineRow {
     let mut rng = Rng64::new(seed);
-    let sampler = paper_sampler(scale.reads);
+    let config = InstanceConfig::paper(8, Modulation::Qam16);
+    for _ in 0..instance {
+        DetectionInstance::generate(&config, &mut rng);
+    }
+    let inst = DetectionInstance::generate(&config, &mut rng);
+    let eg = inst.ground_energy();
+    let qubo = &inst.reduction.qubo;
+    let (gs_bits, gs_e) = hqw_qubo::greedy_search(qubo);
+    let sampler = paper_sampler(scale.reads, threads);
     let grid = scale.sp_grid();
-    let mut rows = Vec::new();
-    for instance in 0..scale.instances {
-        let inst =
-            DetectionInstance::generate(&InstanceConfig::paper(8, Modulation::Qam16), &mut rng);
-        let eg = inst.ground_energy();
-        let qubo = &inst.reduction.qubo;
-        let (gs_bits, gs_e) = hqw_qubo::greedy_search(qubo);
-
-        let fa = sweep_protocol(
-            &sampler,
-            qubo,
-            eg,
-            &grid,
-            Protocol::paper_fa,
-            None,
-            seed.wrapping_add(instance as u64 * 31),
-        );
-        let ra = sweep_protocol(
-            &sampler,
-            qubo,
-            eg,
-            &grid,
-            Protocol::paper_ra,
-            Some(&gs_bits),
-            seed.wrapping_add(instance as u64 * 31 + 7),
-        );
-        rows.push(HeadlineRow {
-            instance,
-            gs_delta_e_is: delta_e_percent(gs_e, eg),
-            fa_best: best_point(&fa),
-            ra_best: best_point(&ra),
-        });
+    let seed = seed.wrapping_add(instance as u64 * 31);
+    let best = |protocol: fn(f64) -> Protocol, init: Option<&[u8]>, seed: u64| {
+        best_point(&sweep_protocol(
+            &sampler, qubo, eg, &grid, protocol, init, seed,
+        ))
+    };
+    HeadlineRow {
+        instance,
+        gs_delta_e_is: delta_e_percent(gs_e, eg),
+        fa_best: best(Protocol::paper_fa, None, seed),
+        ra_best: best(Protocol::paper_ra, Some(&gs_bits), seed.wrapping_add(7)),
     }
-    rows
 }
 
 // ---------------------------------------------------------------------------
-// §3.1 / Figure 4: soft-information constraints under analog noise
+// The figure engine and its report
 // ---------------------------------------------------------------------------
 
-/// One row of the soft-information study.
+/// One figure point's rows: a shard/checkpoint record, written as
+/// `{"figure": "<name>", "rows": [...]}` (`fig7`'s with the `s_p` its rows
+/// ran at).
 #[derive(Debug, Clone)]
-pub struct SoftInfoRow {
-    /// Constraint strength (absolute QUBO units).
-    pub strength: f64,
-    /// Whether ICE analog noise was enabled.
-    pub ice: bool,
-    /// FA success probability on the constrained problem, scored against
-    /// the original ground state.
-    pub p_star: f64,
-    /// Whether the constrained problem still has the original global
-    /// optimum (exhaustively verified).
-    pub optimum_preserved: bool,
+pub enum FigureRows {
+    /// Figure 3: every (modulation, size) row.
+    Fig3(Vec<Fig3Row>),
+    /// One §3.1 / Figure 4 strength: its noiseless and ICE rows.
+    Fig4SoftInfo(Vec<SoftInfoRow>),
+    /// Figure 5: the FA, RA and FR schedules.
+    Fig5Schedules(Vec<Fig5Row>),
+    /// One Figure 6 modulation: a row per arm.
+    Fig6(Vec<Fig6Row>),
+    /// Figure 7: the RA `s_p` every row ran at, the reference row, then one
+    /// row per non-empty ΔE_IS% bin.
+    Fig7(f64, Vec<Fig7Row>),
+    /// One Figure 8 point: a whole series, or FR at one `s_p`.
+    Fig8(Vec<Fig8Row>),
+    /// One headline instance's row.
+    Headline(Vec<HeadlineRow>),
 }
 
-/// Runs the §3.1 constraint study on a 4-user 16-QAM instance: inject two
-/// *correct* pair constraints (as in Figure 4's "pre-knowledge"), sweep the
-/// strength, and compare noiseless vs ICE-noise annealing.
-pub fn run_fig4_softinfo(scale: Scale, seed: u64) -> Vec<SoftInfoRow> {
-    let mut rng = Rng64::new(seed);
-    let inst = DetectionInstance::generate(&InstanceConfig::paper(4, Modulation::Qam16), &mut rng);
-    let truth = &inst.tx_natural_bits;
-    let base_strength = inst.reduction.qubo.max_abs_coeff();
+/// A figure row's table cells, at the figure's print precision.
+trait FigureRow: Record {
+    fn cells(&self) -> Vec<String>;
+}
 
-    let mut rows = Vec::new();
-    for &rel in &[0.0, 0.05, 0.2, 0.5, 1.0, 3.0] {
-        let strength = rel * base_strength;
-        let mut qubo = inst.reduction.qubo.clone();
-        if strength > 0.0 {
-            // Fig. 4 constraints on the first user's I and Q rail MSB pairs,
-            // consistent with the transmitted symbol.
-            for &(a, b) in &[(0usize, 1usize), (2usize, 3usize)] {
-                apply_pair_constraint(
-                    &mut qubo,
-                    &PairConstraint {
-                        a,
-                        b,
-                        target_a: truth[a],
-                        target_b: truth[b],
-                        strength,
-                    },
-                );
-            }
-        }
-        let (best_bits, _) = exhaustive_minimum(&qubo);
-        let optimum_preserved = best_bits == *truth;
+fn rendered<R: FigureRow>(rows: &[R]) -> Vec<(Json, Vec<String>)> {
+    rows.iter().map(|r| (r.encode(), r.cells())).collect()
+}
 
-        for ice in [false, true] {
-            let mut cfg = SamplerConfig {
-                num_reads: scale.reads,
-                engine: EngineKind::Pimc { trotter_slices: 16 },
-                ..Default::default()
-            };
-            if ice {
-                cfg.ice = IceModel::default();
-            }
-            let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
-            let schedule = Protocol::paper_fa(0.45).schedule().expect("valid");
-            let run = sampler.sample_qubo(&qubo, &schedule, None, seed ^ (rel.to_bits() >> 1));
-            // Score against the ORIGINAL optimum: a read succeeds only when
-            // it returns the true transmitted state.
-            let hits: u64 = run
-                .samples
-                .iter()
-                .filter(|s| s.bits == *truth)
-                .map(|s| s.occurrences)
-                .sum();
-            rows.push(SoftInfoRow {
-                strength,
-                ice,
-                p_star: hits as f64 / run.samples.total_reads() as f64,
-                optimum_preserved,
-            });
+impl FigureRows {
+    /// The figure, and every row as its record and its table cells.
+    fn rows(&self) -> (FigureKind, Vec<(Json, Vec<String>)>) {
+        match self {
+            FigureRows::Fig3(rows) => (FigureKind::Fig3, rendered(rows)),
+            FigureRows::Fig4SoftInfo(rows) => (FigureKind::Fig4SoftInfo, rendered(rows)),
+            FigureRows::Fig5Schedules(rows) => (FigureKind::Fig5Schedules, rendered(rows)),
+            FigureRows::Fig6(rows) => (FigureKind::Fig6, rendered(rows)),
+            FigureRows::Fig7(_, rows) => (FigureKind::Fig7, rendered(rows)),
+            FigureRows::Fig8(rows) => (FigureKind::Fig8, rendered(rows)),
+            FigureRows::Headline(rows) => (FigureKind::Headline, rendered(rows)),
         }
     }
-    rows
+
+    /// Each row's grid coordinates, for the figures whose point ids carry
+    /// some: `fig6`'s modulation (and percentile count), `fig8`'s FR `s_p`,
+    /// the headline's instance.
+    fn coordinates(&self) -> Vec<String> {
+        match self {
+            FigureRows::Fig6(rows) => rows
+                .iter()
+                .map(|r| {
+                    format!(
+                        "{} with {} percentiles",
+                        r.modulation.name(),
+                        r.percentiles.len()
+                    )
+                })
+                .collect(),
+            FigureRows::Fig8(rows) => rows
+                .iter()
+                .filter(|r| r.series == FR_ORACLE)
+                .map(|r| format!("s_p {}", r.point.param))
+                .collect(),
+            FigureRows::Headline(rows) => rows
+                .iter()
+                .map(|r| format!("instance {}", r.instance))
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// The table header of each figure.
+fn columns(figure: FigureKind) -> &'static [&'static str] {
+    match figure {
+        FigureKind::Fig3 => &["modulation", "n_vars", "simplified_ratio", "avg_fixed_vars"],
+        FigureKind::Fig4SoftInfo => &["strength", "ice", "p_star(truth)", "optimum_preserved"],
+        FigureKind::Fig5Schedules => &["protocol", "waypoints [t µs, s]", "duration µs"],
+        FigureKind::Fig6 => &[
+            "modulation",
+            "arm",
+            "s_p",
+            "P10",
+            "P25",
+            "P50",
+            "P75",
+            "P90",
+            "mean_dE%",
+            "ground_frac",
+        ],
+        FigureKind::Fig7 => &["dEis_bin_center_%", "n_states", "p_star", "E[cost]_dE%"],
+        FigureKind::Fig8 => &["series", "s_p", "p_star", "duration_us", "TTS99_us"],
+        FigureKind::Headline => &[
+            "instance",
+            "GS_dEis%",
+            "FA_best_p*",
+            "FA_TTS_us",
+            "RA_best_p*",
+            "RA_TTS_us",
+            "p*_ratio",
+        ],
+    }
+}
+
+impl FigureRow for Fig3Row {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            self.modulation.name().to_string(),
+            self.n_vars.to_string(),
+            fnum(self.simplified_ratio, 3),
+            fnum(self.avg_fixed, 2),
+        ]
+    }
+}
+
+impl FigureRow for SoftInfoRow {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            fnum(self.strength, 2),
+            self.ice.to_string(),
+            fnum(self.p_star, 4),
+            self.optimum_preserved.to_string(),
+        ]
+    }
+}
+
+impl FigureRow for Fig5Row {
+    fn cells(&self) -> Vec<String> {
+        let waypoints = self
+            .t_us
+            .iter()
+            .zip(&self.s)
+            .map(|(t, s)| format!("[{},{}]", fnum(*t, 2), fnum(*s, 2)))
+            .collect::<Vec<_>>()
+            .join(" → ");
+        vec![self.protocol.clone(), waypoints, fnum(self.duration_us, 2)]
+    }
+}
+
+impl FigureRow for Fig6Row {
+    fn cells(&self) -> Vec<String> {
+        // P10 … P90 of FIG6_PERCENTILES.
+        let mut cells = vec![
+            self.modulation.name().to_string(),
+            self.arm.clone(),
+            fnum(self.s_p.unwrap_or(f64::NAN), 2),
+        ];
+        cells.extend(self.percentiles[2..7].iter().map(|&p| fnum(p, 2)));
+        cells.push(fnum(self.mean_delta_e, 2));
+        cells.push(fnum(self.ground_fraction, 4));
+        cells
+    }
+}
+
+impl FigureRow for Fig7Row {
+    fn cells(&self) -> Vec<String> {
+        vec![
+            fnum(self.bin_center, 1),
+            self.n_states.to_string(),
+            fnum(self.p_star, 4),
+            fnum(self.mean_cost_delta_e, 2),
+        ]
+    }
+}
+
+impl FigureRow for Fig8Row {
+    fn cells(&self) -> Vec<String> {
+        let p = &self.point;
+        vec![
+            self.series.clone(),
+            fnum(p.param, 2),
+            fnum(p.p_star, 4),
+            fnum(p.duration_us, 2),
+            fnum(p.tts_us, 1),
+        ]
+    }
+}
+
+impl FigureRow for HeadlineRow {
+    fn cells(&self) -> Vec<String> {
+        let best = |p: Option<SweepPoint>| p.map_or((0.0, f64::INFINITY), |p| (p.p_star, p.tts_us));
+        let ((fa_p, fa_tts), (ra_p, ra_tts)) = (best(self.fa_best), best(self.ra_best));
+        let ratio = match self.p_ratio() {
+            Some(x) => fnum(x, 1),
+            None if ra_p > 0.0 => "RA-only".into(),
+            None if fa_p > 0.0 => "FA-only".into(),
+            None => "-".into(),
+        };
+        vec![
+            self.instance.to_string(),
+            fnum(self.gs_delta_e_is, 2),
+            fnum(fa_p, 4),
+            fnum(fa_tts, 1),
+            fnum(ra_p, 4),
+            fnum(ra_tts, 1),
+            ratio,
+        ]
+    }
+}
+
+impl FigureSpec {
+    /// The spec's threads as (point workers, read workers). Points fan out
+    /// where they are many and alike in cost; the other figures (one point,
+    /// or `fig8`, whose harvested-RA point outweighs the rest) fan out each
+    /// sampler call's reads. Rows are identical for any thread count.
+    fn fan_out(&self) -> (usize, usize) {
+        match self.experiment {
+            FigureKind::Fig4SoftInfo | FigureKind::Fig6 | FigureKind::Headline => (self.threads, 1),
+            _ => (1, self.threads),
+        }
+    }
+}
+
+/// The engine runs the figure the spec names.
+impl GridEngine for FigureSpec {
+    type Unit = FigureRows;
+    type Point = FigureRows;
+    type Report = FigureReport;
+
+    fn validate(&self) -> Result<(), SpecError> {
+        FigureSpec::validate(self)
+    }
+
+    fn grid_len(&self) -> usize {
+        match self.experiment {
+            FigureKind::Fig3 | FigureKind::Fig5Schedules | FigureKind::Fig7 => 1,
+            FigureKind::Fig4SoftInfo => SOFTINFO_STRENGTHS.len(),
+            FigureKind::Fig6 => Modulation::ALL.len(),
+            FigureKind::Fig8 => FIG8_SERIES_POINTS + self.scale.sp_grid().len(),
+            FigureKind::Headline => self.scale.instances,
+        }
+    }
+
+    fn threads(&self) -> usize {
+        self.fan_out().0
+    }
+
+    fn run_unit(&self, id: usize, _: usize, _: Option<&Collector>, _: u32) -> FigureRows {
+        let (scale, seed, reads) = (self.scale, self.seed, self.fan_out().1);
+        match self.experiment {
+            // Cheap: many instances per point.
+            FigureKind::Fig3 => FigureRows::Fig3(fig3_rows(scale.instances.max(10) * 5, seed)),
+            FigureKind::Fig4SoftInfo => {
+                FigureRows::Fig4SoftInfo(softinfo_rows(scale, seed, SOFTINFO_STRENGTHS[id], reads))
+            }
+            FigureKind::Fig5Schedules => FigureRows::Fig5Schedules(fig5_rows()),
+            FigureKind::Fig6 => {
+                FigureRows::Fig6(fig6_rows(scale, seed, Modulation::ALL[id], reads))
+            }
+            FigureKind::Fig7 => {
+                let (s_p, rows) = fig7_rows(scale, seed, reads);
+                FigureRows::Fig7(s_p, rows)
+            }
+            FigureKind::Fig8 => FigureRows::Fig8(fig8_rows(scale, seed, id, reads)),
+            FigureKind::Headline => {
+                FigureRows::Headline(vec![headline_row(scale, seed, id, reads)])
+            }
+        }
+    }
+
+    fn reduce(&self, _: usize, mut units: Vec<FigureRows>) -> FigureRows {
+        units.pop().expect("one unit per point")
+    }
+
+    fn decode(&self, id: usize, doc: &Json, ctx: &str) -> Result<FigureRows, SpecError> {
+        let point = FigureRows::decode(doc, ctx)?;
+        let figure = point.rows().0;
+        if figure != self.experiment {
+            return Err(SpecError::new(
+                ctx,
+                format!(
+                    "a '{}' point in a '{}' run",
+                    figure.name(),
+                    self.experiment.name()
+                ),
+            ));
+        }
+        let want = match self.experiment {
+            FigureKind::Fig6 => format!(
+                "{} with {} percentiles",
+                Modulation::ALL[id].name(),
+                FIG6_PERCENTILES.len()
+            ),
+            FigureKind::Fig8 if id >= FIG8_SERIES_POINTS => {
+                format!("s_p {}", self.scale.sp_grid()[id - FIG8_SERIES_POINTS])
+            }
+            _ => format!("instance {id}"),
+        };
+        for (i, got) in point.coordinates().into_iter().enumerate() {
+            check_coordinates(&format!("{ctx}.rows[{i}]"), got, want.clone())?;
+        }
+        Ok(point)
+    }
+
+    fn assemble(&self, points: Vec<FigureRows>) -> Result<FigureReport, SpecError> {
+        Ok(FigureReport {
+            spec: self.clone(),
+            points,
+        })
+    }
+}
+
+/// A figure's report: its spec and every point's rows, in grid order.
+#[derive(Debug, Clone)]
+pub struct FigureReport {
+    /// The figure's spec (its `threads` never reaches the report's bytes).
+    pub spec: FigureSpec,
+    /// Every point's rows, in grid order.
+    pub points: Vec<FigureRows>,
+}
+
+impl FigureReport {
+    /// Renders the report as the `BENCH_<figure>.json` document (schema in
+    /// `crates/bench/README.md`): the spec's scale and seed, `fig7`'s `s_p`,
+    /// and every row as a record at full precision. Pure function of the
+    /// report contents: byte-identical across runs and thread counts.
+    pub fn to_json(&self) -> String {
+        let mut doc = vec![
+            ("bench", self.spec.experiment.name().into()),
+            ("scenario", self.spec.encode()),
+        ];
+        if let [FigureRows::Fig7(s_p, _)] = &self.points[..] {
+            doc.push(("s_p", (*s_p).into()));
+        }
+        let rows = self.points.iter().flat_map(|p| p.rows().1);
+        doc.push(("rows", Json::Arr(rows.map(|(record, _)| record).collect())));
+        render(
+            &Json::object(doc),
+            &Layout::Block(&[SCENARIO, ("rows", ROWS)]),
+        )
+    }
+}
+
+impl Report for FigureReport {
+    fn name(&self) -> &'static str {
+        self.spec.experiment.name()
+    }
+
+    fn schema_version(&self) -> u32 {
+        1
+    }
+
+    fn csv_name(&self) -> String {
+        format!("{}.csv", self.name().replace('-', "_"))
+    }
+
+    fn to_json(&self) -> String {
+        FigureReport::to_json(self)
+    }
+
+    fn table(&self) -> Table {
+        let mut table = Table::new(columns(self.spec.experiment));
+        for (_, cells) in self.points.iter().flat_map(|p| p.rows().1) {
+            table.push_row(cells);
+        }
+        table
+    }
+}
+
+record!(SweepPoint {
+    param: f64,
+    p_star: Ratio,
+    duration_us: Us,
+    tts_us: Tts,
+    mean_energy: f64,
+});
+
+record!(Fig3Row {
+    modulation: Modulation,
+    n_vars: usize,
+    simplified_ratio: Ratio,
+    avg_fixed: f64,
+});
+
+record!(SoftInfoRow {
+    strength: f64,
+    ice: bool,
+    p_star: Ratio,
+    optimum_preserved: bool,
+});
+
+record!(Fig5Row {
+    protocol: String,
+    t_us: Vec<f64>,
+    s: Vec<f64>,
+    duration_us: Us,
+});
+
+record!(Fig6Row {
+    modulation: Modulation,
+    arm: String,
+    s_p: Option<f64>,
+    percentiles: Vec<f64>,
+    ground_fraction: Ratio,
+    mean_delta_e: f64,
+});
+
+record!(Fig7Row {
+    bin_center: f64,
+    n_states: usize,
+    p_star: Ratio,
+    mean_cost_delta_e: f64,
+});
+
+record!(Fig8Row {
+    series: String,
+    point: SweepPoint,
+});
+
+record!(HeadlineRow {
+    instance: usize,
+    gs_delta_e_is: f64,
+    fa_best: Option<SweepPoint>,
+    ra_best: Option<SweepPoint>,
+});
+
+/// A point's `rows` are read as its `figure` tag's rows.
+impl Record for FigureRows {
+    const FIELDS: &'static [(&'static str, bool)] =
+        &[("figure", true), ("s_p", true), ("rows", true)];
+
+    fn write_fields(&self, out: &mut Vec<(String, Json)>) {
+        let (figure, rows) = self.rows();
+        out.push(("figure".into(), figure.name().into()));
+        if let FigureRows::Fig7(s_p, _) = self {
+            out.push(("s_p".into(), (*s_p).into()));
+        }
+        let rows = rows.into_iter().map(|(record, _)| record).collect();
+        out.push(("rows".into(), Json::Arr(rows)));
+    }
+
+    fn read_fields(json: &Json, ctx: &str) -> Result<FigureRows, SpecError> {
+        let name = tag_of(json, "figure", ctx)?;
+        let figure = FigureKind::from_name(name)
+            .ok_or_else(|| SpecError::new(ctx, format!("unknown figure '{name}'")))?;
+        if figure != FigureKind::Fig7 && json.get("s_p").is_some() {
+            return Err(SpecError::new(ctx, format!("a '{name}' point has no s_p")));
+        }
+        let rows = json.get("rows");
+        Ok(match figure {
+            FigureKind::Fig3 => FigureRows::Fig3(Vec::<Fig3Row>::read(rows, "rows", ctx)?),
+            FigureKind::Fig4SoftInfo => {
+                FigureRows::Fig4SoftInfo(Vec::<SoftInfoRow>::read(rows, "rows", ctx)?)
+            }
+            FigureKind::Fig5Schedules => {
+                FigureRows::Fig5Schedules(Vec::<Fig5Row>::read(rows, "rows", ctx)?)
+            }
+            FigureKind::Fig6 => FigureRows::Fig6(Vec::<Fig6Row>::read(rows, "rows", ctx)?),
+            FigureKind::Fig7 => FigureRows::Fig7(
+                f64::read(json.get("s_p"), "s_p", ctx)?,
+                Vec::<Fig7Row>::read(rows, "rows", ctx)?,
+            ),
+            FigureKind::Fig8 => FigureRows::Fig8(Vec::<Fig8Row>::read(rows, "rows", ctx)?),
+            FigureKind::Headline => {
+                FigureRows::Headline(Vec::<HeadlineRow>::read(rows, "rows", ctx)?)
+            }
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::{assemble_records, run_grid, run_records};
+
+    fn quick(experiment: FigureKind, seed: u64) -> FigureSpec {
+        FigureSpec {
+            experiment,
+            scale: Scale::quick(),
+            seed,
+            threads: 0,
+        }
+    }
+
+    fn points(experiment: FigureKind, seed: u64) -> Vec<FigureRows> {
+        run_grid(&quick(experiment, seed), None).points
+    }
 
     #[test]
     fn fig3_shows_the_simplification_cliff() {
-        let rows = run_fig3(6, 11);
+        let [FigureRows::Fig3(rows)] = &points(FigureKind::Fig3, 11)[..] else {
+            unreachable!()
+        };
         assert!(!rows.is_empty());
         // Small problems simplify at least sometimes; large never do.
         let small: f64 = rows
@@ -665,8 +1156,10 @@ mod tests {
 
     #[test]
     fn fig7_quick_runs_and_orders_reference_first() {
-        let (s_p, rows) = run_fig7(Scale::quick(), 3);
-        assert!((0.25..=0.99).contains(&s_p));
+        let [FigureRows::Fig7(s_p, rows)] = &points(FigureKind::Fig7, 3)[..] else {
+            unreachable!()
+        };
+        assert!((0.25..=0.99).contains(s_p));
         assert!(!rows.is_empty());
         assert_eq!(rows[0].bin_center, 0.0);
         // The exact-ground reference must be at least as successful as any
@@ -683,7 +1176,13 @@ mod tests {
 
     #[test]
     fn headline_quick_produces_rows() {
-        let rows = run_headline(Scale::quick(), 5);
+        let rows: Vec<HeadlineRow> = points(FigureKind::Headline, 5)
+            .into_iter()
+            .flat_map(|p| match p {
+                FigureRows::Headline(rows) => rows,
+                _ => unreachable!(),
+            })
+            .collect();
         assert_eq!(rows.len(), Scale::quick().instances);
         for r in &rows {
             assert!(r.gs_delta_e_is >= 0.0);
@@ -692,7 +1191,13 @@ mod tests {
 
     #[test]
     fn softinfo_zero_strength_preserves_optimum() {
-        let rows = run_fig4_softinfo(Scale::quick(), 7);
+        let rows: Vec<SoftInfoRow> = points(FigureKind::Fig4SoftInfo, 7)
+            .into_iter()
+            .flat_map(|p| match p {
+                FigureRows::Fig4SoftInfo(rows) => rows,
+                _ => unreachable!(),
+            })
+            .collect();
         let baseline: Vec<_> = rows.iter().filter(|r| r.strength == 0.0).collect();
         assert!(!baseline.is_empty());
         for r in baseline {
@@ -700,5 +1205,32 @@ mod tests {
         }
         // Correct constraints never displace the noiseless optimum.
         assert!(rows.iter().all(|r| r.optimum_preserved));
+    }
+
+    #[test]
+    fn figure_records_reassemble_and_reject_foreign_points() {
+        let spec = quick(FigureKind::Fig5Schedules, 1);
+        let records = run_records(&spec, &[0]);
+        let report = assemble_records(&spec, records.clone()).expect("own records");
+        assert_eq!(report.to_json(), run_grid(&spec, None).to_json());
+        assert_eq!(report.table().len(), 3);
+
+        let err = assemble_records(&quick(FigureKind::Fig3, 1), records).unwrap_err();
+        assert!(err.to_string().contains("'fig5-schedules' point"), "{err}");
+    }
+
+    #[test]
+    fn an_unreached_ground_state_has_no_tts_on_the_wire() {
+        let point = SweepPoint {
+            param: 0.45,
+            p_star: 0.0,
+            duration_us: 2.0,
+            tts_us: f64::INFINITY,
+            mean_energy: -3.5,
+        };
+        let doc = point.encode();
+        assert_eq!(doc.get("tts_us"), Some(&Json::Null));
+        let back = SweepPoint::decode(&doc, "test").expect("decodes");
+        assert_eq!(back.tts_us, f64::INFINITY);
     }
 }

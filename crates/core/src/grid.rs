@@ -1,5 +1,6 @@
 //! The one grid engine: every point-grid experiment (`ber`, `stream`,
-//! `fabric`, `sched`) runs, shards, merges and resumes through this module.
+//! `fabric`, `sched` and the paper figures) runs, shards, merges and
+//! resumes through this module.
 //!
 //! An experiment family implements [`GridEngine`] — how many points its
 //! grid has, how to compute one point, how to check a decoded point
@@ -237,6 +238,9 @@ pub trait SpecGrid {
     /// # Errors
     /// As [`assemble_records`].
     fn assemble_records(&self, records: Vec<PointRecord>) -> Result<Box<dyn Report>, SpecError>;
+
+    /// Runs the full grid and assembles its report (as [`run_grid`]).
+    fn run_report(&self, telemetry: Option<&Collector>) -> Box<dyn Report>;
 }
 
 impl<E: GridEngine> SpecGrid for E {
@@ -251,6 +255,10 @@ impl<E: GridEngine> SpecGrid for E {
     fn assemble_records(&self, records: Vec<PointRecord>) -> Result<Box<dyn Report>, SpecError> {
         Ok(Box::new(assemble_records(self, records)?))
     }
+
+    fn run_report(&self, telemetry: Option<&Collector>) -> Box<dyn Report> {
+        Box::new(run_grid(self, telemetry))
+    }
 }
 
 /// The family dispatch: the grid engine a spec runs on. A BER spec runs
@@ -258,12 +266,10 @@ impl<E: GridEngine> SpecGrid for E {
 /// its track.
 ///
 /// # Errors
-/// Returns a [`SpecError`] for specs without a point grid: canned figure
-/// experiments, realtime fabric runs (points occupy wall-clock worker
-/// threads), and empty grids.
+/// Returns a [`SpecError`] for the one spec without a point grid: a
+/// realtime fabric run (its points occupy wall-clock worker threads).
 pub fn spec_grid(spec: &ExperimentSpec) -> Result<Box<dyn SpecGrid + '_>, SpecError> {
-    let ctx = "grid";
-    let grid: Box<dyn SpecGrid> = match spec {
+    Ok(match spec {
         ExperimentSpec::Ber(config) => Box::new(BerSweep {
             config,
             detectors: paper_roster(config.seed),
@@ -274,26 +280,14 @@ pub fn spec_grid(spec: &ExperimentSpec) -> Result<Box<dyn SpecGrid + '_>, SpecEr
         }
         ExperimentSpec::Fabric(_) => {
             return Err(SpecError::new(
-                ctx,
+                "grid",
                 "the realtime fabric service cannot be sharded \
                  (points occupy wall-clock worker threads)",
             ));
         }
         ExperimentSpec::Sched(config) => Box::new(config.clone()),
-        ExperimentSpec::Canned(c) => {
-            return Err(SpecError::new(
-                ctx,
-                format!(
-                    "canned experiment '{}' has no point grid to shard",
-                    c.experiment.name()
-                ),
-            ));
-        }
-    };
-    if grid.total_points() == 0 {
-        return Err(SpecError::new(ctx, "the spec's point grid is empty"));
-    }
-    Ok(grid)
+        ExperimentSpec::Figure(config) => Box::new(config.clone()),
+    })
 }
 
 /// Checks a decoded point's own grid coordinates against the ones its id

@@ -40,7 +40,8 @@
 //!   frame producers, sharded MPMC delivery queues and per-backend
 //!   workers executing the decisions of the [`fabric`] control plane,
 //!   whose routing replays bit-exactly on the virtual clock.
-//! * [`experiments`] — canned runners for every figure in the evaluation.
+//! * [`experiments`] — the paper's figures (Figures 3–8 and the headline
+//!   claim), each a grid engine behind its [`spec::FigureSpec`].
 //! * [`spec`] — the unified experiment-spec layer: declarative, versioned
 //!   [`spec::ExperimentSpec`] descriptions of every experiment, an
 //!   offline-safe JSON codec for them, and the shared [`spec::SpecError`]
@@ -48,7 +49,8 @@
 //! * [`report`] — the unified [`report::Report`] trait (JSON/CSV/table in
 //!   one place) plus table/CSV rendering for the bench binaries.
 //! * [`grid`] — the one grid engine: the [`grid::GridEngine`] trait the
-//!   `ber`/`stream`/`fabric`/`sched` families implement, and the generic
+//!   `ber`/`stream`/`fabric`/`sched` families and the figures implement,
+//!   and the generic
 //!   run / shard-record / reassembly paths and family dispatch written once
 //!   against it.
 //! * [`shard`] — the distributed experiment plane: deterministic grid
@@ -79,6 +81,7 @@ pub mod stream;
 pub mod sweep;
 pub mod telemetry;
 
+pub use experiments::{FigureReport, FigureRows};
 pub use fabric::{
     run_fabric, run_fabric_grid, ArrivalProcess, BackendMix, BackendSpec, FabricConfig,
     FabricGridConfig, FabricGridReport, FabricMode, FabricReport, FabricScheduler, NetworkModel,
@@ -106,7 +109,7 @@ pub use shard::{
     SHARD_SCHEMA_VERSION,
 };
 pub use solver::{HybridConfig, HybridResult, HybridSolver};
-pub use spec::{CannedKind, CannedSpec, ExperimentSpec, SpecError, SPEC_VERSION};
+pub use spec::{ExperimentSpec, FigureKind, FigureSpec, SpecError, SPEC_VERSION};
 pub use stages::{ClassicalInitializer, GreedyInitializer, InitialState};
 pub use stream::{
     run_stream, CostModel, DispatchPolicy, StreamConfig, StreamGridConfig, StreamGridReport,

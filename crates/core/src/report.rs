@@ -1,16 +1,17 @@
 //! The unified report surface: the one document writer and the table/CSV
 //! rendering helpers.
 //!
-//! [`Report`] is the one trait every grid-style experiment report
-//! implements — `BerReport`, `StreamGridReport`, `FabricGridReport` and
-//! `SchedGridReport` all render through it, so JSON emission, CSV emission
+//! [`Report`] is the one trait every experiment report implements — the
+//! grid reports (`BerReport`, `StreamGridReport`, `FabricGridReport`,
+//! `SchedGridReport`), the realtime fabric's and the paper figures'
+//! `FigureReport` all render through it, so JSON emission, CSV emission
 //! and the stdout table live here instead of being copy-pasted per
 //! experiment. `render` is the one writer behind every JSON document the
-//! workspace emits — the five reports, shard documents and Chrome traces:
-//! a [`Json`] tree plus a `Layout` saying where its lines break. The
-//! figure experiments print the same series the paper plots; [`Table`]
-//! keeps that output consistent and machine-readable (CSV files land in
-//! `results/` so downstream plotting never re-runs experiments).
+//! workspace emits — the reports, shard documents and Chrome traces: a
+//! [`Json`] tree plus a `Layout` saying where its lines break. The figure
+//! reports' tables are the series the paper plots; [`Table`] keeps that
+//! output consistent and machine-readable (CSV files land in `results/` so
+//! downstream plotting never re-runs experiments).
 
 use crate::spec::codec::record;
 use crate::spec::json::{write_string, Json};
@@ -37,6 +38,11 @@ pub trait Report: std::fmt::Debug {
 
     /// Builds the human-readable results table (also the CSV row source).
     fn table(&self) -> Table;
+
+    /// The CSV file's name: `fig_<name>.csv`, dashes as underscores.
+    fn csv_name(&self) -> String {
+        format!("fig_{}.csv", self.name().replace('-', "_"))
+    }
 
     /// Renders the results table with aligned columns.
     fn render_table(&self) -> String {

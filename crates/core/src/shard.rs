@@ -54,13 +54,17 @@ pub fn spec_fingerprint(spec: &ExperimentSpec) -> String {
 /// The number of shardable grid points a spec expands to: SNR points for a
 /// BER sweep, (policy × ρ × load) cells for the stream grid,
 /// (mix × cells × load) points for the virtual fabric grid,
-/// (workload × cells × load) points for the sched grid.
+/// (workload × cells × load) points for the sched grid, and the figure's
+/// points for a paper figure (`crate::experiments`).
 ///
 /// # Errors
-/// As [`spec_grid`]: canned figure experiments, realtime fabric runs and
-/// empty grids have no shardable point grid.
+/// Realtime fabric runs ([`spec_grid`]) and empty grids have no shardable
+/// point grid.
 pub fn grid_len(spec: &ExperimentSpec) -> Result<usize, SpecError> {
-    Ok(spec_grid(spec)?.total_points())
+    match spec_grid(spec)?.total_points() {
+        0 => Err(SpecError::new("grid", "the spec's point grid is empty")),
+        total => Ok(total),
+    }
 }
 
 /// The point ids of shard `index` of `count` (1-based) over a grid of
@@ -511,8 +515,8 @@ mod tests {
     use super::*;
     use crate::grid::{run_grid, run_records};
     use crate::scenario::{BerSweep, ScenarioDetector, SnrSweepConfig};
-    use crate::spec::CannedSpec;
-    use crate::CannedKind;
+    use crate::spec::FigureSpec;
+    use crate::FigureKind;
     use hqw_phy::channel::ChannelModel;
     use hqw_phy::detect::ZeroForcing;
     use hqw_phy::modulation::Modulation;
@@ -573,13 +577,14 @@ mod tests {
     fn grid_len_counts_points_and_rejects_unshardable_specs() {
         assert_eq!(grid_len(&tiny_ber_spec()), Ok(4));
 
-        let canned = ExperimentSpec::Canned(CannedSpec {
-            experiment: CannedKind::Fig3,
+        // Every figure shards: one point per headline instance.
+        let headline = ExperimentSpec::Figure(FigureSpec {
+            experiment: FigureKind::Headline,
             scale: crate::experiments::Scale::quick(),
             seed: 1,
+            threads: 0,
         });
-        let err = grid_len(&canned).unwrap_err();
-        assert!(err.to_string().contains("no point grid"), "got: {err}");
+        assert_eq!(grid_len(&headline), Ok(2));
 
         let ExperimentSpec::Ber(mut config) = tiny_ber_spec() else {
             unreachable!()

@@ -4,7 +4,7 @@
 //!
 //! * [`Field`] — a wire kind: how one field's value is written to and read
 //!   from a [`Json`] value. Scalars, strings, vectors and nested records
-//!   are kinds of their own; `Ratio` and `Us` are range-checked `f64`
+//!   are kinds of their own; `Ratio`, `Us` and `Tts` are range-checked `f64`
 //!   kinds for report payloads; `Omit`, `OrDefault`, `Option` and
 //!   `Derived` say when a key may be absent.
 //! * [`Record`] — a struct with a field table, declared with the
@@ -299,6 +299,27 @@ impl Field for Us {
                 ctx,
                 &format!("a non-negative duration in us, got {v}"),
             ))
+        }
+    }
+}
+
+/// A time-to-solution (µs): a duration as [`Us`], or infinite when no read
+/// found the ground state — written as `null`.
+pub(crate) struct Tts;
+
+impl Field for Tts {
+    type Value = f64;
+    fn to_json(value: &f64) -> Json {
+        if value.is_infinite() {
+            Json::Null
+        } else {
+            Json::Float(*value)
+        }
+    }
+    fn from_json(json: &Json, key: &str, ctx: &str) -> Result<f64, SpecError> {
+        match json {
+            Json::Null => Ok(f64::INFINITY),
+            json => Us::from_json(json, key, ctx),
         }
     }
 }

@@ -8,8 +8,8 @@
 //! * [`ExperimentSpec`] — a typed, versioned description of one experiment:
 //!   a BER-vs-SNR sweep ([`SnrSweepConfig`]), a streaming-grid sweep
 //!   ([`StreamGridConfig`]), a compute-fabric sweep ([`FabricGridConfig`]),
-//!   or one of the canned figure experiments ([`CannedKind`] + a
-//!   [`Scale`]).
+//!   a scheduling sweep ([`SchedGridConfig`]), or one of the paper's
+//!   figures ([`FigureKind`] + a [`Scale`]).
 //! * [`ExperimentSpec::to_json`] / [`ExperimentSpec::parse`] — the spec
 //!   document, written and read through the field tables at the bottom of
 //!   this module: one line per wire key, declared with the [`codec`]
@@ -93,13 +93,12 @@ impl std::fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// The canned (fixed-shape) figure experiments: each reproduces one
-/// figure/claim of the paper at a chosen [`Scale`]. The grid-style
-/// experiments (`ber`/`stream`/`fabric`) are *not* canned — their whole
-/// configuration is spec data. The default only stands in while a spec
+/// The paper's figure experiments: each reproduces one figure/claim of the
+/// paper at a chosen [`Scale`], and runs as a grid engine
+/// (`crate::experiments`). The default only stands in while a spec
 /// document is read: the kind comes from the document's `experiment` tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CannedKind {
+pub enum FigureKind {
     /// Figure 3: QUBO-simplification preprocessing sweep.
     #[default]
     Fig3,
@@ -117,55 +116,60 @@ pub enum CannedKind {
     Headline,
 }
 
-impl CannedKind {
-    /// Every canned experiment, in registry order.
-    pub const ALL: [CannedKind; 7] = [
-        CannedKind::Fig3,
-        CannedKind::Fig4SoftInfo,
-        CannedKind::Fig5Schedules,
-        CannedKind::Fig6,
-        CannedKind::Fig7,
-        CannedKind::Fig8,
-        CannedKind::Headline,
+impl FigureKind {
+    /// Every figure, in registry order.
+    pub const ALL: [FigureKind; 7] = [
+        FigureKind::Fig3,
+        FigureKind::Fig4SoftInfo,
+        FigureKind::Fig5Schedules,
+        FigureKind::Fig6,
+        FigureKind::Fig7,
+        FigureKind::Fig8,
+        FigureKind::Headline,
     ];
 
-    /// Stable machine-readable name (the registry key and spec tag).
+    /// Stable machine-readable name (the registry key, spec tag and report
+    /// name).
     pub fn name(self) -> &'static str {
         match self {
-            CannedKind::Fig3 => "fig3",
-            CannedKind::Fig4SoftInfo => "fig4-softinfo",
-            CannedKind::Fig5Schedules => "fig5-schedules",
-            CannedKind::Fig6 => "fig6",
-            CannedKind::Fig7 => "fig7",
-            CannedKind::Fig8 => "fig8",
-            CannedKind::Headline => "headline",
+            FigureKind::Fig3 => "fig3",
+            FigureKind::Fig4SoftInfo => "fig4-softinfo",
+            FigureKind::Fig5Schedules => "fig5-schedules",
+            FigureKind::Fig6 => "fig6",
+            FigureKind::Fig7 => "fig7",
+            FigureKind::Fig8 => "fig8",
+            FigureKind::Headline => "headline",
         }
     }
 
-    /// Parses a [`CannedKind::name`] back (`None` for unknown names).
-    pub fn from_name(name: &str) -> Option<CannedKind> {
-        CannedKind::ALL.into_iter().find(|k| k.name() == name)
+    /// Parses a [`FigureKind::name`] back (`None` for unknown names).
+    pub fn from_name(name: &str) -> Option<FigureKind> {
+        FigureKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
-/// A canned experiment instance: which figure, at what scale, which seed.
+/// A figure experiment: which figure, at what scale, which seed. On the
+/// wire it is the scale and the seed; `threads` is the point fan-out's
+/// worker count (0 = all cores), set by the runner and never written.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CannedSpec {
-    /// Which canned experiment.
-    pub experiment: CannedKind,
+pub struct FigureSpec {
+    /// Which figure.
+    pub experiment: FigureKind,
     /// Scale knobs (instances, reads, harvest reads, grid thinning).
     pub scale: Scale,
     /// RNG seed.
     pub seed: u64,
+    /// Worker threads for the point fan-out (0 = all available cores).
+    pub threads: usize,
 }
 
-impl CannedSpec {
+impl FigureSpec {
     /// Validates the scale knobs.
     ///
     /// # Errors
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let ctx = "CannedSpec";
+        let ctx = "FigureSpec";
         if self.scale.instances == 0 {
             return Err(SpecError::new(ctx, "scale.instances must be > 0"));
         }
@@ -195,14 +199,13 @@ pub enum ExperimentSpec {
     /// Paired static-vs-adaptive scheduling sweep over calibrated and
     /// mispredicted planner cost models.
     Sched(SchedGridConfig),
-    /// One of the canned figure experiments.
-    Canned(CannedSpec),
+    /// One of the paper's figure experiments.
+    Figure(FigureSpec),
 }
 
 impl ExperimentSpec {
     /// The experiment family tag (`"ber"`, `"stream"`, `"fabric"`,
-    /// `"fabric-rt"` for a realtime-mode fabric, or the canned experiment's
-    /// name) — the `experiment` field of the JSON document and the registry
+    /// `"fabric-rt"` for a realtime-mode fabric, or the figure's name) — the `experiment` field of the JSON document and the registry
     /// key.
     pub fn family(&self) -> &'static str {
         match self {
@@ -213,7 +216,7 @@ impl ExperimentSpec {
                 FabricMode::Realtime(_) => "fabric-rt",
             },
             ExperimentSpec::Sched(_) => "sched",
-            ExperimentSpec::Canned(c) => c.experiment.name(),
+            ExperimentSpec::Figure(c) => c.experiment.name(),
         }
     }
 
@@ -232,7 +235,7 @@ impl ExperimentSpec {
     /// Whether the experiment's runner can emit telemetry (span traces,
     /// histograms, counter series). True for the stream and fabric engines
     /// — both the virtual-time sims and the realtime service; BER sweeps
-    /// and canned experiments have no frame lifecycle to trace, so the
+    /// and figures have no frame lifecycle to trace, so the
     /// CLI `--telemetry` flag is rejected for them.
     pub fn supports_telemetry(&self) -> bool {
         matches!(self, ExperimentSpec::Stream(_) | ExperimentSpec::Fabric(_))
@@ -245,32 +248,30 @@ impl ExperimentSpec {
             ExperimentSpec::Stream(c) => c.seed,
             ExperimentSpec::Fabric(c) => c.seed,
             ExperimentSpec::Sched(c) => c.seed,
-            ExperimentSpec::Canned(c) => c.seed,
+            ExperimentSpec::Figure(c) => c.seed,
         }
     }
 
-    /// The spec's worker-thread count (0 = all cores; canned experiments
-    /// have no parallel grid and always report 0).
+    /// The spec's worker-thread count (0 = all cores).
     pub fn threads(&self) -> usize {
         match self {
             ExperimentSpec::Ber(c) => c.threads,
             ExperimentSpec::Stream(c) => c.threads,
             ExperimentSpec::Fabric(c) => c.threads,
             ExperimentSpec::Sched(c) => c.threads,
-            ExperimentSpec::Canned(_) => 0,
+            ExperimentSpec::Figure(c) => c.threads,
         }
     }
 
-    /// Overrides the worker-thread count (a no-op for canned experiments,
-    /// which have no parallel grid). Threads are a pure throughput knob:
-    /// results are bit-identical for any value.
+    /// Overrides the worker-thread count. Threads are a pure throughput
+    /// knob: results are bit-identical for any value.
     pub fn set_threads(&mut self, threads: usize) {
         match self {
             ExperimentSpec::Ber(c) => c.threads = threads,
             ExperimentSpec::Stream(c) => c.threads = threads,
             ExperimentSpec::Fabric(c) => c.threads = threads,
             ExperimentSpec::Sched(c) => c.threads = threads,
-            ExperimentSpec::Canned(_) => {}
+            ExperimentSpec::Figure(c) => c.threads = threads,
         }
     }
 
@@ -282,7 +283,7 @@ impl ExperimentSpec {
             ExperimentSpec::Stream(c) => c.seed = seed,
             ExperimentSpec::Fabric(c) => c.seed = seed,
             ExperimentSpec::Sched(c) => c.seed = seed,
-            ExperimentSpec::Canned(c) => c.seed = seed,
+            ExperimentSpec::Figure(c) => c.seed = seed,
         }
     }
 
@@ -296,7 +297,7 @@ impl ExperimentSpec {
             ExperimentSpec::Stream(c) => c.validate(),
             ExperimentSpec::Fabric(c) => c.validate(),
             ExperimentSpec::Sched(c) => c.validate(),
-            ExperimentSpec::Canned(c) => c.validate(),
+            ExperimentSpec::Figure(c) => c.validate(),
         }
     }
 
@@ -315,7 +316,7 @@ impl ExperimentSpec {
             ExperimentSpec::Stream(c) => c.encode(),
             ExperimentSpec::Fabric(c) => c.encode(),
             ExperimentSpec::Sched(c) => c.encode(),
-            ExperimentSpec::Canned(c) => c.encode(),
+            ExperimentSpec::Figure(c) => c.encode(),
         };
         SpecDoc {
             spec_version: SPEC_VERSION,
@@ -382,8 +383,8 @@ impl ExperimentSpec {
                 ExperimentSpec::Fabric(config)
             }
             "sched" => ExperimentSpec::Sched(Record::decode(&config, ctx)?),
-            other => match CannedKind::from_name(other) {
-                Some(experiment) => ExperimentSpec::Canned(CannedSpec {
+            other => match FigureKind::from_name(other) {
+                Some(experiment) => ExperimentSpec::Figure(FigureSpec {
                     experiment,
                     ..Record::decode(&config, ctx)?
                 }),
@@ -629,10 +630,11 @@ record!(Scale {
     grid_thin: usize,
 });
 
-record!(CannedSpec {
-    experiment: Derived<CannedKind>,
+record!(FigureSpec {
+    experiment: Derived<FigureKind>,
     scale: Scale,
     seed: u64,
+    threads: Derived<usize>,
 });
 
 #[cfg(test)]
@@ -816,11 +818,12 @@ mod tests {
         ExperimentSpec::Fabric(config)
     }
 
-    fn canned_spec() -> ExperimentSpec {
-        ExperimentSpec::Canned(CannedSpec {
-            experiment: CannedKind::Fig3,
+    fn figure_spec() -> ExperimentSpec {
+        ExperimentSpec::Figure(FigureSpec {
+            experiment: FigureKind::Fig3,
             scale: Scale::quick(),
             seed: 7,
+            threads: 0,
         })
     }
 
@@ -833,7 +836,7 @@ mod tests {
             adaptive_fabric_spec(),
             sched_spec(),
             fabric_rt_spec(),
-            canned_spec(),
+            figure_spec(),
         ] {
             let text = spec.to_json();
             let parsed = ExperimentSpec::parse(&text).expect(&text);
@@ -868,7 +871,7 @@ mod tests {
             adaptive_fabric_spec(),
             sched_spec(),
             fabric_rt_spec(),
-            canned_spec(),
+            figure_spec(),
             ExperimentSpec::Fabric(variant),
             ExperimentSpec::Fabric(heavy),
         ];
@@ -996,8 +999,8 @@ mod tests {
         assert_eq!(fabric_rt_spec().family(), "fabric-rt");
         assert!(fabric_rt_spec().is_realtime());
         assert!(!fabric_spec().is_realtime());
-        assert_eq!(canned_spec().family(), "fig3");
-        assert_eq!(canned_spec().seed(), 7);
+        assert_eq!(figure_spec().family(), "fig3");
+        assert_eq!(figure_spec().seed(), 7);
         let mut spec = ber_spec();
         spec.set_threads(3);
         match spec {
@@ -1008,10 +1011,10 @@ mod tests {
 
     #[test]
     fn canned_kind_names_round_trip() {
-        for kind in CannedKind::ALL {
-            assert_eq!(CannedKind::from_name(kind.name()), Some(kind));
+        for kind in FigureKind::ALL {
+            assert_eq!(FigureKind::from_name(kind.name()), Some(kind));
         }
-        assert_eq!(CannedKind::from_name("fig9"), None);
+        assert_eq!(FigureKind::from_name("fig9"), None);
     }
 
     #[test]

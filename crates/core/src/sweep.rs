@@ -35,32 +35,20 @@ pub fn sweep_protocol(
     qubo: &Qubo,
     ground_energy: f64,
     grid: &[f64],
-    make_protocol: impl Fn(f64) -> Protocol,
+    make_protocol: impl Fn(f64) -> Protocol + Sync,
     initial: Option<&[u8]>,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    let mut points = Vec::with_capacity(grid.len());
-    for (idx, &param) in grid.iter().enumerate() {
-        let protocol = make_protocol(param);
-        let Ok(schedule) = protocol.schedule() else {
-            continue;
-        };
-        let init = if protocol.requires_initial_state() {
-            initial
-        } else {
-            None
-        };
-        let result = sampler.sample_qubo(qubo, &schedule, init, seed.wrapping_add(idx as u64));
-        let p_star = success_probability(&result.samples, ground_energy);
-        points.push(SweepPoint {
-            param,
-            p_star,
-            duration_us: schedule.duration_us(),
-            tts_us: time_to_solution(schedule.duration_us(), p_star, 99.0),
-            mean_energy: result.samples.mean_energy(),
-        });
-    }
-    points
+    sweep_protocol_parallel(
+        sampler,
+        qubo,
+        ground_energy,
+        grid,
+        make_protocol,
+        initial,
+        seed,
+        1,
+    )
 }
 
 /// [`sweep_protocol`] with the grid points fanned out across `threads`
@@ -105,7 +93,7 @@ pub fn sweep_protocol_parallel(
             })
         },
     );
-    // Invalid protocols are dropped, exactly as the serial sweep does.
+    // Invalid protocols are dropped.
     points.into_iter().flatten().collect()
 }
 
@@ -146,12 +134,15 @@ pub fn sweep_fa_sp(
     )
 }
 
-/// FR at fixed `s_p`, sweeping `c_p` over the grid and returning the **best
-/// found** point — the paper's "oracle scheme" for FR.
+/// FR at fixed `s_p`, sweeping `c_p` over `grid` — the paper's "oracle
+/// scheme" for FR: the **best found** point, or the first valid one when no
+/// `c_p` reached the ground state, relabelled `param = s_p`. `None` when no
+/// `c_p` on the grid makes a valid FR schedule.
 pub fn fr_oracle_cp(
     sampler: &QuantumSampler,
     qubo: &Qubo,
     ground_energy: f64,
+    grid: &[f64],
     s_p: f64,
     seed: u64,
 ) -> Option<SweepPoint> {
@@ -159,12 +150,14 @@ pub fn fr_oracle_cp(
         sampler,
         qubo,
         ground_energy,
-        &paper_sp_grid(),
+        grid,
         |c_p| Protocol::paper_fr(c_p, s_p),
         None,
         seed,
     );
     best_point(&points)
+        .or_else(|| points.first().copied())
+        .map(|p| SweepPoint { param: s_p, ..p })
 }
 
 /// The best sweep point: highest `p★`, ties broken by lower TTS.

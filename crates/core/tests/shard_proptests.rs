@@ -2,8 +2,9 @@
 //! must tile the grid exactly, merging any shard partition must reproduce
 //! the single-run report byte-for-byte, and a checkpoint journal truncated
 //! at any point boundary must resume to the identical report — for every
-//! grid family (ber, stream, virtual fabric, sched).
+//! grid family (ber, stream, virtual fabric, sched, the paper figures).
 
+use hqw_core::experiments::Scale;
 use hqw_core::fabric::{
     ArrivalProcess, BackendMix, BackendSpec, FabricGridConfig, FabricMode, PtConfig, SaPoolConfig,
     TabuConfig,
@@ -13,7 +14,7 @@ use hqw_core::report::PointRecord;
 use hqw_core::scenario::{BerSweep, ScenarioDetector, SnrSweepConfig};
 use hqw_core::sched::{ClassMix, SchedOptions, SchedPolicy};
 use hqw_core::shard::{grid_len, merge_shards, shard_ids, Checkpoint, ShardReport};
-use hqw_core::spec::ExperimentSpec;
+use hqw_core::spec::{ExperimentSpec, FigureKind, FigureSpec};
 use hqw_core::stream::{CostModel, DispatchPolicy, StreamGridConfig};
 use hqw_core::SchedGridConfig;
 use hqw_math::Rng64;
@@ -201,13 +202,36 @@ fn arbitrary_sched_spec(rng: &mut Rng64) -> ExperimentSpec {
     })
 }
 
+/// A tiny figure spec: the schedule shapes, or the headline over two
+/// instances at 4 reads on a one-or-two-point `s_p` grid.
+fn arbitrary_figure_spec(rng: &mut Rng64) -> ExperimentSpec {
+    let (experiment, scale) = if rng.next_bool() {
+        (FigureKind::Fig5Schedules, Scale::quick())
+    } else {
+        let scale = Scale {
+            instances: 2,
+            reads: 4,
+            harvest_reads: 4,
+            grid_thin: 19,
+        };
+        (FigureKind::Headline, scale)
+    };
+    ExperimentSpec::Figure(FigureSpec {
+        experiment,
+        scale,
+        seed: rng.next_u64(),
+        threads: rng.next_index(3),
+    })
+}
+
 /// A small random spec of any grid family.
 fn arbitrary_spec(rng: &mut Rng64) -> ExperimentSpec {
-    match rng.next_index(4) {
+    match rng.next_index(5) {
         0 => arbitrary_ber_spec(rng),
         1 => arbitrary_stream_spec(rng),
         2 => arbitrary_fabric_spec(rng),
-        _ => arbitrary_sched_spec(rng),
+        3 => arbitrary_sched_spec(rng),
+        _ => arbitrary_figure_spec(rng),
     }
 }
 
@@ -228,7 +252,7 @@ fn full_run_json(spec: &ExperimentSpec) -> String {
         ExperimentSpec::Stream(config) => run_grid(config, None).to_json(),
         ExperimentSpec::Fabric(config) => run_grid(config, None).to_json(),
         ExperimentSpec::Sched(config) => run_grid(config, None).to_json(),
-        ExperimentSpec::Canned(_) => unreachable!("only grid specs are generated here"),
+        ExperimentSpec::Figure(config) => run_grid(config, None).to_json(),
     }
 }
 

@@ -11,7 +11,7 @@ use hqw_core::fabric::{
 use hqw_core::scenario::SnrSweepConfig;
 use hqw_core::sched::{ClassMix, SchedOptions, SchedPolicy};
 use hqw_core::sched_grid::SchedGridConfig;
-use hqw_core::spec::{CannedKind, CannedSpec, ExperimentSpec};
+use hqw_core::spec::{ExperimentSpec, FigureKind, FigureSpec};
 use hqw_core::stream::{CostModel, DispatchPolicy, StreamGridConfig};
 use hqw_math::Rng64;
 use hqw_phy::channel::{ChannelModel, TrackConfig};
@@ -268,8 +268,9 @@ fn arbitrary_spec(seed: u64) -> ExperimentSpec {
             seed: rng.next_u64(),
             threads: rng.next_index(8),
         }),
-        _ => ExperimentSpec::Canned(CannedSpec {
-            experiment: CannedKind::ALL[rng.next_index(CannedKind::ALL.len())],
+        // `threads` is not on a figure's wire: it reads back as 0.
+        _ => ExperimentSpec::Figure(FigureSpec {
+            experiment: FigureKind::ALL[rng.next_index(FigureKind::ALL.len())],
             scale: Scale {
                 instances: 1 + rng.next_index(40),
                 reads: 1 + rng.next_index(4000),
@@ -277,6 +278,7 @@ fn arbitrary_spec(seed: u64) -> ExperimentSpec {
                 grid_thin: 1 + rng.next_index(6),
             },
             seed: rng.next_u64(),
+            threads: 0,
         }),
     }
 }
@@ -307,10 +309,11 @@ proptest! {
             1 => (1u64 << 53) + rng.next_below(1 << 20),
             _ => rng.next_u64(),
         };
-        let spec = ExperimentSpec::Canned(CannedSpec {
-            experiment: CannedKind::Fig3,
+        let spec = ExperimentSpec::Figure(FigureSpec {
+            experiment: FigureKind::Fig3,
             scale: Scale::quick(),
             seed: raw,
+            threads: 0,
         });
         let parsed = ExperimentSpec::parse(&spec.to_json()).expect("valid spec");
         prop_assert_eq!(parsed.seed(), raw);

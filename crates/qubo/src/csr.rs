@@ -367,12 +367,6 @@ impl LocalFieldState {
         self.energy
     }
 
-    /// Cached local field of spin `k`.
-    #[inline]
-    pub fn h_eff(&self, k: usize) -> f64 {
-        self.h_eff[k]
-    }
-
     /// Energy change from flipping spin `k`. **O(1)**.
     #[inline]
     pub fn flip_delta(&self, k: usize) -> f64 {

@@ -145,15 +145,35 @@ fn embedded_chimera_pipeline_round_trips() {
 
 #[test]
 fn experiments_quick_scale_is_wired_end_to_end() {
-    // The canned Figure-3 experiment exercises phy + qubo across sizes.
-    let rows = hqw::core::experiments::run_fig3(4, 5);
+    use hqw::core::experiments::Scale;
+    use hqw::core::{run_grid, FigureKind, FigureRows, FigureSpec};
+    let figure = |experiment| {
+        let spec = FigureSpec {
+            experiment,
+            scale: Scale::quick(),
+            seed: 5,
+            threads: 0,
+        };
+        run_grid(&spec, None).points
+    };
+
+    // The Figure-3 experiment exercises phy + qubo across sizes.
+    let [FigureRows::Fig3(rows)] = &figure(FigureKind::Fig3)[..] else {
+        unreachable!()
+    };
     assert!(rows.len() > 20);
     assert!(rows
         .iter()
         .all(|r| (0.0..=1.0).contains(&r.simplified_ratio)));
 
     // Soft-information study exercises constraints + ICE + sampler.
-    let rows = hqw::core::experiments::run_fig4_softinfo(hqw::core::experiments::Scale::quick(), 5);
+    let rows: Vec<_> = figure(FigureKind::Fig4SoftInfo)
+        .into_iter()
+        .flat_map(|p| match p {
+            FigureRows::Fig4SoftInfo(rows) => rows,
+            _ => unreachable!(),
+        })
+        .collect();
     assert!(!rows.is_empty());
     assert!(rows.iter().all(|r| r.optimum_preserved));
 }
