@@ -61,17 +61,16 @@ pub fn run_shard(
     Ok(())
 }
 
-/// Runs `ids` in thread-count-sized waves, appending each completed wave
-/// to the journal before starting the next, so a kill loses at most one
-/// wave of work.
+/// Runs `ids` in waves of as many points as the grid runs at once (one
+/// for a figure), appending each completed wave to the journal before
+/// starting the next, so a kill loses at most one wave of work.
 fn run_and_journal(
-    spec: &ExperimentSpec,
     grid: &dyn SpecGrid,
     file: &mut File,
     path: &Path,
     ids: &[usize],
 ) -> Result<Vec<PointRecord>, String> {
-    let wave = match spec.threads() {
+    let wave = match grid.point_threads() {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     };
@@ -124,7 +123,7 @@ pub fn run_checkpointed(spec: &ExperimentSpec, opts: &Options, path: &Path) -> R
         path.display()
     );
     let ids: Vec<usize> = (0..total).collect();
-    let records = run_and_journal(spec, grid.as_ref(), &mut file, path, &ids)?;
+    let records = run_and_journal(grid.as_ref(), &mut file, path, &ids)?;
     let report = grid.assemble_records(records).map_err(|e| e.to_string())?;
     opts.emit_report(report.as_ref());
     Ok(())
@@ -161,13 +160,7 @@ pub fn run_resume(path: &Path, opts: &Options) -> Result<(), String> {
             .append(true)
             .open(path)
             .map_err(|e| format!("cannot reopen checkpoint '{}': {e}", path.display()))?;
-        points.extend(run_and_journal(
-            &ck.spec,
-            grid.as_ref(),
-            &mut file,
-            path,
-            &remaining,
-        )?);
+        points.extend(run_and_journal(grid.as_ref(), &mut file, path, &remaining)?);
     }
     let report = grid
         .assemble_records(points)

@@ -109,16 +109,32 @@ pub fn spec(name: &str, opts: &Options) -> Option<ExperimentSpec> {
 /// Executes a spec: runs the experiment and emits its table/CSV/JSON
 /// through the shared [`Options`] conventions.
 ///
-/// The spec's own seed is copied into the [`Options`] first, so the stdout
-/// banner — the reproducibility record — always reports what actually ran,
-/// even when a spec file's values differ from the CLI flags.
+/// The spec's own seed and, for a figure, its scale are copied into the
+/// [`Options`] first (see [`run_options`]), so the stdout banner — the
+/// reproducibility record — reports what actually ran, even when a spec
+/// file's values differ from the CLI flags.
 pub fn run_spec(spec: &ExperimentSpec, opts: &Options) {
-    let mut opts = opts.clone();
-    opts.seed = spec.seed();
+    let opts = run_options(spec, opts);
     match spec {
         ExperimentSpec::Fabric(config) if spec.is_realtime() => runs::run_fabric_rt(config, &opts),
         _ => runs::run_grid_spec(spec, &opts),
     }
+}
+
+/// The [`Options`] a spec runs under: the spec's seed, and a figure's
+/// scale, named `spec` in the banner when it is not the CLI's preset (a
+/// spec file's own shape). The grid families' shapes are their configs,
+/// which the banner's fingerprint line pins.
+fn run_options(spec: &ExperimentSpec, opts: &Options) -> Options {
+    let mut opts = opts.clone();
+    opts.seed = spec.seed();
+    if let ExperimentSpec::Figure(figure) = spec {
+        if figure.scale != opts.scale {
+            opts.scale_name = "spec";
+        }
+        opts.scale = figure.scale;
+    }
+    opts
 }
 
 /// Resolves a `hqw run <target>` argument into a spec. A `*.json` path is
@@ -258,6 +274,22 @@ mod tests {
         assert_eq!(seeded.seed(), 9);
         // Presets are thread-neutral: --threads is resolve_target's job.
         assert_eq!(seeded.threads(), 0);
+    }
+
+    #[test]
+    fn the_banner_reports_a_figure_specs_own_scale() {
+        let cli = opts(&["--quick"]);
+        let preset = spec("fig6", &cli).unwrap();
+        assert_eq!(run_options(&preset, &cli).scale_name, "quick");
+
+        let mut file = preset.clone();
+        if let ExperimentSpec::Figure(figure) = &mut file {
+            figure.scale.reads += 1;
+            figure.seed = 17;
+        }
+        let ran = run_options(&file, &cli);
+        assert_eq!((ran.scale_name, ran.seed), ("spec", 17));
+        assert_eq!(ran.scale.reads, cli.scale.reads + 1);
     }
 
     /// No flags given explicitly.

@@ -27,7 +27,7 @@ use hqw_math::stats::percentile;
 use hqw_math::Rng64;
 use hqw_phy::instance::{DetectionInstance, InstanceConfig};
 use hqw_phy::modulation::Modulation;
-use hqw_qubo::constraints::{apply_pair_constraint, PairConstraint};
+use hqw_qubo::constraints::{apply_pair_constraints, PairConstraint};
 use hqw_qubo::exact::exhaustive_minimum;
 use hqw_qubo::preprocess::preprocess;
 
@@ -180,30 +180,33 @@ pub struct SoftInfoRow {
     pub optimum_preserved: bool,
 }
 
+/// The §3.1 study's 4-user 16-QAM instance, and its absolute constraint
+/// strength at relative strength `rel`.
+fn softinfo_instance(seed: u64, rel: f64) -> (DetectionInstance, f64) {
+    let mut rng = Rng64::new(seed);
+    let inst = DetectionInstance::generate(&InstanceConfig::paper(4, Modulation::Qam16), &mut rng);
+    let strength = rel * inst.reduction.qubo.max_abs_coeff();
+    (inst, strength)
+}
+
 /// The §3.1 constraint study at relative strength `rel` on a 4-user 16-QAM
 /// instance: inject two *correct* pair constraints (as in Figure 4's
 /// "pre-knowledge") and anneal noiseless and under ICE noise.
 fn softinfo_rows(scale: Scale, seed: u64, rel: f64, threads: usize) -> Vec<SoftInfoRow> {
-    let mut rng = Rng64::new(seed);
-    let inst = DetectionInstance::generate(&InstanceConfig::paper(4, Modulation::Qam16), &mut rng);
+    let (inst, strength) = softinfo_instance(seed, rel);
     let truth = &inst.tx_natural_bits;
-    let strength = rel * inst.reduction.qubo.max_abs_coeff();
     let mut qubo = inst.reduction.qubo.clone();
     if strength > 0.0 {
         // Fig. 4 constraints on the first user's I and Q rail MSB pairs,
         // consistent with the transmitted symbol.
-        for &(a, b) in &[(0usize, 1usize), (2usize, 3usize)] {
-            apply_pair_constraint(
-                &mut qubo,
-                &PairConstraint {
-                    a,
-                    b,
-                    target_a: truth[a],
-                    target_b: truth[b],
-                    strength,
-                },
-            );
-        }
+        let pair = |a: usize, b: usize| PairConstraint {
+            a,
+            b,
+            target_a: truth[a],
+            target_b: truth[b],
+            strength,
+        };
+        apply_pair_constraints(&mut qubo, &[pair(0, 1), pair(2, 3)]);
     }
     let (best_bits, _) = exhaustive_minimum(&qubo);
     let optimum_preserved = best_bits == *truth;
@@ -516,9 +519,10 @@ fn fig7_rows(scale: Scale, seed: u64, threads: usize) -> (f64, Vec<Fig7Row>) {
 // Figure 8: p★ and TTS vs s_p for FA, FR (oracle c_p) and RA
 // ---------------------------------------------------------------------------
 
-/// The `fig8` points before the per-`s_p` FR points: the FA series, RA from
-/// the exact ground state, and RA from harvested states.
-const FIG8_SERIES_POINTS: usize = 3;
+/// The labels of the `fig8` points before the per-`s_p` FR points: the FA
+/// series, RA from the exact ground state, and RA from harvested states
+/// (whose labels go on with the state's ΔE_IS).
+const FIG8_SERIES: [&str; 3] = ["FA", "RA ΔE_IS=0%", "RA ΔE_IS≈"];
 
 /// The label of Figure 8's FR series.
 const FR_ORACLE: &str = "FR oracle c_p";
@@ -553,10 +557,10 @@ fn fig8_rows(scale: Scale, seed: u64, id: usize, threads: usize) -> Vec<Fig8Row>
     };
     match id {
         // FA line.
-        0 => series("FA", sweep(Protocol::paper_fa, None, seed)),
+        0 => series(FIG8_SERIES[0], sweep(Protocol::paper_fa, None, seed)),
         // RA from the exact ground state (red dashed line).
         1 => series(
-            "RA ΔE_IS=0%",
+            FIG8_SERIES[1],
             sweep(Protocol::paper_ra, Some(&inst.tx_natural_bits), seed ^ 1),
         ),
         // RA from harvested seeds of two quality levels (yellow lines).
@@ -576,14 +580,14 @@ fn fig8_rows(scale: Scale, seed: u64, id: usize, threads: usize) -> Vec<Fig8Row>
             picks
                 .filter_map(|bin| bin.first())
                 .flat_map(|st| {
-                    let label = format!("RA ΔE_IS≈{:.1}%", st.delta_e_is);
+                    let label = format!("{}{:.1}%", FIG8_SERIES[2], st.delta_e_is);
                     series(&label, sweep(Protocol::paper_ra, Some(&st.bits), seed ^ 3))
                 })
                 .collect()
         }
         // FR with oracle c_p: at this s_p, the best c_p from the same grid.
         _ => {
-            let i = id - FIG8_SERIES_POINTS;
+            let i = id - FIG8_SERIES.len();
             let seed = seed.wrapping_add(100 + i as u64);
             let best = fr_oracle_cp(&sampler, qubo, eg, &grid, grid[i], seed);
             series(FR_ORACLE, best.into_iter().collect())
@@ -672,18 +676,28 @@ pub enum FigureRows {
     Headline(Vec<HeadlineRow>),
 }
 
-/// A figure row's table cells, at the figure's print precision.
+/// A figure row's table cells, at the figure's print precision, and the
+/// grid coordinate of its point as [`FigureSpec::coordinate`] renders it.
 trait FigureRow: Record {
     fn cells(&self) -> Vec<String>;
+
+    fn coordinate(&self) -> Option<String> {
+        None
+    }
 }
 
-fn rendered<R: FigureRow>(rows: &[R]) -> Vec<(Json, Vec<String>)> {
-    rows.iter().map(|r| (r.encode(), r.cells())).collect()
+/// A row as its record, its table cells and its point's grid coordinate.
+type RenderedRow = (Json, Vec<String>, Option<String>);
+
+fn rendered<R: FigureRow>(rows: &[R]) -> Vec<RenderedRow> {
+    rows.iter()
+        .map(|r| (r.encode(), r.cells(), r.coordinate()))
+        .collect()
 }
 
 impl FigureRows {
-    /// The figure, and every row as its record and its table cells.
-    fn rows(&self) -> (FigureKind, Vec<(Json, Vec<String>)>) {
+    /// The figure, and every row rendered.
+    fn rows(&self) -> (FigureKind, Vec<RenderedRow>) {
         match self {
             FigureRows::Fig3(rows) => (FigureKind::Fig3, rendered(rows)),
             FigureRows::Fig4SoftInfo(rows) => (FigureKind::Fig4SoftInfo, rendered(rows)),
@@ -692,34 +706,6 @@ impl FigureRows {
             FigureRows::Fig7(_, rows) => (FigureKind::Fig7, rendered(rows)),
             FigureRows::Fig8(rows) => (FigureKind::Fig8, rendered(rows)),
             FigureRows::Headline(rows) => (FigureKind::Headline, rendered(rows)),
-        }
-    }
-
-    /// Each row's grid coordinates, for the figures whose point ids carry
-    /// some: `fig6`'s modulation (and percentile count), `fig8`'s FR `s_p`,
-    /// the headline's instance.
-    fn coordinates(&self) -> Vec<String> {
-        match self {
-            FigureRows::Fig6(rows) => rows
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{} with {} percentiles",
-                        r.modulation.name(),
-                        r.percentiles.len()
-                    )
-                })
-                .collect(),
-            FigureRows::Fig8(rows) => rows
-                .iter()
-                .filter(|r| r.series == FR_ORACLE)
-                .map(|r| format!("s_p {}", r.point.param))
-                .collect(),
-            FigureRows::Headline(rows) => rows
-                .iter()
-                .map(|r| format!("instance {}", r.instance))
-                .collect(),
-            _ => Vec::new(),
         }
     }
 }
@@ -776,6 +762,10 @@ impl FigureRow for SoftInfoRow {
             self.optimum_preserved.to_string(),
         ]
     }
+
+    fn coordinate(&self) -> Option<String> {
+        Some(format!("strength {}", self.strength))
+    }
 }
 
 impl FigureRow for Fig5Row {
@@ -804,6 +794,11 @@ impl FigureRow for Fig6Row {
         cells.push(fnum(self.ground_fraction, 4));
         cells
     }
+
+    fn coordinate(&self) -> Option<String> {
+        let (m, n) = (self.modulation.name(), self.percentiles.len());
+        Some(format!("{m} with {n} percentiles"))
+    }
 }
 
 impl FigureRow for Fig7Row {
@@ -828,6 +823,14 @@ impl FigureRow for Fig8Row {
             fnum(p.tts_us, 1),
         ]
     }
+
+    fn coordinate(&self) -> Option<String> {
+        Some(match self.series.as_str() {
+            FR_ORACLE => format!("{FR_ORACLE} at s_p {}", self.point.param),
+            s if s.starts_with(FIG8_SERIES[2]) => FIG8_SERIES[2].to_string(),
+            s => s.to_string(),
+        })
+    }
 }
 
 impl FigureRow for HeadlineRow {
@@ -850,17 +853,36 @@ impl FigureRow for HeadlineRow {
             ratio,
         ]
     }
+
+    fn coordinate(&self) -> Option<String> {
+        Some(format!("instance {}", self.instance))
+    }
 }
 
 impl FigureSpec {
-    /// The spec's threads as (point workers, read workers). Points fan out
-    /// where they are many and alike in cost; the other figures (one point,
-    /// or `fig8`, whose harvested-RA point outweighs the rest) fan out each
-    /// sampler call's reads. Rows are identical for any thread count.
-    fn fan_out(&self) -> (usize, usize) {
+    /// The grid coordinate every row of point `id` carries: `fig4-softinfo`'s
+    /// strength, `fig6`'s modulation (and percentile count), `fig8`'s series
+    /// (and FR `s_p`), the headline's instance; `None` for one-point figures.
+    fn coordinate(&self, id: usize) -> Option<String> {
         match self.experiment {
-            FigureKind::Fig4SoftInfo | FigureKind::Fig6 | FigureKind::Headline => (self.threads, 1),
-            _ => (1, self.threads),
+            FigureKind::Fig3 | FigureKind::Fig5Schedules | FigureKind::Fig7 => None,
+            FigureKind::Fig4SoftInfo => {
+                let (_, strength) = softinfo_instance(self.seed, SOFTINFO_STRENGTHS[id]);
+                Some(format!("strength {strength}"))
+            }
+            FigureKind::Fig6 => Some(format!(
+                "{} with {} percentiles",
+                Modulation::ALL[id].name(),
+                FIG6_PERCENTILES.len()
+            )),
+            FigureKind::Fig8 => Some(match FIG8_SERIES.get(id) {
+                Some(label) => label.to_string(),
+                None => format!(
+                    "{FR_ORACLE} at s_p {}",
+                    self.scale.sp_grid()[id - FIG8_SERIES.len()]
+                ),
+            }),
+            FigureKind::Headline => Some(format!("instance {id}")),
         }
     }
 }
@@ -880,34 +902,39 @@ impl GridEngine for FigureSpec {
             FigureKind::Fig3 | FigureKind::Fig5Schedules | FigureKind::Fig7 => 1,
             FigureKind::Fig4SoftInfo => SOFTINFO_STRENGTHS.len(),
             FigureKind::Fig6 => Modulation::ALL.len(),
-            FigureKind::Fig8 => FIG8_SERIES_POINTS + self.scale.sp_grid().len(),
+            FigureKind::Fig8 => FIG8_SERIES.len() + self.scale.sp_grid().len(),
             FigureKind::Headline => self.scale.instances,
         }
     }
 
+    /// Points run one at a time; each sampler call fans its reads out on
+    /// the spec's `threads` instead. Shards split the points.
     fn threads(&self) -> usize {
-        self.fan_out().0
+        1
     }
 
     fn run_unit(&self, id: usize, _: usize, _: Option<&Collector>, _: u32) -> FigureRows {
-        let (scale, seed, reads) = (self.scale, self.seed, self.fan_out().1);
+        let (scale, seed, threads) = (self.scale, self.seed, self.threads);
         match self.experiment {
             // Cheap: many instances per point.
             FigureKind::Fig3 => FigureRows::Fig3(fig3_rows(scale.instances.max(10) * 5, seed)),
-            FigureKind::Fig4SoftInfo => {
-                FigureRows::Fig4SoftInfo(softinfo_rows(scale, seed, SOFTINFO_STRENGTHS[id], reads))
-            }
+            FigureKind::Fig4SoftInfo => FigureRows::Fig4SoftInfo(softinfo_rows(
+                scale,
+                seed,
+                SOFTINFO_STRENGTHS[id],
+                threads,
+            )),
             FigureKind::Fig5Schedules => FigureRows::Fig5Schedules(fig5_rows()),
             FigureKind::Fig6 => {
-                FigureRows::Fig6(fig6_rows(scale, seed, Modulation::ALL[id], reads))
+                FigureRows::Fig6(fig6_rows(scale, seed, Modulation::ALL[id], threads))
             }
             FigureKind::Fig7 => {
-                let (s_p, rows) = fig7_rows(scale, seed, reads);
+                let (s_p, rows) = fig7_rows(scale, seed, threads);
                 FigureRows::Fig7(s_p, rows)
             }
-            FigureKind::Fig8 => FigureRows::Fig8(fig8_rows(scale, seed, id, reads)),
+            FigureKind::Fig8 => FigureRows::Fig8(fig8_rows(scale, seed, id, threads)),
             FigureKind::Headline => {
-                FigureRows::Headline(vec![headline_row(scale, seed, id, reads)])
+                FigureRows::Headline(vec![headline_row(scale, seed, id, threads)])
             }
         }
     }
@@ -929,19 +956,11 @@ impl GridEngine for FigureSpec {
                 ),
             ));
         }
-        let want = match self.experiment {
-            FigureKind::Fig6 => format!(
-                "{} with {} percentiles",
-                Modulation::ALL[id].name(),
-                FIG6_PERCENTILES.len()
-            ),
-            FigureKind::Fig8 if id >= FIG8_SERIES_POINTS => {
-                format!("s_p {}", self.scale.sp_grid()[id - FIG8_SERIES_POINTS])
+        if let Some(want) = self.coordinate(id) {
+            for (i, (.., got)) in point.rows().1.into_iter().enumerate() {
+                let got = got.unwrap_or_default();
+                check_coordinates(&format!("{ctx}.rows[{i}]"), got, want.clone())?;
             }
-            _ => format!("instance {id}"),
-        };
-        for (i, got) in point.coordinates().into_iter().enumerate() {
-            check_coordinates(&format!("{ctx}.rows[{i}]"), got, want.clone())?;
         }
         Ok(point)
     }
@@ -977,7 +996,7 @@ impl FigureReport {
             doc.push(("s_p", (*s_p).into()));
         }
         let rows = self.points.iter().flat_map(|p| p.rows().1);
-        doc.push(("rows", Json::Arr(rows.map(|(record, _)| record).collect())));
+        doc.push(("rows", Json::Arr(rows.map(|(record, ..)| record).collect())));
         render(
             &Json::object(doc),
             &Layout::Block(&[SCENARIO, ("rows", ROWS)]),
@@ -1004,7 +1023,7 @@ impl Report for FigureReport {
 
     fn table(&self) -> Table {
         let mut table = Table::new(columns(self.spec.experiment));
-        for (_, cells) in self.points.iter().flat_map(|p| p.rows().1) {
+        for (_, cells, _) in self.points.iter().flat_map(|p| p.rows().1) {
             table.push_row(cells);
         }
         table
@@ -1079,7 +1098,7 @@ impl Record for FigureRows {
         if let FigureRows::Fig7(s_p, _) = self {
             out.push(("s_p".into(), (*s_p).into()));
         }
-        let rows = rows.into_iter().map(|(record, _)| record).collect();
+        let rows = rows.into_iter().map(|(record, ..)| record).collect();
         out.push(("rows".into(), Json::Arr(rows)));
     }
 
@@ -1217,6 +1236,38 @@ mod tests {
 
         let err = assemble_records(&quick(FigureKind::Fig3, 1), records).unwrap_err();
         assert!(err.to_string().contains("'fig5-schedules' point"), "{err}");
+
+        // A fig8 FA series is point 0 only.
+        let fig8 = quick(FigureKind::Fig8, 1);
+        let point = SweepPoint {
+            param: fig8.scale.sp_grid()[0],
+            p_star: 0.5,
+            duration_us: 2.0,
+            tts_us: 13.3,
+            mean_energy: -3.5,
+        };
+        let fa = FigureRows::Fig8(vec![Fig8Row {
+            series: FIG8_SERIES[0].into(),
+            point,
+        }])
+        .encode();
+        assert!(GridEngine::decode(&fig8, 0, &fa, "point 0").is_ok());
+        let err = GridEngine::decode(&fig8, 1, &fa, "point 1").unwrap_err();
+        assert!(err.to_string().contains("(FA)"), "{err}");
+
+        // A fig4-softinfo point carries its own strength.
+        let fig4 = quick(FigureKind::Fig4SoftInfo, 1);
+        let (_, strength) = softinfo_instance(fig4.seed, SOFTINFO_STRENGTHS[2]);
+        let row = |ice| SoftInfoRow {
+            strength,
+            ice,
+            p_star: 0.25,
+            optimum_preserved: true,
+        };
+        let rows = FigureRows::Fig4SoftInfo(vec![row(false), row(true)]).encode();
+        assert!(GridEngine::decode(&fig4, 2, &rows, "point 2").is_ok());
+        let err = GridEngine::decode(&fig4, 3, &rows, "point 3").unwrap_err();
+        assert!(err.to_string().contains("do not match"), "{err}");
     }
 
     #[test]

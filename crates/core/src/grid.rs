@@ -230,6 +230,9 @@ pub trait SpecGrid {
     /// Number of points in the full grid.
     fn total_points(&self) -> usize;
 
+    /// Points run at once (0 = all cores), as [`GridEngine::threads`].
+    fn point_threads(&self) -> usize;
+
     /// Runs the points `ids` (strictly increasing, in range) as records.
     fn run_records(&self, ids: &[usize]) -> Vec<PointRecord>;
 
@@ -246,6 +249,10 @@ pub trait SpecGrid {
 impl<E: GridEngine> SpecGrid for E {
     fn total_points(&self) -> usize {
         self.grid_len()
+    }
+
+    fn point_threads(&self) -> usize {
+        self.threads()
     }
 
     fn run_records(&self, ids: &[usize]) -> Vec<PointRecord> {

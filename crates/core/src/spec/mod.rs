@@ -149,8 +149,8 @@ impl FigureKind {
 }
 
 /// A figure experiment: which figure, at what scale, which seed. On the
-/// wire it is the scale and the seed; `threads` is the point fan-out's
-/// worker count (0 = all cores), set by the runner and never written.
+/// wire it is the scale and the seed; `threads` is each sampler call's
+/// read worker count (0 = all cores), set by the runner and never written.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FigureSpec {
     /// Which figure.
@@ -159,7 +159,8 @@ pub struct FigureSpec {
     pub scale: Scale,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for the point fan-out (0 = all available cores).
+    /// Worker threads for each sampler call's reads (0 = all available
+    /// cores); the figure's points run one at a time.
     pub threads: usize,
 }
 
@@ -205,8 +206,8 @@ pub enum ExperimentSpec {
 
 impl ExperimentSpec {
     /// The experiment family tag (`"ber"`, `"stream"`, `"fabric"`,
-    /// `"fabric-rt"` for a realtime-mode fabric, or the figure's name) — the `experiment` field of the JSON document and the registry
-    /// key.
+    /// `"fabric-rt"` for a realtime-mode fabric, or the figure's name) —
+    /// the `experiment` field of the JSON document and the registry key.
     pub fn family(&self) -> &'static str {
         match self {
             ExperimentSpec::Ber(_) => "ber",
