@@ -77,33 +77,6 @@ impl DWaveProfile {
         }
     }
 
-    /// A custom profile from a `(s, A, B)` table.
-    ///
-    /// # Panics
-    /// Panics when the table has fewer than two rows, is not ascending in
-    /// `s`, does not span `[0, 1]`, or the temperature is non-positive.
-    pub fn from_table(table: Vec<(f64, f64, f64)>, temperature_mk: f64) -> Self {
-        assert!(table.len() >= 2, "DWaveProfile: need at least two rows");
-        assert_eq!(table[0].0, 0.0, "DWaveProfile: table must start at s = 0");
-        assert_eq!(
-            table.last().unwrap().0,
-            1.0,
-            "DWaveProfile: table must end at s = 1"
-        );
-        assert!(
-            table.windows(2).all(|w| w[1].0 > w[0].0),
-            "DWaveProfile: table must ascend in s"
-        );
-        assert!(
-            temperature_mk > 0.0,
-            "DWaveProfile: temperature must be > 0"
-        );
-        DWaveProfile {
-            table,
-            temperature_mk,
-        }
-    }
-
     fn interp(&self, s: f64, select: impl Fn(&(f64, f64, f64)) -> f64) -> f64 {
         let s = s.clamp(0.0, 1.0);
         for w in self.table.windows(2) {
@@ -112,7 +85,11 @@ impl DWaveProfile {
                 return select(&w[0]) + frac * (select(&w[1]) - select(&w[0]));
             }
         }
-        select(self.table.last().expect("validated: non-empty"))
+        select(
+            self.table
+                .last()
+                .expect("the built-in tables are non-empty"),
+        )
     }
 
     /// Every number the profile holds, as bit patterns: two profiles with
@@ -140,22 +117,6 @@ impl DWaveProfile {
     /// Inverse temperature `β` in 1/GHz.
     pub fn beta(&self) -> f64 {
         1.0 / self.thermal_energy_ghz()
-    }
-
-    /// The anneal fraction where `A(s) = B(s)` (bisection on the
-    /// interpolated curves) — a useful reference point for choosing `s_p`.
-    pub fn crossing_s(&self) -> f64 {
-        let mut lo = 0.0;
-        let mut hi = 1.0;
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if self.a_ghz(mid) > self.b_ghz(mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        0.5 * (lo + hi)
     }
 }
 
@@ -192,12 +153,11 @@ mod tests {
     fn crossing_sits_in_the_papers_ra_band() {
         // The paper finds RA effective for s_p ∈ 0.33–0.49; the A=B crossing
         // should sit in that neighborhood.
+        // A falls and B rises monotonically, so the crossing lies in
+        // [0.30, 0.45) exactly when A > B at 0.30 and A <= B at 0.45.
         let p = DWaveProfile::default();
-        let cross = p.crossing_s();
-        assert!(
-            (0.30..0.45).contains(&cross),
-            "A=B crossing at s={cross}, outside the expected band"
-        );
+        assert!(p.a_ghz(0.30) > p.b_ghz(0.30), "A=B crossing below s=0.30");
+        assert!(p.a_ghz(0.45) <= p.b_ghz(0.45), "A=B crossing above s=0.45");
     }
 
     #[test]
@@ -215,11 +175,5 @@ mod tests {
         assert!((p.b_ghz(0.8) - 10.70).abs() < 1e-12);
         // Midpoint interpolation.
         assert!((p.a_ghz(0.05) - (7.80 + 5.85) / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "must start at s = 0")]
-    fn bad_table_rejected() {
-        DWaveProfile::from_table(vec![(0.1, 1.0, 1.0), (1.0, 0.0, 2.0)], 13.5);
     }
 }

@@ -135,11 +135,6 @@ impl CliqueEmbedding {
         }
     }
 
-    /// Largest clique this Chimera size supports with this construction.
-    pub fn max_clique(graph: &Chimera) -> usize {
-        4 * graph.m()
-    }
-
     /// The physical chain of a logical variable.
     pub fn chain(&self, logical: usize) -> &[usize] {
         &self.chains[logical]
@@ -427,8 +422,8 @@ mod tests {
 
     #[test]
     fn dw2000q_supports_64_logical_variables() {
-        let graph = Chimera::dw2000q();
-        assert_eq!(CliqueEmbedding::max_clique(&graph), 64);
+        // The 2000Q topology is C16; this construction embeds K_{4m}.
+        let graph = Chimera::new(16);
         let emb = CliqueEmbedding::new(graph, 64);
         assert_eq!(emb.qubits_used(), 64 * 32);
         // Chain length 2m = 32 on C16.

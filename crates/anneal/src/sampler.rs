@@ -213,11 +213,6 @@ impl QpuTiming {
         self.num_reads as f64
             * (self.anneal_us_per_read + self.readout_us_per_read + self.delay_us_per_read)
     }
-
-    /// Full QPU access time including programming.
-    pub fn qpu_access_us(&self) -> f64 {
-        self.programming_us + self.sampling_us()
-    }
 }
 
 /// One submission's output.
@@ -302,11 +297,11 @@ fn tally<T: Ord>(mut items: Vec<T>) -> Vec<(T, u64)> {
 }
 
 /// The sample set of `states`, each distinct state converted to bits and
-/// its `energy(spins, bits)` evaluated once.
-fn count_samples(states: Vec<Vec<i8>>, energy: impl Fn(&[i8], &[u8]) -> f64) -> SampleSet {
+/// its `qubo` energy evaluated once.
+fn count_samples(states: Vec<Vec<i8>>, qubo: &Qubo) -> SampleSet {
     SampleSet::from_counts(tally(states).into_iter().map(|(spins, count)| {
         let bits = spins_to_bits(&spins);
-        let energy = energy(&spins, &bits);
+        let energy = qubo.energy(&bits);
         (bits, energy, count)
     }))
 }
@@ -323,12 +318,6 @@ impl QuantumSampler {
             config,
             plan: PlanCache::default(),
         }
-    }
-
-    /// Sampler with the calibrated 2000Q-like profile (see
-    /// [`DWaveProfile::calibrated`]) and default configuration.
-    pub fn with_defaults() -> Self {
-        QuantumSampler::new(DWaveProfile::calibrated(), SamplerConfig::default())
     }
 
     /// Samples a QUBO. `initial_bits` programs the reverse-anneal initial
@@ -350,26 +339,7 @@ impl QuantumSampler {
         let initial_spins = initial_bits.map(bits_to_spins);
         let states = self.run_reads(programmed, schedule, initial_spins.as_deref(), seed);
         AnnealResult {
-            samples: count_samples(states, |_, bits| qubo.energy(bits)),
-            timing: QpuTiming::new(schedule, self.config.num_reads),
-        }
-    }
-
-    /// Samples an Ising problem directly; energies are its own
-    /// [`CsrIsing::energy`] (bits are the usual `q = (s+1)/2` view).
-    ///
-    /// # Panics
-    /// As [`QuantumSampler::sample_qubo`].
-    pub fn sample_ising(
-        &self,
-        ising: &CsrIsing,
-        schedule: &AnnealSchedule,
-        initial: Option<&[i8]>,
-        seed: u64,
-    ) -> AnnealResult {
-        let states = self.run_reads(ising.clone(), schedule, initial, seed);
-        AnnealResult {
-            samples: count_samples(states, |spins, _| ising.energy(spins)),
+            samples: count_samples(states, qubo),
             timing: QpuTiming::new(schedule, self.config.num_reads),
         }
     }
@@ -423,7 +393,7 @@ impl QuantumSampler {
                 logical_spins
             })
             .collect();
-        let samples = count_samples(logical, |_, bits| qubo.energy(bits));
+        let samples = count_samples(logical, qubo);
         let chain_break_fraction =
             broken_total as f64 / (reads * embedding.num_logical()).max(1) as f64;
         (
@@ -775,7 +745,7 @@ mod tests {
         let out = sampler.sample_qubo(&q, &schedule, Some(&[0, 0, 1, 1]), 2);
         assert!((out.timing.anneal_us_per_read - 2.2).abs() < 1e-9);
         assert_eq!(out.timing.num_reads, 10);
-        assert!(out.timing.qpu_access_us() > out.timing.sampling_us());
+        assert!(out.timing.programming_us > 0.0);
     }
 
     #[test]

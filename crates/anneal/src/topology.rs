@@ -36,11 +36,6 @@ impl Chimera {
         Chimera { m }
     }
 
-    /// The D-Wave 2000Q topology, `C_16` (2048 qubits).
-    pub fn dw2000q() -> Self {
-        Chimera::new(16)
-    }
-
     /// Grid dimension `m`.
     pub fn m(&self) -> usize {
         self.m
@@ -122,13 +117,6 @@ impl Chimera {
         }
         out
     }
-
-    /// Total number of couplers.
-    pub fn num_couplers(&self) -> usize {
-        // 16 intra-cell per cell; 4 vertical per adjacent row pair per
-        // column; 4 horizontal per adjacent column pair per row.
-        16 * self.m * self.m + 2 * 4 * self.m * (self.m - 1)
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +125,8 @@ mod tests {
 
     #[test]
     fn dw2000q_has_2048_qubits() {
-        let c = Chimera::dw2000q();
+        // The D-Wave 2000Q topology is C16.
+        let c = Chimera::new(16);
         assert_eq!(c.num_qubits(), 2048);
         assert_eq!(c.m(), 16);
     }
@@ -203,7 +192,9 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(count, c.num_couplers(), "m={m}");
+            // 16 intra-cell per cell; 4 vertical per adjacent row pair per
+            // column; 4 horizontal per adjacent column pair per row.
+            assert_eq!(count, 16 * m * m + 2 * 4 * m * (m - 1), "m={m}");
         }
     }
 

@@ -110,7 +110,7 @@ pub fn spec(name: &str, opts: &Options) -> Option<ExperimentSpec> {
 /// through the shared [`Options`] conventions.
 ///
 /// The spec's own seed and, for a figure, its scale are copied into the
-/// [`Options`] first (see [`run_options`]), so the stdout banner — the
+/// [`Options`] first (see `run_options`), so the stdout banner — the
 /// reproducibility record — reports what actually ran, even when a spec
 /// file's values differ from the CLI flags.
 pub fn run_spec(spec: &ExperimentSpec, opts: &Options) {

@@ -16,7 +16,7 @@ use hqw_core::scenario::{paper_roster, BerReport, BerSweep};
 use hqw_core::spec::ExperimentSpec;
 use hqw_core::stream::DispatchPolicy;
 use hqw_core::{run_fabric_grid, FabricGridConfig, SnrSweepConfig, StreamGridConfig};
-use hqw_phy::channel::snr_db_to_noise_variance;
+use hqw_phy::channel::{snr_db_to_noise_variance, ChannelModel};
 use hqw_phy::modulation::Modulation;
 
 fn opts(args: &[&str]) -> Options {
@@ -57,13 +57,17 @@ fn ber_quick_preset_matches_the_legacy_shape_and_survives_the_codec() {
 /// codec introduces no drift in the numbers that drive the simulation.
 #[test]
 fn ber_report_is_byte_identical_through_the_spec_codec() {
-    let config = SnrSweepConfig::builder(3, Modulation::Qpsk)
-        .snr_db(vec![4.0, 20.0])
-        .realizations(2)
-        .seed(2026)
-        .threads(1)
-        .build()
-        .expect("valid config");
+    let config = SnrSweepConfig {
+        n_users: 3,
+        n_rx: 3,
+        modulation: Modulation::Qpsk,
+        channel: ChannelModel::UnitGainRandomPhase,
+        snr_db: vec![4.0, 20.0],
+        realizations: 2,
+        seed: 2026,
+        threads: 1,
+    };
+    config.validate().expect("valid config");
     let direct = ber_run(&config).to_json();
 
     let spec = ExperimentSpec::Ber(config);
@@ -145,13 +149,17 @@ fn fabric_report_is_byte_identical_through_the_spec_codec() {
 /// value (the dedupe the trait exists for).
 #[test]
 fn report_surfaces_agree_on_shape() {
-    let config = SnrSweepConfig::builder(2, Modulation::Qpsk)
-        .snr_db(vec![10.0])
-        .realizations(1)
-        .seed(5)
-        .threads(1)
-        .build()
-        .expect("valid config");
+    let config = SnrSweepConfig {
+        n_users: 2,
+        n_rx: 2,
+        modulation: Modulation::Qpsk,
+        channel: ChannelModel::UnitGainRandomPhase,
+        snr_db: vec![10.0],
+        realizations: 1,
+        seed: 5,
+        threads: 1,
+    };
+    config.validate().expect("valid config");
     let report = ber_run(&config);
     assert_eq!(Report::name(&report), "ber");
     assert_eq!(report.schema_version(), 1);

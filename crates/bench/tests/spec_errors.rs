@@ -97,3 +97,48 @@ fn deleted_canned_kinds_exit_2() {
     let bad = text.replacen(tag, "\"experiment\": \"ext-iterative\"", 1);
     assert_spec_file_exits_2(&bad, "ext_iterative", "unknown experiment 'ext-iterative'");
 }
+
+/// `text` with the JSON object that follows `key` swapped for `object`.
+fn replace_object(text: &str, key: &str, object: &str) -> String {
+    let start = text
+        .find(key)
+        .unwrap_or_else(|| panic!("no {key} in {text}"))
+        + key.len();
+    let len = text[start..].find('}').expect("object closes") + 1;
+    format!("{}{object}{}", &text[..start], &text[start + len..])
+}
+
+#[test]
+fn deleted_policy_and_arrival_tags_exit_2() {
+    // The UCB predictor and the diurnal and heavy-tailed arrival processes
+    // are gone: a spec written with their old wire form names an unknown
+    // tag, not a panic.
+    let sched = quick_preset_json("sched");
+    let bad = replace_object(
+        &sched,
+        "\"policy\": ",
+        "{\"name\": \"ucb\", \"explore_milli\": 250}",
+    );
+    assert_spec_file_exits_2(&bad, "sched_ucb", "unknown scheduling policy 'ucb'");
+
+    let fabric = quick_preset_json("fabric");
+    let tag = "\"deadline_us\": ";
+    assert!(fabric.contains(tag), "the fabric preset has no deadline");
+    for (name, arrival) in [
+        (
+            "diurnal",
+            "{\"process\": \"diurnal\", \"amplitude\": 0.5, \"cycle_frames\": 16}",
+        ),
+        (
+            "heavy-tailed",
+            "{\"process\": \"heavy-tailed\", \"alpha\": 1.5}",
+        ),
+    ] {
+        let bad = fabric.replacen(tag, &format!("\"arrival\": {arrival}, {tag}"), 1);
+        assert_spec_file_exits_2(
+            &bad,
+            &format!("fabric_{}", name.replace('-', "_")),
+            &format!("unknown arrival process '{name}'"),
+        );
+    }
+}

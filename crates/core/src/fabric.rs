@@ -862,7 +862,7 @@ pub struct BackendMix {
 /// Every variant has mean inter-arrival `arrival_period_us` (offered load is
 /// comparable across processes) and staggers cell start times by
 /// `period / n_cells` exactly like the original periodic process. Arrival
-/// times are a pure function of `(seed, cell, frame)`: virtual and realtime
+/// times are a pure function of `(cell, frame)`: virtual and realtime
 /// runs of the same config see byte-identical arrival sequences, which is
 /// what makes the realtime service's sim-replay gate possible.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -876,21 +876,6 @@ pub enum ArrivalProcess {
         /// Frames per burst (>= 1).
         burst: usize,
     },
-    /// Sinusoidally modulated inter-arrival gaps — a compressed diurnal
-    /// load cycle: `gap_f = period * (1 + amplitude * sin(2π f / cycle))`.
-    Diurnal {
-        /// Peak-to-mean modulation depth, in `[0, 1)`.
-        amplitude: f64,
-        /// Frames per modulation cycle (>= 2).
-        cycle_frames: usize,
-    },
-    /// Pareto inter-arrival gaps with tail index `alpha` (> 1 so the mean
-    /// exists), scaled to mean `period`: heavy-tailed traffic whose rare
-    /// long gaps separate deep queue-buildup episodes.
-    HeavyTailed {
-        /// Pareto tail index (> 1; smaller = heavier tail).
-        alpha: f64,
-    },
 }
 
 impl ArrivalProcess {
@@ -899,8 +884,6 @@ impl ArrivalProcess {
         match self {
             ArrivalProcess::Periodic => "periodic",
             ArrivalProcess::Bursty { .. } => "bursty",
-            ArrivalProcess::Diurnal { .. } => "diurnal",
-            ArrivalProcess::HeavyTailed { .. } => "heavy-tailed",
         }
     }
 
@@ -917,31 +900,11 @@ impl ArrivalProcess {
                 }
                 Ok(())
             }
-            ArrivalProcess::Diurnal {
-                amplitude,
-                cycle_frames,
-            } => {
-                if !(0.0..1.0).contains(&amplitude) {
-                    return Err("ArrivalProcess: diurnal amplitude must be in [0, 1)".to_string());
-                }
-                if cycle_frames < 2 {
-                    return Err("ArrivalProcess: diurnal cycle needs >= 2 frames".to_string());
-                }
-                Ok(())
-            }
-            ArrivalProcess::HeavyTailed { alpha } => {
-                if !(alpha > 1.0 && alpha.is_finite()) {
-                    return Err(
-                        "ArrivalProcess: heavy-tailed alpha must be > 1 (finite mean)".to_string(),
-                    );
-                }
-                Ok(())
-            }
         }
     }
 
     /// Arrival times (µs) of `frames` frames for cell `cell` of `n_cells`
-    /// sharing mean period `period_us`, deterministic in `(seed, cell)`.
+    /// sharing mean period `period_us`.
     /// `Periodic` reproduces the original fabric arithmetic bit for bit.
     fn cell_arrivals(
         &self,
@@ -949,7 +912,6 @@ impl ArrivalProcess {
         cell: usize,
         n_cells: usize,
         period_us: f64,
-        seed: u64,
     ) -> Vec<f64> {
         let phase = cell as f64 * (period_us / n_cells as f64);
         match *self {
@@ -957,33 +919,6 @@ impl ArrivalProcess {
             ArrivalProcess::Bursty { burst } => (0..frames)
                 .map(|f| ((f / burst) * burst) as f64 * period_us + phase)
                 .collect(),
-            ArrivalProcess::Diurnal {
-                amplitude,
-                cycle_frames,
-            } => {
-                let mut t = phase;
-                let mut out = Vec::with_capacity(frames);
-                for f in 0..frames {
-                    out.push(t);
-                    let angle = std::f64::consts::TAU * f as f64 / cycle_frames as f64;
-                    t += period_us * (1.0 + amplitude * angle.sin());
-                }
-                out
-            }
-            ArrivalProcess::HeavyTailed { alpha } => {
-                let mut rng = Rng64::new(item_seed(seed ^ 0xA441_5EED, cell));
-                // Pareto(x_min, alpha) has mean x_min * alpha / (alpha - 1);
-                // solve for mean = period.
-                let x_min = period_us * (alpha - 1.0) / alpha;
-                let mut t = phase;
-                let mut out = Vec::with_capacity(frames);
-                for _ in 0..frames {
-                    out.push(t);
-                    let u = 1.0 - rng.next_f64(); // (0, 1]: keeps the gap finite
-                    t += x_min * u.powf(-1.0 / alpha);
-                }
-                out
-            }
         }
     }
 }
@@ -1324,7 +1259,6 @@ pub(crate) fn generate_jobs(config: &FabricConfig) -> Vec<FabricJob> {
             cell,
             config.n_cells,
             config.arrival_period_us,
-            config.seed,
         );
         for (frame, &arrival_us) in arrivals.iter().enumerate() {
             let inst = track.next().expect("ChannelTrack is infinite");
@@ -2061,27 +1995,6 @@ pub struct FabricGridConfig {
 }
 
 impl FabricGridConfig {
-    /// Starts a builder with default deadline (700 µs) and cost model; the
-    /// load axis and mix axis must be set before `build()`.
-    pub fn builder(track: TrackConfig) -> FabricGridConfigBuilder {
-        FabricGridConfigBuilder {
-            config: FabricGridConfig {
-                track,
-                frames_per_cell: 64,
-                cell_counts: vec![1],
-                arrival_periods_us: Vec::new(),
-                mixes: Vec::new(),
-                arrival: ArrivalProcess::Periodic,
-                mode: FabricMode::Virtual,
-                deadline_us: 700.0,
-                cost: CostModel::default(),
-                sched: SchedOptions::default(),
-                seed: 0,
-                threads: 0,
-            },
-        }
-    }
-
     /// Validates the grid configuration (axes plus every per-point
     /// parameter).
     ///
@@ -2142,95 +2055,6 @@ impl FabricGridConfig {
         if let Err(e) = self.validate() {
             panic!("{e}");
         }
-    }
-}
-
-/// Builder for [`FabricGridConfig`] — the validated construction path the
-/// spec layer and examples use (`build()` runs
-/// [`FabricGridConfig::validate`]).
-#[derive(Debug, Clone)]
-pub struct FabricGridConfigBuilder {
-    config: FabricGridConfig,
-}
-
-impl FabricGridConfigBuilder {
-    /// Sets the frames streamed per cell (default 64).
-    pub fn frames_per_cell(mut self, frames: usize) -> Self {
-        self.config.frames_per_cell = frames;
-        self
-    }
-
-    /// Sets the cell-count axis (default `[1]`).
-    pub fn cell_counts(mut self, cell_counts: Vec<usize>) -> Self {
-        self.config.cell_counts = cell_counts;
-        self
-    }
-
-    /// Sets the load axis: per-cell arrival periods in µs, **descending**
-    /// so "later in the list" means "higher offered load". Required.
-    pub fn arrival_periods_us(mut self, periods: Vec<f64>) -> Self {
-        self.config.arrival_periods_us = periods;
-        self
-    }
-
-    /// Sets the backend-mix axis. Required.
-    pub fn mixes(mut self, mixes: Vec<BackendMix>) -> Self {
-        self.config.mixes = mixes;
-        self
-    }
-
-    /// Sets the arrival process (default [`ArrivalProcess::Periodic`]).
-    pub fn arrival(mut self, arrival: ArrivalProcess) -> Self {
-        self.config.arrival = arrival;
-        self
-    }
-
-    /// Sets the execution mode (default [`FabricMode::Virtual`]).
-    pub fn mode(mut self, mode: FabricMode) -> Self {
-        self.config.mode = mode;
-        self
-    }
-
-    /// Sets the per-frame latency budget in µs (default 700).
-    pub fn deadline_us(mut self, deadline_us: f64) -> Self {
-        self.config.deadline_us = deadline_us;
-        self
-    }
-
-    /// Sets the work-counter → service-time model (default
-    /// [`CostModel::default`]).
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.config.cost = cost;
-        self
-    }
-
-    /// Sets the adaptive-scheduling options (default static routing with
-    /// the all-eMBB class mix — the legacy behaviour).
-    pub fn sched(mut self, sched: SchedOptions) -> Self {
-        self.config.sched = sched;
-        self
-    }
-
-    /// Sets the grid seed (default 0).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count (default 0 = all cores; results are
-    /// bit-identical for any value).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    /// Returns the first [`FabricGridConfig::validate`] violation.
-    pub fn build(self) -> Result<FabricGridConfig, SpecError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -2949,33 +2773,6 @@ mod tests {
             assert_eq!(err.context(), "FabricGridConfig");
         }
         assert_eq!(quick_grid(1).validate(), Ok(()));
-    }
-
-    #[test]
-    fn grid_builder_constructs_validated_configs() {
-        let config = FabricGridConfig::builder(track())
-            .frames_per_cell(10)
-            .cell_counts(vec![1, 2])
-            .arrival_periods_us(vec![300.0, 120.0])
-            .mixes(vec![BackendMix {
-                name: "sa-pool".into(),
-                backends: vec![quick_sa_pool()],
-            }])
-            .deadline_us(600.0)
-            .cost(CostModel::default())
-            .seed(7)
-            .threads(1)
-            .build()
-            .expect("valid builder chain");
-        assert_eq!(config.frames_per_cell, 10);
-        assert_eq!(config.mixes.len(), 1);
-        assert_eq!(config.seed, 7);
-
-        let err = FabricGridConfig::builder(track())
-            .arrival_periods_us(vec![300.0])
-            .build()
-            .expect_err("missing mixes must be rejected");
-        assert!(err.to_string().contains("empty mix axis"));
     }
 
     fn annealer_spec(capacity: usize, max_batch: usize) -> BackendSpec {

@@ -1135,11 +1135,7 @@ mod tests {
         with_watchdog("arrivals", || {
             for arrival in [
                 ArrivalProcess::Periodic,
-                ArrivalProcess::Diurnal {
-                    amplitude: 0.8,
-                    cycle_frames: 6,
-                },
-                ArrivalProcess::HeavyTailed { alpha: 1.3 },
+                ArrivalProcess::Bursty { burst: 4 },
             ] {
                 // A tight deadline forces a fallback mixture.
                 let config = point(2, 80.0, 250.0, arrival, quick_pool());

@@ -133,7 +133,7 @@ mod tests {
         let mut rng = Rng64::new(1);
         let inst =
             DetectionInstance::generate(&InstanceConfig::paper(2, Modulation::Qpsk), &mut rng);
-        let sampler = QuantumSampler::with_defaults();
+        let sampler = QuantumSampler::new(DWaveProfile::calibrated(), SamplerConfig::default());
         harvest_states(
             &sampler,
             &inst.reduction.qubo,

@@ -28,8 +28,8 @@
 //!   behind a network with cached embeddings) through the batching,
 //!   deadline-aware [`fabric::FabricScheduler`].
 //! * [`sched`] — the adaptive scheduling plane: deterministic learned
-//!   service predictors (EWMA and UCB-bandit over fixed-point correction
-//!   ratios), wireless priority classes (URLLC/eMBB/Bulk) with class-aware
+//!   service predictor (EWMA over fixed-point correction ratios),
+//!   wireless priority classes (URLLC/eMBB/Bulk) with class-aware
 //!   deadlines, and the [`sched::SchedOptions`] knobs the fabric
 //!   scheduler consumes.
 //! * [`sched_grid`] — the paired static-vs-adaptive scheduling experiment:
@@ -99,7 +99,7 @@ pub use scenario::{
 };
 pub use sched::{
     ClassMix, ClassReport, EwmaPredictor, PriorityClass, SchedOptions, SchedPolicy,
-    ServicePredictor, StaticPredictor, UcbPredictor,
+    ServicePredictor, StaticPredictor,
 };
 pub use sched_grid::{
     ArmSummary, ClassSummary, SchedGridConfig, SchedGridReport, SchedPointReport, SCHED_WORKLOADS,

@@ -37,15 +37,6 @@ pub fn success_probability(samples: &SampleSet, ground_energy: f64) -> f64 {
     samples.ground_probability(ground_energy, GROUND_TOL)
 }
 
-/// ΔE% for every read in a sample set (the paper's Figure 6 distributions).
-pub fn delta_e_distribution(samples: &SampleSet, ground_energy: f64) -> Vec<f64> {
-    samples
-        .energies_per_read()
-        .into_iter()
-        .map(|e| delta_e_percent(e, ground_energy))
-        .collect()
-}
-
 /// Time-to-solution at confidence `confidence_pct` (the paper's Eq. 2).
 ///
 /// Returns `f64::INFINITY` when `p_star ≤ 0` (the solver never succeeds) and
@@ -124,7 +115,11 @@ mod tests {
     fn distribution_expands_reads() {
         let set =
             SampleSet::from_reads(vec![(vec![0], -100.0), (vec![0], -100.0), (vec![1], -90.0)]);
-        let mut d = delta_e_distribution(&set, -100.0);
+        let mut d: Vec<f64> = set
+            .energies_per_read()
+            .into_iter()
+            .map(|e| delta_e_percent(e, -100.0))
+            .collect();
         d.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(d.len(), 3);
         assert_eq!(d[0], 0.0);

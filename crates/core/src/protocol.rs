@@ -52,14 +52,6 @@ impl Protocol {
         }
     }
 
-    /// Plain 1 µs forward ramp (no pause).
-    pub fn plain_fa() -> Self {
-        Protocol::Forward {
-            t_a: 1.0,
-            pause: None,
-        }
-    }
-
     /// §4.2 RA: reverse to `s_p`, pause 1 µs, anneal forward.
     pub fn paper_ra(s_p: f64) -> Self {
         Protocol::Reverse { s_p, t_p: 1.0 }
@@ -153,7 +145,11 @@ mod tests {
         assert!(Protocol::paper_ra(0.5).requires_initial_state());
         assert!(!Protocol::paper_fa(0.5).requires_initial_state());
         assert!(!Protocol::paper_fr(0.7, 0.5).requires_initial_state());
-        assert!(!Protocol::plain_fa().requires_initial_state());
+        assert!(!Protocol::Forward {
+            t_a: 1.0,
+            pause: None
+        }
+        .requires_initial_state());
     }
 
     #[test]
@@ -162,7 +158,10 @@ mod tests {
             Protocol::paper_fa(0.5),
             Protocol::paper_ra(0.5),
             Protocol::paper_fr(0.7, 0.5),
-            Protocol::plain_fa(),
+            Protocol::Forward {
+                t_a: 1.0,
+                pause: None,
+            },
         ] {
             assert_eq!(
                 p.schedule().unwrap().requires_initial_state(),

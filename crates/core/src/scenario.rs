@@ -166,24 +166,6 @@ pub struct SnrSweepConfig {
 }
 
 impl SnrSweepConfig {
-    /// Starts a builder for an `n_users × n_users` sweep (override `n_rx`
-    /// on the builder for asymmetric arrays) over the paper's unit-gain
-    /// random-phase channel.
-    pub fn builder(n_users: usize, modulation: Modulation) -> SnrSweepConfigBuilder {
-        SnrSweepConfigBuilder {
-            config: SnrSweepConfig {
-                n_users,
-                n_rx: n_users,
-                modulation,
-                channel: ChannelModel::UnitGainRandomPhase,
-                snr_db: Vec::new(),
-                realizations: 1,
-                seed: 0,
-                threads: 0,
-            },
-        }
-    }
-
     /// Validates the sweep configuration.
     ///
     /// An empty `snr_db` grid is **legal** (it yields series with no
@@ -207,62 +189,6 @@ impl SnrSweepConfig {
             return Err(SpecError::new(ctx, format!("non-finite SNR value {bad}")));
         }
         Ok(())
-    }
-}
-
-/// Builder for [`SnrSweepConfig`] — the validated construction path the
-/// spec layer and examples use (`build()` runs
-/// [`SnrSweepConfig::validate`]).
-#[derive(Debug, Clone)]
-pub struct SnrSweepConfigBuilder {
-    config: SnrSweepConfig,
-}
-
-impl SnrSweepConfigBuilder {
-    /// Overrides the receive-antenna count (defaults to `n_users`).
-    pub fn n_rx(mut self, n_rx: usize) -> Self {
-        self.config.n_rx = n_rx;
-        self
-    }
-
-    /// Sets the channel model (default: unit-gain random phase).
-    pub fn channel(mut self, channel: ChannelModel) -> Self {
-        self.config.channel = channel;
-        self
-    }
-
-    /// Sets the SNR grid in dB.
-    pub fn snr_db(mut self, snr_db: Vec<f64>) -> Self {
-        self.config.snr_db = snr_db;
-        self
-    }
-
-    /// Sets the channel realizations per SNR point (default 1).
-    pub fn realizations(mut self, realizations: usize) -> Self {
-        self.config.realizations = realizations;
-        self
-    }
-
-    /// Sets the scenario seed (default 0).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count (default 0 = all cores; results are
-    /// bit-identical for any value).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    /// Returns the first [`SnrSweepConfig::validate`] violation.
-    pub fn build(self) -> Result<SnrSweepConfig, SpecError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -915,30 +841,5 @@ mod tests {
             assert_eq!(err.context(), "SnrSweepConfig");
         }
         assert_eq!(quick_config(0).validate(), Ok(()));
-    }
-
-    #[test]
-    fn builder_constructs_validated_configs() {
-        let config = SnrSweepConfig::builder(3, Modulation::Qpsk)
-            .snr_db(vec![4.0, 16.0])
-            .realizations(5)
-            .seed(11)
-            .threads(2)
-            .channel(ChannelModel::RayleighIid)
-            .n_rx(4)
-            .build()
-            .expect("valid builder chain");
-        assert_eq!(config.n_users, 3);
-        assert_eq!(config.n_rx, 4);
-        assert_eq!(config.channel, ChannelModel::RayleighIid);
-        assert_eq!(config.realizations, 5);
-        assert_eq!(config.seed, 11);
-        assert_eq!(config.threads, 2);
-
-        let err = SnrSweepConfig::builder(3, Modulation::Qpsk)
-            .realizations(0)
-            .build()
-            .expect_err("zero realizations must be rejected");
-        assert!(err.to_string().contains("zero realizations"));
     }
 }

@@ -5,9 +5,9 @@
 //! against a static [`CostModel`]. Real backends mispredict it — RTT
 //! jitter, batching amortization, embedding-cache state — so ROADMAP item 4
 //! calls for routing that *learns*: this module provides the
-//! [`ServicePredictor`] trait with an EWMA estimator and a UCB-style bandit
-//! estimator that refine per-(backend, problem-shape) service predictions
-//! online from observed batch completions.
+//! [`ServicePredictor`] trait with an EWMA estimator that refines
+//! per-(backend, problem-shape) service predictions online from observed
+//! batch completions.
 //!
 //! Everything here is deterministic by construction so the virtual↔realtime
 //! replay contract survives:
@@ -219,45 +219,27 @@ pub enum SchedPolicy {
         /// over `~2^shift` observations.
         shift: u32,
     },
-    /// UCB-style optimistic bandit: the running mean ratio minus an
-    /// exploration bonus that shrinks as a (backend, shape) pair
-    /// accumulates observations — under-sampled backends quote
-    /// optimistically and get re-tried.
-    Ucb {
-        /// Exploration strength in milli-ratio units (250 ⇒ bonus starts
-        /// around a quarter of the static quote).
-        explore_milli: u32,
-    },
 }
 
 impl SchedPolicy {
-    /// Canonical lower-case name (`"static"` / `"ewma"` / `"ucb"`).
+    /// Canonical lower-case name (`"static"` / `"ewma"`).
     pub fn name(&self) -> &'static str {
         match self {
             SchedPolicy::Static => "static",
             SchedPolicy::Ewma { .. } => "ewma",
-            SchedPolicy::Ucb { .. } => "ucb",
         }
     }
 
     /// Validates policy parameters.
     ///
     /// # Errors
-    /// Returns a message for an EWMA shift above 16 or a UCB exploration
-    /// strength above 4000 milli (ratio 4).
+    /// Returns a message for an EWMA shift above 16.
     pub fn validate(&self) -> Result<(), String> {
         match self {
             SchedPolicy::Static => Ok(()),
             SchedPolicy::Ewma { shift } => {
                 if *shift > 16 {
                     Err("SchedPolicy: ewma shift must be <= 16".to_string())
-                } else {
-                    Ok(())
-                }
-            }
-            SchedPolicy::Ucb { explore_milli } => {
-                if *explore_milli > 4000 {
-                    Err("SchedPolicy: ucb explore_milli must be <= 4000".to_string())
                 } else {
                     Ok(())
                 }
@@ -270,7 +252,6 @@ impl SchedPolicy {
         match self {
             SchedPolicy::Static => Box::new(StaticPredictor),
             SchedPolicy::Ewma { shift } => Box::new(EwmaPredictor::new(*shift)),
-            SchedPolicy::Ucb { explore_milli } => Box::new(UcbPredictor::new(*explore_milli)),
         }
     }
 }
@@ -454,73 +435,6 @@ impl ServicePredictor for EwmaPredictor {
     }
 }
 
-/// UCB-style optimistic predictor: the running mean ratio per
-/// (backend, shape) minus an exploration bonus
-/// `explore · sqrt(ln(1 + T) / (1 + n))` (in ratio units), where `T` is
-/// the total observation count and `n` the key's. Optimism lowers the
-/// quote of under-sampled pairs, steering occasional traffic at them; the
-/// bonus decays as evidence accumulates. State is integer counts and sums,
-/// so the estimate stream is deterministic.
-#[derive(Debug)]
-pub struct UcbPredictor {
-    explore_milli: u32,
-    /// `(count, sum of Q16 ratios)` per key.
-    state: std::collections::BTreeMap<(usize, usize), (u64, i64)>,
-    total: u64,
-    mae: MaeState,
-}
-
-impl UcbPredictor {
-    /// Creates a UCB predictor with the given exploration strength
-    /// (milli-ratio units).
-    pub fn new(explore_milli: u32) -> Self {
-        UcbPredictor {
-            explore_milli,
-            state: std::collections::BTreeMap::new(),
-            total: 0,
-            mae: MaeState::default(),
-        }
-    }
-}
-
-impl ServicePredictor for UcbPredictor {
-    fn correction_q16(&self, backend: usize, n_logical: usize) -> i64 {
-        let (count, sum) = self
-            .state
-            .get(&(backend, n_logical))
-            .copied()
-            .unwrap_or((0, 0));
-        let mean = if count == 0 {
-            Q16_ONE as f64
-        } else {
-            sum as f64 / count as f64
-        };
-        let bonus = (self.explore_milli as f64 / 1000.0)
-            * Q16_ONE as f64
-            * ((1.0 + self.total as f64).ln() / (1.0 + count as f64)).sqrt();
-        clamp_q16((mean - bonus).round() as i64)
-    }
-
-    fn observe(&mut self, backend: usize, n_logical: usize, predicted_us: f64, observed_us: f64) {
-        let before = self.correction_q16(backend, n_logical);
-        self.mae
-            .record(corrected_us(predicted_us, before), observed_us);
-        let obs = ratio_q16(predicted_us, observed_us);
-        let entry = self.state.entry((backend, n_logical)).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += obs;
-        self.total += 1;
-    }
-
-    fn mae_us(&self) -> f64 {
-        self.mae.mae_us()
-    }
-
-    fn observations(&self) -> u64 {
-        self.mae.count
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Per-class report stanza
 // ---------------------------------------------------------------------------
@@ -690,24 +604,6 @@ mod tests {
     }
 
     #[test]
-    fn ucb_is_optimistic_then_converges() {
-        let mut p = UcbPredictor::new(250);
-        // Before any global evidence the bonus is zero (ln 1 = 0).
-        assert_eq!(p.correction_q16(0, 16), Q16_ONE);
-        for _ in 0..64 {
-            p.observe(0, 16, 100.0, 1000.0);
-        }
-        // Observed key converges near ratio 10 (bonus shrinks with n).
-        let seen = p.correction_q16(0, 16);
-        assert!(
-            (seen - 10 * Q16_ONE).abs() < Q16_ONE,
-            "UCB mean off: {seen}"
-        );
-        // An unobserved key now quotes optimistically below identity.
-        assert!(p.correction_q16(1, 16) < Q16_ONE);
-    }
-
-    #[test]
     fn static_predictor_is_inert() {
         let mut p = StaticPredictor;
         p.observe(0, 16, 100.0, 1000.0);
@@ -720,13 +616,7 @@ mod tests {
     fn policy_names_and_validation() {
         assert_eq!(SchedPolicy::Static.name(), "static");
         assert_eq!(SchedPolicy::Ewma { shift: 2 }.name(), "ewma");
-        assert_eq!(SchedPolicy::Ucb { explore_milli: 250 }.name(), "ucb");
         assert!(SchedPolicy::Ewma { shift: 17 }.validate().is_err());
-        assert!(SchedPolicy::Ucb {
-            explore_milli: 4001
-        }
-        .validate()
-        .is_err());
         assert!(ClassMix {
             urllc: 0,
             embb: 0,

@@ -260,7 +260,7 @@ pub struct SchedGridReport {
     pub frames_per_cell: usize,
     /// Nominal latency budget (µs).
     pub deadline_us: f64,
-    /// Adaptive-arm policy name (`"ewma"` / `"ucb"`).
+    /// Adaptive-arm policy name (`"ewma"`).
     pub policy: String,
     /// Backend-mix name.
     pub mix: String,

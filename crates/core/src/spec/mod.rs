@@ -20,7 +20,9 @@
 //! * [`SpecError`] — the shared validation error every config's
 //!   `validate()` returns, replacing the old ad-hoc assert/panic mix
 //!   (panicking `validate_or_panic` shims remain for the engine
-//!   entry points).
+//!   entry points). A config is a plain struct: the codec fills it from
+//!   its `record!` table, and code writes it as a literal and calls
+//!   `validate()`.
 //!
 //! The `hqw` runner binary (in `hqw-bench`) consumes this layer: registry
 //! presets are `ExperimentSpec` values, and `hqw run spec.json` parses a
@@ -539,8 +541,6 @@ record!(BackendMix {
 tagged!(ArrivalProcess by "process", "arrival process" {
     "periodic" => Periodic {},
     "bursty" => Bursty { burst: usize },
-    "diurnal" => Diurnal { amplitude: f64, cycle_frames: usize },
-    "heavy-tailed" => HeavyTailed { alpha: f64 },
 });
 
 record!(ClassMix {
@@ -552,7 +552,6 @@ record!(ClassMix {
 tagged!(SchedPolicy by "name", "scheduling policy" {
     "static" => Static {},
     "ewma" => Ewma { shift: u32 },
-    "ucb" => Ucb { explore_milli: u32 },
 });
 
 // Inside the stanza every knob may be left out when read; the policy is
@@ -790,7 +789,7 @@ mod tests {
             cell_counts: vec![2, 4],
             arrival_periods_us: vec![400.0, 200.0],
             mix: fabric.mixes[0].clone(),
-            policy: SchedPolicy::Ucb { explore_milli: 250 },
+            policy: SchedPolicy::Ewma { shift: 1 },
             classes: ClassMix {
                 urllc: 1,
                 embb: 2,
@@ -858,13 +857,7 @@ mod tests {
         // A static policy is still written once the stanza is.
         variant.sched.policy = SchedPolicy::Static;
         variant.sched.assumed_cost = None;
-        variant.arrival = ArrivalProcess::Diurnal {
-            amplitude: 0.5,
-            cycle_frames: 16,
-        };
-        let mut heavy = variant.clone();
-        heavy.arrival = ArrivalProcess::HeavyTailed { alpha: 1.5 };
-        heavy.sched.policy = SchedPolicy::Ucb { explore_milli: 250 };
+        variant.arrival = ArrivalProcess::Bursty { burst: 4 };
         let fixtures = [
             ber_spec(),
             stream_spec(),
@@ -874,7 +867,6 @@ mod tests {
             fabric_rt_spec(),
             figure_spec(),
             ExperimentSpec::Fabric(variant),
-            ExperimentSpec::Fabric(heavy),
         ];
         let got: Vec<String> = fixtures.iter().map(spec_fingerprint).collect();
         assert_eq!(
@@ -884,11 +876,10 @@ mod tests {
                 "55e57f062dfe5755",
                 "5d36f7d427a11d12",
                 "8777261a3578b9bb",
-                "eb5b59726a86cd69",
+                "9feb81f95ee946f8",
                 "b830d665250cec9c",
                 "97148630584afd82",
-                "c1da64d860e5e03e",
-                "dbe199a3168ea7e4",
+                "17c66466fef09328",
             ]
         );
     }
@@ -899,12 +890,8 @@ mod tests {
             unreachable!()
         };
         for arrival in [
+            ArrivalProcess::Periodic,
             ArrivalProcess::Bursty { burst: 3 },
-            ArrivalProcess::Diurnal {
-                amplitude: 0.5,
-                cycle_frames: 16,
-            },
-            ArrivalProcess::HeavyTailed { alpha: 1.5 },
         ] {
             let mut config = base.clone();
             config.arrival = arrival;

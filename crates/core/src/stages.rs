@@ -123,12 +123,6 @@ impl<D: Detector> DetectorInitializer<D> {
     }
 }
 
-/// Zero-forcing initializer with its `O(N³)` solve latency model.
-pub fn zf_initializer(n_users: usize) -> DetectorInitializer<hqw_phy::detect::ZeroForcing> {
-    let n = (2 * n_users) as f64; // real-stacked dimension
-    DetectorInitializer::new(hqw_phy::detect::ZeroForcing, n * n * n)
-}
-
 impl<D: Detector> ClassicalInitializer for DetectorInitializer<D> {
     fn name(&self) -> &'static str {
         self.detector.name()
@@ -151,6 +145,7 @@ impl<D: Detector> ClassicalInitializer for DetectorInitializer<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hqw_phy::detect::ZeroForcing;
     use hqw_phy::instance::InstanceConfig;
     use hqw_phy::modulation::Modulation;
 
@@ -178,7 +173,8 @@ mod tests {
     #[test]
     fn zf_initializer_solves_noiseless_instances_exactly() {
         let inst = instance();
-        let init = zf_initializer(4).initialize(&inst, &mut Rng64::new(1));
+        let init =
+            DetectorInitializer::new(ZeroForcing, 512.0).initialize(&inst, &mut Rng64::new(1));
         assert_eq!(
             init.bits, inst.tx_natural_bits,
             "noiseless ZF must be exact"
@@ -188,7 +184,7 @@ mod tests {
 
     #[test]
     fn detector_initializers_report_names() {
-        assert_eq!(zf_initializer(4).name(), "ZF");
+        assert_eq!(DetectorInitializer::new(ZeroForcing, 512.0).name(), "ZF");
     }
 
     #[test]

@@ -493,26 +493,6 @@ pub struct StreamGridConfig {
 }
 
 impl StreamGridConfig {
-    /// Starts a builder with the standard policy roster
-    /// ([`DispatchPolicy::ALL`]), default cost model and SA schedule; the
-    /// load axis must be set before `build()`.
-    pub fn builder(track: TrackConfig) -> StreamGridConfigBuilder {
-        StreamGridConfigBuilder {
-            config: StreamGridConfig {
-                track,
-                frames: 64,
-                arrival_periods_us: Vec::new(),
-                rhos: vec![0.0],
-                policies: DispatchPolicy::ALL.to_vec(),
-                deadline_us: 300.0,
-                cost: CostModel::default(),
-                sa: SaParams::default(),
-                seed: 0,
-                threads: 0,
-            },
-        }
-    }
-
     /// Validates the grid configuration (axes plus every per-cell
     /// parameter).
     ///
@@ -556,82 +536,6 @@ impl StreamGridConfig {
             return Err(SpecError::new(ctx, format!("arrival period {bad} not > 0")));
         }
         Ok(())
-    }
-}
-
-/// Builder for [`StreamGridConfig`] — the validated construction path the
-/// spec layer and examples use (`build()` runs
-/// [`StreamGridConfig::validate`]).
-#[derive(Debug, Clone)]
-pub struct StreamGridConfigBuilder {
-    config: StreamGridConfig,
-}
-
-impl StreamGridConfigBuilder {
-    /// Sets the frames streamed per cell (default 64).
-    pub fn frames(mut self, frames: usize) -> Self {
-        self.config.frames = frames;
-        self
-    }
-
-    /// Sets the load axis: arrival periods in µs, **descending** so "later
-    /// in the list" means "higher offered load". Required.
-    pub fn arrival_periods_us(mut self, periods: Vec<f64>) -> Self {
-        self.config.arrival_periods_us = periods;
-        self
-    }
-
-    /// Sets the channel-coherence axis (default `[0.0]`).
-    pub fn rhos(mut self, rhos: Vec<f64>) -> Self {
-        self.config.rhos = rhos;
-        self
-    }
-
-    /// Sets the policy axis (default: every [`DispatchPolicy`]).
-    pub fn policies(mut self, policies: Vec<DispatchPolicy>) -> Self {
-        self.config.policies = policies;
-        self
-    }
-
-    /// Sets the per-frame latency budget in µs (default 300).
-    pub fn deadline_us(mut self, deadline_us: f64) -> Self {
-        self.config.deadline_us = deadline_us;
-        self
-    }
-
-    /// Sets the work-counter → service-time model (default
-    /// [`CostModel::default`]).
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.config.cost = cost;
-        self
-    }
-
-    /// Sets the hybrid-arm SA schedule (default [`SaParams::default`]).
-    pub fn sa(mut self, sa: SaParams) -> Self {
-        self.config.sa = sa;
-        self
-    }
-
-    /// Sets the grid seed (default 0).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count (default 0 = all cores; results are
-    /// bit-identical for any value).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    /// Returns the first [`StreamGridConfig::validate`] violation.
-    pub fn build(self) -> Result<StreamGridConfig, SpecError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -1143,30 +1047,6 @@ mod tests {
             assert_eq!(err.context(), "StreamGridConfig");
         }
         assert_eq!(quick_grid(1).validate(), Ok(()));
-    }
-
-    #[test]
-    fn grid_builder_constructs_validated_configs() {
-        let config = StreamGridConfig::builder(track(0.0))
-            .frames(32)
-            .arrival_periods_us(vec![300.0, 90.0])
-            .rhos(vec![0.0, 0.9])
-            .policies(vec![DispatchPolicy::AlwaysHybrid])
-            .deadline_us(250.0)
-            .cost(CostModel::default())
-            .sa(quick_sa())
-            .seed(3)
-            .threads(1)
-            .build()
-            .expect("valid builder chain");
-        assert_eq!(config.frames, 32);
-        assert_eq!(config.policies, vec![DispatchPolicy::AlwaysHybrid]);
-        assert_eq!(config.seed, 3);
-
-        let err = StreamGridConfig::builder(track(0.0))
-            .build()
-            .expect_err("missing load axis must be rejected");
-        assert!(err.to_string().contains("empty load axis"));
     }
 
     #[test]

@@ -174,21 +174,6 @@ pub fn best_point(points: &[SweepPoint]) -> Option<SweepPoint> {
         .filter(|p| p.p_star > 0.0)
 }
 
-/// Median of the per-instance best parameters (the paper's "median best
-/// parameter setting" across instances). Returns `None` when no instance
-/// produced a successful point.
-pub fn median_best_param(per_instance_points: &[Vec<SweepPoint>]) -> Option<f64> {
-    let mut best: Vec<f64> = per_instance_points
-        .iter()
-        .filter_map(|pts| best_point(pts).map(|p| p.param))
-        .collect();
-    if best.is_empty() {
-        return None;
-    }
-    best.sort_by(|a, b| a.partial_cmp(b).expect("params are never NaN"));
-    Some(best[best.len() / 2])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,24 +315,5 @@ mod tests {
             mean_energy: -1.0,
         }];
         assert!(best_point(&points).is_none());
-    }
-
-    #[test]
-    fn median_best_param_across_instances() {
-        let make = |param, p_star| SweepPoint {
-            param,
-            p_star,
-            duration_us: 1.0,
-            tts_us: 10.0,
-            mean_energy: 0.0,
-        };
-        let per_instance = vec![
-            vec![make(0.4, 0.5)],
-            vec![make(0.6, 0.5)],
-            vec![make(0.5, 0.5)],
-            vec![make(0.9, 0.0)], // failed instance: ignored
-        ];
-        assert_eq!(median_best_param(&per_instance), Some(0.5));
-        assert_eq!(median_best_param(&[vec![make(0.9, 0.0)]]), None);
     }
 }

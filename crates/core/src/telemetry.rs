@@ -702,15 +702,6 @@ impl TelemetrySummary {
     /// The stanza's layout: one key per line, one stage or counter per
     /// line.
     pub(crate) const LAYOUT: Layout = Layout::Block(&[("stages", ROWS), ("counters", ROWS)]);
-
-    /// The p50 of a named stage, when that stage was recorded — the hook
-    /// `ci/check_bench.py --history` folds into the trajectory table.
-    pub fn stage_p50_us(&self, stage: &str) -> Option<f64> {
-        self.stages
-            .iter()
-            .find(|s| s.stage == stage)
-            .map(|s| s.hist.percentile(50.0))
-    }
 }
 
 #[cfg(test)]
@@ -892,8 +883,15 @@ mod tests {
         assert_eq!(summary.spans, 4);
         assert_eq!(summary.samples, 2);
         assert_eq!(summary.stages.len(), 2);
-        assert_eq!(summary.stage_p50_us("admit"), Some(2.0));
-        assert_eq!(summary.stage_p50_us("missing"), None);
+        let p50 = |name: &str| {
+            summary
+                .stages
+                .iter()
+                .find(|s| s.stage == name)
+                .map(|s| s.hist.percentile(50.0))
+        };
+        assert_eq!(p50("admit"), Some(2.0));
+        assert_eq!(p50("missing"), None);
         assert_eq!(summary.end_to_end.count(), 1);
         assert_eq!(summary.counters, vec![("delivery".to_string(), 5.0)]);
 

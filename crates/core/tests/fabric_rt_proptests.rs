@@ -20,18 +20,12 @@ use hqw_qubo::sa::SaParams;
 use proptest::prelude::*;
 
 fn arbitrary_arrival(rng: &mut Rng64) -> ArrivalProcess {
-    match rng.next_index(4) {
-        0 => ArrivalProcess::Periodic,
-        1 => ArrivalProcess::Bursty {
+    if rng.next_bool() {
+        ArrivalProcess::Periodic
+    } else {
+        ArrivalProcess::Bursty {
             burst: 1 + rng.next_index(5),
-        },
-        2 => ArrivalProcess::Diurnal {
-            amplitude: rng.next_range(0.0, 0.95),
-            cycle_frames: 2 + rng.next_index(12),
-        },
-        _ => ArrivalProcess::HeavyTailed {
-            alpha: rng.next_range(1.15, 3.0),
-        },
+        }
     }
 }
 
@@ -44,14 +38,8 @@ fn arbitrary_sched(rng: &mut Rng64) -> SchedOptions {
         return SchedOptions::default();
     }
     SchedOptions {
-        policy: if rng.next_bool() {
-            SchedPolicy::Ewma {
-                shift: rng.next_index(5) as u32,
-            }
-        } else {
-            SchedPolicy::Ucb {
-                explore_milli: rng.next_index(1001) as u32,
-            }
+        policy: SchedPolicy::Ewma {
+            shift: rng.next_index(5) as u32,
         },
         assumed_cost: if rng.next_bool() {
             Some(CostModel {

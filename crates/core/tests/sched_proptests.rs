@@ -6,7 +6,7 @@
 
 use hqw_core::fabric::{BackendMix, BackendSpec, SaPoolConfig};
 use hqw_core::sched::{
-    corrected_us, ClassMix, EwmaPredictor, SchedPolicy, ServicePredictor, UcbPredictor, Q16_ONE,
+    corrected_us, ClassMix, EwmaPredictor, SchedPolicy, ServicePredictor, Q16_ONE,
 };
 use hqw_core::stream::CostModel;
 use hqw_core::{run_grid, SchedGridConfig};
@@ -56,14 +56,8 @@ fn arbitrary_sched_grid(seed: u64) -> SchedGridConfig {
                 },
             })],
         },
-        policy: if rng.next_bool() {
-            SchedPolicy::Ewma {
-                shift: rng.next_index(5) as u32,
-            }
-        } else {
-            SchedPolicy::Ucb {
-                explore_milli: rng.next_index(1001) as u32,
-            }
+        policy: SchedPolicy::Ewma {
+            shift: rng.next_index(5) as u32,
         },
         classes: ClassMix {
             urllc: 1,
@@ -95,36 +89,25 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Both learning predictors replay deterministically (twin instances
-    /// fed the same trace agree bit-for-bit at every step) and never leave
+    /// The learning predictor replays deterministically (twin instances
+    /// fed the same trace agree bit-for-bit at every step) and never leaves
     /// the documented correction clamp range.
     #[test]
     fn predictor_state_is_replayable_and_clamped(seed in any::<u64>()) {
         let mut rng = Rng64::new(seed);
         let shift = rng.next_index(6) as u32;
-        let explore = rng.next_index(2001) as u32;
         let trace = arbitrary_trace(&mut rng, 64);
-        let mut pairs: Vec<(Box<dyn ServicePredictor>, Box<dyn ServicePredictor>)> = vec![
-            (
-                Box::new(EwmaPredictor::new(shift)),
-                Box::new(EwmaPredictor::new(shift)),
-            ),
-            (
-                Box::new(UcbPredictor::new(explore)),
-                Box::new(UcbPredictor::new(explore)),
-            ),
-        ];
-        for (a, b) in &mut pairs {
-            for &(backend, n, quoted, observed) in &trace {
-                a.observe(backend, n, quoted, observed);
-                b.observe(backend, n, quoted, observed);
-                let ca = a.correction_q16(backend, n);
-                prop_assert_eq!(ca, b.correction_q16(backend, n));
-                prop_assert!((Q16_ONE / 64..=Q16_ONE * 64).contains(&ca));
-                prop_assert_eq!(a.mae_us().to_bits(), b.mae_us().to_bits());
-            }
-            prop_assert_eq!(a.observations(), trace.len() as u64);
+        let mut a = EwmaPredictor::new(shift);
+        let mut b = EwmaPredictor::new(shift);
+        for &(backend, n, quoted, observed) in &trace {
+            a.observe(backend, n, quoted, observed);
+            b.observe(backend, n, quoted, observed);
+            let ca = a.correction_q16(backend, n);
+            prop_assert_eq!(ca, b.correction_q16(backend, n));
+            prop_assert!((Q16_ONE / 64..=Q16_ONE * 64).contains(&ca));
+            prop_assert_eq!(a.mae_us().to_bits(), b.mae_us().to_bits());
         }
+        prop_assert_eq!(a.observations(), trace.len() as u64);
     }
 
     /// EWMA state is per-(backend, shape): feedback for other keys never

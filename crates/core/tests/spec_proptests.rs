@@ -123,30 +123,22 @@ fn arbitrary_backend(rng: &mut Rng64) -> BackendSpec {
 }
 
 fn arbitrary_arrival(rng: &mut Rng64) -> ArrivalProcess {
-    match rng.next_index(4) {
-        0 => ArrivalProcess::Periodic,
-        1 => ArrivalProcess::Bursty {
+    if rng.next_bool() {
+        ArrivalProcess::Periodic
+    } else {
+        ArrivalProcess::Bursty {
             burst: 1 + rng.next_index(8),
-        },
-        2 => ArrivalProcess::Diurnal {
-            amplitude: rng.next_range(0.0, 0.99),
-            cycle_frames: 2 + rng.next_index(64),
-        },
-        _ => ArrivalProcess::HeavyTailed {
-            alpha: rng.next_range(1.1, 4.0),
-        },
+        }
     }
 }
 
 fn arbitrary_policy(rng: &mut Rng64) -> SchedPolicy {
-    match rng.next_index(3) {
-        0 => SchedPolicy::Static,
-        1 => SchedPolicy::Ewma {
+    if rng.next_bool() {
+        SchedPolicy::Static
+    } else {
+        SchedPolicy::Ewma {
             shift: rng.next_index(17) as u32,
-        },
-        _ => SchedPolicy::Ucb {
-            explore_milli: rng.next_index(4001) as u32,
-        },
+        }
     }
 }
 

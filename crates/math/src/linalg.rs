@@ -177,22 +177,6 @@ impl LuReal {
     }
 }
 
-/// Convenience: solves `A·x = b` for real `A`.
-///
-/// # Errors
-/// Propagates factorization failures.
-pub fn solve_real(a: &RMatrix, b: &RVector) -> Result<RVector, LinalgError> {
-    Ok(LuReal::new(a)?.solve(b))
-}
-
-/// Convenience: inverts a real square matrix.
-///
-/// # Errors
-/// Propagates factorization failures.
-pub fn invert_real(a: &RMatrix) -> Result<RMatrix, LinalgError> {
-    Ok(LuReal::new(a)?.inverse())
-}
-
 // ---------------------------------------------------------------------------
 // Complex LU
 // ---------------------------------------------------------------------------
@@ -296,22 +280,6 @@ impl LuComplex {
         }
         inv
     }
-}
-
-/// Convenience: solves `A·x = b` for complex `A`.
-///
-/// # Errors
-/// Propagates factorization failures.
-pub fn solve_complex(a: &CMatrix, b: &CVector) -> Result<CVector, LinalgError> {
-    Ok(LuComplex::new(a)?.solve(b))
-}
-
-/// Convenience: inverts a complex square matrix.
-///
-/// # Errors
-/// Propagates factorization failures.
-pub fn invert_complex(a: &CMatrix) -> Result<CMatrix, LinalgError> {
-    Ok(LuComplex::new(a)?.inverse())
 }
 
 // ---------------------------------------------------------------------------
@@ -540,7 +508,7 @@ mod tests {
         // [2 1; 1 3] x = [3; 5] → x = [0.8; 1.4]
         let a = RMatrix::from_vec(2, 2, vec![2., 1., 1., 3.]);
         let b = RVector::from_vec(vec![3., 5.]);
-        let x = solve_real(&a, &b).unwrap();
+        let x = LuReal::new(&a).unwrap().solve(&b);
         assert!((x[0] - 0.8).abs() < 1e-12);
         assert!((x[1] - 1.4).abs() < 1e-12);
     }
@@ -550,7 +518,7 @@ mod tests {
         let mut rng = Rng64::new(7);
         for n in [1usize, 2, 3, 5, 8, 13] {
             let a = random_matrix(n, n, &mut rng);
-            let inv = invert_real(&a).unwrap();
+            let inv = LuReal::new(&a).unwrap().inverse();
             let prod = a.matmul(&inv);
             assert!(
                 prod.max_abs_diff(&RMatrix::identity(n)) < 1e-8,
@@ -588,7 +556,7 @@ mod tests {
             let a = CMatrix::from_fn(n, n, |_, _| {
                 Complex64::new(rng.next_gaussian(), rng.next_gaussian())
             });
-            let inv = invert_complex(&a).unwrap();
+            let inv = LuComplex::new(&a).unwrap().inverse();
             let prod = a.matmul(&inv);
             assert!(
                 prod.max_abs_diff(&CMatrix::identity(n)) < 1e-8,
@@ -614,7 +582,7 @@ mod tests {
             // And the solver matches LU.
             let rhs = RVector::from_vec((0..n).map(|i| i as f64 - 1.5).collect());
             let x1 = ch.solve(&rhs);
-            let x2 = solve_real(&a, &rhs).unwrap();
+            let x2 = LuReal::new(&a).unwrap().solve(&rhs);
             for i in 0..n {
                 assert!((x1[i] - x2[i]).abs() < 1e-8);
             }
@@ -663,7 +631,7 @@ mod tests {
         let x_qr = QrReal::new(&a).solve_least_squares(&y);
 
         // Normal equations: (AᵀA)x = Aᵀy
-        let x_ne = solve_real(&a.gram(), &a.tr_matvec(&y)).unwrap();
+        let x_ne = LuReal::new(&a.gram()).unwrap().solve(&a.tr_matvec(&y));
         for i in 0..3 {
             assert!((x_qr[i] - x_ne[i]).abs() < 1e-8);
         }

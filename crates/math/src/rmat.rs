@@ -44,11 +44,6 @@ impl RVector {
         &mut self.data
     }
 
-    /// Consumes the vector, returning its storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Dot product `self · other`.
     ///
     /// # Panics

@@ -4,49 +4,6 @@
 //! distributions of Figure 6, the 2%-wide ΔE_IS% bins of Figure 7, and the
 //! median-based parameter selection of §4.3.
 
-/// Summary statistics of a sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (n−1 denominator; 0 for n < 2).
-    pub std_dev: f64,
-    /// Minimum value.
-    pub min: f64,
-    /// Maximum value.
-    pub max: f64,
-    /// Median (50th percentile).
-    pub median: f64,
-}
-
-/// Computes summary statistics of a sample.
-///
-/// Returns `None` for an empty sample.
-pub fn summarize(samples: &[f64]) -> Option<Summary> {
-    if samples.is_empty() {
-        return None;
-    }
-    let count = samples.len();
-    let mean = samples.iter().sum::<f64>() / count as f64;
-    let var = if count > 1 {
-        samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (count - 1) as f64
-    } else {
-        0.0
-    };
-    let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    Some(Summary {
-        count,
-        mean,
-        std_dev: var.sqrt(),
-        min,
-        max,
-        median: percentile(samples, 50.0),
-    })
-}
-
 /// Computes the `p`-th percentile (0–100) with linear interpolation.
 ///
 /// Sorts a copy of the input; suitable for analysis-sized sample sets.
@@ -367,19 +324,18 @@ mod tests {
 
     #[test]
     fn summary_of_known_sample() {
-        let s = summarize(&[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(s.count, 4);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.median - 2.5).abs() < 1e-12);
+        let sample = [1.0, 2.0, 3.0, 4.0];
+        let mut s = RunningStats::new();
+        for &x in &sample {
+            s.add(x);
+        }
+        assert_eq!(s.count(), 4);
+        assert!((s.mean() - 2.5).abs() < 1e-12);
+        assert_eq!(s.min(), 1.0);
+        assert_eq!(s.max(), 4.0);
+        assert!((median(&sample) - 2.5).abs() < 1e-12);
         // Sample std dev of 1..4 is sqrt(5/3).
-        assert!((s.std_dev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_of_empty_is_none() {
-        assert!(summarize(&[]).is_none());
+        assert!((s.std_dev() - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -497,12 +453,17 @@ mod tests {
         for &x in &data {
             rs.add(x);
         }
-        let batch = summarize(&data).unwrap();
+        // Two-pass batch oracle: mean, then the n−1 sample variance.
+        let mean = data.iter().sum::<f64>() / 100.0;
+        let var = data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / 99.0;
         assert_eq!(rs.count(), 100);
-        assert!((rs.mean() - batch.mean).abs() < 1e-12);
-        assert!((rs.std_dev() - batch.std_dev).abs() < 1e-12);
-        assert_eq!(rs.min(), batch.min);
-        assert_eq!(rs.max(), batch.max);
+        assert!((rs.mean() - mean).abs() < 1e-12);
+        assert!((rs.std_dev() - var.sqrt()).abs() < 1e-12);
+        assert_eq!(rs.min(), data.iter().cloned().fold(f64::INFINITY, f64::min));
+        assert_eq!(
+            rs.max(),
+            data.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
+        );
     }
 
     #[test]

@@ -24,22 +24,6 @@ impl Fcsd {
     pub fn new(rho: usize) -> Self {
         Fcsd { rho }
     }
-
-    /// Number of candidate paths this configuration completes for `system`.
-    pub fn path_count(&self, system: &MimoSystem) -> usize {
-        let dim = 2 * system.n_tx;
-        let rho = self.rho.min(dim);
-        let mut count = 1usize;
-        for d in (dim - rho..dim).rev() {
-            let m = if d >= system.n_tx {
-                system.modulation.q_bits()
-            } else {
-                system.modulation.i_bits()
-            };
-            count = count.saturating_mul(1usize << m);
-        }
-        count
-    }
 }
 
 impl Detector for Fcsd {
@@ -158,10 +142,11 @@ mod tests {
 
     #[test]
     fn path_count_is_fixed_complexity() {
-        let sys = MimoSystem::new(4, 4, Modulation::Qam16);
+        let sc = noiseless(Modulation::Qam16, 4, 77);
         // Top layers are Q rails (2 bits → 4 levels each).
-        assert_eq!(Fcsd::new(0).path_count(&sys), 1);
-        assert_eq!(Fcsd::new(1).path_count(&sys), 4);
-        assert_eq!(Fcsd::new(2).path_count(&sys), 16);
+        for (rho, paths) in [(0, 1), (1, 4), (2, 16)] {
+            let det = Fcsd::new(rho).detect(&sc.system, &sc.h, &sc.y);
+            assert_eq!(det.meta.nodes_visited, paths, "rho={rho}");
+        }
     }
 }

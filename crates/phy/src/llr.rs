@@ -14,9 +14,8 @@
 //!
 //! Sign convention: **positive LLR ⇒ bit 0 is more likely**.
 
-use crate::mimo::MimoSystem;
 use crate::modulation::Modulation;
-use hqw_math::{CMatrix, CVector, Complex64};
+use hqw_math::Complex64;
 
 /// Per-bit soft information for one user symbol.
 ///
@@ -45,25 +44,6 @@ pub fn symbol_llrs(modulation: Modulation, equalized: Complex64, noise_variance:
         .collect()
 }
 
-/// Soft information for a whole channel use: ZF-equalize, then per-user
-/// max-log LLRs. Returns a user-major flat vector of length
-/// `n_tx · bits_per_symbol` (Gray labeling).
-pub fn receiver_llrs(
-    system: &MimoSystem,
-    h: &CMatrix,
-    y: &CVector,
-    noise_variance: f64,
-) -> Vec<f64> {
-    // Equalize without slicing: the ZF solve, keeping raw estimates
-    // (`detect::ZeroForcing` slices internally).
-    let qr = hqw_math::linalg::QrReal::new(&h.to_real_stacked());
-    let x_stacked = qr.solve_least_squares(&y.to_real_stacked());
-    let estimates = CVector::from_real_stacked(&x_stacked);
-    (0..system.n_tx)
-        .flat_map(|u| symbol_llrs(system.modulation, estimates[u], noise_variance))
-        .collect()
-}
-
 /// Selects high-confidence bits: indices (user-major, Gray labels) whose
 /// |LLR| meets `threshold`, paired with the likely bit value.
 pub fn confident_bits(llrs: &[f64], threshold: f64) -> Vec<(usize, u8)> {
@@ -79,7 +59,9 @@ pub fn confident_bits(llrs: &[f64], threshold: f64) -> Vec<(usize, u8)> {
 mod tests {
     use super::*;
     use crate::channel::{add_awgn, ChannelModel};
-    use hqw_math::Rng64;
+    use crate::mimo::MimoSystem;
+    use hqw_math::linalg::QrReal;
+    use hqw_math::{CVector, Rng64};
 
     #[test]
     fn llr_signs_match_transmitted_bits_noiseless() {
@@ -128,7 +110,12 @@ mod tests {
         let x = sys.modulate(&bits);
         let mut y = sys.transmit(&h, &x);
         add_awgn(&mut y, 1e-4, &mut rng);
-        let llrs = receiver_llrs(&sys, &h, &y, 1e-4);
+        // ZF-equalize without slicing, then per-user max-log LLRs.
+        let qr = QrReal::new(&h.to_real_stacked());
+        let estimates = CVector::from_real_stacked(&qr.solve_least_squares(&y.to_real_stacked()));
+        let llrs: Vec<f64> = (0..sys.n_tx)
+            .flat_map(|u| symbol_llrs(sys.modulation, estimates[u], 1e-4))
+            .collect();
         assert_eq!(llrs.len(), 16);
         for (k, &b) in bits.iter().enumerate() {
             let decided = if llrs[k] > 0.0 { 0u8 } else { 1u8 };

@@ -1,11 +1,10 @@
-//! Single-flip local search (steepest descent) and random-restart wrappers.
+//! Single-flip local search (steepest descent).
 //!
 //! Used (a) as a cheap classical baseline, (b) to post-process annealer
 //! samples, and (c) in tests to certify that solver outputs are at least
 //! locally optimal.
 
 use crate::model::Qubo;
-use hqw_math::Rng64;
 
 /// Descends from `start` by repeatedly applying the single best improving
 /// flip until a local minimum is reached. Returns `(bits, energy, steps)`.
@@ -43,35 +42,12 @@ pub fn is_local_minimum(qubo: &Qubo, bits: &[u8]) -> bool {
     (0..qubo.num_vars()).all(|k| qubo.flip_delta(bits, k) >= -1e-12)
 }
 
-/// Steepest descent from `restarts` uniform random starts; returns the best
-/// `(bits, energy)` found.
-///
-/// # Panics
-/// Panics when `restarts == 0`.
-pub fn random_restart_descent(qubo: &Qubo, restarts: usize, rng: &mut Rng64) -> (Vec<u8>, f64) {
-    assert!(
-        restarts > 0,
-        "random_restart_descent: need at least one restart"
-    );
-    let n = qubo.num_vars();
-    let mut best_bits = Vec::new();
-    let mut best_energy = f64::INFINITY;
-    for _ in 0..restarts {
-        let start: Vec<u8> = (0..n).map(|_| rng.next_bool() as u8).collect();
-        let (bits, energy, _) = steepest_descent(qubo, &start);
-        if energy < best_energy {
-            best_energy = energy;
-            best_bits = bits;
-        }
-    }
-    (best_bits, best_energy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::exhaustive_minimum;
     use crate::generator::random_qubo;
+    use hqw_math::Rng64;
 
     #[test]
     fn descends_to_known_optimum() {
@@ -124,7 +100,12 @@ mod tests {
         for _ in 0..5 {
             let q = random_qubo(10, &mut rng);
             let (_, e_best) = exhaustive_minimum(&q);
-            let (_, e_rr) = random_restart_descent(&q, 50, &mut rng);
+            let e_rr = (0..50)
+                .map(|_| {
+                    let start: Vec<u8> = (0..10).map(|_| rng.next_bool() as u8).collect();
+                    steepest_descent(&q, &start).1
+                })
+                .fold(f64::INFINITY, f64::min);
             assert!(
                 (e_rr - e_best).abs() < 1e-9,
                 "50 restarts should crack a 10-var problem ({e_rr} vs {e_best})"

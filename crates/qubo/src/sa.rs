@@ -215,44 +215,9 @@ fn sa_read_impl(
 /// parallel per [`SaParams::threads`] with per-read RNG streams drawn from
 /// `rng` up front, so the result is bit-identical for any thread count.
 pub fn sample_qubo(qubo: &Qubo, params: &SaParams, rng: &mut Rng64) -> SampleSet {
-    sample_qubo_with_start(qubo, params, None, rng)
-}
-
-/// [`sample_qubo`] with an optional **warm start**: when `warm_start` is
-/// given, every read begins from that bit assignment instead of a uniform
-/// random state (reads still diverge through their independent Metropolis
-/// streams), and the seed itself joins the sample set as one extra
-/// zero-cost candidate — the hot phase of the schedule can randomize the
-/// seed away, so including it guarantees the best sample is never worse
-/// than the state the caller already had (the same "refinement can only
-/// help" selection the hybrid solver applies). `total_reads` is therefore
-/// `num_reads + 1` under a warm start. With `None` this is exactly
-/// `sample_qubo` — same RNG consumption, bit-identical output.
-///
-/// Warm starts are how streaming workloads exploit temporal channel
-/// coherence: frame `t − 1`'s decision is a low-ΔE_IS initial state for
-/// frame `t`, so warm reads reach cold-start quality in fewer sweeps.
-///
-/// # Panics
-/// Panics on invalid parameters, a warm-start length mismatch or a warm
-/// bit other than 0 or 1.
-pub fn sample_qubo_with_start(
-    qubo: &Qubo,
-    params: &SaParams,
-    warm_start: Option<&[u8]>,
-    rng: &mut Rng64,
-) -> SampleSet {
     params.validate_or_panic();
     let (csr, offset) = CsrIsing::from_qubo(qubo);
     let n = qubo.num_vars();
-    let warm_spins = warm_start.map(|bits| {
-        assert_eq!(bits.len(), n, "sample_qubo_with_start: start length");
-        assert!(
-            bits.iter().all(|&b| b <= 1),
-            "sample_qubo_with_start: warm-start bits must be 0 or 1"
-        );
-        crate::solution::bits_to_spins(bits)
-    });
 
     // Per-read seeds drawn from the caller's stream: the fan-out is
     // deterministic and thread-count invariant.
@@ -260,12 +225,9 @@ pub fn sample_qubo_with_start(
 
     let reads = parallel_map_indexed(&read_seeds, params.threads, |_, &read_seed| {
         let mut read_rng = Rng64::new(read_seed);
-        let start: Vec<i8> = match &warm_spins {
-            Some(spins) => spins.clone(),
-            None => (0..n)
-                .map(|_| if read_rng.next_bool() { 1 } else { -1 })
-                .collect(),
-        };
+        let start: Vec<i8> = (0..n)
+            .map(|_| if read_rng.next_bool() { 1 } else { -1 })
+            .collect();
         let state = sa_read_csr(&csr, params, &start, &mut read_rng);
         let energy = state.energy() + offset;
         let spins = state.into_spins();
@@ -275,44 +237,22 @@ pub fn sample_qubo_with_start(
         );
         (spins_to_bits(&spins), energy)
     });
-
-    // The seed is a known state at zero cost: report it alongside the reads
-    // so warm-started sampling is structurally never-worse-than-seed.
-    let seed_sample = warm_start.map(|bits| (bits.to_vec(), qubo.energy(bits)));
-    SampleSet::from_reads(seed_sample.into_iter().chain(reads))
+    SampleSet::from_reads(reads)
 }
 
-/// Samples a **batch** of QUBOs in one call — the backend-side primitive the
-/// compute-fabric scheduler coalesces same-shape detection problems into.
+/// Samples a **batch** of QUBOs in one call with **one independent seed
+/// per problem** — the backend-side primitive the compute-fabric scheduler
+/// coalesces same-shape detection problems into.
 ///
 /// All `problems × num_reads` reads fan out through a **single** parallel
 /// dispatch, so a pool with more workers than any one problem has reads
 /// still saturates (cross-problem parallelism) — the batching win over a
 /// `sample_qubo` loop, whose fan-outs are bounded by `num_reads` each.
 ///
-/// Results are bit-identical to the sequential loop: per-read seeds are
-/// drawn from the caller's RNG problem-major (problem 0's reads first),
-/// exactly the positions `sample_qubo` would consume, and each read's
-/// Metropolis stream depends only on its seed (regression-tested below).
-///
-/// # Panics
-/// Panics on invalid parameters.
-pub fn sample_qubo_batch(qubos: &[&Qubo], params: &SaParams, rng: &mut Rng64) -> Vec<SampleSet> {
-    params.validate_or_panic();
-    // Problem-major seed draw: the exact stream positions a sequential
-    // `sample_qubo` loop would consume.
-    let read_seeds: Vec<(usize, u64)> = (0..qubos.len())
-        .flat_map(|k| std::iter::repeat_n(k, params.num_reads))
-        .map(|k| (k, rng.next_u64()))
-        .collect();
-    run_batch_reads(qubos, params, read_seeds)
-}
-
-/// [`sample_qubo_batch`] with **one independent seed per problem**: problem
-/// `k`'s reads derive from `seeds[k]` alone, so its sample set is
+/// Problem `k`'s reads derive from `seeds[k]` alone, so its sample set is
 /// bit-identical to `sample_qubo(qubos[k], params, &mut Rng64::new(seeds[k]))`
-/// regardless of which other problems share the call. This is the variant a
-/// scheduler that re-buckets jobs into batches dynamically wants: results
+/// regardless of which other problems share the call. A scheduler that
+/// re-buckets jobs into batches dynamically needs exactly this: results
 /// can never depend on batch composition (regression-tested below).
 ///
 /// # Panics
@@ -338,16 +278,6 @@ pub fn sample_qubo_batch_seeded(
                 .collect::<Vec<_>>()
         })
         .collect();
-    run_batch_reads(qubos, params, read_seeds)
-}
-
-/// Shared fan-out core of the batch samplers: runs every `(problem, read
-/// seed)` pair through one parallel dispatch and regroups by problem.
-fn run_batch_reads(
-    qubos: &[&Qubo],
-    params: &SaParams,
-    read_seeds: Vec<(usize, u64)>,
-) -> Vec<SampleSet> {
     let prepared: Vec<(CsrIsing, f64, usize)> = qubos
         .iter()
         .map(|qubo| {
@@ -371,26 +301,6 @@ fn run_batch_reads(
         per_problem[k].push(read);
     }
     per_problem.into_iter().map(SampleSet::from_reads).collect()
-}
-
-/// Best-effort ground-state search: SA with an aggressive schedule and many
-/// reads, refined by steepest descent. Returns `(bits, energy)`.
-///
-/// Used to certify ground energies where enumeration is infeasible; for the
-/// paper's noiseless MIMO instances the analytic ground state is available
-/// and this function is a cross-check.
-pub fn intensive_search(qubo: &Qubo, num_reads: usize, rng: &mut Rng64) -> (Vec<u8>, f64) {
-    let params = SaParams {
-        beta_initial: 0.05,
-        beta_final: 20.0,
-        sweeps: 256,
-        num_reads,
-        threads: 1,
-    };
-    let set = sample_qubo(qubo, &params, rng);
-    let best = set.best().expect("intensive_search: no samples");
-    let (bits, energy, _) = crate::local::steepest_descent(qubo, &best.bits);
-    (bits, energy)
 }
 
 #[cfg(test)]
@@ -455,7 +365,21 @@ mod tests {
         let mut rng = Rng64::new(33);
         let (q, planted) = planted_qubo(40, 120, &mut rng);
         let e_planted = q.energy(&planted);
-        let (_, e_found) = intensive_search(&q, 16, &mut rng);
+        // An aggressive schedule with many reads, refined by steepest
+        // descent.
+        let params = SaParams {
+            beta_initial: 0.05,
+            beta_final: 20.0,
+            sweeps: 256,
+            num_reads: 16,
+            threads: 1,
+        };
+        let best = sample_qubo(&q, &params, &mut rng)
+            .best()
+            .unwrap()
+            .bits
+            .clone();
+        let (_, e_found, _) = crate::local::steepest_descent(&q, &best);
         assert!(
             e_found <= e_planted + 1e-9,
             "SA should reach the planted optimum: found {e_found}, planted {e_planted}"
@@ -531,6 +455,7 @@ mod tests {
         let mut rng = Rng64::new(97);
         let problems: Vec<Qubo> = (0..3).map(|_| random_qubo(10, &mut rng)).collect();
         let refs: Vec<&Qubo> = problems.iter().collect();
+        let seeds = [5u64, 6, 7];
         let params = SaParams {
             sweeps: 24,
             num_reads: 6,
@@ -538,11 +463,11 @@ mod tests {
             ..SaParams::default()
         };
 
-        let batch = sample_qubo_batch(&refs, &params, &mut Rng64::new(5));
-        let mut seq_rng = Rng64::new(5);
+        let batch = sample_qubo_batch_seeded(&refs, &params, &seeds);
         let sequential: Vec<SampleSet> = problems
             .iter()
-            .map(|q| sample_qubo(q, &params, &mut seq_rng))
+            .zip(seeds)
+            .map(|(q, seed)| sample_qubo(q, &params, &mut Rng64::new(seed)))
             .collect();
 
         assert_eq!(batch.len(), sequential.len());
@@ -550,6 +475,7 @@ mod tests {
             let av: Vec<_> = a.iter().map(|s| (s.bits.clone(), s.occurrences)).collect();
             let bv: Vec<_> = b.iter().map(|s| (s.bits.clone(), s.occurrences)).collect();
             assert_eq!(av, bv, "batched and sequential samples diverged");
+            assert_eq!(a.best_energy().to_bits(), b.best_energy().to_bits());
         }
     }
 
@@ -564,10 +490,11 @@ mod tests {
             threads: 1,
             ..SaParams::default()
         };
-        let serial = sample_qubo_batch(&refs, &params, &mut Rng64::new(8));
+        let seeds = [8u64, 9, 10, 11];
+        let serial = sample_qubo_batch_seeded(&refs, &params, &seeds);
         for threads in [2, 0] {
             params.threads = threads;
-            let parallel = sample_qubo_batch(&refs, &params, &mut Rng64::new(8));
+            let parallel = sample_qubo_batch_seeded(&refs, &params, &seeds);
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.best_energy(), b.best_energy(), "threads={threads}");
                 let av: Vec<_> = a.iter().map(|s| (s.bits.clone(), s.occurrences)).collect();
@@ -579,8 +506,6 @@ mod tests {
 
     #[test]
     fn batched_sampling_accepts_an_empty_batch() {
-        let out = sample_qubo_batch(&[], &SaParams::default(), &mut Rng64::new(1));
-        assert!(out.is_empty());
         assert!(sample_qubo_batch_seeded(&[], &SaParams::default(), &[]).is_empty());
     }
 
@@ -660,62 +585,6 @@ mod tests {
         assert_eq!(trace.sweeps_to_reach(trace.best_by_sweep[0]), Some(0));
         // An unreachable target reports None.
         assert_eq!(trace.sweeps_to_reach(trace.best_energy() - 1e6), None);
-    }
-
-    #[test]
-    fn warm_start_none_is_exactly_sample_qubo() {
-        let q = random_qubo(10, &mut Rng64::new(85));
-        let params = SaParams {
-            num_reads: 9,
-            ..SaParams::default()
-        };
-        let a = sample_qubo(&q, &params, &mut Rng64::new(3));
-        let b = sample_qubo_with_start(&q, &params, None, &mut Rng64::new(3));
-        assert_eq!(a.total_reads(), b.total_reads());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.bits, y.bits);
-            assert_eq!(x.energy.to_bits(), y.energy.to_bits());
-        }
-    }
-
-    #[test]
-    fn warm_started_reads_never_lose_to_their_seed() {
-        // Structural guarantee: the seed joins the sample set as a
-        // zero-cost candidate, so even a pathologically hot schedule (one
-        // sweep at near-zero β, which randomizes the seed away) cannot
-        // return anything worse than the seed itself.
-        let mut rng = Rng64::new(87);
-        let (q, planted) = planted_qubo(24, 60, &mut rng);
-        let params = SaParams {
-            beta_initial: 1e-3,
-            beta_final: 1e-3,
-            sweeps: 1,
-            num_reads: 4,
-            ..SaParams::default()
-        };
-        let set = sample_qubo_with_start(&q, &params, Some(&planted), &mut rng);
-        assert_eq!(set.total_reads(), 5, "seed counts as one extra sample");
-        assert!(
-            set.best_energy() <= q.energy(&planted) + 1e-9,
-            "warm-started SA regressed below its seed quality"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "start length")]
-    fn warm_start_length_mismatch_panics() {
-        let q = random_qubo(6, &mut Rng64::new(89));
-        sample_qubo_with_start(&q, &SaParams::default(), Some(&[0, 1]), &mut Rng64::new(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "warm-start bits must be 0 or 1")]
-    fn warm_start_non_binary_bits_panic() {
-        // A 2 would start its read as spin −1 but count as 1 in the seed's
-        // QUBO energy, and could come back as the best sample.
-        let q = random_qubo(6, &mut Rng64::new(89));
-        let bits = [0, 1, 2, 0, 1, 0];
-        sample_qubo_with_start(&q, &SaParams::default(), Some(&bits), &mut Rng64::new(1));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! driven through the unified experiment API.
 //!
 //! The paper's evaluation is noiseless (§4.2); this example sweeps a noisy
-//! 4-user 16-QAM uplink across SNR using the validated builder path
-//! (`SnrSweepConfig::builder()…build()`), a custom detector roster, the
-//! scenario engine, and the unified `Report` surface — then prints the
+//! 4-user 16-QAM uplink across SNR from an `SnrSweepConfig` literal
+//! checked by `validate()`, a custom detector roster, the scenario
+//! engine, and the unified `Report` surface — then prints the
 //! declarative `ExperimentSpec` JSON that `hqw run` would accept to
 //! reproduce the sweep's grid shape, plus a soft-output (LLR) demo.
 //!
@@ -12,7 +12,7 @@
 //! cargo run --release --example noisy_uplink
 //! ```
 
-use hqw::phy::channel::snr_db_to_noise_variance;
+use hqw::phy::channel::{snr_db_to_noise_variance, ChannelModel};
 use hqw::phy::detect::{KBest, Mmse, SphereDecoder, ZeroForcing};
 use hqw::prelude::*;
 use hqw::qubo::sa::SaParams;
@@ -20,15 +20,20 @@ use std::sync::Arc;
 
 fn main() {
     // 1. Declare the experiment: 4-user 16-QAM, four SNR points, paired
-    //    channel realizations. `build()` validates — no panics downstream.
+    //    channel realizations. `validate()` checks it — no panics
+    //    downstream.
     let users = 4;
-    let config = SnrSweepConfig::builder(users, Modulation::Qam16)
-        .snr_db(vec![8.0, 12.0, 16.0, 20.0])
-        .realizations(8)
-        .seed(1313)
-        .threads(0) // all cores; results are bit-identical for any value
-        .build()
-        .expect("a valid sweep configuration");
+    let config = SnrSweepConfig {
+        n_users: users,
+        n_rx: users,
+        modulation: Modulation::Qam16,
+        channel: ChannelModel::UnitGainRandomPhase,
+        snr_db: vec![8.0, 12.0, 16.0, 20.0],
+        realizations: 8,
+        seed: 1313,
+        threads: 0, // all cores; results are bit-identical for any value
+    };
+    config.validate().expect("a valid sweep configuration");
 
     // 2. A roster mixing the classical families with the QUBO/SA path.
     //    MMSE is noise-matched: it is rebuilt from each point's variance.

@@ -5,11 +5,10 @@
 use hqw::anneal::embedding::{ChainStrength, CliqueEmbedding};
 use hqw::anneal::sampler::{EngineKind, SamplerConfig};
 use hqw::anneal::topology::Chimera;
-use hqw::core::stages::{GreedyInitializer, OracleInitializer};
+use hqw::core::stages::{DetectorInitializer, GreedyInitializer, OracleInitializer};
 use hqw::core::sweep::sweep_ra_sp;
+use hqw::phy::detect::ZeroForcing;
 use hqw::prelude::*;
-use hqw::qubo::solution::{bits_to_spins, spins_to_bits};
-use hqw::qubo::CsrIsing;
 
 fn quick_sampler(reads: usize) -> QuantumSampler {
     QuantumSampler::new(
@@ -111,36 +110,40 @@ fn ra_sp_band_exists_for_ground_seeded_ra() {
 
 #[test]
 fn embedded_chimera_pipeline_round_trips() {
-    // MIMO instance → logical Ising → Chimera-embedded Ising → anneal →
-    // unembed → wireless bits. End-to-end over the hardware-graph path.
+    // MIMO instance → logical QUBO → Chimera-embedded Ising → anneal →
+    // unembed → wireless bits. End-to-end over the hardware-graph path the
+    // mock QPU serves; the reverse-anneal initial state is programmed
+    // through the embedding too.
     let mut rng = Rng64::new(77);
     let inst = DetectionInstance::generate(
         &InstanceConfig::paper(2, Modulation::Qpsk), // 4 logical vars
         &mut rng,
     );
-    let (logical, _offset) = CsrIsing::from_qubo(&inst.reduction.qubo);
     let graph = Chimera::new(1); // K4 fits on a single cell's shore pairing
-    let embedding = CliqueEmbedding::new(graph, logical.num_vars());
-    let physical = embedding.embed(&logical, ChainStrength::RelativeToMax(2.0));
-
-    // Program the reverse-anneal initial state through the embedding too.
-    let init_spins = bits_to_spins(&inst.tx_natural_bits);
-    let phys_init = embedding.embed_state(&init_spins, &mut rng);
+    let embedding = CliqueEmbedding::new(graph, inst.num_vars());
 
     let sampler = quick_sampler(20);
     let schedule = AnnealSchedule::reverse(0.85, 1.0).unwrap();
-    let result = sampler.sample_ising(&physical, &schedule, Some(&phys_init), 13);
+    let (result, chain_break_fraction) = sampler.sample_qubo_embedded(
+        &inst.reduction.qubo,
+        &embedding,
+        ChainStrength::RelativeToMax(2.0),
+        &schedule,
+        Some(&inst.tx_natural_bits),
+        13,
+    );
 
-    // Unembed the best read and score it as wireless bits.
-    let best = result.samples.best().expect("samples");
-    let (logical_spins, broken) = embedding.unembed(&bits_to_spins(&best.bits));
-    let bits = spins_to_bits(&logical_spins);
-    assert!(broken <= 1, "chains should mostly hold at this strength");
+    // Score the best unembedded read as wireless bits.
+    let bits = &result.samples.best().expect("samples").bits;
+    assert!(
+        chain_break_fraction <= 0.25,
+        "chains should mostly hold at this strength"
+    );
     assert_eq!(
-        bits, inst.tx_natural_bits,
+        bits, &inst.tx_natural_bits,
         "embedded RA should hold the programmed ground state"
     );
-    assert_eq!(inst.score_ber(&bits), 0.0);
+    assert_eq!(inst.score_ber(bits), 0.0);
 }
 
 #[test]
@@ -187,7 +190,8 @@ fn detector_initializers_integrate_with_the_hybrid() {
         quick_sampler(10),
         HybridConfig {
             protocol: Protocol::paper_ra(0.8),
-            initializer: Box::new(hqw::core::stages::zf_initializer(3)),
+            // (2·3)³: the real-stacked ZF solve's latency model.
+            initializer: Box::new(DetectorInitializer::new(ZeroForcing, 216.0)),
         },
     );
     let result = solver.solve(&inst, 3);
