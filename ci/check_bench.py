@@ -72,7 +72,9 @@ BENCH_fabric_rt.json
     (sa_job/48x2/8); its prog16 column the served frame's QUBO -> CSR
     build (program/qubo_to_csr/16) and its embed8 column the mock QPU's
     programming of an 8-variable job, that build plus the clique embedding
-    onto C2 (program/embed_c2/8); "-" where a commit did not record it;
+    onto C2 (program/embed_c2/8); its reduce16 column the ML -> QUBO
+    reduction of detect-ra's 8-user frame (program/reduce_qubo/16); "-"
+    where a commit did not record it;
   * gates that the *newest* committed BENCH_kernels.json still holds the
     dense-256 SA sweep-kernel speedup floor (>= 3x, the same floor the
     fresh-measurement gate applies) — history may wander, the present may
@@ -956,6 +958,7 @@ HISTORY_COLUMNS = [
     ("BENCH_kernels.json", "sajob", lambda b: _result_ns(b, "sa_job/48x2/8")),
     ("BENCH_kernels.json", "prog16", lambda b: _result_ns(b, "program/qubo_to_csr/16")),
     ("BENCH_kernels.json", "embed8", lambda b: _result_ns(b, "program/embed_c2/8")),
+    ("BENCH_kernels.json", "reduce16", lambda b: _result_ns(b, "program/reduce_qubo/16")),
     ("BENCH_fabric.json", "fab_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_fps", lambda b: max(p["frames_per_sec"] for p in b["points"])),

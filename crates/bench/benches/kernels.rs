@@ -30,6 +30,12 @@
 //! times `CsrIsing::from_qubo`, the one-pass build that programs each
 //! served frame, and `program/embed_c2/8` the mock QPU's programming of
 //! an 8-variable job: that build plus the clique embedding onto C₂.
+//! `program/reduce_qubo/{16,8}` times `reduce_to_qubo`, the ML→QUBO
+//! reduction behind every synthesized frame, on detect-ra's 8-user and the
+//! fabric's 4-user QPSK frame, interleaved with
+//! `program/reduce_qubo_dense/{16,8}`: the pre-change derivation (dense
+//! `H̃·T` product, its Gram, an `Ising`, then its QUBO conversion),
+//! reproduced verbatim below.
 //! `rng/exp1` times one Exp(1) ziggurat draw, the draw behind every
 //! annealer gate gap and Metropolis test, in ns per draw.
 //! Output: a human-readable table on stdout plus
@@ -48,7 +54,10 @@ use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
 use hqw_anneal::topology::Chimera;
 use hqw_anneal::{AnnealParams, AnnealSchedule, DWaveProfile};
 use hqw_core::protocol::Protocol;
-use hqw_math::{Exp1, Rng64};
+use hqw_math::{CMatrix, CVector, Exp1, RMatrix, Rng64};
+use hqw_phy::channel::{snr_db_to_noise_variance, ChannelTrack, TrackConfig};
+use hqw_phy::mimo::MimoSystem;
+use hqw_phy::reduction::reduce_to_qubo;
 use hqw_phy::{DetectionInstance, InstanceConfig, Modulation};
 use hqw_qubo::csr::CsrIsing;
 use hqw_qubo::generator::sparse_random_qubo;
@@ -510,6 +519,96 @@ fn bench_programming(out: &mut Vec<Measurement>) {
     ));
 }
 
+/// The **pre-change** ML→QUBO reduction, reproduced exactly: the
+/// spin-weight matrix `T`, the dense product `H̃T`, its Gram and
+/// `tr_matvec`, an adjacency-list `Ising`, then
+/// `Qubo::from_ising_with_constant`.
+fn reduce_to_qubo_dense(system: &MimoSystem, h: &CMatrix, y: &CVector) -> (Qubo, f64) {
+    let modulation = system.modulation;
+    let n_tx = system.n_tx;
+    let bps = modulation.bits_per_symbol();
+    let mi = modulation.i_bits();
+    let scale = modulation.scale();
+    let n_vars = n_tx * bps;
+    let mut t = RMatrix::zeros(2 * n_tx, n_vars);
+    for u in 0..n_tx {
+        let base = u * bps;
+        for (k, &w) in Modulation::rail_weights(mi).iter().enumerate() {
+            t[(u, base + k)] = w * scale;
+        }
+        for (k, &w) in Modulation::rail_weights(modulation.q_bits())
+            .iter()
+            .enumerate()
+        {
+            t[(n_tx + u, base + mi + k)] = w * scale;
+        }
+    }
+
+    let h_stacked = h.to_real_stacked();
+    let y_stacked = y.to_real_stacked();
+    let ht = h_stacked.matmul(&t);
+    let a = ht.gram();
+    let b = ht.tr_matvec(&y_stacked);
+    let h = (0..n_vars).map(|i| -2.0 * b[i]).collect();
+    let mut couplings = Vec::with_capacity(n_vars * n_vars.saturating_sub(1) / 2);
+    let mut const_term = y_stacked.norm_sqr();
+    for i in 0..n_vars {
+        const_term += a[(i, i)];
+        for j in i + 1..n_vars {
+            let jij = 2.0 * a[(i, j)];
+            if jij != 0.0 {
+                couplings.push((i, j, jij));
+            }
+        }
+    }
+    let ising = Ising::from_couplings(h, couplings);
+    Qubo::from_ising_with_constant(&ising, const_term)
+}
+
+/// The ML→QUBO reduction of one served QPSK frame (Rayleigh, 14 dB), ns
+/// per reduction: 8 users (16 spins, detect-ra's frame) and 4 users
+/// (8 spins, the fabric's frame), each against the dense baseline.
+fn bench_reduction(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f64)>) {
+    for (users, iters) in [(8usize, 20_000usize), (4, 50_000)] {
+        let config = TrackConfig {
+            n_users: users,
+            n_rx: users,
+            modulation: Modulation::Qpsk,
+            rho: 0.0,
+            noise_variance: snr_db_to_noise_variance(14.0, users),
+        };
+        let frame = ChannelTrack::new(config, 18).next().expect("endless track");
+        let (sys, h, y) = (frame.system, frame.h, frame.y);
+        let (dense_q, dense_offset) = reduce_to_qubo_dense(&sys, &h, &y);
+        let direct = reduce_to_qubo(&sys, &h, &y);
+        assert!(
+            direct.qubo == dense_q && direct.ml_offset.to_bits() == dense_offset.to_bits(),
+            "direct reduction differs from the dense baseline"
+        );
+        let n = sys.bits_per_use();
+        let ms = bench_interleaved(
+            &[
+                &format!("program/reduce_qubo_dense/{n}"),
+                &format!("program/reduce_qubo/{n}"),
+            ],
+            n,
+            iters,
+            &mut [
+                &mut || {
+                    black_box(reduce_to_qubo_dense(&sys, black_box(&h), black_box(&y)));
+                },
+                &mut || {
+                    black_box(reduce_to_qubo(&sys, black_box(&h), black_box(&y)));
+                },
+            ],
+        );
+        let speedup = ms[0].ns_per_iter / ms[1].ns_per_iter;
+        println!("  -> reduction speedup at {n} spins: {speedup:.2}x");
+        derived.push((format!("reduce_qubo_speedup_{n}"), speedup));
+        out.extend(ms);
+    }
+}
+
 /// One [`Exp1`] draw, ns per draw. Draws are timed in blocks so the
 /// harness's per-iteration indirect call does not count.
 fn bench_exp1(out: &mut Vec<Measurement>) {
@@ -576,6 +675,7 @@ fn main() {
     bench_parallel_reads(&mut results, &mut derived);
     bench_engine_reads(&mut results);
     bench_programming(&mut results);
+    bench_reduction(&mut results, &mut derived);
     bench_exp1(&mut results);
 
     let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

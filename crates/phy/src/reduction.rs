@@ -11,11 +11,23 @@
 //!    is linear in spins: `x̃ = T·s`, where `T` places the binary weights
 //!    `[2^{m−1}, …, 1]·scale` of each rail's bits (BPSK's Q rail has no
 //!    bits and is fixed at 0).
-//! 3. **Expansion.** `‖ỹ − H̃T s‖² = sᵀA s + bᵀ s + c` with `A = TᵀG̃T`,
-//!    `G̃ = H̃ᵀH̃`, `b = −2 TᵀH̃ᵀỹ`, `c = ‖ỹ‖²`. Since `s_i² = 1`, the
-//!    diagonal of `A` is constant and moves into `c`; the rest is an Ising
-//!    model (`h = b`, `J_ij = 2A_ij`), converted exactly to QUBO form with
-//!    offset tracking.
+//! 3. **Expansion.** `‖ỹ − H̃T s‖² = sᵀA s + bᵀ s + c` with `A = (H̃T)ᵀ(H̃T)`,
+//!    `b = −2 (H̃T)ᵀỹ`, `c = ‖ỹ‖²`. Each column of `T` has one nonzero, so
+//!    `H̃T` is built column by column: bit `j`'s column is its rail's
+//!    column of `H̃` times the bit's weight. `A`'s diagonal and upper
+//!    triangle and `b` are dot products of those columns (and `ỹ`). Since
+//!    `s_i² = 1`, the diagonal of `A` moves into `c`; the rest is an Ising
+//!    model (`h = b`, `J_ij = 2A_ij`), substituted straight into QUBO form
+//!    (`s = 2q − 1`) with offset tracking.
+//!
+//!    The build is bit-for-bit the dense derivation it replaced (`H̃·T`
+//!    as a full product, its Gram, an `Ising`, then
+//!    `Qubo::from_ising_with_constant`): a column entry is `0 + a·w`, which
+//!    is what the dense product's sum leaves (it skips `a = 0`, and every
+//!    other term it adds is a signed zero); each dot product starts at
+//!    `0` and sums in row order; and every QUBO coefficient and the
+//!    offset take their terms in the conversion's order. The unit tests
+//!    pin this against the dense derivation.
 //!
 //! The result: for **every** assignment `q`,
 //! `qubo.energy(q) + ml_offset == ‖y − H·x(q)‖²` — property-tested below and
@@ -28,9 +40,8 @@
 //! the paper's problem sizing.
 
 use crate::mimo::MimoSystem;
-use crate::modulation::Modulation;
-use hqw_math::{CMatrix, CVector, RMatrix};
-use hqw_qubo::{Ising, Qubo};
+use hqw_math::{CMatrix, CVector};
+use hqw_qubo::Qubo;
 
 /// Output of the ML→QUBO reduction.
 #[derive(Debug, Clone)]
@@ -82,30 +93,44 @@ impl ReducedProblem {
     }
 }
 
-/// Builds the spin-weight matrix `T` (`2·n_tx × n_vars`): rail amplitudes as
-/// a linear map of spins.
-fn spin_weight_matrix(system: &MimoSystem) -> RMatrix {
+/// Writes the columns of `H̃T` into `cols`, bit `j`'s at `j·2n_rx..`: the
+/// stacked-`H̃` column of the bit's rail (`[Re; Im]` for the I rail,
+/// `[−Im; Re]` for the Q rail) times the bit's weight `w·scale`. An entry is
+/// `0 + a·w`, so an exact-zero channel entry gives `+0`, as in the dense
+/// product.
+fn rail_columns(system: &MimoSystem, h: &CMatrix, cols: &mut [f64]) {
+    let n_rx = system.n_rx;
     let modulation = system.modulation;
-    let n_tx = system.n_tx;
-    let bps = modulation.bits_per_symbol();
-    let mi = modulation.i_bits();
     let scale = modulation.scale();
-    let n_vars = n_tx * bps;
-
-    let mut t = RMatrix::zeros(2 * n_tx, n_vars);
-    for u in 0..n_tx {
-        let base = u * bps;
-        for (k, &w) in Modulation::rail_weights(mi).iter().enumerate() {
-            t[(u, base + k)] = w * scale; // I rail → stacked row u
-        }
-        for (k, &w) in Modulation::rail_weights(modulation.q_bits())
-            .iter()
-            .enumerate()
-        {
-            t[(n_tx + u, base + mi + k)] = w * scale; // Q rail → stacked row n_tx+u
+    let mut col = cols.chunks_exact_mut(2 * n_rx);
+    for u in 0..system.n_tx {
+        for (bits, quadrature) in [(modulation.i_bits(), false), (modulation.q_bits(), true)] {
+            for k in 0..bits {
+                let w = (1usize << (bits - 1 - k)) as f64 * scale;
+                let (top, bottom) = col.next().expect("one column per bit").split_at_mut(n_rx);
+                for r in 0..n_rx {
+                    let z = h[(r, u)];
+                    let (t, b) = if quadrature {
+                        (-z.im, z.re)
+                    } else {
+                        (z.re, z.im)
+                    };
+                    top[r] = 0.0 + t * w;
+                    bottom[r] = 0.0 + b * w;
+                }
+            }
         }
     }
-    t
+}
+
+/// `Σ_k a_k·b_k`, summed from `0` in index order.
+#[inline]
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for (x, y) in a.iter().zip(b) {
+        s += x * y;
+    }
+    s
 }
 
 /// Reduces an ML detection problem `(H, y)` to QUBO form.
@@ -117,36 +142,41 @@ pub fn reduce_to_qubo(system: &MimoSystem, h: &CMatrix, y: &CVector) -> ReducedP
     assert_eq!(h.cols(), system.n_tx, "reduce_to_qubo: channel cols");
     assert_eq!(y.len(), system.n_rx, "reduce_to_qubo: observation length");
 
-    let n_vars = system.bits_per_use();
-    let h_stacked = h.to_real_stacked(); // 2n_rx × 2n_tx
-    let y_stacked = y.to_real_stacked(); // 2n_rx
-    let t = spin_weight_matrix(system); // 2n_tx × n_vars
+    let n = system.bits_per_use();
+    let m = 2 * system.n_rx;
+    // The QUBO's triangle is allocated before the scratch, so a frame that
+    // outlives this call does not sit among freed temporaries.
+    let mut q = Qubo::new(n);
+    let mut cols = vec![0.0; n * m];
+    rail_columns(system, h, &mut cols);
+    let col = |j: usize| &cols[j * m..(j + 1) * m];
+    let ys = y.to_real_stacked();
 
-    // A = Tᵀ (H̃ᵀH̃) T, computed as (H̃T)ᵀ(H̃T) for numerical symmetry.
-    let ht = h_stacked.matmul(&t); // 2n_rx × n_vars
-    let a = ht.gram(); // n_vars × n_vars
-                       // b = −2 (H̃T)ᵀ ỹ
-    let b = ht.tr_matvec(&y_stacked);
-
-    let h = (0..n_vars).map(|i| -2.0 * b[i]).collect();
-    let mut couplings = Vec::with_capacity(n_vars * n_vars.saturating_sub(1) / 2);
-    let mut const_term = y_stacked.norm_sqr();
-    for i in 0..n_vars {
-        const_term += a[(i, i)]; // s_i² = 1
-        for j in i + 1..n_vars {
-            let jij = 2.0 * a[(i, j)];
+    // c = ‖ỹ‖² + Σ A_ii (s_i² = 1), then the Ising→QUBO substitution's
+    // −Σ h_i and +Σ J_ij, in that order.
+    let mut constant = ys.norm_sqr();
+    for i in 0..n {
+        constant += dot(col(i), col(i));
+    }
+    for i in 0..n {
+        let hi = -2.0 * dot(col(i), ys.as_slice());
+        q.add(i, i, 2.0 * hi);
+        constant -= hi;
+    }
+    for i in 0..n {
+        for j in i + 1..n {
+            let jij = 2.0 * dot(col(i), col(j));
             if jij != 0.0 {
-                couplings.push((i, j, jij));
+                q.add(i, j, 4.0 * jij);
+                q.add(i, i, -2.0 * jij);
+                q.add(j, j, -2.0 * jij);
+                constant += jij;
             }
         }
     }
-    let ising = Ising::from_couplings(h, couplings);
-
-    // E_ml(s) = ising.energy(s) + const_term; convert to QUBO exactly.
-    let (qubo, ml_offset) = Qubo::from_ising_with_constant(&ising, const_term);
     ReducedProblem {
-        qubo,
-        ml_offset,
+        qubo: q,
+        ml_offset: constant,
         system: *system,
     }
 }
@@ -154,9 +184,123 @@ pub fn reduce_to_qubo(system: &MimoSystem, h: &CMatrix, y: &CVector) -> ReducedP
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::ChannelModel;
-    use hqw_math::Rng64;
+    use crate::channel::{add_awgn, ChannelModel};
+    use crate::modulation::Modulation;
+    use hqw_math::{RMatrix, Rng64};
     use hqw_qubo::exact::exhaustive_minimum;
+    use hqw_qubo::Ising;
+
+    /// The dense derivation `reduce_to_qubo` replaced, kept as its
+    /// bit-for-bit reference: the spin-weight matrix `T`, the dense product
+    /// `H̃T`, its Gram, an `Ising`, then `Qubo::from_ising_with_constant`.
+    /// Returns `H̃T` too, so the rail columns can be pinned on their own.
+    fn dense_reference(system: &MimoSystem, h: &CMatrix, y: &CVector) -> (RMatrix, Qubo, f64) {
+        let modulation = system.modulation;
+        let n_tx = system.n_tx;
+        let bps = modulation.bits_per_symbol();
+        let mi = modulation.i_bits();
+        let scale = modulation.scale();
+        let n_vars = n_tx * bps;
+        let mut t = RMatrix::zeros(2 * n_tx, n_vars);
+        for u in 0..n_tx {
+            let base = u * bps;
+            for (k, &w) in Modulation::rail_weights(mi).iter().enumerate() {
+                t[(u, base + k)] = w * scale;
+            }
+            for (k, &w) in Modulation::rail_weights(modulation.q_bits())
+                .iter()
+                .enumerate()
+            {
+                t[(n_tx + u, base + mi + k)] = w * scale;
+            }
+        }
+
+        let y_stacked = y.to_real_stacked();
+        let ht = h.to_real_stacked().matmul(&t);
+        let a = ht.gram();
+        let b = ht.tr_matvec(&y_stacked);
+        let h = (0..n_vars).map(|i| -2.0 * b[i]).collect();
+        let mut couplings = Vec::new();
+        let mut const_term = y_stacked.norm_sqr();
+        for i in 0..n_vars {
+            const_term += a[(i, i)];
+            for j in i + 1..n_vars {
+                let jij = 2.0 * a[(i, j)];
+                if jij != 0.0 {
+                    couplings.push((i, j, jij));
+                }
+            }
+        }
+        let ising = Ising::from_couplings(h, couplings);
+        let (qubo, ml_offset) = Qubo::from_ising_with_constant(&ising, const_term);
+        (ht, qubo, ml_offset)
+    }
+
+    /// Every modulation, channel model and `n_tx` in 1..=8, square and
+    /// with more receive antennas (identity is square only), noiseless
+    /// and noisy: the direct build equals the dense reference bit for bit,
+    /// in every rail-column entry, every QUBO coefficient and `ml_offset`.
+    #[test]
+    fn direct_build_is_bit_identical_to_the_dense_derivation() {
+        let mut rng = Rng64::new(2024);
+        let mut cases = 0;
+        for m in Modulation::ALL {
+            for model in ChannelModel::ALL {
+                for n_tx in 1..=8 {
+                    let rx_extra: &[usize] = match model {
+                        ChannelModel::Identity => &[0],
+                        _ => &[0, 2],
+                    };
+                    for &extra in rx_extra {
+                        for noise in [0.0, 0.3] {
+                            let sys = MimoSystem::new(n_tx, n_tx + extra, m);
+                            let h = model.generate(sys.n_rx, n_tx, &mut rng);
+                            let x = sys.modulate(&sys.random_bits(&mut rng));
+                            let mut y = sys.transmit(&h, &x);
+                            add_awgn(&mut y, noise, &mut rng);
+                            let (ht, qubo, offset) = dense_reference(&sys, &h, &y);
+                            let got = reduce_to_qubo(&sys, &h, &y);
+                            let n = sys.bits_per_use();
+                            let what = format!(
+                                "{} {} {n_tx}x{} σ²={noise}",
+                                m.name(),
+                                model.name(),
+                                sys.n_rx
+                            );
+
+                            let mut cols = vec![0.0; n * 2 * sys.n_rx];
+                            rail_columns(&sys, &h, &mut cols);
+                            for (j, col) in cols.chunks(2 * sys.n_rx).enumerate() {
+                                for (r, v) in col.iter().enumerate() {
+                                    assert_eq!(
+                                        v.to_bits(),
+                                        ht[(r, j)].to_bits(),
+                                        "{what}: H̃T[{r},{j}]"
+                                    );
+                                }
+                            }
+                            for i in 0..n {
+                                for j in i..n {
+                                    assert_eq!(
+                                        got.qubo.get(i, j).to_bits(),
+                                        qubo.get(i, j).to_bits(),
+                                        "{what}: Q[{i},{j}]"
+                                    );
+                                }
+                            }
+                            assert_eq!(
+                                got.ml_offset.to_bits(),
+                                offset.to_bits(),
+                                "{what}: ml_offset"
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 4 * (2 + 2 + 1) * 8 * 2);
+    }
 
     fn setup(
         m: Modulation,

@@ -12,6 +12,14 @@ use hqw_phy::modulation::Modulation;
 use hqw_phy::reduction::reduce_to_qubo;
 use proptest::prelude::*;
 
+fn any_channel() -> impl Strategy<Value = ChannelModel> {
+    prop_oneof![
+        Just(ChannelModel::RayleighIid),
+        Just(ChannelModel::UnitGainRandomPhase),
+        Just(ChannelModel::Identity),
+    ]
+}
+
 fn any_modulation() -> impl Strategy<Value = Modulation> {
     prop_oneof![
         Just(Modulation::Bpsk),
@@ -29,11 +37,18 @@ proptest! {
         seed in any::<u64>(),
         m in any_modulation(),
         n_users in 1usize..5,
+        extra_rx in 0usize..3,
+        model in any_channel(),
         noisy in any::<bool>(),
     ) {
         let mut rng = Rng64::new(seed);
-        let sys = MimoSystem::new(n_users, n_users, m);
-        let h = ChannelModel::RayleighIid.generate(n_users, n_users, &mut rng);
+        // The identity channel is square; the others also run rectangular.
+        let n_rx = match model {
+            ChannelModel::Identity => n_users,
+            _ => n_users + extra_rx,
+        };
+        let sys = MimoSystem::new(n_users, n_rx, m);
+        let h = model.generate(n_rx, n_users, &mut rng);
         let tx = sys.random_bits(&mut rng);
         let x = sys.modulate(&tx);
         let mut y = sys.transmit(&h, &x);
@@ -49,7 +64,8 @@ proptest! {
             let via_qubo = reduced.ml_metric(&bits);
             let tol = 1e-8 * (1.0 + direct.abs());
             prop_assert!((direct - via_qubo).abs() < tol,
-                "{}: direct {direct} vs qubo {via_qubo}", m.name());
+                "{} {} {n_users}x{n_rx}: direct {direct} vs qubo {via_qubo}",
+                m.name(), model.name());
         }
     }
 
