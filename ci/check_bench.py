@@ -73,8 +73,10 @@ BENCH_fabric_rt.json
     build (program/qubo_to_csr/16) and its embed8 column the mock QPU's
     programming of an 8-variable job, that build plus the clique embedding
     onto C2 (program/embed_c2/8); its reduce16 column the ML -> QUBO
-    reduction of detect-ra's 8-user frame (program/reduce_qubo/16); "-"
-    where a commit did not record it;
+    reduction of detect-ra's 8-user frame (program/reduce_qubo/16); its
+    raframe column detect-ra's whole served frame, the hybrid solve plus
+    the decision's relabel, per frame over 2,000 frames
+    (served/detect_ra_frame/16); "-" where a commit did not record it;
   * gates that the *newest* committed BENCH_kernels.json still holds the
     dense-256 SA sweep-kernel speedup floor (>= 3x, the same floor the
     fresh-measurement gate applies) — history may wander, the present may
@@ -959,6 +961,7 @@ HISTORY_COLUMNS = [
     ("BENCH_kernels.json", "prog16", lambda b: _result_ns(b, "program/qubo_to_csr/16")),
     ("BENCH_kernels.json", "embed8", lambda b: _result_ns(b, "program/embed_c2/8")),
     ("BENCH_kernels.json", "reduce16", lambda b: _result_ns(b, "program/reduce_qubo/16")),
+    ("BENCH_kernels.json", "raframe", lambda b: _result_ns(b, "served/detect_ra_frame/16")),
     ("BENCH_fabric.json", "fab_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_pts", lambda b: len(b["points"])),
     ("BENCH_fabric_rt.json", "rt_fps", lambda b: max(p["frames_per_sec"] for p in b["points"])),

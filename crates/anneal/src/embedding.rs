@@ -198,33 +198,30 @@ impl CliqueEmbedding {
     }
 
     /// Unembeds a physical state into logical spins by per-chain majority
-    /// vote (ties break to +1). Returns `(logical spins, broken chain count)`.
+    /// vote (ties break to +1), appended to `out`. Returns the broken chain
+    /// count.
     ///
     /// # Panics
     /// Panics when the state length mismatches the hardware size.
-    pub fn unembed(&self, physical: &[i8]) -> (Vec<i8>, usize) {
+    pub fn unembed(&self, physical: &[i8], out: &mut Vec<i8>) -> usize {
         assert_eq!(
             physical.len(),
             self.graph.num_qubits(),
             "unembed: state length mismatch"
         );
         let mut broken = 0;
-        let logical = self
-            .chains
-            .iter()
-            .map(|chain| {
-                let sum: i32 = chain.iter().map(|&q| physical[q] as i32).sum();
-                if sum.unsigned_abs() as usize != chain.len() {
-                    broken += 1;
-                }
-                if sum >= 0 {
-                    1
-                } else {
-                    -1
-                }
-            })
-            .collect();
-        (logical, broken)
+        out.extend(self.chains.iter().map(|chain| {
+            let sum: i32 = chain.iter().map(|&q| physical[q] as i32).sum();
+            if sum.unsigned_abs() as usize != chain.len() {
+                broken += 1;
+            }
+            if sum >= 0 {
+                1i8
+            } else {
+                -1
+            }
+        }));
+        broken
     }
 
     /// Expands a logical state to a chain-consistent physical state (used to
@@ -409,13 +406,15 @@ mod tests {
         let mut rng = Rng64::new(9);
         let logical = vec![1i8, -1, 1, -1];
         let mut physical = emb.embed_state(&logical, &mut rng);
-        let (out, broken) = emb.unembed(&physical);
+        let mut out = Vec::new();
+        let broken = emb.unembed(&physical, &mut out);
         assert_eq!(out, logical);
         assert_eq!(broken, 0);
 
         // Break one chain minimally: flip a single qubit of chain 0.
         physical[emb.chain(0)[0]] = -1;
-        let (out2, broken2) = emb.unembed(&physical);
+        let mut out2 = Vec::new();
+        let broken2 = emb.unembed(&physical, &mut out2);
         assert_eq!(broken2, 1);
         assert_eq!(out2[0], 1, "majority should still win");
     }

@@ -314,17 +314,17 @@ pub trait AnnealEngine: Send + Sync {
 ///
 /// # Panics
 /// See [`AnnealEngine::run`].
-pub(crate) fn resolve_initial(
+pub(crate) fn resolve_initial<'a>(
     schedule: &AnnealSchedule,
     n: usize,
-    initial: Option<&[i8]>,
-) -> Option<Vec<i8>> {
+    initial: Option<&'a [i8]>,
+) -> Option<&'a [i8]> {
     if schedule.requires_initial_state() {
         let init = initial
             .expect("reverse annealing schedule requires a programmed initial state (paper §4.1)");
         assert_eq!(init.len(), n, "initial state length mismatch");
         debug_assert!(init.iter().all(|&s| s == 1 || s == -1));
-        Some(init.to_vec())
+        Some(init)
     } else {
         None
     }

@@ -67,7 +67,15 @@
 //! kink-free walk over every ring, passing over the other class's members
 //! they land on. The plan caches every rate per *row*, a run of sweeps
 //! with equal constants; a state's levels cost O(rows) lookups and its
-//! hazards ahead O(sweeps) additions, with no `exp`.
+//! hazards ahead O(sweeps) additions, with no `exp`. A flip that moves
+//! the floors refills the levels only from its own sweep on: the walks
+//! restart behind the flip, at its sweep, and a walk from sweep `t`
+//! reads the rates of sweeps `t..` and the hazards of sweeps `t+1..`,
+//! never a sweep before `t`. Each filled entry is computed as a full fill
+//! computes it (the hazards are suffix sums, summed from the last sweep
+//! back), so the walks draw the same passes bit for bit. Levels kept
+//! from an earlier fill hold for a walk from sweep `t` only when their
+//! floors are the same and their fill started at or before `t`.
 //!
 //! Aligned bound: an aligned move's action is `Δ = k_cl·X + 4·J⊥` with
 //! `X = −2·s·h_eff`, so every aligned move has `Δ ≥ d = k_cl·min X +
@@ -145,10 +153,14 @@
 //! Reads: `PimcEngine::plan` builds the sweep plan, which depends only on
 //! the profile, the schedule, the parameters and `P`, so a caller may keep
 //! it across submissions ([`crate::QuantumSampler`] does).
-//! `PimcPlan::run_reads` builds the CSR and a programmed state's local
-//! fields, `X` and levels once, then runs the reads one after another
-//! over one scratch. Each read consumes only its own generator, so the
-//! results equal lone [`AnnealEngine::run`] calls.
+//! `PimcPlan::read_into` builds a programmed state's template (its local
+//! fields, `X` and levels) once, then runs the reads one after another
+//! over one scratch and appends each readout to one flat buffer. The
+//! scratch (replicas, bound, template and levels) is the caller's and
+//! may come from any earlier submission: a submission starts by marking
+//! it unclean and holding no levels, so nothing of the last one is read.
+//! Each read consumes only its own generator, so the results equal lone
+//! [`AnnealEngine::run`] calls.
 
 use crate::dwave::DWaveProfile;
 use crate::engine::{resolve_initial, AnnealEngine, AnnealParams, GateGaps};
@@ -209,7 +221,7 @@ const TILT_LEVELS_MAX: usize = 4 * J_MAX;
 /// A per-move pass probability `p` as a walk uses it: the hazard
 /// `λ = −ln(1 − p)` and its reciprocal, so the moves a walk skips before
 /// its next pass number `⌊E·(1/λ)⌋` for an Exp(1) draw `E`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Rate {
     lambda: f64,
     inv: f64,
@@ -446,8 +458,11 @@ impl PimcPlan {
             && self.profile.bits().eq(profile.bits())
     }
 
-    /// Runs one read per generator in `rngs` on `csr` and returns the
-    /// readouts in `rngs` order, exactly as [`AnnealEngine::run_reads`].
+    /// Runs one read per generator in `rngs` on `csr` and appends the
+    /// readouts to `out`, `n` spins each in `rngs` order: the readouts of
+    /// [`AnnealEngine::run_reads`], flat. `start` (the template) and
+    /// `reads` hold every buffer the reads use and may come from any
+    /// earlier submission.
     ///
     /// A programmed state is built once into a template: the state, its
     /// local fields and their `X = −2·s·h` tiled across the `P` slices,
@@ -462,25 +477,35 @@ impl PimcPlan {
     ///
     /// # Panics
     /// As [`AnnealEngine::run`].
-    pub(crate) fn run_reads(
+    pub(crate) fn read_into(
         &self,
         csr: &CsrIsing,
         initial: Option<&[i8]>,
         rngs: &mut [Rng64],
-    ) -> Vec<Vec<i8>> {
+        start: &mut Start,
+        reads: &mut Scratch,
+        out: &mut Vec<i8>,
+    ) {
         if csr.num_vars() == 0 {
-            return vec![Vec::new(); rngs.len()];
+            return;
         }
-        let kernel = self.kernel(csr, initial);
-        let mut scratch = Scratch::default();
-        rngs.iter_mut()
-            .map(|rng| kernel.read(&mut scratch, rng))
-            .collect()
+        // Nothing the last submission left describes this one: the
+        // replicas are not the start, and no levels hold.
+        (reads.clean, reads.levels.from) = (false, usize::MAX);
+        let kernel = self.kernel(csr, initial, start);
+        for rng in rngs {
+            kernel.read(reads, rng, out);
+        }
     }
 
     /// The kernel of one submission on a non-empty `csr`, with the
-    /// programmed start built when the schedule has one.
-    fn kernel<'a>(&'a self, csr: &'a CsrIsing, initial: Option<&[i8]>) -> Kernel<'a> {
+    /// programmed start built into `start` when the schedule has one.
+    fn kernel<'a>(
+        &'a self,
+        csr: &'a CsrIsing,
+        initial: Option<&[i8]>,
+        start: &'a mut Start,
+    ) -> Kernel<'a> {
         let n = csr.num_vars();
         let p = self.slices;
         let mut kernel = Kernel {
@@ -496,38 +521,36 @@ impl PimcPlan {
         // fields, the lowest `X = −2·s·h` of its (all aligned) sites and
         // the walks' levels there are computed once, and the slices' start
         // is tiled once into the template.
-        kernel.start = resolve_initial(&self.schedule, n, initial).map(|state| {
-            let mut fields = vec![0.0; n];
-            csr.fill_local_fields(&state, &mut fields);
-            let xs: Vec<f64> = state
-                .iter()
-                .zip(&fields)
-                .map(|(&s, &h)| -2.0 * s as f64 * h)
-                .collect();
-            let min_x = lowest(&xs);
-            let mut levels = Levels::default();
+        if let Some(state) = resolve_initial(&self.schedule, n, initial) {
+            start.fields.resize(n, 0.0);
+            csr.fill_local_fields(state, &mut start.fields[..n]);
+            let xs = state.iter().zip(&start.fields);
+            start.xs.clear();
+            start.xs.extend(xs.map(|(&s, &h)| -2.0 * s as f64 * h));
+            start.min_x = lowest(&start.xs);
             if !self.sweeps.is_empty() {
-                levels.fill(&kernel, Floors::new(min_x, min_x));
+                let floors = Floors::new(start.min_x, start.min_x);
+                start.levels.fill(&kernel, floors, 0);
             }
-            Start {
-                spins: state.repeat(p),
-                fields: fields.repeat(p),
-                xs: xs.repeat(p),
-                state,
-                min_x,
-                levels,
+            start.spins.clear();
+            start.spins.extend_from_slice(state);
+            for _ in 1..p {
+                start.spins.extend_from_within(..n);
+                start.fields.extend_from_within(..n);
+                start.xs.extend_from_within(..n);
             }
-        });
+            kernel.start = Some(start);
+        }
         kernel
     }
 }
 
-/// A programmed start: the state; the template every reverse read starts
-/// from (the state, its local fields and their `X = −2·s·h`, every site
-/// aligned, each tiled across the `P` slices as [`Replicas`] lays them
-/// out); and the lowest `X` and the walks' levels there.
-struct Start {
-    state: Vec<i8>,
+/// A programmed start: the template every reverse read starts from (the
+/// state, its local fields and their `X = −2·s·h`, every site aligned,
+/// each tiled across the `P` slices as [`Replicas`] lays them out), and
+/// the lowest `X` and the walks' levels there.
+#[derive(Default)]
+pub(crate) struct Start {
     spins: Vec<i8>,
     fields: Vec<f64>,
     xs: Vec<f64>,
@@ -537,7 +560,7 @@ struct Start {
 
 /// Buffers reused across the reads of one submission.
 #[derive(Default)]
-struct Scratch {
+pub(crate) struct Scratch {
     replicas: Replicas,
     /// The walks' view of the replicas.
     bound: Bound,
@@ -624,12 +647,15 @@ impl Floors {
 }
 
 /// The state-dependent part of the spanning walks for one pair of
-/// floors: each row's aligned-site level and cluster tilt level with
-/// their rates, and the hazard the aligned and kink-free walks still have
-/// ahead at each sweep.
+/// floors, from one sweep on: each row's aligned-site level and cluster
+/// tilt level with their rates, and the hazard the aligned and kink-free
+/// walks still have ahead at each sweep.
 #[derive(Default)]
 struct Levels {
     floors: Floors,
+    /// The first sweep filled: the rows and hazards of earlier sweeps are
+    /// stale. `usize::MAX` holds no levels.
+    from: usize,
     rows: Vec<RowLevels>,
     /// Per sweep `t`, the hazard of sweeps `t..` of the aligned walk
     /// (`P·n` moves a sweep) and of the kink-free cluster walk (`n`).
@@ -638,7 +664,7 @@ struct Levels {
 }
 
 /// One row's levels and rates at a pair of floors.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct RowLevels {
     /// The aligned-site level `j` and its rate `g·2^{−j}`.
     j: usize,
@@ -651,30 +677,31 @@ struct RowLevels {
 }
 
 impl Levels {
-    /// The levels at `floors`: O(rows + sweeps) and no `exp`, the rates
-    /// being the plan's.
-    fn fill(&mut self, kernel: &Kernel, floors: Floors) {
+    /// The levels at `floors` for sweeps `from..`: O(rows + sweeps) from
+    /// there on and no `exp`, the rates being the plan's.
+    fn fill(&mut self, kernel: &Kernel, floors: Floors, from: usize) {
         let plan = kernel.plan;
         let sweeps = plan.sweeps.len();
-        self.floors = floors;
-        self.rows.clear();
+        (self.floors, self.from) = (floors, from);
+        let first = plan.sweeps[from].row;
+        self.rows.resize(first, RowLevels::default());
         self.rows
-            .extend(plan.rows.iter().map(|row| row.levels(floors)));
+            .extend(plan.rows[first..].iter().map(|row| row.levels(floors)));
         self.aligned_left.resize(sweeps + 1, 0.0);
         self.free_left.resize(sweeps + 1, 0.0);
         self.aligned_left[sweeps] = 0.0;
         self.free_left[sweeps] = 0.0;
         let (site_moves, rings) = ((kernel.p * kernel.n) as f64, kernel.n as f64);
-        for t in (0..sweeps).rev() {
+        for t in (from..sweeps).rev() {
             let at = self.rows[plan.sweeps[t].row];
             self.aligned_left[t] = self.aligned_left[t + 1] + site_moves * at.aligned.lambda;
             self.free_left[t] = self.free_left[t + 1] + rings * at.free.lambda;
         }
     }
 
-    /// Whether these are the levels at `floors`.
-    fn hold(&self, floors: Floors) -> bool {
-        self.floors.same(floors) && !self.rows.is_empty()
+    /// Whether these are the levels at `floors` for sweeps `from..`.
+    fn hold(&self, floors: Floors, from: usize) -> bool {
+        self.floors.same(floors) && self.from <= from && !self.rows.is_empty()
     }
 }
 
@@ -836,7 +863,7 @@ struct Kernel<'a> {
     slice_of: SliceIndex,
     exp1: Exp1,
     /// The programmed start of a reverse schedule.
-    start: Option<Start>,
+    start: Option<&'a Start>,
 }
 
 impl Kernel<'_> {
@@ -916,7 +943,7 @@ impl Kernel<'_> {
 
     /// The Metropolis single-site move at `pos < P·n`, accepted when
     /// `Δ − offset ≤ 0` or a fresh Exp(1) draw exceeds it; returns its
-    /// slice when it flipped.
+    /// site and slice when it flipped.
     #[inline(always)]
     fn site_move(
         &self,
@@ -925,12 +952,12 @@ impl Kernel<'_> {
         rng: &mut Rng64,
         pos: usize,
         offset: f64,
-    ) -> Option<usize> {
+    ) -> Option<(usize, usize)> {
         let (k, i, delta) = self.site_delta(sweep, r, pos);
         let excess = delta - offset;
         if excess <= 0.0 || self.exp1.sample(rng) > excess {
             self.flip(r, k, i);
-            return Some(k);
+            return Some((i, k));
         }
         None
     }
@@ -1044,8 +1071,9 @@ impl Kernel<'_> {
     }
 
     /// One read over the plan, from the programmed state when the schedule
-    /// has one; `scratch` is reused across reads.
-    fn read(&self, scratch: &mut Scratch, rng: &mut Rng64) -> Vec<i8> {
+    /// has one, its readout appended to `out`; `scratch` is reused across
+    /// reads.
+    fn read(&self, scratch: &mut Scratch, rng: &mut Rng64, out: &mut Vec<i8>) {
         let Scratch {
             replicas: r,
             bound,
@@ -1054,7 +1082,7 @@ impl Kernel<'_> {
         } = scratch;
         // Proposals read a cached field in O(1); only accepted flips pay an
         // O(degree) update.
-        match &self.start {
+        match self.start {
             Some(start) => {
                 if !*clean {
                     self.restart(start, r, bound);
@@ -1062,19 +1090,20 @@ impl Kernel<'_> {
                 *clean = !self.reverse_read(start, r, bound, levels, rng);
                 if *clean {
                     // Every slice still holds the programmed state.
-                    return start.state.clone();
+                    out.extend_from_slice(&start.spins[..self.n]);
+                    return;
                 }
             }
             None => self.forward_read(r, rng),
         }
-        self.vote(r)
+        self.vote(r, out);
     }
 
-    /// Majority-vote readout across slices.
-    fn vote(&self, r: &Replicas) -> Vec<i8> {
+    /// Majority-vote readout across slices, appended to `out`.
+    fn vote(&self, r: &Replicas, out: &mut Vec<i8>) {
         let (n, p) = (self.n, self.p);
         let vote = |i: usize| (0..p).map(|k| r.spins[k * n + i] as i32).sum::<i32>();
-        (0..n).map(|i| if vote(i) >= 0 { 1 } else { -1 }).collect()
+        out.extend((0..n).map(|i| if vote(i) >= 0 { 1i8 } else { -1 }));
     }
 
     /// Random replicas with their local fields: the forward start (s = 0),
@@ -1165,18 +1194,14 @@ impl Kernel<'_> {
     /// Whether every spin is ±1 and every cached field is within
     /// `1e-9·(1 + |h|)` of a fresh `fill_local_fields` (checked builds).
     fn fields_hold(&self, r: &Replicas) -> bool {
-        let mut fresh = vec![0.0; self.n];
         r.spins.iter().all(|&s| s == 1 || s == -1)
-            && r.spins
-                .chunks_exact(self.n)
-                .zip(r.h_eff.chunks_exact(self.n))
-                .all(|(slice, cached)| {
-                    self.csr.fill_local_fields(slice, &mut fresh);
-                    cached
-                        .iter()
-                        .zip(&fresh)
-                        .all(|(&c, &h)| (c - h).abs() <= 1e-9 * (1.0 + h.abs()))
-                })
+            && r.h_eff.iter().enumerate().all(|(pos, &cached)| {
+                let (s, i) = (&r.spins[pos - pos % self.n..][..self.n], pos % self.n);
+                let (cols, weights) = self.csr.row(i);
+                let terms = cols.iter().zip(weights);
+                let h = terms.fold(self.csr.h(i), |f, (&j, &w)| f + w * s[j as usize] as f64);
+                (cached - h).abs() <= 1e-9 * (1.0 + h.abs())
+            })
     }
 
     /// Puts every slice at the programmed state: the replicas from the
@@ -1220,11 +1245,14 @@ impl Kernel<'_> {
                 // `from` moved past the first flip, if there was one.
                 return from > 0;
             };
+            // The walks go on from the flip's sweep and read no level
+            // behind it.
+            let (t, _) = unpack(flip.at);
             from = flip.at + 1;
             self.track(r, bound, flip);
             own = !bound.floors.same(floors);
-            if own && !levels.hold(bound.floors) {
-                levels.fill(self, bound.floors);
+            if own && !levels.hold(bound.floors, t) {
+                levels.fill(self, bound.floors, t);
             }
         }
     }
@@ -1259,13 +1287,8 @@ impl Kernel<'_> {
             // the aligned walk's candidate is not aligned, or the kink-free
             // walk's ring not kink-free, and is passed over next.
             if at == kink {
-                if let Some(k) = self.site_move(sweep, r, rng, pos, 0.0) {
-                    return Some(Flip {
-                        at,
-                        i: pos - k * self.n,
-                        lo: k,
-                        len: 1,
-                    });
+                if let Some((i, lo)) = self.site_move(sweep, r, rng, pos, 0.0) {
+                    return Some(Flip { at, i, lo, len: 1 });
                 }
                 kink = self.kink_walk(bound, rng, at + 1);
             } else if at == aligned {
@@ -1276,13 +1299,8 @@ impl Kernel<'_> {
                         j == 0 || self.site_delta(sweep, r, pos).2 >= offset(j),
                         "Δ below level {j}"
                     );
-                    if let Some(k) = self.site_move(sweep, r, rng, pos, offset(j)) {
-                        return Some(Flip {
-                            at,
-                            i: pos - k * self.n,
-                            lo: k,
-                            len: 1,
-                        });
+                    if let Some((i, lo)) = self.site_move(sweep, r, rng, pos, offset(j)) {
+                        return Some(Flip { at, i, lo, len: 1 });
                     }
                 }
                 aligned = self.aligned_walk(levels, rng, at + 1);
@@ -1505,8 +1523,12 @@ impl AnnealEngine for PimcEngine {
         initial: Option<&[i8]>,
         rngs: &mut [Rng64],
     ) -> Vec<Vec<i8>> {
+        let (n, mut out) = (problem.num_vars(), vec![]);
+        let (start, reads) = (&mut Start::default(), &mut Scratch::default());
         self.plan(profile, schedule, params)
-            .run_reads(problem, initial, rngs)
+            .read_into(problem, initial, rngs, start, reads, &mut out);
+        let read = |r: usize| out[r * n..][..n].to_vec();
+        (0..rngs.len()).map(read).collect()
     }
 }
 
@@ -1809,7 +1831,9 @@ mod tests {
             for sweep in &self.plan.sweeps {
                 self.walk_sweep(sweep, r, rng);
             }
-            self.vote(r)
+            let mut out = Vec::new();
+            self.vote(r, &mut out);
+            out
         }
     }
 
@@ -1864,11 +1888,13 @@ mod tests {
                     let mut csr = problem.clone();
                     csr.normalize();
                     let n = csr.num_vars();
-                    let kernel = plan.kernel(&csr, None);
+                    let mut start = Start::default();
+                    let kernel = plan.kernel(&csr, None, &mut start);
                     let (mut scratch, mut replicas) = (Scratch::default(), Replicas::default());
                     for seed in 0..6 {
                         let (mut a, mut b) = (Rng64::new(seed), Rng64::new(seed));
-                        let read = kernel.read(&mut scratch, &mut a);
+                        let mut read = Vec::new();
+                        kernel.read(&mut scratch, &mut a, &mut read);
                         let walked = kernel.walk_read(&mut replicas, &mut b);
                         let at = format!("schedule {s}, P {p}, n {n}, seed {seed}");
                         assert_eq!(read, walked, "{at}: readouts differ");
@@ -1878,6 +1904,95 @@ mod tests {
                         assert_eq!(fields, bits(&replicas), "{at}: fields");
                         assert_eq!(format!("{a:?}"), format!("{b:?}"), "{at}: generators");
                     }
+                }
+            }
+        }
+    }
+
+    impl Kernel<'_> {
+        /// A reverse read from `start` that refills the levels for every
+        /// sweep whenever the floors move, on the caller's generator.
+        fn full_refill_read(
+            &self,
+            start: &Start,
+            scratch: &mut Scratch,
+            rng: &mut Rng64,
+        ) -> Vec<i8> {
+            let Scratch {
+                replicas: r,
+                bound,
+                levels,
+                ..
+            } = scratch;
+            self.restart(start, r, bound);
+            let mut from = 0;
+            while let Some(flip) = {
+                let own = !bound.floors.same(start.levels.floors);
+                self.walk(
+                    if own { levels } else { &start.levels },
+                    r,
+                    bound,
+                    rng,
+                    from,
+                )
+            } {
+                from = flip.at + 1;
+                self.track(r, bound, flip);
+                if !bound.floors.same(start.levels.floors) && !levels.hold(bound.floors, 0) {
+                    levels.fill(self, bound.floors, 0);
+                }
+            }
+            let mut out = Vec::new();
+            self.vote(r, &mut out);
+            out
+        }
+    }
+
+    #[test]
+    fn reverse_reads_equal_the_full_refill_bit_for_bit() {
+        // Greedy-seeded reverse anneals of dense 16-spin problems, the
+        // served shape, at the served s_p and below, where reads flip more
+        // and the floors move mid-read. The submissions share one scratch,
+        // as a sampler thread's do, so a read also meets levels an earlier
+        // read filled from a later sweep.
+        use hqw_qubo::generator::random_qubo;
+        use hqw_qubo::greedy_search;
+
+        let mut rng = Rng64::new(0x5EF1);
+        let problems: Vec<(CsrIsing, Vec<i8>)> = (0..8)
+            .map(|_| {
+                let qubo = random_qubo(16, &mut rng);
+                let (mut csr, _) = CsrIsing::from_qubo(&qubo);
+                csr.normalize();
+                (csr, bits_to_spins(&greedy_search(&qubo).0))
+            })
+            .collect();
+        let profile = DWaveProfile::calibrated();
+        let (template, shared) = (&mut Start::default(), &mut Scratch::default());
+        for s_p in [0.55, 0.60, 0.65] {
+            let schedule = AnnealSchedule::reverse(s_p, 1.0).unwrap();
+            for p in [2, 8] {
+                let plan = PimcEngine::new(p).plan(&profile, &schedule, &AnnealParams::default());
+                for (frame, (csr, init)) in problems.iter().enumerate() {
+                    let mut rngs: Vec<Rng64> = (0..16).map(Rng64::new).collect();
+                    let mut reads = Vec::new();
+                    plan.read_into(csr, Some(init), &mut rngs, template, shared, &mut reads);
+                    let mut start = Start::default();
+                    let kernel = plan.kernel(csr, Some(init), &mut start);
+                    let start = kernel.start.expect("a reverse plan has a start");
+                    let mut reference = Scratch::default();
+                    for (seed, (read, a)) in reads.chunks_exact(16).zip(&rngs).enumerate() {
+                        let mut b = Rng64::new(seed as u64);
+                        let full = kernel.full_refill_read(start, &mut reference, &mut b);
+                        let at = format!("s_p {s_p}, P {p}, frame {frame}, seed {seed}");
+                        assert_eq!(read, full, "{at}: readouts differ");
+                        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{at}: generators");
+                    }
+                    // The next submission holds no levels of this one.
+                    let last = plan.sweeps.len() - 1;
+                    let floors = shared.levels.floors;
+                    plan.read_into(csr, Some(init), &mut [], template, shared, &mut reads);
+                    assert!(!shared.levels.hold(floors, last));
                 }
             }
         }

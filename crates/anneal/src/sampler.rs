@@ -8,26 +8,40 @@
 //!
 //! Front-end behaviours modeled after the hardware stack:
 //!
-//! * **Programming** — each submission builds the problem's CSR once
-//!   ([`CsrIsing::from_qubo`] for a QUBO, one pass over its triangle),
-//!   and every engine and read works on that one CSR. An embedded
-//!   submission writes the physical CSR straight from the logical one
-//!   ([`crate::CliqueEmbedding::embed`]); no path builds an `Ising`.
+//! * **Programming** — each submission works on one CSR of the problem,
+//!   built once ([`CsrIsing::from_qubo`] for a QUBO, one pass over its
+//!   triangle). [`QuantumSampler::program`] builds it into the buffers
+//!   of the CSR this thread last programmed, and the programmed-CSR entry
+//!   [`QuantumSampler::sample_programmed`] takes it by value, so a caller
+//!   that needs the CSR first (the hybrid solver's greedy seed) reads the
+//!   same one; [`QuantumSampler::sample_qubo`] is the two in a row. An
+//!   embedded submission writes the physical CSR straight from the
+//!   logical one ([`crate::CliqueEmbedding::embed`]); no path builds an
+//!   `Ising`.
 //! * **Auto-scaling** — the programmed CSR is normalized in place to the
 //!   device's `[-1, 1]` coefficient range (does not change the argmin).
 //! * **ICE noise** — each read perturbs the programmed coefficients
 //!   ([`IceModel`]), while reported energies are evaluated on the *intended*
 //!   problem, as the D-Wave stack does.
-//! * **Batched reads** — reads are independent, so each worker thread
-//!   (std scoped threads) takes one contiguous chunk of the submission's
-//!   reads and runs it as one batch ([`crate::AnnealEngine::run_reads`]).
-//!   The PIMC sweep plan depends only on the profile, the schedule, the
-//!   parameters and `P`, so the sampler keeps the last one it built and
-//!   reuses it while that key holds; each chunk builds only its start
-//!   state and runs its reads one after another over one scratch. Per-read RNG
-//!   streams are derived from the seed and each read consumes only its
-//!   own, so results are bit-identical regardless of thread count,
-//!   chunking or what the cache held.
+//! * **Batched reads** — reads are independent. With one worker, every
+//!   read runs in the calling thread over its scratch; with more, each
+//!   worker thread (std scoped threads) takes one contiguous chunk of the
+//!   submission's reads and runs it as one batch over buffers of its own
+//!   (as [`crate::AnnealEngine::run_reads`] does), allocated per chunk. The PIMC sweep plan depends
+//!   only on the profile, the schedule, the parameters and `P`, so the
+//!   sampler keeps the last one it built and reuses it while that key
+//!   holds; each chunk builds only its start template and runs its reads
+//!   one after another. Per-read RNG streams are derived from the seed and
+//!   each read consumes only its own, so results are bit-identical
+//!   regardless of thread count, chunking or what the cache held.
+//! * **Per-thread scratch** — every buffer a submission's reads use (the
+//!   read seeds and generators, the PIMC replicas, bound, start template
+//!   and levels, one flat readout buffer, the tally's read order and the
+//!   spare CSR) lives in a thread-local scratch kept across submissions,
+//!   so after warm-up a one-worker submission allocates only the sample
+//!   set it returns. No buffer carries state from one submission into the
+//!   next; each keeps the capacity of the largest problem its thread
+//!   sampled.
 //! * **Aggregation** — the readouts are sorted and counted first, so each
 //!   distinct state is converted to bits and its energy evaluated once.
 //! * **QPU time accounting** — programming / per-read anneal / readout
@@ -37,13 +51,15 @@
 use crate::dwave::DWaveProfile;
 use crate::engine::{AnnealEngine, AnnealParams};
 use crate::noise::IceModel;
-use crate::pimc::{PimcEngine, PimcPlan};
+use crate::pimc::{self, PimcEngine, PimcPlan};
 use crate::schedule::AnnealSchedule;
 use crate::svmc::SvmcEngine;
-use hqw_math::parallel::parallel_map_chunks;
+use hqw_math::parallel::{parallel_map_chunks, resolve_threads};
 use hqw_math::Rng64;
-use hqw_qubo::solution::{bits_to_spins, spins_to_bits};
+use hqw_qubo::solution::spins_to_bits;
 use hqw_qubo::{CsrIsing, Qubo, SampleSet};
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which simulation engine backs the sampler.
@@ -282,28 +298,79 @@ impl PlanCache {
     }
 }
 
-/// The distinct items of `items` with their counts, ascending. Sorting
-/// keeps it O(R log R) in the R items, however many are distinct.
-fn tally<T: Ord>(mut items: Vec<T>) -> Vec<(T, u64)> {
-    items.sort_unstable();
-    let mut counts: Vec<(T, u64)> = Vec::new();
-    for item in items {
-        match counts.last_mut() {
-            Some((last, count)) if *last == item => *count += 1,
-            _ => counts.push((item, 1)),
-        }
-    }
-    counts
+/// Buffers one thread's submissions reuse, so a served submission
+/// allocates only the sample set it returns.
+#[derive(Default)]
+struct Scratch {
+    /// The CSR the last submission programmed, refilled by
+    /// [`QuantumSampler::program`].
+    csr: CsrIsing,
+    /// The reverse-anneal initial state, as spins.
+    initial: Vec<i8>,
+    reads: Reads,
+    /// The embedded path's logical readouts.
+    logical: Vec<i8>,
+    /// Read indices, grouped by state for the tally.
+    order: Vec<u32>,
 }
 
-/// The sample set of `states`, each distinct state converted to bits and
-/// its `qubo` energy evaluated once.
-fn count_samples(states: Vec<Vec<i8>>, qubo: &Qubo) -> SampleSet {
-    SampleSet::from_counts(tally(states).into_iter().map(|(spins, count)| {
-        let bits = spins_to_bits(&spins);
+/// The buffers of one batch of reads.
+#[derive(Default)]
+struct Reads {
+    seeds: Vec<u64>,
+    rngs: Vec<Rng64>,
+    /// The PIMC start template and the reads' replicas, bound and levels.
+    start: pimc::Start,
+    pimc: pimc::Scratch,
+    /// The readouts, `n` spins a read in read order.
+    readouts: Vec<i8>,
+}
+
+thread_local! {
+    /// This thread's sampler buffers, taken for a submission and put back
+    /// after it (a nested submission finds them empty and starts fresh).
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+}
+
+/// Runs `f` on this thread's [`Scratch`].
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut scratch = SCRATCH.with(Cell::take);
+    let out = f(&mut scratch);
+    SCRATCH.with(|cell| cell.set(scratch));
+    out
+}
+
+/// Sorts the read indices `order` so that reads with equal states are
+/// adjacent, states ascending under `cmp`. A sort keeps it O(R log R) in
+/// the R reads, however many are distinct.
+fn group(order: &mut Vec<u32>, reads: usize, cmp: impl FnMut(&u32, &u32) -> Ordering) {
+    order.clear();
+    order.extend(0..reads as u32);
+    order.sort_unstable_by(cmp);
+}
+
+/// The sample set of `reads` readouts of `n` spins each, each distinct
+/// state converted to bits and its `qubo` energy evaluated once.
+fn count_samples(
+    readouts: &[i8],
+    (n, reads): (usize, usize),
+    order: &mut Vec<u32>,
+    qubo: &Qubo,
+) -> SampleSet {
+    let state = |r: &u32| &readouts[*r as usize * n..][..n];
+    group(order, reads, |a, b| state(a).cmp(state(b)));
+    SampleSet::from_counts(order.chunk_by(|a, b| state(a) == state(b)).map(|run| {
+        let bits = spins_to_bits(state(&run[0]));
         let energy = qubo.energy(&bits);
-        (bits, energy, count)
+        (bits, energy, run.len() as u64)
     }))
+}
+
+/// `bits` as spins in `spins`' buffer.
+fn spins_into<'a>(spins: &'a mut Vec<i8>, bits: &[u8]) -> &'a [i8] {
+    spins.clear();
+    spins.extend(bits.iter().map(|&b| if b == 1 { 1i8 } else { -1 }));
+    spins
 }
 
 impl QuantumSampler {
@@ -322,6 +389,8 @@ impl QuantumSampler {
 
     /// Samples a QUBO. `initial_bits` programs the reverse-anneal initial
     /// state and is required exactly when the schedule starts at `s = 1`.
+    /// A wrapper over [`QuantumSampler::sample_programmed`] on
+    /// [`QuantumSampler::program`]'s CSR.
     ///
     /// Reported energies are QUBO energies of the intended problem.
     ///
@@ -335,11 +404,50 @@ impl QuantumSampler {
         initial_bits: Option<&[u8]>,
         seed: u64,
     ) -> AnnealResult {
-        let (programmed, _offset) = CsrIsing::from_qubo(qubo);
-        let initial_spins = initial_bits.map(bits_to_spins);
-        let states = self.run_reads(programmed, schedule, initial_spins.as_deref(), seed);
+        self.sample_programmed(qubo, self.program(qubo), schedule, initial_bits, seed)
+    }
+
+    /// The Ising form of `qubo` as [`CsrIsing::from_qubo`] builds it (the
+    /// intended problem, not yet auto-scaled), written into the buffers
+    /// of the CSR this thread's last submission programmed. A classical
+    /// stage may read it before [`QuantumSampler::sample_programmed`]
+    /// takes it, so a frame builds its CSR once.
+    pub fn program(&self, qubo: &Qubo) -> CsrIsing {
+        let mut csr = with_scratch(|scratch| std::mem::take(&mut scratch.csr));
+        csr.refill_from_qubo(qubo);
+        csr
+    }
+
+    /// Samples `qubo` from its CSR `programmed`, as
+    /// [`QuantumSampler::program`] or [`CsrIsing::from_qubo`] built it:
+    /// the sampler auto-scales it in place, runs the reads, and keeps its
+    /// buffers for this thread's next [`QuantumSampler::program`].
+    /// `initial_bits` is as for [`QuantumSampler::sample_qubo`]. The
+    /// reads, their readouts and the tally use this thread's buffers,
+    /// kept across submissions.
+    ///
+    /// # Panics
+    /// As [`QuantumSampler::sample_qubo`], and when `programmed` is not
+    /// `qubo`'s size.
+    pub fn sample_programmed(
+        &self,
+        qubo: &Qubo,
+        mut programmed: CsrIsing,
+        schedule: &AnnealSchedule,
+        initial_bits: Option<&[u8]>,
+        seed: u64,
+    ) -> AnnealResult {
+        let n = qubo.num_vars();
+        assert_eq!(programmed.num_vars(), n, "sample_programmed: size mismatch");
+        let samples = with_scratch(|scratch| {
+            let spins = initial_bits.map(|bits| spins_into(&mut scratch.initial, bits));
+            self.run_reads(&mut programmed, schedule, spins, seed, &mut scratch.reads);
+            scratch.csr = programmed;
+            let reads = (n, self.config.num_reads);
+            count_samples(&scratch.reads.readouts, reads, &mut scratch.order, qubo)
+        });
         AnnealResult {
-            samples: count_samples(states, qubo),
+            samples,
             timing: QpuTiming::new(schedule, self.config.num_reads),
         }
     }
@@ -367,35 +475,38 @@ impl QuantumSampler {
         initial_bits: Option<&[u8]>,
         seed: u64,
     ) -> (AnnealResult, f64) {
+        let n = embedding.num_logical();
         assert_eq!(
-            embedding.num_logical(),
+            n,
             qubo.num_vars(),
             "sample_qubo_embedded: embedding size mismatch"
         );
-        let (logical, _offset) = CsrIsing::from_qubo(qubo);
-        let physical = embedding.embed(&logical, strength);
-
-        // Expand the reverse-anneal initial state through the chains.
-        let mut init_rng = Rng64::new(seed ^ 0xE1BE_DDED);
-        let physical_init = initial_bits.map(|bits| {
-            let spins = bits_to_spins(bits);
-            embedding.embed_state(&spins, &mut init_rng)
+        let logical = self.program(qubo);
+        let mut physical = embedding.embed(&logical, strength);
+        let (samples, broken) = with_scratch(|scratch| {
+            scratch.csr = logical;
+            // Expand the reverse-anneal initial state through the chains.
+            let mut init_rng = Rng64::new(seed ^ 0xE1BE_DDED);
+            let physical_init = initial_bits.map(|bits| {
+                embedding.embed_state(spins_into(&mut scratch.initial, bits), &mut init_rng)
+            });
+            let reads = &mut scratch.reads;
+            self.run_reads(
+                &mut physical,
+                schedule,
+                physical_init.as_deref(),
+                seed,
+                reads,
+            );
+            scratch.logical.clear();
+            let broken: usize = (reads.readouts.chunks_exact(physical.num_vars()))
+                .map(|phys| embedding.unembed(phys, &mut scratch.logical))
+                .sum();
+            let shape = (n, self.config.num_reads);
+            let samples = count_samples(&scratch.logical, shape, &mut scratch.order, qubo);
+            (samples, broken)
         });
-
-        let states = self.run_reads(physical, schedule, physical_init.as_deref(), seed);
-        let mut broken_total = 0usize;
-        let reads = states.len();
-        let logical: Vec<Vec<i8>> = states
-            .iter()
-            .map(|phys| {
-                let (logical_spins, broken) = embedding.unembed(phys);
-                broken_total += broken;
-                logical_spins
-            })
-            .collect();
-        let samples = count_samples(logical, qubo);
-        let chain_break_fraction =
-            broken_total as f64 / (reads * embedding.num_logical()).max(1) as f64;
+        let chain_break_fraction = broken as f64 / (self.config.num_reads * n).max(1) as f64;
         (
             AnnealResult {
                 samples,
@@ -406,27 +517,32 @@ impl QuantumSampler {
     }
 
     /// Runs the configured number of reads of the intended problem
-    /// `programmed`, in parallel, deterministically. The configuration is
-    /// validated here, once per submission; the engines' per-read loops
-    /// take it as valid.
+    /// `programmed` into `reads.readouts`, deterministically. The
+    /// configuration is validated here, once per submission; the engines'
+    /// per-read loops take it as valid. One worker runs every read over
+    /// `reads`' buffers; more run one contiguous chunk of reads each, over
+    /// buffers of their own, and hand back one flat readout buffer a chunk.
     fn run_reads(
         &self,
-        mut programmed: CsrIsing,
+        programmed: &mut CsrIsing,
         schedule: &AnnealSchedule,
         initial: Option<&[i8]>,
         seed: u64,
-    ) -> Vec<Vec<i8>> {
+        reads: &mut Reads,
+    ) {
         self.config.validate_or_panic();
         // Program the device: auto-scale the intended problem.
         if self.config.auto_scale {
             programmed.normalize();
         }
+        let programmed = &*programmed;
 
         // Per-read RNG seeds from the master seed: thread-count invariant.
         let mut master = Rng64::new(seed);
-        let read_seeds: Vec<u64> = (0..self.config.num_reads)
-            .map(|_| master.next_u64())
-            .collect();
+        reads.seeds.clear();
+        reads
+            .seeds
+            .extend((0..self.config.num_reads).map(|_| master.next_u64()));
 
         let (profile, params) = (&self.profile, &self.config.params);
         let plan = match self.config.engine {
@@ -436,28 +552,52 @@ impl QuantumSampler {
             }
             EngineKind::Svmc => None,
         };
-        let anneal = |problem: &CsrIsing, rngs: &mut [Rng64]| match &plan {
-            Some(plan) => plan.run_reads(problem, initial, rngs),
-            None => rngs
-                .iter_mut()
-                .map(|rng| SvmcEngine.run(problem, profile, schedule, params, initial, rng))
-                .collect(),
-        };
-        // Each thread runs its contiguous chunk of reads as one batch.
-        parallel_map_chunks(&read_seeds, self.config.threads, |_, seeds| {
-            let mut rngs: Vec<Rng64> = seeds.iter().map(|&s| Rng64::new(s)).collect();
-            if self.config.ice.is_none() {
-                return anneal(&programmed, &mut rngs);
+        let ice = &self.config.ice;
+        // One batch of reads, one generator each, appended to
+        // `bufs.readouts`.
+        let batch = |seeds: &[u64], bufs: &mut Reads| {
+            let Reads {
+                rngs,
+                start,
+                pimc,
+                readouts: out,
+                ..
+            } = bufs;
+            rngs.clear();
+            rngs.extend(seeds.iter().map(|&s| Rng64::new(s)));
+            let mut anneal = |problem: &CsrIsing, rngs: &mut [Rng64]| match &plan {
+                Some(plan) => plan.read_into(problem, initial, rngs, start, pimc, out),
+                None => rngs.iter_mut().for_each(|rng| {
+                    out.extend(SvmcEngine.run(problem, profile, schedule, params, initial, rng));
+                }),
+            };
+            if ice.is_none() {
+                return anneal(programmed, rngs);
             }
             // ICE: every read anneals its own perturbed copy, drawn from
             // its own stream before the anneal.
-            rngs.iter_mut()
-                .flat_map(|rng| {
-                    let problem = self.config.ice.perturb(&programmed, rng);
-                    anneal(&problem, std::slice::from_mut(rng))
-                })
-                .collect()
-        })
+            for rng in rngs.iter_mut() {
+                let problem = ice.perturb(programmed, rng);
+                anneal(&problem, std::slice::from_mut(rng));
+            }
+        };
+        let seeds = std::mem::take(&mut reads.seeds);
+        reads.readouts.clear();
+        if resolve_threads(self.config.threads).min(seeds.len()) <= 1 {
+            batch(&seeds, reads);
+        } else {
+            let chunks = parallel_map_chunks(&seeds, self.config.threads, |_, seeds| {
+                let mut own = Reads::default();
+                batch(seeds, &mut own);
+                // One result per read: the chunk's readouts travel in its
+                // first read's slot, the others stay empty.
+                let mut slots = vec![Vec::new(); seeds.len()];
+                slots[0] = own.readouts;
+                slots
+            });
+            reads.readouts.extend(chunks.into_iter().flatten());
+        }
+        reads.seeds = seeds;
     }
 }
 
@@ -467,6 +607,19 @@ mod tests {
     use crate::engine::FreezeOut;
     use hqw_qubo::exact::exhaustive_minimum;
     use hqw_qubo::generator::random_qubo;
+
+    /// The readouts of `sampler`'s reads of `programmed`, one per read.
+    pub(super) fn readouts(
+        sampler: &QuantumSampler,
+        mut programmed: CsrIsing,
+        schedule: &AnnealSchedule,
+        seed: u64,
+    ) -> Vec<Vec<i8>> {
+        let mut reads = Reads::default();
+        sampler.run_reads(&mut programmed, schedule, None, seed, &mut reads);
+        let n = programmed.num_vars();
+        reads.readouts.chunks_exact(n).map(<[i8]>::to_vec).collect()
+    }
 
     fn quick_config(reads: usize) -> SamplerConfig {
         SamplerConfig {
@@ -601,6 +754,47 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_thread_scratch_never_changes_a_sample_set() {
+        // Submissions on one thread reuse its buffers: a reverse anneal of
+        // one problem at one s_p, then at others, a forward anneal and a
+        // smaller problem between them, each equal to the same submission
+        // on a fresh thread. The same problem and seed state at another
+        // s_p reaches the same floors after the same flips, so levels kept
+        // from the last submission would be taken as current.
+        let mut rng = Rng64::new(54);
+        let big = random_qubo(16, &mut rng);
+        let small = random_qubo(5, &mut rng);
+        let mut cfg = quick_config(16);
+        cfg.threads = 1;
+        cfg.params = AnnealParams::default();
+        let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
+        let submit = |q: &Qubo, s_p: Option<f64>, seed: u64| {
+            let init = vec![1u8; q.num_vars()];
+            let result = match s_p {
+                Some(s_p) => {
+                    let schedule = AnnealSchedule::reverse(s_p, 1.0).unwrap();
+                    sampler.sample_qubo(q, &schedule, Some(&init), seed)
+                }
+                None => sampler.sample_qubo(q, &AnnealSchedule::forward(1.0).unwrap(), None, seed),
+            };
+            fingerprint(&result)
+        };
+        let order = [
+            (&big, Some(0.55)),
+            (&big, Some(0.60)),
+            (&small, Some(0.60)),
+            (&big, None),
+            (&big, Some(0.55)),
+            (&big, Some(0.65)),
+        ];
+        for (round, &(q, s_p)) in order.iter().enumerate() {
+            let seed = 7;
+            let fresh = std::thread::scope(|scope| scope.spawn(|| submit(q, s_p, seed)).join());
+            assert_eq!(submit(q, s_p, seed), fresh.unwrap(), "round {round}");
+        }
+    }
+
     /// The sample set of `reads` through today's `SampleSet::from_reads`,
     /// one `(bits, energy)` pair per read.
     fn from_reads_reference(qubo: &Qubo, reads: &[Vec<i8>]) -> Vec<(Vec<u8>, u64, u64)> {
@@ -630,7 +824,7 @@ mod tests {
         };
         cfg.threads = 1;
         let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
-        let reads = sampler.run_reads(CsrIsing::from_ising(&ising), &schedule, None, 29);
+        let reads = readouts(&sampler, CsrIsing::from_ising(&ising), &schedule, 29);
         let counted = fingerprint(&sampler.sample_qubo(&q, &schedule, None, 29));
         assert_eq!(counted, from_reads_reference(&q, &reads));
         assert!(
@@ -642,29 +836,20 @@ mod tests {
 
         // Counting sorts: its comparisons stay near R·log₂R (about 22,000
         // at R = 2,000), far below a pairwise scan's R²/2 = 2,000,000.
-        use std::cell::Cell;
-        let comparisons = Cell::new(0u64);
-        #[derive(PartialEq, Eq)]
-        struct Counted<'a>(Vec<i8>, &'a Cell<u64>);
-        impl PartialOrd for Counted<'_> {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Counted<'_> {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.1.set(self.1.get() + 1);
-                self.0.cmp(&other.0)
-            }
-        }
-        let items = reads
-            .into_iter()
-            .map(|r| Counted(r, &comparisons))
-            .collect();
-        let counts = tally(items);
-        assert_eq!(counts.len(), counted.len());
-        let cmp = comparisons.get();
-        assert!(cmp < 100_000, "{cmp} comparisons for 2,000 reads");
+        let mut comparisons = 0u64;
+        let mut order = Vec::new();
+        group(&mut order, reads.len(), |&a, &b| {
+            comparisons += 1;
+            reads[a as usize].cmp(&reads[b as usize])
+        });
+        let distinct = order
+            .chunk_by(|&a, &b| reads[a as usize] == reads[b as usize])
+            .count();
+        assert_eq!(distinct, counted.len());
+        assert!(
+            comparisons < 100_000,
+            "{comparisons} comparisons for 2,000 reads"
+        );
     }
 
     #[test]
@@ -678,7 +863,7 @@ mod tests {
         let mut cfg = quick_config(5);
         cfg.threads = 1;
         let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
-        let batched = sampler.run_reads(CsrIsing::from_ising(&ising), &schedule, None, 23);
+        let batched = readouts(&sampler, CsrIsing::from_ising(&ising), &schedule, 23);
         let mut programmed = ising.clone();
         programmed.normalize();
         let programmed = CsrIsing::from_ising(&programmed);
@@ -955,10 +1140,13 @@ mod embedded_tests {
             sampler.sample_qubo_embedded(&q, &embedding, strength, &schedule, None, 3);
         let (logical, _) = CsrIsing::from_qubo(&q);
         let physical = embedding.embed(&logical, strength);
-        let reads: Vec<Vec<i8>> = sampler
-            .run_reads(physical, &schedule, None, 3)
+        let reads: Vec<Vec<i8>> = super::tests::readouts(&sampler, physical, &schedule, 3)
             .iter()
-            .map(|phys| embedding.unembed(phys).0)
+            .map(|phys| {
+                let mut logical = Vec::new();
+                embedding.unembed(phys, &mut logical);
+                logical
+            })
             .collect();
         let reference = SampleSet::from_reads(reads.iter().map(|spins| {
             let bits = spins_to_bits(spins);

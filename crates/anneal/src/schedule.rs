@@ -156,7 +156,8 @@ impl AnnealSchedule {
             });
         }
         let back = 1.0 - s_p;
-        let mut pts = vec![(0.0, 1.0), (back, s_p)];
+        let mut pts = Vec::with_capacity(4);
+        pts.extend([(0.0, 1.0), (back, s_p)]);
         if t_p > 0.0 {
             pts.push((back + t_p, s_p));
         }

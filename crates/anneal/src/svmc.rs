@@ -75,7 +75,7 @@ impl AnnealEngine for SvmcEngine {
 
         // Rotor angles plus cached cos/sin (cosines enter neighbors' fields;
         // sines enter only the rotor's own transverse term).
-        let theta: Vec<f64> = initial_theta(&init, n);
+        let theta: Vec<f64> = initial_theta(init, n);
         let mut cos_t: Vec<f64> = theta.iter().map(|t| t.cos()).collect();
         let mut sin_t: Vec<f64> = theta.iter().map(|t| t.sin()).collect();
         drop(theta);
@@ -127,7 +127,7 @@ impl AnnealEngine for SvmcEngine {
 }
 
 /// Initial rotor angles for a schedule.
-fn initial_theta(init: &Option<Vec<i8>>, n: usize) -> Vec<f64> {
+fn initial_theta(init: Option<&[i8]>, n: usize) -> Vec<f64> {
     match init {
         Some(state) => state
             .iter()

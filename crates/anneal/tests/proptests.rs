@@ -101,7 +101,8 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let logical: Vec<i8> = (0..n).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
         let physical = emb.embed_state(&logical, &mut rng);
-        let (back, broken) = emb.unembed(&physical);
+        let mut back = Vec::new();
+        let broken = emb.unembed(&physical, &mut back);
         prop_assert_eq!(back, logical);
         prop_assert_eq!(broken, 0);
     }
@@ -158,7 +159,8 @@ proptest! {
         let emb = cache.get(Chimera::new(m), n);
         let logical: Vec<i8> = (0..n).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
         let physical = emb.embed_state(&logical, &mut rng);
-        let (back, broken) = emb.unembed(&physical);
+        let mut back = Vec::new();
+        let broken = emb.unembed(&physical, &mut back);
         prop_assert_eq!(back, logical);
         prop_assert_eq!(broken, 0);
     }

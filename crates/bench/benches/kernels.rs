@@ -26,7 +26,9 @@
 //! detector's 16-read reverse anneal on 16 spins (also at `s_p` 0.60 and
 //! 0.55, where reads flip many times), the paper's 16-read FA on the same
 //! frame, and the mock QPU's 4-read forward anneal on its 32-qubit
-//! embedding. `program/qubo_to_csr`
+//! embedding. `served/detect_ra_frame/16` times detect-ra's whole served
+//! frame (the hybrid solve and the decision's relabel) per frame over a
+//! fixed set of 2,000 frames. `program/qubo_to_csr`
 //! times `CsrIsing::from_qubo`, the one-pass build that programs each
 //! served frame, and `program/embed_c2/8` the mock QPU's programming of
 //! an 8-variable job: that build plus the clique embedding onto C₂.
@@ -54,6 +56,7 @@ use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
 use hqw_anneal::topology::Chimera;
 use hqw_anneal::{AnnealParams, AnnealSchedule, DWaveProfile};
 use hqw_core::protocol::Protocol;
+use hqw_core::HybridSolver;
 use hqw_math::{CMatrix, CVector, Exp1, RMatrix, Rng64};
 use hqw_phy::channel::{snr_db_to_noise_variance, ChannelTrack, TrackConfig};
 use hqw_phy::mimo::MimoSystem;
@@ -479,6 +482,46 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
     ));
 }
 
+/// detect-ra's served frame: `HybridSolver::solve` (greedy search seeding
+/// a 16-read PIMC-8 reverse anneal at `s_p` 0.65, serial reads) plus the
+/// decision's `natural_to_gray`, over a fixed set of 2,000 8-user QPSK
+/// `ChannelTrack` frames at 14 dB, each with a fixed seed. One batch is
+/// one pass over the set, so a row is ns per frame, averaged over the set.
+fn bench_served_frame(out: &mut Vec<Measurement>) {
+    const FRAMES: usize = 2_000;
+    let track = TrackConfig {
+        n_users: 8,
+        n_rx: 8,
+        modulation: Modulation::Qpsk,
+        rho: 0.0,
+        noise_variance: snr_db_to_noise_variance(14.0, 8),
+    };
+    let frames: Vec<DetectionInstance> = ChannelTrack::new(track, 99).take(FRAMES).collect();
+    let sampler = QuantumSampler::new(
+        DWaveProfile::calibrated(),
+        SamplerConfig {
+            num_reads: 16,
+            engine: EngineKind::Pimc { trotter_slices: 8 },
+            threads: 1,
+            ..Default::default()
+        },
+    );
+    let solver = HybridSolver::paper_prototype(sampler, 0.65);
+    let mut at = 0;
+    let mut frame = || {
+        let inst = &frames[at];
+        let result = solver.solve(inst, at as u64);
+        black_box(inst.reduction.natural_to_gray(&result.best_bits));
+        at = (at + 1) % FRAMES;
+    };
+    out.extend(bench_interleaved(
+        &["served/detect_ra_frame/16"],
+        16,
+        FRAMES,
+        &mut [&mut frame],
+    ));
+}
+
 /// Programming a served frame: `CsrIsing::from_qubo` on the detector's
 /// 8-user QPSK problem (16 spins), ns per build. Every served greedy
 /// seed, SA read and anneal submission starts with this build. Then the
@@ -674,6 +717,7 @@ fn main() {
     bench_sa_job(&mut results);
     bench_parallel_reads(&mut results, &mut derived);
     bench_engine_reads(&mut results);
+    bench_served_frame(&mut results);
     bench_programming(&mut results);
     bench_reduction(&mut results, &mut derived);
     bench_exp1(&mut results);

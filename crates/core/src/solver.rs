@@ -9,6 +9,13 @@
 //! itself (the refinement stage can only help, never hurt). Forward-only
 //! protocols skip the initializer and run fully quantum, so the same type
 //! drives every arm of the paper's comparison.
+//!
+//! A frame builds its problem's CSR once: [`QuantumSampler::program`]
+//! writes it into this thread's recycled buffers, the classical stage
+//! reads it ([`ClassicalInitializer::initialize_on`]), and the sampler's
+//! programmed-CSR entry ([`QuantumSampler::sample_programmed`]) then takes
+//! it. The sampler keeps every buffer its reads use per thread, so after
+//! warm-up a served frame allocates only what it returns.
 
 use crate::metrics::{delta_e_percent, success_probability, time_to_solution};
 use crate::protocol::Protocol;
@@ -149,6 +156,10 @@ impl HybridSolver {
             .schedule()
             .expect("invalid protocol parameters");
 
+        // The frame's CSR, built once: the classical stage reads it and
+        // the sampler then programs it.
+        let qubo = &instance.reduction.qubo;
+        let programmed = self.sampler.program(qubo);
         let (initial, classical_us) = if self.config.protocol.requires_initial_state() {
             let init = match warm_start {
                 Some(bits) => {
@@ -163,11 +174,14 @@ impl HybridSolver {
                     );
                     InitialState {
                         bits: bits.to_vec(),
-                        energy: instance.reduction.qubo.energy(bits),
+                        energy: qubo.energy(bits),
                         latency_us: 0.0,
                     }
                 }
-                None => self.config.initializer.initialize(instance, &mut rng),
+                None => self
+                    .config
+                    .initializer
+                    .initialize_on(instance, &programmed, &mut rng),
             };
             let latency = init.latency_us;
             (Some(init), latency)
@@ -175,8 +189,9 @@ impl HybridSolver {
             (None, 0.0)
         };
 
-        let result = self.sampler.sample_qubo(
-            &instance.reduction.qubo,
+        let result = self.sampler.sample_programmed(
+            qubo,
+            programmed,
             &schedule,
             initial.as_ref().map(|i| i.bits.as_slice()),
             rng.next_u64(),

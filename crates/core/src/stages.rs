@@ -16,7 +16,7 @@
 use hqw_math::Rng64;
 use hqw_phy::detect::Detector;
 use hqw_phy::instance::DetectionInstance;
-use hqw_qubo::greedy::greedy_search;
+use hqw_qubo::{greedy_search_csr, CsrIsing};
 
 /// A candidate solution from a classical stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,6 +36,19 @@ pub trait ClassicalInitializer: Send + Sync {
 
     /// Computes a candidate for one detection instance.
     fn initialize(&self, instance: &DetectionInstance, rng: &mut Rng64) -> InitialState;
+
+    /// [`ClassicalInitializer::initialize`] given the instance QUBO's
+    /// Ising CSR (as [`CsrIsing::from_qubo`] builds it), which the hybrid
+    /// solver has built once for the frame. A stage that reads the CSR
+    /// overrides this; the others ignore it.
+    fn initialize_on(
+        &self,
+        instance: &DetectionInstance,
+        _csr: &CsrIsing,
+        rng: &mut Rng64,
+    ) -> InitialState {
+        self.initialize(instance, rng)
+    }
 }
 
 /// Notional DSP clock for latency models (operations per microsecond).
@@ -51,8 +64,20 @@ impl ClassicalInitializer for GreedyInitializer {
         "GS"
     }
 
-    fn initialize(&self, instance: &DetectionInstance, _rng: &mut Rng64) -> InitialState {
-        let (bits, energy) = greedy_search(&instance.reduction.qubo);
+    /// A wrapper over [`ClassicalInitializer::initialize_on`] on the
+    /// instance's CSR.
+    fn initialize(&self, instance: &DetectionInstance, rng: &mut Rng64) -> InitialState {
+        let (csr, _offset) = CsrIsing::from_qubo(&instance.reduction.qubo);
+        self.initialize_on(instance, &csr, rng)
+    }
+
+    fn initialize_on(
+        &self,
+        instance: &DetectionInstance,
+        csr: &CsrIsing,
+        _rng: &mut Rng64,
+    ) -> InitialState {
+        let (bits, energy) = greedy_search_csr(&instance.reduction.qubo, csr);
         let n = instance.num_vars() as f64;
         InitialState {
             bits,

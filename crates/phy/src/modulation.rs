@@ -191,28 +191,21 @@ impl Modulation {
     }
 
     /// Converts one symbol's Gray-labeled bits to natural (QUBO-variable)
-    /// labels, rail by rail.
+    /// labels, rail by rail, into `natural_bits`.
     ///
     /// # Panics
     /// Panics on length mismatch.
-    pub fn gray_to_natural(self, gray_bits: &[u8]) -> Vec<u8> {
-        assert_eq!(gray_bits.len(), self.bits_per_symbol());
-        let mi = self.i_bits();
-        let mut out = Self::relabel(&gray_bits[..mi], Self::gray_decode);
-        out.extend(Self::relabel(&gray_bits[mi..], Self::gray_decode));
-        out
+    pub fn gray_to_natural(self, gray_bits: &[u8], natural_bits: &mut [u8]) {
+        self.relabel(gray_bits, natural_bits, Self::gray_decode);
     }
 
-    /// Converts one symbol's natural (QUBO-variable) bits to Gray labels.
+    /// Converts one symbol's natural (QUBO-variable) bits to Gray labels,
+    /// into `gray_bits`.
     ///
     /// # Panics
     /// Panics on length mismatch.
-    pub fn natural_to_gray(self, natural_bits: &[u8]) -> Vec<u8> {
-        assert_eq!(natural_bits.len(), self.bits_per_symbol());
-        let mi = self.i_bits();
-        let mut out = Self::relabel(&natural_bits[..mi], Self::gray_encode);
-        out.extend(Self::relabel(&natural_bits[mi..], Self::gray_encode));
-        out
+    pub fn natural_to_gray(self, natural_bits: &[u8], gray_bits: &mut [u8]) {
+        self.relabel(natural_bits, gray_bits, Self::gray_encode);
     }
 
     /// Symbol value from natural-labeled bits — linear in the spins
@@ -235,13 +228,20 @@ impl Modulation {
 
     // --- helpers -----------------------------------------------------------
 
-    fn relabel(bits: &[u8], f: impl Fn(usize) -> usize) -> Vec<u8> {
-        let m = bits.len();
-        let code = bits.iter().fold(0usize, |acc, &b| (acc << 1) | b as usize);
-        let relabeled = f(code);
-        (0..m)
-            .map(|k| ((relabeled >> (m - 1 - k)) & 1) as u8)
-            .collect()
+    /// Maps each rail's code through `f` (MSB first), `bits` into `out`.
+    fn relabel(self, bits: &[u8], out: &mut [u8], f: impl Fn(usize) -> usize) {
+        assert_eq!(bits.len(), self.bits_per_symbol());
+        assert_eq!(out.len(), bits.len());
+        let mi = self.i_bits();
+        let (out_i, out_q) = out.split_at_mut(mi);
+        for (rail, out) in [(&bits[..mi], out_i), (&bits[mi..], out_q)] {
+            let m = rail.len();
+            let code = rail.iter().fold(0usize, |acc, &b| (acc << 1) | b as usize);
+            let relabeled = f(code);
+            for (k, bit) in out.iter_mut().enumerate() {
+                *bit = ((relabeled >> (m - 1 - k)) & 1) as u8;
+            }
+        }
     }
 
     /// Gray-labeled rail bits (MSB first) → lattice amplitude level.
@@ -348,9 +348,12 @@ mod tests {
     #[test]
     fn natural_and_gray_labelings_are_bijective() {
         for m in Modulation::ALL {
+            let mut natural = vec![0; m.bits_per_symbol()];
+            let mut gray = natural.clone();
             for (gray_bits, _) in m.constellation() {
-                let natural = m.gray_to_natural(&gray_bits);
-                assert_eq!(m.natural_to_gray(&natural), gray_bits);
+                m.gray_to_natural(&gray_bits, &mut natural);
+                m.natural_to_gray(&natural, &mut gray);
+                assert_eq!(gray, gray_bits);
             }
         }
     }
@@ -359,8 +362,9 @@ mod tests {
     fn natural_bits_reproduce_the_same_symbol() {
         // The solver-side linear map must agree with the modem on every point.
         for m in Modulation::ALL {
+            let mut natural = vec![0; m.bits_per_symbol()];
             for (gray_bits, sym) in m.constellation() {
-                let natural = m.gray_to_natural(&gray_bits);
+                m.gray_to_natural(&gray_bits, &mut natural);
                 let sym2 = m.natural_bits_to_symbol(&natural);
                 assert!(
                     (sym - sym2).abs() < 1e-12,

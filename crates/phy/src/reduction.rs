@@ -40,6 +40,7 @@
 //! the paper's problem sizing.
 
 use crate::mimo::MimoSystem;
+use crate::modulation::Modulation;
 use hqw_math::{CMatrix, CVector};
 use hqw_qubo::Qubo;
 
@@ -76,20 +77,23 @@ impl ReducedProblem {
     /// Converts a full natural-labeled assignment to Gray-labeled wireless
     /// bits (user-major).
     pub fn natural_to_gray(&self, natural_bits: &[u8]) -> Vec<u8> {
-        let bps = self.system.modulation.bits_per_symbol();
-        natural_bits
-            .chunks(bps)
-            .flat_map(|chunk| self.system.modulation.natural_to_gray(chunk))
-            .collect()
+        self.relabel(natural_bits, Modulation::natural_to_gray)
     }
 
     /// Converts Gray-labeled wireless bits to natural-labeled QUBO variables.
     pub fn gray_to_natural(&self, gray_bits: &[u8]) -> Vec<u8> {
-        let bps = self.system.modulation.bits_per_symbol();
-        gray_bits
-            .chunks(bps)
-            .flat_map(|chunk| self.system.modulation.gray_to_natural(chunk))
-            .collect()
+        self.relabel(gray_bits, Modulation::gray_to_natural)
+    }
+
+    /// `bits` relabeled symbol by symbol with `f`, into one allocation.
+    fn relabel(&self, bits: &[u8], f: fn(Modulation, &[u8], &mut [u8])) -> Vec<u8> {
+        let modulation = self.system.modulation;
+        let bps = modulation.bits_per_symbol();
+        let mut out = vec![0; bits.len()];
+        for (symbol, out) in bits.chunks(bps).zip(out.chunks_mut(bps)) {
+            f(modulation, symbol, out);
+        }
+        out
     }
 }
 

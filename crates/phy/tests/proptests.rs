@@ -84,8 +84,10 @@ proptest! {
         let mut rng = Rng64::new(seed);
         let bps = m.bits_per_symbol();
         let bits: Vec<u8> = (0..bps).map(|_| rng.next_bool() as u8).collect();
-        let nat = m.gray_to_natural(&bits);
-        prop_assert_eq!(m.natural_to_gray(&nat), bits.clone());
+        let (mut nat, mut gray) = (vec![0; bps], vec![0; bps]);
+        m.gray_to_natural(&bits, &mut nat);
+        m.natural_to_gray(&nat, &mut gray);
+        prop_assert_eq!(gray, bits.clone());
         // And both labelings denote the same symbol.
         let via_gray = m.modulate(&bits);
         let via_natural = m.natural_bits_to_symbol(&nat);

@@ -117,12 +117,31 @@ impl CsrIsing {
     /// `Q_kj/4` to `h_k` in the order `to_ising` does. The offset sums
     /// each row's `Q_kk/2` and `Q_kj/4` in that same order. O(n²).
     pub fn from_qubo(qubo: &Qubo) -> (Self, f64) {
+        let mut csr = CsrIsing::default();
+        let offset = csr.refill_from_qubo(qubo);
+        (csr, offset)
+    }
+
+    /// Rebuilds this CSR as [`CsrIsing::from_qubo`]`(qubo)`, bit for bit,
+    /// in its own buffers, and returns the offset: once they have grown to
+    /// the problem's size, a rebuild allocates nothing.
+    pub fn refill_from_qubo(&mut self, qubo: &Qubo) -> f64 {
         let n = qubo.num_vars();
         let tri = qubo.triangle();
-        let mut h = Vec::with_capacity(n);
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(n * n.saturating_sub(1));
-        let mut weight = Vec::with_capacity(n * n.saturating_sub(1));
+        let CsrIsing {
+            h,
+            row_ptr,
+            col_idx,
+            weight,
+        } = self;
+        h.clear();
+        row_ptr.clear();
+        col_idx.clear();
+        weight.clear();
+        h.reserve(n);
+        row_ptr.reserve(n + 1);
+        col_idx.reserve(n * n.saturating_sub(1));
+        weight.reserve(n * n.saturating_sub(1));
         let mut offset = 0.0;
         row_ptr.push(0u32);
         let mut row_start = 0;
@@ -155,13 +174,7 @@ impl CsrIsing {
             h.push(hk);
             row_ptr.push(col_idx.len() as u32);
         }
-        let csr = CsrIsing {
-            h,
-            row_ptr,
-            col_idx,
-            weight,
-        };
-        (csr, offset)
+        offset
     }
 
     /// Rescales in place so that `max(max|h|, max|J|) == 1` (no-op for an

@@ -39,9 +39,9 @@
 
 use crate::csr::CsrIsing;
 use crate::model::Qubo;
-use crate::solution::spins_to_bits;
 
-/// Runs Greedy Search on a QUBO, returning `(bits, energy)`.
+/// Runs Greedy Search on a QUBO, returning `(bits, energy)`: a wrapper
+/// over [`greedy_search_csr`] on the QUBO's CSR.
 ///
 /// Deterministic: ties in field magnitude are broken by variable index, and
 /// a zero effective field assigns `q = 1` (spin up), matching the paper's
@@ -51,15 +51,28 @@ use crate::solution::spins_to_bits;
 /// Panics when a linear field is NaN.
 pub fn greedy_search(qubo: &Qubo) -> (Vec<u8>, f64) {
     let (csr, _offset) = CsrIsing::from_qubo(qubo);
-    let bits = spins_to_bits(&greedy_spins(&csr));
+    greedy_search_csr(qubo, &csr)
+}
+
+/// Greedy Search on `qubo` read from `csr`, its Ising form as
+/// [`CsrIsing::from_qubo`] builds it (not rescaled), returning
+/// `(bits, energy)`; a caller that already holds the CSR builds none.
+///
+/// # Panics
+/// Panics when a linear field is NaN, or `csr` is not `qubo`'s size.
+pub fn greedy_search_csr(qubo: &Qubo, csr: &CsrIsing) -> (Vec<u8>, f64) {
+    assert_eq!(csr.num_vars(), qubo.num_vars(), "greedy: size mismatch");
+    let bits = greedy_bits(csr);
     let energy = qubo.energy(&bits);
     (bits, energy)
 }
 
-/// Greedy Search on the Ising form, returning spins.
-fn greedy_spins(csr: &CsrIsing) -> Vec<i8> {
+/// Greedy Search on the Ising form, returning bits (`q = 1` for `s = +1`).
+fn greedy_bits(csr: &CsrIsing) -> Vec<u8> {
+    /// A variable not yet assigned.
+    const UNSET: u8 = 2;
     let n = csr.num_vars();
-    let mut spins: Vec<i8> = vec![0; n]; // 0 = unset
+    let mut bits = vec![UNSET; n];
 
     // Effective field of each unset variable, updated as spins are fixed.
     let mut field: Vec<f64> = csr.h_slice().to_vec();
@@ -67,35 +80,30 @@ fn greedy_spins(csr: &CsrIsing) -> Vec<i8> {
 
     for _ in 0..n {
         // Pick the unset variable with the largest |effective field|; ties
-        // go to the lowest index.
+        // go to the lowest index. The choice is a select, not a branch:
+        // which variable wins varies from problem to problem.
         let mut k = usize::MAX;
         let mut best_mag = f64::NEG_INFINITY;
-        for i in 0..n {
-            if spins[i] != 0 {
-                continue;
-            }
-            let mag = field[i].abs();
-            if mag > best_mag || k == usize::MAX {
-                k = i;
-                best_mag = mag;
-            }
+        for (i, (&bit, &f)) in bits.iter().zip(&field).enumerate() {
+            let mag = f.abs();
+            let take = (bit == UNSET) & ((mag > best_mag) | (k == usize::MAX));
+            k = if take { i } else { k };
+            best_mag = if take { mag } else { best_mag };
         }
 
         // Assign the value minimizing the energy contribution f_k · s_k:
         // s_k = −sign(f_k), with the zero-field tie going to +1 (q = 1).
-        let s = if field[k] > 0.0 { -1i8 } else { 1i8 };
-        spins[k] = s;
+        let s = if field[k] > 0.0 { -1.0 } else { 1.0 };
+        bits[k] = u8::from(s > 0.0);
 
-        // Fold the fixed spin into its neighbors' effective fields.
+        // Fold the fixed spin into its neighbors' effective fields. A set
+        // variable's field is never read again, so it is updated too.
         let (cols, ws) = csr.row(k);
         for (&j, &jij) in cols.iter().zip(ws) {
-            let j = j as usize;
-            if spins[j] == 0 {
-                field[j] += jij * s as f64;
-            }
+            field[j as usize] += jij * s;
         }
     }
-    spins
+    bits
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub mod solution;
 pub mod tabu;
 
 pub use csr::{CsrIsing, LocalFieldState};
-pub use greedy::greedy_search;
+pub use greedy::{greedy_search, greedy_search_csr};
 pub use ising::Ising;
 pub use model::Qubo;
 pub use pt::{parallel_tempering, PtParams};
