@@ -7,10 +7,10 @@
 //! **C cells × U users** stream detection frames into a [`FabricScheduler`]
 //! that performs admission control, coalesces same-shape QUBOs into batches,
 //! and routes each batch to one of a heterogeneous pool of
-//! [`SolverBackend`]s. The pool has two backend shapes: a local pool of
-//! workers (SA, parallel tempering, tabu, or a PIMC/SVMC annealer
-//! simulator), and a mock QPU behind a [`NetworkModel`] whose minor
-//! embeddings come from an [`hqw_anneal::EmbeddingCache`] so repeated
+//! [`SolverBackend`]s. Every backend is one shape, a local pool of workers
+//! running one solver: SA, parallel tempering, tabu, a PIMC/SVMC annealer
+//! simulator, or the mock QPU, an annealer behind a [`NetworkModel`] whose
+//! minor embeddings come from an [`hqw_anneal::EmbeddingCache`] so repeated
 //! frames never re-derive chains.
 //!
 //! ## Control plane and executor
@@ -73,6 +73,7 @@ use hqw_qubo::sa::{sample_qubo_batch_seeded, SaParams};
 use hqw_qubo::tabu::{tabu_from_random, TabuParams};
 use hqw_qubo::Qubo;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// One detection frame offered to the fabric.
 #[derive(Debug)]
@@ -134,29 +135,25 @@ pub trait SolverBackend {
     fn predict_job_us(&self, cost: &CostModel, n_logical: usize) -> f64;
 
     /// Predicted fixed per-call overhead µs (network round trip, QPU
-    /// programming; 0 for local backends).
-    fn predict_overhead_us(&self) -> f64 {
-        0.0
-    }
+    /// programming; 0 for local solvers).
+    fn predict_overhead_us(&self) -> f64;
 
     /// Solves a batch of same-shape jobs in one call.
     fn solve_batch(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> BatchOutcome;
 
     /// Charges a batch **without solving it**: returns exactly the
     /// `service_us` that [`SolverBackend::solve_batch`] would charge for the
-    /// same batch, evolving any amortization state (e.g. the mock QPU's
-    /// embedding cache) identically. The control plane ([`FabricScheduler`])
-    /// runs the virtual clock through this on its own instances, and the
-    /// executor solves the same batch sequence on separate ones, so the two
-    /// charges agree bit for bit. One instance must not do both for the
-    /// same batch: charging then solving it double-counts cache-dependent
-    /// overheads.
+    /// same batch, evolving any amortization state (the mock QPU solver's
+    /// embedding cache) identically, since `solve_batch` charges through
+    /// this call too. The control plane ([`FabricScheduler`]) runs the
+    /// virtual clock through this on its own instances, and the executor
+    /// solves the same batch sequence on separate ones, so the two charges
+    /// agree bit for bit. One instance must not do both for the same batch:
+    /// charging then solving it double-counts cache-dependent overheads.
     fn charge_batch_us(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> f64;
 
     /// `(hits, misses)` of the backend's embedding cache, when it has one.
-    fn embedding_cache_stats(&self) -> Option<(u64, u64)> {
-        None
-    }
+    fn embedding_cache_stats(&self) -> Option<(u64, u64)>;
 }
 
 /// Serializes a batch across `capacity` parallel slots: `ceil(B/capacity)`
@@ -166,28 +163,8 @@ fn rounds_us(batch: usize, capacity: usize, job_us: f64) -> f64 {
     batch.div_ceil(capacity) as f64 * job_us
 }
 
-fn natural_to_gray_decision(
-    job: &FabricJob,
-    natural_bits: &[u8],
-    meta: DetectorMeta,
-) -> JobDecision {
-    JobDecision {
-        gray_bits: job.inst.reduction.natural_to_gray(natural_bits),
-        meta,
-    }
-}
-
-/// The one constructor-side validation shim every backend shares: panics
-/// with the validator's message (the assert-style contract backend
-/// constructors keep; spec-driven paths use the `Result` validators).
-fn expect_valid(result: Result<(), String>) {
-    if let Err(e) = result {
-        panic!("{e}");
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Local pools: SA, parallel tempering, tabu, PIMC and SVMC
+// Local pools: SA, parallel tempering, tabu, PIMC, SVMC and the mock QPU
 // ---------------------------------------------------------------------------
 
 /// The worker/batch checks every local pool configuration shares.
@@ -278,15 +255,48 @@ impl TabuConfig {
     }
 }
 
-/// The solver a [`LocalPool`] runs: its per-job charge and its batch
-/// solve.
+/// The solver a [`LocalPool`] runs: its per-job charge, its per-call
+/// overhead and its batch solve.
 trait LocalSolver {
     /// Charged sweeps (or sweep-equivalents) per job.
     fn sweeps_per_job(&self) -> u64;
 
-    /// Solves every `(qubo, seed)` pair, returning each job's best natural
-    /// bits.
-    fn solve(&self, jobs: &[(&Qubo, u64)]) -> Vec<Vec<u8>>;
+    /// The static quote of [`LocalSolver::overhead_us`] that admission
+    /// budgets against (0 for local solvers).
+    fn predict_overhead_us(&self) -> f64 {
+        0.0
+    }
+
+    /// The per-call overhead (µs) of a batch: the batch's one access to
+    /// any amortization state, which its [`LocalSolver::solve`] then runs
+    /// on (0 for local solvers).
+    fn overhead_us(&mut self, _jobs: &[&FabricJob]) -> f64 {
+        0.0
+    }
+
+    /// `(hits, misses)` of the solver's embedding cache, when it has one.
+    fn embedding_cache_stats(&self) -> Option<(u64, u64)> {
+        None
+    }
+
+    /// Decides every job, seeding its search from `job.seed ^ salt`.
+    fn solve(&self, jobs: &[&FabricJob], salt: u64) -> Vec<JobDecision>;
+
+    /// The work counters one job is charged.
+    fn job_meta(&self) -> DetectorMeta {
+        DetectorMeta {
+            nodes_visited: 0,
+            sweeps: self.sweeps_per_job(),
+        }
+    }
+
+    /// A job's decision from its best natural bits.
+    fn decide(&self, job: &FabricJob, natural_bits: &[u8]) -> JobDecision {
+        JobDecision {
+            gray_bits: job.inst.reduction.natural_to_gray(natural_bits),
+            meta: self.job_meta(),
+        }
+    }
 }
 
 impl LocalSolver for SaParams {
@@ -296,16 +306,14 @@ impl LocalSolver for SaParams {
 
     /// All `jobs × num_reads` reads in one
     /// [`hqw_qubo::sa::sample_qubo_batch_seeded`] dispatch.
-    fn solve(&self, jobs: &[(&Qubo, u64)]) -> Vec<Vec<u8>> {
-        let qubos: Vec<&Qubo> = jobs.iter().map(|&(qubo, _)| qubo).collect();
-        let seeds: Vec<u64> = jobs.iter().map(|&(_, seed)| seed).collect();
-        sample_qubo_batch_seeded(&qubos, self, &seeds)
-            .iter()
-            .map(|set| {
-                set.best()
-                    .expect("SA batch produced no samples")
-                    .bits
-                    .clone()
+    fn solve(&self, jobs: &[&FabricJob], salt: u64) -> Vec<JobDecision> {
+        let qubos: Vec<&Qubo> = jobs.iter().map(|job| &job.inst.reduction.qubo).collect();
+        let seeds: Vec<u64> = jobs.iter().map(|job| job.seed ^ salt).collect();
+        jobs.iter()
+            .zip(sample_qubo_batch_seeded(&qubos, self, &seeds))
+            .map(|(job, set)| {
+                let best = set.best().expect("SA batch produced no samples");
+                self.decide(job, &best.bits)
             })
             .collect()
     }
@@ -318,9 +326,12 @@ impl LocalSolver for PtParams {
         (self.replicas * self.sweeps) as u64
     }
 
-    fn solve(&self, jobs: &[(&Qubo, u64)]) -> Vec<Vec<u8>> {
+    fn solve(&self, jobs: &[&FabricJob], salt: u64) -> Vec<JobDecision> {
         jobs.iter()
-            .map(|&(qubo, seed)| parallel_tempering(qubo, self, seed).0)
+            .map(|job| {
+                let (bits, _) = parallel_tempering(&job.inst.reduction.qubo, self, job.seed ^ salt);
+                self.decide(job, &bits)
+            })
             .collect()
     }
 }
@@ -335,19 +346,23 @@ impl LocalSolver for TabuParams {
     }
 
     /// One search per job from a seeded random start.
-    fn solve(&self, jobs: &[(&Qubo, u64)]) -> Vec<Vec<u8>> {
+    fn solve(&self, jobs: &[&FabricJob], salt: u64) -> Vec<JobDecision> {
         jobs.iter()
-            .map(|&(qubo, seed)| tabu_from_random(qubo, self, &mut Rng64::new(seed)).0)
+            .map(|job| {
+                let mut rng = Rng64::new(job.seed ^ salt);
+                let (bits, _) = tabu_from_random(&job.inst.reduction.qubo, self, &mut rng);
+                self.decide(job, &bits)
+            })
             .collect()
     }
 }
 
-/// A pool of local workers running solver `S` — a classical search or an
-/// annealer simulator. Each job's search is seeded from the job alone
-/// (salted per classical solver), so a job's decision —
-/// and every BER metric — is invariant to how the scheduler bucketed it:
-/// the same paired-comparison property the mock QPU pins with per-job
-/// seeds. A batch runs in `ceil(B / workers)` rounds of the per-job charge.
+/// A pool of workers running solver `S`: a classical search, an annealer
+/// simulator, or the mock QPU's embedded annealer. Each job's search is
+/// seeded from the job alone (salted per classical solver), so a job's
+/// decision — and every BER metric — is invariant to how the scheduler
+/// bucketed it. A batch pays the solver's per-call overhead once, then
+/// runs in `ceil(B / workers)` rounds of the per-job charge.
 #[derive(Debug)]
 struct LocalPool<S> {
     name: &'static str,
@@ -355,15 +370,6 @@ struct LocalPool<S> {
     workers: usize,
     max_batch: usize,
     solver: S,
-}
-
-impl<S: LocalSolver> LocalPool<S> {
-    fn job_meta(&self) -> DetectorMeta {
-        DetectorMeta {
-            nodes_visited: 0,
-            sweeps: self.solver.sweeps_per_job(),
-        }
-    }
 }
 
 impl<S: LocalSolver> SolverBackend for LocalPool<S> {
@@ -380,32 +386,29 @@ impl<S: LocalSolver> SolverBackend for LocalPool<S> {
     }
 
     fn predict_job_us(&self, cost: &CostModel, _n_logical: usize) -> f64 {
-        cost.service_us(&self.job_meta())
+        cost.service_us(&self.solver.job_meta())
+    }
+
+    fn predict_overhead_us(&self) -> f64 {
+        self.solver.predict_overhead_us()
     }
 
     fn solve_batch(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> BatchOutcome {
-        let pairs: Vec<(&Qubo, u64)> = jobs
-            .iter()
-            .map(|job| (&job.inst.reduction.qubo, job.seed ^ self.salt))
-            .collect();
-        let meta = self.job_meta();
-        let decisions = jobs
-            .iter()
-            .zip(self.solver.solve(&pairs))
-            .map(|(job, bits)| natural_to_gray_decision(job, &bits, meta))
-            .collect();
+        // Charging first runs the overhead hook `solve` depends on.
+        let service_us = self.charge_batch_us(cost, jobs);
         BatchOutcome {
-            decisions,
-            service_us: self.charge_batch_us(cost, jobs),
+            decisions: self.solver.solve(jobs, self.salt),
+            service_us,
         }
     }
 
     fn charge_batch_us(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> f64 {
-        rounds_us(
-            jobs.len(),
-            self.workers,
-            self.predict_job_us(cost, jobs[0].inst.num_vars()),
-        )
+        let job_us = self.predict_job_us(cost, jobs[0].inst.num_vars());
+        self.solver.overhead_us(jobs) + rounds_us(jobs.len(), self.workers, job_us)
+    }
+
+    fn embedding_cache_stats(&self) -> Option<(u64, u64)> {
+        self.solver.embedding_cache_stats()
     }
 }
 
@@ -423,37 +426,6 @@ pub struct AnnealerConfig {
     pub capacity: usize,
     /// Most jobs coalesced per call.
     pub max_batch: usize,
-}
-
-/// Total MC sweeps one annealer job simulates: `reads ×` the sweeps of
-/// one read, [`AnnealParams::total_sweeps`] (`max(1, round(anneal_us ×
-/// sweeps_per_us))`). Shared by the PIMC/SVMC pools and the mock QPU so
-/// predicted and charged service can never drift apart.
-fn mc_sweeps_per_job(num_reads: usize, schedule: &AnnealSchedule, sweeps_per_us: usize) -> u64 {
-    num_reads as u64 * annealer_params(sweeps_per_us).total_sweeps(schedule) as u64
-}
-
-/// The anneal parameters every annealer-simulator backend runs.
-fn annealer_params(sweeps_per_us: usize) -> AnnealParams {
-    AnnealParams {
-        sweeps_per_us,
-        beta_override: None,
-        freeze_out: Some(FreezeOut::default()),
-    }
-}
-
-/// The one sampler construction every annealer-simulator backend shares.
-fn annealer_sampler(engine: EngineKind, num_reads: usize, sweeps_per_us: usize) -> QuantumSampler {
-    QuantumSampler::new(
-        DWaveProfile::calibrated(),
-        SamplerConfig {
-            num_reads,
-            engine,
-            params: annealer_params(sweeps_per_us),
-            threads: 1, // the fabric grid is the parallel level
-            ..SamplerConfig::default()
-        },
-    )
 }
 
 impl AnnealerConfig {
@@ -483,17 +455,13 @@ impl AnnealerConfig {
     /// The annealer this configuration runs on `engine`; call it only on a
     /// validated configuration.
     fn annealer(&self, engine: EngineKind) -> Annealer {
-        let schedule = AnnealSchedule::forward(self.anneal_us).expect("anneal_us validated > 0");
-        Annealer {
-            sampler: annealer_sampler(engine, self.num_reads, self.sweeps_per_us),
-            sweeps: mc_sweeps_per_job(self.num_reads, &schedule, self.sweeps_per_us),
-            schedule,
-        }
+        Annealer::new(engine, self.num_reads, self.anneal_us, self.sweeps_per_us)
     }
 }
 
-/// A PIMC or SVMC annealer simulator: one forward-anneal sampler run per
-/// job, seeded by the job alone.
+/// An annealer simulator: `num_reads` forward anneals per job on one
+/// [`QuantumSampler`], seeded by the job alone. The PIMC and SVMC pools run
+/// it as is, the mock QPU through its embedding ([`EmbeddedAnnealer`]).
 #[derive(Debug)]
 struct Annealer {
     sampler: QuantumSampler,
@@ -501,25 +469,56 @@ struct Annealer {
     sweeps: u64,
 }
 
+impl Annealer {
+    /// `num_reads` forward anneals of `anneal_us` at `sweeps_per_us` on
+    /// `engine`, on one thread (the fabric grid is the parallel level);
+    /// call it only on validated values. A job is charged the MC sweeps
+    /// its reads simulate, `num_reads ×` [`AnnealParams::total_sweeps`]
+    /// (`max(1, round(anneal_us × sweeps_per_us))` a read), so predicted
+    /// and charged service can never drift apart.
+    fn new(engine: EngineKind, num_reads: usize, anneal_us: f64, sweeps_per_us: usize) -> Self {
+        let params = AnnealParams {
+            sweeps_per_us,
+            beta_override: None,
+            freeze_out: Some(FreezeOut::default()),
+        };
+        let schedule = AnnealSchedule::forward(anneal_us).expect("anneal_us validated > 0");
+        let config = SamplerConfig {
+            num_reads,
+            engine,
+            params,
+            threads: 1,
+            ..SamplerConfig::default()
+        };
+        Annealer {
+            sampler: QuantumSampler::new(DWaveProfile::calibrated(), config),
+            sweeps: num_reads as u64 * params.total_sweeps(&schedule) as u64,
+            schedule,
+        }
+    }
+}
+
 impl LocalSolver for Annealer {
-    /// The MC sweeps its reads simulate ([`mc_sweeps_per_job`]).
     fn sweeps_per_job(&self) -> u64 {
         self.sweeps
     }
 
-    fn solve(&self, jobs: &[(&Qubo, u64)]) -> Vec<Vec<u8>> {
+    fn solve(&self, jobs: &[&FabricJob], salt: u64) -> Vec<JobDecision> {
         jobs.iter()
-            .map(|&(qubo, seed)| {
-                let result = self.sampler.sample_qubo(qubo, &self.schedule, None, seed);
+            .map(|job| {
+                let qubo = &job.inst.reduction.qubo;
+                let result = self
+                    .sampler
+                    .sample_qubo(qubo, &self.schedule, None, job.seed ^ salt);
                 let best = result.samples.best().expect("annealer produced no samples");
-                best.bits.clone()
+                self.decide(job, &best.bits)
             })
             .collect()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Mock QPU behind a network
+// The mock QPU: a local pool whose annealer embeds, behind a network
 // ---------------------------------------------------------------------------
 
 /// Deterministic network model between the cells and a centralized QPU:
@@ -557,7 +556,7 @@ impl NetworkModel {
     }
 }
 
-/// Configuration of the [`MockQpuBackend`].
+/// Configuration of the mock QPU ([`BackendSpec::MockQpu`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MockQpuConfig {
     /// Reads per job.
@@ -616,149 +615,74 @@ impl MockQpuConfig {
     }
 }
 
-/// The centralized quantum processor: a [`QuantumSampler`] front end driving
-/// PIMC through a cached Chimera clique minor-embedding, reached over a
-/// [`NetworkModel`].
+/// The mock QPU's solver, a centralized quantum processor: an
+/// [`Annealer`] (PIMC) programmed through a cached Chimera clique
+/// minor-embedding, reached over a [`NetworkModel`].
 ///
-/// The per-call overhead — network round trip, programming, and chain
+/// Its per-call overhead — network round trip, programming, and chain
 /// derivation on an embedding-cache miss — is what batch formation
 /// amortizes: at equal offered load a batched QPU serves the same jobs at
 /// lower mean latency than an unbatched one (CI-pinned invariant).
 #[derive(Debug)]
-pub struct MockQpuBackend {
-    config: MockQpuConfig,
-    sampler: QuantumSampler,
-    schedule: AnnealSchedule,
+struct EmbeddedAnnealer {
+    annealer: Annealer,
+    network: NetworkModel,
+    programming_us: f64,
+    embed_derive_us_per_qubit: f64,
+    strength: ChainStrength,
     cache: EmbeddingCache,
+    /// The embedding the batch's [`LocalSolver::overhead_us`] looked up,
+    /// which its `solve` programs.
+    embedding: Option<Rc<CliqueEmbedding>>,
 }
 
-impl MockQpuBackend {
-    /// Creates the backend with an empty embedding cache.
-    ///
-    /// # Panics
-    /// Panics on invalid configuration.
-    pub fn new(config: MockQpuConfig) -> Self {
-        expect_valid(config.validate());
-        let sampler = annealer_sampler(
-            EngineKind::Pimc {
-                trotter_slices: config.trotter_slices,
-            },
-            config.num_reads,
-            config.sweeps_per_us,
-        );
-        MockQpuBackend {
-            config,
-            sampler,
-            schedule: AnnealSchedule::forward(config.anneal_us).expect("anneal_us validated > 0"),
-            cache: EmbeddingCache::new(),
-        }
-    }
-
-    /// Smallest Chimera hosting an `n_logical` clique with the cross
-    /// construction (`K_{4m}` on `C_m`).
-    fn chimera_for(n_logical: usize) -> Chimera {
-        Chimera::new(n_logical.div_ceil(4).max(1))
-    }
-
+impl LocalSolver for EmbeddedAnnealer {
     fn sweeps_per_job(&self) -> u64 {
-        mc_sweeps_per_job(
-            self.config.num_reads,
-            &self.schedule,
-            self.config.sweeps_per_us,
-        )
-    }
-
-    /// The one cache access per batch call, shared by `solve_batch` and
-    /// `charge_batch_us` so the cache (and the derivation charge it gates)
-    /// evolves identically on the solving and the charging path.
-    fn lookup_embedding(&mut self, n_logical: usize) -> (std::rc::Rc<CliqueEmbedding>, f64) {
-        let misses_before = self.cache.misses();
-        let embedding = self.cache.get(Self::chimera_for(n_logical), n_logical);
-        // Chain derivation is charged only when the cache actually derived.
-        let derive_us = if self.cache.misses() > misses_before {
-            embedding.qubits_used() as f64 * self.config.embed_derive_us_per_qubit
-        } else {
-            0.0
-        };
-        (embedding, derive_us)
-    }
-
-    /// The charged service of one batch call: per-call overhead (network
-    /// round trip, programming, derivation) plus sequential device rounds.
-    fn batch_service_us(&self, cost: &CostModel, jobs: &[&FabricJob], derive_us: f64) -> f64 {
-        let n = jobs[0].inst.num_vars();
-        let overhead =
-            self.config.network.batch_rtt_us(jobs) + self.config.programming_us + derive_us;
-        overhead + rounds_us(jobs.len(), 1, self.predict_job_us(cost, n))
-    }
-}
-
-impl SolverBackend for MockQpuBackend {
-    fn name(&self) -> &'static str {
-        "mock-qpu"
-    }
-
-    fn capacity(&self) -> usize {
-        1 // one annealer: reads are sequential on the device
-    }
-
-    fn max_batch(&self) -> usize {
-        self.config.max_batch
-    }
-
-    fn predict_job_us(&self, cost: &CostModel, _n_logical: usize) -> f64 {
-        cost.service_us(&DetectorMeta {
-            nodes_visited: 0,
-            sweeps: self.sweeps_per_job(),
-        })
+        self.annealer.sweeps
     }
 
     fn predict_overhead_us(&self) -> f64 {
-        self.config.network.rtt_base_us + self.config.programming_us
+        self.network.rtt_base_us + self.programming_us
     }
 
-    fn solve_batch(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> BatchOutcome {
+    /// The slowest member's round trip, programming, and chain derivation
+    /// when the cache misses.
+    fn overhead_us(&mut self, jobs: &[&FabricJob]) -> f64 {
         let n = jobs[0].inst.num_vars();
-        let (embedding, derive_us) = self.lookup_embedding(n);
-
-        let sweeps = self.sweeps_per_job();
-        let strength = ChainStrength::RelativeToMax(self.config.chain_strength);
-        let decisions: Vec<JobDecision> = jobs
-            .iter()
-            .map(|job| {
-                let (result, _chain_breaks) = self.sampler.sample_qubo_embedded(
-                    &job.inst.reduction.qubo,
-                    &embedding,
-                    strength,
-                    &self.schedule,
-                    None,
-                    job.seed,
-                );
-                let best = result.samples.best().expect("QPU produced no samples");
-                natural_to_gray_decision(
-                    job,
-                    &best.bits,
-                    DetectorMeta {
-                        nodes_visited: 0,
-                        sweeps,
-                    },
-                )
-            })
-            .collect();
-
-        BatchOutcome {
-            decisions,
-            service_us: self.batch_service_us(cost, jobs, derive_us),
-        }
-    }
-
-    fn charge_batch_us(&mut self, cost: &CostModel, jobs: &[&FabricJob]) -> f64 {
-        let (_embedding, derive_us) = self.lookup_embedding(jobs[0].inst.num_vars());
-        self.batch_service_us(cost, jobs, derive_us)
+        let misses_before = self.cache.misses();
+        // The smallest Chimera hosting an n-clique with the cross
+        // construction (`K_{4m}` on `C_m`).
+        let embedding = self.cache.get(Chimera::new(n.div_ceil(4).max(1)), n);
+        // Chain derivation is charged only when the cache actually derived.
+        let derive_us = if self.cache.misses() > misses_before {
+            embedding.qubits_used() as f64 * self.embed_derive_us_per_qubit
+        } else {
+            0.0
+        };
+        self.embedding = Some(embedding);
+        self.network.batch_rtt_us(jobs) + self.programming_us + derive_us
     }
 
     fn embedding_cache_stats(&self) -> Option<(u64, u64)> {
         Some((self.cache.hits(), self.cache.misses()))
+    }
+
+    fn solve(&self, jobs: &[&FabricJob], salt: u64) -> Vec<JobDecision> {
+        let embedding = self.embedding.as_ref().expect("overhead_us runs first");
+        jobs.iter()
+            .map(|job| {
+                let (result, _chain_breaks) = self.annealer.sampler.sample_qubo_embedded(
+                    &job.inst.reduction.qubo,
+                    embedding,
+                    self.strength,
+                    &self.annealer.schedule,
+                    None,
+                    job.seed ^ salt,
+                );
+                let best = result.samples.best().expect("QPU produced no samples");
+                self.decide(job, &best.bits)
+            })
+            .collect()
     }
 }
 
@@ -809,7 +733,7 @@ impl BackendSpec {
     /// # Panics
     /// Panics on invalid configuration.
     pub fn build(&self) -> Box<dyn SolverBackend> {
-        expect_valid(self.validate());
+        self.validate().unwrap_or_else(|e| panic!("{e}"));
         match *self {
             // The salts decorrelate the classical pools' per-job seed
             // streams; the annealers run on the job seed itself.
@@ -824,7 +748,22 @@ impl BackendSpec {
                 let annealer = c.annealer(EngineKind::Svmc);
                 pool("svmc", 0, c.capacity, c.max_batch, annealer)
             }
-            BackendSpec::MockQpu(c) => Box::new(MockQpuBackend::new(c)),
+            BackendSpec::MockQpu(c) => {
+                let engine = EngineKind::Pimc {
+                    trotter_slices: c.trotter_slices,
+                };
+                let qpu = EmbeddedAnnealer {
+                    annealer: Annealer::new(engine, c.num_reads, c.anneal_us, c.sweeps_per_us),
+                    network: c.network,
+                    programming_us: c.programming_us,
+                    embed_derive_us_per_qubit: c.embed_derive_us_per_qubit,
+                    strength: ChainStrength::RelativeToMax(c.chain_strength),
+                    cache: EmbeddingCache::new(),
+                    embedding: None,
+                };
+                // One annealer: reads are sequential on the device.
+                pool("mock-qpu", 0, 1, c.max_batch, qpu)
+            }
         }
     }
 
@@ -1391,7 +1330,7 @@ impl FabricScheduler {
             deadline_us >= 0.0,
             "FabricScheduler: deadline must be >= 0 (0 = everything falls back)"
         );
-        expect_valid(options.validate());
+        options.validate().unwrap_or_else(|e| panic!("{e}"));
         FabricScheduler {
             cost,
             route_cost: options.assumed_cost.unwrap_or(cost),
@@ -2402,9 +2341,8 @@ mod tests {
             unreachable!("quick_qpu builds a mock QPU")
         };
         for (anneal_us, per_read) in [(0.3, 2), (0.05, 1), (2.0, 16)] {
-            let params = annealer_params(8);
-            let schedule = AnnealSchedule::forward(anneal_us).unwrap();
-            assert_eq!(params.total_sweeps(&schedule), per_read as usize);
+            let one_read = Annealer::new(EngineKind::Svmc, 1, anneal_us, 8);
+            assert_eq!(one_read.sweeps_per_job(), per_read);
             let expected = cost.service_us(&DetectorMeta {
                 nodes_visited: 0,
                 sweeps: 4 * per_read,
@@ -2749,6 +2687,55 @@ mod tests {
         qpu.trotter_slices = 1;
         let err = qpu.validate().unwrap_err();
         assert!(err.contains("Trotter"), "{err}");
+    }
+
+    /// Every variant builds a `LocalPool`: before any call, the mock QPU
+    /// quotes one slot, its base round trip plus programming and an empty
+    /// embedding cache; the pools quote their workers or capacity, no
+    /// overhead and no cache.
+    #[test]
+    fn every_backend_spec_builds_its_quoted_surface() {
+        let pt = BackendSpec::Pt(PtConfig {
+            workers: 3,
+            max_batch: 2,
+            pt: PtParams::default(),
+        });
+        let tabu = BackendSpec::Tabu(TabuConfig {
+            workers: 5,
+            max_batch: 6,
+            tabu: TabuParams::default(),
+        });
+        let annealer = AnnealerConfig {
+            capacity: 2,
+            max_batch: 3,
+            ..quick_annealer()
+        };
+        let cases = [
+            (quick_sa_pool(), "sa-pool", 2, 4, 0.0f64, None),
+            (pt, "pt", 3, 2, 0.0, None),
+            (tabu, "tabu", 5, 6, 0.0, None),
+            (BackendSpec::Pimc(annealer), "pimc", 2, 3, 0.0, None),
+            (BackendSpec::Svmc(annealer), "svmc", 2, 3, 0.0, None),
+            (quick_qpu(7), "mock-qpu", 1, 7, 30.0 + 120.0, Some((0, 0))),
+        ];
+        for (spec, name, capacity, max_batch, overhead_us, cache) in cases {
+            // A new variant must join the cases.
+            match spec {
+                BackendSpec::SaPool(_)
+                | BackendSpec::Pt(_)
+                | BackendSpec::Tabu(_)
+                | BackendSpec::Pimc(_)
+                | BackendSpec::Svmc(_)
+                | BackendSpec::MockQpu(_) => {}
+            }
+            let backend = spec.build();
+            assert_eq!(backend.name(), name);
+            assert_eq!(backend.capacity(), capacity, "{name}");
+            assert_eq!(backend.max_batch(), max_batch, "{name}");
+            let quoted = backend.predict_overhead_us();
+            assert_eq!(quoted.to_bits(), overhead_us.to_bits(), "{name}");
+            assert_eq!(backend.embedding_cache_stats(), cache, "{name}");
+        }
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //!   virtual-arrival order, exactly as the virtual sim does. The scheduler
 //!   solves nothing: it charges each batch through
 //!   [`crate::fabric::SolverBackend::charge_batch_us`] on its own backend
-//!   instances. Admission, batch formation and routing therefore remain a
-//!   **pure function of the arrival sequence**, no matter how threads
-//!   race. After each admission the sequencer dispatches the batches
+//!   instances. Every backend is one local-pool shape whose `solve_batch`
+//!   charges through that same call, so the executor's charge equals the
+//!   control plane's bit for bit (the mock QPU's embedding cache evolves
+//!   alike on both). Admission, batch formation and routing therefore
+//!   remain a **pure function of the arrival sequence**, no matter how
+//!   threads race. After each admission the sequencer dispatches the batches
 //!   formed and the fallbacks decided since the last one.
 //! * **Workers** (the executor: one per backend, plus a
 //!   classical-fallback worker): consume the formed batches from

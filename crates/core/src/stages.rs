@@ -4,8 +4,7 @@
 //! candidate → quantum stage refines it**. The paper's prototype uses Greedy
 //! Search "by choosing the simplest classical module"; its §5 proposes
 //! application-specific alternatives such as linear solvers (zero-forcing),
-//! which [`DetectorInitializer`] wraps so the framework can compose any
-//! classical detector.
+//! which a caller composes by implementing [`ClassicalInitializer`].
 //!
 //! Each initializer reports an estimated classical latency so the hybrid
 //! result can account for its classical stage. The estimates are simple
@@ -14,7 +13,6 @@
 //! the annealer's programmed-microsecond accounting.
 
 use hqw_math::Rng64;
-use hqw_phy::detect::Detector;
 use hqw_phy::instance::DetectionInstance;
 use hqw_qubo::{greedy_search_csr, CsrIsing};
 
@@ -129,48 +127,9 @@ impl ClassicalInitializer for OracleInitializer {
     }
 }
 
-/// Wraps any classical MIMO detector as an initializer — the
-/// "application-specific solvers" of the paper's §5.
-#[derive(Debug, Clone, Copy)]
-pub struct DetectorInitializer<D: Detector> {
-    detector: D,
-    /// Latency model: operations per channel use, divided by [`OPS_PER_US`].
-    ops_estimate: f64,
-}
-
-impl<D: Detector> DetectorInitializer<D> {
-    /// Wraps `detector` with an operation-count latency estimate.
-    pub fn new(detector: D, ops_estimate: f64) -> Self {
-        DetectorInitializer {
-            detector,
-            ops_estimate,
-        }
-    }
-}
-
-impl<D: Detector> ClassicalInitializer for DetectorInitializer<D> {
-    fn name(&self) -> &'static str {
-        self.detector.name()
-    }
-
-    fn initialize(&self, instance: &DetectionInstance, _rng: &mut Rng64) -> InitialState {
-        let result = self
-            .detector
-            .detect(&instance.system, &instance.h, &instance.y);
-        let natural = instance.reduction.gray_to_natural(&result.gray_bits);
-        let energy = instance.reduction.qubo.energy(&natural);
-        InitialState {
-            bits: natural,
-            energy,
-            latency_us: self.ops_estimate / OPS_PER_US,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hqw_phy::detect::ZeroForcing;
     use hqw_phy::instance::InstanceConfig;
     use hqw_phy::modulation::Modulation;
 
@@ -193,23 +152,6 @@ mod tests {
         let init = GreedyInitializer.initialize(&inst, &mut Rng64::new(1));
         assert!((inst.reduction.qubo.energy(&init.bits) - init.energy).abs() < 1e-9);
         assert!(init.latency_us > 0.0);
-    }
-
-    #[test]
-    fn zf_initializer_solves_noiseless_instances_exactly() {
-        let inst = instance();
-        let init =
-            DetectorInitializer::new(ZeroForcing, 512.0).initialize(&inst, &mut Rng64::new(1));
-        assert_eq!(
-            init.bits, inst.tx_natural_bits,
-            "noiseless ZF must be exact"
-        );
-        assert!((init.energy - inst.ground_energy()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn detector_initializers_report_names() {
-        assert_eq!(DetectorInitializer::new(ZeroForcing, 512.0).name(), "ZF");
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //!   seeding a 16-read PIMC-8 reverse anneal at `s_p = 0.65`) plus the
 //!   decision's `natural_to_gray`, on 8-user QPSK frames at 14 dB;
 //! * an 8-user QPSK `ChannelTrack::next` (frame synthesis);
-//! * a mock-QPU job in `solve_batch` batches of 4, its embedding cached.
+//! * a mock-QPU job in `solve_batch` batches of 4, its embedding cached,
+//!   on the backend `BackendSpec::MockQpu(config).build()` makes.
 //!
 //! A served frame keeps its buffers per thread (the frame's CSR, the
 //! anneal's replicas, template, levels, readouts and tally), so what it
@@ -14,10 +15,10 @@
 //! by side do not see each other's allocations.
 
 use hqw_anneal::{DWaveProfile, EngineKind, QuantumSampler, SamplerConfig};
-use hqw_core::fabric::{FabricJob, MockQpuBackend, MockQpuConfig};
+use hqw_core::fabric::{BackendSpec, FabricJob, MockQpuConfig};
 use hqw_core::sched::PriorityClass;
 use hqw_core::stream::CostModel;
-use hqw_core::{HybridSolver, NetworkModel, SolverBackend};
+use hqw_core::{HybridSolver, NetworkModel};
 use hqw_math::Rng64;
 use hqw_phy::channel::snr_db_to_noise_variance;
 use hqw_phy::instance::DetectionInstance;
@@ -134,7 +135,7 @@ fn a_cached_mock_qpu_job_allocates_its_embedding_and_decision() {
         embed_derive_us_per_qubit: 2.0,
         chain_strength: 2.0,
     };
-    let mut backend = MockQpuBackend::new(config);
+    let mut backend = BackendSpec::MockQpu(config).build();
     let mut seeds = Rng64::new(0x000A_110C);
     let jobs: Vec<FabricJob> = qpsk_track(4, 0.9, 2026)
         .take(400)

@@ -6,17 +6,18 @@
 //!
 //! Programming the embedded problem must not move a single decision:
 //! every job's best bits, the bits of its best energy and its sample
-//! set's counts are pinned here, and `MockQpuBackend::solve_batch` must
-//! decide each job's best sample.
+//! set's counts are pinned here, and the backend
+//! `BackendSpec::MockQpu(config).build()` makes (a `LocalPool` whose
+//! solver embeds) must decide each job's best sample in `solve_batch`.
 
 use hqw_anneal::{
     AnnealParams, AnnealSchedule, ChainStrength, Chimera, CliqueEmbedding, DWaveProfile,
     EngineKind, QuantumSampler, SamplerConfig,
 };
-use hqw_core::fabric::{FabricJob, MockQpuBackend, MockQpuConfig};
+use hqw_core::fabric::{BackendSpec, FabricJob, MockQpuConfig};
 use hqw_core::sched::PriorityClass;
 use hqw_core::stream::CostModel;
-use hqw_core::{NetworkModel, SolverBackend};
+use hqw_core::NetworkModel;
 use hqw_math::Rng64;
 use hqw_phy::channel::snr_db_to_noise_variance;
 use hqw_phy::{ChannelTrack, Modulation, TrackConfig};
@@ -101,7 +102,7 @@ fn jobs(n_users: usize, seeds: &mut Rng64) -> Vec<FabricJob> {
 
 fn job_lines() -> Vec<String> {
     let config = config();
-    let mut backend = MockQpuBackend::new(config);
+    let mut backend = BackendSpec::MockQpu(config).build();
     // The sampler and embedding the backend programs, built by hand so
     // the test sees each job's whole sample set.
     let sampler = QuantumSampler::new(

@@ -14,7 +14,6 @@
 //! * [`detect`] — classical detectors: zero-forcing, MMSE, brute-force ML,
 //!   depth-first sphere decoding, K-best, and fixed-complexity sphere
 //!   decoding — the candidate RA initializers named in the paper's §5.
-//! * [`llr`] — max-log soft information for the §3.1 constraint scheme.
 //! * [`instance`] — detection-instance generator replicating the paper's
 //!   evaluation workload (and noisy variants).
 //! * [`metrics`] — BER / SER accounting.
@@ -28,7 +27,6 @@
 pub mod channel;
 pub mod detect;
 pub mod instance;
-pub mod llr;
 pub mod metrics;
 pub mod mimo;
 pub mod modulation;

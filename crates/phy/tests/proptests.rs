@@ -173,23 +173,4 @@ proptest! {
             prop_assert!(f.reduction.ml_metric(&f.tx_natural_bits) < 1e-8);
         }
     }
-
-    #[test]
-    fn llr_signs_agree_with_demodulation(seed in any::<u64>(), m in any_modulation()) {
-        let mut rng = Rng64::new(seed);
-        // A mildly perturbed constellation point: LLR signs must agree with
-        // the hard demodulation of the same point.
-        let pts = m.constellation();
-        let (_, point) = &pts[rng.next_index(pts.len())];
-        let perturbed = *point
-            + hqw_math::Complex64::new(rng.next_gaussian(), rng.next_gaussian()) * (0.05 * m.scale());
-        let hard = m.demodulate(perturbed);
-        let llrs = hqw_phy::llr::symbol_llrs(m, perturbed, 0.1);
-        for (k, &b) in hard.iter().enumerate() {
-            if llrs[k].abs() > 1e-9 {
-                let soft = if llrs[k] > 0.0 { 0u8 } else { 1u8 };
-                prop_assert_eq!(soft, b, "bit {}", k);
-            }
-        }
-    }
 }

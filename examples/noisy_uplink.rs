@@ -6,13 +6,13 @@
 //! checked by `validate()`, a custom detector roster, the scenario
 //! engine, and the unified `Report` surface — then prints the
 //! declarative `ExperimentSpec` JSON that `hqw run` would accept to
-//! reproduce the sweep's grid shape, plus a soft-output (LLR) demo.
+//! reproduce the sweep's grid shape.
 //!
 //! ```sh
 //! cargo run --release --example noisy_uplink
 //! ```
 
-use hqw::phy::channel::{snr_db_to_noise_variance, ChannelModel};
+use hqw::phy::channel::ChannelModel;
 use hqw::phy::detect::{KBest, Mmse, SphereDecoder, ZeroForcing};
 use hqw::prelude::*;
 use hqw::qubo::sa::SaParams;
@@ -98,39 +98,4 @@ fn main() {
     //    roster) is what `hqw run <file>.json` executes.
     println!("Declarative spec for `hqw run`:");
     println!("{}", ExperimentSpec::Ber(config).to_json());
-
-    // 5. Soft output from the quantum path: the annealer's sample set is a
-    //    (rough) Boltzmann ensemble, so occurrence-weighted bit marginals
-    //    give per-bit reliabilities a channel decoder can consume.
-    let noise_var = snr_db_to_noise_variance(14.0, users);
-    let mut inst_config = InstanceConfig::paper(users, Modulation::Qam16);
-    inst_config.noise_variance = noise_var;
-    let mut rng = Rng64::new(4242);
-    let inst = DetectionInstance::generate(&inst_config, &mut rng);
-    let sampler = QuantumSampler::new(
-        DWaveProfile::calibrated(),
-        SamplerConfig {
-            num_reads: 80,
-            ..Default::default()
-        },
-    );
-    let solver = HybridSolver::paper_prototype(sampler, 0.69);
-    let result = solver.solve(&inst, 99);
-    let llrs = hqw::phy::llr::sample_llrs(&result.samples, inst.num_vars());
-    let hard_ber = inst.score_ber(&result.best_bits);
-    let confident = llrs.iter().filter(|l| l.abs() > 1.0).count();
-    let correct_confident = llrs
-        .iter()
-        .zip(&inst.tx_natural_bits)
-        .filter(|(l, _)| l.abs() > 1.0)
-        .filter(|(l, &b)| (if **l > 0.0 { 0u8 } else { 1u8 }) == b)
-        .count();
-    println!(
-        "Soft output at 14 dB: hybrid hard BER {:.1}%; {}/{} bits confident (|LLR| > 1), of \
-         which {} agree with the transmission — reliabilities a channel decoder can exploit.",
-        100.0 * hard_ber,
-        confident,
-        inst.num_vars(),
-        correct_confident
-    );
 }

@@ -5,9 +5,9 @@
 use hqw::anneal::embedding::{ChainStrength, CliqueEmbedding};
 use hqw::anneal::sampler::{EngineKind, SamplerConfig};
 use hqw::anneal::topology::Chimera;
-use hqw::core::stages::{DetectorInitializer, GreedyInitializer, OracleInitializer};
+use hqw::core::stages::{ClassicalInitializer, GreedyInitializer, InitialState, OracleInitializer};
 use hqw::core::sweep::sweep_ra_sp;
-use hqw::phy::detect::ZeroForcing;
+use hqw::phy::detect::{Detector, ZeroForcing};
 use hqw::prelude::*;
 
 fn quick_sampler(reads: usize) -> QuantumSampler {
@@ -181,6 +181,27 @@ fn experiments_quick_scale_is_wired_end_to_end() {
     assert!(rows.iter().all(|r| r.optimum_preserved));
 }
 
+/// A zero-forcing seed, composed through the public initializer trait
+/// (the paper's §5 linear-solver stage).
+struct ZfInitializer;
+
+impl ClassicalInitializer for ZfInitializer {
+    fn name(&self) -> &'static str {
+        "ZF"
+    }
+
+    fn initialize(&self, instance: &DetectionInstance, _rng: &mut Rng64) -> InitialState {
+        let detected = ZeroForcing.detect(&instance.system, &instance.h, &instance.y);
+        let bits = instance.reduction.gray_to_natural(&detected.gray_bits);
+        InitialState {
+            energy: instance.reduction.qubo.energy(&bits),
+            bits,
+            // (2·3)³ operations: the real-stacked ZF solve at 1 GHz.
+            latency_us: 0.216,
+        }
+    }
+}
+
 #[test]
 fn detector_initializers_integrate_with_the_hybrid() {
     let mut rng = Rng64::new(55);
@@ -190,8 +211,7 @@ fn detector_initializers_integrate_with_the_hybrid() {
         quick_sampler(10),
         HybridConfig {
             protocol: Protocol::paper_ra(0.8),
-            // (2·3)³: the real-stacked ZF solve's latency model.
-            initializer: Box::new(DetectorInitializer::new(ZeroForcing, 216.0)),
+            initializer: Box::new(ZfInitializer),
         },
     );
     let result = solver.solve(&inst, 3);
