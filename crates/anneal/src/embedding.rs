@@ -160,9 +160,13 @@ impl CliqueEmbedding {
     /// [`CsrIsing::from_qubo`]) gets no cross coupler. Each physical row
     /// lists chain edges (`ℓ = 0..n`), then cross couplers in that order.
     ///
+    /// The physical problem is written into `physical`'s buffers
+    /// ([`CsrIsing::refill_from_couplings`]): once they have grown to the
+    /// hardware graph's size, an embedding allocates nothing.
+    ///
     /// # Panics
     /// Panics when the logical problem size mismatches the embedding.
-    pub fn embed(&self, logical: &CsrIsing, strength: ChainStrength) -> CsrIsing {
+    pub fn embed(&self, logical: &CsrIsing, strength: ChainStrength, physical: &mut CsrIsing) {
         let n = self.num_logical();
         assert_eq!(
             logical.num_vars(),
@@ -170,13 +174,6 @@ impl CliqueEmbedding {
             "embed: logical problem size mismatch"
         );
         let binding = strength.resolve(logical);
-        let mut h = vec![0.0; self.graph.num_qubits()];
-        for (l, chain) in self.chains.iter().enumerate() {
-            let h_per_qubit = logical.h(l) / chain.len() as f64;
-            for &q in chain {
-                h[q] += h_per_qubit;
-            }
-        }
         let chain_edges = self
             .chain_edges
             .iter()
@@ -194,7 +191,13 @@ impl CliqueEmbedding {
             let per = jij / couplers.len() as f64;
             couplers.iter().map(move |&(a, b)| (a, b, per))
         });
-        CsrIsing::from_couplings(h, chain_edges.chain(cross_edges))
+        physical.refill_from_couplings(self.graph.num_qubits(), chain_edges.chain(cross_edges));
+        for (l, chain) in self.chains.iter().enumerate() {
+            let h_per_qubit = logical.h(l) / chain.len() as f64;
+            for &q in chain {
+                physical.add_h(q, h_per_qubit);
+            }
+        }
     }
 
     /// Unembeds a physical state into logical spins by per-chain majority
@@ -244,9 +247,12 @@ impl CliqueEmbedding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hqw_qubo::generator::{random_qubo, sparse_random_qubo};
+    use hqw_oracle::csr::from_ising;
+    use hqw_oracle::generator::{random_qubo, sparse_random_qubo};
+    use hqw_oracle::model::to_ising;
+    use hqw_oracle::Ising;
     use hqw_qubo::solution::bits_to_spins;
-    use hqw_qubo::{Ising, Qubo};
+    use hqw_qubo::Qubo;
 
     #[test]
     fn chains_are_disjoint_and_connected() {
@@ -304,7 +310,8 @@ mod tests {
         let q = random_qubo(n, &mut rng);
         let (logical, _) = CsrIsing::from_qubo(&q);
         let emb = CliqueEmbedding::new(graph, n);
-        let physical = emb.embed(&logical, ChainStrength::RelativeToMax(2.0));
+        let mut physical = CsrIsing::default();
+        emb.embed(&logical, ChainStrength::RelativeToMax(2.0), &mut physical);
 
         // Fix unused qubits to +1 so the (zero-weight) unused terms agree.
         let consistent = |spins: &[i8]| -> Vec<i8> {
@@ -385,8 +392,9 @@ mod tests {
         for (m, q, strength) in cases {
             let n = q.num_vars();
             let emb = CliqueEmbedding::new(Chimera::new(m), n);
-            let got = emb.embed(&CsrIsing::from_qubo(&q).0, strength);
-            let want = CsrIsing::from_ising(&embed_reference(&emb, &q.to_ising().0, strength));
+            let mut got = CsrIsing::default();
+            emb.embed(&CsrIsing::from_qubo(&q).0, strength, &mut got);
+            let want = from_ising(&embed_reference(&emb, &to_ising(&q).0, strength));
             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let at = format!("C{m}, {n} logical, {strength:?}");
             assert_eq!(bits(got.h_slice()), bits(want.h_slice()), "{at}: fields");

@@ -339,9 +339,9 @@ mod tests {
         // The engines sweep over the shared CSR representation; its fields
         // must agree with the adjacency-list model they are built from.
         let mut rng = Rng64::new(3);
-        let q = hqw_qubo::generator::random_qubo(12, &mut rng);
-        let (ising, _) = q.to_ising();
-        let csr = hqw_qubo::CsrIsing::from_ising(&ising);
+        let q = hqw_oracle::generator::random_qubo(12, &mut rng);
+        let (ising, _) = hqw_oracle::model::to_ising(&q);
+        let csr = hqw_oracle::csr::from_ising(&ising);
         let spins: Vec<i8> = (0..12)
             .map(|_| if rng.next_bool() { 1 } else { -1 })
             .collect();

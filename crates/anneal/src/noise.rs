@@ -77,7 +77,8 @@ impl IceModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hqw_qubo::Ising;
+    use hqw_oracle::csr::from_ising;
+    use hqw_oracle::Ising;
 
     fn sample_problem() -> CsrIsing {
         let mut ising = Ising::new(4);
@@ -85,7 +86,7 @@ mod tests {
         ising.set_h(2, -0.25);
         ising.set_coupling(0, 1, 1.0);
         ising.set_coupling(2, 3, -0.5);
-        CsrIsing::from_ising(&ising)
+        from_ising(&ising)
     }
 
     /// `J_01`: spin 0's only neighbour is spin 1.

@@ -1536,8 +1536,9 @@ impl AnnealEngine for PimcEngine {
 mod tests {
     use super::*;
     use crate::engine::FreezeOut;
+    use hqw_oracle::csr::from_ising;
+    use hqw_oracle::Ising;
     use hqw_qubo::solution::bits_to_spins;
-    use hqw_qubo::Ising;
 
     fn ferromagnet(n: usize) -> CsrIsing {
         // All-ferromagnetic chain with a field pinning the ground state to
@@ -1549,7 +1550,7 @@ mod tests {
                 ising.set_coupling(i, i + 1, -1.0);
             }
         }
-        CsrIsing::from_ising(&ising)
+        from_ising(&ising)
     }
 
     #[test]
@@ -1675,7 +1676,7 @@ mod tests {
 
     #[test]
     fn empty_problem_returns_empty_state() {
-        let ising = CsrIsing::from_ising(&Ising::new(0));
+        let ising = from_ising(&Ising::new(0));
         let engine = PimcEngine::default();
         let out = engine.run(
             &ising,
@@ -1841,7 +1842,7 @@ mod tests {
     fn dense_pass_reads_equal_the_walk_bit_for_bit() {
         use crate::embedding::{ChainStrength, CliqueEmbedding};
         use crate::topology::Chimera;
-        use hqw_qubo::generator::random_qubo;
+        use hqw_oracle::generator::random_qubo;
 
         let mut rng = Rng64::new(0xDE5E);
         // Dense logical problems, and the mock QPU's: an 8-variable clique
@@ -1851,10 +1852,13 @@ mod tests {
             .map(|&n| CsrIsing::from_qubo(&random_qubo(n, &mut rng)).0)
             .collect();
         let logical = CsrIsing::from_qubo(&random_qubo(8, &mut rng)).0;
-        problems.push(
-            CliqueEmbedding::new(Chimera::new(2), 8)
-                .embed(&logical, ChainStrength::RelativeToMax(2.0)),
+        let mut physical = CsrIsing::default();
+        CliqueEmbedding::new(Chimera::new(2), 8).embed(
+            &logical,
+            ChainStrength::RelativeToMax(2.0),
+            &mut physical,
         );
+        problems.push(physical);
         let profile = DWaveProfile::calibrated();
         let open = AnnealParams {
             sweeps_per_us: 8,
@@ -1955,7 +1959,7 @@ mod tests {
         // and the floors move mid-read. The submissions share one scratch,
         // as a sampler thread's do, so a read also meets levels an earlier
         // read filled from a later sweep.
-        use hqw_qubo::generator::random_qubo;
+        use hqw_oracle::generator::random_qubo;
         use hqw_qubo::greedy_search;
 
         let mut rng = Rng64::new(0x5EF1);

@@ -16,8 +16,8 @@
 //!   that needs the CSR first (the hybrid solver's greedy seed) reads the
 //!   same one; [`QuantumSampler::sample_qubo`] is the two in a row. An
 //!   embedded submission writes the physical CSR straight from the
-//!   logical one ([`crate::CliqueEmbedding::embed`]); no path builds an
-//!   `Ising`.
+//!   logical one ([`crate::CliqueEmbedding::embed`]), into a physical CSR
+//!   this thread keeps.
 //! * **Auto-scaling** — the programmed CSR is normalized in place to the
 //!   device's `[-1, 1]` coefficient range (does not change the argmin).
 //! * **ICE noise** — each read perturbs the programmed coefficients
@@ -37,9 +37,9 @@
 //! * **Per-thread scratch** — every buffer a submission's reads use (the
 //!   read seeds and generators, the PIMC replicas, bound, start template
 //!   and levels, one flat readout buffer, the tally's read order and the
-//!   spare CSR) lives in a thread-local scratch kept across submissions,
-//!   so after warm-up a one-worker submission allocates only the sample
-//!   set it returns. No buffer carries state from one submission into the
+//!   spare logical and physical CSRs) lives in a thread-local scratch
+//!   kept across submissions, so after warm-up a one-worker submission
+//!   allocates only the sample set it returns. No buffer carries state from one submission into the
 //!   next; each keeps the capacity of the largest problem its thread
 //!   sampled.
 //! * **Aggregation** — the readouts are sorted and counted first, so each
@@ -182,16 +182,6 @@ impl SamplerConfig {
         }
         Ok(())
     }
-
-    /// Shim for callers that still want the original panicking behaviour.
-    ///
-    /// # Panics
-    /// Panics with the [`ConfigError`] message on any invalid field.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// QPU-time accounting for one submission (all values in microseconds).
@@ -305,6 +295,9 @@ struct Scratch {
     /// The CSR the last submission programmed, refilled by
     /// [`QuantumSampler::program`].
     csr: CsrIsing,
+    /// The embedded path's physical CSR, refilled by
+    /// [`CliqueEmbedding::embed`](crate::embedding::CliqueEmbedding::embed).
+    physical: CsrIsing,
     /// The reverse-anneal initial state, as spins.
     initial: Vec<i8>,
     reads: Reads,
@@ -377,9 +370,9 @@ impl QuantumSampler {
     /// Creates a sampler.
     ///
     /// # Panics
-    /// Panics on invalid configuration.
+    /// Panics with the [`ConfigError`] message on invalid configuration.
     pub fn new(profile: DWaveProfile, config: SamplerConfig) -> Self {
-        config.validate_or_panic();
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         QuantumSampler {
             profile,
             config,
@@ -482,8 +475,9 @@ impl QuantumSampler {
             "sample_qubo_embedded: embedding size mismatch"
         );
         let logical = self.program(qubo);
-        let mut physical = embedding.embed(&logical, strength);
         let (samples, broken) = with_scratch(|scratch| {
+            let physical = &mut scratch.physical;
+            embedding.embed(&logical, strength, physical);
             scratch.csr = logical;
             // Expand the reverse-anneal initial state through the chains.
             let mut init_rng = Rng64::new(seed ^ 0xE1BE_DDED);
@@ -491,13 +485,7 @@ impl QuantumSampler {
                 embedding.embed_state(spins_into(&mut scratch.initial, bits), &mut init_rng)
             });
             let reads = &mut scratch.reads;
-            self.run_reads(
-                &mut physical,
-                schedule,
-                physical_init.as_deref(),
-                seed,
-                reads,
-            );
+            self.run_reads(physical, schedule, physical_init.as_deref(), seed, reads);
             scratch.logical.clear();
             let broken: usize = (reads.readouts.chunks_exact(physical.num_vars()))
                 .map(|phys| embedding.unembed(phys, &mut scratch.logical))
@@ -530,7 +518,7 @@ impl QuantumSampler {
         seed: u64,
         reads: &mut Reads,
     ) {
-        self.config.validate_or_panic();
+        self.config.validate().unwrap_or_else(|e| panic!("{e}"));
         // Program the device: auto-scale the intended problem.
         if self.config.auto_scale {
             programmed.normalize();
@@ -605,8 +593,10 @@ impl QuantumSampler {
 mod tests {
     use super::*;
     use crate::engine::FreezeOut;
+    use hqw_oracle::csr::from_ising;
+    use hqw_oracle::generator::random_qubo;
+    use hqw_oracle::model::to_ising;
     use hqw_qubo::exact::exhaustive_minimum;
-    use hqw_qubo::generator::random_qubo;
 
     /// The readouts of `sampler`'s reads of `programmed`, one per read.
     pub(super) fn readouts(
@@ -814,7 +804,7 @@ mod tests {
         // states, many repeats.
         let mut rng = Rng64::new(52);
         let q = random_qubo(10, &mut rng);
-        let (ising, _) = q.to_ising();
+        let (ising, _) = to_ising(&q);
         let schedule = AnnealSchedule::forward(0.25).unwrap();
         let mut cfg = quick_config(2_000);
         cfg.params = AnnealParams {
@@ -824,7 +814,7 @@ mod tests {
         };
         cfg.threads = 1;
         let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
-        let reads = readouts(&sampler, CsrIsing::from_ising(&ising), &schedule, 29);
+        let reads = readouts(&sampler, from_ising(&ising), &schedule, 29);
         let counted = fingerprint(&sampler.sample_qubo(&q, &schedule, None, 29));
         assert_eq!(counted, from_reads_reference(&q, &reads));
         assert!(
@@ -858,15 +848,15 @@ mod tests {
         // derived read seed, each on its own stream.
         let mut rng = Rng64::new(46);
         let q = random_qubo(8, &mut rng);
-        let (ising, _) = q.to_ising();
+        let (ising, _) = to_ising(&q);
         let schedule = AnnealSchedule::forward(1.0).unwrap();
         let mut cfg = quick_config(5);
         cfg.threads = 1;
         let sampler = QuantumSampler::new(DWaveProfile::calibrated(), cfg);
-        let batched = readouts(&sampler, CsrIsing::from_ising(&ising), &schedule, 23);
+        let batched = readouts(&sampler, from_ising(&ising), &schedule, 23);
         let mut programmed = ising.clone();
         programmed.normalize();
-        let programmed = CsrIsing::from_ising(&programmed);
+        let programmed = from_ising(&programmed);
         let mut master = Rng64::new(23);
         let one_by_one: Vec<Vec<i8>> = (0..5)
             .map(|_| {
@@ -1009,18 +999,18 @@ mod tests {
     }
 
     #[test]
-    fn validate_or_panic_passes_valid_configs() {
-        SamplerConfig::default().validate_or_panic();
+    fn new_passes_valid_configs() {
+        QuantumSampler::new(DWaveProfile::calibrated(), SamplerConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "num_reads must be > 0")]
-    fn validate_or_panic_keeps_the_panicking_contract() {
+    fn new_keeps_the_panicking_contract() {
         let config = SamplerConfig {
             num_reads: 0,
             ..Default::default()
         };
-        config.validate_or_panic();
+        QuantumSampler::new(DWaveProfile::calibrated(), config);
     }
 
     #[test]
@@ -1041,7 +1031,7 @@ mod embedded_tests {
     use crate::embedding::{ChainStrength, CliqueEmbedding};
     use crate::engine::FreezeOut;
     use crate::topology::Chimera;
-    use hqw_qubo::generator::random_qubo;
+    use hqw_oracle::generator::random_qubo;
 
     fn quick_sampler(reads: usize) -> QuantumSampler {
         QuantumSampler::new(
@@ -1139,7 +1129,8 @@ mod embedded_tests {
         let (result, _) =
             sampler.sample_qubo_embedded(&q, &embedding, strength, &schedule, None, 3);
         let (logical, _) = CsrIsing::from_qubo(&q);
-        let physical = embedding.embed(&logical, strength);
+        let mut physical = CsrIsing::default();
+        embedding.embed(&logical, strength, &mut physical);
         let reads: Vec<Vec<i8>> = super::tests::readouts(&sampler, physical, &schedule, 3)
             .iter()
             .map(|phys| {
@@ -1160,7 +1151,7 @@ mod embedded_tests {
         };
         assert_eq!(fingerprint(&result.samples), fingerprint(&reference));
         assert!(
-            result.samples.num_distinct() >= 8,
+            result.samples.iter().count() >= 8,
             "too few distinct states"
         );
     }

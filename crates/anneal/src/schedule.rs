@@ -247,15 +247,6 @@ impl AnnealSchedule {
     pub fn requires_initial_state(&self) -> bool {
         self.initial_s() >= 1.0
     }
-
-    /// Minimum `s` reached anywhere in the schedule (how deep quantum
-    /// fluctuations get re-opened).
-    pub fn min_s(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|&(_, s)| s)
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -313,7 +304,12 @@ mod tests {
         }
         assert!(!s.requires_initial_state());
         // FR starts at s = 0, so min_s is 0; the *pause* sits at s_p.
-        assert_eq!(s.min_s(), 0.0);
+        let min_s = s
+            .points()
+            .iter()
+            .map(|&(_, s)| s)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(min_s, 0.0);
         assert!((s.s_at(1.5) - 0.4).abs() < 1e-12, "pause should hold s_p");
     }
 

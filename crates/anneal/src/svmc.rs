@@ -142,8 +142,9 @@ fn initial_theta(init: Option<&[i8]>, n: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::engine::FreezeOut;
+    use hqw_oracle::csr::from_ising;
+    use hqw_oracle::Ising;
     use hqw_qubo::solution::bits_to_spins;
-    use hqw_qubo::Ising;
 
     fn ferromagnet(n: usize) -> CsrIsing {
         let mut ising = Ising::new(n);
@@ -153,7 +154,7 @@ mod tests {
                 ising.set_coupling(i, i + 1, -1.0);
             }
         }
-        CsrIsing::from_ising(&ising)
+        from_ising(&ising)
     }
 
     #[test]

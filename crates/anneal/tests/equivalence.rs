@@ -27,8 +27,11 @@ use hqw_anneal::engine::{AnnealParams, FreezeOut};
 use hqw_anneal::schedule::AnnealSchedule;
 use hqw_anneal::{AnnealEngine, DWaveProfile, PimcEngine, SvmcEngine};
 use hqw_math::Rng64;
-use hqw_qubo::generator::random_qubo;
-use hqw_qubo::{CsrIsing, Ising};
+use hqw_oracle::csr::from_ising;
+use hqw_oracle::generator::random_qubo;
+use hqw_oracle::model::to_ising;
+use hqw_oracle::rng::split;
+use hqw_oracle::Ising;
 use std::f64::consts::LN_2;
 
 /// Reads per arm.
@@ -55,7 +58,7 @@ enum Shape {
 
 /// A fixed dense problem of `n` spins.
 fn problem(n: usize) -> Ising {
-    random_qubo(n, &mut Rng64::new(0xE9_0001)).to_ising().0
+    to_ising(&random_qubo(n, &mut Rng64::new(0xE9_0001))).0
 }
 
 /// Where the reads start and how many Trotter slices PIMC runs.
@@ -118,9 +121,9 @@ fn histogram(
         .requires_initial_state()
         .then_some(start.initial.as_slice());
     let mut master = Rng64::new(seed);
-    let mut rngs: Vec<Rng64> = (0..READS).map(|_| master.split()).collect();
+    let mut rngs: Vec<Rng64> = (0..READS).map(|_| split(&mut master)).collect();
     let pimc = PimcEngine::new(start.slices);
-    let csr = CsrIsing::from_ising(ising);
+    let csr = from_ising(ising);
     let reads: Vec<Vec<i8>> = match (shape, kernel) {
         (Shape::Pimc, Kernel::Engine) => {
             pimc.run_reads(&csr, &profile, schedule, params, initial, &mut rngs)
@@ -295,7 +298,7 @@ fn served_params(a_ref_ghz: f64) -> AnnealParams {
 fn local_minima() -> Vec<Vec<i8>> {
     let ising = problem(6);
     let n = ising.num_vars();
-    let csr = CsrIsing::from_ising(&ising);
+    let csr = from_ising(&ising);
     let stable =
         |state: &[i8]| (0..n).all(|i| -2.0 * state[i] as f64 * csr.local_field(state, i) > 0.0);
     let mut minima: Vec<Vec<i8>> = (0..1usize << n)
@@ -376,7 +379,7 @@ fn pimc_draw_after(
     initial: Option<&[i8]>,
     rng: &mut Rng64,
 ) -> Vec<i8> {
-    let csr = CsrIsing::from_ising(problem);
+    let csr = from_ising(problem);
     let n = csr.num_vars();
     let p = engine.trotter_slices;
     let beta = params.beta(profile);
@@ -498,7 +501,7 @@ fn svmc_draw_after(
     initial: Option<&[i8]>,
     rng: &mut Rng64,
 ) -> Vec<i8> {
-    let csr = CsrIsing::from_ising(problem);
+    let csr = from_ising(problem);
     let n = csr.num_vars();
     let beta = params.beta(profile);
     let theta: Vec<f64> = match initial {

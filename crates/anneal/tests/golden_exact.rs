@@ -11,7 +11,7 @@ use hqw_anneal::{
     AnnealEngine, AnnealParams, AnnealSchedule, DWaveProfile, PimcEngine, SvmcEngine,
 };
 use hqw_math::Rng64;
-use hqw_qubo::generator::random_qubo;
+use hqw_oracle::generator::random_qubo;
 use hqw_qubo::CsrIsing;
 
 fn problem() -> CsrIsing {

@@ -8,9 +8,11 @@ use hqw_anneal::schedule::AnnealSchedule;
 use hqw_anneal::topology::Chimera;
 use hqw_anneal::{AnnealEngine, DWaveProfile, PimcEngine, SvmcEngine};
 use hqw_math::Rng64;
-use hqw_qubo::generator::random_qubo;
+use hqw_oracle::csr::from_ising;
+use hqw_oracle::generator::random_qubo;
+use hqw_oracle::Ising;
 use hqw_qubo::solution::bits_to_spins;
-use hqw_qubo::{CsrIsing, Ising};
+use hqw_qubo::CsrIsing;
 use proptest::prelude::*;
 
 proptest! {
@@ -22,7 +24,8 @@ proptest! {
         // Duration identity from §4.1: 2(1−s_p) + t_p.
         prop_assert!((sched.duration_us() - (2.0 * (1.0 - s_p) + t_p)).abs() < 1e-9);
         prop_assert!(sched.requires_initial_state());
-        prop_assert!((sched.min_s() - s_p).abs() < 1e-9);
+        let min_s = sched.points().iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
+        prop_assert!((min_s - s_p).abs() < 1e-9);
         // s(t) stays within [s_p, 1].
         for k in 0..=20 {
             let t = sched.duration_us() * k as f64 / 20.0;
@@ -132,8 +135,9 @@ proptest! {
         let q = random_qubo(n, &mut rng);
         let (logical, _) = CsrIsing::from_qubo(&q);
         let strength = ChainStrength::RelativeToMax(2.0);
-        let from_cache = cached.embed(&logical, strength);
-        let from_fresh = fresh.embed(&logical, strength);
+        let (mut from_cache, mut from_fresh) = (CsrIsing::default(), CsrIsing::default());
+        cached.embed(&logical, strength, &mut from_cache);
+        fresh.embed(&logical, strength, &mut from_fresh);
         for _ in 0..4 {
             let state: Vec<i8> = (0..from_fresh.num_vars())
                 .map(|_| if rng.next_bool() { 1 } else { -1 })
@@ -228,7 +232,8 @@ proptest! {
         let q = random_qubo(n, &mut rng);
         let (logical, _) = CsrIsing::from_qubo(&q);
         let emb = CliqueEmbedding::new(Chimera::new(m), n);
-        let csr = emb.embed(&logical, hqw_anneal::embedding::ChainStrength::RelativeToMax(2.0));
+        let mut csr = CsrIsing::default();
+        emb.embed(&logical, ChainStrength::RelativeToMax(2.0), &mut csr);
         let nq = csr.num_vars();
         let start: Vec<i8> =
             (0..nq).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
@@ -332,13 +337,18 @@ fn random_params(rng: &mut Rng64) -> AnnealParams {
 /// QUBO minor-embedded (with chains) on a Chimera graph.
 fn served_problem(rng: &mut Rng64) -> CsrIsing {
     if rng.next_bool() {
-        CsrIsing::from_ising(&random_ising(1 + rng.next_index(16), 1.0, rng))
+        from_ising(&random_ising(1 + rng.next_index(16), 1.0, rng))
     } else {
         let m = 1 + rng.next_index(2);
         let n_logical = 1 + rng.next_index(4 * m);
         let (logical, _) = CsrIsing::from_qubo(&random_qubo(n_logical, rng));
-        CliqueEmbedding::new(Chimera::new(m), n_logical)
-            .embed(&logical, ChainStrength::RelativeToMax(2.0))
+        let mut physical = CsrIsing::default();
+        CliqueEmbedding::new(Chimera::new(m), n_logical).embed(
+            &logical,
+            ChainStrength::RelativeToMax(2.0),
+            &mut physical,
+        );
+        physical
     }
 }
 
@@ -411,7 +421,7 @@ fn pimc_serves_one_and_two_spin_problems() {
         if n == 2 {
             ising.set_coupling(0, 1, -0.5);
         }
-        let ising = CsrIsing::from_ising(&ising);
+        let ising = from_ising(&ising);
         let down = vec![-1i8; n];
         for (schedule, initial) in [
             (AnnealSchedule::forward(2.0).unwrap(), None),

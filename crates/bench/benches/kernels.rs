@@ -58,15 +58,19 @@ use hqw_anneal::{AnnealParams, AnnealSchedule, DWaveProfile};
 use hqw_core::protocol::Protocol;
 use hqw_core::HybridSolver;
 use hqw_math::{CMatrix, CVector, Exp1, RMatrix, Rng64};
+use hqw_oracle::csr::from_ising;
+use hqw_oracle::generator::sparse_random_qubo;
+use hqw_oracle::model::{from_ising_with_constant, to_ising};
+use hqw_oracle::rmat::{gram, matmul};
+use hqw_oracle::Ising;
 use hqw_phy::channel::{snr_db_to_noise_variance, ChannelTrack, TrackConfig};
 use hqw_phy::mimo::MimoSystem;
 use hqw_phy::reduction::reduce_to_qubo;
 use hqw_phy::{DetectionInstance, InstanceConfig, Modulation};
 use hqw_qubo::csr::CsrIsing;
-use hqw_qubo::generator::sparse_random_qubo;
 use hqw_qubo::greedy::greedy_search;
 use hqw_qubo::sa::{sa_read_csr, sample_qubo, SaParams};
-use hqw_qubo::{Ising, Qubo};
+use hqw_qubo::Qubo;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -199,8 +203,8 @@ fn bench_sweep_kernels(out: &mut Vec<Measurement>, derived: &mut Vec<(String, f6
     ] {
         let mut rng = Rng64::new(12);
         let q = sparse_random_qubo(n, density, &mut rng);
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
+        let (ising, _) = to_ising(&q);
+        let csr = from_ising(&ising);
         let start = random_spins(n, &mut rng);
         let params = SaParams {
             sweeps,
@@ -551,21 +555,23 @@ fn bench_programming(out: &mut Vec<Measurement>) {
     .qubo;
     let n = qpu_q.num_vars();
     let embedding = CliqueEmbedding::new(Chimera::new(2), n);
+    let mut physical = CsrIsing::default();
     out.extend(bench_interleaved(
         &[&format!("program/embed_c2/{n}")],
         n,
         20_000,
         &mut [&mut || {
             let (logical, _) = CsrIsing::from_qubo(black_box(&qpu_q));
-            black_box(embedding.embed(&logical, ChainStrength::RelativeToMax(2.0)));
+            embedding.embed(&logical, ChainStrength::RelativeToMax(2.0), &mut physical);
+            black_box(&physical);
         }],
     ));
 }
 
 /// The **pre-change** ML→QUBO reduction, reproduced exactly: the
 /// spin-weight matrix `T`, the dense product `H̃T`, its Gram and
-/// `tr_matvec`, an adjacency-list `Ising`, then
-/// `Qubo::from_ising_with_constant`.
+/// `tr_matvec`, an adjacency-list `Ising`, then its QUBO conversion (the
+/// products, model and conversion from `hqw-oracle`).
 fn reduce_to_qubo_dense(system: &MimoSystem, h: &CMatrix, y: &CVector) -> (Qubo, f64) {
     let modulation = system.modulation;
     let n_tx = system.n_tx;
@@ -589,8 +595,8 @@ fn reduce_to_qubo_dense(system: &MimoSystem, h: &CMatrix, y: &CVector) -> (Qubo,
 
     let h_stacked = h.to_real_stacked();
     let y_stacked = y.to_real_stacked();
-    let ht = h_stacked.matmul(&t);
-    let a = ht.gram();
+    let ht = matmul(&h_stacked, &t);
+    let a = gram(&ht);
     let b = ht.tr_matvec(&y_stacked);
     let h = (0..n_vars).map(|i| -2.0 * b[i]).collect();
     let mut couplings = Vec::with_capacity(n_vars * n_vars.saturating_sub(1) / 2);
@@ -605,7 +611,7 @@ fn reduce_to_qubo_dense(system: &MimoSystem, h: &CMatrix, y: &CVector) -> (Qubo,
         }
     }
     let ising = Ising::from_couplings(h, couplings);
-    Qubo::from_ising_with_constant(&ising, const_term)
+    from_ising_with_constant(&ising, const_term)
 }
 
 /// The ML→QUBO reduction of one served QPSK frame (Rayleigh, 14 dB), ns

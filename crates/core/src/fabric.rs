@@ -974,19 +974,6 @@ impl FabricConfig {
         }
         Ok(())
     }
-
-    /// Shim for callers that still want the original panicking behaviour.
-    /// Deprecated in spirit: new code should propagate
-    /// [`FabricConfig::validate`] errors instead.
-    ///
-    /// # Panics
-    /// Panics with the [`FabricConfig::validate`] message on any invalid
-    /// field.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Per-backend slice of a [`FabricReport`].
@@ -1673,7 +1660,7 @@ pub fn run_fabric_observed(
     telemetry: Option<&crate::telemetry::Collector>,
     pid: u32,
 ) -> (FabricReport, RouteTrace) {
-    config.validate_or_panic();
+    config.validate().unwrap_or_else(|e| panic!("{e}"));
 
     let jobs = generate_jobs(config);
     let mut scheduler = schedule(config, &jobs);
@@ -1981,19 +1968,6 @@ impl FabricGridConfig {
             .validate()?;
         }
         Ok(())
-    }
-
-    /// Shim for callers that still want the original panicking behaviour.
-    /// Deprecated in spirit: new code should propagate
-    /// [`FabricGridConfig::validate`] errors instead.
-    ///
-    /// # Panics
-    /// Panics with the [`FabricGridConfig::validate`] message on any
-    /// invalid field.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
     }
 }
 

@@ -704,7 +704,7 @@ pub fn run_fabric_rt_grid_observed(
     config: &FabricGridConfig,
     telemetry: Option<&Collector>,
 ) -> FabricRtGridReport {
-    config.validate_or_panic();
+    config.validate().unwrap_or_else(|e| panic!("{e}"));
     let FabricMode::Realtime(rt) = config.mode else {
         panic!("run_fabric_rt_grid needs a realtime-mode config (FabricMode::Realtime)");
     };

@@ -21,6 +21,8 @@ use crate::metrics::{delta_e_percent, success_probability, time_to_solution};
 use crate::protocol::Protocol;
 use crate::stages::{ClassicalInitializer, InitialState};
 use hqw_anneal::sampler::{QpuTiming, QuantumSampler};
+use hqw_anneal::schedule::ScheduleError;
+use hqw_anneal::AnnealSchedule;
 use hqw_math::Rng64;
 use hqw_phy::instance::DetectionInstance;
 use hqw_qubo::SampleSet;
@@ -93,8 +95,11 @@ impl HybridResult {
 pub struct HybridSolver {
     /// The simulated QPU.
     pub sampler: QuantumSampler,
-    /// Stage configuration.
-    pub config: HybridConfig,
+    /// Stage configuration, fixed at construction.
+    config: HybridConfig,
+    /// The protocol's schedule, built once at construction: every frame
+    /// anneals with it, and an invalid protocol panics in `solve`.
+    schedule: Result<AnnealSchedule, ScheduleError>,
 }
 
 impl std::fmt::Debug for HybridSolver {
@@ -106,7 +111,12 @@ impl std::fmt::Debug for HybridSolver {
 impl HybridSolver {
     /// Creates a solver.
     pub fn new(sampler: QuantumSampler, config: HybridConfig) -> Self {
-        HybridSolver { sampler, config }
+        let schedule = config.protocol.schedule();
+        HybridSolver {
+            sampler,
+            config,
+            schedule,
+        }
     }
 
     /// The paper's prototype: Greedy Search + Reverse Annealing at `s_p`,
@@ -150,11 +160,7 @@ impl HybridSolver {
         warm_start: Option<&[u8]>,
     ) -> HybridResult {
         let mut rng = Rng64::new(seed);
-        let schedule = self
-            .config
-            .protocol
-            .schedule()
-            .expect("invalid protocol parameters");
+        let schedule = self.schedule.as_ref().expect("invalid protocol parameters");
 
         // The frame's CSR, built once: the classical stage reads it and
         // the sampler then programs it.
@@ -192,7 +198,7 @@ impl HybridSolver {
         let result = self.sampler.sample_programmed(
             qubo,
             programmed,
-            &schedule,
+            schedule,
             initial.as_ref().map(|i| i.bits.as_slice()),
             rng.next_u64(),
         );
@@ -356,6 +362,13 @@ mod tests {
         let b = solver.solve(&inst, 42);
         assert_eq!(a.best_bits, b.best_bits);
         assert_eq!(a.best_energy, b.best_energy);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid protocol parameters")]
+    fn an_invalid_protocol_panics_in_solve() {
+        let solver = HybridSolver::paper_prototype(quick_sampler(10), 1.5);
+        solver.solve(&instance(), 1);
     }
 
     #[test]

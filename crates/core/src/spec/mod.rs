@@ -18,9 +18,9 @@
 //!   property-tested in `tests/spec_proptests.rs`, and the registry's
 //!   fingerprints pin the bytes.
 //! * [`SpecError`] — the shared validation error every config's
-//!   `validate()` returns, replacing the old ad-hoc assert/panic mix
-//!   (panicking `validate_or_panic` shims remain for the engine
-//!   entry points). A config is a plain struct: the codec fills it from
+//!   `validate()` returns, replacing the old ad-hoc assert/panic mix (the
+//!   engine entry points that panic on an invalid config panic with its
+//!   message). A config is a plain struct: the codec fills it from
 //!   its `record!` table, and code writes it as a literal and calls
 //!   `validate()`.
 //!
@@ -60,7 +60,8 @@ pub const SPEC_VERSION: u64 = 1;
 ///
 /// Carries the context (which config or spec path) and a human-readable
 /// message; [`std::fmt::Display`] renders `"{context}: {message}"`, which
-/// is also the panic payload of the deprecated `validate_or_panic` shims.
+/// is also the panic payload of the entry points that panic on an invalid
+/// config.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecError {
     context: String,

@@ -181,19 +181,6 @@ impl StreamConfig {
         validate_cost(&self.cost).map_err(|msg| SpecError::new(ctx, msg))?;
         Ok(())
     }
-
-    /// Shim for callers that still want the original panicking behaviour.
-    /// Deprecated in spirit: new code should propagate
-    /// [`StreamConfig::validate`] errors instead.
-    ///
-    /// # Panics
-    /// Panics with the [`StreamConfig::validate`] message on any invalid
-    /// field.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Shared cost-model sanity check (no context prefix — callers add their
@@ -291,7 +278,7 @@ pub fn run_stream_observed(
     telemetry: Option<&crate::telemetry::Collector>,
     pid: u32,
 ) -> StreamReport {
-    config.validate_or_panic();
+    config.validate().unwrap_or_else(|e| panic!("{e}"));
 
     let mut recorders = telemetry.map(|collector| {
         collector.label_process(

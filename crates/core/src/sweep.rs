@@ -35,46 +35,15 @@ pub fn sweep_protocol(
     qubo: &Qubo,
     ground_energy: f64,
     grid: &[f64],
-    make_protocol: impl Fn(f64) -> Protocol + Sync,
+    make_protocol: impl Fn(f64) -> Protocol,
     initial: Option<&[u8]>,
     seed: u64,
 ) -> Vec<SweepPoint> {
-    sweep_protocol_parallel(
-        sampler,
-        qubo,
-        ground_energy,
-        grid,
-        make_protocol,
-        initial,
-        seed,
-        1,
-    )
-}
-
-/// [`sweep_protocol`] with the grid points fanned out across `threads`
-/// worker threads (0 = all available cores).
-///
-/// Each grid point already draws an independent seed
-/// (`seed + index`), so the points are embarrassingly parallel and the
-/// output is **bit-identical** to the serial sweep, in the same order.
-/// Each point's reads additionally parallelize inside the sampler; when
-/// sweeping broad grids prefer `sampler.config.threads = 1` and thread the
-/// grid here instead — one level of fan-out, no oversubscription.
-#[allow(clippy::too_many_arguments)] // mirrors `sweep_protocol` + the threads knob
-pub fn sweep_protocol_parallel(
-    sampler: &QuantumSampler,
-    qubo: &Qubo,
-    ground_energy: f64,
-    grid: &[f64],
-    make_protocol: impl Fn(f64) -> Protocol + Sync,
-    initial: Option<&[u8]>,
-    seed: u64,
-    threads: usize,
-) -> Vec<SweepPoint> {
-    let points = hqw_math::parallel::parallel_map_indexed(
-        grid,
-        threads,
-        |idx, &param| -> Option<SweepPoint> {
+    // Each point draws its own seed (`seed + index`); invalid protocols
+    // are dropped.
+    grid.iter()
+        .enumerate()
+        .filter_map(|(idx, &param)| {
             let protocol = make_protocol(param);
             let schedule = protocol.schedule().ok()?;
             let init = if protocol.requires_initial_state() {
@@ -91,10 +60,8 @@ pub fn sweep_protocol_parallel(
                 tts_us: time_to_solution(schedule.duration_us(), p_star, 99.0),
                 mean_energy: result.samples.mean_energy(),
             })
-        },
-    );
-    // Invalid protocols are dropped.
-    points.into_iter().flatten().collect()
+        })
+        .collect()
 }
 
 /// Sweeps RA over the paper's `s_p` grid from a fixed initial state.
@@ -219,42 +186,6 @@ mod tests {
         }
         // Ground-seeded RA at high s_p must succeed somewhere.
         assert!(points.iter().any(|p| p.p_star > 0.5));
-    }
-
-    #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
-        let mut rng = Rng64::new(9);
-        let inst =
-            DetectionInstance::generate(&InstanceConfig::paper(2, Modulation::Qpsk), &mut rng);
-        let sampler = quick_sampler(12);
-        let serial = sweep_protocol(
-            &sampler,
-            &inst.reduction.qubo,
-            inst.ground_energy(),
-            &paper_sp_grid(),
-            Protocol::paper_ra,
-            Some(&inst.tx_natural_bits),
-            41,
-        );
-        for threads in [2, 5, 0] {
-            let parallel = sweep_protocol_parallel(
-                &sampler,
-                &inst.reduction.qubo,
-                inst.ground_energy(),
-                &paper_sp_grid(),
-                Protocol::paper_ra,
-                Some(&inst.tx_natural_bits),
-                41,
-                threads,
-            );
-            assert_eq!(serial.len(), parallel.len());
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.param.to_bits(), b.param.to_bits());
-                assert_eq!(a.p_star.to_bits(), b.p_star.to_bits());
-                assert_eq!(a.mean_energy.to_bits(), b.mean_energy.to_bits());
-                assert_eq!(a.tts_us.to_bits(), b.tts_us.to_bits());
-            }
-        }
     }
 
     #[test]

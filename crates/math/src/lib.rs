@@ -9,7 +9,7 @@
 //!   operations MIMO processing needs (Hermitian transpose, products, solves).
 //! * [`RMatrix`] / [`RVector`] — dense real matrices and vectors.
 //! * [`linalg`] — LU, Cholesky and Householder-QR decompositions with
-//!   solvers/inverses, for zero-forcing, MMSE and sphere-decoder front ends.
+//!   solvers, for zero-forcing, MMSE and sphere-decoder front ends.
 //! * [`rng`] — deterministic, seedable xoshiro256++ RNG with uniform,
 //!   Gaussian and categorical sampling. Every stochastic API in the workspace
 //!   threads one of these through explicitly, so all experiments reproduce
@@ -44,37 +44,38 @@ pub use rmat::{RMatrix, RVector};
 pub use rng::Rng64;
 pub use ziggurat::Exp1;
 
-/// Tolerance used by the workspace when comparing floating-point energies.
-///
-/// QUBO energies in this workspace are sums of `O(N²)` products of
-/// `O(1)`-magnitude terms; `1e-9` absolute tolerance distinguishes distinct
-/// discrete energy levels for every problem size used in the experiments
-/// while absorbing accumulated rounding error.
-pub const ENERGY_EPS: f64 = 1e-9;
-
-/// Returns true when two energies should be considered the same level.
-///
-/// Uses a mixed absolute/relative criterion so that it works both near zero
-/// (noiseless-instance ground energies) and for large magnitudes.
-#[inline]
-pub fn energy_eq(a: f64, b: f64) -> bool {
-    let diff = (a - b).abs();
-    diff <= ENERGY_EPS || diff <= f64::max(a.abs(), b.abs()) * 1e-12
-}
-
+/// `hqw-oracle`'s products and solves for this crate's unit tests. The
+/// oracle links the library build of this crate, so to a unit test its
+/// matrices are a second type: they cross over entry by entry.
 #[cfg(test)]
-mod tests {
-    use super::*;
+mod oracle {
+    use crate::{RMatrix, RVector};
+    use hqw_oracle::hqw_math as lib;
 
-    #[test]
-    fn energy_eq_absolute_near_zero() {
-        assert!(energy_eq(0.0, 1e-10));
-        assert!(!energy_eq(0.0, 1e-3));
+    fn to_lib(m: &RMatrix) -> lib::RMatrix {
+        lib::RMatrix::from_fn(m.rows(), m.cols(), |r, c| m[(r, c)])
     }
 
-    #[test]
-    fn energy_eq_relative_for_large_values() {
-        assert!(energy_eq(1e12, 1e12 + 0.1));
-        assert!(!energy_eq(1e12, 1e12 + 1e3));
+    fn from_lib(m: &lib::RMatrix) -> RMatrix {
+        RMatrix::from_fn(m.rows(), m.cols(), |r, c| m[(r, c)])
+    }
+
+    pub fn matmul(a: &RMatrix, b: &RMatrix) -> RMatrix {
+        from_lib(&hqw_oracle::rmat::matmul(&to_lib(a), &to_lib(b)))
+    }
+
+    pub fn gram(a: &RMatrix) -> RMatrix {
+        from_lib(&hqw_oracle::rmat::gram(&to_lib(a)))
+    }
+
+    pub fn transpose(a: &RMatrix) -> RMatrix {
+        from_lib(&hqw_oracle::rmat::transpose(&to_lib(a)))
+    }
+
+    /// Solves `a · x = b` through the oracle's real LU.
+    pub fn lu_solve(a: &RMatrix, b: &RVector) -> RVector {
+        let b = lib::RVector::from_vec(b.as_slice().to_vec());
+        let lu = hqw_oracle::linalg::LuReal::new(&to_lib(a)).unwrap();
+        RVector::from_vec(lu.solve(&b).as_slice().to_vec())
     }
 }

@@ -5,7 +5,7 @@
 //! the complex channel) and the QUBO coefficient algebra.
 
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Add, Index, IndexMut, Sub};
 
 /// A dense real vector.
 #[derive(Clone, PartialEq)]
@@ -181,32 +181,6 @@ impl RMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> RMatrix {
-        RMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
-    }
-
-    /// Matrix product `self · other`.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &RMatrix) -> RMatrix {
-        assert_eq!(self.cols, other.rows, "matmul: dimension mismatch");
-        let mut out = RMatrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
     /// Matrix-vector product `self · v`.
     ///
     /// # Panics
@@ -221,22 +195,6 @@ impl RMatrix {
                 .zip(v.as_slice())
                 .map(|(a, b)| a * b)
                 .sum();
-        }
-        out
-    }
-
-    /// Gram matrix `selfᵀ · self` (symmetric positive semi-definite).
-    pub fn gram(&self) -> RMatrix {
-        let mut out = RMatrix::zeros(self.cols, self.cols);
-        for i in 0..self.cols {
-            for j in i..self.cols {
-                let mut s = 0.0;
-                for k in 0..self.rows {
-                    s += self[(k, i)] * self[(k, j)];
-                }
-                out[(i, j)] = s;
-                out[(j, i)] = s;
-            }
         }
         out
     }
@@ -304,54 +262,16 @@ impl IndexMut<(usize, usize)> for RMatrix {
     }
 }
 
-impl Mul<&RMatrix> for &RMatrix {
-    type Output = RMatrix;
-    fn mul(self, rhs: &RMatrix) -> RMatrix {
-        self.matmul(rhs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identity_is_multiplicative_identity() {
-        let a = RMatrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let i2 = RMatrix::identity(2);
-        let i3 = RMatrix::identity(3);
-        assert_eq!(i2.matmul(&a), a);
-        assert_eq!(a.matmul(&i3), a);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = RMatrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let b = RMatrix::from_vec(2, 2, vec![5., 6., 7., 8.]);
-        let c = a.matmul(&b);
-        assert_eq!(c.as_slice(), &[19., 22., 43., 50.]);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = RMatrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn gram_matches_explicit_product() {
-        let a = RMatrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let g = a.gram();
-        let explicit = a.transpose().matmul(&a);
-        assert!(g.max_abs_diff(&explicit) < 1e-12);
-    }
 
     #[test]
     fn tr_matvec_matches_transpose() {
         let a = RMatrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         let v = RVector::from_vec(vec![1., -1., 2.]);
         let direct = a.tr_matvec(&v);
-        let via_transpose = a.transpose().matvec(&v);
+        let via_transpose = crate::oracle::transpose(&a).matvec(&v);
         assert_eq!(direct.as_slice(), via_transpose.as_slice());
     }
 
@@ -369,13 +289,5 @@ mod tests {
     #[should_panic(expected = "dot: length mismatch")]
     fn dot_length_mismatch_panics() {
         RVector::zeros(2).dot(&RVector::zeros(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul: dimension mismatch")]
-    fn matmul_shape_mismatch_panics() {
-        let a = RMatrix::zeros(2, 3);
-        let b = RMatrix::zeros(2, 3);
-        let _ = a.matmul(&b);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The whole workspace threads explicit RNG state through every stochastic
 //! API so that experiments reproduce bit-exactly from a seed, across threads
-//! (each parallel anneal read derives its own child generator with
-//! [`Rng64::split`]).
+//! (each parallel anneal read runs its own generator, seeded by a draw
+//! from the submission's).
 //!
 //! The generator is xoshiro256++ (Blackman & Vigna), seeded through
 //! splitmix64 as its authors recommend. It is not cryptographic; it is a
@@ -43,15 +43,6 @@ impl Rng64 {
             s,
             gauss_spare: None,
         }
-    }
-
-    /// Derives an independent child generator.
-    ///
-    /// Used to give each parallel anneal read / each pipeline stage its own
-    /// stream while keeping the parent deterministic: the child's seed is a
-    /// fresh 64-bit draw from the parent.
-    pub fn split(&mut self) -> Rng64 {
-        Rng64::new(self.next_u64())
     }
 
     /// Next raw 64-bit output.
@@ -176,14 +167,6 @@ impl Rng64 {
         mean + std_dev * self.next_gaussian()
     }
 
-    /// Fisher-Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.next_index(i + 1);
-            slice.swap(i, j);
-        }
-    }
-
     /// Samples an index from unnormalized non-negative weights.
     ///
     /// # Panics
@@ -273,34 +256,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.03, "var={var}");
-    }
-
-    #[test]
-    fn split_streams_are_independent_and_deterministic() {
-        let mut parent1 = Rng64::new(23);
-        let mut parent2 = Rng64::new(23);
-        let mut c1 = parent1.split();
-        let mut c2 = parent2.split();
-        for _ in 0..32 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
-        }
-        // Child and parent streams differ.
-        let mut parent = Rng64::new(29);
-        let mut child = parent.split();
-        let equal = (0..32)
-            .filter(|_| parent.next_u64() == child.next_u64())
-            .count();
-        assert!(equal < 2);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng64::new(31);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Property-based tests for the numerics substrate.
 
-use hqw_math::linalg::{CholeskyReal, LuReal, QrReal};
-use hqw_math::stats::{percentile, RunningStats};
+use hqw_math::linalg::{CholeskyReal, QrReal};
+use hqw_math::stats::percentile;
 use hqw_math::{CMatrix, CVector, Complex64, RMatrix, RVector, Rng64};
+use hqw_oracle::linalg::LuReal;
+use hqw_oracle::rmat::{gram, matmul};
+use hqw_oracle::stats::RunningStats;
 use proptest::prelude::*;
 
 fn finite_f64() -> impl Strategy<Value = f64> {
@@ -111,9 +114,9 @@ proptest! {
         let m = n + extra;
         let a = RMatrix::from_fn(m, n, |_, _| rng.next_gaussian());
         let qr = QrReal::new(&a);
-        let recon = qr.q().matmul(qr.r());
+        let recon = matmul(qr.q(), qr.r());
         prop_assert!(recon.max_abs_diff(&a) < 1e-8);
-        let qtq = qr.q().gram();
+        let qtq = gram(qr.q());
         prop_assert!(qtq.max_abs_diff(&RMatrix::identity(n)) < 1e-8);
     }
 
@@ -121,7 +124,7 @@ proptest! {
     fn cholesky_solves_spd_systems(seed in any::<u64>(), n in 1usize..8) {
         let mut rng = Rng64::new(seed);
         let b = RMatrix::from_fn(n + 1, n, |_, _| rng.next_gaussian());
-        let mut a = b.gram();
+        let mut a = gram(&b);
         for i in 0..n {
             a[(i, i)] += 1.0;
         }

@@ -1,12 +1,13 @@
-//! Random problem generators for tests, benches and calibration.
+//! Random problem generators for tests and benches.
 //!
 //! The *evaluation* instances of the paper come from the MIMO reduction in
 //! `hqw-phy`; the generators here produce structure-free problems used to
 //! exercise solvers, preprocessing and the annealing engines in isolation.
 
 use crate::ising::Ising;
-use crate::model::Qubo;
+use crate::model::from_ising_with_constant;
 use hqw_math::Rng64;
+use hqw_qubo::Qubo;
 
 /// Dense random QUBO with i.i.d. uniform coefficients in `[-1, 1]`.
 pub fn random_qubo(n: usize, rng: &mut Rng64) -> Qubo {
@@ -75,14 +76,14 @@ pub fn planted_qubo(n: usize, pairs: usize, rng: &mut Rng64) -> (Qubo, Vec<u8>) 
     let s0 = if planted[0] == 1 { 1.0 } else { -1.0 };
     ising.add_h(0, -0.05 * s0);
 
-    let (qubo, _constant) = Qubo::from_ising_with_constant(&ising, 0.0);
+    let (qubo, _constant) = from_ising_with_constant(&ising, 0.0);
     (qubo, planted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exhaustive_minimum;
+    use hqw_qubo::exact::exhaustive_minimum;
 
     #[test]
     fn random_qubo_is_deterministic_per_seed() {

@@ -1,13 +1,13 @@
 //! Sparse Ising model: `E(s) = Σ_i h_i s_i + Σ_{i<j} J_ij s_i s_j`, `s ∈ {−1,+1}ⁿ`.
 //!
-//! This is the form annealing hardware programs natively. Storage is a
-//! canonical edge list (`i < j`) plus an adjacency list that mirrors each
-//! edge into both endpoints' rows, all in edge-creation order. There is no
-//! hash index:
+//! The adjacency-list reference for the served [`hqw_qubo::CsrIsing`].
+//! Storage is a canonical edge list (`i < j`) plus an adjacency list that
+//! mirrors each edge into both endpoints' rows, all in edge-creation order.
+//! There is no hash index:
 //!
 //! * [`Ising::from_couplings`] builds a model whose pairs are known to be
 //!   distinct in O(n + edges), with every row reserved at its exact degree
-//!   and no lookup; the QUBO, ML-reduction and embedding builders use it.
+//!   and no lookup.
 //! * [`Ising::coupling`] scans the shorter endpoint row, and
 //!   [`Ising::set_coupling`] / [`Ising::add_coupling`] scan both rows:
 //!   O(degree). Updating an existing edge also needs its index in the edge
@@ -16,15 +16,8 @@
 //!   is only built never pays for them.
 //!
 //! Both paths append rows and edges in the same order, so a model built
-//! either way is bit-identical.
-//!
-//! Monte-Carlo sweep kernels should not iterate the adjacency directly:
-//! build the CSR from the QUBO ([`crate::CsrIsing::from_qubo`], one pass,
-//! bit-identical to flattening [`crate::Qubo::to_ising`]'s model) once per
-//! problem and sweep with [`crate::LocalFieldState`]'s incrementally-cached
-//! local fields (O(1) proposals) instead. No engine, embedding or sampler
-//! reads an `Ising`: it is the form to edit a model in (the ML reduction,
-//! the planted generator) and the tests' reference for the CSR builds.
+//! either way is bit-identical, and [`crate::csr::from_ising`] flattens it
+//! into the CSR that [`hqw_qubo::CsrIsing::from_qubo`] builds directly.
 
 /// A sparse Ising problem over ±1 spins.
 #[derive(Clone, Debug, Default)]

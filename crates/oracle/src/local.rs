@@ -1,10 +1,7 @@
-//! Single-flip local search (steepest descent).
-//!
-//! Used (a) as a cheap classical baseline, (b) to post-process annealer
-//! samples, and (c) in tests to certify that solver outputs are at least
-//! locally optimal.
+//! Single-flip local search (steepest descent): certifies that solver
+//! outputs are at least locally optimal.
 
-use crate::model::Qubo;
+use hqw_qubo::Qubo;
 
 /// Descends from `start` by repeatedly applying the single best improving
 /// flip until a local minimum is reached. Returns `(bits, energy, steps)`.
@@ -45,9 +42,9 @@ pub fn is_local_minimum(qubo: &Qubo, bits: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::exhaustive_minimum;
     use crate::generator::random_qubo;
     use hqw_math::Rng64;
+    use hqw_qubo::exact::exhaustive_minimum;
 
     #[test]
     fn descends_to_known_optimum() {

@@ -73,9 +73,10 @@ impl QuboDetector {
     /// Creates a detector with explicit SA parameters.
     ///
     /// # Panics
-    /// Panics on invalid parameters.
+    /// Panics with the [`SaParams::validate`] message on invalid
+    /// parameters.
     pub fn with_params(params: SaParams, seed: u64) -> Self {
-        params.validate_or_panic();
+        params.validate().unwrap_or_else(|e| panic!("{e}"));
         QuboDetector { params, seed }
     }
 }

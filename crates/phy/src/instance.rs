@@ -175,7 +175,7 @@ impl DetectionInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hqw_math::energy_eq;
+    use hqw_oracle::energy_eq;
     use hqw_qubo::exact::exhaustive_minimum;
 
     #[test]

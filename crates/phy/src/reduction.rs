@@ -21,8 +21,8 @@
 //!    (`s = 2q − 1`) with offset tracking.
 //!
 //!    The build is bit-for-bit the dense derivation it replaced (`H̃·T`
-//!    as a full product, its Gram, an `Ising`, then
-//!    `Qubo::from_ising_with_constant`): a column entry is `0 + a·w`, which
+//!    as a full product, its Gram, an `Ising`, then its QUBO conversion,
+//!    all from `hqw-oracle`): a column entry is `0 + a·w`, which
 //!    is what the dense product's sum leaves (it skips `a = 0`, and every
 //!    other term it adds is a signed zero); each dot product starts at
 //!    `0` and sums in row order; and every QUBO coefficient and the
@@ -191,12 +191,14 @@ mod tests {
     use crate::channel::{add_awgn, ChannelModel};
     use crate::modulation::Modulation;
     use hqw_math::{RMatrix, Rng64};
+    use hqw_oracle::model::from_ising_with_constant;
+    use hqw_oracle::rmat::{gram, matmul};
+    use hqw_oracle::Ising;
     use hqw_qubo::exact::exhaustive_minimum;
-    use hqw_qubo::Ising;
 
     /// The dense derivation `reduce_to_qubo` replaced, kept as its
     /// bit-for-bit reference: the spin-weight matrix `T`, the dense product
-    /// `H̃T`, its Gram, an `Ising`, then `Qubo::from_ising_with_constant`.
+    /// `H̃T`, its Gram, an `Ising`, then its QUBO conversion.
     /// Returns `H̃T` too, so the rail columns can be pinned on their own.
     fn dense_reference(system: &MimoSystem, h: &CMatrix, y: &CVector) -> (RMatrix, Qubo, f64) {
         let modulation = system.modulation;
@@ -220,8 +222,8 @@ mod tests {
         }
 
         let y_stacked = y.to_real_stacked();
-        let ht = h.to_real_stacked().matmul(&t);
-        let a = ht.gram();
+        let ht = matmul(&h.to_real_stacked(), &t);
+        let a = gram(&ht);
         let b = ht.tr_matvec(&y_stacked);
         let h = (0..n_vars).map(|i| -2.0 * b[i]).collect();
         let mut couplings = Vec::new();
@@ -236,7 +238,7 @@ mod tests {
             }
         }
         let ising = Ising::from_couplings(h, couplings);
-        let (qubo, ml_offset) = Qubo::from_ising_with_constant(&ising, const_term);
+        let (qubo, ml_offset) = from_ising_with_constant(&ising, const_term);
         (ht, qubo, ml_offset)
     }
 

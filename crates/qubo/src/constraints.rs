@@ -133,7 +133,7 @@ pub fn apply_pair_constraints(qubo: &mut Qubo, constraints: &[PairConstraint]) -
 mod tests {
     use super::*;
     use crate::exact::exhaustive_minimum;
-    use crate::generator::random_qubo;
+    use crate::oracle::random_qubo;
     use hqw_math::Rng64;
 
     /// Penalty evaluated directly from the definition for cross-checking.

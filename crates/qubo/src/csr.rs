@@ -1,9 +1,9 @@
 //! Flat (CSR) Ising representation and incrementally-maintained local
 //! fields — the shared substrate of every Monte-Carlo sweep kernel.
 //!
-//! [`crate::Ising`] stores its adjacency as `Vec<Vec<(usize, f64)>>`, which
-//! is convenient to build but pointer-chases on every neighbor visit.
-//! [`CsrIsing`] flattens the mirrored adjacency into three contiguous arrays
+//! An adjacency list (`Vec<Vec<(usize, f64)>>`) is convenient to build but
+//! pointer-chases on every neighbor visit. [`CsrIsing`] stores the
+//! mirrored adjacency as three contiguous arrays
 //! (`row_ptr` / `col_idx` / `weight`), and [`LocalFieldState`] keeps the
 //! effective local field `h_eff[k] = h_k + Σ_j J_kj s_j` cached per spin so
 //! a single-flip proposal costs **O(1)** instead of O(degree):
@@ -19,19 +19,17 @@
 //!
 //! Build the CSR from the QUBO: [`CsrIsing::from_qubo`] writes the fields,
 //! rows and offset in one pass over the triangle, bit-identical to
-//! flattening [`crate::Qubo::to_ising`]'s model, and
-//! [`CsrIsing::normalize`] auto-scales it in place as
-//! [`Ising::normalize`] would. Every served frame's greedy seed, SA read
-//! and anneal submission starts there; the minor embedding writes its
-//! physical CSR with [`CsrIsing::from_couplings`]. [`CsrIsing::from_ising`]
-//! flattens a model built as an [`Ising`] (test references, bench baseline).
+//! flattening the adjacency-list model of `hqw-oracle`'s `to_ising`, and
+//! [`CsrIsing::normalize`] auto-scales it in place as that model's
+//! `normalize` would. Every served frame's greedy seed, SA read and anneal
+//! submission starts there; the minor embedding writes its physical CSR
+//! with [`CsrIsing::refill_from_couplings`].
 
-use crate::ising::Ising;
 use crate::model::Qubo;
 
 /// A compressed-sparse-row view of an Ising problem.
 ///
-/// Rows mirror both endpoints of every edge (like `Ising`'s adjacency), so
+/// Rows mirror both endpoints of every edge, so
 /// `row(k)` enumerates every neighbor of `k` exactly once.
 #[derive(Debug, Clone, Default)]
 pub struct CsrIsing {
@@ -43,44 +41,33 @@ pub struct CsrIsing {
 }
 
 impl CsrIsing {
-    /// Flattens an adjacency-list Ising model. O(n + edges).
-    pub fn from_ising(ising: &Ising) -> Self {
-        let n = ising.num_vars();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut weight = Vec::new();
-        row_ptr.push(0u32);
-        for i in 0..n {
-            for &(j, w) in ising.neighbors(i) {
-                col_idx.push(j as u32);
-                weight.push(w);
-            }
-            row_ptr.push(col_idx.len() as u32);
-        }
-        CsrIsing {
-            h: ising.h_slice().to_vec(),
-            row_ptr,
-            col_idx,
-            weight,
-        }
-    }
-
-    /// The CSR of fields `h` and couplings `(i, j, J_ij)`, each pair given
-    /// once in either orientation (a repeated pair is not merged): row `k`
-    /// lists `k`'s partners in `couplings` order, as
-    /// `CsrIsing::from_ising(&Ising::from_couplings(h, couplings))` does.
-    /// Walks `couplings` twice, to count degrees and to fill the rows.
+    /// Rebuilds this CSR, in its own buffers, as the problem on `n` spins
+    /// with zero fields and couplings `(i, j, J_ij)`, each pair given once
+    /// in either orientation (a repeated pair is not merged): row `k` lists
+    /// `k`'s partners in `couplings` order, as the adjacency list of an
+    /// Ising model built from the same couplings does. Set the fields with
+    /// [`CsrIsing::add_h`]. Walks `couplings` twice, to count degrees and
+    /// to fill the rows; once the buffers have grown to the problem's
+    /// size, a rebuild allocates nothing.
     ///
     /// # Panics
     /// Panics on a self-coupling or an index out of range.
-    pub fn from_couplings<I>(h: Vec<f64>, couplings: I) -> Self
+    pub fn refill_from_couplings<I>(&mut self, n: usize, couplings: I)
     where
         I: IntoIterator<Item = (usize, usize, f64)> + Clone,
     {
-        let n = h.len();
-        let mut row_ptr = vec![0u32; n + 1];
+        let CsrIsing {
+            h,
+            row_ptr,
+            col_idx,
+            weight,
+        } = self;
+        h.clear();
+        h.resize(n, 0.0);
+        row_ptr.clear();
+        row_ptr.resize(n + 1, 0);
         couplings.clone().into_iter().for_each(|(i, j, _)| {
-            assert!(i != j, "CsrIsing::from_couplings: self-coupling");
+            assert!(i != j, "CsrIsing::refill_from_couplings: self-coupling");
             row_ptr[i + 1] += 1;
             row_ptr[j + 1] += 1;
         });
@@ -88,27 +75,26 @@ impl CsrIsing {
             row_ptr[k + 1] += row_ptr[k];
         }
         let nnz = row_ptr[n] as usize;
-        let (mut col_idx, mut weight) = (vec![0u32; nnz], vec![0.0; nnz]);
-        // `next[k]` is where row `k`'s next entry goes.
-        let mut next = row_ptr[..n].to_vec();
+        col_idx.clear();
+        col_idx.resize(nnz, 0);
+        weight.clear();
+        weight.resize(nnz, 0.0);
+        // `row_ptr[k]` is where row `k`'s next entry goes; once every row
+        // is filled it holds row `k + 1`'s start, so shift it back by one.
         couplings.into_iter().for_each(|(i, j, w)| {
             for (a, b) in [(i, j), (j, i)] {
-                let p = next[a] as usize;
+                let p = row_ptr[a] as usize;
                 (col_idx[p], weight[p]) = (b as u32, w);
-                next[a] += 1;
+                row_ptr[a] += 1;
             }
         });
-        CsrIsing {
-            h,
-            row_ptr,
-            col_idx,
-            weight,
-        }
+        row_ptr.copy_within(0..n, 1);
+        row_ptr[0] = 0;
     }
 
-    /// The Ising form of `qubo` and its offset, as [`Qubo::to_ising`]
-    /// gives them, flattened in one pass: fields, rows, weights and offset
-    /// equal `CsrIsing::from_ising(&qubo.to_ising().0)` bit for bit.
+    /// The Ising form of `qubo` and its offset, flattened in one pass:
+    /// fields, rows, weights and offset equal the flattened `to_ising`
+    /// model of `hqw-oracle` bit for bit.
     ///
     /// Row `k` is built whole: column `k` of the triangle (`Q_ik`, `i < k`),
     /// the diagonal, then row `k` (`Q_kj`, `j > k`), skipping zeros. That
@@ -178,8 +164,8 @@ impl CsrIsing {
     }
 
     /// Rescales in place so that `max(max|h|, max|J|) == 1` (no-op for an
-    /// all-zero problem) and returns the applied factor: bit for bit what
-    /// [`Ising::normalize`] does to the model this CSR flattens.
+    /// all-zero problem) and returns the applied factor, bit for bit as the
+    /// oracle's adjacency-list model normalizes.
     pub fn normalize(&mut self) -> f64 {
         let m = self.max_abs();
         if m > 0.0 {
@@ -206,9 +192,8 @@ impl CsrIsing {
 
     /// Adds `delta()` to every coupling, each edge once, from its lower
     /// endpoint, rows in order; both mirrored entries get the sum. On a CSR
-    /// built from a QUBO that visits the edges in [`Ising::edges`] order,
-    /// so it is [`Ising::add_coupling`] over the model's edge list, draw
-    /// for draw.
+    /// built from a QUBO that visits the edges in the order `hqw-oracle`'s
+    /// `to_ising` creates them, draw for draw.
     pub fn add_to_couplings(&mut self, mut delta: impl FnMut() -> f64) {
         for i in 0..self.num_vars() {
             for p in self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize {
@@ -409,13 +394,6 @@ impl LocalFieldState {
         csr.axpy_row(&mut self.h_eff, k, delta_s);
     }
 
-    /// Rebuilds the caches from scratch (float-drift reset; also used by the
-    /// consistency property tests).
-    pub fn refresh(&mut self, csr: &CsrIsing) {
-        csr.fill_local_fields(&self.spins, &mut self.h_eff);
-        self.energy = csr.energy(&self.spins);
-    }
-
     /// Largest absolute deviation between the cached fields and a
     /// from-scratch recompute (diagnostic; drives the property tests).
     pub fn max_field_error(&self, csr: &CsrIsing) -> f64 {
@@ -428,8 +406,16 @@ impl LocalFieldState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::random_qubo;
+    use crate::oracle::{random_qubo, sparse_random_qubo};
     use hqw_math::Rng64;
+
+    impl LocalFieldState {
+        /// Rebuilds the caches from scratch (float-drift reset).
+        fn refresh(&mut self, csr: &CsrIsing) {
+            csr.fill_local_fields(&self.spins, &mut self.h_eff);
+            self.energy = csr.energy(&self.spins);
+        }
+    }
 
     fn random_state(n: usize, rng: &mut Rng64) -> Vec<i8> {
         (0..n)
@@ -438,27 +424,10 @@ mod tests {
     }
 
     #[test]
-    fn csr_matches_adjacency_model() {
-        let mut rng = Rng64::new(101);
-        let q = random_qubo(14, &mut rng);
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
-        assert_eq!(csr.num_vars(), ising.num_vars());
-        let spins = random_state(14, &mut rng);
-        assert!((csr.energy(&spins) - ising.energy(&spins)).abs() < 1e-9);
-        for k in 0..14 {
-            assert_eq!(csr.degree(k), ising.degree(k));
-            assert!((csr.local_field(&spins, k) - ising.local_field(&spins, k)).abs() < 1e-12);
-            assert!((csr.flip_delta(&spins, k) - ising.flip_delta(&spins, k)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn incremental_fields_track_flips() {
         let mut rng = Rng64::new(103);
         let q = random_qubo(12, &mut rng);
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
+        let csr = CsrIsing::from_qubo(&q).0;
         let mut state = LocalFieldState::new(&csr, random_state(12, &mut rng));
         for _ in 0..500 {
             let k = rng.next_index(12);
@@ -474,8 +443,7 @@ mod tests {
     fn refresh_resets_drift() {
         let mut rng = Rng64::new(107);
         let q = random_qubo(10, &mut rng);
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
+        let csr = CsrIsing::from_qubo(&q).0;
         let mut state = LocalFieldState::new(&csr, random_state(10, &mut rng));
         for _ in 0..100 {
             let k = rng.next_index(10);
@@ -487,7 +455,7 @@ mod tests {
 
     #[test]
     fn empty_problem_is_fine() {
-        let csr = CsrIsing::from_ising(&Ising::new(0));
+        let csr = CsrIsing::from_qubo(&Qubo::new(0)).0;
         assert_eq!(csr.num_vars(), 0);
         assert_eq!(csr.energy(&[]), 0.0);
         let state = LocalFieldState::new(&csr, Vec::new());
@@ -498,9 +466,8 @@ mod tests {
     fn axpy_row_matches_gather_bitwise() {
         let mut rng = Rng64::new(113);
         for density in [0.15, 0.6, 1.0] {
-            let q = crate::generator::sparse_random_qubo(20, density, &mut rng);
-            let (ising, _) = q.to_ising();
-            let csr = CsrIsing::from_ising(&ising);
+            let q = sparse_random_qubo(20, density, &mut rng);
+            let csr = CsrIsing::from_qubo(&q).0;
             let mut via_runs = vec![0.25f64; 20];
             let mut via_gather = via_runs.clone();
             for k in 0..20 {

@@ -228,7 +228,7 @@ pub fn branch_and_bound(qubo: &Qubo, initial_upper_bound: f64) -> (Vec<u8>, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::random_qubo;
+    use crate::oracle::random_qubo;
     use hqw_math::Rng64;
 
     #[test]

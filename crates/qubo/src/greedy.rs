@@ -110,7 +110,7 @@ fn greedy_bits(csr: &CsrIsing) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::exact::exhaustive_minimum;
-    use crate::generator::random_qubo;
+    use crate::oracle::random_qubo;
     use hqw_math::Rng64;
 
     #[test]

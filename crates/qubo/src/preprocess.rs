@@ -144,7 +144,7 @@ pub fn preprocess(qubo: &Qubo) -> Preprocessed {
 mod tests {
     use super::*;
     use crate::exact::exhaustive_minimum;
-    use crate::generator::{random_qubo, sparse_random_qubo};
+    use crate::oracle::{random_qubo, sparse_random_qubo};
     use hqw_math::Rng64;
 
     #[test]

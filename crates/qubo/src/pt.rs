@@ -171,7 +171,7 @@ pub fn parallel_tempering(qubo: &Qubo, params: &PtParams, seed: u64) -> (Vec<u8>
 mod tests {
     use super::*;
     use crate::exact::exhaustive_minimum;
-    use crate::generator::random_qubo;
+    use crate::oracle::random_qubo;
 
     #[test]
     fn finds_optimum_on_small_problems() {

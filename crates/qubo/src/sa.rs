@@ -69,19 +69,6 @@ impl SaParams {
         }
         Ok(())
     }
-
-    /// Shim for callers that still want the original panicking behaviour.
-    /// Deprecated in spirit: new code should propagate [`SaParams::validate`]
-    /// errors instead (the kernel entry points keep this for their
-    /// assert-style contracts).
-    ///
-    /// # Panics
-    /// Panics with the [`SaParams::validate`] message on any invalid field.
-    pub fn validate_or_panic(&self) {
-        if let Err(e) = self.validate() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Running-best energy trajectory of one SA read, sampled at sweep
@@ -169,7 +156,7 @@ fn sa_read_impl(
     rng: &mut Rng64,
     mut trace: Option<&mut Vec<f64>>,
 ) -> LocalFieldState {
-    params.validate_or_panic();
+    params.validate().unwrap_or_else(|e| panic!("{e}"));
     let n = csr.num_vars();
     assert_eq!(start.len(), n, "sa_read_csr: start length mismatch");
     let mut state = LocalFieldState::new(csr, start.to_vec());
@@ -214,8 +201,11 @@ fn sa_read_impl(
 /// conversion offset, never a full `qubo.energy` evaluation. Reads run in
 /// parallel per [`SaParams::threads`] with per-read RNG streams drawn from
 /// `rng` up front, so the result is bit-identical for any thread count.
+///
+/// # Panics
+/// Panics with the [`SaParams::validate`] message on invalid parameters.
 pub fn sample_qubo(qubo: &Qubo, params: &SaParams, rng: &mut Rng64) -> SampleSet {
-    params.validate_or_panic();
+    params.validate().unwrap_or_else(|e| panic!("{e}"));
     let (csr, offset) = CsrIsing::from_qubo(qubo);
     let n = qubo.num_vars();
 
@@ -262,7 +252,7 @@ pub fn sample_qubo_batch_seeded(
     params: &SaParams,
     seeds: &[u64],
 ) -> Vec<SampleSet> {
-    params.validate_or_panic();
+    params.validate().unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(
         qubos.len(),
         seeds.len(),
@@ -307,7 +297,7 @@ pub fn sample_qubo_batch_seeded(
 mod tests {
     use super::*;
     use crate::exact::exhaustive_minimum;
-    use crate::generator::{planted_qubo, random_qubo};
+    use crate::oracle::{planted_qubo, random_qubo};
 
     /// A named field mutation for the validate() rejection-path tests.
     type Mutation<T> = (&'static str, Box<dyn Fn(&mut T)>);
@@ -337,12 +327,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "sweeps must be > 0")]
-    fn validate_or_panic_shim_keeps_the_original_behaviour() {
-        SaParams {
+    fn sample_qubo_keeps_the_original_behaviour() {
+        let params = SaParams {
             sweeps: 0,
             ..SaParams::default()
-        }
-        .validate_or_panic();
+        };
+        sample_qubo(&Qubo::new(2), &params, &mut Rng64::new(1));
     }
 
     #[test]
@@ -379,7 +369,7 @@ mod tests {
             .unwrap()
             .bits
             .clone();
-        let (_, e_found, _) = crate::local::steepest_descent(&q, &best);
+        let (_, e_found, _) = crate::oracle::steepest_descent(&q, &best);
         assert!(
             e_found <= e_planted + 1e-9,
             "SA should reach the planted optimum: found {e_found}, planted {e_planted}"
@@ -426,7 +416,7 @@ mod tests {
         for threads in [2, 3, 8] {
             let parallel = collect(threads);
             assert_eq!(serial.total_reads(), parallel.total_reads());
-            assert_eq!(serial.num_distinct(), parallel.num_distinct());
+            assert_eq!(serial.iter().count(), parallel.iter().count());
             for (a, b) in serial.iter().zip(parallel.iter()) {
                 assert_eq!(a.bits, b.bits, "threads={threads}");
                 assert_eq!(a.energy.to_bits(), b.energy.to_bits(), "threads={threads}");
@@ -555,8 +545,7 @@ mod tests {
     #[test]
     fn traced_read_matches_untraced_bit_for_bit() {
         let q = random_qubo(14, &mut Rng64::new(81));
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
+        let csr = CsrIsing::from_qubo(&q).0;
         let params = SaParams::default();
         let start = vec![1i8; 14];
         let plain = sa_read_csr(&csr, &params, &start, &mut Rng64::new(5));
@@ -574,8 +563,7 @@ mod tests {
     #[test]
     fn trace_sweep_counters_are_consistent() {
         let q = random_qubo(12, &mut Rng64::new(83));
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
+        let csr = CsrIsing::from_qubo(&q).0;
         let start = vec![-1i8; 12];
         let (_, trace) = sa_read_csr_traced(&csr, &SaParams::default(), &start, &mut Rng64::new(7));
         let k = trace.sweeps_to_best();
@@ -595,7 +583,7 @@ mod tests {
             beta_final: 1.0,
             ..SaParams::default()
         };
-        params.validate_or_panic();
+        sample_qubo(&Qubo::new(2), &params, &mut Rng64::new(1));
     }
 
     #[test]

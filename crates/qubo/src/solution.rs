@@ -93,11 +93,6 @@ impl SampleSet {
         self.samples.iter()
     }
 
-    /// Number of distinct states.
-    pub fn num_distinct(&self) -> usize {
-        self.samples.len()
-    }
-
     /// Total number of reads aggregated.
     pub fn total_reads(&self) -> u64 {
         self.total_reads
@@ -194,7 +189,7 @@ mod tests {
             (vec![0, 0], 0.0),
         ]);
         assert_eq!(set.total_reads(), 4);
-        assert_eq!(set.num_distinct(), 3);
+        assert_eq!(set.iter().count(), 3);
         let best = set.best().unwrap();
         assert_eq!(best.bits, vec![0, 1]);
         assert_eq!(best.occurrences, 2);

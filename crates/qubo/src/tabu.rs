@@ -105,8 +105,8 @@ pub fn tabu_from_random(qubo: &Qubo, params: &TabuParams, rng: &mut Rng64) -> (V
 mod tests {
     use super::*;
     use crate::exact::exhaustive_minimum;
-    use crate::generator::random_qubo;
-    use crate::local::steepest_descent;
+    use crate::oracle::random_qubo;
+    use crate::oracle::steepest_descent;
 
     #[test]
     fn finds_optimum_on_small_problems() {

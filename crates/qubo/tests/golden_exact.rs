@@ -8,7 +8,7 @@
 //! differently trips this test.
 
 use hqw_math::Rng64;
-use hqw_qubo::generator::random_qubo;
+use hqw_oracle::generator::random_qubo;
 use hqw_qubo::sa::{sample_qubo, SaParams};
 
 /// (bits, tracked-energy bit pattern, occurrences) triples in sample order.

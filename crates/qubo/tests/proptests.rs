@@ -1,12 +1,15 @@
 //! Property-based tests for the QUBO/Ising substrate.
 
 use hqw_math::Rng64;
+use hqw_oracle::csr::from_ising;
+use hqw_oracle::generator::{random_qubo, sparse_random_qubo};
+use hqw_oracle::model::{from_ising_with_constant, to_ising};
+use hqw_oracle::Ising;
 use hqw_qubo::exact::exhaustive_minimum;
-use hqw_qubo::generator::{random_qubo, sparse_random_qubo};
 use hqw_qubo::preprocess::preprocess;
 use hqw_qubo::sa::{sample_qubo, SaParams};
 use hqw_qubo::solution::{bits_to_spins, spins_to_bits};
-use hqw_qubo::{greedy_search, CsrIsing, Ising, LocalFieldState, Qubo, SampleSet};
+use hqw_qubo::{greedy_search, CsrIsing, LocalFieldState, Qubo, SampleSet};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -27,7 +30,7 @@ proptest! {
     fn qubo_ising_energies_agree(seed in any::<u64>(), n in 1usize..24) {
         let mut rng = Rng64::new(seed);
         let q = random_qubo(n, &mut rng);
-        let (ising, offset) = q.to_ising();
+        let (ising, offset) = to_ising(&q);
         for _ in 0..8 {
             let bits = random_bits(n, &mut rng);
             let spins = bits_to_spins(&bits);
@@ -41,8 +44,8 @@ proptest! {
     fn ising_qubo_round_trip(seed in any::<u64>(), n in 1usize..16) {
         let mut rng = Rng64::new(seed);
         let q = random_qubo(n, &mut rng);
-        let (ising, offset) = q.to_ising();
-        let (q2, constant) = Qubo::from_ising_with_constant(&ising, offset);
+        let (ising, offset) = to_ising(&q);
+        let (q2, constant) = from_ising_with_constant(&ising, offset);
         prop_assert!(constant.abs() < 1e-9);
         for _ in 0..4 {
             let bits = random_bits(n, &mut rng);
@@ -67,7 +70,7 @@ proptest! {
     fn ising_flip_delta_matches_recompute(seed in any::<u64>(), n in 1usize..20) {
         let mut rng = Rng64::new(seed);
         let q = random_qubo(n, &mut rng);
-        let (ising, _) = q.to_ising();
+        let (ising, _) = to_ising(&q);
         let spins: Vec<i8> = (0..n).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
         for k in 0..n {
             let mut flipped = spins.clone();
@@ -140,8 +143,8 @@ proptest! {
         // sequences — the invariant every sweep kernel rests on.
         let mut rng = Rng64::new(seed);
         let q = sparse_random_qubo(n, density, &mut rng);
-        let (ising, _) = q.to_ising();
-        let csr = CsrIsing::from_ising(&ising);
+        let (ising, _) = to_ising(&q);
+        let csr = from_ising(&ising);
         let mut state = LocalFieldState::new(&csr, random_spins(n, &mut rng));
         for step in 0..400 {
             let k = rng.next_index(n);
@@ -180,7 +183,7 @@ proptest! {
         for threads in [3usize, 0] {
             let parallel = run(threads);
             prop_assert_eq!(serial.total_reads(), parallel.total_reads());
-            prop_assert_eq!(serial.num_distinct(), parallel.num_distinct());
+            prop_assert_eq!(serial.iter().count(), parallel.iter().count());
             for (a, b) in serial.iter().zip(parallel.iter()) {
                 prop_assert_eq!(&a.bits, &b.bits);
                 prop_assert_eq!(a.energy.to_bits(), b.energy.to_bits());
@@ -263,7 +266,7 @@ fn assert_matches_model(ising: &Ising, model: &EdgeModel) -> Result<(), TestCase
     Ok(())
 }
 
-/// `Qubo::to_ising` as it was written over `add_coupling`, one hash lookup
+/// `to_ising` as it was written over `add_coupling`, one hash lookup
 /// per pair: the bit-exact reference for the direct row build.
 fn to_ising_reference(q: &Qubo) -> (Ising, f64) {
     let n = q.num_vars();
@@ -344,7 +347,7 @@ proptest! {
         } else {
             sparse_random_qubo(n, rng.next_range(0.0, 0.5), &mut rng)
         };
-        let (ising, offset) = q.to_ising();
+        let (ising, offset) = to_ising(&q);
         let (reference, ref_offset) = to_ising_reference(&q);
         prop_assert_eq!(offset.to_bits(), ref_offset.to_bits());
         let bits = |h: &[f64]| h.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -353,7 +356,7 @@ proptest! {
             m.edges().iter().map(|&(i, j, w)| (i, j, w.to_bits())).collect::<Vec<_>>()
         };
         prop_assert_eq!(edge_bits(&ising), edge_bits(&reference));
-        let (csr, ref_csr) = (CsrIsing::from_ising(&ising), CsrIsing::from_ising(&reference));
+        let (csr, ref_csr) = (from_ising(&ising), from_ising(&reference));
         prop_assert_eq!(bits(csr.h_slice()), bits(ref_csr.h_slice()));
         for k in 0..n {
             let ((cols, w), (ref_cols, ref_w)) = (csr.row(k), ref_csr.row(k));
@@ -417,14 +420,14 @@ proptest! {
         };
 
         let (mut csr, offset) = CsrIsing::from_qubo(&q);
-        let (mut ising, ref_offset) = q.to_ising();
+        let (mut ising, ref_offset) = to_ising(&q);
         prop_assert_eq!(offset.to_bits(), ref_offset.to_bits());
-        same(&csr, &CsrIsing::from_ising(&ising))?;
+        same(&csr, &from_ising(&ising))?;
 
         let factor = csr.normalize();
         let ref_factor = ising.normalize();
         prop_assert_eq!(factor.to_bits(), ref_factor.to_bits());
-        same(&csr, &CsrIsing::from_ising(&ising))?;
+        same(&csr, &from_ising(&ising))?;
 
         // Per-edge additions in edge-list order reach both mirrored entries.
         let deltas: Vec<f64> = (0..ising.edges().len()).map(|_| rng.next_range(-0.1, 0.1)).collect();
@@ -435,7 +438,7 @@ proptest! {
         for (&(i, j), &d) in edges.iter().zip(&deltas) {
             ising.add_coupling(i, j, d);
         }
-        same(&csr, &CsrIsing::from_ising(&ising))?;
+        same(&csr, &from_ising(&ising))?;
     }
 }
 

@@ -14,7 +14,7 @@
 //! | re-export | crate | contents |
 //! |---|---|---|
 //! | [`math`] | `hqw-math` | complex/linear algebra, RNG, statistics |
-//! | [`qubo`] | `hqw-qubo` | QUBO/Ising models, preprocessing, classical solvers |
+//! | [`qubo`] | `hqw-qubo` | QUBO model and its CSR Ising form, preprocessing, classical solvers |
 //! | [`phy`] | `hqw-phy` | modulation, channels, MIMO detectors, ML→QUBO reduction |
 //! | [`anneal`] | `hqw-anneal` | anneal schedules, PIMC/SVMC engines, Chimera embedding |
 //! | [`core`] | `hqw-core` | hybrid solver, FA/RA/FR protocols, metrics, grid engines |
