@@ -168,11 +168,7 @@ impl CliqueEmbedding {
     /// Panics when the logical problem size mismatches the embedding.
     pub fn embed(&self, logical: &CsrIsing, strength: ChainStrength, physical: &mut CsrIsing) {
         let n = self.num_logical();
-        assert_eq!(
-            logical.num_vars(),
-            n,
-            "embed: logical problem size mismatch"
-        );
+        assert_eq!(logical.num_vars(), n, "embed: embedding size mismatch");
         let binding = strength.resolve(logical);
         let chain_edges = self
             .chain_edges
@@ -228,19 +224,19 @@ impl CliqueEmbedding {
     }
 
     /// Expands a logical state to a chain-consistent physical state (used to
-    /// program reverse-anneal initial states through the embedding).
-    pub fn embed_state(&self, logical: &[i8], rng: &mut Rng64) -> Vec<i8> {
+    /// program reverse-anneal initial states through the embedding),
+    /// written into `physical`'s buffer.
+    pub fn embed_state(&self, logical: &[i8], rng: &mut Rng64, physical: &mut Vec<i8>) {
         assert_eq!(self.num_logical(), logical.len(), "embed_state: length");
         // Unused qubits get random spins (they are uncoupled in `embed`).
-        let mut physical: Vec<i8> = (0..self.graph.num_qubits())
-            .map(|_| if rng.next_bool() { 1 } else { -1 })
-            .collect();
+        physical.clear();
+        let random = |_| if rng.next_bool() { 1 } else { -1 };
+        physical.extend((0..self.graph.num_qubits()).map(random));
         for (l, chain) in self.chains.iter().enumerate() {
             for &q in chain {
                 physical[q] = logical[l];
             }
         }
-        physical
     }
 }
 
@@ -413,7 +409,8 @@ mod tests {
         let emb = CliqueEmbedding::new(graph, 4);
         let mut rng = Rng64::new(9);
         let logical = vec![1i8, -1, 1, -1];
-        let mut physical = emb.embed_state(&logical, &mut rng);
+        let mut physical = Vec::new();
+        emb.embed_state(&logical, &mut rng, &mut physical);
         let mut out = Vec::new();
         let broken = emb.unembed(&physical, &mut out);
         assert_eq!(out, logical);

@@ -45,7 +45,9 @@ pub use embedding::{ChainStrength, CliqueEmbedding};
 pub use engine::{AnnealEngine, AnnealParams};
 pub use noise::IceModel;
 pub use pimc::PimcEngine;
-pub use sampler::{AnnealResult, ConfigError, EngineKind, QuantumSampler, SamplerConfig};
+pub use sampler::{
+    AnnealResult, ConfigError, EngineKind, Programmed, QuantumSampler, SamplerConfig, Target,
+};
 pub use schedule::AnnealSchedule;
 pub use svmc::SvmcEngine;
 pub use topology::Chimera;

@@ -8,16 +8,19 @@
 //!
 //! Front-end behaviours modeled after the hardware stack:
 //!
-//! * **Programming** — each submission works on one CSR of the problem,
-//!   built once ([`CsrIsing::from_qubo`] for a QUBO, one pass over its
-//!   triangle). [`QuantumSampler::program`] builds it into the buffers
-//!   of the CSR this thread last programmed, and the programmed-CSR entry
-//!   [`QuantumSampler::sample_programmed`] takes it by value, so a caller
-//!   that needs the CSR first (the hybrid solver's greedy seed) reads the
-//!   same one; [`QuantumSampler::sample_qubo`] is the two in a row. An
-//!   embedded submission writes the physical CSR straight from the
-//!   logical one ([`crate::CliqueEmbedding::embed`]), into a physical CSR
-//!   this thread keeps.
+//! * **Programming** — one entry, [`QuantumSampler::program`], programs a
+//!   [`Target`]: the logical problem, or its minor-embedding onto Chimera
+//!   hardware. Either way it builds the problem's logical CSR once
+//!   ([`CsrIsing::from_qubo`], one pass over the QUBO's triangle) into the
+//!   buffers of the CSR this thread last programmed; an embedded target
+//!   also writes the physical CSR straight from the logical one
+//!   ([`crate::CliqueEmbedding::embed`]), into a physical CSR this thread
+//!   keeps. [`QuantumSampler::sample_programmed`] takes the [`Programmed`]
+//!   problem by value, so a caller that needs the logical CSR first (the
+//!   hybrid solver's greedy seed) reads the same one;
+//!   [`QuantumSampler::sample_qubo`] is the two in a row on a logical
+//!   target. An embedded submission unembeds each read by majority vote
+//!   and reports its broken chains.
 //! * **Auto-scaling** — the programmed CSR is normalized in place to the
 //!   device's `[-1, 1]` coefficient range (does not change the argmin).
 //! * **ICE noise** — each read perturbs the programmed coefficients
@@ -36,8 +39,9 @@
 //!   regardless of thread count, chunking or what the cache held.
 //! * **Per-thread scratch** — every buffer a submission's reads use (the
 //!   read seeds and generators, the PIMC replicas, bound, start template
-//!   and levels, one flat readout buffer, the tally's read order and the
-//!   spare logical and physical CSRs) lives in a thread-local scratch
+//!   and levels, one flat readout buffer, the tally's read order, the
+//!   spare logical and physical CSRs and the embedded path's physical
+//!   start state) lives in a thread-local scratch
 //!   kept across submissions, so after warm-up a one-worker submission
 //!   allocates only the sample set it returns. No buffer carries state from one submission into the
 //!   next; each keeps the capacity of the largest problem its thread
@@ -49,6 +53,7 @@
 //!   the schedule duration.
 
 use crate::dwave::DWaveProfile;
+use crate::embedding::{ChainStrength, CliqueEmbedding};
 use crate::engine::{AnnealEngine, AnnealParams};
 use crate::noise::IceModel;
 use crate::pimc::{self, PimcEngine, PimcPlan};
@@ -228,6 +233,39 @@ pub struct AnnealResult {
     pub samples: SampleSet,
     /// QPU time accounting.
     pub timing: QpuTiming,
+    /// The fraction of broken chains across all reads,
+    /// `broken chains / (reads × logical variables)` (0 for a logical
+    /// target).
+    pub chain_break_fraction: f64,
+}
+
+/// What [`QuantumSampler::program`] programs a problem onto.
+#[derive(Debug, Clone, Copy)]
+pub enum Target<'a> {
+    /// The logical problem itself.
+    Logical,
+    /// The problem minor-embedded onto Chimera hardware, its chains bound
+    /// at the given strength.
+    Embedded(&'a CliqueEmbedding, ChainStrength),
+}
+
+/// A problem [`QuantumSampler::program`] programmed, which
+/// [`QuantumSampler::sample_programmed`] samples.
+#[derive(Debug)]
+pub struct Programmed<'a> {
+    qubo: &'a Qubo,
+    /// The logical CSR, the intended problem (not yet auto-scaled).
+    logical: CsrIsing,
+    /// An embedded target's embedding and physical CSR.
+    embedded: Option<(&'a CliqueEmbedding, CsrIsing)>,
+}
+
+impl Programmed<'_> {
+    /// The logical problem's Ising CSR, as [`CsrIsing::from_qubo`] builds
+    /// it (not yet auto-scaled): what a classical stage reads.
+    pub fn logical(&self) -> &CsrIsing {
+        &self.logical
+    }
 }
 
 /// The sampler: a device profile plus a configuration.
@@ -296,10 +334,13 @@ struct Scratch {
     /// [`QuantumSampler::program`].
     csr: CsrIsing,
     /// The embedded path's physical CSR, refilled by
-    /// [`CliqueEmbedding::embed`](crate::embedding::CliqueEmbedding::embed).
+    /// [`CliqueEmbedding::embed`].
     physical: CsrIsing,
     /// The reverse-anneal initial state, as spins.
     initial: Vec<i8>,
+    /// The embedded path's physical initial state, refilled by
+    /// [`CliqueEmbedding::embed_state`].
+    physical_initial: Vec<i8>,
     reads: Reads,
     /// The embedded path's logical readouts.
     logical: Vec<i8>,
@@ -383,7 +424,7 @@ impl QuantumSampler {
     /// Samples a QUBO. `initial_bits` programs the reverse-anneal initial
     /// state and is required exactly when the schedule starts at `s = 1`.
     /// A wrapper over [`QuantumSampler::sample_programmed`] on
-    /// [`QuantumSampler::program`]'s CSR.
+    /// [`QuantumSampler::program`]'s logical target.
     ///
     /// Reported energies are QUBO energies of the intended problem.
     ///
@@ -397,111 +438,98 @@ impl QuantumSampler {
         initial_bits: Option<&[u8]>,
         seed: u64,
     ) -> AnnealResult {
-        self.sample_programmed(qubo, self.program(qubo), schedule, initial_bits, seed)
+        let programmed = self.program(qubo, Target::Logical);
+        self.sample_programmed(programmed, schedule, initial_bits, seed)
     }
 
-    /// The Ising form of `qubo` as [`CsrIsing::from_qubo`] builds it (the
-    /// intended problem, not yet auto-scaled), written into the buffers
-    /// of the CSR this thread's last submission programmed. A classical
-    /// stage may read it before [`QuantumSampler::sample_programmed`]
-    /// takes it, so a frame builds its CSR once.
-    pub fn program(&self, qubo: &Qubo) -> CsrIsing {
-        let mut csr = with_scratch(|scratch| std::mem::take(&mut scratch.csr));
-        csr.refill_from_qubo(qubo);
-        csr
-    }
-
-    /// Samples `qubo` from its CSR `programmed`, as
-    /// [`QuantumSampler::program`] or [`CsrIsing::from_qubo`] built it:
-    /// the sampler auto-scales it in place, runs the reads, and keeps its
-    /// buffers for this thread's next [`QuantumSampler::program`].
-    /// `initial_bits` is as for [`QuantumSampler::sample_qubo`]. The
-    /// reads, their readouts and the tally use this thread's buffers,
-    /// kept across submissions.
+    /// Programs `qubo` onto `target`. The logical CSR is built as
+    /// [`CsrIsing::from_qubo`] builds it (the intended problem, not yet
+    /// auto-scaled), into the buffers of the CSR this thread's last
+    /// submission programmed; a classical stage may read it
+    /// ([`Programmed::logical`]) before [`QuantumSampler::sample_programmed`]
+    /// takes it, so a frame builds its CSR once. An embedded target's
+    /// physical CSR is written from it into this thread's physical CSR.
     ///
     /// # Panics
-    /// As [`QuantumSampler::sample_qubo`], and when `programmed` is not
-    /// `qubo`'s size.
+    /// Panics when an embedding's size mismatches the QUBO.
+    pub fn program<'a>(&self, qubo: &'a Qubo, target: Target<'a>) -> Programmed<'a> {
+        with_scratch(|scratch| {
+            let mut logical = std::mem::take(&mut scratch.csr);
+            logical.refill_from_qubo(qubo);
+            let embedded = match target {
+                Target::Logical => None,
+                Target::Embedded(embedding, strength) => {
+                    let mut physical = std::mem::take(&mut scratch.physical);
+                    embedding.embed(&logical, strength, &mut physical);
+                    Some((embedding, physical))
+                }
+            };
+            Programmed {
+                qubo,
+                logical,
+                embedded,
+            }
+        })
+    }
+
+    /// Samples a [`Programmed`] problem: the sampler auto-scales its
+    /// logical CSR (or, for an embedded target, its physical one) in
+    /// place, runs the reads, and keeps its buffers for this thread's next
+    /// [`QuantumSampler::program`]. An embedded target's reads are
+    /// unembedded by majority vote, and a reverse-anneal initial state is
+    /// expanded to a chain-consistent physical state (unused qubits
+    /// randomized). `initial_bits` is as for
+    /// [`QuantumSampler::sample_qubo`]. The reads, their readouts and the
+    /// tally use this thread's buffers, kept across submissions.
+    ///
+    /// Reported energies are QUBO energies of the intended logical
+    /// problem.
+    ///
+    /// # Panics
+    /// As [`QuantumSampler::sample_qubo`].
     pub fn sample_programmed(
         &self,
-        qubo: &Qubo,
-        mut programmed: CsrIsing,
+        mut programmed: Programmed<'_>,
         schedule: &AnnealSchedule,
         initial_bits: Option<&[u8]>,
         seed: u64,
     ) -> AnnealResult {
-        let n = qubo.num_vars();
-        assert_eq!(programmed.num_vars(), n, "sample_programmed: size mismatch");
-        let samples = with_scratch(|scratch| {
+        let qubo = programmed.qubo;
+        let shape = (qubo.num_vars(), self.config.num_reads);
+        let (samples, broken) = with_scratch(|scratch| {
             let spins = initial_bits.map(|bits| spins_into(&mut scratch.initial, bits));
-            self.run_reads(&mut programmed, schedule, spins, seed, &mut scratch.reads);
-            scratch.csr = programmed;
-            let reads = (n, self.config.num_reads);
-            count_samples(&scratch.reads.readouts, reads, &mut scratch.order, qubo)
+            let reads = &mut scratch.reads;
+            let (readouts, broken) = match programmed.embedded {
+                None => {
+                    self.run_reads(&mut programmed.logical, schedule, spins, seed, reads);
+                    (&reads.readouts, 0)
+                }
+                Some((embedding, mut physical)) => {
+                    // Expand the reverse-anneal initial state through the
+                    // chains.
+                    let mut init_rng = Rng64::new(seed ^ 0xE1BE_DDED);
+                    if let Some(spins) = spins {
+                        embedding.embed_state(spins, &mut init_rng, &mut scratch.physical_initial);
+                    }
+                    let start = spins.map(|_| scratch.physical_initial.as_slice());
+                    self.run_reads(&mut physical, schedule, start, seed, reads);
+                    scratch.logical.clear();
+                    let broken: usize = (reads.readouts.chunks_exact(physical.num_vars()))
+                        .map(|phys| embedding.unembed(phys, &mut scratch.logical))
+                        .sum();
+                    scratch.physical = physical;
+                    (&scratch.logical, broken)
+                }
+            };
+            let samples = count_samples(readouts, shape, &mut scratch.order, qubo);
+            scratch.csr = programmed.logical;
+            (samples, broken)
         });
         AnnealResult {
             samples,
             timing: QpuTiming::new(schedule, self.config.num_reads),
+            chain_break_fraction: broken as f64 / (shape.0 * shape.1).max(1) as f64,
         }
-    }
-
-    /// Samples a QUBO **through a Chimera minor-embedding** — the full
-    /// hardware compilation path: embed the logical CSR onto the hardware
-    /// graph with chains, anneal the physical problem, unembed each read by
-    /// majority vote, and report energies of the intended logical QUBO.
-    ///
-    /// Reverse-anneal initial states are expanded to chain-consistent
-    /// physical states (unused qubits randomized).
-    ///
-    /// Returns the result plus the fraction of broken chains across all
-    /// reads (`broken chains / (reads × logical variables)`).
-    ///
-    /// # Panics
-    /// Panics when the embedding size mismatches the QUBO, or on the usual
-    /// reverse-schedule initial-state requirements.
-    pub fn sample_qubo_embedded(
-        &self,
-        qubo: &Qubo,
-        embedding: &crate::embedding::CliqueEmbedding,
-        strength: crate::embedding::ChainStrength,
-        schedule: &AnnealSchedule,
-        initial_bits: Option<&[u8]>,
-        seed: u64,
-    ) -> (AnnealResult, f64) {
-        let n = embedding.num_logical();
-        assert_eq!(
-            n,
-            qubo.num_vars(),
-            "sample_qubo_embedded: embedding size mismatch"
-        );
-        let logical = self.program(qubo);
-        let (samples, broken) = with_scratch(|scratch| {
-            let physical = &mut scratch.physical;
-            embedding.embed(&logical, strength, physical);
-            scratch.csr = logical;
-            // Expand the reverse-anneal initial state through the chains.
-            let mut init_rng = Rng64::new(seed ^ 0xE1BE_DDED);
-            let physical_init = initial_bits.map(|bits| {
-                embedding.embed_state(spins_into(&mut scratch.initial, bits), &mut init_rng)
-            });
-            let reads = &mut scratch.reads;
-            self.run_reads(physical, schedule, physical_init.as_deref(), seed, reads);
-            scratch.logical.clear();
-            let broken: usize = (reads.readouts.chunks_exact(physical.num_vars()))
-                .map(|phys| embedding.unembed(phys, &mut scratch.logical))
-                .sum();
-            let shape = (n, self.config.num_reads);
-            let samples = count_samples(&scratch.logical, shape, &mut scratch.order, qubo);
-            (samples, broken)
-        });
-        let chain_break_fraction = broken as f64 / (self.config.num_reads * n).max(1) as f64;
-        (
-            AnnealResult {
-                samples,
-                timing: QpuTiming::new(schedule, self.config.num_reads),
-            },
-            chain_break_fraction,
-        )
     }
 
     /// Runs the configured number of reads of the intended problem
@@ -1056,16 +1084,10 @@ mod embedded_tests {
         let embedding = CliqueEmbedding::new(Chimera::new(1), 4);
         let sampler = quick_sampler(10);
         let schedule = AnnealSchedule::forward(1.0).unwrap();
-        let (result, breaks) = sampler.sample_qubo_embedded(
-            &q,
-            &embedding,
-            ChainStrength::RelativeToMax(2.0),
-            &schedule,
-            None,
-            5,
-        );
+        let target = Target::Embedded(&embedding, ChainStrength::RelativeToMax(2.0));
+        let result = sampler.sample_programmed(sampler.program(&q, target), &schedule, None, 5);
         assert_eq!(result.samples.total_reads(), 10);
-        assert!((0.0..=1.0).contains(&breaks));
+        assert!((0.0..=1.0).contains(&result.chain_break_fraction));
         for s in result.samples.iter() {
             assert_eq!(s.bits.len(), 4);
             assert!((q.energy(&s.bits) - s.energy).abs() < 1e-9);
@@ -1082,14 +1104,9 @@ mod embedded_tests {
         let sampler = quick_sampler(8);
         let schedule = AnnealSchedule::reverse(0.97, 0.1).unwrap();
         let init = vec![1u8, 0, 1, 0];
-        let (result, _breaks) = sampler.sample_qubo_embedded(
-            &q,
-            &embedding,
-            ChainStrength::RelativeToMax(4.0),
-            &schedule,
-            Some(&init),
-            7,
-        );
+        let target = Target::Embedded(&embedding, ChainStrength::RelativeToMax(4.0));
+        let programmed = sampler.program(&q, target);
+        let result = sampler.sample_programmed(programmed, &schedule, Some(&init), 7);
         let preserved: u64 = result
             .samples
             .iter()
@@ -1126,8 +1143,8 @@ mod embedded_tests {
         );
         let strength = ChainStrength::RelativeToMax(2.0);
         let schedule = AnnealSchedule::forward(0.5).unwrap();
-        let (result, _) =
-            sampler.sample_qubo_embedded(&q, &embedding, strength, &schedule, None, 3);
+        let programmed = sampler.program(&q, Target::Embedded(&embedding, strength));
+        let result = sampler.sample_programmed(programmed, &schedule, None, 3);
         let (logical, _) = CsrIsing::from_qubo(&q);
         let mut physical = CsrIsing::default();
         embedding.embed(&logical, strength, &mut physical);
@@ -1162,13 +1179,6 @@ mod embedded_tests {
         let mut rng = Rng64::new(71);
         let q = random_qubo(5, &mut rng);
         let embedding = CliqueEmbedding::new(Chimera::new(1), 4);
-        quick_sampler(2).sample_qubo_embedded(
-            &q,
-            &embedding,
-            ChainStrength::Fixed(1.0),
-            &AnnealSchedule::forward(1.0).unwrap(),
-            None,
-            1,
-        );
+        quick_sampler(2).program(&q, Target::Embedded(&embedding, ChainStrength::Fixed(1.0)));
     }
 }

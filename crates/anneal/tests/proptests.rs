@@ -103,7 +103,8 @@ proptest! {
         let emb = CliqueEmbedding::new(graph, n);
         let mut rng = Rng64::new(seed);
         let logical: Vec<i8> = (0..n).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
-        let physical = emb.embed_state(&logical, &mut rng);
+        let mut physical = Vec::new();
+        emb.embed_state(&logical, &mut rng, &mut physical);
         let mut back = Vec::new();
         let broken = emb.unembed(&physical, &mut back);
         prop_assert_eq!(back, logical);
@@ -162,7 +163,8 @@ proptest! {
         let mut cache = EmbeddingCache::new();
         let emb = cache.get(Chimera::new(m), n);
         let logical: Vec<i8> = (0..n).map(|_| if rng.next_bool() { 1 } else { -1 }).collect();
-        let physical = emb.embed_state(&logical, &mut rng);
+        let mut physical = Vec::new();
+        emb.embed_state(&logical, &mut rng, &mut physical);
         let mut back = Vec::new();
         let broken = emb.unembed(&physical, &mut back);
         prop_assert_eq!(back, logical);

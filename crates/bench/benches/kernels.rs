@@ -52,7 +52,7 @@
 //! ```
 
 use hqw_anneal::embedding::{ChainStrength, CliqueEmbedding};
-use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig};
+use hqw_anneal::sampler::{EngineKind, QuantumSampler, SamplerConfig, Target};
 use hqw_anneal::topology::Chimera;
 use hqw_anneal::{AnnealParams, AnnealSchedule, DWaveProfile};
 use hqw_core::protocol::Protocol;
@@ -469,14 +469,8 @@ fn bench_engine_reads(out: &mut Vec<Measurement>) {
     let mut seed = 0u64;
     let mut read = || {
         seed += 1;
-        black_box(qpu.sample_qubo_embedded(
-            &qpu_q,
-            &embedding,
-            ChainStrength::RelativeToMax(2.0),
-            &qpu_schedule,
-            None,
-            seed,
-        ));
+        let target = Target::Embedded(&embedding, ChainStrength::RelativeToMax(2.0));
+        black_box(qpu.sample_programmed(qpu.program(&qpu_q, target), &qpu_schedule, None, seed));
     };
     out.extend(bench_interleaved(
         &[&format!("anneal_read/fa_mockqpu_pimc8/{n}")],

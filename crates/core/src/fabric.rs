@@ -8,10 +8,22 @@
 //! that performs admission control, coalesces same-shape QUBOs into batches,
 //! and routes each batch to one of a heterogeneous pool of
 //! [`SolverBackend`]s. Every backend is one shape, a local pool of workers
-//! running one solver: SA, parallel tempering, tabu, a PIMC/SVMC annealer
-//! simulator, or the mock QPU, an annealer behind a [`NetworkModel`] whose
-//! minor embeddings come from an [`hqw_anneal::EmbeddingCache`] so repeated
-//! frames never re-derive chains.
+//! running one solver. The backend kinds ([`BackendSpec`]) and the solver
+//! each runs:
+//!
+//! * SA, parallel tempering and tabu: classical searches, each on its own
+//!   kernel.
+//! * PIMC and SVMC annealer simulators: a [`HybridSolver`] on the lane's
+//!   forward protocol, which programs the job's logical problem
+//!   ([`Target::Logical`]).
+//! * The mock QPU: the same [`HybridSolver`] (PIMC) behind a
+//!   [`NetworkModel`], which programs the job through a Chimera clique
+//!   minor-embedding ([`Target::Embedded`]) that an
+//!   [`hqw_anneal::EmbeddingCache`] keeps, so repeated frames never
+//!   re-derive chains.
+//!
+//! The quantum lanes reach the sampler only through
+//! [`HybridSolver::program`] and [`HybridSolver::refine`].
 //!
 //! ## Control plane and executor
 //!
@@ -48,19 +60,20 @@
 //! and `BENCH_fabric.json` is byte-identical at any thread count.
 
 use crate::grid::{check_coordinates, run_grid, GridEngine};
+use crate::protocol::Protocol;
 use crate::report::{render, Layout, ROWS, SCENARIO};
 use crate::sched::{corrected_us, ClassReport, PriorityClass, SchedOptions, ServicePredictor};
-use crate::solver::item_seed;
+use crate::solver::{item_seed, HybridConfig, HybridSolver};
 use crate::spec::codec::{record, Field, Omit, Ratio, Record, Us};
 use crate::spec::json::Json;
 use crate::spec::SpecError;
+use crate::stages::GreedyInitializer;
 use crate::stream::CostModel;
 use crate::telemetry::Collector;
 use crate::telemetry::LogHistogram;
-use hqw_anneal::engine::FreezeOut;
 use hqw_anneal::{
-    AnnealParams, AnnealSchedule, ChainStrength, Chimera, CliqueEmbedding, DWaveProfile,
-    EmbeddingCache, EngineKind, QuantumSampler, SamplerConfig,
+    AnnealParams, ChainStrength, Chimera, CliqueEmbedding, DWaveProfile, EmbeddingCache,
+    EngineKind, QuantumSampler, SamplerConfig, Target,
 };
 use hqw_math::stats::{percentile_sorted, sorted_ascending};
 use hqw_math::Rng64;
@@ -452,67 +465,63 @@ impl AnnealerConfig {
         Ok(())
     }
 
-    /// The annealer this configuration runs on `engine`; call it only on a
-    /// validated configuration.
-    fn annealer(&self, engine: EngineKind) -> Annealer {
-        Annealer::new(engine, self.num_reads, self.anneal_us, self.sweeps_per_us)
+    /// The pool of `capacity` lanes this configuration runs on `engine`;
+    /// call it only on a validated configuration.
+    fn pool(&self, name: &'static str, engine: EngineKind) -> Box<dyn SolverBackend> {
+        let lane = forward_lane(engine, self.num_reads, self.anneal_us, self.sweeps_per_us);
+        pool(name, 0, self.capacity, self.max_batch, lane)
     }
 }
 
-/// An annealer simulator: `num_reads` forward anneals per job on one
-/// [`QuantumSampler`], seeded by the job alone. The PIMC and SVMC pools run
-/// it as is, the mock QPU through its embedding ([`EmbeddedAnnealer`]).
-#[derive(Debug)]
-struct Annealer {
-    sampler: QuantumSampler,
-    schedule: AnnealSchedule,
-    sweeps: u64,
-}
-
-impl Annealer {
-    /// `num_reads` forward anneals of `anneal_us` at `sweeps_per_us` on
-    /// `engine`, on one thread (the fabric grid is the parallel level);
-    /// call it only on validated values. A job is charged the MC sweeps
-    /// its reads simulate, `num_reads ×` [`AnnealParams::total_sweeps`]
-    /// (`max(1, round(anneal_us × sweeps_per_us))` a read), so predicted
-    /// and charged service can never drift apart.
-    fn new(engine: EngineKind, num_reads: usize, anneal_us: f64, sweeps_per_us: usize) -> Self {
-        let params = AnnealParams {
+/// A quantum lane's solver: `reads` forward anneals of `t_a` µs at
+/// `sweeps_per_us` on `engine`, on one thread (the fabric grid is the
+/// parallel level); call it only on validated values.
+fn forward_lane(engine: EngineKind, reads: usize, t_a: f64, sweeps_per_us: usize) -> HybridSolver {
+    let config = SamplerConfig {
+        num_reads: reads,
+        engine,
+        params: AnnealParams {
             sweeps_per_us,
-            beta_override: None,
-            freeze_out: Some(FreezeOut::default()),
-        };
-        let schedule = AnnealSchedule::forward(anneal_us).expect("anneal_us validated > 0");
-        let config = SamplerConfig {
-            num_reads,
-            engine,
-            params,
-            threads: 1,
-            ..SamplerConfig::default()
-        };
-        Annealer {
-            sampler: QuantumSampler::new(DWaveProfile::calibrated(), config),
-            sweeps: num_reads as u64 * params.total_sweeps(&schedule) as u64,
-            schedule,
-        }
-    }
+            ..AnnealParams::default()
+        },
+        threads: 1,
+        ..SamplerConfig::default()
+    };
+    let sampler = QuantumSampler::new(DWaveProfile::calibrated(), config);
+    let protocol = Protocol::Forward { t_a, pause: None };
+    // A forward protocol never runs its initializer.
+    let initializer = Box::new(GreedyInitializer);
+    HybridSolver::new(
+        sampler,
+        HybridConfig {
+            protocol,
+            initializer,
+        },
+    )
 }
 
-impl LocalSolver for Annealer {
+/// A quantum lane's decision for `job`: the solver's anneal of the job
+/// programmed onto `target`, from sampler seed `seed`, decided from the
+/// selected state in place.
+fn anneal_job(solver: &HybridSolver, job: &FabricJob, target: Target, seed: u64) -> JobDecision {
+    let programmed = solver.program(&job.inst.reduction.qubo, target);
+    let refined = solver.refine(programmed, None, seed);
+    solver.decide(job, refined.best().0)
+}
+
+impl LocalSolver for HybridSolver {
+    /// The MC sweeps a job's reads simulate, `num_reads ×`
+    /// [`AnnealParams::total_sweeps`] of the solver's schedule
+    /// (`max(1, round(duration × sweeps_per_us))` a read), so predicted
+    /// and charged service can never drift apart.
     fn sweeps_per_job(&self) -> u64 {
-        self.sweeps
+        let config = &self.sampler.config;
+        config.num_reads as u64 * config.params.total_sweeps(self.schedule()) as u64
     }
 
     fn solve(&self, jobs: &[&FabricJob], salt: u64) -> Vec<JobDecision> {
-        jobs.iter()
-            .map(|job| {
-                let qubo = &job.inst.reduction.qubo;
-                let result = self
-                    .sampler
-                    .sample_qubo(qubo, &self.schedule, None, job.seed ^ salt);
-                let best = result.samples.best().expect("annealer produced no samples");
-                self.decide(job, &best.bits)
-            })
+        (jobs.iter())
+            .map(|job| anneal_job(self, job, Target::Logical, job.seed ^ salt))
             .collect()
     }
 }
@@ -615,17 +624,17 @@ impl MockQpuConfig {
     }
 }
 
-/// The mock QPU's solver, a centralized quantum processor: an
-/// [`Annealer`] (PIMC) programmed through a cached Chimera clique
-/// minor-embedding, reached over a [`NetworkModel`].
+/// The mock QPU's solver, a centralized quantum processor: a
+/// [`HybridSolver`] (PIMC, forward) programmed through a cached Chimera
+/// clique minor-embedding, reached over a [`NetworkModel`].
 ///
 /// Its per-call overhead — network round trip, programming, and chain
 /// derivation on an embedding-cache miss — is what batch formation
 /// amortizes: at equal offered load a batched QPU serves the same jobs at
 /// lower mean latency than an unbatched one (CI-pinned invariant).
 #[derive(Debug)]
-struct EmbeddedAnnealer {
-    annealer: Annealer,
+struct MockQpu {
+    solver: HybridSolver,
     network: NetworkModel,
     programming_us: f64,
     embed_derive_us_per_qubit: f64,
@@ -636,9 +645,9 @@ struct EmbeddedAnnealer {
     embedding: Option<Rc<CliqueEmbedding>>,
 }
 
-impl LocalSolver for EmbeddedAnnealer {
+impl LocalSolver for MockQpu {
     fn sweeps_per_job(&self) -> u64 {
-        self.annealer.sweeps
+        self.solver.sweeps_per_job()
     }
 
     fn predict_overhead_us(&self) -> f64 {
@@ -668,20 +677,10 @@ impl LocalSolver for EmbeddedAnnealer {
     }
 
     fn solve(&self, jobs: &[&FabricJob], salt: u64) -> Vec<JobDecision> {
-        let embedding = self.embedding.as_ref().expect("overhead_us runs first");
-        jobs.iter()
-            .map(|job| {
-                let (result, _chain_breaks) = self.annealer.sampler.sample_qubo_embedded(
-                    &job.inst.reduction.qubo,
-                    embedding,
-                    self.strength,
-                    &self.annealer.schedule,
-                    None,
-                    job.seed ^ salt,
-                );
-                let best = result.samples.best().expect("QPU produced no samples");
-                self.decide(job, &best.bits)
-            })
+        let embedding = self.embedding.as_deref().expect("overhead_us runs first");
+        let target = Target::Embedded(embedding, self.strength);
+        (jobs.iter())
+            .map(|job| anneal_job(&self.solver, job, target, job.seed ^ salt))
             .collect()
     }
 }
@@ -740,20 +739,14 @@ impl BackendSpec {
             BackendSpec::SaPool(c) => pool("sa-pool", 0x5A_B47C, c.workers, c.max_batch, c.sa),
             BackendSpec::Pt(c) => pool("pt", 0x97_7E3A, c.workers, c.max_batch, c.pt),
             BackendSpec::Tabu(c) => pool("tabu", 0x7AB_005, c.workers, c.max_batch, c.tabu),
-            BackendSpec::Pimc(c) => {
-                let annealer = c.annealer(EngineKind::Pimc { trotter_slices: 8 });
-                pool("pimc", 0, c.capacity, c.max_batch, annealer)
-            }
-            BackendSpec::Svmc(c) => {
-                let annealer = c.annealer(EngineKind::Svmc);
-                pool("svmc", 0, c.capacity, c.max_batch, annealer)
-            }
+            BackendSpec::Pimc(c) => c.pool("pimc", EngineKind::Pimc { trotter_slices: 8 }),
+            BackendSpec::Svmc(c) => c.pool("svmc", EngineKind::Svmc),
             BackendSpec::MockQpu(c) => {
                 let engine = EngineKind::Pimc {
                     trotter_slices: c.trotter_slices,
                 };
-                let qpu = EmbeddedAnnealer {
-                    annealer: Annealer::new(engine, c.num_reads, c.anneal_us, c.sweeps_per_us),
+                let qpu = MockQpu {
+                    solver: forward_lane(engine, c.num_reads, c.anneal_us, c.sweeps_per_us),
                     network: c.network,
                     programming_us: c.programming_us,
                     embed_derive_us_per_qubit: c.embed_derive_us_per_qubit,
@@ -2315,7 +2308,7 @@ mod tests {
             unreachable!("quick_qpu builds a mock QPU")
         };
         for (anneal_us, per_read) in [(0.3, 2), (0.05, 1), (2.0, 16)] {
-            let one_read = Annealer::new(EngineKind::Svmc, 1, anneal_us, 8);
+            let one_read = forward_lane(EngineKind::Svmc, 1, anneal_us, 8);
             assert_eq!(one_read.sweeps_per_job(), per_read);
             let expected = cost.service_us(&DetectorMeta {
                 nodes_visited: 0,

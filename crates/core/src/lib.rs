@@ -108,7 +108,7 @@ pub use shard::{
     grid_len, merge_shards, shard_ids, spec_fingerprint, Checkpoint, ShardReport,
     SHARD_SCHEMA_VERSION,
 };
-pub use solver::{HybridConfig, HybridResult, HybridSolver};
+pub use solver::{HybridConfig, HybridResult, HybridSolver, Refined};
 pub use spec::{ExperimentSpec, FigureKind, FigureSpec, SpecError, SPEC_VERSION};
 pub use stages::{ClassicalInitializer, GreedyInitializer, InitialState};
 pub use stream::{

@@ -8,24 +8,30 @@
 //! cost function)" across the quantum samples *and* the classical candidate
 //! itself (the refinement stage can only help, never hurt). Forward-only
 //! protocols skip the initializer and run fully quantum, so the same type
-//! drives every arm of the paper's comparison.
+//! drives every arm of the paper's comparison, and every quantum lane of
+//! the fabric (`crate::fabric`): the PIMC and SVMC simulators and the mock
+//! QPU, which programs an embedded [`Target`].
 //!
-//! A frame builds its problem's CSR once: [`QuantumSampler::program`]
-//! writes it into this thread's recycled buffers, the classical stage
-//! reads it ([`ClassicalInitializer::initialize_on`]), and the sampler's
-//! programmed-CSR entry ([`QuantumSampler::sample_programmed`]) then takes
-//! it. The sampler keeps every buffer its reads use per thread, so after
-//! warm-up a served frame allocates only what it returns.
+//! The pipeline is one entry, [`HybridSolver::refine`]: a programmed
+//! problem, an optional classical candidate and the sampler seed in, the
+//! best state seen out ([`Refined::best`]). [`HybridSolver::solve_warm`]
+//! drives it for a detection frame: it builds the frame's CSR once
+//! ([`HybridSolver::program`] writes it into this thread's recycled
+//! buffers), the classical stage reads it
+//! ([`ClassicalInitializer::initialize_on`]), and the sampler's
+//! programmed-problem entry ([`QuantumSampler::sample_programmed`]) then
+//! takes it. The sampler keeps every buffer its reads use per thread, so
+//! after warm-up a served frame allocates only what it returns.
 
 use crate::metrics::{delta_e_percent, success_probability, time_to_solution};
 use crate::protocol::Protocol;
 use crate::stages::{ClassicalInitializer, InitialState};
-use hqw_anneal::sampler::{QpuTiming, QuantumSampler};
+use hqw_anneal::sampler::{AnnealResult, Programmed, QpuTiming, QuantumSampler, Target};
 use hqw_anneal::schedule::ScheduleError;
 use hqw_anneal::AnnealSchedule;
 use hqw_math::Rng64;
 use hqw_phy::instance::DetectionInstance;
-use hqw_qubo::SampleSet;
+use hqw_qubo::{Qubo, SampleSet};
 
 /// Hybrid solver configuration.
 pub struct HybridConfig {
@@ -91,21 +97,37 @@ impl HybridResult {
     }
 }
 
+/// The quantum stage's samples and the classical candidate it refined.
+#[derive(Debug, Clone)]
+pub struct Refined {
+    /// The quantum stage's sample set, timing and chain breaks.
+    pub result: AnnealResult,
+    /// The classical candidate, when the protocol used one.
+    pub initial: Option<InitialState>,
+}
+
+impl Refined {
+    /// The best state seen, as `(bits, energy)`: the best quantum sample,
+    /// or the classical candidate when it is still the lowest-energy state.
+    pub fn best(&self) -> (&[u8], f64) {
+        let sample = (self.result.samples.best()).expect("sampler always returns ≥ 1 read");
+        match &self.initial {
+            Some(init) if init.energy < sample.energy => (&init.bits, init.energy),
+            _ => (&sample.bits, sample.energy),
+        }
+    }
+}
+
 /// The hybrid classical-quantum solver.
+#[derive(Debug)]
 pub struct HybridSolver {
     /// The simulated QPU.
     pub sampler: QuantumSampler,
     /// Stage configuration, fixed at construction.
     config: HybridConfig,
     /// The protocol's schedule, built once at construction: every frame
-    /// anneals with it, and an invalid protocol panics in `solve`.
+    /// anneals with it, and an invalid protocol panics in `refine`.
     schedule: Result<AnnealSchedule, ScheduleError>,
-}
-
-impl std::fmt::Debug for HybridSolver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HybridSolver({:?})", self.config)
-    }
 }
 
 impl HybridSolver {
@@ -139,6 +161,42 @@ impl HybridSolver {
         self.solve_warm(instance, seed, None)
     }
 
+    /// The schedule every submission anneals with.
+    ///
+    /// # Panics
+    /// Panics when the protocol parameters are invalid.
+    pub fn schedule(&self) -> &AnnealSchedule {
+        self.schedule.as_ref().expect("invalid protocol parameters")
+    }
+
+    /// Programs `qubo` onto `target` on this solver's sampler
+    /// ([`QuantumSampler::program`]).
+    pub fn program<'a>(&self, qubo: &'a Qubo, target: Target<'a>) -> Programmed<'a> {
+        self.sampler.program(qubo, target)
+    }
+
+    /// The quantum stage, with its three inputs as given: anneals
+    /// `programmed` with the protocol's schedule on sampler seed `seed`,
+    /// the classical candidate `initial` (required exactly when the
+    /// protocol starts at `s = 1`) programming its initial state. The
+    /// answer ([`Refined::best`]) is the best state seen, the candidate
+    /// included.
+    ///
+    /// # Panics
+    /// Panics when the protocol parameters are invalid, or as
+    /// [`QuantumSampler::sample_programmed`].
+    pub fn refine(
+        &self,
+        programmed: Programmed<'_>,
+        initial: Option<InitialState>,
+        seed: u64,
+    ) -> Refined {
+        let initial_bits = initial.as_ref().map(|i| i.bits.as_slice());
+        let result =
+            (self.sampler).sample_programmed(programmed, self.schedule(), initial_bits, seed);
+        Refined { result, initial }
+    }
+
     /// Solves one detection instance with an optional **warm start**.
     ///
     /// When `warm_start` is given and the protocol takes an initial state,
@@ -160,66 +218,42 @@ impl HybridSolver {
         warm_start: Option<&[u8]>,
     ) -> HybridResult {
         let mut rng = Rng64::new(seed);
-        let schedule = self.schedule.as_ref().expect("invalid protocol parameters");
 
         // The frame's CSR, built once: the classical stage reads it and
         // the sampler then programs it.
         let qubo = &instance.reduction.qubo;
-        let programmed = self.sampler.program(qubo);
-        let (initial, classical_us) = if self.config.protocol.requires_initial_state() {
-            let init = match warm_start {
-                Some(bits) => {
-                    assert_eq!(
-                        bits.len(),
-                        instance.num_vars(),
-                        "solve_warm: warm-start length mismatch"
-                    );
-                    assert!(
-                        bits.iter().all(|&b| b <= 1),
-                        "solve_warm: warm-start bits must be 0 or 1"
-                    );
-                    InitialState {
-                        bits: bits.to_vec(),
-                        energy: qubo.energy(bits),
-                        latency_us: 0.0,
-                    }
+        let programmed = self.program(qubo, Target::Logical);
+        let (protocol, initializer) = (&self.config.protocol, &self.config.initializer);
+        let initial = protocol.requires_initial_state().then(|| match warm_start {
+            Some(bits) => {
+                assert_eq!(
+                    bits.len(),
+                    instance.num_vars(),
+                    "solve_warm: warm-start length mismatch"
+                );
+                assert!(
+                    bits.iter().all(|&b| b <= 1),
+                    "solve_warm: warm-start bits must be 0 or 1"
+                );
+                InitialState {
+                    bits: bits.to_vec(),
+                    energy: qubo.energy(bits),
+                    latency_us: 0.0,
                 }
-                None => self
-                    .config
-                    .initializer
-                    .initialize_on(instance, &programmed, &mut rng),
-            };
-            let latency = init.latency_us;
-            (Some(init), latency)
-        } else {
-            (None, 0.0)
-        };
-
-        let result = self.sampler.sample_programmed(
-            qubo,
-            programmed,
-            schedule,
-            initial.as_ref().map(|i| i.bits.as_slice()),
-            rng.next_u64(),
-        );
-
-        // Final selection: best quantum sample, or the classical candidate
-        // when it is still the lowest-energy state seen.
-        let (best_bits, best_energy) = match (result.samples.best(), &initial) {
-            (Some(sample), Some(init)) if init.energy < sample.energy => {
-                (init.bits.clone(), init.energy)
             }
-            (Some(sample), _) => (sample.bits.clone(), sample.energy),
-            (None, Some(init)) => (init.bits.clone(), init.energy),
-            (None, None) => unreachable!("sampler always returns ≥ 1 read"),
-        };
+            None => initializer.initialize_on(instance, programmed.logical(), &mut rng),
+        });
+        let classical_us = initial.as_ref().map_or(0.0, |init| init.latency_us);
 
+        let refined = self.refine(programmed, initial, rng.next_u64());
+        let (bits, best_energy) = refined.best();
+        let best_bits = bits.to_vec();
         HybridResult {
             best_bits,
             best_energy,
-            initial,
-            samples: result.samples,
-            quantum_timing: result.timing,
+            initial: refined.initial,
+            samples: refined.result.samples,
+            quantum_timing: refined.result.timing,
             classical_us,
         }
     }

@@ -6,20 +6,26 @@
 //!   decision's `natural_to_gray`, on 8-user QPSK frames at 14 dB;
 //! * an 8-user QPSK `ChannelTrack::next` (frame synthesis);
 //! * a mock-QPU job in `solve_batch` batches of 4, its embedding cached,
-//!   on the backend `BackendSpec::MockQpu(config).build()` makes.
+//!   on the backend `BackendSpec::MockQpu(config).build()` makes;
+//! * a seeded embedded job at the mock QPU's 4-user shape: a 4-read
+//!   PIMC-8 reverse anneal at `s_p = 0.65` from a greedy seed, through the
+//!   clique embedding on C₂, plus the decision's `natural_to_gray`.
 //!
 //! A served frame keeps its buffers per thread (the frame's CSR, the
-//! anneal's replicas, template, levels, readouts and tally; a mock-QPU job
-//! also its physical CSR), and its solver keeps its schedule, so what it
-//! allocates is what it returns. A change that allocates per read or per
+//! anneal's replicas, template, levels, readouts and tally; an embedded
+//! job also its physical CSR and physical start state), and its solver
+//! keeps its schedule, so what it allocates is what it returns. A change that allocates per read or per
 //! symbol again fails here. Counts are per thread, so tests running side
 //! by side do not see each other's allocations.
 
-use hqw_anneal::{DWaveProfile, EngineKind, QuantumSampler, SamplerConfig};
+use hqw_anneal::{
+    AnnealParams, AnnealSchedule, ChainStrength, Chimera, CliqueEmbedding, DWaveProfile,
+    EngineKind, QuantumSampler, SamplerConfig, Target,
+};
 use hqw_core::fabric::{BackendSpec, FabricJob, MockQpuConfig};
 use hqw_core::sched::PriorityClass;
 use hqw_core::stream::CostModel;
-use hqw_core::{HybridSolver, NetworkModel};
+use hqw_core::{ClassicalInitializer, GreedyInitializer, HybridSolver, NetworkModel};
 use hqw_math::Rng64;
 use hqw_phy::channel::snr_db_to_noise_variance;
 use hqw_phy::instance::DetectionInstance;
@@ -122,7 +128,7 @@ fn eight_user_frame_synthesis_allocates_per_frame_not_per_symbol() {
 }
 
 #[test]
-fn a_cached_mock_qpu_job_allocates_its_embedding_and_decision() {
+fn a_forward_mock_qpu_job_allocates_its_sample_set_and_decision() {
     let config = MockQpuConfig {
         num_reads: 4,
         anneal_us: 2.0,
@@ -161,4 +167,43 @@ fn a_cached_mock_qpu_job_allocates_its_embedding_and_decision() {
     // job built its physical CSR afresh, 42.4 while every read allocated
     // its readout.
     assert!(per_job <= 6.5, "{per_job} allocations per mock-QPU job");
+}
+
+#[test]
+fn a_seeded_embedded_job_allocates_what_it_returns() {
+    let sampler = QuantumSampler::new(
+        DWaveProfile::calibrated(),
+        SamplerConfig {
+            num_reads: 4,
+            engine: EngineKind::Pimc { trotter_slices: 8 },
+            params: AnnealParams {
+                sweeps_per_us: 8,
+                ..AnnealParams::default()
+            },
+            threads: 1,
+            ..Default::default()
+        },
+    );
+    let embedding = CliqueEmbedding::new(Chimera::new(2), 8);
+    let target = Target::Embedded(&embedding, ChainStrength::RelativeToMax(2.0));
+    let schedule = AnnealSchedule::reverse(0.65, 1.0).unwrap();
+    let frames: Vec<DetectionInstance> = qpsk_track(4, 0.9, 2026).take(400).collect();
+    let mut rng = Rng64::new(3);
+    let seeds: Vec<Vec<u8>> = (frames.iter())
+        .map(|inst| GreedyInitializer.initialize(inst, &mut rng).bits)
+        .collect();
+    let per_job = allocations_per_call(40, 360, |i| {
+        let inst = &frames[i];
+        let programmed = sampler.program(&inst.reduction.qubo, target);
+        let result = sampler.sample_programmed(programmed, &schedule, Some(&seeds[i]), i as u64);
+        let best = result.samples.best().expect("QPU produced no samples");
+        black_box(inst.reduction.natural_to_gray(&best.bits));
+    });
+    // The sample set and one `Vec` per distinct sample, and the Gray bits:
+    // 3.017 when pinned, 4.017 while each job built its physical start
+    // state afresh.
+    assert!(
+        per_job <= 3.1,
+        "{per_job} allocations per seeded embedded job"
+    );
 }

@@ -12,7 +12,7 @@
 
 use hqw_anneal::{
     AnnealParams, AnnealSchedule, ChainStrength, Chimera, CliqueEmbedding, DWaveProfile,
-    EngineKind, QuantumSampler, SamplerConfig,
+    EngineKind, QuantumSampler, SamplerConfig, Target,
 };
 use hqw_core::fabric::{BackendSpec, FabricJob, MockQpuConfig};
 use hqw_core::sched::PriorityClass;
@@ -136,8 +136,8 @@ fn job_lines() -> Vec<String> {
         let embedding = CliqueEmbedding::new(Chimera::new(m), 2 * n_users);
         for (job, gray_bits) in jobs.iter().zip(decisions) {
             let qubo = &job.inst.reduction.qubo;
-            let (result, _) =
-                sampler.sample_qubo_embedded(qubo, &embedding, strength, &schedule, None, job.seed);
+            let programmed = sampler.program(qubo, Target::Embedded(&embedding, strength));
+            let result = sampler.sample_programmed(programmed, &schedule, None, job.seed);
             let best = result.samples.best().expect("QPU produced no samples");
             assert_eq!(
                 gray_bits,

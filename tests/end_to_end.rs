@@ -3,7 +3,7 @@
 //! solver, back to wireless bits.
 
 use hqw::anneal::embedding::{ChainStrength, CliqueEmbedding};
-use hqw::anneal::sampler::{EngineKind, SamplerConfig};
+use hqw::anneal::sampler::{EngineKind, SamplerConfig, Target};
 use hqw::anneal::topology::Chimera;
 use hqw::core::stages::{ClassicalInitializer, GreedyInitializer, InitialState, OracleInitializer};
 use hqw::core::sweep::sweep_ra_sp;
@@ -124,14 +124,10 @@ fn embedded_chimera_pipeline_round_trips() {
 
     let sampler = quick_sampler(20);
     let schedule = AnnealSchedule::reverse(0.85, 1.0).unwrap();
-    let (result, chain_break_fraction) = sampler.sample_qubo_embedded(
-        &inst.reduction.qubo,
-        &embedding,
-        ChainStrength::RelativeToMax(2.0),
-        &schedule,
-        Some(&inst.tx_natural_bits),
-        13,
-    );
+    let target = Target::Embedded(&embedding, ChainStrength::RelativeToMax(2.0));
+    let programmed = sampler.program(&inst.reduction.qubo, target);
+    let result = sampler.sample_programmed(programmed, &schedule, Some(&inst.tx_natural_bits), 13);
+    let chain_break_fraction = result.chain_break_fraction;
 
     // Score the best unembedded read as wireless bits.
     let bits = &result.samples.best().expect("samples").bits;
