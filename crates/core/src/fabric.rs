@@ -191,6 +191,30 @@ fn validate_pool(config: &str, workers: usize, max_batch: usize) -> Result<(), S
     Ok(())
 }
 
+/// The read, anneal-time, sweep-rate and batch checks the annealer-simulator
+/// and mock-QPU configurations share.
+fn validate_anneal(
+    config: &str,
+    num_reads: usize,
+    anneal_us: f64,
+    sweeps_per_us: usize,
+    max_batch: usize,
+) -> Result<(), String> {
+    if num_reads == 0 {
+        return Err(format!("{config}: need >= 1 read"));
+    }
+    if !(anneal_us > 0.0 && anneal_us.is_finite()) {
+        return Err(format!("{config}: anneal_us must be > 0"));
+    }
+    if sweeps_per_us == 0 {
+        return Err(format!("{config}: sweeps_per_us must be > 0"));
+    }
+    if max_batch == 0 {
+        return Err(format!("{config}: need max_batch >= 1"));
+    }
+    Ok(())
+}
+
 /// Configuration of the SA worker pool ([`BackendSpec::SaPool`]): the
 /// cheapest, always-available rung of the fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -447,20 +471,15 @@ impl AnnealerConfig {
     /// # Errors
     /// Returns a message for the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.num_reads == 0 {
-            return Err("AnnealerConfig: need >= 1 read".to_string());
-        }
-        if !(self.anneal_us > 0.0 && self.anneal_us.is_finite()) {
-            return Err("AnnealerConfig: anneal_us must be > 0".to_string());
-        }
-        if self.sweeps_per_us == 0 {
-            return Err("AnnealerConfig: sweeps_per_us > 0".to_string());
-        }
+        validate_anneal(
+            "AnnealerConfig",
+            self.num_reads,
+            self.anneal_us,
+            self.sweeps_per_us,
+            self.max_batch,
+        )?;
         if self.capacity == 0 {
             return Err("AnnealerConfig: capacity must be > 0".to_string());
-        }
-        if self.max_batch == 0 {
-            return Err("AnnealerConfig: max_batch must be > 0".to_string());
         }
         Ok(())
     }
@@ -596,20 +615,15 @@ impl MockQpuConfig {
     /// # Errors
     /// Returns a message for the first violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.num_reads == 0 {
-            return Err("MockQpuConfig: need >= 1 read".to_string());
-        }
-        if !(self.anneal_us > 0.0 && self.anneal_us.is_finite()) {
-            return Err("MockQpuConfig: anneal_us > 0".to_string());
-        }
-        if self.sweeps_per_us == 0 {
-            return Err("MockQpuConfig: sweeps_per_us must be > 0".to_string());
-        }
+        validate_anneal(
+            "MockQpuConfig",
+            self.num_reads,
+            self.anneal_us,
+            self.sweeps_per_us,
+            self.max_batch,
+        )?;
         if self.trotter_slices < 2 {
             return Err("MockQpuConfig: need >= 2 Trotter slices".to_string());
-        }
-        if self.max_batch == 0 {
-            return Err("MockQpuConfig: max_batch >= 1".to_string());
         }
         if !(self.network.rtt_base_us >= 0.0 && self.network.jitter_us >= 0.0) {
             return Err("MockQpuConfig: negative network cost".to_string());
@@ -1206,12 +1220,12 @@ pub(crate) fn generate_jobs(config: &FabricConfig) -> Vec<FabricJob> {
 ///
 /// At each arrival the scheduler routes the job to the backend minimizing
 /// predicted completion — or, when no backend's prediction fits the
-/// deadline, falls back to the cell's local classical detector exactly as
-/// the stream engine's deadline-aware [`crate::stream::DispatchPolicy`]
-/// does (local compute is uncontended: fallback latency is the classical
-/// service time alone). Idle backends start serving immediately; jobs
-/// arriving at a busy backend queue up and coalesce into its next
-/// same-shape batch when the backend frees.
+/// deadline, falls back to the cell's local classical detector. That
+/// fallback shares no server and starts at once, unlike the stream engine's
+/// deadline-aware [`crate::stream::DispatchPolicy`], which queues classical
+/// frames on the same FIFO server as hybrid ones. Idle backends start
+/// serving immediately; jobs arriving at a busy backend queue up and
+/// coalesce into its next same-shape batch when the backend frees.
 ///
 /// The scheduler solves nothing. It charges each batch it forms through
 /// [`SolverBackend::charge_batch_us`] on its own backend instances, and
@@ -2212,7 +2226,7 @@ impl crate::report::Report for FabricGridReport {
 mod tests {
     use super::*;
     use crate::sched::{ClassMix, SchedPolicy};
-    use crate::stream::{run_stream, DispatchPolicy, StreamConfig};
+    use crate::stream::{run_stream_observed, DispatchPolicy, StreamConfig};
     use hqw_phy::channel::snr_db_to_noise_variance;
     use hqw_phy::modulation::Modulation;
 
@@ -2503,7 +2517,7 @@ mod tests {
         });
         // The fabric's cell-0 track seed, per ChannelTrack::cells.
         let cell0_seed = Rng64::new(seed ^ 0xCE11_5EED).next_u64();
-        let stream_report = run_stream(
+        let stream_report = run_stream_observed(
             &StreamConfig {
                 track: track(),
                 frames: 32,
@@ -2515,6 +2529,8 @@ mod tests {
                 seed: cell0_seed,
             },
             &Mmse::new(track().noise_variance),
+            None,
+            0,
         );
         assert_eq!(fabric_report.fallback_rate, 0.0);
         assert_eq!(
@@ -2654,6 +2670,52 @@ mod tests {
         qpu.trotter_slices = 1;
         let err = qpu.validate().unwrap_err();
         assert!(err.contains("Trotter"), "{err}");
+
+        // The four checks both configurations share, each named after the
+        // configuration that failed it.
+        let a = quick_annealer();
+        let BackendSpec::MockQpu(q) = quick_qpu(4) else {
+            unreachable!()
+        };
+        let cases = [
+            (
+                "need >= 1 read",
+                AnnealerConfig { num_reads: 0, ..a },
+                MockQpuConfig { num_reads: 0, ..q },
+            ),
+            (
+                "anneal_us must be > 0",
+                AnnealerConfig {
+                    anneal_us: 0.0,
+                    ..a
+                },
+                MockQpuConfig {
+                    anneal_us: 0.0,
+                    ..q
+                },
+            ),
+            (
+                "sweeps_per_us must be > 0",
+                AnnealerConfig {
+                    sweeps_per_us: 0,
+                    ..a
+                },
+                MockQpuConfig {
+                    sweeps_per_us: 0,
+                    ..q
+                },
+            ),
+            (
+                "need max_batch >= 1",
+                AnnealerConfig { max_batch: 0, ..a },
+                MockQpuConfig { max_batch: 0, ..q },
+            ),
+        ];
+        for (message, annealer, qpu) in cases {
+            let err = BackendSpec::Pimc(annealer).validate();
+            assert_eq!(err, Err(format!("AnnealerConfig: {message}")));
+            assert_eq!(qpu.validate(), Err(format!("MockQpuConfig: {message}")));
+        }
     }
 
     /// Every variant builds a `LocalPool`: before any call, the mock QPU

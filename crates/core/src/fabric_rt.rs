@@ -232,7 +232,8 @@ const TID_FRAME_BASE: u32 = 1000;
 /// counter samples under trace process `pid`. Instrumentation reads clocks
 /// and counters but feeds nothing back into scheduling: the routing trace
 /// and every deterministic report field are identical with telemetry on or
-/// off.
+/// off. Call it only on a validated configuration, whose point has at least
+/// one job.
 fn run_fabric_rt_point(
     config: &FabricConfig,
     rt: RealtimeConfig,
@@ -243,29 +244,6 @@ fn run_fabric_rt_point(
     let n_jobs = jobs.len();
     let n_backends = config.backends.len();
     let n_producers = rt.producers.min(config.n_cells).max(1);
-
-    if n_jobs == 0 {
-        // A zero-frame point has nothing to run and nothing to divide by:
-        // every ratio reports 0.0, not NaN.
-        return (
-            FabricRtReport {
-                mix: String::new(),
-                n_cells: config.n_cells,
-                arrival_period_us: config.arrival_period_us,
-                jobs: 0,
-                ber: 0.0,
-                fallback_rate: 0.0,
-                frames_per_sec: 0.0,
-                p50_ms: 0.0,
-                p99_ms: 0.0,
-                p999_ms: 0.0,
-                decision_ns_per_job: 0.0,
-                wall_ms: 0.0,
-                replay_divergences: 0,
-            },
-            Vec::new(),
-        );
-    }
 
     if let Some(collector) = telemetry {
         collector.label_process(
@@ -1223,31 +1201,19 @@ mod tests {
     }
 
     #[test]
-    fn zero_job_point_reports_zeroed_ratios_not_nan() {
-        // Regression: a point that admits zero jobs used to divide by zero
-        // (NaN decision_ns_per_job) or panic on the empty latency vector.
-        let mut config = point(2, 100.0, 500.0, ArrivalProcess::Periodic, quick_pool());
+    #[should_panic(expected = "FabricConfig: need at least one frame per cell")]
+    fn zero_frame_realtime_grid_panics_before_any_thread_starts() {
+        // Validation runs before the first point, so a zero-frame grid never
+        // reaches a point with no jobs.
+        let mut config = rt_grid(
+            ArrivalProcess::Periodic,
+            RealtimeConfig {
+                producers: 2,
+                queue_shards: 2,
+            },
+        );
         config.frames_per_cell = 0;
-        let rt = RealtimeConfig {
-            producers: 2,
-            queue_shards: 2,
-        };
-        let (report, trace) = run_fabric_rt_point(&config, rt, None, 1);
-        assert!(trace.is_empty());
-        assert_eq!(report.jobs, 0);
-        for ratio in [
-            report.ber,
-            report.fallback_rate,
-            report.frames_per_sec,
-            report.p50_ms,
-            report.p99_ms,
-            report.p999_ms,
-            report.decision_ns_per_job,
-            report.wall_ms,
-        ] {
-            assert_eq!(ratio, 0.0, "zero-job ratios must be 0.0, not NaN");
-        }
-        assert_eq!(report.replay_divergences, 0);
+        run_fabric_rt_grid(&config);
     }
 
     #[test]

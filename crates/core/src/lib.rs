@@ -112,7 +112,6 @@ pub use solver::{HybridConfig, HybridResult, HybridSolver, Refined};
 pub use spec::{ExperimentSpec, FigureKind, FigureSpec, SpecError, SPEC_VERSION};
 pub use stages::{ClassicalInitializer, GreedyInitializer, InitialState};
 pub use stream::{
-    run_stream, CostModel, DispatchPolicy, StreamConfig, StreamGridConfig, StreamGridReport,
-    StreamReport,
+    CostModel, DispatchPolicy, StreamConfig, StreamGridConfig, StreamGridReport, StreamReport,
 };
 pub use telemetry::{Collector, CounterSample, LogHistogram, TelemetrySummary, TraceEvent};

@@ -258,20 +258,14 @@ pub struct StreamReport {
 /// [`StreamConfig::validate`] for the non-panicking check). A deadline of
 /// exactly 0 is accepted: every frame then misses it, and the
 /// deadline-aware policy downgrades everything to the classical arm.
-pub fn run_stream(config: &StreamConfig, classical: &dyn Detector) -> StreamReport {
-    run_stream_observed(config, classical, None, 0)
-}
-
-/// [`run_stream`] with optional telemetry: when a collector is given, each
-/// frame emits virtual-time spans under trace process `pid` — a `"stage"`
-/// span for queue wait (when non-zero) and one for service on the server
-/// lane (named after the serving arm), plus an end-to-end `"job"` span on
-/// the frame lane. Timestamps are the virtual clock's µs, so the trace is
-/// byte-stable across runs; the report is byte-identical with and without
-/// a collector.
 ///
-/// # Panics
-/// As [`run_stream`].
+/// # Telemetry
+/// When a collector is given, each frame emits virtual-time spans under
+/// trace process `pid` — a `"stage"` span for queue wait (when non-zero)
+/// and one for service on the server lane (named after the serving arm),
+/// plus an end-to-end `"job"` span on the frame lane. Timestamps are the
+/// virtual clock's µs, so the trace is byte-stable across runs; the report
+/// is byte-identical with and without a collector.
 pub fn run_stream_observed(
     config: &StreamConfig,
     classical: &dyn Detector,
@@ -788,11 +782,16 @@ mod tests {
         Mmse::new(snr_db_to_noise_variance(14.0, 3))
     }
 
+    /// One cell against the MMSE classical arm, without telemetry.
+    fn run(config: &StreamConfig) -> StreamReport {
+        run_stream_observed(config, &mmse(), None, 0)
+    }
+
     #[test]
     fn stream_is_deterministic_per_seed() {
         let config = cell(DispatchPolicy::DeadlineAware, 0.9, 100.0);
-        let a = run_stream(&config, &mmse());
-        let b = run_stream(&config, &mmse());
+        let a = run(&config);
+        let b = run(&config);
         assert_eq!(
             a.encode().to_string_compact(),
             b.encode().to_string_compact()
@@ -801,7 +800,7 @@ mod tests {
 
     #[test]
     fn always_classical_never_runs_the_hybrid_arm() {
-        let report = run_stream(&cell(DispatchPolicy::AlwaysClassical, 0.5, 100.0), &mmse());
+        let report = run(&cell(DispatchPolicy::AlwaysClassical, 0.5, 100.0));
         assert_eq!(report.hybrid_frames, 0);
         assert_eq!(report.classical_frames, report.frames);
         assert_eq!(report.warm_pairs, 0);
@@ -810,7 +809,7 @@ mod tests {
 
     #[test]
     fn always_hybrid_warm_pairs_cover_all_but_frame_zero() {
-        let report = run_stream(&cell(DispatchPolicy::AlwaysHybrid, 0.9, 400.0), &mmse());
+        let report = run(&cell(DispatchPolicy::AlwaysHybrid, 0.9, 400.0));
         assert_eq!(report.hybrid_frames, report.frames);
         assert_eq!(report.warm_pairs, report.frames - 1);
         assert!(report.cold_sweeps_to_solution > 0.0);
@@ -820,7 +819,7 @@ mod tests {
     fn coherent_warm_starts_beat_cold_starts() {
         // The acceptance criterion: at ρ ≥ 0.9 a warm-started read reaches
         // the cold read's final quality in strictly fewer sweeps on average.
-        let report = run_stream(&cell(DispatchPolicy::AlwaysHybrid, 0.95, 400.0), &mmse());
+        let report = run(&cell(DispatchPolicy::AlwaysHybrid, 0.95, 400.0));
         assert!(
             report.warm_sweeps_to_solution < report.cold_sweeps_to_solution,
             "warm {} vs cold {}",
@@ -835,9 +834,7 @@ mod tests {
         // period can only increase queueing, so misses are monotone.
         let rates: Vec<f64> = [400.0, 150.0, 90.0, 60.0]
             .iter()
-            .map(|&p| {
-                run_stream(&cell(DispatchPolicy::AlwaysHybrid, 0.9, p), &mmse()).deadline_miss_rate
-            })
+            .map(|&p| run(&cell(DispatchPolicy::AlwaysHybrid, 0.9, p)).deadline_miss_rate)
             .collect();
         for w in rates.windows(2) {
             assert!(w[1] >= w[0], "miss rate dropped under load: {rates:?}");
@@ -851,8 +848,8 @@ mod tests {
     #[test]
     fn deadline_aware_downgrades_under_overload() {
         let overload = 60.0; // well below the nominal hybrid service time
-        let hybrid = run_stream(&cell(DispatchPolicy::AlwaysHybrid, 0.9, overload), &mmse());
-        let aware = run_stream(&cell(DispatchPolicy::DeadlineAware, 0.9, overload), &mmse());
+        let hybrid = run(&cell(DispatchPolicy::AlwaysHybrid, 0.9, overload));
+        let aware = run(&cell(DispatchPolicy::DeadlineAware, 0.9, overload));
         assert!(aware.classical_frames > 0, "no fallback under overload");
         assert!(
             aware.deadline_miss_rate < hybrid.deadline_miss_rate,
@@ -867,7 +864,7 @@ mod tests {
         // Sanity: the warm-started hybrid arm still detects correctly — BER
         // at 14 dB QPSK must stay moderate, and the high-coherence stream
         // must not collapse to garbage decisions.
-        let report = run_stream(&cell(DispatchPolicy::AlwaysHybrid, 0.95, 400.0), &mmse());
+        let report = run(&cell(DispatchPolicy::AlwaysHybrid, 0.95, 400.0));
         assert!(report.ber < 0.2, "BER {} out of range", report.ber);
     }
 
@@ -940,7 +937,7 @@ mod tests {
     fn zero_frame_track_rejected() {
         let mut config = cell(DispatchPolicy::AlwaysHybrid, 0.5, 100.0);
         config.frames = 0;
-        run_stream(&config, &mmse());
+        run(&config);
     }
 
     #[test]
@@ -950,7 +947,7 @@ mod tests {
         // and every frame (classical service > 0) is counted as a miss.
         let mut config = cell(DispatchPolicy::DeadlineAware, 0.9, 100.0);
         config.deadline_us = 0.0;
-        let report = run_stream(&config, &mmse());
+        let report = run(&config);
         assert_eq!(report.hybrid_frames, 0, "zero budget must disable hybrid");
         assert_eq!(report.classical_frames, report.frames);
         assert_eq!(report.warm_pairs, 0);
@@ -964,7 +961,7 @@ mod tests {
     fn negative_deadline_rejected() {
         let mut config = cell(DispatchPolicy::DeadlineAware, 0.9, 100.0);
         config.deadline_us = -1.0;
-        run_stream(&config, &mmse());
+        run(&config);
     }
 
     #[test]
@@ -972,7 +969,7 @@ mod tests {
     fn zero_arrival_period_rejected() {
         let mut config = cell(DispatchPolicy::AlwaysHybrid, 0.5, 100.0);
         config.arrival_period_us = 0.0;
-        run_stream(&config, &mmse());
+        run(&config);
     }
 
     #[test]

@@ -49,24 +49,6 @@ impl CVector {
         &self.data
     }
 
-    /// Mutable view of the underlying storage.
-    pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
-        &mut self.data
-    }
-
-    /// Hermitian inner product `⟨self, other⟩ = Σ self_i* · other_i`.
-    ///
-    /// # Panics
-    /// Panics when lengths differ.
-    pub fn dot_h(&self, other: &CVector) -> Complex64 {
-        assert_eq!(self.len(), other.len(), "dot_h: length mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| a.conj() * *b)
-            .sum()
-    }
-
     /// Squared Euclidean norm `‖v‖²`.
     pub fn norm_sqr(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum()
@@ -280,11 +262,6 @@ impl CMatrix {
         })
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute element difference against `other`.
     ///
     /// # Panics
@@ -391,15 +368,6 @@ mod tests {
             assert!(g[(i, i)].im.abs() < 1e-12);
             assert!(g[(i, i)].re >= 0.0);
         }
-    }
-
-    #[test]
-    fn dot_h_is_conjugate_linear() {
-        let a = CVector::from_vec(vec![c(1., 1.)]);
-        let b = CVector::from_vec(vec![c(0., 1.)]);
-        // ⟨a,b⟩ = (1-i)(i) = i - i² = 1 + i
-        assert!((a.dot_h(&b) - c(1., 1.)).abs() < 1e-12);
-        assert!((a.dot_h(&a) - c(2., 0.)).abs() < 1e-12);
     }
 
     #[test]

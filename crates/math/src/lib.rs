@@ -10,8 +10,8 @@
 //! * [`RMatrix`] / [`RVector`] — dense real matrices and vectors.
 //! * [`linalg`] — LU, Cholesky and Householder-QR decompositions with
 //!   solvers, for zero-forcing, MMSE and sphere-decoder front ends.
-//! * [`rng`] — deterministic, seedable xoshiro256++ RNG with uniform,
-//!   Gaussian and categorical sampling. Every stochastic API in the workspace
+//! * [`rng`] — deterministic, seedable xoshiro256++ RNG with uniform and
+//!   Gaussian sampling. Every stochastic API in the workspace
 //!   threads one of these through explicitly, so all experiments reproduce
 //!   bit-exactly from a seed.
 //! * [`ziggurat`] — [`Exp1`], a table-driven Exp(1) sampler that takes no
@@ -19,8 +19,8 @@
 //!   from it.
 //! * [`parallel`] — the deterministic, order-preserving thread fan-out every
 //!   parallel surface (SA/anneal reads, batch solves, grid sweeps) shares.
-//! * [`stats`] — descriptive statistics, percentiles, histograms and the
-//!   fixed-width binning used by the paper's ΔE% analyses.
+//! * [`stats`] — percentiles and the zero-safe ratio used by the paper's
+//!   ΔE% analyses and the per-job report fields.
 //!
 //! Design goals follow the workspace guides: simplicity and robustness over
 //! cleverness, no macro tricks, extensive documentation, and tests (unit +

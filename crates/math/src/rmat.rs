@@ -39,11 +39,6 @@ impl RVector {
         &self.data
     }
 
-    /// Mutable view of the underlying storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Dot product `self · other`.
     ///
     /// # Panics
@@ -213,11 +208,6 @@ impl RMatrix {
             }
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute element difference against `other`.

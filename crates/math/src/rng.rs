@@ -141,12 +141,6 @@ impl Rng64 {
         self.next_u64() & 1 == 1
     }
 
-    /// Bernoulli draw with success probability `p` (clamped to `[0, 1]`).
-    #[inline]
-    pub fn next_bernoulli(&mut self, p: f64) -> bool {
-        self.next_f64() < p
-    }
-
     /// Standard Gaussian (`μ = 0`, `σ = 1`) via Box-Muller with caching.
     pub fn next_gaussian(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
@@ -165,27 +159,6 @@ impl Rng64 {
     #[inline]
     pub fn next_gaussian_with(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.next_gaussian()
-    }
-
-    /// Samples an index from unnormalized non-negative weights.
-    ///
-    /// # Panics
-    /// Panics when `weights` is empty or sums to a non-positive value.
-    pub fn next_weighted(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "next_weighted: empty weights");
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "next_weighted: weights must sum to a positive finite value"
-        );
-        let mut target = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            target -= w;
-            if target < 0.0 {
-                return i;
-            }
-        }
-        weights.len() - 1 // Floating-point fallback.
     }
 }
 
@@ -256,19 +229,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean={mean}");
         assert!((var - 1.0).abs() < 0.03, "var={var}");
-    }
-
-    #[test]
-    fn weighted_sampling_respects_weights() {
-        let mut rng = Rng64::new(37);
-        let weights = [0.0, 1.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[rng.next_weighted(&weights)] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        let ratio = counts[2] as f64 / counts[1] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio={ratio}");
     }
 
     #[test]

@@ -5,7 +5,6 @@ use hqw_math::stats::percentile;
 use hqw_math::{CMatrix, CVector, Complex64, RMatrix, RVector, Rng64};
 use hqw_oracle::linalg::LuReal;
 use hqw_oracle::rmat::{gram, matmul};
-use hqw_oracle::stats::RunningStats;
 use proptest::prelude::*;
 
 fn finite_f64() -> impl Strategy<Value = f64> {
@@ -66,24 +65,6 @@ proptest! {
         xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
         prop_assert!(percentile(&xs, lo) <= percentile(&xs, hi) + 1e-9);
-    }
-
-    #[test]
-    fn running_stats_merge_associative(xs in prop::collection::vec(finite_f64(), 0..48),
-                                       split in 0usize..48) {
-        let split = split.min(xs.len());
-        let mut whole = RunningStats::new();
-        for &x in &xs { whole.add(x); }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &xs[..split] { a.add(x); }
-        for &x in &xs[split..] { b.add(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        if !xs.is_empty() {
-            prop_assert!((a.mean() - whole.mean()).abs() < 1e-9);
-            prop_assert!((a.variance() - whole.variance()).abs() < 1e-6);
-        }
     }
 }
 

@@ -31,7 +31,7 @@ pub fn sparse_random_qubo(n: usize, density: f64, rng: &mut Rng64) -> Qubo {
     for i in 0..n {
         q.set(i, i, rng.next_range(-1.0, 1.0));
         for j in i + 1..n {
-            if rng.next_bernoulli(density) {
+            if rng.next_f64() < density {
                 q.set(i, j, rng.next_range(-1.0, 1.0));
             }
         }

@@ -13,11 +13,10 @@
 //!   between it and [`hqw_qubo::Qubo`], and [`csr`] flattens it into the
 //!   served [`hqw_qubo::CsrIsing`].
 //! * [`generator`] — random, sparse-random and planted QUBOs.
-//! * [`local`] — steepest descent and the local-minimum check.
-//! * [`rmat`] / [`linalg`] — transpose, dense products, the real LU and
-//!   the complex inverse that check the served decompositions.
-//! * [`rng`] — child generators and shuffles over `Rng64`'s draws.
-//! * [`stats`] — Welford's running statistics and histogram frequencies.
+//! * [`local`] — steepest descent.
+//! * [`rmat`] / [`linalg`] — transpose, dense products and the real LU
+//!   solve that check the served decompositions.
+//! * [`rng`] — child generators over `Rng64`'s draws.
 //! * [`energy_eq`] — the tolerance for comparing two energies.
 //!
 //! The unit tests of `hqw-math` and `hqw-qubo` build a second copy of
@@ -36,7 +35,6 @@ pub mod local;
 pub mod model;
 pub mod rmat;
 pub mod rng;
-pub mod stats;
 
 pub use hqw_math;
 pub use hqw_qubo;

@@ -1,10 +1,10 @@
-//! Reference solves: real LU with partial pivoting, and the complex LU's
-//! inverse. The served detectors factor once per frame and solve
+//! Reference solve: real LU with partial pivoting. The served detectors
+//! factor once per frame and solve
 //! ([`hqw_math::linalg::LuComplex`], [`hqw_math::linalg::CholeskyReal`],
-//! [`hqw_math::linalg::QrReal`]); these check them.
+//! [`hqw_math::linalg::QrReal`]); it checks them.
 
-use hqw_math::linalg::{LinalgError, LuComplex};
-use hqw_math::{CMatrix, CVector, Complex64, RMatrix, RVector};
+use hqw_math::linalg::LinalgError;
+use hqw_math::{RMatrix, RVector};
 
 /// Pivot threshold below which a pivot is treated as zero.
 const PIVOT_EPS: f64 = 1e-12;
@@ -15,7 +15,6 @@ const PIVOT_EPS: f64 = 1e-12;
 pub struct LuReal {
     lu: RMatrix,
     perm: Vec<usize>,
-    sign: f64,
 }
 
 impl LuReal {
@@ -34,7 +33,6 @@ impl LuReal {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
 
         for col in 0..n {
             // Partial pivoting: pick the largest remaining |entry| in the column.
@@ -57,7 +55,6 @@ impl LuReal {
                     lu[(pivot_row, c)] = tmp;
                 }
                 perm.swap(col, pivot_row);
-                sign = -sign;
             }
             let pivot = lu[(col, col)];
             for r in col + 1..n {
@@ -69,7 +66,7 @@ impl LuReal {
                 }
             }
         }
-        Ok(LuReal { lu, perm, sign })
+        Ok(LuReal { lu, perm })
     }
 
     /// Solves `A·x = b`.
@@ -99,57 +96,11 @@ impl LuReal {
         }
         x
     }
-
-    /// Computes `A⁻¹` column by column.
-    pub fn inverse(&self) -> RMatrix {
-        let n = self.lu.rows();
-        let mut inv = RMatrix::zeros(n, n);
-        for c in 0..n {
-            let mut e = RVector::zeros(n);
-            e[c] = 1.0;
-            let x = self.solve(&e);
-            for r in 0..n {
-                inv[(r, c)] = x[r];
-            }
-        }
-        inv
-    }
-
-    /// Determinant of the factored matrix.
-    pub fn det(&self) -> f64 {
-        let n = self.lu.rows();
-        (0..n).fold(self.sign, |acc, i| acc * self.lu[(i, i)])
-    }
-}
-
-/// Computes `A⁻¹` column by column from `A`'s [`LuComplex`] factors.
-///
-/// # Errors
-/// As [`LuComplex::new`].
-pub fn complex_inverse(a: &CMatrix) -> Result<CMatrix, LinalgError> {
-    let lu = LuComplex::new(a)?;
-    let n = a.rows();
-    let mut inv = CMatrix::zeros(n, n);
-    for c in 0..n {
-        let mut e = CVector::zeros(n);
-        e[c] = Complex64::ONE;
-        let x = lu.solve(&e);
-        for r in 0..n {
-            inv[(r, c)] = x[r];
-        }
-    }
-    Ok(inv)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rmat::matmul;
-    use hqw_math::Rng64;
-
-    fn random_matrix(n: usize, m: usize, rng: &mut Rng64) -> RMatrix {
-        RMatrix::from_fn(n, m, |_, _| rng.next_gaussian())
-    }
 
     #[test]
     fn lu_solves_known_system() {
@@ -159,20 +110,6 @@ mod tests {
         let x = LuReal::new(&a).unwrap().solve(&b);
         assert!((x[0] - 0.8).abs() < 1e-12);
         assert!((x[1] - 1.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lu_inverse_round_trip() {
-        let mut rng = Rng64::new(7);
-        for n in [1usize, 2, 3, 5, 8, 13] {
-            let a = random_matrix(n, n, &mut rng);
-            let inv = LuReal::new(&a).unwrap().inverse();
-            let prod = matmul(&a, &inv);
-            assert!(
-                prod.max_abs_diff(&RMatrix::identity(n)) < 1e-8,
-                "A·A⁻¹ ≠ I for n={n}"
-            );
-        }
     }
 
     #[test]
@@ -188,28 +125,5 @@ mod tests {
             LuReal::new(&a),
             Err(LinalgError::NotSquare { rows: 2, cols: 3 })
         ));
-    }
-
-    #[test]
-    fn lu_det_of_known_matrix() {
-        let a = RMatrix::from_vec(2, 2, vec![3., 1., 4., 2.]);
-        let lu = LuReal::new(&a).unwrap();
-        assert!((lu.det() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn complex_lu_inverse_round_trip() {
-        let mut rng = Rng64::new(11);
-        for n in [1usize, 2, 4, 6] {
-            let a = CMatrix::from_fn(n, n, |_, _| {
-                Complex64::new(rng.next_gaussian(), rng.next_gaussian())
-            });
-            let inv = complex_inverse(&a).unwrap();
-            let prod = a.matmul(&inv);
-            assert!(
-                prod.max_abs_diff(&CMatrix::identity(n)) < 1e-8,
-                "A·A⁻¹ ≠ I for n={n}"
-            );
-        }
     }
 }

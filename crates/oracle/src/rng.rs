@@ -8,14 +8,6 @@ pub fn split(rng: &mut Rng64) -> Rng64 {
     Rng64::new(rng.next_u64())
 }
 
-/// Fisher-Yates shuffle of a slice.
-pub fn shuffle<T>(rng: &mut Rng64, slice: &mut [T]) {
-    for i in (1..slice.len()).rev() {
-        let j = rng.next_index(i + 1);
-        slice.swap(i, j);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -36,15 +28,5 @@ mod tests {
             .filter(|_| parent.next_u64() == child.next_u64())
             .count();
         assert!(equal < 2);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng64::new(31);
-        let mut v: Vec<u32> = (0..50).collect();
-        shuffle(&mut rng, &mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

@@ -36,17 +36,6 @@ pub struct PairConstraint {
     pub strength: f64,
 }
 
-/// A penalty pushing a single variable toward a target value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BiasConstraint {
-    /// Variable index.
-    pub var: usize,
-    /// Target value (0 or 1).
-    pub target: u8,
-    /// Penalty strength `C > 0`.
-    pub strength: f64,
-}
-
 /// Applies a pair constraint in place. Returns the constant-offset change
 /// (energies of the modified QUBO relate to the original by
 /// `E_new(q) = E_old(q) + penalty(q) − offset`, with `penalty ∈ {0, …}`
@@ -96,29 +85,6 @@ pub fn apply_pair_constraint(qubo: &mut Qubo, c: &PairConstraint) -> f64 {
     qubo.add(c.a, c.a, c.strength * sa * kb);
     qubo.add(c.b, c.b, c.strength * sb * ka);
     c.strength * ka * kb
-}
-
-/// Applies a single-variable bias in place; returns the constant offset.
-///
-/// Target 1 adds `C·(1 − q)`; target 0 adds `C·q`. Both are non-negative and
-/// vanish exactly at the target.
-///
-/// # Panics
-/// Panics on out-of-range index, non-binary target, or non-positive strength.
-pub fn apply_bias_constraint(qubo: &mut Qubo, c: &BiasConstraint) -> f64 {
-    assert!(
-        c.var < qubo.num_vars(),
-        "apply_bias_constraint: index range"
-    );
-    assert!(c.target <= 1, "target must be 0/1");
-    assert!(c.strength > 0.0, "strength must be positive");
-    if c.target == 1 {
-        qubo.add(c.var, c.var, -c.strength);
-        c.strength
-    } else {
-        qubo.add(c.var, c.var, c.strength);
-        0.0
-    }
 }
 
 /// Applies a batch of pair constraints; returns the summed constant offset.
@@ -189,34 +155,6 @@ mod tests {
         assert_eq!(reference_penalty(&[1, 1], &c), 0.0);
         assert_eq!(reference_penalty(&[1, 0], &c), 0.0); // either-one semantics of Fig. 4
         assert_eq!(reference_penalty(&[0, 0], &c), 3.0);
-    }
-
-    #[test]
-    fn bias_constraint_pushes_toward_target() {
-        let mut q = Qubo::new(1);
-        let offset = apply_bias_constraint(
-            &mut q,
-            &BiasConstraint {
-                var: 0,
-                target: 1,
-                strength: 2.0,
-            },
-        );
-        // E(q=1) + offset = 0, E(q=0) + offset = 2.
-        assert_eq!(q.energy(&[1]) + offset, 0.0);
-        assert_eq!(q.energy(&[0]) + offset, 2.0);
-
-        let mut q0 = Qubo::new(1);
-        let off0 = apply_bias_constraint(
-            &mut q0,
-            &BiasConstraint {
-                var: 0,
-                target: 0,
-                strength: 2.0,
-            },
-        );
-        assert_eq!(q0.energy(&[0]) + off0, 0.0);
-        assert_eq!(q0.energy(&[1]) + off0, 2.0);
     }
 
     #[test]

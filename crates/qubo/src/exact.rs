@@ -47,37 +47,6 @@ pub fn exhaustive_minimum(qubo: &Qubo) -> (Vec<u8>, f64) {
     (best_bits, best_energy)
 }
 
-/// Counts the assignments attaining the minimum (within `tol`), returning
-/// `(min energy, count)`. Same size limits as [`exhaustive_minimum`].
-///
-/// # Panics
-/// Panics when `n > 26` or `n == 0`.
-pub fn ground_state_degeneracy(qubo: &Qubo, tol: f64) -> (f64, u64) {
-    let n = qubo.num_vars();
-    assert!(
-        n > 0 && n <= 26,
-        "ground_state_degeneracy: size out of range"
-    );
-
-    let mut bits = vec![0u8; n];
-    let mut energy = qubo.energy(&bits);
-    let mut best = energy;
-    let mut energies = Vec::with_capacity(1 << n);
-    energies.push(energy);
-    let total: u64 = 1u64 << n;
-    for counter in 1..total {
-        let flip = counter.trailing_zeros() as usize;
-        energy += qubo.flip_delta(&bits, flip);
-        bits[flip] ^= 1;
-        energies.push(energy);
-        if energy < best {
-            best = energy;
-        }
-    }
-    let count = energies.iter().filter(|&&e| e <= best + tol).count() as u64;
-    (best, count)
-}
-
 /// Depth-first branch and bound, returning `(argmin bits, min energy)`.
 ///
 /// Variables are assigned in descending order of "influence" (|diagonal| +
@@ -248,16 +217,6 @@ mod tests {
         let q = Qubo::new(4);
         let (_, e) = exhaustive_minimum(&q);
         assert_eq!(e, 0.0);
-    }
-
-    #[test]
-    fn degeneracy_counts_ties() {
-        // E = q0·q1 (penalize both on): minimum 0 attained by 3 states.
-        let mut q = Qubo::new(2);
-        q.set(0, 1, 1.0);
-        let (e, count) = ground_state_degeneracy(&q, 1e-9);
-        assert_eq!(e, 0.0);
-        assert_eq!(count, 3);
     }
 
     #[test]

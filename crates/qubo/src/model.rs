@@ -89,16 +89,6 @@ impl Qubo {
         self.get(i, i)
     }
 
-    /// Off-diagonal coupling between two distinct variables (symmetric view).
-    ///
-    /// # Panics
-    /// Panics when `i == j` or an index is out of range.
-    #[inline]
-    pub fn coupling(&self, i: usize, j: usize) -> f64 {
-        assert!(i != j, "Qubo::coupling: i == j has no coupling");
-        self.get(i, j)
-    }
-
     /// Evaluates the QUBO energy of a 0/1 assignment.
     ///
     /// # Panics
